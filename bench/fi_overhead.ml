@@ -75,47 +75,16 @@ type result = {
 
 let measure ~smoke () =
   let messages = if smoke then 2_000 else 10_000 in
-  let once timed =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      workload ~timed ~messages ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let p =
+    Paired.measure ~trials ~batch
+      ~base:(workload ~timed:false ~messages)
+      ~test:(workload ~timed:true ~messages)
   in
-  ignore (once false);
-  ignore (once true);
-  let plain = ref infinity in
-  let timed = ref infinity in
-  (* Same harness discipline as Trace_overhead.measure: per-pair ratios,
-     ABBA alternation, a major collection before every sample, median of
-     the trials. *)
-  let sample is_timed =
-    Gc.full_major ();
-    let ns = once is_timed in
-    if is_timed then (if ns < !timed then timed := ns)
-    else if ns < !plain then plain := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let p = sample false in
-          let t = sample true in
-          t /. p
-        end
-        else begin
-          let t = sample true in
-          let p = sample false in
-          t /. p
-        end)
-  in
-  Array.sort compare ratios;
-  let median_ratio = ratios.(trials / 2) in
   {
     messages;
-    plain_ns = !plain;
-    timed_ns = !timed;
-    overhead_pct = 100.0 *. (median_ratio -. 1.0);
+    plain_ns = p.Paired.base_ns;
+    timed_ns = p.Paired.test_ns;
+    overhead_pct = Paired.overhead_pct p;
   }
 
 let print_summary r =

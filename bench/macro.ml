@@ -21,6 +21,18 @@ module K = I432_kernel
 module Obs = I432_obs
 module Net = I432_net
 module Load = I432_load
+module U = I432_util
+module St = I432_store.Store
+module Scenario = I432_store.Scenario
+
+(* A verifier's outcome, kept whole so a failure prints its first
+   divergent line; the JSON records only whether it held. *)
+type verdict = (unit, Scenario.divergence) result
+
+let holds (v : verdict) = Result.is_ok v
+
+let verdict ?(ok = "identical") (v : verdict) =
+  match v with Ok () -> ok | Error d -> "DIVERGED: " ^ Scenario.to_string d
 
 (* ------------------------------------------------------------------ *)
 (* Sweep shape                                                         *)
@@ -139,77 +151,60 @@ let machine_processors = 4
 let cluster_nodes = 3
 let cluster_processors = 2
 
-let sweep_machine ~smoke =
+(* One engine's sweep: the same seeded schedule at every offered rate. *)
+let sweep ~smoke ~label ~nodes ~processors run =
   let points =
     List.map
       (fun rate_rps ->
-        let o =
-          Load.Loadgen.run_machine ~processors:machine_processors
-            ~spec:(spec_for ~smoke ~rate_rps) ()
-        in
-        point_of_outcome ~rate_rps o)
-      (rates ~smoke)
-  in
-  {
-    es_engine = "machine";
-    es_nodes = 1;
-    es_processors = machine_processors;
-    es_workers = 2 * machine_processors;
-    es_points = points;
-    es_knee_rps = knee_of points;
-  }
-
-let sweep_cluster ~smoke ~engine ~label =
-  let points =
-    List.map
-      (fun rate_rps ->
-        let o =
-          Load.Loadgen.run_cluster ~nodes:cluster_nodes
-            ~processors:cluster_processors ~engine
-            ~spec:(spec_for ~smoke ~rate_rps) ()
-        in
-        point_of_outcome ~rate_rps o)
+        point_of_outcome ~rate_rps (run (spec_for ~smoke ~rate_rps)))
       (rates ~smoke)
   in
   {
     es_engine = label;
-    es_nodes = cluster_nodes;
-    es_processors = cluster_processors;
-    es_workers = 2 * cluster_processors;
+    es_nodes = nodes;
+    es_processors = processors;
+    es_workers = 2 * processors;
     es_points = points;
     es_knee_rps = knee_of points;
   }
+
+let sweep_machine ~smoke =
+  sweep ~smoke ~label:"machine" ~nodes:1 ~processors:machine_processors
+    (fun spec ->
+      Load.Loadgen.run_machine ~processors:machine_processors ~spec ())
+
+let sweep_cluster ~smoke ~engine ~label =
+  sweep ~smoke ~label ~nodes:cluster_nodes ~processors:cluster_processors
+    (fun spec ->
+      Load.Loadgen.run_cluster ~nodes:cluster_nodes
+        ~processors:cluster_processors ~engine ~spec ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism gates                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type determinism = {
-  det_same_seed : bool;  (* two fresh machine runs, identical streams *)
-  det_par_equals_seq : bool;  (* cluster Par 2 == cluster Seq streams *)
+  det_same_seed : verdict;  (* two fresh machine runs, identical streams *)
+  det_par_equals_seq : verdict;  (* cluster Par 2 == cluster Seq streams *)
 }
-
-let streams (o : Load.Loadgen.outcome) =
-  ( Load.Arrival.render o.Load.Loadgen.o_requests,
-    Load.Loadgen.span_stream o,
-    Obs.Metrics.render o.Load.Loadgen.o_metrics )
 
 let measure_determinism ~smoke =
   let rate_rps = List.nth (rates ~smoke) 1 in
   let spec = spec_for ~smoke ~rate_rps in
-  let machine () =
-    Load.Loadgen.run_machine ~processors:machine_processors
-      ~trace_level:Obs.Tracer.Events ~spec ()
+  let machine =
+    Scenario.make ~name:"machine" ~streams:Load.Loadgen.streams (fun () ->
+        Load.Loadgen.run_machine ~processors:machine_processors
+          ~trace_level:Obs.Tracer.Events ~spec ())
   in
   let cluster engine =
-    Load.Loadgen.run_cluster ~nodes:cluster_nodes
-      ~processors:cluster_processors ~engine ~trace_level:Obs.Tracer.Events
-      ~spec ()
+    Scenario.make ~name:"cluster" ~streams:Load.Loadgen.streams (fun () ->
+        Load.Loadgen.run_cluster ~nodes:cluster_nodes
+          ~processors:cluster_processors ~engine ~trace_level:Obs.Tracer.Events
+          ~spec ())
   in
   {
-    det_same_seed = streams (machine ()) = streams (machine ());
-    det_par_equals_seq =
-      streams (cluster Net.Cluster.Seq) = streams (cluster (Net.Cluster.Par 2));
+    det_same_seed = Scenario.same_seed machine;
+    det_par_equals_seq = Scenario.equal_engines cluster (Net.Cluster.Par 2);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -242,19 +237,12 @@ type chaos_run = {
   cr_dead_letters : int;
   cr_restarts : int;
   cr_phases : chaos_phase list;
-  cr_deterministic : bool;  (* two staged runs, identical streams *)
+  cr_deterministic : verdict;  (* two staged runs, identical streams *)
 }
-
-let counter_value metrics name =
-  match Obs.Metrics.find_counter metrics name with
-  | Some c -> Obs.Metrics.counter_value c
-  | None -> 0
 
 (* Nearest-rank quantile over the exact (sorted) latency list; phase
    populations are small enough that a histogram would only blur them. *)
-let exact_quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+let exact_quantile = U.Stats.nearest_rank ~empty:0.0
 
 (* Kill at ~40% of the schedule horizon, restart an eighth of the horizon
    later: the outage sits squarely inside the arrival stream and stays
@@ -271,13 +259,14 @@ let measure_chaos ~smoke ~rate_rps =
       c_outage_ns = max (10 * quantum) (horizon / 8);
     }
   in
-  let run () =
-    Load.Loadgen.run_cluster ~nodes:cluster_nodes
-      ~processors:cluster_processors ~engine:Net.Cluster.Seq
-      ~trace_level:Obs.Tracer.Events ~chaos ~spec ()
+  let staged =
+    Scenario.make ~name:"chaos-at-knee" ~streams:Load.Loadgen.streams
+      (fun () ->
+        Load.Loadgen.run_cluster ~nodes:cluster_nodes
+          ~processors:cluster_processors ~engine:Net.Cluster.Seq
+          ~trace_level:Obs.Tracer.Events ~chaos ~spec ())
   in
-  let o = run () in
-  let o2 = run () in
+  let o = Scenario.play staged in
   let kill_at, restart_at =
     match o.Load.Loadgen.o_chaos with Some kr -> kr | None -> (0, 0)
   in
@@ -325,11 +314,10 @@ let measure_chaos ~smoke ~rate_rps =
     cr_restart_at_ms = float_of_int restart_at /. 1e6;
     cr_requests = Array.length reqs;
     cr_completed = o.Load.Loadgen.o_completed;
-    cr_dead_letters =
-      counter_value o.Load.Loadgen.o_metrics "node.dead_letters";
-    cr_restarts = counter_value o.Load.Loadgen.o_metrics "node.restarts";
+    cr_dead_letters = Obs.Metrics.count o.Load.Loadgen.o_metrics "node.dead_letters";
+    cr_restarts = Obs.Metrics.count o.Load.Loadgen.o_metrics "node.restarts";
     cr_phases = [ phase "before"; phase "during"; phase "after" ];
-    cr_deterministic = streams o = streams o2;
+    cr_deterministic = Scenario.same_seed ~first:o staged;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -350,9 +338,7 @@ let measure_chaos ~smoke ~rate_rps =
    bit-identically. *)
 
 module System = Imax.System
-module St = I432_store.Store
 module Ckpt = I432_store.Checkpoint
-module U = I432_util
 
 let swap_object_bytes = 32
 let swap_objects ~smoke = if smoke then 20_000 else 1_000_000
@@ -403,31 +389,28 @@ type swap_sweep = {
   ss_object_bytes : int;
   ss_policy : string;
   ss_points : swap_point list;
-  ss_deterministic : bool;  (* same-seed streams identical *)
-  ss_restore_identical : bool;  (* kill-mid-swap restore == straight run *)
+  ss_deterministic : verdict;  (* same-seed streams identical *)
+  ss_restore_identical : verdict;  (* kill-mid-swap restore == straight run *)
 }
 
-(* Scratch journals live next to the JSON output; a fresh path per boot
-   keeps replayed Journal_append offsets identical to the original's. *)
-let swap_journal_seq = ref 0
-
-let rec mkdir_p dir =
-  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
+(* Scratch journals live in the shared scratch directory under _build; a
+   fresh path per boot keeps replayed Journal_append offsets identical to
+   the original's.  Each section deletes its journals when it finishes:
+   a full run would otherwise leave hundreds of MB behind. *)
+let scratch_journals = ref []
 
 let fresh_swap_journal () =
-  incr swap_journal_seq;
-  let dir = "imax-bench-scratch" in
-  mkdir_p dir;
   let p =
-    Filename.concat dir (Printf.sprintf "swap_%d.journal" !swap_journal_seq)
+    St.scratch_path
+      (Printf.sprintf "macro_%d.journal" (List.length !scratch_journals + 1))
   in
-  List.iter
-    (fun q -> if Sys.file_exists q then Sys.remove q)
-    [ p; p ^ ".tmp" ];
+  St.fresh_path p;
+  scratch_journals := p :: !scratch_journals;
   p
+
+let remove_scratch_journals () =
+  List.iter St.remove_files !scratch_journals;
+  scratch_journals := []
 
 (* Boot one swap run: store-backed device, bounded resident set, the
    object population written with its index, and one process per
@@ -524,8 +507,6 @@ let boot_swap ~objects ~ram_bytes ~touches ~spec =
   in
   (boot, errors, touched, completed, sys_ref, store_ref)
 
-let swap_stream m = List.map Obs.Event.to_string (K.Machine.events m)
-
 let measure_swap_point ~smoke ~fraction =
   let objects = swap_objects ~smoke in
   let ws = objects * swap_object_bytes in
@@ -537,7 +518,7 @@ let measure_swap_point ~smoke ~fraction =
   let m = boot () in
   let report = K.Machine.run m in
   let sys = Option.get !sys_ref in
-  let faults = counter_value (K.Machine.metrics m) "swap.faults" in
+  let faults = Obs.Metrics.count (K.Machine.metrics m) "swap.faults" in
   let st = System.mm_stats sys in
   let dev_bytes =
     match System.mm_device sys with
@@ -548,6 +529,7 @@ let measure_swap_point ~smoke ~fraction =
   in
   let resident_bytes = Option.value ~default:0 (System.mm_resident_bytes sys) in
   (match !store_ref with Some s -> St.close s | None -> ());
+  remove_scratch_journals ();
   let elapsed_s = float_of_int report.K.Machine.elapsed_ns /. 1e9 in
   {
     sp_fraction = fraction;
@@ -580,25 +562,22 @@ let measure_swap_determinism () =
   let boot, _, _, _, _, store_ref =
     boot_swap ~objects ~ram_bytes ~touches:(swap_touches ~smoke:true) ~spec
   in
+  let swap = Scenario.machine ~name:"swap" boot in
   let m1 = boot () in
   ignore (K.Machine.run m1);
-  let straight = swap_stream m1 in
-  let half_ns = max 1 (K.Machine.now m1 / 2) in
-  let m2 = boot () in
-  ignore (K.Machine.run m2);
-  let same_seed = swap_stream m2 = straight in
-  let victim = boot () in
-  ignore (K.Machine.run ~max_ns:half_ns victim);
-  let ckpt_path = fresh_swap_journal () in
-  let ckpt_store = St.open_ ckpt_path in
-  ignore
-    (Ckpt.save ckpt_store ~key:"swap" ~bound:(Ckpt.Virtual_ns half_ns) victim);
-  let resumed = Ckpt.restore ckpt_store ~key:"swap" ~boot in
-  ignore (K.Machine.run resumed);
+  (* Read the straight streams now: the next boot closes m1's store, and
+     closing syncs it, which emits one more event into m1's trace. *)
+  let expected = swap.Scenario.streams (Scenario.Machine m1) in
+  let same_seed = Scenario.same_seed ~first:(Scenario.Machine m1) swap in
+  let ckpt_store = St.open_ (fresh_swap_journal ()) in
+  let restored =
+    Scenario.kill_restore ~expected swap ~store:ckpt_store ~key:"swap"
+      ~bound:(Ckpt.Virtual_ns (max 1 (K.Machine.now m1 / 2)))
+  in
   St.close ckpt_store;
-  let restore_identical = swap_stream resumed = straight in
   (match !store_ref with Some s -> St.close s | None -> ());
-  (same_seed, restore_identical)
+  remove_scratch_journals ();
+  (same_seed, Result.map ignore restored)
 
 let measure_swap ~smoke =
   let points =
@@ -646,7 +625,7 @@ type banking_run = {
   bk_p99_us : float;
   bk_p999_us : float;
   bk_history_ok : bool;  (* every account replays to its live balance *)
-  bk_deterministic : bool;  (* same-seed event streams identical *)
+  bk_deterministic : verdict;  (* same-seed event streams identical *)
   bk_chaos_sound : bool;  (* random fault plan: conserved + exactly-once *)
   bk_kill_sound : bool;  (* cluster kill/rejoin: conserved + exactly-once *)
   bk_dup_drops : int;  (* duplicate frames the audit NIC dropped *)
@@ -658,12 +637,8 @@ let banking_accounts ~smoke = if smoke then 4 else 8
 let banking_transfers ~smoke = if smoke then 48 else 240
 
 let banking_sound (r : Banking.result) =
-  Banking.conserved r
-  && r.Banking.completions = r.Banking.committed
-  && r.Banking.dup_completions = 0
+  Banking.atomic r
   && r.Banking.committed + r.Banking.aborted = r.Banking.transfers
-
-let banking_stream m = List.map Obs.Event.to_string (K.Machine.events m)
 
 let measure_banking ~smoke =
   let accounts = banking_accounts ~smoke in
@@ -683,8 +658,13 @@ let measure_banking ~smoke =
     St.close store;
     (m, r, ok)
   in
-  let m1, r, history_ok = straight () in
-  let m2, _, _ = straight () in
+  let banking =
+    Scenario.make ~name:"banking"
+      ~streams:(fun (m, _, _) -> [ ("events", Scenario.event_lines m) ])
+      straight
+  in
+  let ((_, r, history_ok) as first) = Scenario.play banking in
+  let deterministic = Scenario.same_seed ~first banking in
   let lats =
     Array.of_list
       (List.sort compare (List.map float_of_int r.Banking.latencies))
@@ -702,9 +682,7 @@ let measure_banking ~smoke =
        transfers — so unlike the fault-free legs the chaos gate asks
        only for atomicity: conservation and exactly-once completion of
        whatever did commit. *)
-    Banking.conserved rc
-    && rc.Banking.completions = rc.Banking.committed
-    && rc.Banking.dup_completions = 0
+    Banking.atomic rc
   in
   let kill_sound, dup_drops =
     let ckpt_store = St.open_ (fresh_swap_journal ()) in
@@ -713,6 +691,7 @@ let measure_banking ~smoke =
         ~ckpt_ns:200_000 ~ckpt_store ~accounts ~transfers ~seed:banking_seed ()
     in
     St.close ckpt_store;
+    remove_scratch_journals ();
     ( banking_sound cr.Banking.res,
       Net.Cluster.txn_dup_drops cr.Banking.cluster )
   in
@@ -732,7 +711,7 @@ let measure_banking ~smoke =
     bk_p99_us = us (exact_quantile lats 0.99);
     bk_p999_us = us (exact_quantile lats 0.999);
     bk_history_ok = history_ok;
-    bk_deterministic = banking_stream m1 = banking_stream m2;
+    bk_deterministic = deterministic;
     bk_chaos_sound = chaos_sound;
     bk_kill_sound = kill_sound;
     bk_dup_drops = dup_drops;
@@ -801,8 +780,8 @@ let print_summary r =
     r.r_sweeps;
   Printf.printf
     "determinism: same-seed %s, par2-vs-seq streams %s\n"
-    (if r.r_determinism.det_same_seed then "identical" else "DIVERGED")
-    (if r.r_determinism.det_par_equals_seq then "identical" else "DIVERGED");
+    (verdict r.r_determinism.det_same_seed)
+    (verdict r.r_determinism.det_par_equals_seq);
   let c = r.r_chaos in
   Printf.printf
     "-- chaos at the knee (cluster-seq, %.0f rps) --\n\
@@ -818,8 +797,7 @@ let print_summary r =
         p.cp_requests p.cp_completed p.cp_p50_us p.cp_p99_us p.cp_p999_us)
     c.cr_phases;
   Printf.printf "  chaos determinism: %s\n"
-    (if c.cr_deterministic then "identical across staged re-runs"
-     else "DIVERGED");
+    (verdict ~ok:"identical across staged re-runs" c.cr_deterministic);
   let s = r.r_swap in
   Printf.printf
     "-- multiuser swap (%s, %d objects x %d B = %d KB working set) --\n"
@@ -834,8 +812,8 @@ let print_summary r =
         p.sp_swap_ins p.sp_swap_outs p.sp_tp_mb_s p.sp_elapsed_ms)
     s.ss_points;
   Printf.printf "  swap determinism: same-seed %s, kill-mid-swap restore %s\n"
-    (if s.ss_deterministic then "identical" else "DIVERGED")
-    (if s.ss_restore_identical then "identical" else "DIVERGED");
+    (verdict s.ss_deterministic)
+    (verdict s.ss_restore_identical);
   let b = r.r_banking in
   Printf.printf
     "-- transactional banking (%d accounts, %d transfers, %d tellers) --\n\
@@ -848,7 +826,7 @@ let print_summary r =
     (if b.bk_conserved then "conserved" else "NOT CONSERVED")
     b.bk_p50_us b.bk_p99_us b.bk_p999_us
     (if b.bk_history_ok then "ok" else "FAILED")
-    (if b.bk_deterministic then "identical" else "DIVERGED")
+    (verdict b.bk_deterministic)
     (if b.bk_chaos_sound then "sound" else "UNSOUND")
     (if b.bk_kill_sound then "exactly-once" else "UNSOUND")
     b.bk_dup_drops
@@ -858,8 +836,8 @@ let print_summary r =
    run completed every request across the kill/rejoin with its streams
    identical on re-run. *)
 let check r =
-  r.r_determinism.det_same_seed
-  && r.r_determinism.det_par_equals_seq
+  holds r.r_determinism.det_same_seed
+  && holds r.r_determinism.det_par_equals_seq
   && List.for_all
        (fun es ->
          es.es_knee_rps > 0.0
@@ -872,7 +850,7 @@ let check r =
               es.es_points)
        r.r_sweeps
   && (let c = r.r_chaos in
-      c.cr_deterministic
+      holds c.cr_deterministic
       && c.cr_completed = c.cr_requests
       && c.cr_restarts >= 1
       && List.for_all
@@ -887,7 +865,7 @@ let check r =
      holds) as the envelope shrinks, both swap keys are live, and the
      determinism gates — including kill-mid-swap restore — held. *)
   let s = r.r_swap in
-  s.ss_deterministic && s.ss_restore_identical
+  holds s.ss_deterministic && holds s.ss_restore_identical
   && List.for_all
        (fun p ->
          p.sp_completed = p.sp_requests
@@ -919,7 +897,7 @@ let check r =
   && b.bk_p50_us > 0.0
   && b.bk_p99_us >= b.bk_p50_us
   && b.bk_p999_us >= b.bk_p99_us
-  && b.bk_history_ok && b.bk_deterministic && b.bk_chaos_sound
+  && b.bk_history_ok && holds b.bk_deterministic && b.bk_chaos_sound
   && b.bk_kill_sound && b.bk_dup_drops > 0
 
 let to_json r =
@@ -958,8 +936,9 @@ let to_json r =
       ( "determinism",
         Obj
           [
-            ("same_seed_identical", Bool r.r_determinism.det_same_seed);
-            ("par2_equals_seq", Bool r.r_determinism.det_par_equals_seq);
+            ("same_seed_identical", Bool (holds r.r_determinism.det_same_seed));
+            ( "par2_equals_seq",
+              Bool (holds r.r_determinism.det_par_equals_seq) );
           ] );
       ( "chaos_at_knee",
         Obj
@@ -972,7 +951,7 @@ let to_json r =
             ("completed", Int r.r_chaos.cr_completed);
             ("dead_letters", Int r.r_chaos.cr_dead_letters);
             ("restarts", Int r.r_chaos.cr_restarts);
-            ("deterministic", Bool r.r_chaos.cr_deterministic);
+            ("deterministic", Bool (holds r.r_chaos.cr_deterministic));
             ( "phases",
               Arr
                 (List.map
@@ -996,9 +975,9 @@ let to_json r =
             ("object_bytes", Int r.r_swap.ss_object_bytes);
             ( "working_set_bytes",
               Int (r.r_swap.ss_objects * r.r_swap.ss_object_bytes) );
-            ("same_seed_identical", Bool r.r_swap.ss_deterministic);
+            ("same_seed_identical", Bool (holds r.r_swap.ss_deterministic));
             ( "kill_mid_swap_restore_identical",
-              Bool r.r_swap.ss_restore_identical );
+              Bool (holds r.r_swap.ss_restore_identical) );
             ( "points",
               Arr
                 (List.map
@@ -1037,7 +1016,7 @@ let to_json r =
             ("p99_us", Float r.r_banking.bk_p99_us);
             ("p999_us", Float r.r_banking.bk_p999_us);
             ("history_replay_ok", Bool r.r_banking.bk_history_ok);
-            ("same_seed_identical", Bool r.r_banking.bk_deterministic);
+            ("same_seed_identical", Bool (holds r.r_banking.bk_deterministic));
             ("chaos_sound", Bool r.r_banking.bk_chaos_sound);
             ("kill_rejoin_exactly_once", Bool r.r_banking.bk_kill_sound);
             ("nic_dup_drops", Int r.r_banking.bk_dup_drops);

@@ -59,55 +59,21 @@ let run_micro args =
     if estimates <> [] then Micro.print_estimates estimates;
     let rows = Depth_sweep.run ~smoke in
     Depth_sweep.print_summary rows;
-    (* Each measurement's median ratio estimates the overhead during that
-       ~1s epoch; host noise (scheduler interference, frequency shifts)
-       only ever inflates it.  Re-measuring on an over-budget reading —
-       after a cool-down, since noisy epochs span several seconds — and
-       keeping the best epoch estimates the intrinsic cost, not the
-       noisiest moment of the build machine. *)
     let overhead =
-      let rec attempt n best =
-        let r = Trace_overhead.measure ~smoke () in
-        Trace_overhead.print_summary r;
-        let best =
-          match best with
-          | Some b
-            when b.Trace_overhead.overhead_pct < r.Trace_overhead.overhead_pct
-            ->
-            b
-          | _ -> r
-        in
-        if Trace_overhead.check best || n >= 4 then best
-        else begin
-          Unix.sleepf 2.0;
-          attempt (n + 1) (Some best)
-        end
-      in
-      attempt 1 None
+      Paired.best_epoch
+        ~measure:(Trace_overhead.measure ~smoke)
+        ~print:Trace_overhead.print_summary
+        ~pct:(fun r -> r.Trace_overhead.overhead_pct)
+        ~check:Trace_overhead.check
     in
     let fi_overhead = Fi_overhead.measure ~smoke () in
     Fi_overhead.print_summary fi_overhead;
-    (* Same re-measure-on-noise discipline as the trace gate: keep the
-       best (lowest-overhead) epoch, retrying after a cool-down. *)
     let swap_overhead =
-      let rec attempt n best =
-        let r = Swap_overhead.measure ~smoke () in
-        Swap_overhead.print_summary r;
-        let best =
-          match best with
-          | Some b
-            when b.Swap_overhead.overhead_pct < r.Swap_overhead.overhead_pct
-            ->
-            b
-          | _ -> r
-        in
-        if Swap_overhead.check best || n >= 4 then best
-        else begin
-          Unix.sleepf 2.0;
-          attempt (n + 1) (Some best)
-        end
-      in
-      attempt 1 None
+      Paired.best_epoch
+        ~measure:(Swap_overhead.measure ~smoke)
+        ~print:Swap_overhead.print_summary
+        ~pct:(fun r -> r.Swap_overhead.overhead_pct)
+        ~check:Swap_overhead.check
     in
     let net_rtt = Net_rtt.measure ~smoke () in
     Net_rtt.print_summary net_rtt;

@@ -103,44 +103,16 @@ let measure ~smoke () =
   let n = if smoke then 100 else 400 in
   let virt_local = ref 0 in
   let virt_remote = ref 0 in
-  let once remote =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      if remote then virt_remote := remote_workload ~n ()
-      else virt_local := local_workload ~n ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let p =
+    Paired.measure ~trials ~batch
+      ~base:(fun () -> virt_local := local_workload ~n ())
+      ~test:(fun () -> virt_remote := remote_workload ~n ())
   in
-  ignore (once false);
-  ignore (once true);
-  let local = ref infinity in
-  let remote = ref infinity in
-  let sample is_remote =
-    Gc.full_major ();
-    let ns = once is_remote in
-    if is_remote then (if ns < !remote then remote := ns)
-    else if ns < !local then local := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let l = sample false in
-          let r = sample true in
-          r /. l
-        end
-        else begin
-          let r = sample true in
-          let l = sample false in
-          r /. l
-        end)
-  in
-  Array.sort compare ratios;
   {
     roundtrips = n;
-    local_host_ns = !local;
-    remote_host_ns = !remote;
-    ratio = ratios.(trials / 2);
+    local_host_ns = p.Paired.base_ns;
+    remote_host_ns = p.Paired.test_ns;
+    ratio = p.Paired.ratio;
     local_rtt_virtual_ns = float_of_int !virt_local /. float_of_int n;
     remote_rtt_virtual_ns = float_of_int !virt_remote /. float_of_int n;
   }

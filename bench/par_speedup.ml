@@ -81,15 +81,9 @@ let build ~trace ~jobs ~spins () =
     clients;
   cluster
 
-let streams cluster =
-  List.init (Net.Cluster.node_count cluster) (fun i ->
-      List.map Obs.Event.to_string
-        (K.Machine.events (Net.Cluster.machine cluster i)))
-
-let streams_for engine ~jobs ~spins =
-  let cluster = build ~trace:true ~jobs ~spins () in
-  ignore (Net.Cluster.run cluster ~engine ());
-  streams cluster
+let traced engine =
+  I432_store.Scenario.cluster ~name:"par-speedup" ~engine
+    (build ~trace:true ~jobs:1 ~spins:20)
 
 let time_once ~engine ~jobs ~spins =
   let cluster = build ~trace:false ~jobs ~spins () in
@@ -125,9 +119,10 @@ let measure ~smoke () =
   let trials = if smoke then 3 else 5 in
   let host_cores = Odomain.recommended_domain_count () in
   let streams_equal =
-    let base = streams_for Net.Cluster.Seq ~jobs:1 ~spins:20 in
     List.for_all
-      (fun d -> streams_for (Net.Cluster.Par d) ~jobs:1 ~spins:20 = base)
+      (fun d ->
+        Result.is_ok
+          (I432_store.Scenario.equal_engines traced (Net.Cluster.Par d)))
       [ 2; 4 ]
   in
   ignore (time_once ~engine:Net.Cluster.Seq ~jobs ~spins);

@@ -22,15 +22,8 @@ let config =
   }
 
 (* Scratch journal under _build so bench runs never litter the tree. *)
-let scratch_dir = Filename.concat "_build" "imax-scratch"
-let journal_path = Filename.concat scratch_dir "bench_store.journal"
-
-let cleanup () =
-  (try Sys.mkdir "_build" 0o755 with Sys_error _ -> ());
-  (try Sys.mkdir scratch_dir 0o755 with Sys_error _ -> ());
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ journal_path; journal_path ^ ".tmp" ]
+let journal_path = St.scratch_path "bench_store.journal"
+let cleanup () = St.fresh_path journal_path
 
 (* A root with a chain of children and one shared leaf: 8 objects, the
    shape every graph-filing test round-trips. *)

@@ -132,52 +132,16 @@ type result = {
 
 let measure ~smoke () =
   let messages = if smoke then 2_000 else 10_000 in
-  let once mk_ops =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      workload ~mk_ops ~messages ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let p =
+    Paired.measure ~trials ~batch
+      ~base:(workload ~mk_ops:seed_ops ~messages)
+      ~test:(workload ~mk_ops:vm_ops ~messages)
   in
-  ignore (once seed_ops);
-  ignore (once vm_ops);
-  let seed = ref infinity and vm = ref infinity in
-  (* Paired ratios, ABBA order, a major collection before every sample,
-     median over trials — the same discipline as the trace-overhead
-     harness, for the same reason: host-load drift hits both halves of a
-     pair alike, and the median rejects trials a GC pause landed in. *)
-  let sample_seed () =
-    Gc.full_major ();
-    let ns = once seed_ops in
-    if ns < !seed then seed := ns;
-    ns
-  in
-  let sample_vm () =
-    Gc.full_major ();
-    let ns = once vm_ops in
-    if ns < !vm then vm := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let s = sample_seed () in
-          let v = sample_vm () in
-          v /. s
-        end
-        else begin
-          let v = sample_vm () in
-          let s = sample_seed () in
-          v /. s
-        end)
-  in
-  Array.sort compare ratios;
-  let median_ratio = ratios.(trials / 2) in
   {
     messages;
-    seed_ns = !seed;
-    vm_ns = !vm;
-    overhead_pct = 100.0 *. (median_ratio -. 1.0);
+    seed_ns = p.Paired.base_ns;
+    vm_ns = p.Paired.test_ns;
+    overhead_pct = Paired.overhead_pct p;
   }
 
 let print_summary r =

@@ -81,78 +81,19 @@ type result = {
 
 let measure ~smoke () =
   let messages = if smoke then 2_000 else 10_000 in
-  let once level =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      workload ~level ~messages ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let off = workload ~level:Obs.Tracer.Off ~messages in
+  let p =
+    Paired.measure ~trials ~batch ~base:off
+      ~test:(workload ~level:Obs.Tracer.Events ~messages)
   in
-  ignore (once Obs.Tracer.Off);
-  ignore (once Obs.Tracer.Events);
-  let off = ref infinity in
-  let events = ref infinity in
-  (* Each trial times Off and Events back to back and keeps their ratio:
-     host-load drift hits both halves of a pair alike, so the ratio is
-     far more stable than comparing two independent minima, and the
-     median rejects trials where a GC pause or scheduler hiccup landed
-     inside one half.  A major collection before *every* sample (the
-     second of a pair would otherwise run against the first's garbage)
-     and ABBA order alternation cancel position-in-pair bias — without
-     both, an Off-vs-Off null test of this harness reads several percent
-     instead of ~0. *)
-  let sample level =
-    Gc.full_major ();
-    let ns = once level in
-    if level = Obs.Tracer.Off then (if ns < !off then off := ns)
-    else if ns < !events then events := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let o = sample Obs.Tracer.Off in
-          let e = sample Obs.Tracer.Events in
-          e /. o
-        end
-        else begin
-          let e = sample Obs.Tracer.Events in
-          let o = sample Obs.Tracer.Off in
-          e /. o
-        end)
-  in
-  Array.sort compare ratios;
-  let median_ratio = ratios.(trials / 2) in
   (* The same pairing for a filtered trace: level Events, but with only
      the (quiet) gc subsystem kept, so every hot event the workload fires
      — dispatch, port, proc — is rejected at the mask before the tracer
      computes a timestamp or interns a string. *)
-  let once_filtered () =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      workload ~keep:[ "gc" ] ~level:Obs.Tracer.Events ~messages ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let filtered =
+    Paired.measure ~trials ~batch ~base:off
+      ~test:(workload ~keep:[ "gc" ] ~level:Obs.Tracer.Events ~messages)
   in
-  ignore (once_filtered ());
-  let filtered_ratios =
-    Array.init trials (fun i ->
-        Gc.full_major ();
-        if i mod 2 = 0 then begin
-          let o = once Obs.Tracer.Off in
-          Gc.full_major ();
-          let f = once_filtered () in
-          f /. o
-        end
-        else begin
-          let f = once_filtered () in
-          Gc.full_major ();
-          let o = once Obs.Tracer.Off in
-          f /. o
-        end)
-  in
-  Array.sort compare filtered_ratios;
-  let filtered_ratio = filtered_ratios.(trials / 2) in
   let emitted =
     Obs.Tracer.emitted
       (K.Machine.tracer (workload_machine ~level:Obs.Tracer.Events ~messages ()))
@@ -160,10 +101,10 @@ let measure ~smoke () =
   {
     messages;
     events = emitted;
-    off_ns = !off;
-    events_ns = !events;
-    overhead_pct = 100.0 *. (median_ratio -. 1.0);
-    filtered_pct = 100.0 *. (filtered_ratio -. 1.0);
+    off_ns = p.Paired.base_ns;
+    events_ns = p.Paired.test_ns;
+    overhead_pct = Paired.overhead_pct p;
+    filtered_pct = Paired.overhead_pct filtered;
   }
 
 let print_summary r =

@@ -16,6 +16,7 @@ module Net = I432_net
 module St = I432_store.Store
 module Load = I432_load
 module Ckpt = I432_store.Checkpoint
+module Scenario = I432_store.Scenario
 
 (* ---------------- exit codes ----------------
 
@@ -31,6 +32,33 @@ let die fmt =
       prerr_endline msg;
       exit 1)
     fmt
+
+(* A verifier that found a divergence fails the check by naming its
+   first divergent line. *)
+let or_die what = function
+  | Ok x -> x
+  | Error d -> die "%s FAILED: %s" what (Scenario.to_string d)
+
+(* --chrome PATH: write the trace [json ()] renders and say where. *)
+let write_chrome chrome_out json =
+  Option.iter
+    (fun path ->
+      Obs.Jout.write_file ~path (json ());
+      Printf.printf "chrome trace written to %s\n" path)
+    chrome_out
+
+let machines_trace machines () =
+  match machines with
+  | [ (_, m) ] ->
+    Obs.Export.chrome_trace
+      ~processors:(K.Machine.processor_count m)
+      (K.Machine.events m)
+  | machines ->
+    Obs.Export.chrome_trace_cluster
+      (List.map
+         (fun (name, m) ->
+           (name, K.Machine.processor_count m, K.Machine.events m))
+         machines)
 
 (* ---------------- shared flags ---------------- *)
 
@@ -102,6 +130,11 @@ let chrome_arg ~doc =
   Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"PATH" ~doc)
 
 let check_arg ~doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+let int_arg name default ~docv ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let flag_arg name ~doc = Arg.(value & flag & info [ name ] ~doc)
 
 let par_arg ~doc = Arg.(value & opt int 1 & info [ "par" ] ~docv:"N" ~doc)
 
@@ -328,21 +361,9 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
     (Obs.Tracer.retained tracer)
     (Obs.Tracer.dropped tracer);
   print_report report;
-  if dump then
-    List.iter
-      (fun e -> print_endline (Obs.Event.to_string e))
-      (K.Machine.events m);
+  if dump then List.iter print_endline (Scenario.event_lines m);
   if legacy then List.iter print_endline (K.Machine.trace_lines m);
-  (match chrome_out with
-  | Some path ->
-    let json =
-      Obs.Export.chrome_trace
-        ~processors:(K.Machine.processor_count m)
-        (K.Machine.events m)
-    in
-    Obs.Jout.write_file ~path json;
-    Printf.printf "chrome trace written to %s\n" path
-  | None -> ());
+  write_chrome chrome_out (machines_trace [ ("", m) ]);
   maybe_snapshot snapshot m
 
 let scenario_metrics config snapshot clients jobs json_out =
@@ -438,8 +459,17 @@ let chaos_event_kind (k : Obs.Event.kind) =
   | _ -> false
 
 let scenario_chaos config snapshot seed clients jobs faults chrome_out check =
-  let run () = run_chaos ~config ~seed ~clients ~jobs ~faults in
-  let m, plan, report, printed, dropped = run () in
+  let chaos =
+    Scenario.make ~name:"chaos"
+      ~streams:(fun (m, _, _, printed, dropped) ->
+        [
+          ("events", Scenario.event_lines m);
+          ("printed", [ string_of_int printed ]);
+          ("dropped", [ string_of_int dropped ]);
+        ])
+      (fun () -> run_chaos ~config ~seed ~clients ~jobs ~faults)
+  in
+  let ((m, plan, report, printed, dropped) as first) = Scenario.play chaos in
   print_string (Fi.to_string plan);
   Printf.printf "chaos: %d clients x %d jobs, %d printed, %d dropped\n" clients
     jobs printed dropped;
@@ -459,44 +489,20 @@ let scenario_chaos config snapshot seed clients jobs faults chrome_out check =
     print_endline "invariants VIOLATED:";
     List.iter (Printf.printf "  %s\n") violations;
     die "chaos: %d invariant violations" (List.length violations));
-  (match chrome_out with
-  | Some path ->
-    let json =
-      Obs.Export.chrome_trace
-        ~processors:(K.Machine.processor_count m)
-        (K.Machine.events m)
-    in
-    Obs.Jout.write_file ~path json;
-    Printf.printf "chrome trace written to %s\n" path
-  | None -> ());
+  write_chrome chrome_out (machines_trace [ ("", m) ]);
   maybe_snapshot snapshot m;
   if check then begin
     (* Same seed, fresh machine: the event streams must be identical. *)
-    let m2, _, _, printed2, dropped2 = run () in
-    let stream mach =
-      List.map Obs.Event.to_string (K.Machine.events mach)
-    in
-    if stream m <> stream m2 || printed <> printed2 || dropped <> dropped2
-    then die "determinism check FAILED: event streams differ"
-    else print_endline "determinism check: identical event streams"
+    or_die "determinism check" (Scenario.same_seed ~first chaos);
+    print_endline "determinism check: identical event streams"
   end
 
-(* Scratch files (checkpoint journals, store demos) default under
-   _build/imax-scratch so repeated runs never litter the source tree. *)
-let rec mkdir_p dir =
-  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let scratch_path name =
-  Filename.concat (Filename.concat "_build" "imax-scratch") name
-
-let fresh_journal path =
-  mkdir_p (Filename.dirname path);
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".tmp" ]
+let kconfig processors =
+  {
+    K.Machine.default_config with
+    K.Machine.processors;
+    trace_level = Obs.Tracer.Events;
+  }
 
 (* Net: the spooler split across an N-node star cluster joined by the
    virtual interconnect, optionally under a seeded link-fault plan.
@@ -517,13 +523,7 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
   let quantum_ns = 200_000 in
   let boot () =
     let cluster = Net.Cluster.create ~default_latency_ns:latency () in
-    let config =
-      {
-        K.Machine.default_config with
-        K.Machine.processors;
-        trace_level = Obs.Tracer.Events;
-      }
-    in
+    let config = kconfig processors in
     let client_nodes =
       Array.init (nodes - 1) (fun i ->
           Net.Cluster.boot_node cluster
@@ -631,8 +631,8 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
         Net.Cluster.run cluster ~engine ~quantum_ns
           ~max_rounds:(kill_ns / quantum_ns) ()
       in
-      let path = scratch_path "imax_net_ckpt.journal" in
-      fresh_journal path;
+      let path = St.scratch_path "imax_net_ckpt.journal" in
+      St.fresh_path path;
       let store = St.open_ path in
       ignore
         (Ckpt.save_cluster store ~key:"net" ~rounds:r1.Net.Cluster.rounds
@@ -691,11 +691,25 @@ let scenario_net config nodes par seed clients jobs link_faults partitions
         | _ -> die "--kill-node %s: expected NAME@NS with NS > 0" spec))
   in
   let engine = engine_of_par par in
-  let run ~engine () =
-    run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
-      ~partitions ~latency ~kill
+  let net engine =
+    Scenario.make ~name:"net"
+      ~streams:(fun (cluster, _, _, report, printed, machines) ->
+        ( "printed",
+          List.map (fun (owner, seq) -> Printf.sprintf "%d %d" owner seq) printed
+        )
+        :: ("report", [ Net.Cluster.report_to_string report ])
+        :: Array.to_list
+             (Array.mapi
+                (fun i m ->
+                  (Net.Cluster.node_name cluster i, Scenario.event_lines m))
+                machines))
+      (fun () ->
+        run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
+          ~partitions ~latency ~kill)
   in
-  let cluster, plan, nplan, report, printed, machines = run ~engine () in
+  let ((cluster, plan, nplan, report, printed, machines) as first) =
+    Scenario.play (net engine)
+  in
   (match plan with
   | Some p -> print_string (Fi.link_plan_to_string p)
   | None -> ());
@@ -737,11 +751,7 @@ let scenario_net config nodes par seed clients jobs link_faults partitions
         (Net.Cluster.node_name cluster victim)
   | None -> ());
   if topology then print_string (Net.Cluster.topology cluster);
-  (match chrome_out with
-  | Some path ->
-    Obs.Jout.write_file ~path (Net.Cluster.chrome_trace cluster);
-    Printf.printf "chrome trace written to %s\n" path
-  | None -> ());
+  write_chrome chrome_out (fun () -> Net.Cluster.chrome_trace cluster);
   if check then begin
     (* Loud-loss gate: with no fault plan of any kind armed, a lost frame
        means the ARQ gave up on a healthy fabric — always a bug. *)
@@ -756,16 +766,8 @@ let scenario_net config nodes par seed clients jobs link_faults partitions
        the cross-engine gate — a parallel run proven byte-identical to
        the sequential one.  A --kill-node run re-stages the whole
        checkpoint/kill/rejoin sequence. *)
-    let _, _, _, report2, printed2, machines2 =
-      run ~engine:Net.Cluster.Seq ()
-    in
-    let stream m = List.map Obs.Event.to_string (K.Machine.events m) in
-    let streams ms = Array.to_list (Array.map stream ms) in
-    if
-      printed <> printed2 || report <> report2
-      || streams machines <> streams machines2
-    then die "determinism check FAILED: runs differ"
-    else if engine = Net.Cluster.Seq then
+    or_die "determinism check" (Scenario.equal_engines ~first net engine);
+    if engine = Net.Cluster.Seq then
       print_endline "determinism check: identical event streams on all nodes"
     else
       Printf.printf
@@ -788,7 +790,7 @@ let scenario_store config path graphs compact_flag par check =
   let sys = System.boot ~config () in
   let m = System.machine sys in
   let table = K.Machine.table m in
-  fresh_journal path;
+  St.fresh_path path;
   let store = St.open_ path in
   St.attach store m;
   let shared = K.Machine.allocate_generic m ~data_length:8 () in
@@ -868,13 +870,6 @@ let scenario_store config path graphs compact_flag par check =
    re-boot + replay + resume, and — with --check — fail unless the resumed
    event stream is bit-identical to an uninterrupted run's. *)
 
-let kconfig processors =
-  {
-    K.Machine.default_config with
-    K.Machine.processors;
-    trace_level = Obs.Tracer.Events;
-  }
-
 let boot_spool_machine ~processors ~clients ~jobs () =
   let m = K.Machine.create ~config:(kconfig processors) () in
   let spool = K.Machine.create_port m ~capacity:8 ~discipline:K.Port.Fifo () in
@@ -945,150 +940,112 @@ let boot_spool_cluster ~processors ~clients ~jobs () =
   done;
   cluster
 
-let stream m = List.map Obs.Event.to_string (K.Machine.events m)
-
-let checkpoint_single ~processors ~clients ~jobs ~path ~kill_ns ~check =
-  let boot = boot_spool_machine ~processors ~clients ~jobs in
-  let straight = boot () in
-  ignore (K.Machine.run straight);
-  let victim = boot () in
-  ignore (K.Machine.run ~max_ns:kill_ns victim);
-  fresh_journal path;
-  let store = St.open_ path in
-  let r =
-    Ckpt.save store ~key:"machine" ~bound:(Ckpt.Virtual_ns kill_ns) victim
-  in
-  let image_bytes =
-    List.fold_left (fun a (_, i) -> a + String.length i) 0 r.Ckpt.c_nodes
-  in
-  Printf.printf
-    "checkpoint: killed at %d virtual ns (machine clock %d ns), image %d \
-     bytes, filed under \"machine\"\n"
-    kill_ns r.Ckpt.c_now_ns image_bytes;
-  (* The victim is dropped here: the only way back is through the store. *)
-  let resumed = Ckpt.restore store ~key:"machine" ~boot in
-  ignore (K.Machine.run resumed);
-  Printf.printf "restore: replayed to the kill point and resumed to %d ns\n"
-    (K.Machine.now resumed);
-  St.close store;
-  if check then
-    if stream straight = stream resumed then
-      Printf.printf
-        "kill/restore check: resumed stream identical to the straight run \
-         (%d events)\n"
-        (List.length (stream straight))
-    else die "kill/restore check FAILED: resumed event stream diverges"
-
-let checkpoint_cluster ~processors ~clients ~jobs ~path ~rounds ~quantum_ns
-    ~engine ~check =
-  let boot = boot_spool_cluster ~processors ~clients ~jobs in
-  (* The straight run always uses the sequential engine; the victim and
-     the restored cluster use --par's engine.  With --check this proves
-     checkpoint/restore composes with the parallel engine: kill a
-     parallel run, restore it, and the streams still match a sequential
-     run that was never killed. *)
-  let straight = boot () in
-  ignore (Net.Cluster.run straight ~quantum_ns ());
-  let victim = boot () in
-  ignore (Net.Cluster.run victim ~engine ~quantum_ns ~max_rounds:rounds ());
-  fresh_journal path;
-  let store = St.open_ path in
-  let r =
-    Ckpt.save_cluster store ~key:"cluster" ~rounds ~quantum_ns victim
-  in
-  Printf.printf
-    "checkpoint: killed the cluster after %d rounds of %d ns, %d node \
-     images filed under \"cluster\"\n"
-    rounds quantum_ns
-    (List.length r.Ckpt.c_nodes);
-  let resumed = Ckpt.restore_cluster store ~key:"cluster" ~boot in
-  ignore (Net.Cluster.run resumed ~engine ~quantum_ns ());
-  print_endline "restore: replayed the recorded rounds and resumed to halt";
-  St.close store;
-  if check then
-    for i = 0 to Net.Cluster.node_count straight - 1 do
-      let name = Net.Cluster.node_name straight i in
-      if
-        stream (Net.Cluster.machine straight i)
-        = stream (Net.Cluster.machine resumed i)
-      then
-        Printf.printf
-          "kill/restore check: node %S stream identical to the straight run \
-           (%d events)\n"
-          name
-          (List.length (stream (Net.Cluster.machine straight i)))
-      else
-        die "kill/restore check FAILED: node %S event stream diverges" name
-    done
-
+(* The straight run of a cluster always uses the sequential engine; the
+   victim and the restored cluster use --par's engine.  With --check this
+   proves checkpoint/restore composes with the parallel engine: kill a
+   parallel run, restore it, and the streams still match a sequential run
+   that was never killed.  The victim is dropped once saved: the only way
+   back is through the store. *)
 let scenario_checkpoint config path kill_ns rounds quantum_ns cluster clients
     jobs par check =
   let processors = config.System.processors in
   let engine = engine_of_par par in
-  if cluster then
-    checkpoint_cluster ~processors ~clients ~jobs ~path ~rounds ~quantum_ns
-      ~engine ~check
-  else begin
-    if par > 1 then
-      die "--par %d: only --cluster checkpoints run on multiple domains" par;
-    checkpoint_single ~processors ~clients ~jobs ~path ~kill_ns ~check
-  end
+  if par > 1 && not cluster then
+    die "--par %d: only --cluster checkpoints run on multiple domains" par;
+  let key = if cluster then "cluster" else "machine" in
+  St.fresh_path path;
+  let store = St.open_ path in
+  let result =
+    if cluster then
+      let spool engine =
+        Scenario.cluster ~name:"checkpoint" ~engine ~quantum_ns
+          (boot_spool_cluster ~processors ~clients ~jobs)
+      in
+      let seq = spool Net.Cluster.Seq in
+      Scenario.kill_restore
+        ~expected:(seq.Scenario.streams (Scenario.play seq))
+        (spool engine) ~store ~key
+        ~bound:(Ckpt.Rounds { rounds; quantum_ns })
+    else
+      Scenario.kill_restore
+        (Scenario.machine ~name:"checkpoint"
+           (boot_spool_machine ~processors ~clients ~jobs))
+        ~store ~key ~bound:(Ckpt.Virtual_ns kill_ns)
+  in
+  let r = Option.get (Ckpt.load store ~key) in
+  St.close store;
+  (if cluster then
+     Printf.printf
+       "checkpoint: killed the cluster after %d rounds of %d ns, %d node \
+        images filed under \"cluster\"\n"
+       rounds quantum_ns
+       (List.length r.Ckpt.c_nodes)
+   else
+     Printf.printf
+       "checkpoint: killed at %d virtual ns (machine clock %d ns), image %d \
+        bytes, filed under \"machine\"\n"
+       kill_ns r.Ckpt.c_now_ns
+       (List.fold_left (fun a (_, i) -> a + String.length i) 0 r.Ckpt.c_nodes));
+  let events m = List.length (K.Machine.events m) in
+  match or_die "kill/restore check" result with
+  | Scenario.Machine m ->
+    Printf.printf "restore: replayed to the kill point and resumed to %d ns\n"
+      (K.Machine.now m);
+    if check then
+      Printf.printf
+        "kill/restore check: resumed stream identical to the straight run \
+         (%d events)\n"
+        (events m)
+  | Scenario.Cluster c ->
+    print_endline "restore: replayed the recorded rounds and resumed to halt";
+    if check then
+      for i = 0 to Net.Cluster.node_count c - 1 do
+        Printf.printf
+          "kill/restore check: node %S stream identical to the straight run \
+           (%d events)\n"
+          (Net.Cluster.node_name c i)
+          (events (Net.Cluster.machine c i))
+      done
 
 (* ---------------- commands ---------------- *)
 
 let pipeline_cmd =
-  let stages =
-    Arg.(value & opt int 4 & info [ "stages" ] ~docv:"N" ~doc:"Pipeline stages.")
-  in
-  let messages =
-    Arg.(value & opt int 100 & info [ "messages" ] ~docv:"N" ~doc:"Messages.")
-  in
+  let stages = int_arg "stages" 4 ~docv:"N" ~doc:"Pipeline stages." in
+  let messages = int_arg "messages" 100 ~docv:"N" ~doc:"Messages." in
   Cmd.v
     (Cmd.info "pipeline" ~doc:"Multi-stage port pipeline across processors.")
     Term.(const scenario_pipeline $ config_term $ snapshot $ stages $ messages)
 
 let churn_cmd =
-  let rounds =
-    Arg.(value & opt int 50 & info [ "rounds" ] ~docv:"N" ~doc:"Churn rounds.")
-  in
+  let rounds = int_arg "rounds" 50 ~docv:"N" ~doc:"Churn rounds." in
   Cmd.v
     (Cmd.info "churn" ~doc:"Allocation churn; pair with --gc to reclaim.")
     Term.(const scenario_churn $ config_term $ snapshot $ rounds)
 
 let tapes_cmd =
-  let drives =
-    Arg.(value & opt int 6 & info [ "drives" ] ~docv:"N" ~doc:"Tape drives.")
-  in
+  let drives = int_arg "drives" 6 ~docv:"N" ~doc:"Tape drives." in
   Cmd.v
     (Cmd.info "tapes" ~doc:"Lost tape drives recovered by destruction filters.")
     Term.(const scenario_tapes $ config_term $ snapshot $ drives)
 
 let rendezvous_cmd =
-  let calls =
-    Arg.(value & opt int 50 & info [ "calls" ] ~docv:"N" ~doc:"Entry calls.")
-  in
+  let calls = int_arg "calls" 50 ~docv:"N" ~doc:"Entry calls." in
   Cmd.v
     (Cmd.info "rendezvous" ~doc:"Ada rendezvous implemented on 432 ports.")
     Term.(const scenario_rendezvous $ config_term $ snapshot $ calls)
 
-let clients_arg =
-  Arg.(value & opt int 3 & info [ "clients" ] ~docv:"N" ~doc:"Spooler clients.")
+let clients_arg = int_arg "clients" 3 ~docv:"N" ~doc:"Spooler clients."
 
-let jobs_arg =
-  Arg.(value & opt int 5 & info [ "jobs" ] ~docv:"N" ~doc:"Jobs per client.")
+let jobs_arg = int_arg "jobs" 5 ~docv:"N" ~doc:"Jobs per client."
 
 let trace_cmd =
   let chrome =
     chrome_arg ~doc:"Write a Chrome trace-event JSON file (Perfetto-loadable)."
   in
-  let dump =
-    Arg.(value & flag & info [ "dump" ] ~doc:"Print every retained event.")
-  in
+  let dump = flag_arg "dump" ~doc:"Print every retained event." in
   let legacy =
-    Arg.(
-      value & flag
-      & info [ "legacy" ]
-          ~doc:"Also render and print the legacy-format trace lines.")
+    flag_arg "legacy"
+      ~doc:"Also render and print the legacy-format trace lines."
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1114,10 +1071,8 @@ let metrics_cmd =
 let chaos_cmd =
   let seed = seed_arg ~default:7 ~doc:"Fault-plan seed." in
   let faults =
-    Arg.(
-      value & opt int 1
-      & info [ "faults" ] ~docv:"N"
-          ~doc:"Processor hard-faults to inject (capped at processors - 1).")
+    int_arg "faults" 1 ~docv:"N"
+      ~doc:"Processor hard-faults to inject (capped at processors - 1)."
   in
   let chrome =
     chrome_arg ~doc:"Write a Chrome trace-event JSON file (Perfetto-loadable)."
@@ -1139,12 +1094,10 @@ let chaos_cmd =
 
 let net_cmd =
   let nodes =
-    Arg.(
-      value & opt int 2
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Cluster size: N-1 client nodes in a star around one printshop \
-             node.")
+    int_arg "nodes" 2 ~docv:"N"
+      ~doc:
+        "Cluster size: N-1 client nodes in a star around one printshop \
+         node."
   in
   let par =
     par_arg
@@ -1154,27 +1107,20 @@ let net_cmd =
   in
   let seed = seed_arg ~default:11 ~doc:"Link-fault seed." in
   let link_faults =
-    Arg.(
-      value & opt int 0
-      & info [ "link-faults" ] ~docv:"N"
-          ~doc:"Drop/duplicate/reorder bursts to draw into the plan.")
+    int_arg "link-faults" 0 ~docv:"N"
+      ~doc:"Drop/duplicate/reorder bursts to draw into the plan."
   in
   let partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "partitions" ] ~docv:"N"
-          ~doc:"Partition windows to draw into the plan.")
+    int_arg "partitions" 0 ~docv:"N"
+      ~doc:"Partition windows to draw into the plan."
   in
   let latency =
-    Arg.(
-      value & opt int 250_000
-      & info [ "latency" ] ~docv:"NS" ~doc:"Per-hop link latency (virtual ns).")
+    int_arg "latency" 250_000 ~docv:"NS"
+      ~doc:"Per-hop link latency (virtual ns)."
   in
   let topology =
-    Arg.(
-      value & flag
-      & info [ "topology" ]
-          ~doc:"Dump nodes, links, channels, and exported names at exit.")
+    flag_arg "topology"
+      ~doc:"Dump nodes, links, channels, and exported names at exit."
   in
   let chrome =
     chrome_arg
@@ -1227,15 +1173,9 @@ let path_arg ~default =
         ~doc:"Journal file (recreated; PATH.tmp is the compaction scratch).")
 
 let store_cmd =
-  let graphs =
-    Arg.(
-      value & opt int 24
-      & info [ "graphs" ] ~docv:"N" ~doc:"Composite graphs to file.")
-  in
+  let graphs = int_arg "graphs" 24 ~docv:"N" ~doc:"Composite graphs to file." in
   let compact =
-    Arg.(
-      value & flag
-      & info [ "compact" ] ~doc:"Compact the journal after tombstoning.")
+    flag_arg "compact" ~doc:"Compact the journal after tombstoning."
   in
   let check =
     check_arg
@@ -1256,35 +1196,27 @@ let store_cmd =
           some, and verify recovery across close/reopen.")
     Term.(
       const scenario_store $ config_term
-      $ path_arg ~default:(scratch_path "imax_store.journal")
+      $ path_arg ~default:(St.scratch_path "imax_store.journal")
       $ graphs $ compact $ par $ check)
 
 let checkpoint_cmd =
   let kill_ns =
-    Arg.(
-      value & opt int 200_000
-      & info [ "kill-ns" ] ~docv:"NS"
-          ~doc:"Kill the single-machine run at this virtual-time instant.")
+    int_arg "kill-ns" 200_000 ~docv:"NS"
+      ~doc:"Kill the single-machine run at this virtual-time instant."
   in
   let rounds =
-    Arg.(
-      value & opt int 4
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:"With --cluster: kill after this many interconnect rounds.")
+    int_arg "rounds" 4 ~docv:"N"
+      ~doc:"With --cluster: kill after this many interconnect rounds."
   in
   let quantum =
-    Arg.(
-      value & opt int 100_000
-      & info [ "quantum" ] ~docv:"NS"
-          ~doc:"With --cluster: interconnect round quantum (virtual ns).")
+    int_arg "quantum" 100_000 ~docv:"NS"
+      ~doc:"With --cluster: interconnect round quantum (virtual ns)."
   in
   let cluster =
-    Arg.(
-      value & flag
-      & info [ "cluster" ]
-          ~doc:
-            "Checkpoint a two-node cluster at a round boundary instead of a \
-             single machine.")
+    flag_arg "cluster"
+      ~doc:
+        "Checkpoint a two-node cluster at a round boundary instead of a \
+         single machine."
   in
   let check =
     check_arg
@@ -1306,7 +1238,7 @@ let checkpoint_cmd =
           bit-identical to a run that was never killed.")
     Term.(
       const scenario_checkpoint $ config_term
-      $ path_arg ~default:(scratch_path "imax_ckpt.journal")
+      $ path_arg ~default:(St.scratch_path "imax_ckpt.journal")
       $ kill_ns $ rounds $ quantum $ cluster $ clients_arg $ jobs_arg $ par
       $ check)
 
@@ -1347,15 +1279,16 @@ let scenario_loadgen config users rate sessions requests mix pattern seed nodes
   in
   let engine = engine_of_par par in
   let opt n = if n > 0 then Some n else None in
-  let run ~engine () =
-    if nodes = 1 then
-      Load.Loadgen.run_machine ~processors ?workers:(opt workers)
-        ?pumps:(opt pumps) ~trace_level:Obs.Tracer.Events ~spec ()
-    else
-      Load.Loadgen.run_cluster ~nodes ~processors ?workers:(opt workers)
-        ?pumps:(opt pumps) ~engine ~trace_level:Obs.Tracer.Events ~spec ()
+  let loadgen engine =
+    Scenario.make ~name:"loadgen" ~streams:Load.Loadgen.streams (fun () ->
+        if nodes = 1 then
+          Load.Loadgen.run_machine ~processors ?workers:(opt workers)
+            ?pumps:(opt pumps) ~trace_level:Obs.Tracer.Events ~spec ()
+        else
+          Load.Loadgen.run_cluster ~nodes ~processors ?workers:(opt workers)
+            ?pumps:(opt pumps) ~engine ~trace_level:Obs.Tracer.Events ~spec ())
   in
-  let o = run ~engine () in
+  let o = Scenario.play (loadgen engine) in
   let total = Load.Arrival.total spec in
   if o.Load.Loadgen.o_completed <> total then
     die "loadgen: %d of %d requests completed (%d issued, %d blocked)"
@@ -1393,55 +1326,24 @@ let scenario_loadgen config users rate sessions requests mix pattern seed nodes
           (us (Load.Loadgen.class_quantile o ~cls 0.99))
       | _ -> ())
     Load.Mix.names;
-  (match chrome_out with
-  | Some path ->
-    let json =
-      match o.Load.Loadgen.o_machines with
-      | [ (_, m) ] ->
-        Obs.Export.chrome_trace
-          ~processors:(K.Machine.processor_count m)
-          (K.Machine.events m)
-      | machines ->
-        Obs.Export.chrome_trace_cluster
-          (List.map
-             (fun (name, m) ->
-               (name, K.Machine.processor_count m, K.Machine.events m))
-             machines)
-    in
-    Obs.Jout.write_file ~path json;
-    Printf.printf "chrome trace written to %s\n" path
-  | None -> ());
+  write_chrome chrome_out (machines_trace o.Load.Loadgen.o_machines);
   if check then begin
     (* Same seed, fresh run: the arrival schedule, the request-span event
-       stream, and the merged metrics must all be byte-identical.  With
-       --par on a cluster the re-run uses the SEQUENTIAL engine, so this
+       stream, and the merged metrics must all be byte-identical.  The
+       re-run uses the SEQUENTIAL engine, so with --par on a cluster this
        is also the cross-engine determinism gate. *)
-    let check_engine =
-      if nodes > 1 && par > 1 then Net.Cluster.Seq else engine
-    in
-    let o2 = run ~engine:check_engine () in
-    if
-      Load.Arrival.render o.Load.Loadgen.o_requests
-      <> Load.Arrival.render o2.Load.Loadgen.o_requests
-    then die "loadgen --check: arrival streams differ for seed %d" seed;
-    if Load.Loadgen.span_stream o <> Load.Loadgen.span_stream o2 then
-      die "loadgen --check: request-span streams differ for seed %d%s" seed
-        (if check_engine <> engine then " (Par vs Seq engine)" else "");
-    if
-      Obs.Metrics.render o.Load.Loadgen.o_metrics
-      <> Obs.Metrics.render o2.Load.Loadgen.o_metrics
-    then die "loadgen --check: merged metrics differ for seed %d" seed;
+    or_die
+      (Printf.sprintf "loadgen --check (seed %d)" seed)
+      (Scenario.equal_engines ~first:o loadgen engine);
     Printf.printf
       "loadgen check passed: arrival, span, and metrics streams \
        byte-identical%s\n"
-      (if check_engine <> engine then " across Par/Seq engines" else "")
+      (if nodes > 1 && par > 1 then " across Par/Seq engines" else "")
   end
 
 let loadgen_cmd =
   let users =
-    Arg.(
-      value & opt int 100
-      & info [ "users" ] ~docv:"N" ~doc:"Simulated users issuing requests.")
+    int_arg "users" 100 ~docv:"N" ~doc:"Simulated users issuing requests."
   in
   let rate =
     Arg.(
@@ -1450,15 +1352,9 @@ let loadgen_cmd =
           ~doc:"Aggregate offered load, requests per virtual second.")
   in
   let sessions =
-    Arg.(
-      value & opt int 2
-      & info [ "sessions" ] ~docv:"N" ~doc:"Sessions per user, back to back.")
+    int_arg "sessions" 2 ~docv:"N" ~doc:"Sessions per user, back to back."
   in
-  let requests =
-    Arg.(
-      value & opt int 4
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per session.")
-  in
+  let requests = int_arg "requests" 4 ~docv:"N" ~doc:"Requests per session." in
   let mix =
     Arg.(
       value & opt string "typical"
@@ -1474,12 +1370,10 @@ let loadgen_cmd =
   in
   let seed = seed_arg ~default:42 ~doc:"Arrival-schedule seed." in
   let nodes =
-    Arg.(
-      value & opt int 1
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "1 = single machine; >= 2 drives the schedule across an \
-             N-node cluster (node 0 serves, the rest issue).")
+    int_arg "nodes" 1 ~docv:"N"
+      ~doc:
+        "1 = single machine; >= 2 drives the schedule across an \
+         N-node cluster (node 0 serves, the rest issue)."
   in
   let par =
     par_arg
@@ -1488,16 +1382,12 @@ let loadgen_cmd =
          (1 = sequential engine); results are byte-identical either way."
   in
   let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Serving processes (0 = twice the processor count).")
+    int_arg "workers" 0 ~docv:"N"
+      ~doc:"Serving processes (0 = twice the processor count)."
   in
   let pumps =
-    Arg.(
-      value & opt int 0
-      & info [ "pumps" ] ~docv:"N"
-          ~doc:"Issuing processes (per client node when clustered).")
+    int_arg "pumps" 0 ~docv:"N"
+      ~doc:"Issuing processes (per client node when clustered)."
   in
   let chrome =
     chrome_arg
@@ -1551,7 +1441,7 @@ let scenario_swap config path policy objects object_bytes users touches
   let boot_sys () =
     incr boots;
     let jp = if !boots = 1 then path else Printf.sprintf "%s.%d" path !boots in
-    fresh_journal jp;
+    St.fresh_path jp;
     (* A million-object working set appends constantly: raise the fsync
        cadence and make compaction wait for MB-scale garbage. *)
     let store =
@@ -1618,7 +1508,6 @@ let scenario_swap config path policy objects object_bytes users touches
   let sys = boot_sys () in
   let m = System.machine sys in
   let report = System.run sys in
-  let straight_stream = stream m in
   let straight_errors = !errors and straight_verified = !verified in
   Printf.printf "swap: %s policy, %d objects x %d B = %d KB working set\n"
     (System.memory_choice_to_string policy)
@@ -1629,13 +1518,9 @@ let scenario_swap config path policy objects object_bytes users touches
     (heap_bytes / 1024);
   print_report report;
   let st = System.mm_stats sys in
-  let faults =
-    match Obs.Metrics.find_counter (K.Machine.metrics m) "swap.faults" with
-    | Some c -> Obs.Metrics.counter_value c
-    | None -> 0
-  in
   Printf.printf "swap traffic: %d faults, %d ins, %d outs, %d pressure events\n"
-    faults st.Memory_manager.swap_ins st.Memory_manager.swap_outs
+    (Obs.Metrics.count (K.Machine.metrics m) "swap.faults")
+    st.Memory_manager.swap_ins st.Memory_manager.swap_outs
     st.Memory_manager.alloc_faults;
   (match (System.mm_resident_count sys, System.mm_resident_bytes sys) with
   | Some n, Some b ->
@@ -1662,50 +1547,32 @@ let scenario_swap config path policy objects object_bytes users touches
       straight_verified;
   Printf.printf "payload check: %d reads verified, 0 corrupt\n"
     straight_verified;
-  (match chrome_out with
-  | Some cpath ->
-    let json =
-      Obs.Export.chrome_trace
-        ~processors:(K.Machine.processor_count m)
-        (K.Machine.events m)
-    in
-    Obs.Jout.write_file ~path:cpath json;
-    Printf.printf "chrome trace written to %s\n" cpath
-  | None -> ());
+  write_chrome chrome_out (machines_trace [ ("", m) ]);
   if check then begin
     (* Same seed, fresh journal: the event stream — swap events, journal
        appends, the lot — must be identical. *)
-    let sys2 = boot_sys () in
-    ignore (System.run sys2);
-    if stream (System.machine sys2) <> straight_stream then
-      die "swap check FAILED: same-seed event streams differ";
+    let swap =
+      Scenario.machine ~name:"swap" (fun () -> System.machine (boot_sys ()))
+    in
+    let straight = Scenario.Machine m in
+    let expected = swap.Scenario.streams straight in
+    or_die "swap check" (Scenario.same_seed ~first:straight swap);
     Printf.printf "determinism check: identical event streams (%d events)\n"
-      (List.length straight_stream);
+      (List.length (K.Machine.events m));
     (* Kill mid-swap, checkpoint, restore by replay, resume: the resumed
        stream must match the straight run exactly. *)
     let kill_ns =
       if kill_ns > 0 then kill_ns
       else max 1 (report.K.Machine.elapsed_ns / 2)
     in
-    let victim_sys = boot_sys () in
-    let victim = System.machine victim_sys in
-    ignore (K.Machine.run ~max_ns:kill_ns victim);
     let ckpt_path = path ^ ".ckpt" in
-    fresh_journal ckpt_path;
+    St.fresh_path ckpt_path;
     let ckpt_store = St.open_ ckpt_path in
     ignore
-      (Ckpt.save ckpt_store ~key:"swap" ~bound:(Ckpt.Virtual_ns kill_ns)
-         victim);
-    let resumed =
-      Ckpt.restore ckpt_store ~key:"swap" ~boot:(fun () ->
-          System.machine (boot_sys ()))
-    in
-    ignore (K.Machine.run resumed);
+      (or_die "swap kill/restore check"
+         (Scenario.kill_restore ~expected swap ~store:ckpt_store ~key:"swap"
+            ~bound:(Ckpt.Virtual_ns kill_ns)));
     St.close ckpt_store;
-    if stream resumed <> straight_stream then
-      die
-        "swap kill/restore check FAILED: resumed stream diverges from the \
-         straight run";
     Printf.printf
       "kill/restore check: killed at %d ns mid-swap, resumed stream \
        identical\n"
@@ -1728,41 +1595,29 @@ let swap_cmd =
     Arg.(value & opt choices System.Swapping_lru & info [ "policy" ] ~doc)
   in
   let objects =
-    Arg.(
-      value & opt int 4096
-      & info [ "objects" ] ~docv:"N" ~doc:"Live objects in the working set.")
+    int_arg "objects" 4096 ~docv:"N" ~doc:"Live objects in the working set."
   in
   let object_bytes =
-    Arg.(
-      value & opt int 256
-      & info [ "object-bytes" ] ~docv:"B" ~doc:"Data bytes per object.")
+    int_arg "object-bytes" 256 ~docv:"B" ~doc:"Data bytes per object."
   in
   let users =
-    Arg.(
-      value & opt int 8
-      & info [ "users" ] ~docv:"N" ~doc:"Concurrent touching processes.")
+    int_arg "users" 8 ~docv:"N" ~doc:"Concurrent touching processes."
   in
   let touches =
-    Arg.(
-      value & opt int 400
-      & info [ "touches" ] ~docv:"N" ~doc:"Random touches per user.")
+    int_arg "touches" 400 ~docv:"N" ~doc:"Random touches per user."
   in
   let ram_bytes =
-    Arg.(
-      value & opt int 0
-      & info [ "ram-bytes" ] ~docv:"B"
-          ~doc:
-            "Resident-set RAM envelope in bytes (0 = a quarter of the \
-             working set).")
+    int_arg "ram-bytes" 0 ~docv:"B"
+      ~doc:
+        "Resident-set RAM envelope in bytes (0 = a quarter of the \
+         working set)."
   in
   let seed = seed_arg ~default:7 ~doc:"Touch-schedule seed." in
   let kill_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "kill-ns" ] ~docv:"NS"
-          ~doc:
-            "With --check: kill the victim run at this virtual instant (0 \
-             = halfway through the straight run).")
+    int_arg "kill-ns" 0 ~docv:"NS"
+      ~doc:
+        "With --check: kill the victim run at this virtual instant (0 \
+         = halfway through the straight run)."
   in
   let chrome =
     chrome_arg
@@ -1783,7 +1638,7 @@ let swap_cmd =
           swap device.")
     Term.(
       const scenario_swap $ config_term
-      $ path_arg ~default:(scratch_path "imax_swap.journal")
+      $ path_arg ~default:(St.scratch_path "imax_swap.journal")
       $ policy $ objects $ object_bytes $ users $ touches $ ram_bytes $ seed
       $ kill_ns $ chrome $ check)
 
@@ -1804,7 +1659,6 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
   if ckpt_ns > kill_ns then
     die "--ckpt-ns %d: the checkpoint must precede the kill at %d ns" ckpt_ns
       kill_ns;
-  let stream m = List.map Obs.Event.to_string (K.Machine.events m) in
   let txn_counters m =
     List.filter
       (fun c ->
@@ -1814,13 +1668,13 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
   in
   let print_result tag (r : I432_txn.Banking.result) =
     Printf.printf "%s: %s\n" tag (I432_txn.Banking.result_to_string r);
-    let lats = List.sort compare r.I432_txn.Banking.latencies in
-    let n = List.length lats in
+    let lats = Array.of_list (List.sort compare r.I432_txn.Banking.latencies) in
+    let n = Array.length lats in
     if n > 0 then begin
-      let q p = List.nth lats (min (n - 1) (p * n / 100)) in
+      let q = U.Stats.nearest_rank ~empty:0 lats in
       Printf.printf
-        "completion latency: p50 %d ns, p99 %d ns over %d samples\n" (q 50)
-        (q 99) n
+        "completion latency: p50 %d ns, p99 %d ns over %d samples\n" (q 0.5)
+        (q 0.99) n
     end
   in
   let die_unless_sound tag (r : I432_txn.Banking.result) =
@@ -1834,7 +1688,7 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       die "%s: %d duplicate completions reached the auditor" tag
         r.I432_txn.Banking.dup_completions
   in
-  fresh_journal path;
+  St.fresh_path path;
   let store = St.open_ path in
   if cluster then begin
     let kill = if kill_ns > 0 then Some (kill_ns, restart_ns) else None in
@@ -1843,7 +1697,7 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       match kill with
       | None -> None
       | Some _ ->
-        fresh_journal ckpt_path;
+        St.fresh_path ckpt_path;
         Some (St.open_ ckpt_path)
     in
     let go () =
@@ -1925,24 +1779,30 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       (* Same seed, same configuration (history journaled to a scratch
          twin), same bytes. *)
       let twin = path ^ ".check" in
-      fresh_journal twin;
-      let twin_store = St.open_ twin in
-      let machine2, _, r2 =
-        I432_txn.Banking.run ~workers ~history_store:twin_store ~accounts
-          ~transfers ~seed ()
+      let banking =
+        Scenario.make ~name:"txn"
+          ~streams:(fun (m, _, (r : I432_txn.Banking.result)) ->
+            [
+              ("committed", [ string_of_int r.I432_txn.Banking.committed ]);
+              ("events", Scenario.event_lines m);
+            ])
+          (fun () ->
+            St.fresh_path twin;
+            let twin_store = St.open_ twin in
+            let run =
+              I432_txn.Banking.run ~workers ~history_store:twin_store
+                ~accounts ~transfers ~seed ()
+            in
+            St.close twin_store;
+            run)
       in
-      St.close twin_store;
-      if r2.I432_txn.Banking.committed <> r.I432_txn.Banking.committed then
-        die "check FAILED: re-run committed %d vs %d"
-          r2.I432_txn.Banking.committed r.I432_txn.Banking.committed;
-      if stream machine2 <> stream machine then
-        die "check FAILED: same-seed event streams diverge";
+      or_die "check" (Scenario.same_seed ~first:(machine, history, r) banking);
       (* Kill-mid-commit rejoin on the cluster variant proves the
          exactly-once seam end to end.  Checkpointing well before the
          kill rolls already-completed commits back, so the audit NIC has
          real duplicate frames to drop. *)
       let ckpt_path = path ^ ".ckpt" in
-      fresh_journal ckpt_path;
+      St.fresh_path ckpt_path;
       let ckpt_store = St.open_ ckpt_path in
       let cr =
         I432_txn.Banking.run_cluster ~workers ~kill:(600_000, 900_000)
@@ -1965,51 +1825,37 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
 
 let txn_cmd =
   let accounts =
-    Arg.(
-      value & opt int 6
-      & info [ "accounts" ] ~docv:"N" ~doc:"Bank accounts (token-guarded).")
+    int_arg "accounts" 6 ~docv:"N" ~doc:"Bank accounts (token-guarded)."
   in
   let transfers =
-    Arg.(
-      value & opt int 60
-      & info [ "transfers" ] ~docv:"N" ~doc:"Transfers in the seeded mix.")
+    int_arg "transfers" 60 ~docv:"N" ~doc:"Transfers in the seeded mix."
   in
   let workers =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"N" ~doc:"Concurrent teller processes.")
+    int_arg "workers" 4 ~docv:"N" ~doc:"Concurrent teller processes."
   in
   let seed = seed_arg ~default:7 ~doc:"Transfer-mix seed." in
   let cluster =
-    Arg.(
-      value & flag
-      & info [ "cluster" ]
-          ~doc:
-            "Two-node variant: accounts and tellers on node $(b,bank), the \
-             auditor behind an exported port on node $(b,audit).")
+    flag_arg "cluster"
+      ~doc:
+        "Two-node variant: accounts and tellers on node $(b,bank), the \
+         auditor behind an exported port on node $(b,audit)."
   in
   let kill_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "kill-ns" ] ~docv:"NS"
-          ~doc:
-            "With --cluster: kill the bank node at this virtual instant and \
-             rejoin it from its checkpoint.")
+    int_arg "kill-ns" 0 ~docv:"NS"
+      ~doc:
+        "With --cluster: kill the bank node at this virtual instant and \
+         rejoin it from its checkpoint."
   in
   let restart_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "restart-ns" ] ~docv:"NS"
-          ~doc:"With --kill-ns: rejoin instant (must follow the kill).")
+    int_arg "restart-ns" 0 ~docv:"NS"
+      ~doc:"With --kill-ns: rejoin instant (must follow the kill)."
   in
   let ckpt_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "ckpt-ns" ] ~docv:"NS"
-          ~doc:
-            "With --kill-ns: checkpoint instant (default: the kill itself). \
-             Setting it well before the kill rolls committed work back on \
-             rejoin, forcing the audit NIC to dedup re-sent completions.")
+    int_arg "ckpt-ns" 0 ~docv:"NS"
+      ~doc:
+        "With --kill-ns: checkpoint instant (default: the kill itself). \
+         Setting it well before the kill rolls committed work back on \
+         rejoin, forcing the audit NIC to dedup re-sent completions."
   in
   let check =
     check_arg
@@ -2026,7 +1872,7 @@ let txn_cmd =
           idempotency keys and event-sourced account history.")
     Term.(
       const scenario_txn
-      $ path_arg ~default:(scratch_path "imax_txn.journal")
+      $ path_arg ~default:(St.scratch_path "imax_txn.journal")
       $ accounts $ transfers $ workers $ seed $ cluster $ kill_ns $ restart_ns
       $ ckpt_ns $ check)
 
@@ -2067,10 +1913,8 @@ let history_cmd =
       & info [] ~docv:"NAME" ~doc:"Tracked object name (e.g. acct0).")
   in
   let to_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "to-ns" ] ~docv:"NS"
-          ~doc:"Replay only mutations committed at or before this instant.")
+    int_arg "to-ns" 0 ~docv:"NS"
+      ~doc:"Replay only mutations committed at or before this instant."
   in
   Cmd.v
     (Cmd.info "history"
@@ -2079,7 +1923,7 @@ let history_cmd =
           mutations and replay its state to a point in virtual time.")
     Term.(
       const scenario_history
-      $ path_arg ~default:(scratch_path "imax_txn.journal")
+      $ path_arg ~default:(St.scratch_path "imax_txn.journal")
       $ obj_name $ to_ns)
 
 let main =

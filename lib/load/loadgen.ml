@@ -175,11 +175,6 @@ let merged_metrics machines =
     machines;
   dst
 
-let metric_count metrics name =
-  match Obs.Metrics.find_counter metrics name with
-  | Some c -> Obs.Metrics.counter_value c
-  | None -> 0
-
 let outcome ?chaos ~spec ~reqs ~machines ~last_done_ns ~deadlocked () =
   let metrics = merged_metrics machines in
   {
@@ -187,8 +182,8 @@ let outcome ?chaos ~spec ~reqs ~machines ~last_done_ns ~deadlocked () =
     o_requests = reqs;
     o_machines = machines;
     o_metrics = metrics;
-    o_issued = metric_count metrics "load.requests_issued";
-    o_completed = metric_count metrics "load.requests_completed";
+    o_issued = Obs.Metrics.count metrics "load.requests_issued";
+    o_completed = Obs.Metrics.count metrics "load.requests_completed";
     o_last_done_ns = last_done_ns;
     o_deadlocked = deadlocked;
     o_chaos = chaos;
@@ -228,6 +223,15 @@ let span_stream o =
         (K.Machine.events m))
     o.o_machines;
   Buffer.contents buf
+
+let streams o =
+  List.map
+    (fun (name, s) -> (name, String.split_on_char '\n' s))
+    [
+      ("arrivals", Arrival.render o.o_requests);
+      ("spans", span_stream o);
+      ("metrics", Obs.Metrics.render o.o_metrics);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Single machine                                                      *)

@@ -85,3 +85,8 @@ val class_quantile : outcome -> cls:string -> float -> float
     node order — the byte-equality surface for [--check] and the
     determinism tests. *)
 val span_stream : outcome -> string
+
+(** The named streams a same-seed or cross-engine check compares, in
+    order: the arrival schedule, the request-span stream, and the merged
+    metrics render, each split into lines. *)
+val streams : outcome -> (string * string list) list

@@ -100,6 +100,9 @@ let log_quantile h q = Stats.log_hist_quantile h.l_hist q
 let find_counter t name = Hashtbl.find_opt t.counters name
 let find_gauge t name = Hashtbl.find_opt t.gauges name
 let find_histogram t name = Hashtbl.find_opt t.histograms name
+
+let count t name =
+  match find_counter t name with Some c -> c.c_value | None -> 0
 let find_log_histogram t name = Hashtbl.find_opt t.log_histograms name
 
 let sorted_bindings tbl =

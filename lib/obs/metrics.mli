@@ -64,6 +64,9 @@ val find_gauge : t -> string -> gauge option
 val find_histogram : t -> string -> histogram option
 val find_log_histogram : t -> string -> log_histogram option
 
+(** The named counter's value; 0 when no such counter exists. *)
+val count : t -> string -> int
+
 (** Sorted by name. *)
 val counters : t -> counter list
 

@@ -19,7 +19,29 @@ type record = {
   c_nodes : (string * string) list;
 }
 
-exception Restore_mismatch of string
+type divergence = {
+  stream : string;
+  index : int;
+  expected : string option;
+  got : string option;
+  context : string list;
+}
+
+exception Restore_mismatch of {
+  message : string;
+  divergence : divergence option;
+}
+
+let () =
+  Printexc.register_printer (function
+    | Restore_mismatch { message; _ } ->
+      Some ("Checkpoint.Restore_mismatch: " ^ message)
+    | _ -> None)
+
+let mismatch fmt =
+  Printf.ksprintf
+    (fun message -> raise (Restore_mismatch { message; divergence = None }))
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* Record codec (little-endian, length-prefixed)                       *)
@@ -56,9 +78,7 @@ let encode r =
 let decode ~key bytes =
   let pos = ref 0 in
   let len = Bytes.length bytes in
-  let corrupt what =
-    raise (Restore_mismatch (Printf.sprintf "corrupt checkpoint record: %s" what))
-  in
+  let corrupt what = mismatch "corrupt checkpoint record: %s" what in
   let u8 what =
     if !pos >= len then corrupt what;
     let v = Char.code (Bytes.get bytes !pos) in
@@ -177,40 +197,64 @@ let require store ~key =
   | Some r -> r
   | None -> raise (Filing.Not_filed key)
 
-(* First line where the replayed image diverges from the stored one —
-   a mismatch should name the divergent object, not just fail. *)
-let first_divergence ~stored ~replayed =
-  let a = String.split_on_char '\n' stored
-  and b = String.split_on_char '\n' replayed in
-  let rec go i = function
-    | x :: xs, y :: ys ->
-      if String.equal x y then go (i + 1) (xs, ys)
-      else Printf.sprintf "line %d: stored %S, replayed %S" i x y
-    | x :: _, [] -> Printf.sprintf "line %d: stored %S, replayed image ends" i x
-    | [], y :: _ -> Printf.sprintf "line %d: stored image ends, replayed %S" i y
-    | [], [] -> "images equal"
+(* The one line differ: replayed images against stored ones here, and
+   every scenario stream in Scenario.  A mismatch names the first
+   divergent line and the lines leading up to it, not just "differ". *)
+let first_divergence ~stream ~expected ~got =
+  let rec go index context = function
+    | x :: xs, y :: ys when String.equal x y ->
+      let context =
+        match context with a :: b :: _ -> [ x; a; b ] | c -> x :: c
+      in
+      go (index + 1) context (xs, ys)
+    | [], [] -> None
+    | xs, ys ->
+      Some
+        {
+          stream;
+          index;
+          expected = List.nth_opt xs 0;
+          got = List.nth_opt ys 0;
+          context = List.rev context;
+        }
   in
-  go 1 (a, b)
+  go 1 [] (expected, got)
+
+let divergence_to_string d =
+  let line = function
+    | Some l -> Printf.sprintf "%S" l
+    | None -> "end of stream"
+  in
+  String.concat "\n"
+    (Printf.sprintf "%s, line %d: expected %s, got %s" d.stream d.index
+       (line d.expected) (line d.got)
+    :: List.mapi
+         (fun i l ->
+           Printf.sprintf "  %6d  %S" (d.index - List.length d.context + i) l)
+         d.context)
 
 let verify_node ~key ~name ~stored machine =
   let replayed = K.Snapshot.state_image machine in
   if not (String.equal stored replayed) then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S%s: %s" key
-            (if name = "" then "" else Printf.sprintf " node %S" name)
-            (first_divergence ~stored ~replayed)))
+    let stream =
+      if name = "" then Printf.sprintf "checkpoint %S image" key
+      else Printf.sprintf "checkpoint %S node %S image" key name
+    in
+    Option.iter
+      (fun d ->
+        raise
+          (Restore_mismatch
+             { message = divergence_to_string d; divergence = Some d }))
+      (first_divergence ~stream
+         ~expected:(String.split_on_char '\n' stored)
+         ~got:(String.split_on_char '\n' replayed))
 
 let restore store ~key ~boot =
   let r = require store ~key in
   let stored =
     match r.c_nodes with
     | [ ("", image) ] -> image
-    | _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a cluster; use restore_cluster"
-              key))
+    | _ -> mismatch "checkpoint %S holds a cluster; use restore_cluster" key
   in
   let machine = boot () in
   (match r.c_bound with
@@ -232,32 +276,22 @@ let restore_node store ~key ~node ~boot =
     match r.c_bound with
     | Rounds { rounds; quantum_ns } -> (rounds, quantum_ns)
     | Steps _ | Virtual_ns _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a single machine; use restore"
-              key))
+      mismatch "checkpoint %S holds a single machine; use restore" key
   in
   if node < 0 || node >= List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S has no node %d (stored %d)" key node
-            (List.length r.c_nodes)));
+    mismatch "checkpoint %S has no node %d (stored %d)" key node
+      (List.length r.c_nodes);
   let shadow = boot () in
   if rounds > 0 then
     ignore (Net.Cluster.run shadow ~quantum_ns ~max_rounds:rounds ());
   if Net.Cluster.node_count shadow <> List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: %d nodes stored, boot built %d" key
-            (List.length r.c_nodes)
-            (Net.Cluster.node_count shadow)));
+    mismatch "checkpoint %S: %d nodes stored, boot built %d" key
+      (List.length r.c_nodes)
+      (Net.Cluster.node_count shadow);
   let name, stored = List.nth r.c_nodes node in
   let booted = Net.Cluster.node_name shadow node in
   if not (String.equal name booted) then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: node %d is %S, boot built %S" key node
-            name booted));
+    mismatch "checkpoint %S: node %d is %S, boot built %S" key node name booted;
   let machine = Net.Cluster.machine shadow node in
   verify_node ~key ~name ~stored machine;
   emit store Obs.Event.Ckpt_restore r;
@@ -269,28 +303,21 @@ let restore_cluster store ~key ~boot =
     match r.c_bound with
     | Rounds { rounds; quantum_ns } -> (rounds, quantum_ns)
     | Steps _ | Virtual_ns _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a single machine; use restore"
-              key))
+      mismatch "checkpoint %S holds a single machine; use restore" key
   in
   let cluster = boot () in
   if rounds > 0 then
     ignore (Net.Cluster.run cluster ~quantum_ns ~max_rounds:rounds ());
   if Net.Cluster.node_count cluster <> List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: %d nodes stored, boot built %d" key
-            (List.length r.c_nodes)
-            (Net.Cluster.node_count cluster)));
+    mismatch "checkpoint %S: %d nodes stored, boot built %d" key
+      (List.length r.c_nodes)
+      (Net.Cluster.node_count cluster);
   List.iteri
     (fun i (name, stored) ->
       let booted = Net.Cluster.node_name cluster i in
       if not (String.equal name booted) then
-        raise
-          (Restore_mismatch
-             (Printf.sprintf "checkpoint %S: node %d is %S, boot built %S" key
-                i name booted));
+        mismatch "checkpoint %S: node %d is %S, boot built %S" key i name
+          booted;
       verify_node ~key ~name ~stored (Net.Cluster.machine cluster i))
     r.c_nodes;
   emit store Obs.Event.Ckpt_restore r;

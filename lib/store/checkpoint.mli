@@ -38,11 +38,34 @@ type record = {
           [("", image)] *)
 }
 
+(** Where two line streams first disagree. *)
+type divergence = {
+  stream : string;  (** which stream: a state image, a node, an event list *)
+  index : int;  (** 1-based line number of the first differing line *)
+  expected : string option;  (** [None]: the expected stream ended here *)
+  got : string option;  (** [None]: the observed stream ended here *)
+  context : string list;  (** up to three equal lines just before [index] *)
+}
+
+(** The first line where [got] departs from [expected]; [None] when they
+    are equal line for line. *)
+val first_divergence :
+  stream:string -> expected:string list -> got:string list -> divergence option
+
+(** The stream, index, expected and got lines, then the context lines
+    with their indices. *)
+val divergence_to_string : divergence -> string
+
 (** Replayed state differs from the checkpointed state — the boot closure
     did not reproduce the original scenario (different seed, workload, or
-    FI plan), or the run crossed a nondeterministic seam.  Carries the
-    first divergent image line. *)
-exception Restore_mismatch of string
+    FI plan), or the run crossed a nondeterministic seam.  [divergence]
+    carries the first divergent image line (stored = expected, replayed =
+    got); it is [None] for a record that does not fit the boot at all
+    (corrupt bytes, wrong kind, node count or node names). *)
+exception Restore_mismatch of {
+  message : string;
+  divergence : divergence option;
+}
 
 (** Checkpoint [machine], which the caller has just run to [bound], into
     the store under [key] (fsynced before returning). *)

@@ -251,3 +251,21 @@ let get_blob t ~key = find_kind t ~key kind_blob
 let close t =
   sync t;
   Journal.close t.journal
+
+let scratch_path name =
+  Filename.concat (Filename.concat "_build" "imax-scratch") name
+
+let rec mkdir_p dir =
+  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
+let remove_files path =
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; path ^ ".tmp" ]
+
+let fresh_path path =
+  mkdir_p (Filename.dirname path);
+  remove_files path

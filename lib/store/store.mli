@@ -101,3 +101,17 @@ val garbage_bytes : t -> int
 
 (** The machine whose tracer/metrics receive store events, if attached. *)
 val attached_machine : t -> K.Machine.t option
+
+(** {1 Scratch journals} *)
+
+(** [_build/imax-scratch/NAME]: where imax_ctl and the benches keep throwaway
+    journals, relative to the working directory, so that a run from the
+    repository root never litters the source tree. *)
+val scratch_path : string -> string
+
+(** Create [path]'s directory (and its parents) and delete any stale
+    journal at [path], compaction scratch [path.tmp] included. *)
+val fresh_path : string -> unit
+
+(** Delete the journal at [path] and its compaction scratch, if present. *)
+val remove_files : string -> unit

@@ -52,6 +52,9 @@ type result = {
 
 let conserved r = r.final_total = r.initial_total
 
+let atomic r =
+  conserved r && r.completions = r.committed && r.dup_completions = 0
+
 let result_to_string r =
   Printf.sprintf
     "transfers=%d committed=%d aborted=%d completions=%d dups=%d total=%d/%d%s"
@@ -187,12 +190,7 @@ let gather ~transfers ~bank ~completions:(distinct, dups, lats) ~accts =
   {
     transfers;
     committed = List.length (K.Machine.txn_applied_keys bank);
-    aborted =
-      (match
-         Obs.Metrics.find_counter (K.Machine.metrics bank) "txn.aborts"
-       with
-      | Some ctr -> Obs.Metrics.counter_value ctr
-      | None -> 0);
+    aborted = Obs.Metrics.count (K.Machine.metrics bank) "txn.aborts";
     completions = distinct;
     dup_completions = dups;
     latencies = lats;

@@ -36,6 +36,10 @@ type result = {
 (** Total balance equals the initial total. *)
 val conserved : result -> bool
 
+(** Conserved, and every commit completed exactly once: the atomicity a
+    run keeps even when a fault kills tellers mid-mix. *)
+val atomic : result -> bool
+
 val result_to_string : result -> string
 
 (** Single-machine sweep.  [history_store] tracks every account's

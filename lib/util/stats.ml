@@ -23,6 +23,11 @@ let percentile sorted p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
+let nearest_rank ~empty sorted q =
+  let n = Array.length sorted in
+  if n = 0 then empty
+  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
 let summarize samples =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Stats.summarize: empty";

@@ -16,6 +16,10 @@ type summary = {
     ascending and non-empty. *)
 val percentile : float array -> float -> float
 
+(** Nearest-rank quantile: the element at rank [floor (q * n)] (capped at
+    the last) of an ascending [sorted] array; [empty] when it has none. *)
+val nearest_rank : empty:'a -> 'a array -> float -> 'a
+
 (** Full summary of a non-empty sample array. *)
 val summarize : float array -> summary
 

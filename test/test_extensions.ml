@@ -6,10 +6,7 @@ open I432
 open Imax
 module K = I432_kernel
 
-let mk ?(processors = 1) () =
-  K.Machine.create
-    ~config:{ K.Machine.default_config with K.Machine.processors }
-    ()
+let mk = Testkit.mk
 
 let boot ?(processors = 1) () =
   System.boot ~config:{ System.default_config with System.processors } ()

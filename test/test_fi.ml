@@ -8,19 +8,10 @@
 
 open I432
 open Imax
+open Testkit
 module K = I432_kernel
 module Obs = I432_obs
 module Fi = I432_fi.Fi
-
-let mk ?(processors = 1) ?(trace = false) () =
-  K.Machine.create
-    ~config:
-      {
-        K.Machine.default_config with
-        K.Machine.processors;
-        trace_level = (if trace then Obs.Tracer.Events else Obs.Tracer.Off);
-      }
-    ()
 
 let has_kind m kind =
   List.exists (fun (e : Obs.Event.t) -> e.Obs.Event.kind = kind)
@@ -248,11 +239,16 @@ let test_processor_failure_recovery () =
     (Fi.check_invariants m)
 
 let test_processor_failure_deterministic () =
-  let m1, _, c1 = chaos_run () in
-  let m2, _, c2 = chaos_run () in
-  let stream m = List.map Obs.Event.to_string (K.Machine.events m) in
-  Alcotest.(check int) "same consumption" c1 c2;
-  Alcotest.(check bool) "identical event streams" true (stream m1 = stream m2)
+  ok "same seed"
+    (I432_store.Scenario.(
+       same_seed
+         (make ~name:"hard-fault"
+            ~streams:(fun (m, _, consumed) ->
+              [
+                ("consumed", [ string_of_int consumed ]);
+                ("events", event_lines m);
+              ])
+            chaos_run)))
 
 let test_fail_processor_idempotent () =
   let m = mk ~processors:3 () in

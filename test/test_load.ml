@@ -9,6 +9,7 @@ module K = I432_kernel
 module Obs = I432_obs
 module Net = I432_net
 module Load = I432_load
+module Scenario = I432_store.Scenario
 
 (* ---------------- Stats.log_hist ---------------- *)
 
@@ -221,12 +222,12 @@ let test_machine_completes_all () =
 
 let test_machine_span_stream_deterministic () =
   let s = spec ~seed:13 () in
-  let a = run_machine s and b = run_machine s in
-  Alcotest.(check string) "span streams identical"
-    (Load.Loadgen.span_stream a) (Load.Loadgen.span_stream b);
-  Alcotest.(check string) "merged metrics identical"
-    (Obs.Metrics.render a.Load.Loadgen.o_metrics)
-    (Obs.Metrics.render b.Load.Loadgen.o_metrics);
+  let machine =
+    Scenario.make ~name:"machine" ~streams:Load.Loadgen.streams (fun () ->
+        run_machine s)
+  in
+  let a = Scenario.play machine in
+  Testkit.ok "same seed" (Scenario.same_seed ~first:a machine);
   (* One span pair per request: issue and done both present. *)
   let contains line needle =
     let nl = String.length needle and ll = String.length line in
@@ -271,13 +272,15 @@ let prop_cluster_par_equals_seq =
     QCheck2.Gen.(pair (int_range 1 500) (int_range 2 5))
     (fun (seed, users) ->
       let s = spec ~seed ~users ~sessions:1 () in
-      let a = run_cluster ~engine:Net.Cluster.Seq s in
-      let b = run_cluster ~engine:(Net.Cluster.Par 2) s in
-      Load.Loadgen.span_stream a = Load.Loadgen.span_stream b
-      && Obs.Metrics.render a.Load.Loadgen.o_metrics
-         = Obs.Metrics.render b.Load.Loadgen.o_metrics
-      && a.Load.Loadgen.o_completed = Load.Arrival.total s
-      && b.Load.Loadgen.o_completed = Load.Arrival.total s)
+      let cluster engine =
+        Scenario.make ~name:"cluster" ~streams:Load.Loadgen.streams (fun () ->
+            run_cluster ~engine s)
+      in
+      (* Equal metrics carry equal completion counts to the Seq run. *)
+      let b = Scenario.play (cluster (Net.Cluster.Par 2)) in
+      b.Load.Loadgen.o_completed = Load.Arrival.total s
+      && Testkit.holds
+           (Scenario.equal_engines ~first:b cluster (Net.Cluster.Par 2)))
 
 (* Overload: offered far above capacity must still complete every request
    (open-loop backpressure, the premature-quiescence regression guard for

@@ -2,26 +2,14 @@
    link faults, and determinism. *)
 
 open I432
+open Testkit
 module K = I432_kernel
 module Obs = I432_obs
 module Fi = I432_fi.Fi
 module Net = I432_net
 module Filing = Imax.Object_filing
-module St = I432_store.Store
 module Ckpt = I432_store.Checkpoint
-
-let mk ?(processors = 1) ?(trace = false) () =
-  K.Machine.create
-    ~config:
-      {
-        K.Machine.default_config with
-        processors;
-        trace_level = (if trace then Obs.Tracer.Events else Obs.Tracer.Off);
-      }
-    ()
-
-let alloc m ?(data_length = 16) ?(access_length = 0) () =
-  K.Machine.allocate_generic m ~data_length ~access_length ()
+module Scenario = I432_store.Scenario
 
 (* ---------------- Wire codec ---------------- *)
 
@@ -105,34 +93,6 @@ let test_wire_sealed_instance () =
 
 (* qcheck: random DAG-with-back-edges graphs reconstruct isomorphic — same
    canonical (discovery-order) walk on both machines. *)
-let canonical_walk m root =
-  let table = K.Machine.table m in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let rec go access =
-    let idx = Access.index access in
-    match Hashtbl.find_opt seen idx with
-    | Some serial -> out := `Ref serial :: !out
-    | None ->
-      let serial = !count in
-      incr count;
-      Hashtbl.add seen idx serial;
-      let e = Object_table.entry_of_access table access in
-      out :=
-        `Node
-          ( serial,
-            K.Machine.read_bytes m access ~offset:0
-              ~len:e.Object_table.data_length,
-            Access.rights access )
-        :: !out;
-      Array.iter
-        (function Some child -> go child | None -> out := `Hole :: !out)
-        e.Object_table.access_part
-  in
-  go root;
-  List.rev !out
-
 let prop_wire_isomorphic =
   QCheck2.Test.make ~name:"wire codec reconstructs isomorphic graphs"
     ~count:40
@@ -348,23 +308,45 @@ let test_window_backpressure () =
     got;
   Alcotest.(check int) "frames match" 12 report.Net.Cluster.frames_delivered
 
-let test_determinism_under_faults () =
-  let run_once () =
-    let ((cluster, ((_, ma)), ((_, mb)), _) as nodes) = two_nodes ~trace:true () in
-    let plan = Fi.random_links ~seed:11 ~horizon_ns:5_000_000 ~links:1 ~count:6 ~partitions:1 in
-    Net.Cluster.arm_links cluster plan;
-    let report, got = ping_scenario ~count:8 nodes in
-    ( report,
-      got,
-      List.map Obs.Event.to_string (K.Machine.events ma),
-      List.map Obs.Event.to_string (K.Machine.events mb) )
+(* Every observable the determinism contract covers, as named streams:
+   the report, each node's event stream and state image, and the
+   deterministically merged metrics dump. *)
+let observables cluster report =
+  let machines =
+    List.init (Net.Cluster.node_count cluster) (fun i ->
+        (Net.Cluster.node_name cluster i, Net.Cluster.machine cluster i))
   in
-  let r1, got1, ea1, eb1 = run_once () in
-  let r2, got2, ea2, eb2 = run_once () in
-  Alcotest.(check bool) "same report" true (r1 = r2);
-  Alcotest.(check (list int)) "same payload order" got1 got2;
-  Alcotest.(check (list string)) "node a stream byte-identical" ea1 ea2;
-  Alcotest.(check (list string)) "node b stream byte-identical" eb1 eb2
+  let merged = Obs.Metrics.create () in
+  List.iter
+    (fun (_, m) ->
+      Obs.Metrics.merge_into ~dst:merged ~src:(K.Machine.metrics m))
+    machines;
+  (("report", [ Net.Cluster.report_to_string report ])
+  :: List.concat_map
+       (fun (name, m) ->
+         [
+           (name, Scenario.event_lines m);
+           ( name ^ " image",
+             String.split_on_char '\n' (K.Snapshot.state_image m) );
+         ])
+       machines)
+  @ [ ("metrics", [ Obs.Jout.to_string (Obs.Metrics.to_json merged) ]) ]
+
+let payloads got = ("payloads", List.map string_of_int got)
+
+let test_determinism_under_faults () =
+  let faulty =
+    Scenario.make ~name:"faulty-link"
+      ~streams:(fun (cluster, (report, got)) ->
+        payloads got :: observables cluster report)
+      (fun () ->
+        let ((cluster, _, _, _) as nodes) = two_nodes ~trace:true () in
+        Net.Cluster.arm_links cluster
+          (Fi.random_links ~seed:11 ~horizon_ns:5_000_000 ~links:1 ~count:6
+             ~partitions:1);
+        (cluster, ping_scenario ~count:8 nodes))
+  in
+  ok "same seed" (Scenario.same_seed faulty)
 
 (* ---------------- Names, rights, routing ---------------- *)
 
@@ -448,13 +430,10 @@ let test_link_plan_deterministic () =
 
 (* ---------------- Parallel engine: seq == par, byte for byte -------- *)
 
-(* A star cluster: node 0 is the hub, nodes 1..n-1 are clients, each
-   linked to the hub.  Every client streams [count] messages to the hub's
-   exported port while a seeded link-fault plan shakes the wires.
-   Returns every observable the determinism contract covers: the report,
-   delivery order, per-node event streams, per-node state images, and the
-   deterministically merged metrics dump. *)
-let star_scenario ~engine ~nodes:n ~seed ~count () =
+(* A traced star cluster: node 0 is the hub exporting a [capacity]-deep
+   port named [port], nodes 1..n-1 each link to it.  [each_client f] runs
+   [f i machine surrogate] for every client node. *)
+let star ~prefix ~nodes:n ~port ~capacity =
   let cluster = Net.Cluster.create () in
   let config =
     {
@@ -465,55 +444,56 @@ let star_scenario ~engine ~nodes:n ~seed ~count () =
   in
   let ids =
     Array.init n (fun i ->
-        Net.Cluster.boot_node cluster ~name:(Printf.sprintf "n%d" i) ~config ())
+        Net.Cluster.boot_node cluster
+          ~name:(Printf.sprintf "%s%d" prefix i)
+          ~config ())
   in
   let hub, mhub = ids.(0) in
   for i = 1 to n - 1 do
     ignore (Net.Cluster.connect cluster (fst ids.(i)) hub)
   done;
-  let home = K.Machine.create_port mhub ~capacity:4 ~discipline:K.Port.Fifo () in
-  Net.Cluster.export cluster ~node:hub ~name:"hub" home;
-  let total = (n - 1) * count in
+  let home = K.Machine.create_port mhub ~capacity ~discipline:K.Port.Fifo () in
+  Net.Cluster.export cluster ~node:hub ~name:port home;
+  let each_client f =
+    for i = 1 to n - 1 do
+      let id, mi = ids.(i) in
+      f i mi (Net.Cluster.import cluster ~node:id ~name:port)
+    done
+  in
+  (cluster, mhub, home, each_client)
+
+(* Every client streams [count] messages to the hub while a seeded
+   link-fault plan shakes the wires. *)
+let star_scenario ~nodes:n ~seed ~count engine =
+  Scenario.make ~name:"star"
+    ~streams:(fun (cluster, report, got) ->
+      payloads got :: observables cluster report)
+  @@ fun () ->
+  let cluster, mhub, home, each_client =
+    star ~prefix:"n" ~nodes:n ~port:"hub" ~capacity:4
+  in
   let got = ref [] in
   ignore
     (K.Machine.spawn mhub ~name:"consumer" (fun () ->
-         for _ = 1 to total do
+         for _ = 1 to (n - 1) * count do
            let msg = K.Machine.receive mhub ~port:home in
            got := K.Machine.read_word mhub msg ~offset:0 :: !got
          done));
-  for i = 1 to n - 1 do
-    let id, mi = ids.(i) in
-    let surrogate = Net.Cluster.import cluster ~node:id ~name:"hub" in
-    ignore
-      (K.Machine.spawn mi ~name:(Printf.sprintf "producer%d" i) (fun () ->
-           for j = 1 to count do
-             let msg = alloc mi () in
-             K.Machine.write_word mi msg ~offset:0 ((i * 1000) + j);
-             K.Machine.send mi ~port:surrogate ~msg
-           done))
-  done;
+  each_client (fun i mi surrogate ->
+      ignore
+        (K.Machine.spawn mi ~name:(Printf.sprintf "producer%d" i) (fun () ->
+             for j = 1 to count do
+               let msg = alloc mi () in
+               K.Machine.write_word mi msg ~offset:0 ((i * 1000) + j);
+               K.Machine.send mi ~port:surrogate ~msg
+             done)));
   let plan =
     Fi.random_links ~seed ~horizon_ns:5_000_000 ~links:(n - 1) ~count:5
       ~partitions:1
   in
   Net.Cluster.arm_links cluster plan;
   let report = Net.Cluster.run cluster ~engine () in
-  let streams =
-    Array.map
-      (fun (_, m) -> List.map Obs.Event.to_string (K.Machine.events m))
-      ids
-  in
-  let snaps = Array.map (fun (_, m) -> K.Snapshot.state_image m) ids in
-  let merged = Obs.Metrics.create () in
-  Array.iter
-    (fun (_, m) ->
-      Obs.Metrics.merge_into ~dst:merged ~src:(K.Machine.metrics m))
-    ids;
-  ( report,
-    List.rev !got,
-    streams,
-    snaps,
-    Obs.Jout.to_string (Obs.Metrics.to_json merged) )
+  (cluster, report, List.rev !got)
 
 let prop_par_engine_identical =
   QCheck2.Test.make
@@ -521,68 +501,47 @@ let prop_par_engine_identical =
     ~count:8
     QCheck2.Gen.(triple (int_range 2 5) (int_range 0 10_000) (int_range 1 6))
     (fun (n, seed, count) ->
-      let observe engine = star_scenario ~engine ~nodes:n ~seed ~count () in
-      let base = observe Net.Cluster.Seq in
       List.for_all
-        (fun d -> observe (Net.Cluster.Par d) = base)
+        (fun d ->
+          holds
+            (Scenario.equal_engines
+               (star_scenario ~nodes:n ~seed ~count)
+               (Net.Cluster.Par d)))
         [ 2; 4 ])
 
 (* The bench scenario (bench/par_speedup.ml): a fault-free spoke cluster
    where each client spools compute-heavy jobs to the hub.  The speedup
    number is only meaningful if both engines produce the same run, so the
    parity is pinned here as a unit test too. *)
-let spool_scenario ~engine ~clients ~jobs () =
-  let cluster = Net.Cluster.create () in
-  let config =
-    {
-      K.Machine.default_config with
-      processors = 1;
-      trace_level = Obs.Tracer.Events;
-    }
+let spool_scenario ~clients ~jobs engine =
+  Scenario.make ~name:"spool"
+    ~streams:(fun (cluster, report) -> observables cluster report)
+  @@ fun () ->
+  let cluster, mhub, home, each_client =
+    star ~prefix:"s" ~nodes:(clients + 1) ~port:"spool" ~capacity:8
   in
-  let n = clients + 1 in
-  let ids =
-    Array.init n (fun i ->
-        Net.Cluster.boot_node cluster ~name:(Printf.sprintf "s%d" i) ~config ())
-  in
-  let hub, mhub = ids.(0) in
-  for i = 1 to clients do
-    ignore (Net.Cluster.connect cluster (fst ids.(i)) hub)
-  done;
-  let home = K.Machine.create_port mhub ~capacity:8 ~discipline:K.Port.Fifo () in
-  Net.Cluster.export cluster ~node:hub ~name:"spool" home;
   ignore
     (K.Machine.spawn mhub ~name:"printshop" (fun () ->
          for _ = 1 to clients * jobs do
            ignore (K.Machine.receive mhub ~port:home)
          done));
-  for i = 1 to clients do
-    let id, mi = ids.(i) in
-    let surrogate = Net.Cluster.import cluster ~node:id ~name:"spool" in
-    ignore
-      (K.Machine.spawn mi ~name:(Printf.sprintf "client%d" i) (fun () ->
-           for j = 1 to jobs do
-             let msg = alloc mi ~data_length:64 () in
-             K.Machine.write_word mi msg ~offset:0 ((i * 100) + j);
-             K.Machine.send mi ~port:surrogate ~msg
-           done))
-  done;
-  let report = Net.Cluster.run cluster ~engine () in
-  let streams =
-    Array.map
-      (fun (_, m) -> List.map Obs.Event.to_string (K.Machine.events m))
-      ids
-  in
-  let snaps = Array.map (fun (_, m) -> K.Snapshot.state_image m) ids in
-  (report, streams, snaps)
+  each_client (fun i mi surrogate ->
+      ignore
+        (K.Machine.spawn mi ~name:(Printf.sprintf "client%d" i) (fun () ->
+             for j = 1 to jobs do
+               let msg = alloc mi ~data_length:64 () in
+               K.Machine.write_word mi msg ~offset:0 ((i * 100) + j);
+               K.Machine.send mi ~port:surrogate ~msg
+             done)));
+  (cluster, Net.Cluster.run cluster ~engine ())
 
 let test_par_bench_scenario_parity () =
-  let seq = spool_scenario ~engine:Net.Cluster.Seq ~clients:3 ~jobs:4 () in
-  let par2 = spool_scenario ~engine:(Net.Cluster.Par 2) ~clients:3 ~jobs:4 () in
-  let par4 = spool_scenario ~engine:(Net.Cluster.Par 4) ~clients:3 ~jobs:4 () in
-  Alcotest.(check bool) "2 domains match sequential" true (par2 = seq);
-  Alcotest.(check bool) "4 domains match sequential" true (par4 = seq);
-  let report, _, _ = seq in
+  let spool = spool_scenario ~clients:3 ~jobs:4 in
+  ok "2 domains match sequential"
+    (Scenario.equal_engines spool (Net.Cluster.Par 2));
+  ok "4 domains match sequential"
+    (Scenario.equal_engines spool (Net.Cluster.Par 4));
+  let _, report = Scenario.play (spool Net.Cluster.Seq) in
   Alcotest.(check int) "all jobs crossed the wire" 12
     report.Net.Cluster.frames_delivered
 
@@ -685,6 +644,15 @@ let test_dead_node_sends_dead_letter_loudly () =
     + Net.Cluster.total_unacked cluster
     + Net.Cluster.total_backlog cluster)
 
+let pending cluster =
+  Net.Cluster.frames_in_flight cluster
+  + Net.Cluster.total_unacked cluster
+  + Net.Cluster.total_backlog cluster
+
+let invariants cluster =
+  List.concat_map Fi.check_invariants
+    (List.init (Net.Cluster.node_count cluster) (Net.Cluster.machine cluster))
+
 (* The kill-restart-rejoin scenario: a producer on node 0 streams jobs to
    a consumer on node 1 across the wire, spaced so traffic straddles any
    kill instant. *)
@@ -720,62 +688,43 @@ let rejoin_boot () =
 
 (* Checkpoint at round boundary [k], kill the consumer exactly there,
    splice a verified checkpoint replay back in 300 us later, run to
-   completion.  Returns every observable the rejoin contract covers. *)
+   completion.  The streams are every observable the rejoin contract
+   covers. *)
 let rejoin_staged ~quantum_ns k =
-  let path = Filename.temp_file "imax_rejoin" ".journal" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".tmp" ])
-    (fun () ->
+  Scenario.make
+    ~name:(Printf.sprintf "rejoin@%d" k)
+    ~streams:(fun (cluster, report) ->
+      observables cluster report
+      @ [
+          ("alive", [ string_of_bool (Net.Cluster.node_alive cluster 1) ]);
+          ("pending", [ string_of_int (pending cluster) ]);
+          ("invariants", invariants cluster);
+          ( "epoch",
+            [
+              string_of_int
+                (Net.Name_service.epoch (Net.Cluster.name_service cluster));
+            ] );
+        ])
+  @@ fun () ->
+  with_store (fun _path store ->
       let cluster = rejoin_boot () in
       let r1 = Net.Cluster.run cluster ~quantum_ns ~max_rounds:k () in
-      let store = St.open_ path in
-      Fun.protect
-        ~finally:(fun () -> St.close store)
-        (fun () ->
-          ignore
-            (Ckpt.save_cluster store ~key:"rejoin"
-               ~rounds:r1.Net.Cluster.rounds ~quantum_ns cluster);
-          let kill_at = r1.Net.Cluster.horizon_ns in
-          Net.Cluster.arm_nodes cluster
-            ~restore:(fun ~node ~at_ns:_ ->
-              Ckpt.restore_node store ~key:"rejoin" ~node ~boot:rejoin_boot)
-            {
-              Fi.n_seed = k;
-              n_events =
-                [
-                  { Fi.n_at_ns = kill_at; n_node = 1; n_act = Fi.N_kill };
-                  {
-                    Fi.n_at_ns = kill_at + 300_000;
-                    n_node = 1;
-                    n_act = Fi.N_restart;
-                  };
-                ];
-            };
-          let report = Net.Cluster.run cluster ~quantum_ns () in
-          let machines =
-            List.init 2 (fun i -> Net.Cluster.machine cluster i)
-          in
-          let streams =
-            List.map
-              (fun m -> List.map Obs.Event.to_string (K.Machine.events m))
-              machines
-          in
-          let invariants = List.concat_map Fi.check_invariants machines in
-          let pending =
-            Net.Cluster.frames_in_flight cluster
-            + Net.Cluster.total_unacked cluster
-            + Net.Cluster.total_backlog cluster
-          in
-          ( report,
-            streams,
-            Net.Cluster.node_alive cluster 1,
-            pending,
-            invariants,
-            Net.Name_service.epoch (Net.Cluster.name_service cluster) )))
+      ignore
+        (Ckpt.save_cluster store ~key:"rejoin" ~rounds:r1.Net.Cluster.rounds
+           ~quantum_ns cluster);
+      let kill_at = r1.Net.Cluster.horizon_ns in
+      Net.Cluster.arm_nodes cluster
+        ~restore:(fun ~node ~at_ns:_ ->
+          Ckpt.restore_node store ~key:"rejoin" ~node ~boot:rejoin_boot)
+        {
+          Fi.n_seed = k;
+          n_events =
+            [
+              { Fi.n_at_ns = kill_at; n_node = 1; n_act = Fi.N_kill };
+              { Fi.n_at_ns = kill_at + 300_000; n_node = 1; n_act = Fi.N_restart };
+            ];
+        };
+      (cluster, Net.Cluster.run cluster ~quantum_ns ()))
 
 (* Sweep the kill instant across every round boundary of the run: at each
    one the rejoin must complete the full workload with nothing lost, the
@@ -788,25 +737,26 @@ let test_kill_restart_every_boundary () =
   let total_rounds = probe.Net.Cluster.rounds in
   Alcotest.(check bool) "scenario spans several rounds" true (total_rounds >= 5);
   for k = 1 to total_rounds - 1 do
-    let ((report, _, alive, pending, invariants, epoch) as once) =
-      rejoin_staged ~quantum_ns k
-    in
+    let staged = rejoin_staged ~quantum_ns k in
+    let ((cluster, report) as once) = Scenario.play staged in
     let ctx fmt = Printf.sprintf (fmt ^^ " (kill at round %d)") k in
-    Alcotest.(check bool)
+    ok
       (ctx "staged rerun byte-identical")
-      true
-      (rejoin_staged ~quantum_ns k = once);
+      (Scenario.same_seed ~first:once staged);
     Alcotest.(check int) (ctx "all jobs delivered") 6
       report.Net.Cluster.frames_delivered;
     Alcotest.(check int) (ctx "nothing lost") 0 report.Net.Cluster.frames_lost;
     Alcotest.(check int) (ctx "no dead letters") 0
       report.Net.Cluster.dead_letters;
-    Alcotest.(check bool) (ctx "victim rejoined") true alive;
-    Alcotest.(check int) (ctx "nothing pending") 0 pending;
-    Alcotest.(check (list string)) (ctx "invariants hold") [] invariants;
+    Alcotest.(check bool) (ctx "victim rejoined") true
+      (Net.Cluster.node_alive cluster 1);
+    Alcotest.(check int) (ctx "nothing pending") 0 (pending cluster);
+    Alcotest.(check (list string)) (ctx "invariants hold") []
+      (invariants cluster);
     (* Export at epoch 1; the kill withdraws (2) and the restart
        republishes (3). *)
-    Alcotest.(check int) (ctx "name republished under bumped epoch") 3 epoch
+    Alcotest.(check int) (ctx "name republished under bumped epoch") 3
+      (Net.Name_service.epoch (Net.Cluster.name_service cluster))
   done
 
 (* Random star topology under a seeded random node-fault plan: kills and
@@ -815,48 +765,29 @@ let test_kill_restart_every_boundary () =
    partial slice — exactly the state the dead incarnation had).  The
    parallel engine must reproduce the sequential run byte for byte:
    report, delivery order, event streams, state images, merged metrics. *)
-let node_chaos_scenario ~engine ~nodes:n ~seed ~count ~kills () =
+let node_chaos_scenario ~nodes:n ~seed ~count ~kills engine =
+  Scenario.make ~name:"node-chaos"
+    ~streams:(fun (cluster, report) -> observables cluster report)
+  @@ fun () ->
   let quantum_ns = 100_000 in
   let build () =
-    let cluster = Net.Cluster.create () in
-    let config =
-      {
-        K.Machine.default_config with
-        processors = 1;
-        trace_level = Obs.Tracer.Events;
-      }
+    let cluster, mhub, home, each_client =
+      star ~prefix:"c" ~nodes:n ~port:"hub" ~capacity:4
     in
-    let ids =
-      Array.init n (fun i ->
-          Net.Cluster.boot_node cluster ~name:(Printf.sprintf "c%d" i) ~config
-            ())
-    in
-    let hub, mhub = ids.(0) in
-    for i = 1 to n - 1 do
-      ignore (Net.Cluster.connect cluster (fst ids.(i)) hub)
-    done;
-    let home =
-      K.Machine.create_port mhub ~capacity:4 ~discipline:K.Port.Fifo ()
-    in
-    Net.Cluster.export cluster ~node:hub ~name:"hub" home;
-    let total = (n - 1) * count in
     ignore
       (K.Machine.spawn mhub ~name:"consumer" (fun () ->
-           for _ = 1 to total do
+           for _ = 1 to (n - 1) * count do
              ignore (K.Machine.receive mhub ~port:home)
            done));
-    for i = 1 to n - 1 do
-      let id, mi = ids.(i) in
-      let surrogate = Net.Cluster.import cluster ~node:id ~name:"hub" in
-      ignore
-        (K.Machine.spawn mi ~name:(Printf.sprintf "producer%d" i) (fun () ->
-             for j = 1 to count do
-               let msg = alloc mi () in
-               K.Machine.write_word mi msg ~offset:0 ((i * 1000) + j);
-               K.Machine.send mi ~port:surrogate ~msg;
-               K.Machine.delay mi ~ns:200_000
-             done))
-    done;
+    each_client (fun i mi surrogate ->
+        ignore
+          (K.Machine.spawn mi ~name:(Printf.sprintf "producer%d" i) (fun () ->
+               for j = 1 to count do
+                 let msg = alloc mi () in
+                 K.Machine.write_word mi msg ~offset:0 ((i * 1000) + j);
+                 K.Machine.send mi ~port:surrogate ~msg;
+                 K.Machine.delay mi ~ns:200_000
+               done)));
     cluster
   in
   let cluster = build () in
@@ -879,18 +810,7 @@ let node_chaos_scenario ~engine ~nodes:n ~seed ~count ~kills () =
     m
   in
   Net.Cluster.arm_nodes cluster ~restore plan;
-  let report = Net.Cluster.run cluster ~engine ~quantum_ns () in
-  let machines = List.init n (fun i -> Net.Cluster.machine cluster i) in
-  let streams =
-    List.map (fun m -> List.map Obs.Event.to_string (K.Machine.events m))
-      machines
-  in
-  let snaps = List.map K.Snapshot.state_image machines in
-  let merged = Obs.Metrics.create () in
-  List.iter
-    (fun m -> Obs.Metrics.merge_into ~dst:merged ~src:(K.Machine.metrics m))
-    machines;
-  (report, streams, snaps, Obs.Jout.to_string (Obs.Metrics.to_json merged))
+  (cluster, Net.Cluster.run cluster ~engine ~quantum_ns ())
 
 let prop_node_chaos_par_identical =
   QCheck2.Test.make
@@ -898,10 +818,10 @@ let prop_node_chaos_par_identical =
     QCheck2.Gen.(
       quad (int_range 2 4) (int_range 0 10_000) (int_range 1 4) (int_range 1 2))
     (fun (n, seed, count, kills) ->
-      let observe engine =
-        node_chaos_scenario ~engine ~nodes:n ~seed ~count ~kills ()
-      in
-      observe (Net.Cluster.Par 2) = observe Net.Cluster.Seq)
+      holds
+        (Scenario.equal_engines
+           (node_chaos_scenario ~nodes:n ~seed ~count ~kills)
+           (Net.Cluster.Par 2)))
 
 (* ---------------- Par_exec pool ---------------- *)
 

@@ -174,17 +174,19 @@ let test_legacy_lines_survive_ring_overflow () =
 (* ---------------- Determinism ---------------- *)
 
 let test_event_stream_determinism () =
-  let trace () =
-    let m = workload ~level:Obs.Tracer.Events () in
-    ( List.map Obs.Event.to_string (K.Machine.events m),
-      Obs.Jout.to_string (Obs.Metrics.to_json (K.Machine.metrics m)) )
+  let traced =
+    I432_store.Scenario.make ~name:"traced"
+      ~streams:(fun m ->
+        [
+          ("events", I432_store.Scenario.event_lines m);
+          ("metrics", [ Obs.Jout.to_string (Obs.Metrics.to_json (K.Machine.metrics m)) ]);
+        ])
+      (workload ~level:Obs.Tracer.Events)
   in
-  let events_a, metrics_a = trace () in
-  let events_b, metrics_b = trace () in
+  let m = I432_store.Scenario.play traced in
   Alcotest.(check bool) "stream is non-trivial" true
-    (List.length events_a > 20);
-  Alcotest.(check (list string)) "identical event streams" events_a events_b;
-  Alcotest.(check string) "identical metrics JSON" metrics_a metrics_b
+    (List.length (K.Machine.events m) > 20);
+  Testkit.ok "same seed" (I432_store.Scenario.same_seed ~first:m traced)
 
 (* ---------------- Chrome trace export ---------------- *)
 

@@ -3,6 +3,7 @@
    deterministic replay — single machine and cluster. *)
 
 open I432
+open Testkit
 module K = I432_kernel
 module Obs = I432_obs
 module Fi = I432_fi.Fi
@@ -11,57 +12,12 @@ module Filing = Imax.Object_filing
 module Journal = I432_store.Journal
 module Store = I432_store.Store
 module Checkpoint = I432_store.Checkpoint
-
-let mk ?(processors = 1) ?(trace = false) () =
-  K.Machine.create
-    ~config:
-      {
-        K.Machine.default_config with
-        processors;
-        trace_level = (if trace then Obs.Tracer.Events else Obs.Tracer.Off);
-      }
-    ()
-
-let alloc m ?(data_length = 16) ?(access_length = 0) () =
-  K.Machine.allocate_generic m ~data_length ~access_length ()
-
-(* Tests run in dune's sandbox cwd; journals land there and are removed
-   afterwards, so reruns never see a stale file. *)
-let temp_path =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Printf.sprintf "test_store_%d_%d.journal" (Unix.getpid ()) !n
-
-let with_store ?sync_every ?compact_interval_ns ?min_garbage_bytes f =
-  let path = temp_path () in
-  let store = Store.open_ ?sync_every ?compact_interval_ns ?min_garbage_bytes path in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.close store;
-      if Sys.file_exists path then Sys.remove path;
-      if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
-    (fun () -> f path store)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = really_input_string ic len in
-  close_in ic;
-  b
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
+module Scenario = I432_store.Scenario
 
 (* ---------------- Journal ---------------- *)
 
 let test_journal_roundtrip () =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+  with_path (fun path ->
       let j, recovered = Journal.open_ path in
       Alcotest.(check int) "fresh journal is empty" 0 (List.length recovered);
       let o1 = Journal.append j ~kind:1 ~key:"alpha" ~payload:(Bytes.of_string "one") in
@@ -138,10 +94,7 @@ let test_crash_point_sweep () =
 (* A flipped bit in a committed record's body fails its CRC: recovery
    keeps the records before it and discards it and everything after. *)
 let test_corrupt_record_truncates () =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+  with_path (fun path ->
       let j, _ = Journal.open_ path in
       ignore (Journal.append j ~kind:1 ~key:"good" ~payload:(Bytes.of_string "11"));
       let second = Journal.size j in
@@ -160,37 +113,6 @@ let test_corrupt_record_truncates () =
       Journal.close j2)
 
 (* ---------------- Store: filing graphs ---------------- *)
-
-(* Same canonical walk as the net tests: discovery-order serials, data
-   images, and rights — two graphs are isomorphic iff walks are equal. *)
-let canonical_walk m root =
-  let table = K.Machine.table m in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let rec go access =
-    let idx = Access.index access in
-    match Hashtbl.find_opt seen idx with
-    | Some serial -> out := `Ref serial :: !out
-    | None ->
-      let serial = !count in
-      incr count;
-      Hashtbl.add seen idx serial;
-      let e = Object_table.entry_of_access table access in
-      out :=
-        `Node
-          ( serial,
-            K.Machine.read_bytes m access ~offset:0
-              ~len:e.Object_table.data_length,
-            Access.rights access,
-            e.Object_table.otype )
-        :: !out;
-      Array.iter
-        (function Some child -> go child | None -> out := `Hole :: !out)
-        e.Object_table.access_part
-  in
-  go root;
-  List.rev !out
 
 let test_store_retrieve_graph () =
   with_store (fun _path store ->
@@ -270,14 +192,8 @@ let prop_store_equals_capture =
         objs;
       let via_mem = mk () and via_disk = mk () in
       let direct = Filing.reconstruct via_mem (Filing.capture src objs.(0)) in
-      let path = temp_path () in
-      let store = Store.open_ path in
       let from_disk =
-        Fun.protect
-          ~finally:(fun () ->
-            Store.close store;
-            if Sys.file_exists path then Sys.remove path)
-          (fun () ->
+        with_store (fun _path store ->
             ignore (Store.store_graph store src ~key:"q" objs.(0));
             Store.retrieve_graph store via_disk ~key:"q" ())
       in
@@ -305,10 +221,7 @@ let test_wire_codec_roundtrip () =
 (* ---------------- Store: directory and compaction ---------------- *)
 
 let test_directory_rebuild_and_delete () =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
+  with_path (fun path ->
       let store = Store.open_ path in
       Store.put_blob store ~key:"k1" (Bytes.of_string "v1");
       Store.put_blob store ~key:"k1" (Bytes.of_string "v2");
@@ -430,64 +343,54 @@ let boot_workload ?(chaos = false) () =
          ~cpu_faults:1);
   m
 
-let stream m = List.map Obs.Event.to_string (K.Machine.events m)
+let workload ?chaos () =
+  Scenario.machine ~name:"workload" (boot_workload ?chaos)
 
-let check_kill_restore ~chaos ~bound () =
-  with_store (fun _path store ->
-      let straight = boot_workload ~chaos () in
-      ignore (K.Machine.run straight);
-      (* Kill: run to the bound, checkpoint, drop the machine. *)
-      let victim = boot_workload ~chaos () in
-      (match bound with
-      | Checkpoint.Steps n -> ignore (K.Machine.run ~max_steps:n victim)
-      | Checkpoint.Virtual_ns n -> ignore (K.Machine.run ~max_ns:n victim)
-      | Checkpoint.Rounds _ -> assert false);
-      ignore (Checkpoint.save store ~key:"ck" ~bound victim);
-      (* Restore in a world where [victim] is gone, and continue. *)
-      let revived =
-        Checkpoint.restore store ~key:"ck" ~boot:(fun () ->
-            boot_workload ~chaos ())
+(* Kill anywhere, checkpoint, restore by replay, resume: the resumed
+   stream must equal the straight run's.  [reopen] also closes the store
+   and reopens it, as a process restarted after the crash would; the
+   recovered record must be the one the restore used.  Returns the
+   verifier's outcome and whether the record held.  One property covers
+   every input; the named cases below pin the ones that matter. *)
+let kill_restore_run ~chaos ~bound ~reopen =
+  with_path (fun path ->
+      let store = Store.open_ path in
+      let restored =
+        Scenario.kill_restore (workload ~chaos ()) ~store ~key:"ck" ~bound
       in
-      ignore (K.Machine.run revived);
-      Alcotest.(check (list string))
-        "restored run's stream is bit-identical to the straight run's"
-        (stream straight) (stream revived))
-
-let test_checkpoint_restore_steps () =
-  check_kill_restore ~chaos:false ~bound:(Checkpoint.Steps 5) ()
-
-let test_checkpoint_restore_virtual_ns () =
-  check_kill_restore ~chaos:false ~bound:(Checkpoint.Virtual_ns 45_000) ()
-
-let test_checkpoint_restore_mid_chaos () =
-  (* The kill instant falls inside the FI plan's horizon: unfired
-     injections are part of the image and refire identically on replay. *)
-  check_kill_restore ~chaos:true ~bound:(Checkpoint.Virtual_ns 300_000) ()
-
-let test_checkpoint_record_survives_reopen () =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let store = Store.open_ path in
-      let victim = boot_workload () in
-      ignore (K.Machine.run ~max_steps:4 victim);
-      ignore (Checkpoint.save store ~key:"ck" ~bound:(Checkpoint.Steps 4) victim);
+      let saved = Checkpoint.load store ~key:"ck" in
       Store.close store;
-      (* A different process opens the store after the "crash". *)
-      let store = Store.open_ path in
-      (match Checkpoint.load store ~key:"ck" with
-      | Some r ->
-        Alcotest.(check bool) "bound survived" true
-          (r.Checkpoint.c_bound = Checkpoint.Steps 4)
-      | None -> Alcotest.fail "checkpoint lost across reopen");
-      let straight = boot_workload () in
-      ignore (K.Machine.run straight);
-      let revived = Checkpoint.restore store ~key:"ck" ~boot:boot_workload in
-      ignore (K.Machine.run revived);
-      Alcotest.(check (list string)) "stream equal across reopen"
-        (stream straight) (stream revived);
-      Store.close store)
+      let recovered =
+        if reopen then begin
+          let store = Store.open_ path in
+          let r = Checkpoint.load store ~key:"ck" in
+          Store.close store;
+          r
+        end
+        else saved
+      in
+      ( restored,
+        recovered = saved
+        && Option.map (fun r -> r.Checkpoint.c_bound) saved = Some bound ))
+
+let kill_restore_case ?(chaos = false) ?(reopen = false) bound () =
+  let restored, record_held = kill_restore_run ~chaos ~bound ~reopen in
+  ok "resumed stream vs straight run" restored;
+  Alcotest.(check bool) "checkpoint record held" true record_held
+
+let prop_kill_anywhere =
+  QCheck2.Test.make ~name:"restore-then-run ≡ run-straight-through" ~count:20
+    QCheck2.Gen.(
+      triple bool
+        (oneof
+           [
+             map (fun n -> Checkpoint.Steps n) (int_range 1 60);
+             map (fun n -> Checkpoint.Virtual_ns n) (int_range 1 400_000);
+           ])
+        bool)
+    (fun (chaos, bound, reopen) ->
+      let restored, record_held = kill_restore_run ~chaos ~bound ~reopen in
+      holds restored && record_held)
 
 let test_restore_mismatch_detected () =
   with_store (fun _path store ->
@@ -501,33 +404,6 @@ let test_restore_mismatch_detected () =
       with
       | exception Checkpoint.Restore_mismatch _ -> ()
       | _ -> Alcotest.fail "divergent replay accepted")
-
-(* qcheck satellite, second half: restore-then-run equals
-   run-straight-through on the event stream, for any kill step. *)
-let prop_kill_anywhere =
-  QCheck2.Test.make ~name:"restore-then-run ≡ run-straight-through" ~count:15
-    QCheck2.Gen.(int_range 1 60)
-    (fun kill_step ->
-      let path = temp_path () in
-      let store = Store.open_ path in
-      Fun.protect
-        ~finally:(fun () ->
-          Store.close store;
-          if Sys.file_exists path then Sys.remove path)
-        (fun () ->
-          let straight = boot_workload () in
-          ignore (K.Machine.run straight);
-          let victim = boot_workload () in
-          ignore (K.Machine.run ~max_steps:kill_step victim);
-          ignore
-            (Checkpoint.save store ~key:"ck"
-               ~bound:(Checkpoint.Steps kill_step) victim);
-          let revived =
-            Checkpoint.restore store ~key:"ck" ~boot:(fun () ->
-                boot_workload ())
-          in
-          ignore (K.Machine.run revived);
-          stream straight = stream revived))
 
 (* ---------------- Checkpoint: cluster node ---------------- *)
 
@@ -561,41 +437,86 @@ let boot_ping_cluster () =
          done));
   cluster
 
-let cluster_streams c =
-  List.init (Net.Cluster.node_count c) (fun i ->
-      stream (Net.Cluster.machine c i))
+let ping engine =
+  Scenario.cluster ~name:"ping" ~engine ~quantum_ns:100_000 boot_ping_cluster
 
+(* Kill the whole cluster at a round boundary mid-transfer, restore it
+   from its per-node images, and resume: every node's stream matches. *)
 let test_cluster_checkpoint_restore () =
   with_store (fun _path store ->
       let straight = boot_ping_cluster () in
-      ignore (Net.Cluster.run straight ());
-      (* Kill the whole cluster at a round boundary mid-transfer. *)
-      let victim = boot_ping_cluster () in
-      let report = Net.Cluster.run victim ~max_rounds:4 () in
-      Alcotest.(check bool) "killed mid-run" true
-        (report.Net.Cluster.rounds = 4);
-      ignore
-        (Checkpoint.save_cluster store ~key:"cl"
-           ~rounds:report.Net.Cluster.rounds ~quantum_ns:100_000 victim);
-      let revived =
-        Checkpoint.restore_cluster store ~key:"cl" ~boot:boot_ping_cluster
-      in
-      ignore (Net.Cluster.run revived ());
-      List.iter2
-        (Alcotest.(check (list string)) "node stream bit-identical")
-        (cluster_streams straight) (cluster_streams revived))
+      let report = Net.Cluster.run straight ~quantum_ns:100_000 () in
+      Alcotest.(check bool) "killed mid-run" true (report.Net.Cluster.rounds > 4);
+      ok "cluster kill/restore"
+        (Scenario.kill_restore
+           ~expected:(Scenario.world_streams (Scenario.Cluster straight))
+           (ping Net.Cluster.Seq) ~store ~key:"cl"
+           ~bound:(Checkpoint.Rounds { rounds = 4; quantum_ns = 100_000 })))
 
 let test_cluster_run_resumable () =
   (* The property cluster checkpoints stand on: a split run equals a
      straight run on every node's event stream. *)
-  let straight = boot_ping_cluster () in
-  ignore (Net.Cluster.run straight ());
+  let straight = Scenario.play (ping Net.Cluster.Seq) in
   let split = boot_ping_cluster () in
   ignore (Net.Cluster.run split ~max_rounds:3 ());
   ignore (Net.Cluster.run split ());
-  List.iter2
-    (Alcotest.(check (list string)) "split ≡ straight")
-    (cluster_streams straight) (cluster_streams split)
+  Alcotest.(check (list (pair string (list string)))) "split ≡ straight"
+    (Scenario.world_streams straight)
+    (Scenario.world_streams (Scenario.Cluster split))
+
+(* ---------------- Scenario verifiers ---------------- *)
+
+(* The second boot perturbs one value; the divergence names its stream,
+   its 1-based line, both lines, and the equal lines leading up to it. *)
+let test_same_seed_names_divergence () =
+  let boots = ref 0 in
+  let perturbed =
+    Scenario.make ~name:"perturbed"
+      ~streams:(fun v ->
+        [
+          ("head", [ "fixed" ]);
+          ("values", List.init 10 (fun i -> string_of_int (if i = 6 then v else i)));
+        ])
+      (fun () ->
+        incr boots;
+        if !boots = 2 then 99 else 6)
+  in
+  match Scenario.same_seed perturbed with
+  | Ok () -> Alcotest.fail "perturbed run accepted"
+  | Error d ->
+    Alcotest.(check string) "stream" "perturbed/values" d.Scenario.stream;
+    Alcotest.(check int) "index" 7 d.Scenario.index;
+    Alcotest.(check (option string)) "expected" (Some "6") d.Scenario.expected;
+    Alcotest.(check (option string)) "got" (Some "99") d.Scenario.got;
+    Alcotest.(check (list string)) "context" [ "3"; "4"; "5" ]
+      d.Scenario.context
+
+let test_equal_engines_par2 () =
+  ok "Par 2 vs Seq" (Scenario.equal_engines ping (Net.Cluster.Par 2))
+
+(* The restore boot arms a fault plan the victim never had: the replayed
+   image departs from the stored one, and kill_restore hands back
+   Checkpoint's first divergent image line. *)
+let test_kill_restore_mismatched_boot () =
+  with_store (fun _path store ->
+      let boots = ref 0 in
+      let drifting =
+        Scenario.machine ~name:"drifting" (fun () ->
+            incr boots;
+            boot_workload ~chaos:(!boots = 3) ())
+      in
+      match
+        Scenario.kill_restore drifting ~store ~key:"ck"
+          ~bound:(Checkpoint.Virtual_ns 300_000)
+      with
+      | Ok _ -> Alcotest.fail "divergent replay accepted"
+      | Error d ->
+        Alcotest.(check string) "stream" "drifting/checkpoint \"ck\" image"
+          d.Scenario.stream;
+        Alcotest.(check bool) "names both lines" true
+          (d.Scenario.expected <> d.Scenario.got
+          && Option.is_some d.Scenario.expected
+          && Option.is_some d.Scenario.got))
 
 let suite =
   [
@@ -621,13 +542,17 @@ let suite =
     Alcotest.test_case "store: events and counters when attached" `Quick
       test_store_observability;
     Alcotest.test_case "checkpoint: kill at step bound, restore" `Quick
-      test_checkpoint_restore_steps;
+      (kill_restore_case (Checkpoint.Steps 5));
     Alcotest.test_case "checkpoint: kill at virtual-time bound, restore"
-      `Quick test_checkpoint_restore_virtual_ns;
+      `Quick
+      (kill_restore_case (Checkpoint.Virtual_ns 45_000));
     Alcotest.test_case "checkpoint: kill mid-chaos, injections survive"
-      `Quick test_checkpoint_restore_mid_chaos;
+      `Quick
+      (* The kill instant falls inside the FI plan's horizon: unfired
+         injections are part of the image and refire identically. *)
+      (kill_restore_case ~chaos:true (Checkpoint.Virtual_ns 300_000));
     Alcotest.test_case "checkpoint: record survives store reopen" `Quick
-      test_checkpoint_record_survives_reopen;
+      (kill_restore_case ~reopen:true (Checkpoint.Steps 4));
     Alcotest.test_case "checkpoint: divergent replay rejected" `Quick
       test_restore_mismatch_detected;
     QCheck_alcotest.to_alcotest prop_kill_anywhere;
@@ -635,4 +560,10 @@ let suite =
       `Quick test_cluster_checkpoint_restore;
     Alcotest.test_case "cluster: split run ≡ straight run" `Quick
       test_cluster_run_resumable;
+    Alcotest.test_case "scenario: same_seed names stream, line, both lines"
+      `Quick test_same_seed_names_divergence;
+    Alcotest.test_case "scenario: equal_engines on a 2-node cluster, Par 2"
+      `Quick test_equal_engines_par2;
+    Alcotest.test_case "scenario: kill_restore surfaces the image divergence"
+      `Quick test_kill_restore_mismatched_boot;
   ]

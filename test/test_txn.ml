@@ -4,7 +4,6 @@
    history replay. *)
 
 module K = I432_kernel
-module Obs = I432_obs
 module Fi = I432_fi.Fi
 module Net = I432_net
 module Store = I432_store.Store
@@ -12,30 +11,8 @@ module Txn = I432_txn.Txn
 module History = I432_txn.History
 module Banking = I432_txn.Banking
 
-let mk ?(processors = 1) ?(trace = false) () =
-  K.Machine.create
-    ~config:
-      {
-        K.Machine.default_config with
-        processors;
-        trace_level = (if trace then Obs.Tracer.Events else Obs.Tracer.Off);
-      }
-    ()
-
-let temp_path =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Printf.sprintf "test_txn_%d_%d.journal" (Unix.getpid ()) !n
-
-let with_store f =
-  let path = temp_path () in
-  let store = Store.open_ path in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.close store;
-      if Sys.file_exists path then Sys.remove path)
-    (fun () -> f store)
+let mk = Testkit.mk
+let with_store f = Testkit.with_store (fun _ store -> f store)
 
 (* ---------------- Kernel atomicity ---------------- *)
 
@@ -133,19 +110,18 @@ let test_banking_conserves () =
 (* Same seed, same machine shape: byte-identical state image and event
    stream — the scenario inherits the kernel's determinism. *)
 let test_banking_deterministic () =
-  let go () =
-    let m, _, r =
-      Banking.run ~processors:2 ~accounts:5 ~transfers:25 ~seed:11 ()
-    in
-    ( K.Snapshot.state_image m,
-      List.map Obs.Event.to_string (K.Machine.events m),
-      r )
-  in
-  let s1, e1, r1 = go () in
-  let s2, e2, r2 = go () in
-  Alcotest.(check string) "state image" s1 s2;
-  Alcotest.(check (list string)) "event stream" e1 e2;
-  Alcotest.(check int) "committed" r1.Banking.committed r2.Banking.committed
+  Testkit.ok "same seed"
+    (I432_store.Scenario.(
+       same_seed
+         (make ~name:"banking"
+            ~streams:(fun (m, _, r) ->
+              [
+                ("image", String.split_on_char '\n' (K.Snapshot.state_image m));
+                ("events", event_lines m);
+                ("committed", [ string_of_int r.Banking.committed ]);
+              ])
+            (fun () ->
+              Banking.run ~processors:2 ~accounts:5 ~transfers:25 ~seed:11 ()))))
 
 (* ---------------- History ---------------- *)
 
@@ -210,9 +186,7 @@ let prop_atomic_under_chaos =
         Banking.run ~processors:2 ~trace:false ~accounts:4 ~transfers:20
           ~seed ~plan ()
       in
-      Banking.conserved r
-      && r.Banking.completions = r.Banking.committed
-      && r.Banking.dup_completions = 0)
+      Banking.atomic r)
 
 (* ---------------- Banking: cluster ---------------- *)
 

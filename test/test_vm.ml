@@ -5,22 +5,13 @@
    safety of the store-backed swap device across a swap-out write. *)
 
 open I432
+open Testkit
 module K = I432_kernel
 module Obs = I432_obs
 module Vm = I432_vm
 module MM = Imax.Memory_manager
 module Store = I432_store.Store
 module Swap_store = I432_store.Swap_store
-
-let mk ?(processors = 1) ?(trace = false) () =
-  K.Machine.create
-    ~config:
-      {
-        K.Machine.default_config with
-        processors;
-        trace_level = (if trace then Obs.Tracer.Events else Obs.Tracer.Off);
-      }
-    ()
 
 let everything _ = true
 
@@ -234,7 +225,7 @@ let run_script mk_ops script =
              K.Machine.compute m 1)
            script));
   ignore (K.Machine.run m);
-  let stream = List.map Obs.Event.to_string (K.Machine.events m) in
+  let stream = I432_store.Scenario.event_lines m in
   (stream, !sum, ops.op_swap_outs ())
 
 (* qcheck: on any workload whose live set fits in RAM, the swapping
@@ -253,23 +244,6 @@ let prop_swap_nonswap_equal =
 
 (* ---------------- Swap-store crash sweep ---------------- *)
 
-let temp_path =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Printf.sprintf "test_vm_%d_%d.journal" (Unix.getpid ()) !n
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = really_input_string ic len in
-  close_in ic;
-  b
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* Truncate the journal at every byte across a superseding swap-out
    write: recovery must never raise, and the image read back is always
@@ -322,10 +296,7 @@ let test_swap_out_crash_sweep () =
 
 (* ---------------- Clean evictions (dirty bit) ---------------- *)
 
-let counter_value m name =
-  match Obs.Metrics.find_counter (K.Machine.metrics m) name with
-  | Some c -> Obs.Metrics.counter_value c
-  | None -> 0
+let counter_value m name = Obs.Metrics.count (K.Machine.metrics m) name
 
 (* A victim whose data never changed since its last swap-in, and whose
    image the device still holds, goes out without a device write: the
