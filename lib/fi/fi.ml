@@ -221,6 +221,15 @@ let check_invariants machine =
       if K.Port.queue_length p > p.K.Port.capacity then
         fail "port #%d holds %d messages over capacity %d" self
           (K.Port.queue_length p) p.K.Port.capacity;
+      (* 5. A waiter waits only for what the queue cannot give it: no
+         receiver is parked beside a queued message, no sender beside a
+         free slot. *)
+      if K.Port.has_blocked_receiver p && not (K.Port.is_empty p) then
+        fail "port #%d parks receivers beside a non-empty queue (%d queued)"
+          self (K.Port.queue_length p);
+      if K.Port.has_blocked_sender p && not (K.Port.is_full p) then
+        fail "port #%d parks senders beside a free slot (%d/%d queued)" self
+          (K.Port.queue_length p) p.K.Port.capacity;
       Queue.iter
         (fun r ->
           match Hashtbl.find_opt status_of r with

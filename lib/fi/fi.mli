@@ -118,5 +118,7 @@ val to_string : plan -> string
     - no port queue exceeds its capacity;
     - every process blocked on a port appears in that port's waiting
       queue, and every waiter recorded by a port is a process blocked on
-      that port (timed-out waits must leave no dangling queue entries). *)
+      that port (timed-out waits must leave no dangling queue entries);
+    - a port with parked receivers has an empty queue, and a port with
+      parked senders has a full one. *)
 val check_invariants : K.Machine.t -> string list

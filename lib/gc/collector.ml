@@ -100,7 +100,6 @@ let scan_roots t =
         (* A message delivered but not yet consumed by the resuming process
            is reachable from its (virtual) context. *)
         (match proc.I432_kernel.Process.pending with
-        | I432_kernel.Syscall.R_msg a
         | I432_kernel.Syscall.R_msg_option (Some a) -> shade t (Access.index a)
         | I432_kernel.Syscall.R_txn
             (I432_kernel.Syscall.Txn_committed { received; _ }) ->

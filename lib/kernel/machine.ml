@@ -261,11 +261,9 @@ let set_fault_hook t hook = t.fault_hook <- hook
 let txn_applied_keys t =
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.txn_applied [])
 
-let txn_key_applied t ~key = Hashtbl.mem t.txn_applied key
-
 (* Virtual time now: the clock of the executing processor, or the max clock
    when called from outside the run loop. *)
-let now t =
+let[@inline] now t =
   match t.current with
   | Some p -> p.Processor.clock_ns
   | None ->
@@ -610,6 +608,161 @@ let make_ready t (proc : Process.t) =
   emit_fast t ~name_id:proc.Process.trace_name_id ~a:proc.Process.index ~b:0
     k_ready
 
+(* A process leaving a wait re-enters the dispatching mix — unless it is
+   stopped, in which case it only turns Ready and [set_stopped] enqueues it
+   when it is started again. *)
+let[@inline] ready_or_hold t (proc : Process.t) =
+  if proc.Process.stopped then proc.Process.status <- Process.Ready
+  else make_ready t proc
+
+let proc_of t index = Process.state_of_index t.table index
+
+(* ------------------------------------------------------------------ *)
+(* Port transfer                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every kernel path that moves a message through a port goes through the
+   functions below: [offer] (to a parked receiver or a free slot), [take]
+   plus [admit] (the head message out, one parked sender in), [park] (the
+   caller waits, optionally with a deadline), and [post] for deliveries
+   from outside any process.  Together they keep two queue invariants
+   (checked by [Fi.check_invariants]): a port with parked receivers has an
+   empty queue, and a port with parked senders has a full one.
+
+   The steps on the send/receive hot path carry [@inline]: ocamlopt
+   without flambda keeps each one a call otherwise, which costs a
+   two-process send/receive loop ~10% host time (OCaml 5.1, x86-64). *)
+
+(* End a port wait with [result]: disarm its deadline, if any, and
+   re-enter the mix. *)
+let[@inline] wake t (proc : Process.t) result =
+  (match proc.Process.timeout_at with
+  | Some _ ->
+    proc.Process.timeout_at <- None;
+    t.timed_waiters <- t.timed_waiters - 1
+  | None -> ());
+  proc.Process.pending <- result;
+  ready_or_hold t proc
+
+let[@inline] unblock_receiver t (proc : Process.t) msg =
+  proc.Process.messages_received <- proc.Process.messages_received + 1;
+  Object_table.shade t.table (Access.index msg);
+  wake t proc (Syscall.R_msg_option (Some msg))
+
+let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
+  p.Port.sends <- p.Port.sends + 1;
+  proc.Process.messages_sent <- proc.Process.messages_sent + 1;
+  Obs.Metrics.incr t.mon.mon_sends;
+  emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
+    ~b:(Access.index msg) k_send
+
+(* Deliver [msg] from [proc] without waiting: straight to the first parked
+   receiver, else into a free slot.  [false] (and nothing counted) when the
+   queue is full. *)
+let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
+  match Port.pop_receiver p with
+  | Some r ->
+    count_send t proc p msg;
+    p.Port.receives <- p.Port.receives + 1;
+    let rproc = proc_of t r in
+    Obs.Metrics.incr t.mon.mon_receives;
+    emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
+      ~b:(Access.index msg) k_receive;
+    unblock_receiver t rproc msg;
+    true
+  | None when Port.is_full p -> false
+  | None ->
+    count_send t proc p msg;
+    Object_table.shade t.table (Access.index msg);
+    Port.enqueue ?txn p ~msg ~priority:proc.Process.priority ~now:(now t);
+    true
+
+(* Dequeue the head message of [p], counting it as received.  The caller
+   admits a parked sender into the freed slot ([admit]). *)
+let[@inline] take t (p : Port.t) =
+  match Port.dequeue_entry p ~now:(now t) with
+  | Some _ as qm ->
+    p.Port.receives <- p.Port.receives + 1;
+    Obs.Metrics.incr t.mon.mon_receives;
+    qm
+  | None -> None
+
+(* [take] on behalf of the receiving process [proc]. *)
+let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
+  match take t p with
+  | None -> None
+  | Some qm ->
+    proc.Process.messages_received <- proc.Process.messages_received + 1;
+    Obs.Metrics.observe t.mon.mon_port_wait (float_of_int p.Port.last_wait_ns);
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
+      ~b:(Access.index qm.Port.msg) k_receive;
+    Some qm.Port.msg
+
+(* Move the first parked sender's message into a free slot and wake the
+   sender. *)
+let[@inline] admit t (p : Port.t) =
+  match Port.pop_sender p with
+  | Some ws ->
+    Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
+      ~now:(now t);
+    wake t (proc_of t ws.Port.sender) (Syscall.R_accepted true)
+  | None -> ()
+
+(* Queue [msg] at [p] on behalf of no process (the NIC, the fault port,
+   the scheduler port), then serve a parked receiver from the queue head —
+   so the message counts toward [max_depth] even when it is handed on at
+   once.  The caller checks for room.  [true] when a receiver was served. *)
+let post t (p : Port.t) ?txn ~msg ~priority () =
+  Port.enqueue ?txn p ~msg ~priority ~now:(now t);
+  p.Port.sends <- p.Port.sends + 1;
+  match Port.pop_receiver p with
+  | None -> false
+  | Some r ->
+    let m = Port.dequeue p ~now:(now t) |> Option.get in
+    p.Port.receives <- p.Port.receives + 1;
+    unblock_receiver t (proc_of t r) m;
+    true
+
+(* Park [proc] at [p] — a sender with its [msg], a receiver without — until
+   a peer serves it or, when [wait] has a deadline, the timeout sweep gives
+   up for it.  Returns [false]: the process left its processor. *)
+let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
+  charge t t.timings.Timings.block_ns;
+  proc.Process.blocks <- proc.Process.blocks + 1;
+  (match msg with
+  | Some msg ->
+    p.Port.send_blocks <- p.Port.send_blocks + 1;
+    Obs.Metrics.incr t.mon.mon_send_blocks;
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
+      k_block_send;
+    Object_table.shade t.table (Access.index msg);
+    Port.push_sender p ~sender:proc.Process.index ~msg
+      ~priority:proc.Process.priority;
+    proc.Process.status <- Process.Blocked_send p.Port.self
+  | None ->
+    p.Port.receive_blocks <- p.Port.receive_blocks + 1;
+    Obs.Metrics.incr t.mon.mon_receive_blocks;
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
+      k_block_receive;
+    Port.push_receiver p proc.Process.index;
+    proc.Process.status <- Process.Blocked_receive p.Port.self);
+  (match wait with
+  | Syscall.Timeout ns ->
+    proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + ns);
+    t.timed_waiters <- t.timed_waiters + 1
+  | Syscall.Block -> ());
+  cpu.Processor.current <- None;
+  false
+
+(* Injected port-delivery delay: charged once, at the next port syscall.
+   One int compare when no injection is armed. *)
+let consume_port_delay t =
+  if t.pending_port_delay_ns > 0 then begin
+    let d = t.pending_port_delay_ns in
+    t.pending_port_delay_ns <- 0;
+    charge t d
+  end
+
 (* Notify the scheduler port that [proc] entered or left the dispatching mix
    (§6.1).  Non-blocking: notifications overflowing the port are dropped. *)
 let notify_scheduler t (proc : Process.t) =
@@ -617,11 +770,11 @@ let notify_scheduler t (proc : Process.t) =
   | None -> ()
   | Some port_index ->
     let p = Port.state_of_index t.table port_index in
-    if not (Port.is_full p) then begin
-      let msg = Access.make ~index:proc.Process.index ~rights:Rights.read_only in
-      Port.enqueue p ~msg ~priority:proc.Process.priority ~now:(now t);
-      p.Port.sends <- p.Port.sends + 1
-    end
+    if not (Port.is_full p) then
+      ignore
+        (post t p
+           ~msg:(Access.make ~index:proc.Process.index ~rights:Rights.read_only)
+           ~priority:proc.Process.priority ())
 
 let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
     ?(name = "process") ?sro ?start_after body =
@@ -744,60 +897,37 @@ let all_processes t = t.processes
 (* Syscalls performed by process bodies                                *)
 (* ------------------------------------------------------------------ *)
 
-let send (_ : t) ~port ~msg =
-  match Syscall.perform (Syscall.Send { port; msg }) with
-  | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
+let[@inline] send_with wait ~port ~msg =
+  match Syscall.perform (Syscall.Send { port; msg; wait }) with
+  | Syscall.R_accepted accepted -> accepted
+  | Syscall.R_unit | Syscall.R_msg_option _ | Syscall.R_txn _ -> assert false
 
-let receive (_ : t) ~port =
-  match Syscall.perform (Syscall.Receive { port }) with
-  | Syscall.R_msg m -> m
-  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
+let[@inline] receive_with wait ~port =
+  match Syscall.perform (Syscall.Receive { port; wait }) with
+  | Syscall.R_msg_option msg -> msg
+  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_txn _ -> assert false
 
-let cond_send (_ : t) ~port ~msg =
-  match Syscall.perform (Syscall.Cond_send { port; msg }) with
-  | Syscall.R_accepted b -> b
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
-
-let cond_receive (_ : t) ~port =
-  match Syscall.perform (Syscall.Cond_receive { port }) with
-  | Syscall.R_msg_option m -> m
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_txn _ ->
-    assert false
+let send (_ : t) ~port ~msg = ignore (send_with Syscall.Block ~port ~msg)
+let receive (_ : t) ~port = Option.get (receive_with Syscall.Block ~port)
+let cond_send (_ : t) ~port ~msg = send_with (Syscall.Timeout 0) ~port ~msg
+let cond_receive (_ : t) ~port = receive_with (Syscall.Timeout 0) ~port
 
 let send_timeout (_ : t) ~port ~msg ~timeout_ns =
-  match Syscall.perform (Syscall.Timed_send { port; msg; timeout_ns }) with
-  | Syscall.R_accepted b -> b
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
+  send_with (Syscall.Timeout timeout_ns) ~port ~msg
 
 let receive_timeout (_ : t) ~port ~timeout_ns =
-  match Syscall.perform (Syscall.Timed_receive { port; timeout_ns }) with
-  | Syscall.R_msg_option m -> m
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_txn _ ->
-    assert false
+  receive_with (Syscall.Timeout timeout_ns) ~port
 
 let delay (_ : t) ~ns =
   match Syscall.perform (Syscall.Delay ns) with
   | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
+  | Syscall.R_accepted _ | Syscall.R_msg_option _ | Syscall.R_txn _ ->
     assert false
 
 let yield (_ : t) =
   match Syscall.perform Syscall.Yield with
   | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
+  | Syscall.R_accepted _ | Syscall.R_msg_option _ | Syscall.R_txn _ ->
     assert false
 
 let exit_process (_ : t) =
@@ -813,15 +943,12 @@ let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
          { t_key = key; t_receives = receives; t_sends = sends; t_writes = writes })
   with
   | Syscall.R_txn r -> r
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_msg_option _ ->
+  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_msg_option _ ->
     assert false
 
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let proc_of t index = Process.state_of_index t.table index
 
 (* Eligibility for dispatch onto [cpu]: in the mix, ready, and (when the
    process carries a processor affinity) bound to this processor.  The 432
@@ -836,41 +963,6 @@ let eligible_for_dispatch t ~cpu index =
   | None -> true
   | Some id -> id = cpu.Processor.id
 
-(* Deliver a message to a process blocked on receive, making it ready.
-   A receiver parked by a timed receive gets the option-shaped result its
-   wrapper expects; its deadline is disarmed. *)
-let unblock_receiver t (proc : Process.t) msg =
-  (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1;
-    proc.Process.pending <- Syscall.R_msg_option (Some msg)
-  | None -> proc.Process.pending <- Syscall.R_msg msg);
-  proc.Process.messages_received <- proc.Process.messages_received + 1;
-  Object_table.shade t.table (Access.index msg);
-  if proc.Process.stopped then proc.Process.status <- Process.Ready
-  else make_ready t proc
-
-(* A blocked sender's message has been accepted; make the sender ready. *)
-let unblock_sender t (proc : Process.t) =
-  (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1;
-    proc.Process.pending <- Syscall.R_accepted true
-  | None -> proc.Process.pending <- Syscall.R_unit);
-  if proc.Process.stopped then proc.Process.status <- Process.Ready
-  else make_ready t proc
-
-(* Injected port-delivery delay: charged once, at the next port syscall.
-   One int compare when no injection is armed. *)
-let consume_port_delay t =
-  if t.pending_port_delay_ns > 0 then begin
-    let d = t.pending_port_delay_ns in
-    t.pending_port_delay_ns <- 0;
-    charge t d
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Interconnect hooks (lib/net)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -884,23 +976,13 @@ let consume_port_delay t =
 (* Deliver [msg] into [port] from outside the run loop, waking a blocked
    receiver exactly as a local send would.  [false] when the queue is full
    (the NIC keeps the frame in its backlog and retries at the next pump). *)
-let deliver_external t ?(txn = 0) ~port ~msg ~priority () =
+let deliver_external t ?txn ~port ~msg ~priority () =
   let p = Port.state_of t.table port in
   if Port.is_full p then false
   else begin
     Object_table.shade t.table (Access.index msg);
-    Port.enqueue p ~txn ~msg ~priority ~now:(now t);
-    p.Port.sends <- p.Port.sends + 1;
     Obs.Metrics.incr t.mon.mon_sends;
-    (match Port.pop_receiver p with
-    | Some r -> (
-      match Port.dequeue p ~now:(now t) with
-      | Some m ->
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        unblock_receiver t (proc_of t r) m
-      | None -> ())
-    | None -> ());
+    if post t p ?txn ~msg ~priority () then Obs.Metrics.incr t.mon.mon_receives;
     true
   end
 
@@ -912,36 +994,18 @@ let deliver_external t ?(txn = 0) ~port ~msg ~priority () =
    the interconnect carries across the wire for cluster-level dedup. *)
 let drain_port t ?(max = max_int) ~port () =
   let p = Port.state_of t.table port in
-  let acc = ref [] in
-  let count = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !count < max do
-    match Port.dequeue_entry p ~now:(now t) with
-    | Some qm ->
-      incr count;
-      p.Port.receives <- p.Port.receives + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:(now t);
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      acc :=
-        (qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
-        :: !acc
-    | None -> (
-      (* Rendezvous with a sender parked at a full (or zero-space) queue. *)
-      match Port.pop_sender p with
-      | Some ws ->
-        incr count;
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        unblock_sender t (proc_of t ws.Port.sender);
-        acc := (ws.Port.sender_msg, ws.Port.sender_priority, now t, 0) :: !acc
-      | None -> continue_ := false)
-  done;
-  List.rev !acc
+  let rec go n acc =
+    if n >= max then List.rev acc
+    else
+      match take t p with
+      | None -> List.rev acc
+      | Some qm ->
+        admit t p;
+        go (n + 1)
+          ((qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
+          :: acc)
+  in
+  go 0 []
 
 (* Advance every *idle* processor's clock to [to_ns] (as idle time), so a
    message delivered with a frame-arrival stamp cannot be consumed in its
@@ -959,6 +1023,48 @@ let advance_idle_clocks t ~to_ns =
       end)
     t.processors
 
+(* The send instruction (§4).  An offer the queue cannot take parks the
+   sender unless [wait] polls.  A blocking send is counted before it parks;
+   a timed one only when it is accepted at once (see DESIGN.md §8). *)
+let[@inline] send_op t cpu (proc : Process.t) ~port ~msg ~wait =
+  Port.check_send_right port;
+  let p = Port.state_of t.table port in
+  charge t t.timings.Timings.send_ns;
+  consume_port_delay t;
+  if offer t proc p msg then begin
+    proc.Process.pending <- Syscall.R_accepted true;
+    true
+  end
+  else
+    match wait with
+    | Syscall.Timeout ns when ns <= 0 ->
+      proc.Process.pending <- Syscall.R_accepted false;
+      true
+    | Syscall.Timeout _ -> park t cpu proc p ~wait ~msg ()
+    | Syscall.Block ->
+      count_send t proc p msg;
+      park t cpu proc p ~wait ~msg ()
+
+(* The receive instruction (§4): the head message, and its freed slot goes
+   to the first parked sender; an empty queue parks the receiver unless
+   [wait] polls. *)
+let[@inline] receive_op t cpu (proc : Process.t) ~port ~wait =
+  Port.check_receive_right port;
+  let p = Port.state_of t.table port in
+  charge t t.timings.Timings.receive_ns;
+  consume_port_delay t;
+  match receive_from t proc p with
+  | Some _ as got ->
+    admit t p;
+    proc.Process.pending <- Syscall.R_msg_option got;
+    true
+  | None -> (
+    match wait with
+    | Syscall.Timeout ns when ns <= 0 ->
+      proc.Process.pending <- Syscall.R_msg_option None;
+      true
+    | Syscall.Timeout _ | Syscall.Block -> park t cpu proc p ~wait ())
+
 (* Implement one syscall for the process running on [cpu].  Returns [true]
    when the process remains current (result delivered at next step), [false]
    when it was descheduled. *)
@@ -970,8 +1076,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_yield;
     proc.Process.pending <- Syscall.R_unit;
     cpu.Processor.current <- None;
-    if proc.Process.stopped then proc.Process.status <- Process.Ready
-    else make_ready t proc;
+    ready_or_hold t proc;
     false
   | Syscall.Preempt ->
     charge t tm.Timings.dispatch_ns;
@@ -982,8 +1087,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     Obs.Metrics.incr t.mon.mon_preemptions;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_preempt;
     cpu.Processor.current <- None;
-    if proc.Process.stopped then proc.Process.status <- Process.Ready
-    else make_ready t proc;
+    ready_or_hold t proc;
     false
   | Syscall.Exit ->
     proc.Process.status <- Process.Finished;
@@ -1001,274 +1105,8 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
     cpu.Processor.current <- None;
     false
-  | Syscall.Send { port; msg } ->
-    Port.check_send_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.send_ns;
-    consume_port_delay t;
-    p.Port.sends <- p.Port.sends + 1;
-    proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-    Obs.Metrics.incr t.mon.mon_sends;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-      ~b:(Access.index msg) k_send;
-    (match Port.pop_receiver p with
-    | Some r ->
-      (* Hand the message straight to the waiting receiver. *)
-      p.Port.receives <- p.Port.receives + 1;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
-      proc.Process.pending <- Syscall.R_unit;
-      true
-    | None ->
-      if not (Port.is_full p) then begin
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_unit;
-        true
-      end
-      else begin
-        (* Queue full: block the sender at the port (§4). *)
-        charge t tm.Timings.block_ns;
-        p.Port.send_blocks <- p.Port.send_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_send_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.push_sender p ~sender:proc.Process.index ~msg
-          ~priority:proc.Process.priority;
-        proc.Process.status <- Process.Blocked_send p.Port.self;
-        cpu.Processor.current <- None;
-        false
-      end)
-  | Syscall.Receive { port } ->
-    Port.check_receive_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.receive_ns;
-    consume_port_delay t;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (* Space opened: admit one blocked sender's message. *)
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg msg;
-      true
-    | None ->
-      (match Port.pop_sender p with
-      | Some ws ->
-        (* Rendezvous with a sender blocked on a zero-space queue. *)
-        p.Port.receives <- p.Port.receives + 1;
-        proc.Process.messages_received <- proc.Process.messages_received + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg ws.Port.sender_msg;
-        true
-      | None ->
-        charge t tm.Timings.block_ns;
-        p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_receive_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_receive;
-        Port.push_receiver p proc.Process.index;
-        proc.Process.status <- Process.Blocked_receive p.Port.self;
-        cpu.Processor.current <- None;
-        false))
-  | Syscall.Cond_send { port; msg } ->
-    Port.check_send_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.send_ns;
-    (match Port.pop_receiver p with
-    | Some r ->
-      p.Port.sends <- p.Port.sends + 1;
-      proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-      Obs.Metrics.incr t.mon.mon_sends;
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_send;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
-      proc.Process.pending <- Syscall.R_accepted true;
-      true
-    | None ->
-      if not (Port.is_full p) then begin
-        p.Port.sends <- p.Port.sends + 1;
-        proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-        Obs.Metrics.incr t.mon.mon_sends;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index msg) k_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_accepted true;
-        true
-      end
-      else begin
-        proc.Process.pending <- Syscall.R_accepted false;
-        true
-      end)
-  | Syscall.Cond_receive { port } ->
-    Port.check_receive_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.receive_ns;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg_option (Some msg);
-      true
-    | None ->
-      (match Port.pop_sender p with
-      | Some ws ->
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg_option (Some ws.Port.sender_msg);
-        true
-      | None ->
-        proc.Process.pending <- Syscall.R_msg_option None;
-        true))
-  | Syscall.Timed_send { port; msg; timeout_ns } ->
-    (* Like [Send], but with an armed deadline when the queue is full; a
-       zero budget degenerates to [Cond_send]'s immediate answer. *)
-    Port.check_send_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.send_ns;
-    consume_port_delay t;
-    (match Port.pop_receiver p with
-    | Some r ->
-      p.Port.sends <- p.Port.sends + 1;
-      proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-      Obs.Metrics.incr t.mon.mon_sends;
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_send;
-      p.Port.receives <- p.Port.receives + 1;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
-      proc.Process.pending <- Syscall.R_accepted true;
-      true
-    | None ->
-      if not (Port.is_full p) then begin
-        p.Port.sends <- p.Port.sends + 1;
-        proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-        Obs.Metrics.incr t.mon.mon_sends;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index msg) k_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_accepted true;
-        true
-      end
-      else if timeout_ns <= 0 then begin
-        proc.Process.pending <- Syscall.R_accepted false;
-        true
-      end
-      else begin
-        charge t tm.Timings.block_ns;
-        p.Port.send_blocks <- p.Port.send_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_send_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.push_sender p ~sender:proc.Process.index ~msg
-          ~priority:proc.Process.priority;
-        proc.Process.status <- Process.Blocked_send p.Port.self;
-        proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + timeout_ns);
-        t.timed_waiters <- t.timed_waiters + 1;
-        cpu.Processor.current <- None;
-        false
-      end)
-  | Syscall.Timed_receive { port; timeout_ns } ->
-    (* Like [Receive], but the wait is bounded: at the deadline the process
-       resumes with [None] and the port's receiver queue is repaired. *)
-    Port.check_receive_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.receive_ns;
-    consume_port_delay t;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg_option (Some msg);
-      true
-    | None -> (
-      match Port.pop_sender p with
-      | Some ws ->
-        p.Port.receives <- p.Port.receives + 1;
-        proc.Process.messages_received <- proc.Process.messages_received + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg_option (Some ws.Port.sender_msg);
-        true
-      | None ->
-        if timeout_ns <= 0 then begin
-          proc.Process.pending <- Syscall.R_msg_option None;
-          true
-        end
-        else begin
-          charge t tm.Timings.block_ns;
-          p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-          proc.Process.blocks <- proc.Process.blocks + 1;
-          Obs.Metrics.incr t.mon.mon_receive_blocks;
-          emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-            k_block_receive;
-          Port.push_receiver p proc.Process.index;
-          proc.Process.status <- Process.Blocked_receive p.Port.self;
-          proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + timeout_ns);
-          t.timed_waiters <- t.timed_waiters + 1;
-          cpu.Processor.current <- None;
-          false
-        end))
+  | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
+  | Syscall.Receive { port; wait } -> receive_op t cpu proc ~port ~wait
   | Syscall.Txn_try { t_key; t_receives; t_sends; t_writes } ->
     (* One atomic attempt at a multi-port group.  The whole syscall is
        serviced with [in_body = false], so nothing can preempt between
@@ -1298,31 +1136,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
          are re-issued best-effort — the reply-cache semantics a retrier
          needs to get its completion (or returned tokens) again. *)
       List.iteri
-        (fun i ((p : Port.t), msg) ->
-          match Port.pop_receiver p with
-          | Some r ->
-            p.Port.sends <- p.Port.sends + 1;
-            p.Port.receives <- p.Port.receives + 1;
-            proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-            Obs.Metrics.incr t.mon.mon_sends;
-            Obs.Metrics.incr t.mon.mon_receives;
-            let rproc = proc_of t r in
-            emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_send;
-            emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_receive;
-            unblock_receiver t rproc msg
-          | None ->
-            if not (Port.is_full p) then begin
-              p.Port.sends <- p.Port.sends + 1;
-              proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-              Obs.Metrics.incr t.mon.mon_sends;
-              emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-                ~b:(Access.index msg) k_send;
-              Object_table.shade t.table (Access.index msg);
-              Port.enqueue p ~txn:(t_key + i) ~msg
-                ~priority:proc.Process.priority ~now:cpu.Processor.clock_ns
-            end)
+        (fun i (p, msg) -> ignore (offer t proc p ~txn:(t_key + i) msg))
         send_ports;
       Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.dup_drops");
       emit t ~name:proc.Process.name ~a:t_key ~b:0 Obs.Event.Txn_dup_drop;
@@ -1396,18 +1210,9 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
            have claimed their space. *)
         let received =
           List.map
-            (fun (p : Port.t) ->
-              match Port.dequeue p ~now:cpu.Processor.clock_ns with
-              | Some msg ->
-                p.Port.receives <- p.Port.receives + 1;
-                proc.Process.messages_received <-
-                  proc.Process.messages_received + 1;
-                Obs.Metrics.incr t.mon.mon_receives;
-                Obs.Metrics.observe t.mon.mon_port_wait
-                  (float_of_int p.Port.last_wait_ns);
-                emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-                  ~b:(Access.index msg) k_receive;
-                msg
+            (fun p ->
+              match receive_from t proc p with
+              | Some msg -> msg
               | None -> assert false (* validated: queued >= wants *))
             recv_ports
         in
@@ -1420,38 +1225,17 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
            group bound for one node.  Key allocation (I432_txn.Txn)
            strides keys far enough apart for the offsets. *)
         List.iteri
-          (fun i ((p : Port.t), msg) ->
-            p.Port.sends <- p.Port.sends + 1;
-            proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-            Obs.Metrics.incr t.mon.mon_sends;
-            emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_send;
-            match Port.pop_receiver p with
-            | Some r ->
-              p.Port.receives <- p.Port.receives + 1;
-              let rproc = proc_of t r in
-              Obs.Metrics.incr t.mon.mon_receives;
-              emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-                ~b:(Access.index msg) k_receive;
-              unblock_receiver t rproc msg
-            | None ->
-              Object_table.shade t.table (Access.index msg);
-              Port.enqueue p
-                ~txn:(if t_key = 0 then 0 else t_key + i)
-                ~msg ~priority:proc.Process.priority ~now:cpu.Processor.clock_ns)
+          (fun i (p, msg) ->
+            let txn = if t_key = 0 then 0 else t_key + i in
+            if not (offer t proc p ~txn msg) then
+              assert false (* validated: a receiver or a free slot *))
           send_ports;
         (* Space the receives freed (net of the group's sends) admits
            blocked senders, in ascending port order. *)
         IM.iter
-          (fun _ (p : Port.t) ->
-            let continue_ = ref true in
-            while !continue_ && not (Port.is_full p) do
-              match Port.pop_sender p with
-              | Some ws ->
-                Port.enqueue p ~msg:ws.Port.sender_msg
-                  ~priority:ws.Port.sender_priority ~now:cpu.Processor.clock_ns;
-                unblock_sender t (proc_of t ws.Port.sender)
-              | None -> continue_ := false
+          (fun _ p ->
+            while (not (Port.is_full p)) && Port.has_blocked_sender p do
+              admit t p
             done)
           port_by_index;
         if t_key <> 0 then Hashtbl.replace t.txn_applied t_key ();
@@ -1497,16 +1281,7 @@ let record_fault t (proc : Process.t) cause =
       let corpse =
         Access.make ~index:proc.Process.index ~rights:Rights.read_only
       in
-      Port.enqueue p ~msg:corpse ~priority:proc.Process.priority ~now:(now t);
-      p.Port.sends <- p.Port.sends + 1;
-      (match Port.pop_receiver p with
-      | Some r ->
-        (match Port.dequeue p ~now:(now t) with
-        | Some msg ->
-          p.Port.receives <- p.Port.receives + 1;
-          unblock_receiver t (proc_of t r) msg
-        | None -> ())
-      | None -> ())
+      ignore (post t p ~msg:corpse ~priority:proc.Process.priority ())
     | _ -> ()
     | exception Fault.Fault _ -> ()));
   (* Supervision hook (process manager restart policies): runs after the
@@ -1582,8 +1357,7 @@ let fail_processor t id =
       Obs.Metrics.incr t.mon.mon_requeues;
       emit_on t cpu ~name:proc.Process.name ~a:pi ~b:id
         Obs.Event.Proc_requeued;
-      if proc.Process.stopped then proc.Process.status <- Process.Ready
-      else make_ready t proc
+      ready_or_hold t proc
     | None -> ());
     List.iter
       (fun (proc : Process.t) ->
@@ -1651,30 +1425,23 @@ let fire_injections t (cpu : Processor.t) =
    give-up result, and re-enter the dispatching mix.  Only called when
    [timed_waiters > 0]. *)
 let fire_timeouts t ~horizon =
+  let give_up (proc : Process.t) pi ~b result =
+    Obs.Metrics.incr t.mon.mon_timeouts;
+    emit t ~name:proc.Process.name ~a:pi ~b Obs.Event.Timeout_fired;
+    wake t proc result
+  in
   List.iter
     (fun (proc : Process.t) ->
       match (proc.Process.timeout_at, proc.Process.status) with
       | Some deadline, Process.Blocked_receive pi when deadline <= horizon ->
         let p = Port.state_of_index t.table pi in
         ignore (Port.remove_receiver p ~index:proc.Process.index);
-        proc.Process.timeout_at <- None;
-        t.timed_waiters <- t.timed_waiters - 1;
-        proc.Process.pending <- Syscall.R_msg_option None;
-        Obs.Metrics.incr t.mon.mon_timeouts;
-        emit t ~name:proc.Process.name ~a:pi ~b:1 Obs.Event.Timeout_fired;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
+        give_up proc pi ~b:1 (Syscall.R_msg_option None)
       | Some deadline, Process.Blocked_send pi when deadline <= horizon ->
         let p = Port.state_of_index t.table pi in
         (* The parked message is withdrawn with its sender. *)
         ignore (Port.remove_sender p ~index:proc.Process.index);
-        proc.Process.timeout_at <- None;
-        t.timed_waiters <- t.timed_waiters - 1;
-        proc.Process.pending <- Syscall.R_accepted false;
-        Obs.Metrics.incr t.mon.mon_timeouts;
-        emit t ~name:proc.Process.name ~a:pi ~b:0 Obs.Event.Timeout_fired;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
+        give_up proc pi ~b:0 (Syscall.R_accepted false)
       | _ -> ())
     t.processes
 
@@ -1685,8 +1452,7 @@ let wake_sleepers t ~horizon =
       if proc.Process.status = Process.Sleeping && proc.Process.wake_at <= horizon
       then begin
         emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
+        ready_or_hold t proc
       end)
     t.processes
 

@@ -196,21 +196,29 @@ val all_processes : t -> Process.t list
 
 (** {1 Syscalls (usable only inside a process body)} *)
 
+(** The port instructions are one send and one receive
+    ({!Syscall.Send}/{!Syscall.Receive}) that differ only in how long
+    they may wait: until served, at most a budget, or not at all. *)
+
 val send : t -> port:Access.t -> msg:Access.t -> unit
 val receive : t -> port:Access.t -> Access.t
 
 (** Like {!send}, but gives up once [timeout_ns] of virtual time has
-    passed with the queue still full; reports acceptance.  A budget of 0
-    behaves like {!cond_send}. *)
+    passed with the queue still full; reports acceptance.  A budget
+    [<= 0] polls: it is {!cond_send}. *)
 val send_timeout : t -> port:Access.t -> msg:Access.t -> timeout_ns:int -> bool
 
 (** Like {!receive}, but returns [None] once [timeout_ns] of virtual time
-    has passed with no message available.  A budget of 0 behaves like
+    has passed with no message available.  A budget [<= 0] polls: it is
     {!cond_receive}. *)
 val receive_timeout : t -> port:Access.t -> timeout_ns:int -> Access.t option
 
+(** {!send_timeout} with a zero budget: never blocks. *)
 val cond_send : t -> port:Access.t -> msg:Access.t -> bool
+
+(** {!receive_timeout} with a zero budget: never blocks. *)
 val cond_receive : t -> port:Access.t -> Access.t option
+
 val delay : t -> ns:int -> unit
 val yield : t -> unit
 val exit_process : t -> 'a
@@ -235,8 +243,6 @@ val txn_try :
 (** Idempotency keys of applied transaction groups, ascending.  Part of
     the replayed machine state (checkpoint restores rebuild it). *)
 val txn_applied_keys : t -> int list
-
-val txn_key_applied : t -> key:int -> bool
 
 (** {1 Interconnect hooks}
 

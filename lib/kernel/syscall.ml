@@ -7,22 +7,23 @@
 
 open I432
 
+(** How long a port op may wait when it cannot complete at once. *)
+type wait =
+  | Block  (** until a peer serves it *)
+  | Timeout of int
+      (** at most this many virtual ns, then give up; [<= 0] polls *)
+
 type op =
-  | Send of { port : Access.t; msg : Access.t }
-      (** blocks while the port's message queue is full *)
-  | Receive of { port : Access.t }  (** blocks while no message is available *)
-  | Cond_send of { port : Access.t; msg : Access.t }
-      (** never blocks; tells whether the message was accepted *)
-  | Cond_receive of { port : Access.t }  (** never blocks *)
+  | Send of { port : Access.t; msg : Access.t; wait : wait }
+      (** waits while the port's message queue is full; the result
+          reports whether the message was accepted *)
+  | Receive of { port : Access.t; wait : wait }
+      (** waits while no message is available; the result is [None]
+          when the op gave up *)
   | Delay of int  (** sleep for the given virtual nanoseconds *)
   | Yield  (** surrender the processor, stay ready *)
   | Preempt  (** involuntary yield injected at time-slice end *)
   | Exit  (** voluntary termination *)
-  | Timed_send of { port : Access.t; msg : Access.t; timeout_ns : int }
-      (** like [Send], but gives up after [timeout_ns] of virtual time;
-          the result reports whether the message was accepted *)
-  | Timed_receive of { port : Access.t; timeout_ns : int }
-      (** like [Receive], but returns [None] at the deadline *)
   | Txn_try of {
       t_key : int;
       t_receives : Access.t list;
@@ -36,7 +37,6 @@ type op =
 
 type result =
   | R_unit
-  | R_msg of Access.t
   | R_accepted of bool
   | R_msg_option of Access.t option
   | R_txn of txn_result
@@ -53,18 +53,17 @@ type _ Effect.t += Syscall : op -> result Effect.t
 
 let perform op = Effect.perform (Syscall op)
 
+(* The blocking forms return literals: the tracer interns a Deschedule
+   detail by physical equality, so "send"/"receive" must stay constants. *)
 let op_to_string = function
-  | Send _ -> "send"
-  | Receive _ -> "receive"
-  | Cond_send _ -> "cond-send"
-  | Cond_receive _ -> "cond-receive"
+  | Send { wait = Block; _ } -> "send"
+  | Receive { wait = Block; _ } -> "receive"
+  | Send { wait = Timeout ns; _ } -> Printf.sprintf "timed-send(%dns)" ns
+  | Receive { wait = Timeout ns; _ } -> Printf.sprintf "timed-receive(%dns)" ns
   | Delay ns -> Printf.sprintf "delay(%dns)" ns
   | Yield -> "yield"
   | Preempt -> "preempt"
   | Exit -> "exit"
-  | Timed_send { timeout_ns; _ } -> Printf.sprintf "timed-send(%dns)" timeout_ns
-  | Timed_receive { timeout_ns; _ } ->
-    Printf.sprintf "timed-receive(%dns)" timeout_ns
   | Txn_try { t_receives; t_sends; t_writes; _ } ->
     Printf.sprintf "txn-try(%dr/%ds/%dw)" (List.length t_receives)
       (List.length t_sends) (List.length t_writes)

@@ -6,22 +6,23 @@
 
 open I432
 
+(** How long a port op may wait when it cannot complete at once. *)
+type wait =
+  | Block  (** until a peer serves it *)
+  | Timeout of int
+      (** at most this many virtual ns, then give up; [<= 0] polls *)
+
 type op =
-  | Send of { port : Access.t; msg : Access.t }
-      (** blocks while the port's message queue is full *)
-  | Receive of { port : Access.t }  (** blocks while no message is available *)
-  | Cond_send of { port : Access.t; msg : Access.t }
-      (** never blocks; reports acceptance *)
-  | Cond_receive of { port : Access.t }  (** never blocks *)
+  | Send of { port : Access.t; msg : Access.t; wait : wait }
+      (** waits while the port's message queue is full; the result
+          reports whether the message was accepted *)
+  | Receive of { port : Access.t; wait : wait }
+      (** waits while no message is available; the result is [None]
+          when the op gave up *)
   | Delay of int  (** sleep for the given virtual nanoseconds *)
   | Yield  (** surrender the processor, stay ready *)
   | Preempt  (** involuntary yield injected at time-slice end *)
   | Exit  (** voluntary termination *)
-  | Timed_send of { port : Access.t; msg : Access.t; timeout_ns : int }
-      (** like [Send], but gives up after [timeout_ns] of virtual time;
-          the result reports whether the message was accepted *)
-  | Timed_receive of { port : Access.t; timeout_ns : int }
-      (** like [Receive], but returns [None] at the deadline *)
   | Txn_try of {
       t_key : int;  (** idempotency key; a key is applied at most once *)
       t_receives : Access.t list;  (** ports to take one message from *)
@@ -37,7 +38,6 @@ type op =
 
 type result =
   | R_unit
-  | R_msg of Access.t
   | R_accepted of bool
   | R_msg_option of Access.t option
   | R_txn of txn_result

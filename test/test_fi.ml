@@ -154,6 +154,35 @@ let test_send_timeout_accepted () =
        table;
      !left)
 
+(* An armed port delay is charged at the next port syscall, whatever its
+   wait mode: a conditional op costs exactly the delay more than without
+   one, and leaves nothing armed. *)
+let test_port_delay_charged_by_cond_ops () =
+  let cost op ~delay =
+    let m = mk () in
+    let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+    if delay > 0 then
+      K.Machine.schedule_injection m ~at_ns:0 (K.Machine.Inj_port_delay delay);
+    let spent = ref 0 in
+    ignore
+      (K.Machine.spawn m ~name:"poller" (fun () ->
+           let msg = alloc m () in
+           let t0 = K.Machine.now m in
+           op m port msg;
+           spent := K.Machine.now m - t0));
+    ignore (K.Machine.run m);
+    Alcotest.(check int) "delay consumed" 0 (K.Machine.armed_port_delay_ns m);
+    !spent
+  in
+  List.iter
+    (fun (what, op) ->
+      Alcotest.(check int) what 30_000
+        (cost op ~delay:30_000 - cost op ~delay:0))
+    [
+      ("cond_send", fun m port msg -> ignore (K.Machine.cond_send m ~port ~msg));
+      ("cond_receive", fun m port _ -> ignore (K.Machine.cond_receive m ~port));
+    ]
+
 (* ---------------- bounded allocation retry ---------------- *)
 
 let test_allocate_retry_recovers () =
@@ -355,6 +384,36 @@ let prop_chaos_invariants =
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed -> Fi.check_invariants (run_under_plan seed) = [])
 
+(* The queue-state clause fires when a port is corrupted behind the
+   kernel's back: a message slipped in beside a parked receiver, a slot
+   freed beside a parked sender. *)
+let test_invariants_catch_queue_state () =
+  let m = mk () in
+  let rport = K.Machine.create_port m ~capacity:2 ~discipline:K.Port.Fifo () in
+  let sport = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  ignore
+    (K.Machine.spawn m ~name:"waiter" (fun () ->
+         ignore (K.Machine.receive m ~port:rport)));
+  ignore
+    (K.Machine.spawn m ~name:"pusher" (fun () ->
+         K.Machine.send m ~port:sport ~msg:(alloc m ());
+         K.Machine.send m ~port:sport ~msg:(alloc m ())));
+  ignore (K.Machine.run m);
+  Alcotest.(check (list string)) "legitimately parked waiters pass" []
+    (Fi.check_invariants m);
+  let table = K.Machine.table m in
+  let rp = K.Port.state_of table rport and sp = K.Port.state_of table sport in
+  K.Port.enqueue rp ~msg:(alloc m ()) ~priority:0 ~now:0;
+  ignore (K.Port.dequeue sp ~now:0);
+  Alcotest.(check (list string)) "both corruptions reported"
+    [
+      Printf.sprintf "port #%d parks receivers beside a non-empty queue (1 queued)"
+        rp.K.Port.self;
+      Printf.sprintf "port #%d parks senders beside a free slot (0/1 queued)"
+        sp.K.Port.self;
+    ]
+    (List.sort compare (Fi.check_invariants m))
+
 let test_plan_generation_deterministic () =
   let gen () =
     Fi.random ~seed:9 ~horizon_ns:1_000_000 ~processors:4 ~count:6
@@ -398,6 +457,8 @@ let suite =
       test_send_timeout_fires;
     Alcotest.test_case "send timeout beaten by receiver" `Quick
       test_send_timeout_accepted;
+    Alcotest.test_case "conditional ops consume an armed port delay" `Quick
+      test_port_delay_charged_by_cond_ops;
     Alcotest.test_case "allocation retry recovers" `Quick
       test_allocate_retry_recovers;
     Alcotest.test_case "allocation retry re-raises when spent" `Quick
@@ -417,6 +478,8 @@ let suite =
     Alcotest.test_case "fixed-seed chaos keeps invariants" `Quick
       test_chaos_invariants_fixed_seed;
     QCheck_alcotest.to_alcotest prop_chaos_invariants;
+    Alcotest.test_case "invariants catch parked waiters beside the queue"
+      `Quick test_invariants_catch_queue_state;
     Alcotest.test_case "plan generation is deterministic" `Quick
       test_plan_generation_deterministic;
   ]

@@ -4,6 +4,7 @@
 
 open I432
 module K = I432_kernel
+module Obs = I432_obs
 
 let mk ?(processors = 1) ?(alpha = 0) () =
   K.Machine.create
@@ -315,6 +316,256 @@ let test_cond_receive_on_empty () =
   let _ = run m in
   Alcotest.(check bool) "none on empty" true (!got = None)
 
+(* ---------------- Port transfer characterisation ---------------- *)
+
+(* Every port op against every queue state it can meet, on both
+   disciplines.  A case renders as one line: the op's result, the port's
+   statistics (sends/receives/send blocks/receive blocks/max depth/mean
+   wait), each process's sent/received/blocks counters, the run's final
+   clock, the event sequence as kind:name (spawns and allocations
+   omitted) and the Deschedule details. *)
+
+let xfer_send op m ~port ~msg =
+  match op with
+  | `Block ->
+    K.Machine.send m ~port ~msg;
+    "()"
+  | `Cond -> string_of_bool (K.Machine.cond_send m ~port ~msg)
+  | `Timed timeout_ns ->
+    string_of_bool (K.Machine.send_timeout m ~port ~msg ~timeout_ns)
+
+let xfer_receive op m ~port =
+  let got =
+    match op with
+    | `Block -> Some (K.Machine.receive m ~port)
+    | `Cond -> K.Machine.cond_receive m ~port
+    | `Timed timeout_ns -> K.Machine.receive_timeout m ~port ~timeout_ns
+  in
+  match got with
+  | None -> "none"
+  | Some msg -> string_of_int (K.Machine.read_word m msg ~offset:0)
+
+(* [scenario m port spawn msg result] spawns the case's processes; the
+   process under test stores its op's rendering in [result]. *)
+let xfer_case ~capacity ~discipline scenario =
+  let m = Testkit.mk ~trace:true () in
+  let port = K.Machine.create_port m ~capacity ~discipline () in
+  let spawn name priority body =
+    ignore (K.Machine.spawn m ~name ~priority body)
+  in
+  let msg n =
+    let o = Testkit.alloc m () in
+    K.Machine.write_word m o ~offset:0 n;
+    o
+  in
+  let result = ref "-" in
+  scenario m port spawn msg result;
+  let report = run m in
+  let s, r, sb, rb, depth, wait = K.Machine.port_stats m port in
+  let procs =
+    List.rev_map
+      (fun (p : K.Process.t) ->
+        Printf.sprintf "%s:%d/%d/%d" p.K.Process.name p.K.Process.messages_sent
+          p.K.Process.messages_received p.K.Process.blocks)
+      (K.Machine.all_processes m)
+  in
+  let events = K.Machine.events m in
+  let kinds =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Spawn | Obs.Event.Allocate -> None
+        | k -> Some (Obs.Event.kind_to_string k ^ ":" ^ e.Obs.Event.name))
+      events
+  in
+  let descheds =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        if e.Obs.Event.kind = Obs.Event.Deschedule then Some e.Obs.Event.detail
+        else None)
+      events
+  in
+  Printf.sprintf "%s | %d/%d/%d/%d/%d/%.0f | %s | %d | %s | %s" !result s r sb rb
+    depth wait (String.concat " " procs) report.K.Machine.elapsed_ns
+    (String.concat " " kinds) (String.concat "," descheds)
+
+let tx op m port msg result () = result := xfer_send op m ~port ~msg:(msg 1)
+let rx op m port result () = result := xfer_receive op m ~port
+
+let parked_receiver op =
+  ( "parked receiver",
+    2,
+    fun m port spawn msg result ->
+      spawn "rx" 10 (fun () -> ignore (K.Machine.receive m ~port));
+      spawn "tx" 5 (tx op m port msg result) )
+
+let room op =
+  ("room", 2, fun m port spawn msg result -> spawn "tx" 5 (tx op m port msg result))
+
+(* A drainer frees the slot 50 us later: a blocked send is admitted, an
+   expiring one has given up by then. *)
+let full op =
+  ( "full",
+    1,
+    fun m port spawn msg result ->
+      spawn "fill" 10 (fun () -> K.Machine.send m ~port ~msg:(msg 0));
+      spawn "tx" 5 (tx op m port msg result);
+      spawn "drain" 1 (fun () ->
+          K.Machine.delay m ~ns:50_000;
+          ignore (K.Machine.receive m ~port)) )
+
+(* The later, higher-priority message overtakes on a Priority port. *)
+let queued op =
+  ( "queued",
+    2,
+    fun m port spawn msg result ->
+      spawn "hi" 10 (fun () ->
+          K.Machine.delay m ~ns:1_000;
+          K.Machine.send m ~port ~msg:(msg 2));
+      spawn "lo" 9 (fun () -> K.Machine.send m ~port ~msg:(msg 1));
+      spawn "rx" 1 (fun () ->
+          K.Machine.delay m ~ns:10_000;
+          rx op m port result ()) )
+
+let full_sender_parked op =
+  ( "full, sender parked",
+    1,
+    fun m port spawn msg result ->
+      spawn "f1" 10 (fun () -> K.Machine.send m ~port ~msg:(msg 1));
+      spawn "f2" 9 (fun () -> K.Machine.send m ~port ~msg:(msg 2));
+      spawn "rx" 1 (rx op m port result) )
+
+(* A sender feeds the port 50 us later. *)
+let empty op =
+  ( "empty",
+    2,
+    fun m port spawn msg result ->
+      spawn "rx" 10 (rx op m port result);
+      spawn "tx" 5 (fun () ->
+          K.Machine.delay m ~ns:50_000;
+          K.Machine.send m ~port ~msg:(msg 1)) )
+
+let xfer_rows =
+  let rows name cases op =
+    List.map
+      (fun case ->
+        let c, capacity, scenario = case op in
+        (name ^ " / " ^ c, capacity, scenario))
+      cases
+  in
+  rows "send" [ parked_receiver; room; full ] `Block
+  @ rows "cond_send" [ parked_receiver; room; full ] `Cond
+  @ rows "send_timeout" [ parked_receiver; room; full ] (`Timed 1_000_000)
+  @ rows "send_timeout, expiring" [ full ] (`Timed 10_000)
+  @ rows "receive" [ queued; full_sender_parked; empty ] `Block
+  @ rows "cond_receive" [ queued; full_sender_parked; empty ] `Cond
+  @ rows "receive_timeout" [ queued; full_sender_parked; empty ] (`Timed 1_000_000)
+  @ rows "receive_timeout, expiring" [ empty ] (`Timed 10_000)
+
+(* One line per case and discipline.  A send handed straight to a parked
+   receiver counts a port receive in every wait mode. *)
+let xfer_expected =
+  [
+    ("FIFO send / parked receiver",
+     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("FIFO send / room",
+     "() | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("FIFO send / full",
+     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
+    ("FIFO cond_send / parked receiver",
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("FIFO cond_send / room",
+     "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("FIFO cond_send / full",
+     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
+    ("FIFO send_timeout / parked receiver",
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("FIFO send_timeout / room",
+     "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("FIFO send_timeout / full",
+     "true | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+    ("FIFO send_timeout, expiring / full",
+     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
+    ("FIFO receive / queued",
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("FIFO receive / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("FIFO receive / empty",
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
+    ("FIFO cond_receive / queued",
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("FIFO cond_receive / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("FIFO cond_receive / empty",
+     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
+    ("FIFO receive_timeout / queued",
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("FIFO receive_timeout / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("FIFO receive_timeout / empty",
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
+    ("FIFO receive_timeout, expiring / empty",
+     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx deschedule:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
+    ("priority send / parked receiver",
+     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("priority send / room",
+     "() | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("priority send / full",
+     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
+    ("priority cond_send / parked receiver",
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("priority cond_send / room",
+     "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("priority cond_send / full",
+     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
+    ("priority send_timeout / parked receiver",
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+    ("priority send_timeout / room",
+     "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
+    ("priority send_timeout / full",
+     "true | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+    ("priority send_timeout, expiring / full",
+     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
+    ("priority receive / queued",
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("priority receive / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("priority receive / empty",
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
+    ("priority cond_receive / queued",
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("priority cond_receive / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("priority cond_receive / empty",
+     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
+    ("priority receive_timeout / queued",
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+    ("priority receive_timeout / full, sender parked",
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+    ("priority receive_timeout / empty",
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
+    ("priority receive_timeout, expiring / empty",
+     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx deschedule:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
+  ]
+
+let test_port_transfer_characterisation () =
+  let bad = ref [] in
+  List.iter
+    (fun discipline ->
+      List.iter
+        (fun (name, capacity, scenario) ->
+          let key = K.Port.discipline_to_string discipline ^ " " ^ name in
+          let got = xfer_case ~capacity ~discipline scenario in
+          match List.assoc_opt key xfer_expected with
+          | Some want when want = got -> ()
+          | Some _ | None ->
+            bad := Printf.sprintf "    (%S,\n     %S);" key got :: !bad)
+        xfer_rows)
+    [ K.Port.Fifo; K.Port.Priority ];
+  if !bad <> [] then
+    Alcotest.failf "port transfer cases differ:\n%s"
+      (String.concat "\n" (List.rev !bad))
+
 let test_deadlock_detected () =
   let m = mk () in
   let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
@@ -457,6 +708,24 @@ let test_scheduler_port_notified () =
   K.Machine.set_stopped m p false;
   let sends, _, _, _, _, _ = K.Machine.port_stats m sched_port in
   Alcotest.(check int) "two mix transitions" 2 sends
+
+(* A notification reaches a scheduler parked on its port like any send:
+   the scheduler wakes with the process object. *)
+let test_scheduler_port_wakes_parked_scheduler () =
+  let m = mk () in
+  let sched_port = K.Machine.create_port m ~capacity:8 ~discipline:K.Port.Fifo () in
+  let seen = ref None in
+  ignore
+    (K.Machine.spawn m ~name:"scheduler" (fun () ->
+         seen := Some (K.Machine.receive m ~port:sched_port)));
+  let _ = run m in
+  let p = K.Machine.spawn m ~name:"p" (fun () -> K.Machine.compute m 1) in
+  K.Machine.set_scheduler_port m p sched_port;
+  K.Machine.set_stopped m p true;
+  let _ = run m in
+  Alcotest.(check (option int)) "scheduler woke with the process"
+    (Some (Access.index p))
+    (Option.map Access.index !seen)
 
 (* ---------------- Domains and local heaps ---------------- *)
 
@@ -807,6 +1076,7 @@ let suite =
     ("port wrong object type", `Quick, test_port_wrong_object_type);
     ("cond send on full", `Quick, test_cond_send_on_full);
     ("cond receive on empty", `Quick, test_cond_receive_on_empty);
+    ("port transfer characterisation", `Quick, test_port_transfer_characterisation);
     ("deadlock detected", `Quick, test_deadlock_detected);
     ("multiprocessor parallel speedup", `Quick, test_multiprocessor_parallel_speedup);
     ("multiprocessor all used", `Quick, test_multiprocessor_all_used);
@@ -816,6 +1086,8 @@ let suite =
     ("stopped process does not run", `Quick, test_stopped_process_does_not_run);
     ("stop blocked process defers wake", `Quick, test_stop_blocked_process_defers_wake);
     ("scheduler port notified", `Quick, test_scheduler_port_notified);
+    ("scheduler port wakes parked scheduler", `Quick,
+     test_scheduler_port_wakes_parked_scheduler);
     ("domain call charges 65us", `Quick, test_domain_call_charges_65us);
     ("domain call nesting depth", `Quick, test_domain_call_nesting_depth);
     ("domain call propagates exception", `Quick, test_domain_call_propagates_exception);
