@@ -43,6 +43,7 @@ let run_micro args =
   let gate = List.mem "--assert-trace-overhead" args in
   let par_gate = List.mem "--assert-par-speedup" args in
   let swap_gate = List.mem "--assert-swap-overhead" args in
+  let read_gate = List.mem "--assert-store-read" args in
   let out =
     let rec go = function
       | "--out" :: path :: _ -> path
@@ -103,6 +104,13 @@ let run_micro args =
     if swap_gate && not (Swap_overhead.check swap_overhead) then begin
       Printf.printf "FAIL: swap-path overhead %.2f%% >= %.1f%% budget\n"
         swap_overhead.Swap_overhead.overhead_pct Swap_overhead.limit_pct;
+      exit 1
+    end;
+    if read_gate && not (Store_tp.check store_tp) then begin
+      Printf.printf
+        "FAIL: store first-key read x%.2f > x%.1f on a %dx journal\n"
+        store_tp.Store_tp.read.Paired.ratio Store_tp.read_limit
+        (Store_tp.read_large_records / Store_tp.read_small_records);
       exit 1
     end
   end

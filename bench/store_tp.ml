@@ -7,7 +7,12 @@
 
    Same best-of-batches discipline as the other overhead benches: a major
    collection before every sample, minimum across trials (host noise only
-   ever inflates a reading). *)
+   ever inflates a reading).
+
+   Last, the read-cost guard: a paired ratio of [get_blob] on the first
+   key of a 64k-record journal over the same read on a 64-record one.  A
+   read costs O(its record), so the ratio sits near 1; a read that
+   touched the rest of the journal would put it near the size ratio. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -51,7 +56,12 @@ type result = {
   ckpt_trips : int;
   ckpt_save_ns : float;  (* host ns per save (image + fsync) *)
   ckpt_restore_ns : float;  (* host ns per restore (re-boot + replay) *)
+  read : Paired.t;  (* first-key get_blob: large journal over small *)
 }
+
+let read_small_records = 64
+let read_large_records = 65_536
+let read_limit = 3.0
 
 let measure_store ~pairs =
   cleanup ();
@@ -120,11 +130,41 @@ let measure_ckpt ~trips =
   cleanup ();
   (!save_ns, !restore_ns)
 
+let measure_read () =
+  let open_filled name records =
+    let path = St.scratch_path name in
+    St.fresh_path path;
+    let store = St.open_ ~sync_every:max_int path in
+    let payload = Bytes.make 8 'x' in
+    for i = 0 to records - 1 do
+      St.put_blob store ~key:(Printf.sprintf "k%06d" i) payload
+    done;
+    (path, store)
+  in
+  let small_path, small =
+    open_filled "bench_read_small.journal" read_small_records
+  in
+  let large_path, large =
+    open_filled "bench_read_large.journal" read_large_records
+  in
+  let read store () = ignore (St.get_blob store ~key:"k000000") in
+  let r =
+    Paired.measure ~trials:9 ~batch:1000 ~base:(read small) ~test:(read large)
+  in
+  St.close small;
+  St.close large;
+  St.remove_files small_path;
+  St.remove_files large_path;
+  r
+
+let check r = r.read.Paired.ratio <= read_limit
+
 let measure ~smoke () =
   let pairs = if smoke then 256 else 2048 in
   let trips = if smoke then 5 else 20 in
   let store_ns, mb_s = measure_store ~pairs in
   let save_ns, restore_ns = measure_ckpt ~trips in
+  let read = measure_read () in
   {
     pairs;
     store_ns_per_op = store_ns;
@@ -132,6 +172,7 @@ let measure ~smoke () =
     ckpt_trips = trips;
     ckpt_save_ns = save_ns;
     ckpt_restore_ns = restore_ns;
+    read;
   }
 
 let print_summary r =
@@ -139,6 +180,11 @@ let print_summary r =
     "Store throughput (%d store+retrieve pairs): %.0f ns/op, %.2f MB/s \
      journal writes\n"
     r.pairs r.store_ns_per_op r.journal_mb_per_s;
+  Printf.printf
+    "Store first-key read: %.0f ns at %d records, %.0f ns at %d records, \
+     median ratio x%.2f (limit x%.1f)\n"
+    r.read.Paired.base_ns read_small_records r.read.Paired.test_ns
+    read_large_records r.read.Paired.ratio read_limit;
   Printf.printf
     "Checkpoint round trip (%d trips): save %.0f ns, restore %.0f ns \
      (re-boot + replay + verify)\n"
@@ -151,6 +197,16 @@ let to_json_tp r =
       ("pairs", Int r.pairs);
       ("ns_per_op", Float r.store_ns_per_op);
       ("journal_mb_per_s", Float r.journal_mb_per_s);
+      ( "first_key_read",
+        Obj
+          [
+            ("small_records", Int read_small_records);
+            ("large_records", Int read_large_records);
+            ("small_ns", Float r.read.Paired.base_ns);
+            ("large_ns", Float r.read.Paired.test_ns);
+            ("ratio", Float r.read.Paired.ratio);
+            ("limit", Float read_limit);
+          ] );
     ]
 
 let to_json_ckpt r =

@@ -96,8 +96,10 @@ let parse buf off limit =
               },
               body_end + trailer_bytes )
 
-let read_all fd len =
-  let buf = Bytes.create len in
+(* Fill [buf] from [pos] until it is full or the file ends; returns the
+   length filled. *)
+let read_into fd buf pos =
+  let len = Bytes.length buf in
   let rec go off =
     if off < len then
       match Unix.read fd buf off (len - off) with
@@ -105,7 +107,11 @@ let read_all fd len =
       | n -> go (off + n)
     else off
   in
-  let got = go 0 in
+  go pos
+
+let read_all fd len =
+  let buf = Bytes.create len in
+  let got = read_into fd buf 0 in
   if got = len then buf else Bytes.sub buf 0 got
 
 let write_all fd buf =
@@ -143,12 +149,25 @@ let append t ~kind ~key ~payload =
   t.unsynced <- t.unsynced + 1;
   off
 
+(* One frame: the header names the frame's length, capped at the
+   committed end so a garbage header can neither allocate nor read past
+   it; [parse] then checks magic, CRC and commit marker as recovery does.
+   No seek back: [append] positions the fd itself. *)
 let read_at t off =
+  if t.closed then invalid_arg "Journal.read_at: closed";
   if off < 0 || off >= t.end_off then invalid_arg "Journal.read_at: offset";
+  let avail = t.end_off - off in
   ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let buf = read_all t.fd (t.end_off - off) in
-  ignore (Unix.lseek t.fd t.end_off Unix.SEEK_SET);
-  match parse buf 0 (Bytes.length buf) with
+  let header = read_all t.fd (min header_bytes avail) in
+  let len =
+    if Bytes.length header < header_bytes then Bytes.length header
+    else
+      min avail
+        (header_bytes + get_u32 header 5 + get_u32 header 9 + trailer_bytes)
+  in
+  let buf = Bytes.extend header 0 (len - Bytes.length header) in
+  let got = read_into t.fd buf (Bytes.length header) in
+  match parse buf 0 got with
   | Some (r, _) -> { r with r_offset = off }
   | None -> invalid_arg "Journal.read_at: no committed record at offset"
 

@@ -47,8 +47,10 @@ val unsynced : t -> int
 val append : t -> kind:int -> key:string -> payload:Bytes.t -> int
 
 (** Read the committed record at [offset] (as returned by {!append} or
-    recovery).  Raises [Invalid_argument] on an offset that does not
-    hold a committed record. *)
+    recovery).  Reads the header and then only the frame it names, so
+    the cost is O(record), whatever follows it in the journal.  Raises
+    [Invalid_argument] on an offset that does not hold a committed
+    record, and on a closed journal. *)
 val read_at : t -> int -> record
 
 (** fsync the file.  No-op if nothing was appended since the last call. *)

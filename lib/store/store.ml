@@ -146,18 +146,15 @@ let compact t =
   let fresh, _ = Journal.open_ tmp in
   (* Rewrite live records in key order: compaction output is a pure
      function of the directory, so two stores with the same contents
-     compact to identical files. *)
-  let live =
-    List.map
-      (fun key ->
-        let e = Hashtbl.find t.dir key in
-        let r = Journal.read_at t.journal e.d_offset in
-        (key, e.d_kind, r.Journal.r_payload))
-      (keys t)
-  in
+     compact to identical files.  One record in memory at a time. *)
+  let live = keys t in
   List.iter
-    (fun (key, kind, payload) ->
-      ignore (Journal.append fresh ~kind ~key ~payload))
+    (fun key ->
+      let e = Hashtbl.find t.dir key in
+      let r = Journal.read_at t.journal e.d_offset in
+      ignore
+        (Journal.append fresh ~kind:e.d_kind ~key
+           ~payload:r.Journal.r_payload))
     live;
   Journal.sync fresh;
   Journal.close fresh;

@@ -112,6 +112,130 @@ let test_corrupt_record_truncates () =
         (List.map (fun r -> r.Journal.r_key) recovered);
       Journal.close j2)
 
+(* [read_at] on a closed journal is a typed error — never a raw EBADF,
+   and never a read of whatever file now holds the recycled fd number. *)
+let test_read_at_closed () =
+  with_path (fun path ->
+      let j, _ = Journal.open_ path in
+      let off =
+        Journal.append j ~kind:1 ~key:"k" ~payload:(Bytes.of_string "v")
+      in
+      Journal.close j;
+      with_path (fun other ->
+          (* Likely reuses the closed fd's number, as compaction's fresh
+             journal does. *)
+          let j2, _ = Journal.open_ other in
+          ignore
+            (Journal.append j2 ~kind:1 ~key:"k" ~payload:(Bytes.of_string "v"));
+          Alcotest.check_raises "closed journal"
+            (Invalid_argument "Journal.read_at: closed") (fun () ->
+              ignore (Journal.read_at j off));
+          Journal.close j2))
+
+(* What [read_at] makes of [off]: the record, or the exception's name.
+   Anything but [Invalid_argument] escaping is a failure in itself. *)
+let read_outcome j off =
+  match Journal.read_at j off with
+  | r -> `Record r
+  | exception Invalid_argument _ -> `Invalid
+  | exception e -> `Raised (Printexc.to_string e)
+
+(* Random journals: recovery and [read_at] agree on every record, and
+   every other in-range offset — mid-header, mid-payload, the last 1–12
+   bytes — is a typed [Invalid_argument], never a record, [End_of_file],
+   [Unix_error] or an oversized allocation. *)
+let prop_read_at_one_frame =
+  let payload_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, int_range 0 16);
+          (2, int_range 17 300);
+          (1, int_range 4000 4200);
+        ]
+      >>= fun n -> bytes_size (return n))
+  in
+  let record_gen =
+    QCheck2.Gen.(
+      triple (int_range 0 255) (string_size (int_range 0 8)) payload_gen)
+  in
+  QCheck2.Test.make ~name:"journal: read_at reads exactly its own frame"
+    ~count:25
+    QCheck2.Gen.(list_size (int_range 1 5) record_gen)
+    (fun records ->
+      with_path (fun path ->
+          let j, _ = Journal.open_ path in
+          let offs =
+            List.map
+              (fun (kind, key, payload) -> Journal.append j ~kind ~key ~payload)
+              records
+          in
+          Journal.close j;
+          let j, recovered = Journal.open_ path in
+          Fun.protect
+            ~finally:(fun () -> Journal.close j)
+            (fun () ->
+              if List.map (fun r -> r.Journal.r_offset) recovered <> offs then
+                QCheck2.Test.fail_report "recovery lost a record";
+              List.iter
+                (fun r ->
+                  if read_outcome j r.Journal.r_offset <> `Record r then
+                    QCheck2.Test.fail_reportf "read_at %d <> recovered record"
+                      r.Journal.r_offset)
+                recovered;
+              for off = 0 to Journal.size j - 1 do
+                if not (List.mem off offs) then
+                  match read_outcome j off with
+                  | `Invalid -> ()
+                  | `Record _ ->
+                    QCheck2.Test.fail_reportf "read_at %d returned a record" off
+                  | `Raised e ->
+                    QCheck2.Test.fail_reportf "read_at %d raised %s" off e
+              done;
+              true)))
+
+(* [read_at] checks its frame's CRC and depends on that frame alone: corruption in record k fails record k's read, while
+   scribbling over record k+1 leaves record k readable. *)
+let test_read_at_own_frame () =
+  with_path (fun path ->
+      let j, _ = Journal.open_ path in
+      let append key payload =
+        Journal.append j ~kind:1 ~key ~payload:(Bytes.of_string payload)
+      in
+      ignore (append "first" "payload-0");
+      let o1 = append "second" "payload-1" in
+      let o2 = append "third" "payload-2" in
+      let expected = Journal.read_at j o1 in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let poke off s =
+            ignore (Unix.lseek fd off Unix.SEEK_SET);
+            ignore (Unix.write_substring fd s 0 (String.length s))
+          in
+          let invalid what off =
+            Alcotest.(check bool) what true (read_outcome j off = `Invalid)
+          in
+          (* Flip one payload byte of record 1 ("second": 13-byte header,
+             6-byte key). *)
+          let p = o1 + 13 + 6 in
+          poke p "P";
+          invalid "flipped payload byte fails the CRC" o1;
+          poke p "p";
+          Alcotest.(check bool) "restored byte reads again" true
+            (read_outcome j o1 = `Record expected);
+          (* Scribble over all of record 2; record 1 does not notice. *)
+          poke o2 (String.make (Journal.size j - o2) '\xff');
+          Alcotest.(check bool) "record 1 intact beside a scribbled record 2"
+            true
+            (read_outcome j o1 = `Record expected);
+          (* A header claiming 4 GB lengths is capped at the committed
+             end, and fails as a typed error. *)
+          poke o2 "\x31\x30\x4a\x4c\x01";
+          invalid "garbage lengths, typed error" o2);
+      Journal.close j)
+
 (* ---------------- Store: filing graphs ---------------- *)
 
 let test_store_retrieve_graph () =
@@ -526,6 +650,11 @@ let suite =
       test_crash_point_sweep;
     Alcotest.test_case "journal: corrupt record truncates" `Quick
       test_corrupt_record_truncates;
+    Alcotest.test_case "journal: read_at on a closed journal" `Quick
+      test_read_at_closed;
+    QCheck_alcotest.to_alcotest prop_read_at_one_frame;
+    Alcotest.test_case "journal: read_at CRC-checks its own frame only"
+      `Quick test_read_at_own_frame;
     Alcotest.test_case "store: graph round trip (cycle/sharing/seal)" `Quick
       test_store_retrieve_graph;
     Alcotest.test_case "store: rights mask survives disk" `Quick
