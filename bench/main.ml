@@ -44,6 +44,7 @@ let run_micro args =
   let par_gate = List.mem "--assert-par-speedup" args in
   let swap_gate = List.mem "--assert-swap-overhead" args in
   let read_gate = List.mem "--assert-store-read" args in
+  let append_gate = List.mem "--assert-store-append" args in
   let out =
     let rec go = function
       | "--out" :: path :: _ -> path
@@ -111,6 +112,13 @@ let run_micro args =
         "FAIL: store first-key read x%.2f > x%.1f on a %dx journal\n"
         store_tp.Store_tp.read.Paired.ratio Store_tp.read_limit
         (Store_tp.read_large_records / Store_tp.read_small_records);
+      exit 1
+    end;
+    if append_gate && not (Store_tp.check_append store_tp) then begin
+      Printf.printf "FAIL: %d store appends cost %s write syscalls > %d\n"
+        Store_tp.append_records
+        (Store_tp.append_writes_text store_tp)
+        (Store_tp.append_limit store_tp);
       exit 1
     end
   end

@@ -12,7 +12,14 @@
    Last, the read-cost guard: a paired ratio of [get_blob] on the first
    key of a 64k-record journal over the same read on a 64-record one.  A
    read costs O(its record), so the ratio sits near 1; a read that
-   touched the rest of the journal would put it near the size ratio. *)
+   touched the rest of the journal would put it near the size ratio.
+
+   And the append-cost guard: 10,000 history-shaped records (40-byte
+   payloads, no periodic fsync) and the write syscalls they cost, read
+   from /proc/self/io.  The journal writes its frames behind, one
+   [write] per 64 KiB, so the count is at most ceil(bytes / 64 KiB) + 1
+   (the last partial buffer); a [write] per append would read 10,000.
+   A count, not a time: host noise cannot move it. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -57,11 +64,16 @@ type result = {
   ckpt_save_ns : float;  (* host ns per save (image + fsync) *)
   ckpt_restore_ns : float;  (* host ns per restore (re-boot + replay) *)
   read : Paired.t;  (* first-key get_blob: large journal over small *)
+  append_bytes : int;  (* journal bytes the append guard wrote *)
+  append_writes : int option;  (* its write syscalls; None: unreadable *)
 }
 
 let read_small_records = 64
 let read_large_records = 65_536
 let read_limit = 3.0
+let append_records = 10_000
+let append_payload_bytes = 40
+let append_buffer_bytes = 65_536 (* the journal's write-behind buffer *)
 
 let measure_store ~pairs =
   cleanup ();
@@ -159,12 +171,57 @@ let measure_read () =
 
 let check r = r.read.Paired.ratio <= read_limit
 
+(* This process's write-family syscalls so far ([syscw] in
+   /proc/self/io); [None] where the file is unreadable. *)
+let write_syscalls () =
+  match In_channel.with_open_text "/proc/self/io" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+    List.find_map
+      (fun line ->
+        match String.split_on_char ':' line with
+        | [ "syscw"; n ] -> int_of_string_opt (String.trim n)
+        | _ -> None)
+      (String.split_on_char '\n' text)
+
+(* Keys are built before the first reading, and nothing between the two
+   readings prints, so every write counted is the journal's. *)
+let measure_append () =
+  let path = St.scratch_path "bench_append.journal" in
+  St.fresh_path path;
+  let store = St.open_ ~sync_every:max_int path in
+  let payload = Bytes.make append_payload_bytes 'x' in
+  let keys =
+    Array.init append_records (fun i ->
+        Printf.sprintf "hist/acct%d/%d" (i mod 8) ((i / 8) + 1))
+  in
+  let before = write_syscalls () in
+  Array.iter (fun key -> St.put_blob store ~key payload) keys;
+  St.sync store;
+  let after = write_syscalls () in
+  let _, _, _, bytes, _ = St.stats store in
+  St.close store;
+  St.remove_files path;
+  let writes =
+    match (before, after) with
+    | Some b, Some a -> Some (a - b)
+    | _ -> None
+  in
+  (bytes, writes)
+
+let append_limit r =
+  ((r.append_bytes + append_buffer_bytes - 1) / append_buffer_bytes) + 1
+
+let check_append r =
+  match r.append_writes with Some w -> w <= append_limit r | None -> true
+
 let measure ~smoke () =
   let pairs = if smoke then 256 else 2048 in
   let trips = if smoke then 5 else 20 in
   let store_ns, mb_s = measure_store ~pairs in
   let save_ns, restore_ns = measure_ckpt ~trips in
   let read = measure_read () in
+  let append_bytes, append_writes = measure_append () in
   {
     pairs;
     store_ns_per_op = store_ns;
@@ -173,7 +230,12 @@ let measure ~smoke () =
     ckpt_save_ns = save_ns;
     ckpt_restore_ns = restore_ns;
     read;
+    append_bytes;
+    append_writes;
   }
+
+let append_writes_text r =
+  match r.append_writes with Some w -> string_of_int w | None -> "n/a"
 
 let print_summary r =
   Printf.printf
@@ -185,6 +247,10 @@ let print_summary r =
      median ratio x%.2f (limit x%.1f)\n"
     r.read.Paired.base_ns read_small_records r.read.Paired.test_ns
     read_large_records r.read.Paired.ratio read_limit;
+  Printf.printf
+    "Store appends: %d records, %d journal bytes, %s write syscalls (limit \
+     %d)\n"
+    append_records r.append_bytes (append_writes_text r) (append_limit r);
   Printf.printf
     "Checkpoint round trip (%d trips): save %.0f ns, restore %.0f ns \
      (re-boot + replay + verify)\n"
@@ -206,6 +272,16 @@ let to_json_tp r =
             ("large_ns", Float r.read.Paired.test_ns);
             ("ratio", Float r.read.Paired.ratio);
             ("limit", Float read_limit);
+          ] );
+      ( "append_syscalls",
+        Obj
+          [
+            ("records", Int append_records);
+            ("payload_bytes", Int append_payload_bytes);
+            ("bytes", Int r.append_bytes);
+            ( "write_syscalls",
+              match r.append_writes with Some w -> Int w | None -> Null );
+            ("limit", Int (append_limit r));
           ] );
     ]
 

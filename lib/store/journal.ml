@@ -15,10 +15,21 @@ type record = {
   r_payload : Bytes.t;
 }
 
+(* Appends are framed in place into [pending] and go out in one [write]
+   when the next frame would overflow it, and at the next [read_at],
+   [sync] or [close]; only whole frames are ever written, so the file on
+   disk is always a prefix of whole frames.  The buffer belongs to the
+   journal (never module-global): cluster nodes on separate domains each
+   append to their own journal. *)
+let buffer_bytes = 65_536
+
 type t = {
   j_path : string;
   fd : Unix.file_descr;
   mutable end_off : int;  (* committed length = next append offset *)
+  mutable fd_pos : int;  (* the fd's file position; -1 when unknown *)
+  mutable pending : Bytes.t;  (* write-behind frames; allocated on first use *)
+  mutable pending_len : int;  (* bytes of [pending] not yet written *)
   mutable unsynced : int;  (* appends since the last fsync *)
   mutable closed : bool;
 }
@@ -31,35 +42,24 @@ let framed_size ~key ~payload =
   header_bytes + String.length key + Bytes.length payload + trailer_bytes
 
 (* Little-endian u32 helpers over Bytes. *)
-let put_u32 b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
+let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
-let get_u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
-
-let frame ~kind ~key ~payload =
-  if kind < 0 || kind > 0xff then invalid_arg "Journal.append: kind";
+(* Frame one record into [b] at [pos]; the caller checked that
+   [framed_size] bytes fit. *)
+let frame_into b pos ~kind ~key ~payload =
   let key_len = String.length key in
   let payload_len = Bytes.length payload in
-  let total = header_bytes + key_len + payload_len + trailer_bytes in
-  let b = Bytes.create total in
-  put_u32 b 0 magic;
-  Bytes.set b 4 (Char.chr kind);
-  put_u32 b 5 key_len;
-  put_u32 b 9 payload_len;
-  Bytes.blit_string key 0 b header_bytes key_len;
-  Bytes.blit payload 0 b (header_bytes + key_len) payload_len;
-  let crc_pos = header_bytes + key_len + payload_len in
-  let crc = Crc32.bytes ~pos:4 ~len:(crc_pos - 4) b in
+  put_u32 b pos magic;
+  Bytes.set b (pos + 4) (Char.chr kind);
+  put_u32 b (pos + 5) key_len;
+  put_u32 b (pos + 9) payload_len;
+  Bytes.blit_string key 0 b (pos + header_bytes) key_len;
+  Bytes.blit payload 0 b (pos + header_bytes + key_len) payload_len;
+  let crc_pos = pos + header_bytes + key_len + payload_len in
+  let crc = Crc32.bytes ~pos:(pos + 4) ~len:(crc_pos - pos - 4) b in
   put_u32 b crc_pos (Int32.to_int crc land 0xFFFFFFFF);
-  Bytes.set b (crc_pos + 4) (Char.chr commit_marker);
-  b
+  Bytes.set b (crc_pos + 4) (Char.chr commit_marker)
 
 (* Parse the record starting at [off] in [buf].  [None] when the bytes
    from [off] do not hold one complete committed record — incomplete
@@ -114,12 +114,30 @@ let read_all fd len =
   let got = read_into fd buf 0 in
   if got = len then buf else Bytes.sub buf 0 got
 
-let write_all fd buf =
-  let len = Bytes.length buf in
+let write_all fd buf len =
   let rec go off =
     if off < len then go (off + Unix.single_write fd buf off (len - off))
   in
   go 0
+
+(* Position the fd at [off] for a transfer: [fd_pos] stays -1 until the
+   caller records where the transfer ended, so one that raises forces a
+   seek next time. *)
+let seek t off =
+  if t.fd_pos <> off then ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+  t.fd_pos <- -1
+
+(* Write [len] bytes of [b] at [off], the end of what the file holds. *)
+let write_out t b len ~off =
+  seek t off;
+  write_all t.fd b len;
+  t.fd_pos <- off + len
+
+let flush t =
+  if t.pending_len > 0 then begin
+    write_out t t.pending t.pending_len ~off:(t.end_off - t.pending_len);
+    t.pending_len <- 0
+  end
 
 let open_ path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
@@ -136,28 +154,51 @@ let open_ path =
      boundary. *)
   if committed < file_len then Unix.ftruncate fd committed;
   ignore (Unix.lseek fd committed Unix.SEEK_SET);
-  ({ j_path = path; fd; end_off = committed; unsynced = 0; closed = false },
-   records)
+  ( {
+      j_path = path;
+      fd;
+      end_off = committed;
+      fd_pos = committed;
+      pending = Bytes.empty;
+      pending_len = 0;
+      unsynced = 0;
+      closed = false;
+    },
+    records )
 
+(* A frame that fits goes into [pending] (written first if the frame
+   would overflow it); a frame larger than the whole buffer goes straight
+   out from its own bytes, after the frames before it. *)
 let append t ~kind ~key ~payload =
   if t.closed then invalid_arg "Journal.append: closed";
-  let b = frame ~kind ~key ~payload in
+  if kind < 0 || kind > 0xff then invalid_arg "Journal.append: kind";
+  let size = framed_size ~key ~payload in
+  if t.pending_len + size > buffer_bytes then flush t;
   let off = t.end_off in
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  write_all t.fd b;
-  t.end_off <- off + Bytes.length b;
+  if size > buffer_bytes then begin
+    let b = Bytes.create size in
+    frame_into b 0 ~kind ~key ~payload;
+    write_out t b size ~off
+  end
+  else begin
+    if Bytes.length t.pending = 0 then t.pending <- Bytes.create buffer_bytes;
+    frame_into t.pending t.pending_len ~kind ~key ~payload;
+    t.pending_len <- t.pending_len + size
+  end;
+  t.end_off <- off + size;
   t.unsynced <- t.unsynced + 1;
   off
 
-(* One frame: the header names the frame's length, capped at the
-   committed end so a garbage header can neither allocate nor read past
-   it; [parse] then checks magic, CRC and commit marker as recovery does.
-   No seek back: [append] positions the fd itself. *)
+(* One frame, read from the file after the pending frames are written
+   out: the header names the frame's length, capped at the committed end
+   so a garbage header can neither allocate nor read past it; [parse]
+   then checks magic, CRC and commit marker as recovery does. *)
 let read_at t off =
   if t.closed then invalid_arg "Journal.read_at: closed";
   if off < 0 || off >= t.end_off then invalid_arg "Journal.read_at: offset";
+  flush t;
   let avail = t.end_off - off in
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+  seek t off;
   let header = read_all t.fd (min header_bytes avail) in
   let len =
     if Bytes.length header < header_bytes then Bytes.length header
@@ -167,12 +208,14 @@ let read_at t off =
   in
   let buf = Bytes.extend header 0 (len - Bytes.length header) in
   let got = read_into t.fd buf (Bytes.length header) in
+  t.fd_pos <- off + got;
   match parse buf 0 got with
   | Some (r, _) -> { r with r_offset = off }
   | None -> invalid_arg "Journal.read_at: no committed record at offset"
 
 let sync t =
   if (not t.closed) && t.unsynced > 0 then begin
+    flush t;
     Unix.fsync t.fd;
     t.unsynced <- 0
   end
@@ -180,5 +223,9 @@ let sync t =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Unix.close t.fd
+    Fun.protect
+      ~finally:(fun () ->
+        t.pending <- Bytes.empty;
+        Unix.close t.fd)
+      (fun () -> flush t)
   end

@@ -15,9 +15,17 @@
     prefix is exactly the committed records.  No recovery error escapes
     [open_]; a torn tail is silently discarded, never surfaced as data.
 
+    Appends are written behind: each journal frames its records in place
+    in one 64 KiB buffer, and the buffered frames reach the OS in one
+    [write] when the next frame would overflow it, and at the next
+    {!read_at}, {!sync} or {!close}.  Only whole frames are written, so
+    the file on disk is always a prefix of whole frames — another
+    [open_] of the path at any moment recovers an exact prefix of the
+    appended records.
+
     Offsets returned by [append] are stable until [Store] compaction
     rewrites the file.  All I/O is plain [Unix] file operations; [sync]
-    is a real [fsync] barrier. *)
+    is a real [fsync] barrier, and the only durability barrier. *)
 
 type t
 
@@ -34,28 +42,35 @@ val open_ : string -> t * record list
 
 val path : t -> string
 
-(** Committed length in bytes (the next append offset). *)
+(** Committed length in bytes (the next append offset), buffered frames
+    included. *)
 val size : t -> int
 
 (** Number of records appended since the last {!sync} barrier. *)
 val unsynced : t -> int
 
 (** Append one record; returns its offset.  The frame (commit marker
-    included) reaches the OS before [append] returns, but is not
-    [fsync]ed — call {!sync} for a durability barrier.  Raises
-    [Invalid_argument] if [kind] is outside 0..255. *)
+    included) is buffered: it reaches the OS with the buffer's next write
+    (at 64 KiB of frames, or at the next {!read_at}, {!sync} or
+    {!close}); a frame larger than the buffer is written at once, after
+    the frames before it.  Call {!sync} for a durability barrier.  Raises
+    [Invalid_argument] if [kind] is outside 0..255, and on a closed
+    journal. *)
 val append : t -> kind:int -> key:string -> payload:Bytes.t -> int
 
 (** Read the committed record at [offset] (as returned by {!append} or
-    recovery).  Reads the header and then only the frame it names, so
+    recovery).  Writes the buffered frames out first, then reads the
+    record from the file: the header and then only the frame it names, so
     the cost is O(record), whatever follows it in the journal.  Raises
     [Invalid_argument] on an offset that does not hold a committed
     record, and on a closed journal. *)
 val read_at : t -> int -> record
 
-(** fsync the file.  No-op if nothing was appended since the last call. *)
+(** Write the buffered frames out and fsync the file.  No-op if nothing
+    was appended since the last call. *)
 val sync : t -> unit
 
+(** Write the buffered frames out (no fsync) and close the file. *)
 val close : t -> unit
 
 (** Size in bytes a record with this key and payload occupies on disk. *)

@@ -22,8 +22,12 @@ module St = I432_store
 type tracked = {
   h_name : string;
   h_obj : Access.t;
+  h_index : int;  (* [Access.index h_obj] *)
   h_len : int;  (* data bytes captured in the base image *)
+  h_prefix : string;  (* "hist/<name>/" *)
   mutable h_seq : int;  (* last record appended (0 = base only) *)
+  mutable h_next_key : string;  (* key of record [h_seq + 1] *)
+  mutable h_stamp : int;  (* last [observe] that filed a record for it *)
 }
 
 type t = {
@@ -31,24 +35,64 @@ type t = {
   machine : K.Machine.t;
   by_index : (int, tracked) Hashtbl.t;
   mutable names : tracked list;  (* reverse tracking order *)
+  mutable stamp : int;  (* [observe] calls so far *)
+  buf : Buffer.t;
+      (* scratch for keys and records; one per tracker, never shared, so
+         cluster nodes stepping on separate domains cannot interleave *)
 }
 
-let base_key name = Printf.sprintf "hist/%s/base" name
-let rec_key name seq = Printf.sprintf "hist/%s/%d" name seq
+(* Append [n] in decimal, as [%d] prints it, without allocating.  The
+   digits come off the non-positive side so [min_int] needs no case. *)
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  digits (if n > 0 then -n else n)
+
+let prefix name = "hist/" ^ name ^ "/"
+let base_key name = prefix name ^ "base"
+
+let rec_key b prefix seq =
+  Buffer.clear b;
+  Buffer.add_string b prefix;
+  add_int b seq;
+  Buffer.contents b
 
 let create store machine =
-  { store; machine; by_index = Hashtbl.create 16; names = [] }
+  {
+    store;
+    machine;
+    by_index = Hashtbl.create 16;
+    names = [];
+    stamp = 0;
+    buf = Buffer.create 256;
+  }
 
 let track t ~name obj =
   let index = Access.index obj in
   if Hashtbl.mem t.by_index index then
-    invalid_arg (Printf.sprintf "History.track: object %d already tracked" index);
+    invalid_arg
+      ("History.track: object " ^ string_of_int index ^ " already tracked");
   let e = Object_table.entry_of_access (K.Machine.table t.machine) obj in
   let len = e.Object_table.data_length in
   let base = K.Machine.read_bytes t.machine obj ~offset:0 ~len in
   St.Store.put_blob t.store ~now_ns:(K.Machine.now t.machine)
     ~key:(base_key name) base;
-  let tr = { h_name = name; h_obj = obj; h_len = len; h_seq = 0 } in
+  let h_prefix = prefix name in
+  let tr =
+    {
+      h_name = name;
+      h_obj = obj;
+      h_index = index;
+      h_len = len;
+      h_prefix;
+      h_seq = 0;
+      h_next_key = rec_key t.buf h_prefix 1;
+      h_stamp = 0;
+    }
+  in
   Hashtbl.replace t.by_index index tr;
   t.names <- tr :: t.names
 
@@ -56,71 +100,82 @@ let tracked t = List.rev_map (fun tr -> (tr.h_name, tr.h_obj)) t.names
 
 (* One record blob per (commit, tracked object): a text line
    "<commit_ns> <key> <off>:<word>,<off>:<word>,..." — auditable with any
-   pager and trivially parseable. *)
-let encode ~commit_ns ~key writes =
-  let ws =
-    String.concat ","
-      (List.map (fun (off, w) -> Printf.sprintf "%d:%d" off w) writes)
-  in
-  Bytes.of_string (Printf.sprintf "%d %d %s" commit_ns key ws)
-
-let decode b =
-  match String.split_on_char ' ' (Bytes.to_string b) with
-  | [ ns; key; ws ] ->
-    let writes =
-      if String.length ws = 0 then []
-      else
-        List.map
-          (fun pair ->
-            match String.split_on_char ':' pair with
-            | [ off; w ] -> (int_of_string off, int_of_string w)
-            | _ -> failwith "History: malformed record")
-          (String.split_on_char ',' ws)
-    in
-    (int_of_string ns, int_of_string key, writes)
-  | _ -> failwith "History: malformed record"
-
-let observe t ~commit_ns ~key ~writes =
-  (* Group the commit's writes by tracked object, preserving staging
-     order within each object (later writes win on replay, matching the
-     kernel's apply order). *)
-  let per_obj = Hashtbl.create 4 in
-  let order = ref [] in
+   pager and trivially parseable.  The pairs are [tr]'s writes in staging
+   order (later writes win on replay, matching the kernel's apply
+   order). *)
+let encode t tr ~commit_ns ~key writes =
+  let b = t.buf in
+  Buffer.clear b;
+  add_int b commit_ns;
+  Buffer.add_char b ' ';
+  add_int b key;
+  Buffer.add_char b ' ';
+  let first = ref true in
   List.iter
     (fun (obj, off, word) ->
-      let index = Access.index obj in
-      match Hashtbl.find_opt t.by_index index with
-      | None -> ()
-      | Some tr ->
-        (match Hashtbl.find_opt per_obj index with
-        | None ->
-          Hashtbl.replace per_obj index (ref [ (off, word) ]);
-          order := (index, tr) :: !order
-        | Some l -> l := (off, word) :: !l))
+      if Access.index obj = tr.h_index then begin
+        if not !first then Buffer.add_char b ',';
+        first := false;
+        add_int b off;
+        Buffer.add_char b ':';
+        add_int b word
+      end)
     writes;
+  Buffer.to_bytes b
+
+(* Every malformed blob fails the same way, naming its key: a wrong field
+   count, a pair without its ':', a non-numeric field, or no pairs at
+   all (a record is only filed for an object the commit wrote). *)
+let decode ~key b =
+  let malformed () = failwith ("History: malformed record " ^ key) in
+  let int s = match int_of_string_opt s with Some v -> v | None -> malformed () in
+  let pair p =
+    match String.split_on_char ':' p with
+    | [ off; w ] -> (int off, int w)
+    | _ -> malformed ()
+  in
+  match String.split_on_char ' ' (Bytes.to_string b) with
+  | [ ns; k; ws ] when ws <> "" ->
+    (int ns, int k, List.map pair (String.split_on_char ',' ws))
+  | _ -> malformed ()
+
+let append t tr ~commit_ns ~key writes =
+  let record = encode t tr ~commit_ns ~key writes in
+  tr.h_seq <- tr.h_seq + 1;
+  St.Store.put_blob t.store ~now_ns:commit_ns ~key:tr.h_next_key record;
+  (* A checkpoint rejoin replays this history from an earlier frontier,
+     and the rolled-back timeline may have filed records at higher
+     sequence numbers.  Tombstoning the successor on every append keeps
+     [records]' contiguous scan from crossing into that stale tail.
+     (Full compaction of orphaned tails is a ROADMAP follow-on.)  The
+     successor's key is the next append's key. *)
+  let next = rec_key t.buf tr.h_prefix (tr.h_seq + 1) in
+  if St.Store.mem t.store ~key:next then St.Store.delete t.store ~key:next;
+  tr.h_next_key <- next;
+  K.Machine.emit_event t.machine ~name:tr.h_name ~a:key ~b:tr.h_seq
+    Obs.Event.Hist_append
+
+(* One record per tracked object the commit wrote, in order of each
+   object's first write; the stamp marks objects already filed. *)
+let observe t ~commit_ns ~key ~writes =
+  t.stamp <- t.stamp + 1;
   List.iter
-    (fun (index, tr) ->
-      let ws = List.rev !(Hashtbl.find per_obj index) in
-      tr.h_seq <- tr.h_seq + 1;
-      St.Store.put_blob t.store ~now_ns:commit_ns
-        ~key:(rec_key tr.h_name tr.h_seq)
-        (encode ~commit_ns ~key ws);
-      (* A checkpoint rejoin replays this history from an earlier frontier,
-         and the rolled-back timeline may have filed records at higher
-         sequence numbers.  Tombstoning the successor on every append keeps
-         [records]' contiguous scan from crossing into that stale tail.
-         (Full compaction of orphaned tails is a ROADMAP follow-on.) *)
-      let next = rec_key tr.h_name (tr.h_seq + 1) in
-      if St.Store.mem t.store ~key:next then St.Store.delete t.store ~key:next;
-      K.Machine.emit_event t.machine ~name:tr.h_name ~a:key ~b:tr.h_seq
-        Obs.Event.Hist_append)
-    (List.rev !order)
+    (fun (obj, _, _) ->
+      match Hashtbl.find_opt t.by_index (Access.index obj) with
+      | Some tr when tr.h_stamp <> t.stamp ->
+        tr.h_stamp <- t.stamp;
+        append t tr ~commit_ns ~key writes
+      | Some _ | None -> ())
+    writes
 
 let records store ~name =
+  let b = Buffer.create 64 in
+  let prefix = prefix name in
   let rec go seq acc =
-    match St.Store.get_blob store ~key:(rec_key name seq) with
+    let key = rec_key b prefix seq in
+    match St.Store.get_blob store ~key with
     | None -> List.rev acc
-    | Some b -> go (seq + 1) (decode b :: acc)
+    | Some blob -> go (seq + 1) (decode ~key blob :: acc)
   in
   go 1 []
 

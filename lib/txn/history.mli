@@ -37,7 +37,10 @@ val observe :
   t -> commit_ns:int -> key:int -> writes:(Access.t * int * int) list -> unit
 
 (** Decoded records for [name] in append order:
-    [(commit_ns, key, (offset, word) list)]. *)
+    [(commit_ns, key, (offset, word) list)].  A blob that is not a record
+    (wrong field count, a pair without its [:], a non-numeric field, no
+    pairs) raises [Failure "History: malformed record <blob key>"]; so do
+    {!replay} and {!verify}, which read through this. *)
 val records : St.Store.t -> name:string -> (int * int * (int * int) list) list
 
 (** Rebuild [name]'s data image by deterministic replay: the base image

@@ -236,6 +236,133 @@ let test_read_at_own_frame () =
           invalid "garbage lengths, typed error" o2);
       Journal.close j)
 
+(* Write-behind: appends are buffered, so a random script of appends
+   (0 B to past the 64 KiB buffer, so some frames overflow it and some
+   appends cross the flush threshold), reads, syncs and close+reopen
+   checks what reaches the file and when.  Every [read_at] returns its
+   record; a second [open_] at any point recovers an exact prefix with
+   no partial frame behind it, at least everything appended before the
+   last read/sync/reopen; after [sync] the prefix is everything; a
+   reopen after [close] recovers everything. *)
+type wb_op = Append of int * int | Read of int | Sync | Peek | Reopen
+
+let prop_write_behind =
+  let size_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, int_range 0 64);
+          (3, int_range 8_000 30_000);
+          (1, int_range 65_000 70_000);
+        ])
+  in
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, map2 (fun n seed -> Append (n, seed)) size_gen (int_range 0 255));
+          (3, map (fun i -> Read i) nat);
+          (1, return Sync);
+          (3, return Peek);
+          (1, return Reopen);
+        ])
+  in
+  let print_op = function
+    | Append (n, _) -> Printf.sprintf "append %dB" n
+    | Read i -> Printf.sprintf "read %d" i
+    | Sync -> "sync"
+    | Peek -> "peek"
+    | Reopen -> "reopen"
+  in
+  QCheck2.Test.make ~name:"journal: write-behind keeps a whole-frame prefix"
+    ~count:40
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+    (fun ops ->
+      with_path (fun path ->
+          let j = ref (fst (Journal.open_ path)) in
+          (* appended records, newest first; [flushed] of them must be on
+             disk already *)
+          let appended = ref [] in
+          let count = ref 0 in
+          let flushed = ref 0 in
+          let fail fmt = QCheck2.Test.fail_reportf fmt in
+          let same_records what got =
+            let expected = List.rev !appended in
+            if List.length got <> List.length expected || got <> expected then
+              fail "%s: %d records recovered, %d appended" what
+                (List.length got) (List.length expected)
+          in
+          let is_prefix got =
+            let rec go got exp =
+              match (got, exp) with
+              | [], _ -> true
+              | g :: gs, e :: es -> g = e && go gs es
+              | _ :: _, [] -> false
+            in
+            go got (List.rev !appended)
+          in
+          let step = function
+            | Append (n, seed) ->
+              let kind = seed in
+              let key = Printf.sprintf "k%d" !count in
+              let payload = Bytes.init n (fun i -> Char.chr ((i + seed) land 0xff)) in
+              let expected_off = Journal.size !j in
+              let off = Journal.append !j ~kind ~key ~payload in
+              if off <> expected_off then
+                fail "append %d at %d, expected %d" !count off expected_off;
+              appended :=
+                { Journal.r_offset = off; r_kind = kind; r_key = key;
+                  r_payload = payload }
+                :: !appended;
+              incr count
+            | Read i ->
+              if !count > 0 then begin
+                let r = List.nth !appended (i mod !count) in
+                if Journal.read_at !j r.Journal.r_offset <> r then
+                  fail "read_at %d <> appended record" r.Journal.r_offset;
+                flushed := !count
+              end
+            | Sync ->
+              Journal.sync !j;
+              flushed := !count
+            | Peek ->
+              let on_disk = (Unix.stat path).Unix.st_size in
+              let j2, got = Journal.open_ path in
+              Journal.close j2;
+              if not (is_prefix got) then fail "peek: not a prefix";
+              if List.length got < !flushed then
+                fail "peek: %d records, %d already written out"
+                  (List.length got) !flushed;
+              let ends =
+                match List.rev got with
+                | [] -> 0
+                | r :: _ ->
+                  r.Journal.r_offset
+                  + Journal.framed_size ~key:r.Journal.r_key
+                      ~payload:r.Journal.r_payload
+              in
+              if on_disk <> ends then
+                fail "peek: %d bytes on disk, whole frames end at %d" on_disk
+                  ends;
+              if !flushed = !count then same_records "peek after sync" got
+            | Reopen ->
+              Journal.close !j;
+              let j', got = Journal.open_ path in
+              j := j';
+              same_records "reopen" got;
+              flushed := !count
+          in
+          Fun.protect
+            ~finally:(fun () -> Journal.close !j)
+            (fun () ->
+              List.iter step ops;
+              Journal.close !j;
+              let j', got = Journal.open_ path in
+              j := j';
+              same_records "final reopen" got;
+              true)))
+
 (* ---------------- Store: filing graphs ---------------- *)
 
 let test_store_retrieve_graph () =
@@ -655,6 +782,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_read_at_one_frame;
     Alcotest.test_case "journal: read_at CRC-checks its own frame only"
       `Quick test_read_at_own_frame;
+    QCheck_alcotest.to_alcotest prop_write_behind;
     Alcotest.test_case "store: graph round trip (cycle/sharing/seal)" `Quick
       test_store_retrieve_graph;
     Alcotest.test_case "store: rights mask survives disk" `Quick

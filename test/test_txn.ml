@@ -170,6 +170,173 @@ let test_history_opt_in () =
       in
       Alcotest.(check (list string)) "store untouched" [] (Store.keys store))
 
+(* ---------------- History: on-disk format ---------------- *)
+
+(* The record text as the format defines it, written with [Printf]:
+   "<commit_ns> <key> <off>:<word>,...". *)
+let record_text (ns, key, writes) =
+  Printf.sprintf "%d %d %s" ns key
+    (String.concat ","
+       (List.map (fun (off, w) -> Printf.sprintf "%d:%d" off w) writes))
+
+(* Every hist/<name>/<seq> blob is the [Printf] rendering of the record it
+   decodes to, the keys run 1..n under a base, and nothing else is filed
+   under hist/. *)
+let check_blobs_canonical store names =
+  let expected_keys =
+    List.concat_map
+      (fun name ->
+        let n = List.length (History.records store ~name) in
+        Printf.sprintf "hist/%s/base" name
+        :: List.init n (fun i -> Printf.sprintf "hist/%s/%d" name (i + 1)))
+      names
+  in
+  let hist_keys =
+    List.filter (fun k -> String.starts_with ~prefix:"hist/" k) (Store.keys store)
+  in
+  Alcotest.(check (list string)) "hist/ keys" (List.sort compare expected_keys)
+    hist_keys;
+  List.iter
+    (fun name ->
+      List.iteri
+        (fun i r ->
+          let key = Printf.sprintf "hist/%s/%d" name (i + 1) in
+          Alcotest.(check (option string))
+            (key ^ " is the Printf rendering")
+            (Some (record_text r))
+            (Option.map Bytes.to_string (Store.get_blob store ~key)))
+        (History.records store ~name))
+    names
+
+(* Random commits straight into [observe]: commit instants past 2^31,
+   negative and zero keys and words, min_int/max_int, several tracked
+   objects per commit (one untracked), repeated writes to one object.
+   The records decode to exactly the per-object writes in staging order,
+   and their bytes are the [Printf] rendering. *)
+let prop_history_bytes =
+  let int_gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range (-1000) 1000;
+          oneofl [ 0; -1; min_int; max_int; 1 lsl 31; (1 lsl 31) + 7 ];
+          int;
+        ])
+  in
+  let commit_gen =
+    QCheck2.Gen.(
+      pair int_gen
+        (list_size (int_range 1 6)
+           (triple (int_range 0 3) (int_range 0 1000) int_gen)))
+  in
+  QCheck2.Test.make ~name:"history: blobs byte-identical to Printf" ~count:50
+    QCheck2.Gen.(list_size (int_range 1 12) commit_gen)
+    (fun commits ->
+      with_store (fun store ->
+          let m = mk () in
+          let h = History.create store m in
+          let objs =
+            Array.init 4 (fun _ -> K.Machine.allocate_generic m ~data_length:8 ())
+          in
+          let names = [ "a"; "b"; "c" ] in
+          List.iteri (fun i name -> History.track h ~name objs.(i)) names;
+          let ns = ref ((1 lsl 31) - 3) in
+          let model = Array.make 3 [] in
+          List.iter
+            (fun (key, ws) ->
+              ns := !ns + 2;
+              let writes = List.map (fun (o, off, w) -> (objs.(o), off, w)) ws in
+              History.observe h ~commit_ns:!ns ~key ~writes;
+              for o = 0 to 2 do
+                match List.filter (fun (o', _, _) -> o' = o) ws with
+                | [] -> ()
+                | mine ->
+                  model.(o) <-
+                    (!ns, key, List.map (fun (_, off, w) -> (off, w)) mine)
+                    :: model.(o)
+              done)
+            commits;
+          List.iteri
+            (fun i name ->
+              if History.records store ~name <> List.rev model.(i) then
+                QCheck2.Test.fail_reportf "%s: decoded records differ" name)
+            names;
+          check_blobs_canonical store names;
+          true))
+
+(* The banking mix files canonical blobs too, and a two-node cluster
+   files the same hist/ blobs under Par 2 as under Seq: every scratch
+   buffer belongs to one tracker, so nodes on separate domains never
+   share one. *)
+let test_history_cluster_engines () =
+  let blobs engine =
+    with_store (fun store ->
+        ignore
+          (Banking.run_cluster ~engine ~accounts:4 ~transfers:16 ~seed:21
+             ~history_store:store ());
+        check_blobs_canonical store (List.init 4 (Printf.sprintf "acct%d"));
+        List.filter_map
+          (fun key ->
+            if String.starts_with ~prefix:"hist/" key then
+              Some (key, Bytes.to_string (Option.get (Store.get_blob store ~key)))
+            else None)
+          (Store.keys store))
+  in
+  let seq = blobs Net.Cluster.Seq in
+  Alcotest.(check bool) "records filed" true (List.length seq > 4);
+  Alcotest.(check (list (pair string string))) "Seq = Par 2 hist/ blobs" seq
+    (blobs (Net.Cluster.Par 2))
+
+(* A malformed blob fails one way, naming its key: truncations of a
+   valid record that are not themselves a valid record, and garbled
+   fields, all raise the same [Failure]. *)
+let test_history_malformed () =
+  with_store (fun store ->
+      let key = "hist/x/1" in
+      let expected = Failure ("History: malformed record " ^ key) in
+      let read text =
+        Store.put_blob store ~key (Bytes.of_string text);
+        History.records store ~name:"x"
+      in
+      let valid = "2147483650 -12 0:7,4:-9,8:0" in
+      let failures = ref 0 in
+      for cut = 0 to String.length valid - 1 do
+        let text = String.sub valid 0 cut in
+        match read text with
+        | [ r ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "cut %d decodes only when canonical" cut)
+            text (record_text r)
+        | _ -> Alcotest.fail "one blob, one record"
+        | exception e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cut %d: %s" cut (Printexc.to_string e))
+            true (e = expected);
+          incr failures
+      done;
+      Alcotest.(check bool) "most truncations are malformed" true
+        (!failures >= String.length valid - 3);
+      List.iter
+        (fun text ->
+          Alcotest.check_raises (Printf.sprintf "%S" text) expected (fun () ->
+              ignore (read text)))
+        [
+          "";
+          "1 2 ";
+          "x 2 0:1";
+          "1 y 0:1";
+          "1 2 0:z";
+          "1 2 q:1";
+          "1 2 0;1";
+          "1 2 0:1:2";
+          "1 2 0:1,,4:5";
+          "1 2 0:1,";
+          "1 2 :5";
+          "1 2 3 4";
+          "1  2 0:1";
+          "1 2 0:99999999999999999999999";
+        ])
+
 (* ---------------- Banking: chaos (qcheck) ---------------- *)
 
 (* Under a random §8 fault plan every transaction is still all-or-nothing:
@@ -306,6 +473,11 @@ let suite =
       test_history_replay;
     Alcotest.test_case "history: opt-in leaves the store untouched" `Quick
       test_history_opt_in;
+    QCheck_alcotest.to_alcotest prop_history_bytes;
+    Alcotest.test_case "history: cluster blobs canonical, Seq = Par 2" `Quick
+      test_history_cluster_engines;
+    Alcotest.test_case "history: malformed records fail one way" `Quick
+      test_history_malformed;
     QCheck_alcotest.to_alcotest prop_atomic_under_chaos;
     Alcotest.test_case "banking cluster: Seq = Par 2" `Quick
       test_banking_cluster_engines;

@@ -238,6 +238,50 @@ let prop_jain_bounds =
       let j = Stats.jain_fairness (Array.of_list xs) in
       j > 0.0 && j <= 1.0 +. 1e-9)
 
+(* ---------------- Crc32 ---------------- *)
+
+(* Bit-at-a-time CRC-32 straight from the definition: reflected
+   polynomial 0xEDB88320, init and final xor 0xFFFFFFFF. *)
+let crc32_reference buf pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc32_check_value () =
+  Alcotest.(check int32) "standard check value" 0xCBF43926l
+    (Crc32.string "123456789");
+  Alcotest.(check int32) "empty input" 0l (Crc32.string "");
+  Alcotest.(check int32) "incremental = one shot" (Crc32.string "123456789")
+    (let b = Bytes.of_string "123456789" in
+     Crc32.finalize (Crc32.update (Crc32.update Crc32.init b 0 4) b 4 5))
+
+let test_crc32_bounds () =
+  let b = Bytes.make 8 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Crc32.update")
+        (fun () -> ignore (Crc32.bytes ~pos ~len b)))
+    [ (-1, 1); (0, -1); (0, 9); (8, 1); (5, 4); (9, 0); (max_int, 1) ];
+  Alcotest.(check int32) "empty slice at the end" 0l (Crc32.bytes ~pos:8 ~len:0 b)
+
+let prop_crc32_matches_reference =
+  QCheck2.Test.make ~name:"crc32 = bit-at-a-time reference" ~count:300
+    QCheck2.Gen.(
+      bytes_size (int_range 0 300) >>= fun b ->
+      let n = Bytes.length b in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len -> return (b, pos, len))
+    (fun (b, pos, len) ->
+      Crc32.bytes ~pos ~len b = crc32_reference b pos len
+      && Crc32.bytes b = crc32_reference b 0 (Bytes.length b))
+
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -269,4 +313,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_matches_queue;
     QCheck_alcotest.to_alcotest prop_stats_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_jain_bounds;
+    ("crc32 check value", `Quick, test_crc32_check_value);
+    ("crc32 rejects out-of-range slices", `Quick, test_crc32_bounds);
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
   ]
