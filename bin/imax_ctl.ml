@@ -3,7 +3,11 @@
    Subcommands boot a configured system, run a canned scenario, and print
    the run report and subsystem statistics.  This is the OEM's "selection
    of packages" knob surfaced as flags: processors, memory manager,
-   scheduling policy, and the GC daemon are all chosen at boot. *)
+   scheduling policy, and the GC daemon are all chosen at boot.  A
+   subcommand takes only the boot flags its scenario reads: loadgen, net
+   and checkpoint take -p alone, swap takes all but --memory-manager (its
+   --policy picks the manager), and cmdliner rejects any other one with
+   exit code 124. *)
 
 open Cmdliner
 open I432
@@ -118,6 +122,13 @@ let config processors memory_manager scheduling gc_daemon =
 
 let config_term =
   Term.(const config $ processors $ memory_manager $ scheduling $ gc_daemon)
+
+(* Swap picks its memory manager with --policy, so it takes every boot
+   flag but --memory-manager. *)
+let swap_config_term =
+  Term.(
+    const (fun p -> config p System.Swapping_lru)
+    $ processors $ scheduling $ gc_daemon)
 
 (* The same flag means the same thing in every subcommand: trace, chaos,
    net, store, and checkpoint all build --seed/--chrome/--check from these
@@ -670,9 +681,8 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
   let machines = Array.init nodes (Net.Cluster.machine cluster) in
   (cluster, plan, nplan, report, List.rev !printed, machines)
 
-let scenario_net config nodes par seed clients jobs link_faults partitions
+let scenario_net processors nodes par seed clients jobs link_faults partitions
     latency kill_spec restart_at topology chrome_out check =
-  let processors = config.System.processors in
   if nodes < 2 then die "--nodes %d: a cluster needs at least 2 nodes" nodes;
   let kill =
     match (kill_spec, restart_at) with
@@ -946,9 +956,8 @@ let boot_spool_cluster ~processors ~clients ~jobs () =
    parallel run, restore it, and the streams still match a sequential run
    that was never killed.  The victim is dropped once saved: the only way
    back is through the store. *)
-let scenario_checkpoint config path kill_ns rounds quantum_ns cluster clients
-    jobs par check =
-  let processors = config.System.processors in
+let scenario_checkpoint processors path kill_ns rounds quantum_ns cluster
+    clients jobs par check =
   let engine = engine_of_par par in
   if par > 1 && not cluster then
     die "--par %d: only --cluster checkpoints run on multiple domains" par;
@@ -1162,7 +1171,7 @@ let net_cmd =
           virtual interconnect, optionally under a seeded link-fault plan, \
           a staged whole-node kill/rejoin, and on multiple OCaml domains.")
     Term.(
-      const scenario_net $ config_term $ nodes $ par $ seed $ clients_arg
+      const scenario_net $ processors $ nodes $ par $ seed $ clients_arg
       $ jobs_arg $ link_faults $ partitions $ latency $ kill_node $ restart_at
       $ topology $ chrome $ check)
 
@@ -1237,7 +1246,7 @@ let checkpoint_cmd =
           the store, then restore by replay and resume — provably \
           bit-identical to a run that was never killed.")
     Term.(
-      const scenario_checkpoint $ config_term
+      const scenario_checkpoint $ processors
       $ path_arg ~default:(St.scratch_path "imax_ckpt.journal")
       $ kill_ns $ rounds $ quantum $ cluster $ clients_arg $ jobs_arg $ par
       $ check)
@@ -1248,9 +1257,8 @@ let checkpoint_cmd =
    virtual interconnect; --check proves the whole run — arrival stream,
    span stream, merged metrics — is a pure function of the seed (and with
    --par, byte-identical to the sequential cluster engine). *)
-let scenario_loadgen config users rate sessions requests mix pattern seed nodes
-    par workers pumps chrome_out check =
-  let processors = config.System.processors in
+let scenario_loadgen processors users rate sessions requests mix pattern seed
+    nodes par workers pumps chrome_out check =
   let profile =
     match Load.Mix.profile_of_string mix with
     | Some p -> p
@@ -1408,7 +1416,7 @@ let loadgen_cmd =
           request path and report end-to-end latency quantiles from the \
           request spans.")
     Term.(
-      const scenario_loadgen $ config_term $ users $ rate $ sessions
+      const scenario_loadgen $ processors $ users $ rate $ sessions
       $ requests $ mix $ pattern $ seed $ nodes $ par $ workers $ pumps
       $ chrome $ check)
 
@@ -1637,7 +1645,7 @@ let swap_cmd =
           swapping memory manager, with evicted segments on a store-backed \
           swap device.")
     Term.(
-      const scenario_swap $ config_term
+      const scenario_swap $ swap_config_term
       $ path_arg ~default:(St.scratch_path "imax_swap.journal")
       $ policy $ objects $ object_bytes $ users $ touches $ ram_bytes $ seed
       $ kill_ns $ chrome $ check)

@@ -189,8 +189,7 @@ let deliver_to_filter t (e : Object_table.entry) =
       (* Manufacture a full-rights access descriptor for the corpse and send
          it to the type manager (§8.2). *)
       let corpse = Access.make ~index:e.Object_table.index ~rights:Rights.full in
-      I432_kernel.Port.enqueue p ~msg:corpse ~priority:0 ~now:(I432_kernel.Machine.now t.machine);
-      p.I432_kernel.Port.sends <- p.I432_kernel.Port.sends + 1;
+      ignore (I432_kernel.Machine.post t.machine p ~msg:corpse ~priority:0 ());
       (* The corpse is reachable again: blacken it for this cycle. *)
       e.Object_table.color <- Object_table.Black;
       t.stats.filtered <- t.stats.filtered + 1;

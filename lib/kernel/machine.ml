@@ -110,7 +110,6 @@ type t = {
   mutable current : Processor.t option;
   mutable in_body : bool;  (* true while a process body is executing *)
   mutable processes : Process.t list;  (* every process ever created *)
-  mutable live_user_processes : int;  (* non-daemon, non-terminal *)
   mutable gc_roots : Access.t list;
   obs : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
@@ -118,7 +117,6 @@ type t = {
   mutable preemptions : int;
   mutable faults : (string * Fault.cause) list;  (* newest first; see [faults] *)
   mutable fault_port : int option;  (* faulted processes are sent here *)
-  mutable halted : bool;
   (* Fault injection and recovery state.  All defaults leave every legacy
      path untouched: empty plan, zero counters, no hooks. *)
   mutable injections : (int * int * injection) list;  (* (at_ns, seq, _) sorted *)
@@ -207,7 +205,6 @@ let create ?(config = default_config) () =
     current = None;
     in_body = false;
     processes = [];
-    live_user_processes = 0;
     gc_roots = [];
     obs =
       Obs.Tracer.create ~capacity:config.trace_capacity
@@ -217,7 +214,6 @@ let create ?(config = default_config) () =
     preemptions = 0;
     faults = [];
     fault_port = None;
-    halted = false;
     injections = [];
     inj_seq = 0;
     forced_alloc_faults = 0;
@@ -371,14 +367,6 @@ let read_word t access ~offset =
 let write_word t access ~offset v =
   charge t t.timings.Timings.write_word_ns;
   Segment.write_i32 t.table t.memory access ~offset v
-
-let read_byte t access ~offset =
-  charge t t.timings.Timings.read_word_ns;
-  Segment.read_u8 t.table t.memory access ~offset
-
-let write_byte t access ~offset v =
-  charge t t.timings.Timings.write_word_ns;
-  Segment.write_u8 t.table t.memory access ~offset v
 
 let read_bytes t access ~offset ~len =
   charge t (t.timings.Timings.read_word_ns * (1 + (len / 4)));
@@ -816,7 +804,6 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   proc.Process.trace_name_id <- Obs.Tracer.string_id t.obs name;
   e.Object_table.payload <- Some (Process.Process_state proc);
   t.processes <- proc :: t.processes;
-  if not daemon then t.live_user_processes <- t.live_user_processes + 1;
   Obs.Metrics.incr t.mon.mon_spawns;
   emit t ~name ~a:proc.Process.index Obs.Event.Spawn;
   (match start_after with
@@ -1094,8 +1081,6 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.code <- Process.Terminated;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_exit;
     cpu.Processor.current <- None;
-    if not proc.Process.daemon then
-      t.live_user_processes <- t.live_user_processes - 1;
     false
   | Syscall.Delay ns ->
     if ns < 0 then invalid_arg "delay: negative";
@@ -1265,8 +1250,6 @@ let record_fault t (proc : Process.t) cause =
     Obs.Event.Fault;
   proc.Process.status <- Process.Faulted cause;
   proc.Process.code <- Process.Terminated;
-  if not proc.Process.daemon then
-    t.live_user_processes <- t.live_user_processes - 1;
   if proc.Process.system_level < 3 then
     raise
       (Kernel_panic
@@ -1303,8 +1286,6 @@ let step_process t (cpu : Processor.t) =
     | Process.Completed ->
       proc.Process.status <- Process.Finished;
       cpu.Processor.current <- None;
-      if not proc.Process.daemon then
-        t.live_user_processes <- t.live_user_processes - 1;
       emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_finish
     | Process.Raised (Fault.Fault cause) ->
       cpu.Processor.current <- None;
@@ -1456,25 +1437,6 @@ let wake_sleepers t ~horizon =
       end)
     t.processes
 
-(* Earliest future event among sleeping processes and armed deadlines of
-   timed waits, if any. *)
-let next_wake t =
-  List.fold_left
-    (fun acc (proc : Process.t) ->
-      let candidate =
-        match proc.Process.status with
-        | Process.Sleeping -> Some proc.Process.wake_at
-        | Process.Blocked_send _ | Process.Blocked_receive _ ->
-          proc.Process.timeout_at
-        | Process.Created | Process.Ready | Process.Running | Process.Finished
-        | Process.Faulted _ -> None
-      in
-      match (candidate, acc) with
-      | None, acc -> acc
-      | Some w, None -> Some w
-      | Some w, Some a -> Some (min w a))
-    None t.processes
-
 (* The online processor with the smallest clock (ties by id), or [None]
    when every GDP has hard-faulted. *)
 let min_clock_processor t =
@@ -1489,187 +1451,201 @@ let min_clock_processor t =
           else acc)
     None t.processors
 
-(* Is there any process that could still make progress without external
-   input?  Daemons alone do not keep the machine running.  A process
-   blocked with an armed deadline will resume at the latest when the
-   deadline fires, so it still counts. *)
-let pending_user_work t =
-  List.exists
-    (fun (proc : Process.t) ->
-      (not proc.Process.daemon)
-      &&
-      match proc.Process.status with
-      | Process.Ready | Process.Running | Process.Sleeping | Process.Created ->
-        not proc.Process.stopped || proc.Process.status = Process.Running
-      | Process.Blocked_send _ | Process.Blocked_receive _ ->
-        proc.Process.timeout_at <> None
-      | Process.Finished | Process.Faulted _ -> false)
-    t.processes
+(* The progress rule: three predicates, each one walk over [t.processes]
+   that allocates nothing.  [has_local_work] is the per-node test the
+   cluster's round loop also asks, [can_progress] decides halting, and
+   [idle_target] is where an idle processor's clock goes next. *)
 
-let runnable_somewhere t =
-  Array.exists
-    (fun p -> p.Processor.online && p.Processor.current <> None)
-    t.processors
-  || List.exists
-       (fun (proc : Process.t) ->
-         proc.Process.status = Process.Ready
-         && Array.exists
-              (fun cpu ->
-                cpu.Processor.online
-                && eligible_for_dispatch t ~cpu proc.Process.index)
-              t.processors)
-       t.processes
+(* A live user process that owes virtual time without outside input:
+   in the mix and dispatchable, running, or on a timer.  Port-blocked
+   processes move only when a message arrives. *)
+let local_work (proc : Process.t) =
+  (not proc.Process.daemon)
+  && (not proc.Process.stopped)
+  &&
+  match proc.Process.status with
+  | Process.Created | Process.Ready | Process.Running | Process.Sleeping -> true
+  | Process.Blocked_send _ | Process.Blocked_receive _ | Process.Finished
+  | Process.Faulted _ ->
+    false
 
-let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
-  t.halted <- false;
-  let steps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    incr steps;
-    if !steps > max_steps then continue_ := false
-    else begin
-      match min_clock_processor t with
-      | None ->
-        (* Every GDP has hard-faulted: nothing can execute. *)
-        continue_ := false
-      | Some cpu ->
-      if cpu.Processor.clock_ns > max_ns then continue_ := false
-      else begin
-        (* Scheduled injections whose instant this processor has reached
-           fire first — one empty-list check when no plan is armed.  The
-           injection may take this very processor offline, in which case
-           the iteration ends here and the next-smallest clock runs. *)
-        if t.injections <> [] then fire_injections t cpu;
-        if not cpu.Processor.online then begin
-          if not (pending_user_work t) then
-            if not (runnable_somewhere t) then continue_ := false
-        end
-        else begin
-        (* Wake (and ready) events are stamped on the waking processor. *)
-        t.current <- Some cpu;
-        wake_sleepers t ~horizon:cpu.Processor.clock_ns;
-        if t.timed_waiters > 0 then
-          fire_timeouts t ~horizon:cpu.Processor.clock_ns;
-        t.current <- None;
-        (match cpu.Processor.current with
-        | Some _ -> step_process t cpu
-        | None -> (
-          match
-            Dispatch.pop t.dispatch ~eligible:(eligible_for_dispatch t ~cpu)
-          with
-          | Some index ->
-            let proc = proc_of t index in
-            proc.Process.status <- Process.Running;
-            proc.Process.slice_used_ns <- 0;
-            proc.Process.dispatches <- proc.Process.dispatches + 1;
-            cpu.Processor.current <- Some index;
-            cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
-            Obs.Metrics.incr t.mon.mon_dispatches;
-            Obs.Metrics.observe t.mon.mon_dispatch_latency
-              (float_of_int
-                 (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns)));
-            Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
-            emit_fast_on t cpu ~name_id:proc.Process.trace_name_id
-              ~a:cpu.Processor.id ~b:0 k_dispatch;
-            t.current <- Some cpu;
-            charge t t.timings.Timings.dispatch_ns;
-            t.current <- None
-          | None -> (
-            (* Idle: advance this processor's clock to the next event
-               horizon — another processor's activity or a sleeper's wake
-               time.  Clocks of other busy processors may equal ours (we are
-               the minimum); stepping just past them lets them run first. *)
-            let candidates =
-              Array.fold_left
-                (fun acc p ->
-                  if p.Processor.id <> cpu.Processor.id
-                     && p.Processor.current <> None
-                  then (p.Processor.clock_ns + 1) :: acc
-                  else acc)
-                [] t.processors
-            in
-            let candidates =
-              match next_wake t with
-              | Some w -> w :: candidates
-              | None -> candidates
-            in
-            (* A ready process bound to another processor is that
-               processor's event, not ours: step past it so the owner gets
-               the next turn. *)
-            let candidates =
-              Array.fold_left
-                (fun acc cpu2 ->
-                  if
-                    cpu2.Processor.online
-                    && cpu2.Processor.id <> cpu.Processor.id
-                    && List.exists
-                         (fun (proc : Process.t) ->
-                           proc.Process.status = Process.Ready
-                           && eligible_for_dispatch t ~cpu:cpu2
-                                proc.Process.index)
-                         t.processes
-                  then (cpu2.Processor.clock_ns + 1) :: acc
-                  else acc)
-                candidates t.processors
-            in
-            let future =
-              List.filter (fun c -> c > cpu.Processor.clock_ns) candidates
-            in
-            match future with
-            | [] ->
-              (* No event can ever reach this processor: the machine is
-                 drained (or every remaining process is blocked). *)
-              continue_ := false
-            | _ :: _ ->
-              let target = List.fold_left min max_int future in
-              (* Never idle past the caller's horizon: the bound check at
-                 the top of the loop must fire at the bound, not at some
-                 distant wake time. *)
-              let target =
-                if max_ns < max_int && target > max_ns then max_ns + 1
-                else target
-              in
-              cpu.Processor.idle_ns <-
-                cpu.Processor.idle_ns + (target - cpu.Processor.clock_ns);
-              cpu.Processor.clock_ns <- target)));
-        (* Halt when no user process can make progress any more. *)
-        if not (pending_user_work t) then
-          if not (runnable_somewhere t) then continue_ := false
-        end
-      end
+let has_local_work t = List.exists local_work t.processes
+
+let rec progress_in t ~any_online = function
+  | [] -> false
+  | (proc : Process.t) :: rest ->
+    local_work proc
+    || (match proc.Process.status with
+       | Process.Blocked_send _ | Process.Blocked_receive _ ->
+         (not proc.Process.daemon) && proc.Process.timeout_at <> None
+       | Process.Ready -> (
+         (not proc.Process.stopped)
+         &&
+         match proc.Process.affinity with
+         | None -> any_online
+         | Some id -> t.processors.(id).Processor.online)
+       | Process.Created | Process.Running | Process.Sleeping
+       | Process.Finished | Process.Faulted _ ->
+         false)
+    || progress_in t ~any_online rest
+
+(* Can anything still move?  A processor is running a process; some
+   process has local work; a user process is blocked with an armed
+   deadline (it resumes when the deadline fires at the latest); or a ready
+   process, daemon or not, may be dispatched by an online processor.
+   Daemons that only sleep or wait do not keep the machine running. *)
+let can_progress t =
+  let any_online = ref false and running = ref false in
+  for i = 0 to Array.length t.processors - 1 do
+    let p = t.processors.(i) in
+    if p.Processor.online then begin
+      any_online := true;
+      if p.Processor.current <> None then running := true
     end
   done;
-  t.halted <- true;
-  let completed =
-    List.length
-      (List.filter
-         (fun (p : Process.t) -> p.Process.status = Process.Finished)
-         t.processes)
-  in
-  let faulted =
-    List.length
-      (List.filter
-         (fun (p : Process.t) ->
-           match p.Process.status with Process.Faulted _ -> true | _ -> false)
-         t.processes)
-  in
-  let deadlocked =
-    List.filter_map
-      (fun (p : Process.t) ->
+  !running || progress_in t ~any_online:!any_online t.processes
+
+(* [c] if it is after [now] and before [acc]; [acc = now] means "none
+   yet". *)
+let[@inline] earlier ~now c acc = if c > now && (acc = now || c < acc) then c else acc
+
+let rec idle_walk t (cpu : Processor.t) ~now ~next_online acc = function
+  | [] -> acc
+  | (proc : Process.t) :: rest ->
+    let acc =
+      match proc.Process.status with
+      | Process.Sleeping -> earlier ~now proc.Process.wake_at acc
+      | Process.Blocked_send _ | Process.Blocked_receive _ -> (
+        match proc.Process.timeout_at with
+        | Some deadline -> earlier ~now deadline acc
+        | None -> acc)
+      | Process.Ready when not proc.Process.stopped -> (
+        match proc.Process.affinity with
+        | None -> earlier ~now next_online acc
+        | Some id ->
+          let owner = t.processors.(id) in
+          if id <> cpu.Processor.id && owner.Processor.online then
+            earlier ~now (owner.Processor.clock_ns + 1) acc
+          else acc)
+      | Process.Created | Process.Ready | Process.Running | Process.Finished
+      | Process.Faulted _ ->
+        acc
+    in
+    idle_walk t cpu ~now ~next_online acc rest
+
+(* The next instant at which anything can reach the idle processor [cpu]:
+   a sleeper's wake time, a timed wait's deadline, or another processor's
+   next turn when it is busy or a ready process may run there (one past
+   its clock, so that it goes first).  [cpu]'s own clock when there is
+   none: nothing can ever reach it. *)
+let idle_target t (cpu : Processor.t) =
+  let now = cpu.Processor.clock_ns in
+  let busy = ref now and next_online = ref now in
+  for i = 0 to Array.length t.processors - 1 do
+    let p = t.processors.(i) in
+    if p.Processor.id <> cpu.Processor.id then begin
+      let next = p.Processor.clock_ns + 1 in
+      if p.Processor.current <> None then busy := earlier ~now next !busy;
+      if p.Processor.online then next_online := earlier ~now next !next_online
+    end
+  done;
+  idle_walk t cpu ~now ~next_online:!next_online !busy t.processes
+
+(* Bind the ready process [index] to the idle processor [cpu]. *)
+let dispatch t (cpu : Processor.t) index =
+  let proc = proc_of t index in
+  proc.Process.status <- Process.Running;
+  proc.Process.slice_used_ns <- 0;
+  proc.Process.dispatches <- proc.Process.dispatches + 1;
+  cpu.Processor.current <- Some index;
+  cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
+  Obs.Metrics.incr t.mon.mon_dispatches;
+  Obs.Metrics.observe t.mon.mon_dispatch_latency
+    (float_of_int (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns)));
+  Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
+  emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:cpu.Processor.id
+    ~b:0 k_dispatch;
+  t.current <- Some cpu;
+  charge t t.timings.Timings.dispatch_ns;
+  t.current <- None
+
+(* One step on [cpu], the online processor with the smallest clock: wake
+   the sleepers and expire the deadlines it has reached (events stamped on
+   it), then run its process up to the next syscall, dispatch a ready
+   process onto it, or idle it to [idle_target].  [false] when it is idle
+   and nothing can ever reach it. *)
+let step t (cpu : Processor.t) ~max_ns =
+  t.current <- Some cpu;
+  wake_sleepers t ~horizon:cpu.Processor.clock_ns;
+  if t.timed_waiters > 0 then fire_timeouts t ~horizon:cpu.Processor.clock_ns;
+  t.current <- None;
+  match cpu.Processor.current with
+  | Some _ ->
+    step_process t cpu;
+    true
+  | None -> (
+    match Dispatch.pop t.dispatch ~eligible:(eligible_for_dispatch t ~cpu) with
+    | Some index ->
+      dispatch t cpu index;
+      true
+    | None ->
+      let target = idle_target t cpu in
+      target > cpu.Processor.clock_ns
+      &&
+      (* Never idle past the caller's horizon: the bound check must fire
+         at the bound, not at some distant wake time.  [target > max_ns]
+         never holds when [max_ns = max_int], so [max_ns + 1] cannot
+         wrap. *)
+      let target = if target > max_ns then max_ns + 1 else target in
+      cpu.Processor.idle_ns <-
+        cpu.Processor.idle_ns + (target - cpu.Processor.clock_ns);
+      cpu.Processor.clock_ns <- target;
+      true)
+
+let report t =
+  let completed, faulted, deadlocked =
+    List.fold_left
+      (fun ((c, f, d) as acc) (p : Process.t) ->
         match p.Process.status with
+        | Process.Finished -> (c + 1, f, d)
+        | Process.Faulted _ -> (c, f + 1, d)
         | Process.Blocked_send _ | Process.Blocked_receive _ ->
-          Some p.Process.name
-        | _ -> None)
-      t.processes
+          (c, f, p.Process.name :: d)
+        | Process.Created | Process.Ready | Process.Running
+        | Process.Sleeping ->
+          acc)
+      (0, 0, []) t.processes
   in
   {
     elapsed_ns = now t;
     completed;
     faulted;
-    deadlocked;
+    deadlocked = List.rev deadlocked;
     dispatches = Dispatch.dispatches_of t.dispatch;
     preemptions = t.preemptions;
   }
+
+(* Each iteration is one step (what [max_steps] counts) on the online
+   processor with the smallest clock, after the injections it has reached
+   fire; an injection may take that very processor offline, and then the
+   iteration only asks the halting question. *)
+let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
+  let steps = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    incr steps;
+    continue_ :=
+      !steps <= max_steps
+      &&
+      match min_clock_processor t with
+      | None -> false (* every GDP has hard-faulted *)
+      | Some cpu ->
+        cpu.Processor.clock_ns <= max_ns
+        &&
+        (if t.injections <> [] then fire_injections t cpu;
+         ((not cpu.Processor.online) || step t cpu ~max_ns) && can_progress t)
+  done;
+  report t
 
 (* Stepping is exclusive: mark the machine (and claim its metrics
    registry) for the calling domain, run, then release.  Two overlapping

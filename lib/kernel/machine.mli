@@ -94,8 +94,6 @@ val charge : t -> int -> unit
 val compute : t -> int -> unit
 val read_word : t -> Access.t -> offset:int -> int
 val write_word : t -> Access.t -> offset:int -> int -> unit
-val read_byte : t -> Access.t -> offset:int -> int
-val write_byte : t -> Access.t -> offset:int -> int -> unit
 val read_bytes : t -> Access.t -> offset:int -> len:int -> Bytes.t
 val write_bytes : t -> Access.t -> offset:int -> Bytes.t -> unit
 val load_access : t -> Access.t -> slot:int -> Access.t option
@@ -251,6 +249,15 @@ val txn_applied_keys : t -> int list
     ports into frames and lands reconstructed messages in home ports.
     Unreachable without a cluster, so single-machine runs are unchanged. *)
 
+(** Queue [msg] at a port on behalf of no process, then hand the queue
+    head to a parked receiver, if any, readying it.  Counts the send (and
+    the receive when one is served); the caller checks for room.  [true]
+    when a receiver was served.  Every delivery made on behalf of no
+    process goes through it: the NIC, the fault port, the scheduler port
+    and the collector's destruction filters. *)
+val post :
+  t -> Port.t -> ?txn:int -> msg:Access.t -> priority:int -> unit -> bool
+
 (** Deliver a message into a port from outside the run loop, waking a
     blocked receiver exactly as a local send would.  [false] when the
     queue is full.  [txn] re-tags the message with the committing
@@ -337,7 +344,15 @@ val set_fault_hook : t -> (Process.t -> Fault.cause -> unit) option -> unit
 
 (** {1 Running} *)
 
-(** Run until no non-daemon process can make progress, or a bound is hit. *)
+(** A live non-daemon process could run without outside input: it is in
+    the dispatching mix and created, ready or running, or it sleeps.
+    Port-blocked processes do not count.  One walk over the processes. *)
+val has_local_work : t -> bool
+
+(** Run until nothing can make progress, or a bound is hit.  Nothing can
+    when no processor is running a process, no process has local work
+    ({!has_local_work}), no user process waits with an armed deadline,
+    and no ready process may be dispatched by an online processor. *)
 val run : ?max_ns:int -> ?max_steps:int -> t -> run_report
 
 (** Sum of busy time across processors: the "total processing power"

@@ -788,32 +788,15 @@ let run_round t pool ~horizon =
   retransmit_due t ~horizon;
   deliver_due t ~horizon
 
-(* A node still owes virtual time when any live non-daemon process could
-   run without external input: dispatchable (Created/Ready/Running) or on
-   a timer (Sleeping).  Port-blocked processes don't count — they only
-   move if a frame arrives, and frames are tracked separately.  Without
-   this, one-way traffic can stall the round loop early: the interconnect
-   goes silent while a receiver machine still has a backlog to serve, and
-   a round whose horizon lands inside a processor's overshoot sees no
-   clock movement at all. *)
+(* A node still owes virtual time when it has local work
+   ({!K.Machine.has_local_work}); port-blocked processes move only if a
+   frame arrives, and frames are tracked separately.  Without this,
+   one-way traffic can stall the round loop early: the interconnect goes
+   silent while a receiver machine still has a backlog to serve, and a
+   round whose horizon lands inside a processor's overshoot sees no clock
+   movement at all. *)
 let local_work t =
-  Array.exists
-    (fun n ->
-      n.n_alive
-      && List.exists
-        (fun (p : K.Process.t) ->
-          (not p.K.Process.daemon)
-          && (not p.K.Process.stopped)
-          &&
-          match p.K.Process.status with
-          | K.Process.Created | K.Process.Ready | K.Process.Running
-          | K.Process.Sleeping ->
-            true
-          | K.Process.Blocked_send _ | K.Process.Blocked_receive _
-          | K.Process.Finished | K.Process.Faulted _ ->
-            false)
-        (K.Machine.all_processes n.machine))
-    t.nodes
+  Array.exists (fun n -> n.n_alive && K.Machine.has_local_work n.machine) t.nodes
 
 let run_engine t ~pool ~quantum_ns ~max_rounds =
   let rounds = ref 0 in

@@ -213,6 +213,29 @@ let test_destruction_filter_delivers () =
   | [ corpse ] -> Alcotest.(check int) "same object" inst_index (Access.index corpse)
   | _ -> Alcotest.fail "expected exactly one corpse"
 
+(* A type manager already parked on its filter port is woken by the
+   delivery, like any receiver: the corpse does not sit beside it. *)
+let test_destruction_filter_wakes_parked_manager () =
+  let m, c = mk () in
+  let table = K.Machine.table m in
+  let sro = K.Machine.global_sro m in
+  let td = Type_def.create table sro ~name:"resource" in
+  let port = K.Machine.create_port m ~capacity:8 ~discipline:K.Port.Fifo () in
+  G.Destruction_filter.register table ~typedef:td ~port;
+  let inst = Type_def.create_instance table td sro ~data_length:16 ~access_length:0 in
+  let inst_index = Access.index inst in
+  let got = ref None in
+  ignore
+    (K.Machine.spawn m ~name:"manager" (fun () ->
+         got := Some (Access.index (K.Machine.receive m ~port))));
+  let parked = K.Machine.run m in
+  Alcotest.(check (list string)) "manager parked" [ "manager" ]
+    parked.K.Machine.deadlocked;
+  let _ = collect m c in
+  Alcotest.(check int) "filtered count" 1 (G.Collector.stats c).G.Collector.filtered;
+  Alcotest.(check (option int)) "manager received the corpse" (Some inst_index) !got;
+  Alcotest.(check (list string)) "invariants hold" [] (I432_fi.Fi.check_invariants m)
+
 let test_unfiltered_custom_freed () =
   let m, c = mk () in
   let table = K.Machine.table m in
@@ -351,6 +374,8 @@ let suite =
      test_write_barrier_preserves_concurrent_store);
     ("allocation during mark survives", `Quick, test_allocation_during_mark_survives);
     ("destruction filter delivers", `Quick, test_destruction_filter_delivers);
+    ("destruction filter wakes parked manager", `Quick,
+     test_destruction_filter_wakes_parked_manager);
     ("unfiltered custom freed", `Quick, test_unfiltered_custom_freed);
     ("filtered corpse not recollected", `Quick, test_filtered_corpse_not_recollected);
     ("lost process recovered", `Quick, test_lost_process_recovered);

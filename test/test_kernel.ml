@@ -566,6 +566,158 @@ let test_port_transfer_characterisation () =
     Alcotest.failf "port transfer cases differ:\n%s"
       (String.concat "\n" (List.rev !bad))
 
+(* ---------------- Run-loop characterisation ---------------- *)
+
+(* How the run loop steps, idles and halts.  A case renders as one line:
+   the run report (elapsed, completed/faulted, deadlocked,
+   dispatches/preemptions), each processor's clock/idle time, and the
+   event sequence as kind:name (spawns and allocations omitted). *)
+
+let loop_case ~processors ?max_ns ?max_steps setup =
+  let m = Testkit.mk ~processors ~trace:true () in
+  setup m;
+  let r = run ?max_ns ?max_steps m in
+  let cpus =
+    List.map
+      (fun (c : K.Snapshot.processor_line) ->
+        Printf.sprintf "%d/%d" c.K.Snapshot.c_clock_ns c.K.Snapshot.c_idle_ns)
+      (K.Snapshot.capture m).K.Snapshot.processors
+  in
+  let kinds =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Spawn | Obs.Event.Allocate -> None
+        | k -> Some (Obs.Event.kind_to_string k ^ ":" ^ e.Obs.Event.name))
+      (K.Machine.events m)
+  in
+  Printf.sprintf "%d %d/%d [%s] %d/%d | %s | %s" r.K.Machine.elapsed_ns
+    r.K.Machine.completed r.K.Machine.faulted
+    (String.concat "," r.K.Machine.deadlocked)
+    r.K.Machine.dispatches r.K.Machine.preemptions (String.concat " " cpus)
+    (String.concat " " kinds)
+
+(* [n] rounds of 100 compute units, yielding between rounds. *)
+let spinner m ?daemon name n =
+  K.Machine.spawn m ?daemon ~name (fun () ->
+      for _ = 1 to n do
+        K.Machine.compute m 100;
+        K.Machine.yield m
+      done)
+
+let ping_pong m =
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let msg = Testkit.alloc m () in
+  ignore
+    (K.Machine.spawn m ~name:"rx" (fun () ->
+         for _ = 1 to 2 do
+           ignore (K.Machine.receive m ~port)
+         done));
+  ignore
+    (K.Machine.spawn m ~name:"tx" (fun () ->
+         for _ = 1 to 2 do
+           K.Machine.send m ~port ~msg
+         done))
+
+let loop_rows =
+  [
+    ( "ready process bound to a busy cpu",
+      (fun () ->
+        loop_case ~processors:2 (fun m ->
+            K.Machine.set_affinity m (spinner m "owner" 3) (Some 0);
+            K.Machine.set_affinity m (spinner m "bound" 1) (Some 0))) );
+    ( "affinity to a failed cpu",
+      (fun () ->
+        loop_case ~processors:2 (fun m ->
+            K.Machine.fail_processor m 1;
+            K.Machine.set_affinity m (spinner m "orphan" 1) (Some 1);
+            ignore (spinner m "worker" 2))) );
+    ( "sleeper kept company by a daemon",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            ignore
+              (K.Machine.spawn m ~daemon:true ~name:"tick" (fun () ->
+                   while true do
+                     K.Machine.delay m ~ns:30_000
+                   done));
+            ignore
+              (K.Machine.spawn m ~name:"sleeper" (fun () ->
+                   K.Machine.delay m ~ns:100_000)))) );
+    ( "stopped ready non-daemon",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            K.Machine.set_stopped m (spinner m "held" 1) true;
+            ignore (spinner m "worker" 2))) );
+    ( "timed receive past max_ns",
+      (fun () ->
+        loop_case ~processors:1 ~max_ns:200_000 (fun m ->
+            let port =
+              K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo ()
+            in
+            ignore
+              (K.Machine.spawn m ~name:"waiter" (fun () ->
+                   ignore
+                     (K.Machine.receive_timeout m ~port ~timeout_ns:1_000_000)))))
+    );
+    ( "far sleeper, unbounded",
+      (fun () ->
+        loop_case ~processors:2 (fun m ->
+            ignore
+              (K.Machine.spawn m ~name:"far" (fun () ->
+                   K.Machine.delay m ~ns:(1 lsl 60))))) );
+    ( "every cpu failed mid-run",
+      (fun () ->
+        loop_case ~processors:2 (fun m ->
+            ignore (spinner m "a" 10);
+            ignore (spinner m "b" 10);
+            K.Machine.schedule_injection m ~at_ns:150_000
+              (K.Machine.Inj_cpu_fault 0);
+            K.Machine.schedule_injection m ~at_ns:250_000
+              (K.Machine.Inj_cpu_fault 1))) );
+    ("max_steps 1", fun () -> loop_case ~processors:1 ~max_steps:1 ping_pong);
+    ("max_steps 2", fun () -> loop_case ~processors:1 ~max_steps:2 ping_pong);
+    ("max_steps 7", fun () -> loop_case ~processors:1 ~max_steps:7 ping_pong);
+  ]
+
+(* A differing or missing case fails with its rendered line, ready to
+   paste here. *)
+let loop_expected =
+  [
+    ("ready process bound to a busy cpu",
+     "632401 2/0 [] 6/0 | 632400/0 632401/632401 | ready:owner ready:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:bound yield:bound ready:bound deschedule:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:bound finish:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:owner finish:owner");
+    ("affinity to a failed cpu",
+     "316200 1/0 [] 3/0 | 316200/0 0/0 | cpu-offline: ready:orphan ready:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker finish:worker");
+    ("sleeper kept company by a daemon",
+     "188000 1/0 [] 6/0 | 188000/56000 | ready:tick ready:sleeper dispatch:tick sleep:tick deschedule:tick dispatch:sleeper sleep:sleeper deschedule:sleeper wake:tick ready:tick dispatch:tick sleep:tick deschedule:tick wake:tick ready:tick dispatch:tick sleep:tick deschedule:tick wake:sleeper ready:sleeper dispatch:sleeper wake:tick ready:tick finish:sleeper dispatch:tick sleep:tick deschedule:tick");
+    ("stopped ready non-daemon",
+     "310000 1/0 [] 3/0 | 310000/0 | ready:held stop:held ready:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker finish:worker");
+    ("timed receive past max_ns",
+     "200001 0/0 [waiter] 1/0 | 200001/150001 | ready:waiter dispatch:waiter block-receive:waiter deschedule:waiter");
+    ("far sleeper, unbounded",
+     "1152921504606891857 1/0 [] 2/0 | 1152921504606891856/1152921504606846976 1152921504606891857/1152921504606891857 | ready:far dispatch:far sleep:far deschedule:far wake:far ready:far dispatch:far finish:far");
+    ("every cpu failed mid-run",
+     "293760 0/0 [] 4/0 | 169320/0 293760/0 | ready:a ready:b dispatch:a dispatch:b yield:a ready:a deschedule:a yield:b ready:b deschedule:b dispatch:a dispatch:b fi-inject: cpu-offline: proc-requeued:a ready:a yield:b ready:b deschedule:b fi-inject: cpu-offline:");
+    ("max_steps 1",
+     "22000 0/0 [] 1/0 | 22000/0 | ready:rx ready:tx dispatch:rx");
+    ("max_steps 2",
+     "50000 0/0 [rx] 1/0 | 50000/0 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx");
+    ("max_steps 7",
+     "118000 1/0 [] 3/0 | 118000/0 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx send:tx finish:tx dispatch:rx");
+  ]
+
+let test_run_loop_characterisation () =
+  let bad =
+    List.filter_map
+      (fun (name, case) ->
+        let got = case () in
+        match List.assoc_opt name loop_expected with
+        | Some want when want = got -> None
+        | Some _ | None -> Some (Printf.sprintf "    (%S,\n     %S);" name got))
+      loop_rows
+  in
+  if bad <> [] then
+    Alcotest.failf "run loop cases differ:\n%s" (String.concat "\n" bad)
+
 let test_deadlock_detected () =
   let m = mk () in
   let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
@@ -1077,6 +1229,7 @@ let suite =
     ("cond send on full", `Quick, test_cond_send_on_full);
     ("cond receive on empty", `Quick, test_cond_receive_on_empty);
     ("port transfer characterisation", `Quick, test_port_transfer_characterisation);
+    ("run loop characterisation", `Quick, test_run_loop_characterisation);
     ("deadlock detected", `Quick, test_deadlock_detected);
     ("multiprocessor parallel speedup", `Quick, test_multiprocessor_parallel_speedup);
     ("multiprocessor all used", `Quick, test_multiprocessor_all_used);
