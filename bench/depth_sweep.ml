@@ -202,7 +202,7 @@ let deltas rows =
     ]
 
 let to_json ?(bechamel = []) ?trace_overhead ?fi_overhead ?net_rtt ?store_tp
-    ?par_speedup ?swap_overhead ~mode rows =
+    ?par_speedup ?swap_overhead ?run_loop ~mode rows =
   let open Json_out in
   Obj
     [
@@ -230,6 +230,8 @@ let to_json ?(bechamel = []) ?trace_overhead ?fi_overhead ?net_rtt ?store_tp
         match store_tp with Some r -> Store_tp.to_json_tp r | None -> Null );
       ( "ckpt_rt",
         match store_tp with Some r -> Store_tp.to_json_ckpt r | None -> Null );
+      ( "run_loop",
+        match run_loop with Some r -> Run_loop.to_json r | None -> Null );
       ( "units",
         Obj
           [

@@ -45,6 +45,7 @@ let run_micro args =
   let swap_gate = List.mem "--assert-swap-overhead" args in
   let read_gate = List.mem "--assert-store-read" args in
   let append_gate = List.mem "--assert-store-append" args in
+  let run_loop_gate = List.mem "--assert-run-loop" args in
   let out =
     let rec go = function
       | "--out" :: path :: _ -> path
@@ -83,11 +84,13 @@ let run_micro args =
     Store_tp.print_summary store_tp;
     let par_speedup = Par_speedup.measure ~smoke () in
     Par_speedup.print_summary par_speedup;
+    let run_loop = Run_loop.measure ~smoke () in
+    Run_loop.print_summary run_loop;
     let mode = if smoke then "smoke" else "full" in
     Json_out.write_file ~path:out
       (Depth_sweep.to_json ~bechamel:estimates ~trace_overhead:overhead
-         ~fi_overhead ~net_rtt ~store_tp ~par_speedup ~swap_overhead ~mode
-         rows);
+         ~fi_overhead ~net_rtt ~store_tp ~par_speedup ~swap_overhead ~run_loop
+         ~mode rows);
     Printf.printf "wrote %s\n" out;
     if gate && not (Trace_overhead.check overhead) then begin
       Printf.printf "FAIL: trace overhead %.2f%% >= %.1f%% budget\n"
@@ -119,6 +122,14 @@ let run_micro args =
         Store_tp.append_records
         (Store_tp.append_writes_text store_tp)
         (Store_tp.append_limit store_tp);
+      exit 1
+    end;
+    if run_loop_gate && not (Run_loop.check run_loop) then begin
+      Printf.printf
+        "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
+         workers\n"
+        run_loop.Run_loop.paired.Paired.ratio Run_loop.limit
+        Run_loop.test_workers Run_loop.base_workers;
       exit 1
     end
   end

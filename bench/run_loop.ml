@@ -1,0 +1,72 @@
+(* Host cost of the run loop as processes are added: a paired ratio of
+   the host time per request of one loadgen run at 512 workers over the
+   same schedule at 8.  The extra workers only ever wait on the request
+   port, so a run-loop step that costs O(1) in the processes keeps the
+   ratio near 1 (x1.1 on a 2-vCPU x86-64 host); a step that walks every
+   process reads about x4 there.
+
+   One machine, 4 processors, 4 pumps, 4 users at 15k req/s aggregate,
+   20,000 requests per user (2,500 in smoke mode): the scaling run of
+   ROADMAP.md. *)
+
+module Load = I432_load
+
+let base_workers = 8
+let test_workers = 512
+let limit = 2.0
+
+type result = {
+  requests : int;  (* per run *)
+  paired : Paired.t;  (* host ns per run: base 8 workers, test 512 *)
+}
+
+let spec ~smoke =
+  {
+    Load.Arrival.seed = 1;
+    users = 4;
+    sessions = 1;
+    requests_per_session = (if smoke then 2_500 else 20_000);
+    rate_rps = 15_000.0;
+    pattern = Load.Arrival.Poisson;
+    profile = Load.Mix.Typical;
+  }
+
+let measure ~smoke () =
+  let spec = spec ~smoke in
+  let run workers () =
+    let o = Load.Loadgen.run_machine ~processors:4 ~pumps:4 ~workers ~spec () in
+    if o.Load.Loadgen.o_completed <> Load.Arrival.total spec then
+      failwith "run_loop: loadgen run did not complete every request"
+  in
+  {
+    requests = Load.Arrival.total spec;
+    paired =
+      Paired.measure
+        ~trials:(if smoke then 5 else 9)
+        ~batch:1 ~base:(run base_workers) ~test:(run test_workers);
+  }
+
+let per_request ns r = ns /. float_of_int r.requests
+let check r = r.paired.Paired.ratio <= limit
+
+let print_summary r =
+  Printf.printf
+    "Run loop at %d vs %d workers (%d requests): %.0f vs %.0f host ns per \
+     request, median ratio x%.2f (limit x%.1f)\n"
+    test_workers base_workers r.requests
+    (per_request r.paired.Paired.test_ns r)
+    (per_request r.paired.Paired.base_ns r)
+    r.paired.Paired.ratio limit
+
+let to_json r =
+  let open Json_out in
+  Obj
+    [
+      ("requests", Int r.requests);
+      ("base_workers", Int base_workers);
+      ("test_workers", Int test_workers);
+      ("base_ns_per_request", Float (per_request r.paired.Paired.base_ns r));
+      ("test_ns_per_request", Float (per_request r.paired.Paired.test_ns r));
+      ("ratio", Float r.paired.Paired.ratio);
+      ("limit", Float limit);
+    ]

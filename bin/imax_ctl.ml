@@ -1655,6 +1655,18 @@ let swap_cmd =
 let scenario_txn path accounts transfers workers seed cluster kill_ns
     restart_ns ckpt_ns check =
   if accounts < 2 then die "--accounts %d: need at least 2" accounts;
+  let max_transfers = I432_txn.Banking.max_transfers ~cluster in
+  if transfers > max_transfers then begin
+    (* A value the scenario cannot take is a bad invocation, like a flag
+       it does not read: one line on stderr, cmdliner's exit code 124. *)
+    Printf.eprintf
+      "imax_ctl txn: --transfers %d: at most %d%s (the completion port holds \
+       at most %d messages)\n"
+      transfers max_transfers
+      (if cluster then " with --cluster" else "")
+      K.Machine.max_port_capacity;
+    exit Cmd.Exit.cli_error
+  end;
   if kill_ns > 0 && not cluster then
     die "--kill-ns: the kill/rejoin variant needs --cluster";
   let restart_ns =

@@ -95,10 +95,12 @@ let is_valid t index =
   && index < Array.length t.entries
   && (match t.entries.(index) with Some e -> e.valid | None -> false)
 
+let max_access_length = 0x4000
+
 let allocate_entry t ~otype ~base ~data_length ~access_length ~level ~sro =
   if data_length < 0 || data_length > 0x10000 then
     invalid_arg "Object_table: data part exceeds 64K";
-  if access_length < 0 || access_length > 0x4000 then
+  if access_length < 0 || access_length > max_access_length then
     invalid_arg "Object_table: access part too large";
   let index =
     match t.free with

@@ -37,8 +37,12 @@ val lookup : t -> int -> entry
 val entry_of_access : t -> Access.t -> entry
 val is_valid : t -> int -> bool
 
+(** Most access descriptors one object's access part may hold. *)
+val max_access_length : int
+
 (** Low-level descriptor allocation; normally reached through {!Sro.allocate}.
-    Data part is limited to 64 KB, per the architecture. *)
+    Data part is limited to 64 KB, per the architecture; the access part
+    to {!max_access_length} descriptors. *)
 val allocate_entry :
   t ->
   otype:Obj_type.t ->

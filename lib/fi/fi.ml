@@ -180,6 +180,65 @@ let to_string plan =
     plan.events;
   Buffer.contents buf
 
+(* The run loop's progress state against a recount over every process.
+   The recount is this audit's own oracle, written from the definitions
+   in machine.mli, not a second copy of the kernel's bookkeeping. *)
+let check_progress machine =
+  let kept = K.Machine.progress machine in
+  let local = ref 0 and timed = ref 0 and unbound = ref 0 and timers = ref 0 in
+  let bound = Array.make (Array.length kept.K.Machine.ready_bound) 0 in
+  let next = ref None in
+  let timer at =
+    incr timers;
+    next := Some (match !next with Some n -> min n at | None -> at)
+  in
+  List.iter
+    (fun (p : K.Process.t) ->
+      let in_mix = not p.K.Process.stopped and user = not p.K.Process.daemon in
+      match p.K.Process.status with
+      | K.Process.Created | K.Process.Running ->
+        if in_mix && user then incr local
+      | K.Process.Sleeping ->
+        if in_mix && user then incr local;
+        timer p.K.Process.wake_at
+      | K.Process.Ready ->
+        if in_mix then begin
+          if user then incr local;
+          match p.K.Process.affinity with
+          | None -> incr unbound
+          | Some id -> bound.(id) <- bound.(id) + 1
+        end
+      | K.Process.Blocked_send _ | K.Process.Blocked_receive _ -> (
+        match p.K.Process.timeout_at with
+        | Some at ->
+          if user then incr timed;
+          timer at
+        | None -> ())
+      | K.Process.Finished | K.Process.Faulted _ -> ())
+    (K.Machine.all_processes machine);
+  let bad = ref [] in
+  let cmp what kept recount =
+    if kept <> recount then
+      bad :=
+        Printf.sprintf "progress state: %s kept %d, recount %d" what kept
+          recount
+        :: !bad
+  in
+  cmp "local work" kept.K.Machine.local_work !local;
+  cmp "timed waits" kept.K.Machine.timed_waits !timed;
+  cmp "ready unbound" kept.K.Machine.ready_unbound !unbound;
+  Array.iteri
+    (fun id n -> cmp (Printf.sprintf "ready bound to cpu%d" id) n bound.(id))
+    kept.K.Machine.ready_bound;
+  cmp "live timers" kept.K.Machine.live_timers !timers;
+  let show = function Some at -> string_of_int at | None -> "none" in
+  if kept.K.Machine.next_timer <> !next then
+    bad :=
+      Printf.sprintf "progress state: earliest timer kept %s, recount %s"
+        (show kept.K.Machine.next_timer) (show !next)
+      :: !bad;
+  List.rev !bad
+
 (* Post-run invariants.  Violations accumulate as messages; [] = intact. *)
 let check_invariants machine =
   let bad = ref [] in
@@ -272,4 +331,4 @@ let check_invariants machine =
           p.K.Process.name p.K.Process.index pi
       | _ -> ())
     processes;
-  List.rev !bad
+  List.rev_append !bad (check_progress machine)

@@ -120,5 +120,11 @@ val to_string : plan -> string
       queue, and every waiter recorded by a port is a process blocked on
       that port (timed-out waits must leave no dangling queue entries);
     - a port with parked receivers has an empty queue, and a port with
-      parked senders has a full one. *)
+      parked senders has a full one;
+    - the run loop's progress state ({!K.Machine.progress}) matches a
+      recount over every process ({!check_progress}). *)
 val check_invariants : K.Machine.t -> string list
+
+(** The progress-state clause of {!check_invariants} alone.  Unlike the
+    rest, it holds between any two run-loop steps, not only after halt. *)
+val check_progress : K.Machine.t -> string list

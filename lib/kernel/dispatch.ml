@@ -60,34 +60,35 @@ let is_dead t e =
   | Some boundary -> e.seq < boundary
   | None -> false
 
+let rec restore t = function
+  | [] -> ()
+  | e :: stash ->
+    Pqueue.insert t.heap ~priority:e.priority ~seq:e.seq e;
+    restore t stash
+
 (* Pop the first entry accepted by [eligible]; ineligible entries stay.
    Skipped entries are stashed and re-inserted under their original keys,
-   which restores their exact service position. *)
-let pop t ~eligible =
-  let restore stash =
-    List.iter
-      (fun e -> Pqueue.insert t.heap ~priority:e.priority ~seq:e.seq e)
-      stash
-  in
-  let rec go stash =
-    match Pqueue.pop t.heap with
-    | None ->
-      restore stash;
-      None
-    | Some e ->
-      if is_dead t e then go stash
-      else if eligible e.process then begin
-        restore stash;
-        let c = count t e.process - 1 in
-        if c = 0 then Hashtbl.remove t.counts e.process
-        else Hashtbl.replace t.counts e.process c;
-        t.live <- t.live - 1;
-        t.dispatches <- t.dispatches + 1;
-        Some e.process
-      end
-      else go (e :: stash)
-  in
-  go []
+   which restores their exact service position.  Top-level recursion: a
+   pop builds no closure. *)
+let rec pop_from t ~eligible stash =
+  match Pqueue.pop t.heap with
+  | None ->
+    restore t stash;
+    None
+  | Some e ->
+    if is_dead t e then pop_from t ~eligible stash
+    else if eligible e.process then begin
+      restore t stash;
+      let c = count t e.process - 1 in
+      if c = 0 then Hashtbl.remove t.counts e.process
+      else Hashtbl.replace t.counts e.process c;
+      t.live <- t.live - 1;
+      t.dispatches <- t.dispatches + 1;
+      Some e.process
+    end
+    else pop_from t ~eligible (e :: stash)
+
+let pop t ~eligible = pop_from t ~eligible []
 
 let remove t ~process =
   (match Hashtbl.find_opt t.counts process with

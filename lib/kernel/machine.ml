@@ -15,6 +15,7 @@
 
 open I432
 module Obs = I432_obs
+module Pqueue = I432_util.Pqueue
 
 exception Kernel_panic of string
 
@@ -99,6 +100,11 @@ type monitors = {
   mon_alloc_size : Obs.Metrics.histogram;
 }
 
+(* One sleep or port-wait deadline on the timer heap: live while
+   [tm_proc.timer = tm_arm], stale once the process re-arms or a peer
+   serves its wait first. *)
+type timer = { tm_proc : Process.t; tm_at : int; tm_arm : int }
+
 type t = {
   table : Object_table.t;
   memory : Memory.t;
@@ -106,10 +112,22 @@ type t = {
   bus : Bus.t;
   processors : Processor.t array;
   dispatch : Dispatch.t;
+  eligible : (int -> bool) array;  (* per processor: [eligible_for_dispatch] *)
   global_sro : Access.t;
   mutable current : Processor.t option;
+  on_cpu : Processor.t option array;  (* per processor: [Some] it, for [current] *)
+  running : Process.t option array;  (* per processor: what [dispatch] bound *)
   mutable in_body : bool;  (* true while a process body is executing *)
   mutable processes : Process.t list;  (* every process ever created *)
+  mutable spawned : int;  (* ordinals handed out *)
+  (* Progress state (DESIGN.md §6), kept at every transition by [tally]:
+     what the run loop's predicates read instead of walking [processes]. *)
+  mutable n_local_work : int;  (* see [tally] for each count's members *)
+  mutable n_timed_waits : int;
+  mutable n_ready_unbound : int;
+  n_ready_bound : int array;  (* per processor *)
+  timers : timer Pqueue.t;  (* sleeps and deadlines, keyed (-instant, arm) *)
+  mutable timer_arms : int;
   mutable gc_roots : Access.t list;
   obs : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
@@ -123,7 +141,6 @@ type t = {
   mutable inj_seq : int;
   mutable forced_alloc_faults : int;  (* armed by Inj_alloc_fault *)
   mutable pending_port_delay_ns : int;  (* armed by Inj_port_delay *)
-  mutable timed_waiters : int;  (* processes blocked with a deadline *)
   mutable reclaim_hook : (unit -> int) option;  (* allocate_retry's GC *)
   mutable fault_hook : (Process.t -> Fault.cause -> unit) option;
   (* Idempotency keys of applied transaction groups (Txn_try).  Part of
@@ -172,6 +189,25 @@ let make_monitors metrics =
         "alloc.size_bytes";
   }
 
+(* Eligibility for dispatch onto [cpu]: in the mix, ready, and (when the
+   process carries a processor affinity) bound to this processor.  The 432
+   realized such partitioning with multiple dispatching ports; a per-process
+   binding is the equivalent observable behaviour in this model.  [create]
+   partially applies it once per processor, so a pop builds no closure. *)
+let eligible_for_dispatch table ~(cpu : Processor.t) index =
+  let proc = Process.state_of_index table index in
+  (not proc.Process.stopped)
+  && (match proc.Process.status with
+     | Process.Ready -> true
+     | Process.Created | Process.Running | Process.Blocked_send _
+     | Process.Blocked_receive _ | Process.Sleeping | Process.Finished
+     | Process.Faulted _ ->
+       false)
+  &&
+  match proc.Process.affinity with
+  | None -> true
+  | Some id -> id = cpu.Processor.id
+
 let create ?(config = default_config) () =
   if config.processors <= 0 then invalid_arg "Machine.create: processors";
   let metrics = Obs.Metrics.create () in
@@ -201,10 +237,21 @@ let create ?(config = default_config) () =
     bus;
     processors;
     dispatch = Dispatch.create ();
+    eligible =
+      Array.map (fun cpu -> eligible_for_dispatch table ~cpu) processors;
     global_sro;
     current = None;
+    on_cpu = Array.map Option.some processors;
+    running = Array.make config.processors None;
     in_body = false;
     processes = [];
+    spawned = 0;
+    n_local_work = 0;
+    n_timed_waits = 0;
+    n_ready_unbound = 0;
+    n_ready_bound = Array.make config.processors 0;
+    timers = Pqueue.create ();
+    timer_arms = 0;
     gc_roots = [];
     obs =
       Obs.Tracer.create ~capacity:config.trace_capacity
@@ -218,7 +265,6 @@ let create ?(config = default_config) () =
     inj_seq = 0;
     forced_alloc_faults = 0;
     pending_port_delay_ns = 0;
-    timed_waiters = 0;
     reclaim_hook = None;
     fault_hook = None;
     txn_applied = Hashtbl.create 16;
@@ -331,9 +377,9 @@ let charge t ns =
     Obs.Metrics.incr ~by:eff t.mon.mon_charged_ns;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
-    (match p.Processor.current with
-    | Some pi ->
-      let proc = Process.state_of_index t.table pi in
+    (* [running] holds what [dispatch] bound while [current] is [Some]. *)
+    (match (p.Processor.current, t.running.(p.Processor.id)) with
+    | Some _, Some proc ->
       proc.Process.cpu_ns <- proc.Process.cpu_ns + eff;
       proc.Process.slice_used_ns <- proc.Process.slice_used_ns + eff;
       (* Injected transient instruction fault: unwinds as the running
@@ -352,7 +398,7 @@ let charge t ns =
         && proc.Process.slice_used_ns >= t.timings.Timings.time_slice_ns
         && proc.Process.status = Process.Running
       then ignore (Syscall.perform Syscall.Preempt)
-    | None -> ())
+    | None, _ | Some _, None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Checked, time-charged instruction wrappers                          *)
@@ -478,7 +524,7 @@ let running_process t =
   match t.current with
   | Some p -> (
     match p.Processor.current with
-    | Some pi -> Some (Process.state_of_index t.table pi)
+    | Some _ -> t.running.(p.Processor.id)
     | None -> None)
   | None -> None
 
@@ -560,8 +606,16 @@ let set_fault_port t port =
 (* Ports                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A port's queue lives in its object's access part. *)
+let max_port_capacity = Object_table.max_access_length
+
 let create_port t ?(sro = None) ~capacity ~discipline () =
   if capacity < 1 then invalid_arg "Machine.create_port: capacity";
+  if capacity > max_port_capacity then
+    invalid_arg
+      (Printf.sprintf
+         "Machine.create_port: capacity %d exceeds max_port_capacity (%d)"
+         capacity max_port_capacity);
   let sro = match sro with Some s -> s | None -> t.global_sro in
   let access =
     allocate t sro ~data_length:0 ~access_length:capacity ~otype:Obj_type.Port
@@ -586,8 +640,70 @@ let port_stats t access =
 (* Processes                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Progress state.  [tally t proc d] adds [proc]'s share of the counts
+   the run loop's predicates read, with sign [d]:
+   - [n_local_work]: non-daemon processes in the mix that are created,
+     ready, running or asleep;
+   - [n_timed_waits]: non-daemon port waits with an armed deadline;
+   - [n_ready_unbound], [n_ready_bound.(id)]: ready processes in the mix
+     without a binding, or bound to processor [id].
+   Every write to a field a share reads ([status], [stopped], [affinity],
+   [timeout_at]) sits between a [tally t proc (-1)] and a
+   [tally t proc 1]: [set_status], [set_deadline], [set_binding] and
+   [set_stopped] are the only writers, and [spawn] adds each new
+   process's first share. *)
+let tally t (proc : Process.t) d =
+  match proc.Process.status with
+  | Process.Created | Process.Running | Process.Sleeping ->
+    if not (proc.Process.daemon || proc.Process.stopped) then
+      t.n_local_work <- t.n_local_work + d
+  | Process.Ready ->
+    if not proc.Process.stopped then begin
+      if not proc.Process.daemon then t.n_local_work <- t.n_local_work + d;
+      match proc.Process.affinity with
+      | None -> t.n_ready_unbound <- t.n_ready_unbound + d
+      | Some id -> t.n_ready_bound.(id) <- t.n_ready_bound.(id) + d
+    end
+  | Process.Blocked_send _ | Process.Blocked_receive _ -> (
+    match proc.Process.timeout_at with
+    | Some _ when not proc.Process.daemon ->
+      t.n_timed_waits <- t.n_timed_waits + d
+    | Some _ | None -> ())
+  | Process.Finished | Process.Faulted _ -> ()
+
+let[@inline] set_status t (proc : Process.t) status =
+  tally t proc (-1);
+  proc.Process.status <- status;
+  tally t proc 1
+
+let set_binding t (proc : Process.t) affinity =
+  tally t proc (-1);
+  proc.Process.affinity <- affinity;
+  tally t proc 1
+
+(* Put [proc]'s sleep or deadline, due at [at], on the timer heap; any
+   earlier entry of [proc] goes stale.  An instant past [max_int] wraps
+   negative and is due at once, so it is keyed as instant 0. *)
+let arm_timer t (proc : Process.t) at =
+  t.timer_arms <- t.timer_arms + 1;
+  proc.Process.timer <- t.timer_arms;
+  Pqueue.insert t.timers ~priority:(-max 0 at) ~seq:t.timer_arms
+    { tm_proc = proc; tm_at = at; tm_arm = t.timer_arms }
+
+let[@inline] live (tm : timer) = tm.tm_proc.Process.timer = tm.tm_arm
+
+(* Arm ([Some at]) or disarm ([None]) the deadline of [proc]'s port
+   wait; a disarmed deadline's heap entry goes stale. *)
+let set_deadline t (proc : Process.t) deadline =
+  tally t proc (-1);
+  proc.Process.timeout_at <- deadline;
+  (match deadline with
+  | Some at -> arm_timer t proc at
+  | None -> proc.Process.timer <- 0);
+  tally t proc 1
+
 let make_ready t (proc : Process.t) =
-  proc.Process.status <- Process.Ready;
+  set_status t proc Process.Ready;
   proc.Process.last_ready_ns <- now t;
   Dispatch.enqueue t.dispatch ~process:proc.Process.index
     ~priority:proc.Process.priority;
@@ -600,7 +716,7 @@ let make_ready t (proc : Process.t) =
    stopped, in which case it only turns Ready and [set_stopped] enqueues it
    when it is started again. *)
 let[@inline] ready_or_hold t (proc : Process.t) =
-  if proc.Process.stopped then proc.Process.status <- Process.Ready
+  if proc.Process.stopped then set_status t proc Process.Ready
   else make_ready t proc
 
 let proc_of t index = Process.state_of_index t.table index
@@ -625,9 +741,7 @@ let proc_of t index = Process.state_of_index t.table index
    re-enter the mix. *)
 let[@inline] wake t (proc : Process.t) result =
   (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1
+  | Some _ -> set_deadline t proc None
   | None -> ());
   proc.Process.pending <- result;
   ready_or_hold t proc
@@ -726,18 +840,17 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     Object_table.shade t.table (Access.index msg);
     Port.push_sender p ~sender:proc.Process.index ~msg
       ~priority:proc.Process.priority;
-    proc.Process.status <- Process.Blocked_send p.Port.self
+    set_status t proc (Process.Blocked_send p.Port.self)
   | None ->
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
     Obs.Metrics.incr t.mon.mon_receive_blocks;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
       k_block_receive;
     Port.push_receiver p proc.Process.index;
-    proc.Process.status <- Process.Blocked_receive p.Port.self);
+    set_status t proc (Process.Blocked_receive p.Port.self));
   (match wait with
   | Syscall.Timeout ns ->
-    proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + ns);
-    t.timed_waiters <- t.timed_waiters + 1
+    set_deadline t proc (Some (cpu.Processor.clock_ns + ns))
   | Syscall.Block -> ());
   cpu.Processor.current <- None;
   false
@@ -775,6 +888,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   let proc =
     {
       Process.index = e.Object_table.index;
+      ordinal = t.spawned;
       name;
       daemon;
       code = Process.Not_started body;
@@ -784,6 +898,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
       pending = Syscall.R_unit;
       wake_at = 0;
       timeout_at = None;
+      timer = 0;
       cpu_ns = 0;
       slice_used_ns = 0;
       last_ready_ns = 0;
@@ -804,6 +919,8 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   proc.Process.trace_name_id <- Obs.Tracer.string_id t.obs name;
   e.Object_table.payload <- Some (Process.Process_state proc);
   t.processes <- proc :: t.processes;
+  t.spawned <- t.spawned + 1;
+  tally t proc 1;
   Obs.Metrics.incr t.mon.mon_spawns;
   emit t ~name ~a:proc.Process.index Obs.Event.Spawn;
   (match start_after with
@@ -812,8 +929,9 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
     (* Delayed start (used by supervision backoff): park the fresh process
        as a sleeper; the run loop readies it when the delay elapses. *)
     if ns < 0 then invalid_arg "Machine.spawn: start_after";
-    proc.Process.status <- Process.Sleeping;
-    proc.Process.wake_at <- now t + ns);
+    set_status t proc Process.Sleeping;
+    proc.Process.wake_at <- now t + ns;
+    arm_timer t proc proc.Process.wake_at);
   access
 
 let process_state t access = Process.state_of t.table access
@@ -824,7 +942,9 @@ let process_state t access = Process.state_of t.table access
 let set_stopped t access stopped =
   let proc = Process.state_of t.table access in
   if proc.Process.stopped <> stopped then begin
+    tally t proc (-1);
     proc.Process.stopped <- stopped;
+    tally t proc 1;
     if stopped then begin
       (match proc.Process.status with
       | Process.Ready -> Dispatch.remove t.dispatch ~process:proc.Process.index
@@ -867,8 +987,7 @@ let set_affinity t access affinity =
   | Some id when id < 0 || id >= Array.length t.processors ->
     invalid_arg "Machine.set_affinity: no such processor"
   | Some _ | None -> ());
-  let proc = Process.state_of t.table access in
-  proc.Process.affinity <- affinity
+  set_binding t (Process.state_of t.table access) affinity
 
 (* GC root registration: explicit roots plus per-process shadow stacks. *)
 
@@ -936,19 +1055,6 @@ let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Eligibility for dispatch onto [cpu]: in the mix, ready, and (when the
-   process carries a processor affinity) bound to this processor.  The 432
-   realized such partitioning with multiple dispatching ports; a per-process
-   binding is the equivalent observable behaviour in this model. *)
-let eligible_for_dispatch t ~cpu index =
-  let proc = proc_of t index in
-  (not proc.Process.stopped)
-  && proc.Process.status = Process.Ready
-  &&
-  match proc.Process.affinity with
-  | None -> true
-  | Some id -> id = cpu.Processor.id
 
 (* ------------------------------------------------------------------ *)
 (* Interconnect hooks (lib/net)                                        *)
@@ -1077,7 +1183,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     ready_or_hold t proc;
     false
   | Syscall.Exit ->
-    proc.Process.status <- Process.Finished;
+    set_status t proc Process.Finished;
     proc.Process.code <- Process.Terminated;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_exit;
     cpu.Processor.current <- None;
@@ -1086,8 +1192,9 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     if ns < 0 then invalid_arg "delay: negative";
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:ns ~b:0 k_sleep;
     proc.Process.pending <- Syscall.R_unit;
-    proc.Process.status <- Process.Sleeping;
+    set_status t proc Process.Sleeping;
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
+    arm_timer t proc proc.Process.wake_at;
     cpu.Processor.current <- None;
     false
   | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
@@ -1248,7 +1355,7 @@ let record_fault t (proc : Process.t) cause =
   Obs.Metrics.incr t.mon.mon_faults;
   emit t ~name:proc.Process.name ~detail:(Fault.to_string cause)
     Obs.Event.Fault;
-  proc.Process.status <- Process.Faulted cause;
+  set_status t proc (Process.Faulted cause);
   proc.Process.code <- Process.Terminated;
   if proc.Process.system_level < 3 then
     raise
@@ -1271,44 +1378,40 @@ let record_fault t (proc : Process.t) cause =
      corpse is routed, and only for faults the machine survives. *)
   match t.fault_hook with None -> () | Some hook -> hook proc cause
 
-(* Execute one step of the process current on [cpu]. *)
-let step_process t (cpu : Processor.t) =
-  match cpu.Processor.current with
-  | None -> ()
-  | Some index ->
-    let proc = proc_of t index in
-    t.current <- Some cpu;
-    t.in_body <- true;
-    let outcome = Process.step proc in
-    t.in_body <- false;
-    t.current <- None;
-    (match outcome with
-    | Process.Completed ->
-      proc.Process.status <- Process.Finished;
+(* Execute one step of [proc], the process current on [cpu]. *)
+let step_process t (cpu : Processor.t) (proc : Process.t) =
+  t.current <- t.on_cpu.(cpu.Processor.id);
+  t.in_body <- true;
+  let outcome = Process.step proc in
+  t.in_body <- false;
+  t.current <- None;
+  match outcome with
+  | Process.Completed ->
+    set_status t proc Process.Finished;
+    cpu.Processor.current <- None;
+    emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_finish
+  | Process.Raised (Fault.Fault cause) ->
+    cpu.Processor.current <- None;
+    record_fault t proc cause
+  | Process.Raised e ->
+    cpu.Processor.current <- None;
+    record_fault t proc (Fault.Protocol (Printexc.to_string e))
+  | Process.Pending (op, k) -> (
+    proc.Process.code <- Process.Suspended k;
+    t.current <- t.on_cpu.(cpu.Processor.id);
+    (* Faults detected while servicing the syscall (rights, types) are
+       the faulting process's own. *)
+    match handle_syscall t cpu proc op with
+    | still_current ->
+      t.current <- None;
+      if still_current then ()
+      else
+        emit_on t cpu ~name:proc.Process.name
+          ~detail:(Syscall.op_to_string op) Obs.Event.Deschedule
+    | exception Fault.Fault cause ->
+      t.current <- None;
       cpu.Processor.current <- None;
-      emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_finish
-    | Process.Raised (Fault.Fault cause) ->
-      cpu.Processor.current <- None;
-      record_fault t proc cause
-    | Process.Raised e ->
-      cpu.Processor.current <- None;
-      record_fault t proc (Fault.Protocol (Printexc.to_string e))
-    | Process.Pending (op, k) -> (
-      proc.Process.code <- Process.Suspended k;
-      t.current <- Some cpu;
-      (* Faults detected while servicing the syscall (rights, types) are
-         the faulting process's own. *)
-      match handle_syscall t cpu proc op with
-      | still_current ->
-        t.current <- None;
-        if still_current then ()
-        else
-          emit_on t cpu ~name:proc.Process.name
-            ~detail:(Syscall.op_to_string op) Obs.Event.Deschedule
-      | exception Fault.Fault cause ->
-        t.current <- None;
-        cpu.Processor.current <- None;
-        record_fault t proc cause))
+      record_fault t proc cause)
 
 (* ------------------------------------------------------------------ *)
 (* Processor failure and injection plans                               *)
@@ -1334,7 +1437,7 @@ let fail_processor t id =
       cpu.Processor.current <- None;
       let proc = proc_of t pi in
       proc.Process.slice_used_ns <- 0;
-      proc.Process.affinity <- None;
+      set_binding t proc None;
       Obs.Metrics.incr t.mon.mon_requeues;
       emit_on t cpu ~name:proc.Process.name ~a:pi ~b:id
         Obs.Event.Proc_requeued;
@@ -1343,7 +1446,7 @@ let fail_processor t id =
     List.iter
       (fun (proc : Process.t) ->
         match proc.Process.affinity with
-        | Some a when a = id -> proc.Process.affinity <- None
+        | Some a when a = id -> set_binding t proc None
         | Some _ | None -> ())
       t.processes
   end
@@ -1389,7 +1492,7 @@ let fire_injections t (cpu : Processor.t) =
     match t.injections with
     | (at, _, inj) :: rest when at <= cpu.Processor.clock_ns ->
       t.injections <- rest;
-      t.current <- Some cpu;
+      t.current <- t.on_cpu.(cpu.Processor.id);
       Obs.Metrics.incr t.mon.mon_injections;
       emit t
         ~detail:(injection_to_string inj)
@@ -1401,93 +1504,90 @@ let fire_injections t (cpu : Processor.t) =
   in
   go ()
 
-(* Fire expired deadlines of timed sends/receives: surgically remove the
-   process from the port's blocked queue, deliver the documented
-   give-up result, and re-enter the dispatching mix.  Only called when
-   [timed_waiters > 0]. *)
-let fire_timeouts t ~horizon =
-  let give_up (proc : Process.t) pi ~b result =
+(* The processes whose live timers are due at [horizon], popped off the
+   heap (stale entries are dropped on the way). *)
+let rec pop_due t ~horizon acc =
+  if Pqueue.front_priority t.timers ~empty:min_int < -horizon then acc
+  else
+    match Pqueue.pop t.timers with
+    | None -> acc
+    | Some tm -> pop_due t ~horizon (if live tm then tm.tm_proc :: acc else acc)
+
+let wake_sleeper t (proc : Process.t) =
+  match proc.Process.status with
+  | Process.Sleeping ->
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
+    ready_or_hold t proc
+  | _ -> ()
+
+(* An expired deadline surgically removes its process from the port's
+   blocked queue and delivers the documented give-up result. *)
+let expire t (proc : Process.t) =
+  let give_up pi ~b result =
     Obs.Metrics.incr t.mon.mon_timeouts;
     emit t ~name:proc.Process.name ~a:pi ~b Obs.Event.Timeout_fired;
     wake t proc result
   in
-  List.iter
-    (fun (proc : Process.t) ->
-      match (proc.Process.timeout_at, proc.Process.status) with
-      | Some deadline, Process.Blocked_receive pi when deadline <= horizon ->
-        let p = Port.state_of_index t.table pi in
-        ignore (Port.remove_receiver p ~index:proc.Process.index);
-        give_up proc pi ~b:1 (Syscall.R_msg_option None)
-      | Some deadline, Process.Blocked_send pi when deadline <= horizon ->
-        let p = Port.state_of_index t.table pi in
-        (* The parked message is withdrawn with its sender. *)
-        ignore (Port.remove_sender p ~index:proc.Process.index);
-        give_up proc pi ~b:0 (Syscall.R_accepted false)
-      | _ -> ())
-    t.processes
-
-(* Wake sleepers whose deadline has passed relative to [horizon]. *)
-let wake_sleepers t ~horizon =
-  List.iter
-    (fun (proc : Process.t) ->
-      if proc.Process.status = Process.Sleeping && proc.Process.wake_at <= horizon
-      then begin
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
-        ready_or_hold t proc
-      end)
-    t.processes
-
-(* The online processor with the smallest clock (ties by id), or [None]
-   when every GDP has hard-faulted. *)
-let min_clock_processor t =
-  Array.fold_left
-    (fun acc p ->
-      if not p.Processor.online then acc
-      else
-        match acc with
-        | None -> Some p
-        | Some best ->
-          if p.Processor.clock_ns < best.Processor.clock_ns then Some p
-          else acc)
-    None t.processors
-
-(* The progress rule: three predicates, each one walk over [t.processes]
-   that allocates nothing.  [has_local_work] is the per-node test the
-   cluster's round loop also asks, [can_progress] decides halting, and
-   [idle_target] is where an idle processor's clock goes next. *)
-
-(* A live user process that owes virtual time without outside input:
-   in the mix and dispatchable, running, or on a timer.  Port-blocked
-   processes move only when a message arrives. *)
-let local_work (proc : Process.t) =
-  (not proc.Process.daemon)
-  && (not proc.Process.stopped)
-  &&
   match proc.Process.status with
-  | Process.Created | Process.Ready | Process.Running | Process.Sleeping -> true
-  | Process.Blocked_send _ | Process.Blocked_receive _ | Process.Finished
-  | Process.Faulted _ ->
-    false
+  | Process.Blocked_receive pi ->
+    let p = Port.state_of_index t.table pi in
+    ignore (Port.remove_receiver p ~index:proc.Process.index);
+    give_up pi ~b:1 (Syscall.R_msg_option None)
+  | Process.Blocked_send pi ->
+    let p = Port.state_of_index t.table pi in
+    (* The parked message is withdrawn with its sender. *)
+    ignore (Port.remove_sender p ~index:proc.Process.index);
+    give_up pi ~b:0 (Syscall.R_accepted false)
+  | _ -> ()
 
-let has_local_work t = List.exists local_work t.processes
+(* Wake the sleepers and expire the port-wait deadlines due at [horizon]
+   (DESIGN.md §6), in the order the run loop always used: every sleeper
+   before every deadline, and newest-spawned first within each. *)
+let fire_timers t ~horizon =
+  match pop_due t ~horizon [] with
+  | [] -> ()
+  | due ->
+    let due =
+      List.sort
+        (fun (a : Process.t) (b : Process.t) ->
+          Int.compare b.Process.ordinal a.Process.ordinal)
+        due
+    in
+    List.iter (wake_sleeper t) due;
+    List.iter (expire t) due
 
-let rec progress_in t ~any_online = function
-  | [] -> false
-  | (proc : Process.t) :: rest ->
-    local_work proc
-    || (match proc.Process.status with
-       | Process.Blocked_send _ | Process.Blocked_receive _ ->
-         (not proc.Process.daemon) && proc.Process.timeout_at <> None
-       | Process.Ready -> (
-         (not proc.Process.stopped)
-         &&
-         match proc.Process.affinity with
-         | None -> any_online
-         | Some id -> t.processors.(id).Processor.online)
-       | Process.Created | Process.Running | Process.Sleeping
-       | Process.Finished | Process.Faulted _ ->
-         false)
-    || progress_in t ~any_online rest
+(* The earliest live timer, or [min_int] when none is armed; stale
+   entries at the front are dropped on the way. *)
+let rec next_timer t =
+  match Pqueue.peek t.timers with
+  | None -> min_int
+  | Some tm when live tm -> tm.tm_at
+  | Some _ ->
+    ignore (Pqueue.pop t.timers);
+    next_timer t
+
+(* The index of the online processor with the smallest clock (ties by
+   id), or [-1] when every GDP has hard-faulted. *)
+let min_clock_processor t =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.processors - 1 do
+    let p = t.processors.(i) in
+    if
+      p.Processor.online
+      && (!best < 0
+         || p.Processor.clock_ns < t.processors.(!best).Processor.clock_ns)
+    then best := i
+  done;
+  !best
+
+(* The progress rule: three predicates that read the progress state
+   ([tally]) and the timer heap instead of walking the processes.
+   [has_local_work] is the per-node test the cluster's round loop also
+   asks, [can_progress] decides halting, and [idle_target] is where an
+   idle processor's clock goes next.  [Fi.check_invariants] audits the
+   counts against a recount. *)
+
+let has_local_work t = t.n_local_work > 0
 
 (* Can anything still move?  A processor is running a process; some
    process has local work; a user process is blocked with an armed
@@ -1495,69 +1595,60 @@ let rec progress_in t ~any_online = function
    process, daemon or not, may be dispatched by an online processor.
    Daemons that only sleep or wait do not keep the machine running. *)
 let can_progress t =
-  let any_online = ref false and running = ref false in
+  t.n_local_work > 0 || t.n_timed_waits > 0
+  ||
+  let any_online = ref false and runnable = ref false in
   for i = 0 to Array.length t.processors - 1 do
     let p = t.processors.(i) in
     if p.Processor.online then begin
       any_online := true;
-      if p.Processor.current <> None then running := true
+      match p.Processor.current with
+      | Some _ -> runnable := true
+      | None -> if t.n_ready_bound.(i) > 0 then runnable := true
     end
   done;
-  !running || progress_in t ~any_online:!any_online t.processes
+  !runnable || (!any_online && t.n_ready_unbound > 0)
 
 (* [c] if it is after [now] and before [acc]; [acc = now] means "none
    yet". *)
 let[@inline] earlier ~now c acc = if c > now && (acc = now || c < acc) then c else acc
 
-let rec idle_walk t (cpu : Processor.t) ~now ~next_online acc = function
-  | [] -> acc
-  | (proc : Process.t) :: rest ->
-    let acc =
-      match proc.Process.status with
-      | Process.Sleeping -> earlier ~now proc.Process.wake_at acc
-      | Process.Blocked_send _ | Process.Blocked_receive _ -> (
-        match proc.Process.timeout_at with
-        | Some deadline -> earlier ~now deadline acc
-        | None -> acc)
-      | Process.Ready when not proc.Process.stopped -> (
-        match proc.Process.affinity with
-        | None -> earlier ~now next_online acc
-        | Some id ->
-          let owner = t.processors.(id) in
-          if id <> cpu.Processor.id && owner.Processor.online then
-            earlier ~now (owner.Processor.clock_ns + 1) acc
-          else acc)
-      | Process.Created | Process.Ready | Process.Running | Process.Finished
-      | Process.Faulted _ ->
-        acc
-    in
-    idle_walk t cpu ~now ~next_online acc rest
-
 (* The next instant at which anything can reach the idle processor [cpu]:
    a sleeper's wake time, a timed wait's deadline, or another processor's
    next turn when it is busy or a ready process may run there (one past
    its clock, so that it goes first).  [cpu]'s own clock when there is
-   none: nothing can ever reach it. *)
+   none: nothing can ever reach it.  O(processors): [step] has just fired
+   every timer due at [cpu]'s clock, so the heap's earliest live entry is
+   the earliest timer after it. *)
 let idle_target t (cpu : Processor.t) =
   let now = cpu.Processor.clock_ns in
-  let busy = ref now and next_online = ref now in
+  let acc = ref now and next_online = ref now in
   for i = 0 to Array.length t.processors - 1 do
     let p = t.processors.(i) in
-    if p.Processor.id <> cpu.Processor.id then begin
+    if i <> cpu.Processor.id then begin
       let next = p.Processor.clock_ns + 1 in
-      if p.Processor.current <> None then busy := earlier ~now next !busy;
-      if p.Processor.online then next_online := earlier ~now next !next_online
+      (match p.Processor.current with
+      | Some _ -> acc := earlier ~now next !acc
+      | None -> ());
+      if p.Processor.online then begin
+        next_online := earlier ~now next !next_online;
+        if t.n_ready_bound.(i) > 0 then acc := earlier ~now next !acc
+      end
     end
   done;
-  idle_walk t cpu ~now ~next_online:!next_online !busy t.processes
+  let acc =
+    if t.n_ready_unbound > 0 then earlier ~now !next_online !acc else !acc
+  in
+  earlier ~now (next_timer t) acc
 
 (* Bind the ready process [index] to the idle processor [cpu]. *)
 let dispatch t (cpu : Processor.t) index =
   let proc = proc_of t index in
-  proc.Process.status <- Process.Running;
+  set_status t proc Process.Running;
   proc.Process.slice_used_ns <- 0;
   proc.Process.dispatches <- proc.Process.dispatches + 1;
   cpu.Processor.current <- Some index;
+  t.running.(cpu.Processor.id) <- Some proc;
   cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
   Obs.Metrics.incr t.mon.mon_dispatches;
   Obs.Metrics.observe t.mon.mon_dispatch_latency
@@ -1565,7 +1656,7 @@ let dispatch t (cpu : Processor.t) index =
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:cpu.Processor.id
     ~b:0 k_dispatch;
-  t.current <- Some cpu;
+  t.current <- t.on_cpu.(cpu.Processor.id);
   charge t t.timings.Timings.dispatch_ns;
   t.current <- None
 
@@ -1575,16 +1666,15 @@ let dispatch t (cpu : Processor.t) index =
    process onto it, or idle it to [idle_target].  [false] when it is idle
    and nothing can ever reach it. *)
 let step t (cpu : Processor.t) ~max_ns =
-  t.current <- Some cpu;
-  wake_sleepers t ~horizon:cpu.Processor.clock_ns;
-  if t.timed_waiters > 0 then fire_timeouts t ~horizon:cpu.Processor.clock_ns;
+  t.current <- t.on_cpu.(cpu.Processor.id);
+  fire_timers t ~horizon:cpu.Processor.clock_ns;
   t.current <- None;
-  match cpu.Processor.current with
-  | Some _ ->
-    step_process t cpu;
+  match (cpu.Processor.current, t.running.(cpu.Processor.id)) with
+  | Some _, Some proc ->
+    step_process t cpu proc;
     true
-  | None -> (
-    match Dispatch.pop t.dispatch ~eligible:(eligible_for_dispatch t ~cpu) with
+  | None, _ | Some _, None -> (
+    match Dispatch.pop t.dispatch ~eligible:t.eligible.(cpu.Processor.id) with
     | Some index ->
       dispatch t cpu index;
       true
@@ -1601,6 +1691,36 @@ let step t (cpu : Processor.t) ~max_ns =
         cpu.Processor.idle_ns + (target - cpu.Processor.clock_ns);
       cpu.Processor.clock_ns <- target;
       true)
+
+type progress = {
+  local_work : int;
+  timed_waits : int;
+  ready_unbound : int;
+  ready_bound : int array;
+  live_timers : int;
+  next_timer : int option;
+}
+
+(* A copy of the progress state, for the audit in [Fi.check_invariants]:
+   the live heap entries are walked, so the audit does not depend on
+   which stale entries happen to sit at the front. *)
+let progress t =
+  let timers = ref 0 and next = ref max_int in
+  Pqueue.iter
+    (fun tm ->
+      if live tm then begin
+        incr timers;
+        next := min !next tm.tm_at
+      end)
+    t.timers;
+  {
+    local_work = t.n_local_work;
+    timed_waits = t.n_timed_waits;
+    ready_unbound = t.n_ready_unbound;
+    ready_bound = Array.copy t.n_ready_bound;
+    live_timers = !timers;
+    next_timer = (if !timers = 0 then None else Some !next);
+  }
 
 let report t =
   let completed, faulted, deadlocked =
@@ -1638,8 +1758,9 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
       !steps <= max_steps
       &&
       match min_clock_processor t with
-      | None -> false (* every GDP has hard-faulted *)
-      | Some cpu ->
+      | -1 -> false (* every GDP has hard-faulted *)
+      | i ->
+        let cpu = t.processors.(i) in
         cpu.Processor.clock_ns <= max_ns
         &&
         (if t.injections <> [] then fire_injections t cpu;

@@ -144,6 +144,13 @@ val set_fault_port : t -> Access.t -> unit
 
 (** {1 Ports} *)
 
+(** The largest port capacity: a port queues its messages in its
+    object's access part, which holds at most
+    {!I432.Object_table.max_access_length} descriptors. *)
+val max_port_capacity : int
+
+(** Raises [Invalid_argument] for a capacity below 1 or above
+    {!max_port_capacity}. *)
 val create_port :
   t ->
   ?sro:Access.t option ->
@@ -346,8 +353,27 @@ val set_fault_hook : t -> (Process.t -> Fault.cause -> unit) option -> unit
 
 (** A live non-daemon process could run without outside input: it is in
     the dispatching mix and created, ready or running, or it sleeps.
-    Port-blocked processes do not count.  One walk over the processes. *)
+    Port-blocked processes do not count.  Reads one count. *)
 val has_local_work : t -> bool
+
+(** The state the run loop's progress predicates read, kept at every
+    status transition rather than recounted (DESIGN.md §6).  "In the mix"
+    means not stopped. *)
+type progress = {
+  local_work : int;
+      (** non-daemon processes in the mix that are created, ready,
+          running or asleep *)
+  timed_waits : int;  (** non-daemon port waits with an armed deadline *)
+  ready_unbound : int;  (** ready processes in the mix without a binding *)
+  ready_bound : int array;
+      (** per processor: ready processes in the mix bound to it *)
+  live_timers : int;  (** live timer-heap entries: sleeps, armed deadlines *)
+  next_timer : int option;  (** the earliest live entry's instant *)
+}
+
+(** A copy of the progress state (the audit {!I432_fi.Fi.check_invariants}
+    compares with a recount over {!all_processes}). *)
+val progress : t -> progress
 
 (** Run until nothing can make progress, or a bound is hit.  Nothing can
     when no processor is running a process, no process has local work

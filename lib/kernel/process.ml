@@ -37,6 +37,7 @@ type code =
 
 type t = {
   index : int;  (* object-table index of the process object *)
+  ordinal : int;  (* spawn order on its machine: 0 for the first process *)
   name : string;
   daemon : bool;  (* daemons do not keep the machine alive *)
   mutable code : code;
@@ -46,6 +47,7 @@ type t = {
   mutable pending : Syscall.result;  (* delivered at next resume *)
   mutable wake_at : int;  (* for Sleeping *)
   mutable timeout_at : int option;  (* deadline for a timed blocking op *)
+  mutable timer : int;  (* arm stamp of its live timer-heap entry *)
   mutable cpu_ns : int;  (* total virtual time consumed *)
   mutable slice_used_ns : int;  (* since last dispatch *)
   mutable last_ready_ns : int;  (* when the process last entered the mix *)

@@ -29,6 +29,7 @@ type code =
 
 type t = {
   index : int;  (** object-table index of the process object *)
+  ordinal : int;  (** spawn order on its machine: 0 for the first process *)
   name : string;
   daemon : bool;  (** daemons do not keep the machine alive *)
   mutable code : code;
@@ -40,6 +41,10 @@ type t = {
   mutable timeout_at : int option;
       (** virtual-time deadline of the timed blocking operation the process
           is currently parked on, if any *)
+  mutable timer : int;
+      (** arm stamp of the process's entry on the machine's timer heap
+          (its sleep or its deadline); an entry with another stamp is
+          stale *)
   mutable cpu_ns : int;
   mutable slice_used_ns : int;
   mutable last_ready_ns : int;  (** when the process last entered the mix *)

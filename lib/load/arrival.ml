@@ -29,7 +29,7 @@ let pattern_of_string = function
   | _ -> None
 
 type request = {
-  r_id : int;  (* dense, in arrival order *)
+  mutable r_id : int;  (* dense, in arrival order; set once, after the sort *)
   r_user : int;
   r_session : int;
   r_cls : int;  (* Mix class code *)
@@ -96,14 +96,17 @@ let generate spec =
   done;
   (* Merge the per-user streams into one arrival-ordered schedule; the
      (user, session) tie-break keeps simultaneous arrivals deterministic.
-     Ids are dense in arrival order. *)
+     Ids are dense in arrival order.  The comparator compares the three
+     ints in turn: no tuple per call, no polymorphic compare. *)
   Array.sort
     (fun a b ->
-      compare
-        (a.r_at_ns, a.r_user, a.r_session)
-        (b.r_at_ns, b.r_user, b.r_session))
+      let c = Int.compare a.r_at_ns b.r_at_ns in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.r_user b.r_user in
+        if c <> 0 then c else Int.compare a.r_session b.r_session)
     out;
-  Array.iteri (fun i r -> out.(i) <- { r with r_id = i }) out;
+  Array.iteri (fun i r -> r.r_id <- i) out;
   out
 
 (* Canonical text rendering, one line per request — the byte-equality

@@ -11,7 +11,9 @@ val pattern_name : pattern -> string
 val pattern_of_string : string -> pattern option
 
 type request = {
-  r_id : int;  (** dense, in arrival order *)
+  mutable r_id : int;
+      (** dense, in arrival order; {!generate} numbers the sorted schedule
+          in place rather than copying every request *)
   r_user : int;
   r_session : int;
   r_cls : int;  (** {!Mix.cls} code *)

@@ -202,6 +202,14 @@ let gather ~transfers ~bank ~completions:(distinct, dups, lats) ~accts =
 let split_transfers ~transfers ~workers w =
   (transfers / workers) + (if w < transfers mod workers then 1 else 0)
 
+(* The completion port holds every completion at once; the cluster's
+   audit node leaves room for re-sent ones. *)
+let completion_capacity ~cluster ~transfers =
+  (if cluster then 2 * transfers else transfers) + 8
+
+let max_transfers ~cluster =
+  (K.Machine.max_port_capacity - 8) / if cluster then 2 else 1
+
 (* ---------------- Single machine ---------------- *)
 
 let run ?(processors = 2) ?(workers = 4) ?(pace_ns = 5_000) ?(trace = true)
@@ -227,7 +235,8 @@ let run ?(processors = 2) ?(workers = 4) ?(pace_ns = 5_000) ?(trace = true)
       Some h
   in
   let done_port =
-    K.Machine.create_port machine ~capacity:(transfers + 8)
+    K.Machine.create_port machine
+      ~capacity:(completion_capacity ~cluster:false ~transfers)
       ~discipline:K.Port.Fifo ()
   in
   let c = make_collector () in
@@ -284,7 +293,8 @@ let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
     in
     ignore (Net.Cluster.connect cluster bank_id audit_id);
     let done_home =
-      K.Machine.create_port audit ~capacity:((2 * transfers) + 8)
+      K.Machine.create_port audit
+        ~capacity:(completion_capacity ~cluster:true ~transfers)
         ~discipline:K.Port.Fifo ()
     in
     Net.Cluster.export cluster ~node:audit_id ~name:"done" done_home;

@@ -42,6 +42,11 @@ val atomic : result -> bool
 
 val result_to_string : result -> string
 
+(** The most transfers a run takes: every completion must fit the
+    completion port at once ({!K.Machine.max_port_capacity}), and the
+    cluster variant sizes its port for twice the transfers. *)
+val max_transfers : cluster:bool -> int
+
 (** Single-machine sweep.  [history_store] tracks every account's
     balance under [acct<i>]; [plan] arms a §8 fault plan before the
     run. *)

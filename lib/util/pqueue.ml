@@ -61,6 +61,7 @@ let pop t =
     Some r.value
 
 let peek t = match t.root with None -> None | Some r -> Some r.value
+let front_priority t ~empty = match t.root with None -> empty | Some r -> r.prio
 
 (* Explicit work-list traversal: the heap can be a single long spine after
    adversarial insert orders, so no recursion over children. *)

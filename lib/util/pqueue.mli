@@ -25,6 +25,10 @@ val pop : 'a t -> 'a option
 (** The front element without removing it. *)
 val peek : 'a t -> 'a option
 
+(** The front element's priority, or [empty] when the queue is empty.
+    Allocates nothing, unlike {!peek}. *)
+val front_priority : 'a t -> empty:int -> int
+
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 

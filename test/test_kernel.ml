@@ -292,6 +292,20 @@ let test_port_wrong_object_type () =
   let r = run m in
   Alcotest.(check int) "type fault" 1 r.K.Machine.faulted
 
+let test_port_capacity_limit () =
+  let m = mk () in
+  let limit = K.Machine.max_port_capacity in
+  ignore (K.Machine.create_port m ~capacity:limit ~discipline:K.Port.Fifo ());
+  Alcotest.check_raises "one past the limit"
+    (Invalid_argument
+       (Printf.sprintf
+          "Machine.create_port: capacity %d exceeds max_port_capacity (%d)"
+          (limit + 1) limit))
+    (fun () ->
+      ignore
+        (K.Machine.create_port m ~capacity:(limit + 1)
+           ~discipline:K.Port.Fifo ()))
+
 let test_cond_send_on_full () =
   let m = mk () in
   let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
@@ -619,6 +633,22 @@ let ping_pong m =
            K.Machine.send m ~port ~msg
          done))
 
+(* A waiter that parks on [port] with a 100 us deadline. *)
+let timed_waiter m port =
+  K.Machine.spawn m ~name:"waiter" (fun () ->
+      ignore (K.Machine.receive_timeout m ~port ~timeout_ns:100_000))
+
+(* The instant [timed_waiter]'s deadline lands on when it runs alone:
+   step 1 dispatches it, step 2 parks it. *)
+let waiter_deadline () =
+  let m = Testkit.mk ~processors:1 () in
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let w = timed_waiter m port in
+  ignore (run ~max_steps:2 m);
+  Option.get (K.Machine.process_state m w).K.Process.timeout_at
+
+let sleeper m ~name ~at = K.Machine.spawn m ~name ~start_after:at (fun () -> ())
+
 let loop_rows =
   [
     ( "ready process bound to a busy cpu",
@@ -674,6 +704,67 @@ let loop_rows =
               (K.Machine.Inj_cpu_fault 0);
             K.Machine.schedule_injection m ~at_ns:250_000
               (K.Machine.Inj_cpu_fault 1))) );
+    ( "sleepers with equal wake instants",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            List.iter
+              (fun name -> ignore (sleeper m ~name ~at:50_000))
+              [ "s1"; "s2"; "s3" ])) );
+    ( "wake and deadline at one instant",
+      (fun () ->
+        let at = waiter_deadline () in
+        loop_case ~processors:1 (fun m ->
+            ignore (sleeper m ~name:"early" ~at);
+            let port =
+              K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo ()
+            in
+            ignore (timed_waiter m port);
+            ignore (sleeper m ~name:"late" ~at))) );
+    ( "deadline disarmed by a peer",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            let port =
+              K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo ()
+            in
+            let msg = Testkit.alloc m () in
+            ignore
+              (K.Machine.spawn m ~name:"waiter" (fun () ->
+                   ignore
+                     (K.Machine.receive_timeout m ~port ~timeout_ns:500_000)));
+            ignore
+              (K.Machine.spawn m ~name:"peer" (fun () ->
+                   K.Machine.send m ~port ~msg));
+            ignore
+              (K.Machine.spawn m ~name:"after" (fun () ->
+                   K.Machine.delay m ~ns:1_000_000)))) );
+    ( "timeout re-armed on one process",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            let port =
+              K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo ()
+            in
+            let msg = Testkit.alloc m () in
+            ignore
+              (K.Machine.spawn m ~name:"waiter" (fun () ->
+                   for _ = 1 to 2 do
+                     ignore
+                       (K.Machine.receive_timeout m ~port ~timeout_ns:300_000)
+                   done));
+            ignore
+              (K.Machine.spawn m ~name:"peer" (fun () ->
+                   K.Machine.send m ~port ~msg)))) );
+    ( "far sleeper, max_ns = max_int",
+      (fun () ->
+        loop_case ~processors:2 ~max_ns:max_int (fun m ->
+            ignore
+              (K.Machine.spawn m ~name:"far" (fun () ->
+                   K.Machine.delay m ~ns:(max_int - 1_000_000))))) );
+    ( "sleep past max_int wraps",
+      (fun () ->
+        loop_case ~processors:1 (fun m ->
+            ignore
+              (K.Machine.spawn m ~name:"wrap" (fun () ->
+                   K.Machine.delay m ~ns:max_int)))) );
     ("max_steps 1", fun () -> loop_case ~processors:1 ~max_steps:1 ping_pong);
     ("max_steps 2", fun () -> loop_case ~processors:1 ~max_steps:2 ping_pong);
     ("max_steps 7", fun () -> loop_case ~processors:1 ~max_steps:7 ping_pong);
@@ -697,6 +788,18 @@ let loop_expected =
      "1152921504606891857 1/0 [] 2/0 | 1152921504606891856/1152921504606846976 1152921504606891857/1152921504606891857 | ready:far dispatch:far sleep:far deschedule:far wake:far ready:far dispatch:far finish:far");
     ("every cpu failed mid-run",
      "293760 0/0 [] 4/0 | 169320/0 293760/0 | ready:a ready:b dispatch:a dispatch:b yield:a ready:a deschedule:a yield:b ready:b deschedule:b dispatch:a dispatch:b fi-inject: cpu-offline: proc-requeued:a ready:a yield:b ready:b deschedule:b fi-inject: cpu-offline:");
+    ("sleepers with equal wake instants",
+     "116000 3/0 [] 3/0 | 116000/50000 | wake:s3 ready:s3 wake:s2 ready:s2 wake:s1 ready:s1 dispatch:s3 finish:s3 dispatch:s2 finish:s2 dispatch:s1 finish:s1");
+    ("wake and deadline at one instant",
+     "216000 3/0 [] 4/0 | 216000/100000 | ready:waiter dispatch:waiter block-receive:waiter deschedule:waiter wake:late ready:late wake:early ready:early timeout-fired:waiter ready:waiter dispatch:late finish:late dispatch:early finish:early dispatch:waiter finish:waiter");
+    ("deadline disarmed by a peer",
+     "1128000 3/0 [] 5/0 | 1128000/978000 | ready:waiter ready:peer ready:after dispatch:waiter block-receive:waiter deschedule:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:after sleep:after deschedule:after dispatch:waiter finish:waiter wake:after ready:after dispatch:after finish:after");
+    ("timeout re-armed on one process",
+     "456000 2/0 [] 4/0 | 456000/300000 | ready:waiter ready:peer dispatch:waiter block-receive:waiter deschedule:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:waiter block-receive:waiter deschedule:waiter timeout-fired:waiter ready:waiter dispatch:waiter finish:waiter");
+    ("far sleeper, max_ns = max_int",
+     "4611686018426432784 1/0 [] 2/0 | 4611686018426432783/4611686018426387903 4611686018426432784/4611686018426432784 | ready:far dispatch:far sleep:far deschedule:far wake:far ready:far dispatch:far finish:far");
+    ("sleep past max_int wraps",
+     "44000 1/0 [] 2/0 | 44000/0 | ready:wrap dispatch:wrap sleep:wrap deschedule:wrap wake:wrap ready:wrap dispatch:wrap finish:wrap");
     ("max_steps 1",
      "22000 0/0 [] 1/0 | 22000/0 | ready:rx ready:tx dispatch:rx");
     ("max_steps 2",
@@ -1204,6 +1307,115 @@ let prop_port_many_to_many =
       && !received_n = total
       && !received_sum = expected_sum)
 
+(* qcheck: the progress state the run loop keeps at status transitions
+   (counts and the timer heap) matches [Fi.check_progress]'s recount
+   after every single step of a random script.  Processes mix sleeps,
+   delayed starts, timed and untimed sends and receives, exits and
+   faults; between steps the script stops and starts them, rebinds them
+   (to failed processors too) and fails processors. *)
+type script_op =
+  | Op_delay of int
+  | Op_send of int * int option  (* port, timeout *)
+  | Op_receive of int * int option
+  | Op_yield
+  | Op_exit
+  | Op_fault
+
+type control =
+  | C_stop of int  (* process, modulo the script's count *)
+  | C_start of int
+  | C_bind of int * int option
+  | C_fail of int  (* processor *)
+
+let script_cpus = 3
+
+let gen_script =
+  let open QCheck2.Gen in
+  let timeout = opt (int_range 0 60_000) in
+  let op =
+    frequency
+      [
+        (3, map (fun ns -> Op_delay ns) (int_range 0 60_000));
+        (4, map2 (fun p t -> Op_send (p, t)) (int_range 0 1) timeout);
+        (4, map2 (fun p t -> Op_receive (p, t)) (int_range 0 1) timeout);
+        (1, pure Op_yield);
+        (1, pure Op_exit);
+        (1, pure Op_fault);
+      ]
+  in
+  let proc =
+    triple (frequency [ (1, pure true); (3, pure false) ])
+      (opt (int_range 0 80_000))
+      (list_size (int_range 2 8) op)
+  in
+  let cpu = int_range 0 (script_cpus - 1) in
+  let ctl =
+    pair (int_range 0 15)
+      (oneof
+         [
+           map (fun i -> C_stop i) nat;
+           map (fun i -> C_start i) nat;
+           map2 (fun i c -> C_bind (i, c)) nat (opt cpu);
+           map (fun c -> C_fail c) cpu;
+         ])
+  in
+  (* A failing script is reported as drawn: shrinking re-runs the whole
+     script per candidate, and a broken count can keep a run from halting
+     until its step bound. *)
+  no_shrink (pair (list_size (int_range 2 6) proc) (list_size (int_range 0 8) ctl))
+
+(* Step the script one run-loop step at a time for 120 steps; [true]
+   when the audit held after every one. *)
+let run_script m (procs, ctls) =
+  let ports =
+    Array.init 2 (fun _ ->
+        K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo ())
+  in
+  let msg = Testkit.alloc m () in
+  let op = function
+    | Op_delay ns -> K.Machine.delay m ~ns
+    | Op_send (p, None) -> K.Machine.send m ~port:ports.(p) ~msg
+    | Op_send (p, Some timeout_ns) ->
+      ignore (K.Machine.send_timeout m ~port:ports.(p) ~msg ~timeout_ns)
+    | Op_receive (p, None) -> ignore (K.Machine.receive m ~port:ports.(p))
+    | Op_receive (p, Some timeout_ns) ->
+      ignore (K.Machine.receive_timeout m ~port:ports.(p) ~timeout_ns)
+    | Op_yield -> K.Machine.yield m
+    | Op_exit -> K.Machine.exit_process m
+    | Op_fault -> failwith "scripted fault"
+  in
+  let handles =
+    Array.of_list
+      (List.mapi
+         (fun i (daemon, start_after, ops) ->
+           K.Machine.spawn m ~daemon ?start_after ~name:(Printf.sprintf "p%d" i)
+             (fun () -> List.iter op ops))
+         procs)
+  in
+  let proc i = handles.(i mod Array.length handles) in
+  let control = function
+    | C_stop i -> K.Machine.set_stopped m (proc i) true
+    | C_start i -> K.Machine.set_stopped m (proc i) false
+    | C_bind (i, cpu) -> K.Machine.set_affinity m (proc i) cpu
+    | C_fail cpu -> K.Machine.fail_processor m cpu
+  in
+  let audit () = I432_fi.Fi.check_progress m = [] in
+  let ok = ref (audit ()) in
+  for step = 0 to 120 do
+    List.iter (fun (at, c) -> if at = step then control c) ctls;
+    ignore (run ~max_steps:1 m);
+    if !ok then ok := audit ()
+  done;
+  !ok
+
+let prop_progress_state_audited =
+  QCheck2.Test.make ~name:"progress state = recount after every step"
+    ~count:150 gen_script (fun script ->
+      let m = mk ~processors:script_cpus () in
+      let stepwise = run_script m script in
+      ignore (run m);
+      stepwise && I432_fi.Fi.check_invariants m = [])
+
 let suite =
   [
     ("single process runs", `Quick, test_single_process_runs);
@@ -1226,6 +1438,7 @@ let suite =
     ("port send requires right", `Quick, test_port_send_requires_right);
     ("port receive requires right", `Quick, test_port_receive_requires_right);
     ("port wrong object type", `Quick, test_port_wrong_object_type);
+    ("port capacity limit", `Quick, test_port_capacity_limit);
     ("cond send on full", `Quick, test_cond_send_on_full);
     ("cond receive on empty", `Quick, test_cond_receive_on_empty);
     ("port transfer characterisation", `Quick, test_port_transfer_characterisation);
@@ -1262,4 +1475,5 @@ let suite =
     ("affinity lift rebalances", `Quick, test_affinity_lift_rebalances);
     QCheck_alcotest.to_alcotest prop_port_conservation;
     QCheck_alcotest.to_alcotest prop_port_many_to_many;
+    QCheck_alcotest.to_alcotest prop_progress_state_audited;
   ]
