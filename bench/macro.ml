@@ -211,6 +211,25 @@ let measure_determinism ~smoke =
 (* Chaos at the knee                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Scratch journals live in the shared scratch directory under _build; a
+   fresh path per boot keeps replayed Journal_append offsets identical to
+   the original's.  Each section deletes its journals when it finishes:
+   a full run would otherwise leave hundreds of MB behind. *)
+let scratch_journals = ref []
+
+let fresh_scratch_journal () =
+  let p =
+    St.scratch_path
+      (Printf.sprintf "macro_%d.journal" (List.length !scratch_journals + 1))
+  in
+  St.fresh_path p;
+  scratch_journals := p :: !scratch_journals;
+  p
+
+let remove_scratch_journals () =
+  List.iter St.remove_files !scratch_journals;
+  scratch_journals := []
+
 (* Whole-node failure under serving load: drive the cluster at its
    saturation knee, kill the serving node mid-schedule, splice its
    checkpoint replay back in after the outage, and read completion and
@@ -253,18 +272,24 @@ let measure_chaos ~smoke ~rate_rps =
   let reqs = Load.Arrival.generate spec in
   let horizon = Load.Arrival.horizon_ns reqs in
   let quantum = 100_000 in
-  let chaos =
-    {
-      Load.Loadgen.c_kill_after_rounds = max 1 (horizon * 2 / 5 / quantum);
-      c_outage_ns = max (10 * quantum) (horizon / 8);
-    }
-  in
   let staged =
     Scenario.make ~name:"chaos-at-knee" ~streams:Load.Loadgen.streams
       (fun () ->
-        Load.Loadgen.run_cluster ~nodes:cluster_nodes
-          ~processors:cluster_processors ~engine:Net.Cluster.Seq
-          ~trace_level:Obs.Tracer.Events ~chaos ~spec ())
+        let store = St.open_ (fresh_scratch_journal ()) in
+        let chaos =
+          {
+            Load.Loadgen.c_kill_after_rounds =
+              max 1 (horizon * 2 / 5 / quantum);
+            c_outage_ns = max (10 * quantum) (horizon / 8);
+            c_store = store;
+          }
+        in
+        Fun.protect
+          ~finally:(fun () -> St.close store)
+          (fun () ->
+            Load.Loadgen.run_cluster ~nodes:cluster_nodes
+              ~processors:cluster_processors ~engine:Net.Cluster.Seq
+              ~trace_level:Obs.Tracer.Events ~chaos ~spec ()))
   in
   let o = Scenario.play staged in
   let kill_at, restart_at =
@@ -308,6 +333,8 @@ let measure_chaos ~smoke ~rate_rps =
       cp_p999_us = us (exact_quantile sorted 0.999);
     }
   in
+  let deterministic = Scenario.same_seed ~first:o staged in
+  remove_scratch_journals ();
   {
     cr_rate_rps = rate_rps;
     cr_kill_at_ms = float_of_int kill_at /. 1e6;
@@ -317,7 +344,7 @@ let measure_chaos ~smoke ~rate_rps =
     cr_dead_letters = Obs.Metrics.count o.Load.Loadgen.o_metrics "node.dead_letters";
     cr_restarts = Obs.Metrics.count o.Load.Loadgen.o_metrics "node.restarts";
     cr_phases = [ phase "before"; phase "during"; phase "after" ];
-    cr_deterministic = Scenario.same_seed ~first:o staged;
+    cr_deterministic = deterministic;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -393,25 +420,6 @@ type swap_sweep = {
   ss_restore_identical : verdict;  (* kill-mid-swap restore == straight run *)
 }
 
-(* Scratch journals live in the shared scratch directory under _build; a
-   fresh path per boot keeps replayed Journal_append offsets identical to
-   the original's.  Each section deletes its journals when it finishes:
-   a full run would otherwise leave hundreds of MB behind. *)
-let scratch_journals = ref []
-
-let fresh_swap_journal () =
-  let p =
-    St.scratch_path
-      (Printf.sprintf "macro_%d.journal" (List.length !scratch_journals + 1))
-  in
-  St.fresh_path p;
-  scratch_journals := p :: !scratch_journals;
-  p
-
-let remove_scratch_journals () =
-  List.iter St.remove_files !scratch_journals;
-  scratch_journals := []
-
 (* Boot one swap run: store-backed device, bounded resident set, the
    object population written with its index, and one process per
    scheduled user touching at its arrival instants.  Returns the boot
@@ -421,7 +429,7 @@ let boot_swap ~objects ~ram_bytes ~touches ~spec =
   let errors = ref 0 and touched = ref 0 and completed = ref 0 in
   let sys_ref = ref None and store_ref = ref None in
   let boot () =
-    let journal = fresh_swap_journal () in
+    let journal = fresh_scratch_journal () in
     let store =
       St.open_ ~sync_every:1024 ~compact_interval_ns:1_000_000
         ~min_garbage_bytes:(max 4096 (ram_bytes / 2))
@@ -569,7 +577,7 @@ let measure_swap_determinism () =
      closing syncs it, which emits one more event into m1's trace. *)
   let expected = swap.Scenario.streams (Scenario.Machine m1) in
   let same_seed = Scenario.same_seed ~first:(Scenario.Machine m1) swap in
-  let ckpt_store = St.open_ (fresh_swap_journal ()) in
+  let ckpt_store = St.open_ (fresh_scratch_journal ()) in
   let restored =
     Scenario.kill_restore ~expected swap ~store:ckpt_store ~key:"swap"
       ~bound:(Ckpt.Virtual_ns (max 1 (K.Machine.now m1 / 2)))
@@ -645,7 +653,7 @@ let measure_banking ~smoke =
   let transfers = banking_transfers ~smoke in
   let straight () =
     (* Scratch journals share the swap sweep's directory. *)
-    let store = St.open_ (fresh_swap_journal ()) in
+    let store = St.open_ (fresh_scratch_journal ()) in
     let m, history, r =
       Banking.run ~workers:banking_workers ~history_store:store ~accounts
         ~transfers ~seed:banking_seed ()
@@ -685,7 +693,7 @@ let measure_banking ~smoke =
     Banking.atomic rc
   in
   let kill_sound, dup_drops =
-    let ckpt_store = St.open_ (fresh_swap_journal ()) in
+    let ckpt_store = St.open_ (fresh_scratch_journal ()) in
     let cr =
       Banking.run_cluster ~workers:banking_workers ~kill:(600_000, 900_000)
         ~ckpt_ns:200_000 ~ckpt_store ~accounts ~transfers ~seed:banking_seed ()

@@ -70,22 +70,38 @@ let processors =
   let doc = "Number of general data processors." in
   Arg.(value & opt int 2 & info [ "p"; "processors" ] ~docv:"N" ~doc)
 
+(* Every memory manager by its --memory-manager spelling (its name with
+   the slash as a dash); swap's --policy names the swapping ones by their
+   victim policy alone. *)
+let memory_managers =
+  List.map
+    (fun c ->
+      ( String.map
+          (function '/' -> '-' | ch -> ch)
+          (System.memory_choice_to_string c),
+        c ))
+    System.memory_choices
+
+let swap_policies =
+  List.filter_map
+    (fun c ->
+      Option.map
+        (fun p -> (I432_vm.Policy.to_string p, c))
+        (System.memory_policy c))
+    System.memory_choices
+
+(* "a, b or c" over an enum's spellings. *)
+let doc_choices choices =
+  match List.rev_map fst choices with
+  | [] -> ""
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+
 let memory_manager =
-  let doc =
-    "Memory manager: non-swapping, swapping-lru, swapping-fifo, \
-     swapping-clock or swapping-level."
-  in
-  let choices =
-    Arg.enum
-      [
-        ("non-swapping", System.Non_swapping);
-        ("swapping-lru", System.Swapping_lru);
-        ("swapping-fifo", System.Swapping_fifo);
-        ("swapping-clock", System.Swapping_clock);
-        ("swapping-level", System.Swapping_level);
-      ]
-  in
-  Arg.(value & opt choices System.Non_swapping & info [ "memory-manager" ] ~doc)
+  let doc = "Memory manager: " ^ doc_choices memory_managers ^ "." in
+  Arg.(
+    value
+    & opt (enum memory_managers) System.Non_swapping
+    & info [ "memory-manager" ] ~doc)
 
 let scheduling =
   let doc = "Scheduling policy: null, round-robin or fair-share." in
@@ -564,7 +580,7 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     let queue =
       K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo ()
     in
-    Net.Remote_port.export cluster ~node:node_b ~name:"printer"
+    Net.Cluster.export cluster ~node:node_b ~name:"printer"
       ~mask:Rights.read_only queue;
     let printed = ref [] in
     ignore
@@ -585,7 +601,7 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     Array.iteri
       (fun i (id, ma) ->
         let surrogate =
-          Net.Remote_port.import cluster ~node:id ~name:"printer"
+          Net.Cluster.import cluster ~node:id ~name:"printer"
         in
         for u = 1 to clients do
           (* Users are numbered globally so every job's owner field is
@@ -1590,17 +1606,11 @@ let scenario_swap config path policy objects object_bytes users touches
 
 let swap_cmd =
   let policy =
-    let doc = "Victim policy: lru, fifo, clock or level." in
-    let choices =
-      Arg.enum
-        [
-          ("lru", System.Swapping_lru);
-          ("fifo", System.Swapping_fifo);
-          ("clock", System.Swapping_clock);
-          ("level", System.Swapping_level);
-        ]
-    in
-    Arg.(value & opt choices System.Swapping_lru & info [ "policy" ] ~doc)
+    let doc = "Victim policy: " ^ doc_choices swap_policies ^ "." in
+    Arg.(
+      value
+      & opt (enum swap_policies) System.Swapping_lru
+      & info [ "policy" ] ~doc)
   in
   let objects =
     int_arg "objects" 4096 ~docv:"N" ~doc:"Live objects in the working set."

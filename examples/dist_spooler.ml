@@ -42,7 +42,7 @@ let run_once () =
 
   (* Printshop side: the real queue, exported read-only. *)
   let queue = K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo () in
-  I432_net.Remote_port.export cluster ~node:node_b ~name:"printer"
+  I432_net.Cluster.export cluster ~node:node_b ~name:"printer"
     ~mask:Rights.read_only queue;
   let printed = ref [] in
   ignore
@@ -64,7 +64,7 @@ let run_once () =
          done));
 
   (* Client side: the imported surrogate behaves like any local port. *)
-  let surrogate = I432_net.Remote_port.import cluster ~node:node_a ~name:"printer" in
+  let surrogate = I432_net.Cluster.import cluster ~node:node_a ~name:"printer" in
   for u = 1 to clients do
     ignore
       (K.Machine.spawn ma ~name:(Printf.sprintf "user%d" u) (fun () ->

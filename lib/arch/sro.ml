@@ -221,7 +221,6 @@ let alloc_count table access = (state_of table access).alloc_count
 let destroy_count table access = (state_of table access).destroy_count
 let live_objects table access = Dlist.length (state_of table access).allocated
 let child_count table access = List.length (state_of table access).children
-let allocated_indices table access = Dlist.to_list (state_of table access).allocated
 let is_live table access = (state_of table access).live
 
 (* Largest single allocatable block (fragmentation indicator). *)

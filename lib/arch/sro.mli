@@ -42,7 +42,6 @@ val level : Object_table.t -> Access.t -> int
 val alloc_count : Object_table.t -> Access.t -> int
 val destroy_count : Object_table.t -> Access.t -> int
 val live_objects : Object_table.t -> Access.t -> int
-val allocated_indices : Object_table.t -> Access.t -> int list
 val is_live : Object_table.t -> Access.t -> bool
 val largest_free : Object_table.t -> Access.t -> int
 val region_count : Object_table.t -> Access.t -> int

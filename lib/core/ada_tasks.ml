@@ -21,10 +21,7 @@
 open I432
 module K = I432_kernel
 
-type task = {
-  process : Access.t;
-  task_name : string;
-}
+type task = { task_name : string }
 
 (* An entry: the request port carries (parameter, reply port) pairs.  The
    pair itself is a 432 object with two access slots, so the whole
@@ -45,10 +42,9 @@ type rendezvous = {
 }
 
 let create_task machine ?(priority = 8) ~name body =
-  let process = K.Machine.spawn machine ~priority ~name body in
-  { process; task_name = name }
+  ignore (K.Machine.spawn machine ~priority ~name body);
+  { task_name = name }
 
-let task_process t = t.process
 let task_name t = t.task_name
 
 (* Declare an entry with a bounded call queue. *)

@@ -13,7 +13,6 @@ type entry
 val create_task :
   I432_kernel.Machine.t -> ?priority:int -> name:string -> (unit -> unit) -> task
 
-val task_process : task -> Access.t
 val task_name : task -> string
 
 val create_entry :

@@ -239,7 +239,6 @@ type tape_farm = {
   mutable pool : (int * tape_device) list;  (* object index -> device *)
   mutable free_drives : Access.t list;
   mutable issued : int;
-  mutable reclaimed : int;
   total : int;
 }
 
@@ -263,7 +262,6 @@ let create_tape_farm machine ~drives =
       pool = [];
       free_drives = [];
       issued = 0;
-      reclaimed = 0;
       total = drives;
     }
   in
@@ -323,9 +321,7 @@ let recover_lost_drives farm =
         farm.free_drives <- corpse :: farm.free_drives;
         K.Machine.add_root farm.machine corpse)
   in
-  farm.reclaimed <- farm.reclaimed + List.length corpses;
   List.length corpses
 
 let free_drive_count farm = List.length farm.free_drives
-let reclaimed_count farm = farm.reclaimed
 let farm_typedef farm = farm.typedef

@@ -76,5 +76,4 @@ val release_drive : tape_farm -> Access.t -> unit
 val recover_lost_drives : tape_farm -> int
 
 val free_drive_count : tape_farm -> int
-val reclaimed_count : tape_farm -> int
 val farm_typedef : tape_farm -> Access.t

@@ -15,7 +15,8 @@
 
    The swapping implementation is built on the virtual-memory tier
    (lib/vm): a {!I432_vm.Resident_set} controller owns victim selection
-   and the optional RAM envelope, and a {!I432_vm.Swap_device} holds the
+   (by the {!I432_vm.Policy.t} value the manager was created with) and the
+   optional RAM envelope, and a {!I432_vm.Swap_device} holds the
    evicted segment images.  With no device configured the manager embeds
    an in-memory device and emits no events and no counters — exactly the
    original behavior, byte for byte.  Attaching a device (the explicit
@@ -41,7 +42,7 @@ let fresh_stats () =
 module type S = sig
   type t
 
-  val name : string
+  val name : t -> string
   val create : K.Machine.t -> heap_bytes:int -> t
 
   (** Global heap allocation: the object lives at level 0 until
@@ -70,7 +71,20 @@ module type S = sig
   val stats : t -> stats
 end
 
-(* Shared plumbing: per-level local SROs and descriptor release. *)
+(* Shared plumbing: implementation names, per-level local SROs and
+   descriptor release. *)
+
+let implementation_name = function
+  | None -> "non-swapping"
+  | Some p -> "swapping/" ^ Vm.Policy.to_string p
+
+let local_sro machine locals ~level =
+  match List.assoc_opt level !locals with
+  | Some sro when Sro.is_live (K.Machine.table machine) sro -> sro
+  | Some _ | None ->
+    let sro = K.Machine.create_local_sro machine ~level ~bytes:(64 * 1024) in
+    locals := (level, sro) :: List.remove_assoc level !locals;
+    sro
 
 let release_to_owner table index st =
   match Sro.state_of_object table ~index with
@@ -87,15 +101,15 @@ module Nonswapping : S = struct
   type t = {
     machine : K.Machine.t;
     heap : Access.t;  (* level-0 SRO *)
-    mutable locals : (int * Access.t) list;  (* level -> SRO *)
+    locals : (int * Access.t) list ref;  (* level -> SRO *)
     st : stats;
   }
 
-  let name = "non-swapping"
+  let name _ = implementation_name None
 
   let create machine ~heap_bytes =
     let heap = K.Machine.create_local_sro machine ~level:0 ~bytes:heap_bytes in
-    { machine; heap; locals = []; st = fresh_stats () }
+    { machine; heap; locals = ref []; st = fresh_stats () }
 
   let allocate t ~data_length ~access_length ~otype =
     match
@@ -108,18 +122,8 @@ module Nonswapping : S = struct
       t.st.alloc_faults <- t.st.alloc_faults + 1;
       Fault.raise_fault cause
 
-  let local_sro t ~level =
-    match List.assoc_opt level t.locals with
-    | Some sro when Sro.is_live (K.Machine.table t.machine) sro -> sro
-    | Some _ | None ->
-      let sro =
-        K.Machine.create_local_sro t.machine ~level ~bytes:(64 * 1024)
-      in
-      t.locals <- (level, sro) :: List.remove_assoc level t.locals;
-      sro
-
   let allocate_local t ~level ~data_length ~access_length ~otype =
-    let sro = local_sro t ~level in
+    let sro = local_sro t.machine t.locals ~level in
     let a = K.Machine.allocate t.machine sro ~data_length ~access_length ~otype in
     t.st.allocations <- t.st.allocations + 1;
     a
@@ -139,58 +143,12 @@ end
 (* Swapping implementation (the paper's second release)                *)
 (* ------------------------------------------------------------------ *)
 
-type victim_policy = Lru | Fifo_policy | Clock | Level_aware
+(* Every transfer to or from the swap device costs ~0.4 ms: a fast
+   backing store. *)
+let swap_in_ns = 400_000
+let swap_out_ns = 400_000
 
-let policy_name = function
-  | Lru -> "lru"
-  | Fifo_policy -> "fifo"
-  | Clock -> "clock"
-  | Level_aware -> "level"
-
-let vm_policy = function
-  | Lru -> Vm.Policy.Lru
-  | Fifo_policy -> Vm.Policy.Fifo
-  | Clock -> Vm.Policy.Clock
-  | Level_aware -> Vm.Policy.Level_aware
-
-module type SWAP_CONFIG = sig
-  val victim_policy : victim_policy
-  val swap_in_ns : int
-  val swap_out_ns : int
-end
-
-module Default_swap_config = struct
-  let victim_policy = Lru
-  let swap_in_ns = 400_000  (* ~0.4 ms: a fast backing store *)
-  let swap_out_ns = 400_000
-end
-
-module type SWAPPING = sig
-  include S
-
-  (** The additional management interface (§6.2): configure the victim
-      policy, a resident-set RAM envelope, and a swap device.  [create]
-      is [create_with] with the functor's policy, no envelope, and an
-      embedded in-memory device — and, crucially, no observability: only
-      an explicitly attached device turns on swap.* counters and the
-      Swap_out/Swap_in/Swap_fault events, so a system without one is
-      byte-identical to the pre-vm-tier manager. *)
-  val create_with :
-    ?policy:victim_policy ->
-    ?ram_bytes:int ->
-    ?device:Vm.Swap_device.t ->
-    K.Machine.t ->
-    heap_bytes:int ->
-    t
-
-  val device : t -> Vm.Swap_device.t
-  val policy : t -> victim_policy
-  val ram_bytes : t -> int option
-  val resident_bytes : t -> int
-  val resident_count : t -> int
-end
-
-module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
+module Swapping = struct
   (* swap.* counters, created only when a device is attached. *)
   type observed = {
     o_ins : Obs.Metrics.counter;
@@ -203,18 +161,18 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
   type t = {
     machine : K.Machine.t;
     heap : Access.t;
-    mutable locals : (int * Access.t) list;
+    locals : (int * Access.t) list ref;
     rset : Vm.Resident_set.t;
     dev : Vm.Swap_device.t;
-    pol : victim_policy;
+    pol : Vm.Policy.t;
     obs : observed option;
     st : stats;
   }
 
-  let name = "swapping/" ^ policy_name C.victim_policy
+  let name t = implementation_name (Some t.pol)
 
-  let create_with ?policy ?ram_bytes ?device machine ~heap_bytes =
-    let pol = Option.value policy ~default:C.victim_policy in
+  let create_with ?(policy = Vm.Policy.Lru) ?ram_bytes ?device machine
+      ~heap_bytes =
     let dev, obs =
       match device with
       | Some d ->
@@ -235,10 +193,10 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
     {
       machine;
       heap;
-      locals = [];
-      rset = Vm.Resident_set.create ~policy:(vm_policy pol) ?ram_bytes ();
+      locals = ref [];
+      rset = Vm.Resident_set.create ~policy ?ram_bytes ();
       dev;
-      pol;
+      pol = policy;
       obs;
       st = fresh_stats ();
     }
@@ -246,8 +204,6 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
   let create machine ~heap_bytes = create_with machine ~heap_bytes
 
   let device t = t.dev
-  let policy t = t.pol
-  let ram_bytes t = Vm.Resident_set.ram_bytes t.rset
   let resident_bytes t = Vm.Resident_set.resident_bytes t.rset
   let resident_count t = Vm.Resident_set.count t.rset
 
@@ -304,7 +260,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
     e.Object_table.swapped_out <- true;
     e.Object_table.dirty <- false;
     Vm.Resident_set.remove t.rset ~index;
-    if not clean then K.Machine.charge t.machine C.swap_out_ns;
+    if not clean then K.Machine.charge t.machine swap_out_ns;
     t.st.swap_outs <- t.st.swap_outs + 1;
     match t.obs with
     | Some o ->
@@ -315,7 +271,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
              (K.Machine.metrics t.machine)
              "swap.clean_evictions")
       else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
-      K.Machine.emit_event t.machine ~name:(policy_name t.pol) ~a:index
+      K.Machine.emit_event t.machine ~name:(Vm.Policy.to_string t.pol) ~a:index
         ~b:e.Object_table.data_length Obs.Event.Swap_out
     | None -> ()
 
@@ -372,7 +328,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
           e.Object_table.swapped_out <- false;
           e.Object_table.dirty <- false;
           note_resident t index;
-          K.Machine.charge t.machine C.swap_in_ns;
+          K.Machine.charge t.machine swap_in_ns;
           t.st.swap_ins <- t.st.swap_ins + 1;
           (match t.obs with
           | Some o ->
@@ -428,18 +384,8 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
   let allocate t ~data_length ~access_length ~otype =
     allocate_with_pressure t t.heap ~data_length ~access_length ~otype
 
-  let local_sro t ~level =
-    match List.assoc_opt level t.locals with
-    | Some sro when Sro.is_live (K.Machine.table t.machine) sro -> sro
-    | Some _ | None ->
-      let sro =
-        K.Machine.create_local_sro t.machine ~level ~bytes:(64 * 1024)
-      in
-      t.locals <- (level, sro) :: List.remove_assoc level t.locals;
-      sro
-
   let allocate_local t ~level ~data_length ~access_length ~otype =
-    let sro = local_sro t ~level in
+    let sro = local_sro t.machine t.locals ~level in
     allocate_with_pressure t sro ~data_length ~access_length ~otype
 
   let free t access =
@@ -479,23 +425,3 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
 
   let stats t = t.st
 end
-
-module Swapping = Make_swapping (Default_swap_config)
-
-module Swapping_fifo = Make_swapping (struct
-  let victim_policy = Fifo_policy
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
-end)
-
-module Swapping_clock = Make_swapping (struct
-  let victim_policy = Clock
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
-end)
-
-module Swapping_level = Make_swapping (struct
-  let victim_policy = Level_aware
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
-end)

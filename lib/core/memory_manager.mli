@@ -22,7 +22,9 @@ type stats = {
 module type S = sig
   type t
 
-  val name : string
+  (** ["non-swapping"], or ["swapping/<policy>"]. *)
+  val name : t -> string
+
   val create : K.Machine.t -> heap_bytes:int -> t
 
   val allocate :
@@ -45,46 +47,36 @@ module type S = sig
   val stats : t -> stats
 end
 
+(** The name of the implementation a victim policy selects, [None]
+    selecting the non-swapping one; a manager's {!S.name} is this of its
+    policy. *)
+val implementation_name : Vm.Policy.t option -> string
+
 (** The paper's first release: no swapping; exhaustion faults. *)
 module Nonswapping : S
 
-(** Victim selection for the swapping implementation, realized by
-    {!I432_vm.Resident_set}:
-    - [Lru] — least recent (last touch, then admission order);
-    - [Fifo_policy] — admission order;
-    - [Clock] — second chance over the admission ring;
-    - [Level_aware] — highest lifetime level first (shortest-lived SRO
-      segments are the cheapest to lose), LRU within a level. *)
-type victim_policy = Lru | Fifo_policy | Clock | Level_aware
-
-val policy_name : victim_policy -> string
-
-module type SWAP_CONFIG = sig
-  val victim_policy : victim_policy
-  val swap_in_ns : int
-  val swap_out_ns : int
-end
-
-module Default_swap_config : SWAP_CONFIG
-
-(** The swapping interface: {!S} plus the management surface the
-    virtual-memory tier adds. *)
-module type SWAPPING = sig
+(** The second release: segments move to a swap device under pressure
+    and return on [touch]; direct access to an absent segment faults with
+    [Segment_swapped_out].  Every transfer to or from the device charges
+    400 us. *)
+module Swapping : sig
   include S
 
-  (** [create_with] configures what [create] defaults: the victim
-      [policy], a resident-set RAM envelope in bytes (evictions keep the
-      sum of resident segment bytes at or under it), and the swap
-      [device] absent segments live on.
+  (** The additional management interface (§6.2).  [create_with]
+      configures what [create] defaults: the victim [policy] (default
+      [Lru], realized by {!I432_vm.Resident_set}), a resident-set RAM
+      envelope in bytes (evictions keep the sum of resident segment bytes
+      at or under it), and the swap [device] absent segments live on.
 
       Attaching a device is the observability switch, mirroring
       [Store.attach]: only then are the [swap.ins]/[swap.outs]/
       [swap.faults]/[swap.bytes_in]/[swap.bytes_out] counters created and
-      the [Swap_out]/[Swap_in]/[Swap_fault] events emitted.  [create]
-      (no device, no envelope) embeds a private in-memory device and
-      stays byte-identical to the pre-vm-tier manager. *)
+      the [Swap_out] (named by the policy)/[Swap_in]/[Swap_fault] events
+      emitted.  [create] (no device, no envelope) embeds a private
+      in-memory device and stays byte-identical to the pre-vm-tier
+      manager. *)
   val create_with :
-    ?policy:victim_policy ->
+    ?policy:Vm.Policy.t ->
     ?ram_bytes:int ->
     ?device:Vm.Swap_device.t ->
     K.Machine.t ->
@@ -92,18 +84,6 @@ module type SWAPPING = sig
     t
 
   val device : t -> Vm.Swap_device.t
-  val policy : t -> victim_policy
-  val ram_bytes : t -> int option
   val resident_bytes : t -> int
   val resident_count : t -> int
 end
-
-(** The second release: segments move to a swap device under pressure
-    and return on [touch]; direct access to an absent segment faults with
-    [Segment_swapped_out]. *)
-module Make_swapping (_ : SWAP_CONFIG) : SWAPPING
-
-module Swapping : SWAPPING
-module Swapping_fifo : SWAPPING
-module Swapping_clock : SWAPPING
-module Swapping_level : SWAPPING

@@ -257,4 +257,3 @@ let recover_lost_processes t =
 
 let recovered t = t.recovered
 let recovery_port t = t.recovery_port
-let managed_count t = List.length t.nodes

@@ -79,4 +79,3 @@ val recover_lost_processes : t -> int
 
 val recovered : t -> int
 val recovery_port : t -> Access.t
-val managed_count : t -> int

@@ -21,6 +21,17 @@ type memory_choice =
   | Swapping_clock
   | Swapping_level
 
+let memory_choices =
+  [ Non_swapping; Swapping_lru; Swapping_fifo; Swapping_clock; Swapping_level ]
+
+(* The victim policy a choice selects; None is the non-swapping release. *)
+let memory_policy = function
+  | Non_swapping -> None
+  | Swapping_lru -> Some I432_vm.Policy.Lru
+  | Swapping_fifo -> Some I432_vm.Policy.Fifo
+  | Swapping_clock -> Some I432_vm.Policy.Clock
+  | Swapping_level -> Some I432_vm.Policy.Level_aware
+
 type config = {
   processors : int;
   memory_bytes : int;
@@ -60,17 +71,12 @@ let default_config =
 
 type packed_mm = Packed : (module Memory_manager.S with type t = 'a) * 'a -> packed_mm
 
-type packed_swapping =
-  | Packed_swapping :
-      (module Memory_manager.SWAPPING with type t = 'a) * 'a
-      -> packed_swapping
-
 type t = {
   machine : K.Machine.t;
   process_manager : Process_manager.t;
   scheduler : Scheduler.t;
   memory : packed_mm;
-  swapping : packed_swapping option;
+  swapping : Memory_manager.Swapping.t option;
   collector : I432_gc.Collector.t option;
   config : config;
 }
@@ -95,25 +101,20 @@ let boot ?(config = default_config) () =
   (match config.scheduling with
   | Scheduler.Fair_share -> ignore (Scheduler.spawn_daemon scheduler)
   | Scheduler.Null | Scheduler.Round_robin -> ());
-  let boot_swapping (type a)
-      (module M : Memory_manager.SWAPPING with type t = a) =
-    let mm =
-      M.create_with ?ram_bytes:config.swap_ram_bytes
-        ?device:config.swap_device machine ~heap_bytes:config.heap_bytes
-    in
-    (Packed ((module M), mm), Some (Packed_swapping ((module M), mm)))
-  in
   let memory, swapping =
-    match config.memory_manager with
-    | Non_swapping ->
+    match memory_policy config.memory_manager with
+    | None ->
       let mm =
         Memory_manager.Nonswapping.create machine ~heap_bytes:config.heap_bytes
       in
       (Packed ((module Memory_manager.Nonswapping), mm), None)
-    | Swapping_lru -> boot_swapping (module Memory_manager.Swapping)
-    | Swapping_fifo -> boot_swapping (module Memory_manager.Swapping_fifo)
-    | Swapping_clock -> boot_swapping (module Memory_manager.Swapping_clock)
-    | Swapping_level -> boot_swapping (module Memory_manager.Swapping_level)
+    | Some policy ->
+      let mm =
+        Memory_manager.Swapping.create_with ~policy
+          ?ram_bytes:config.swap_ram_bytes ?device:config.swap_device machine
+          ~heap_bytes:config.heap_bytes
+      in
+      (Packed ((module Memory_manager.Swapping), mm), Some mm)
   in
   let collector =
     if config.run_gc_daemon then begin
@@ -154,31 +155,22 @@ let mm_stats t =
   M.stats mm
 
 let mm_name t =
-  let (Packed ((module M), _)) = t.memory in
-  M.name
+  let (Packed ((module M), mm)) = t.memory in
+  M.name mm
 
 (* The swapping management interface, when a swapping implementation was
    selected (None under Non_swapping). *)
 
 let mm_resident_bytes t =
-  Option.map
-    (fun (Packed_swapping ((module M), mm)) -> M.resident_bytes mm)
-    t.swapping
+  Option.map Memory_manager.Swapping.resident_bytes t.swapping
 
 let mm_resident_count t =
-  Option.map
-    (fun (Packed_swapping ((module M), mm)) -> M.resident_count mm)
-    t.swapping
+  Option.map Memory_manager.Swapping.resident_count t.swapping
 
-let mm_device t =
-  Option.map (fun (Packed_swapping ((module M), mm)) -> M.device mm) t.swapping
+let mm_device t = Option.map Memory_manager.Swapping.device t.swapping
 
-let memory_choice_to_string = function
-  | Non_swapping -> "non-swapping"
-  | Swapping_lru -> "swapping/lru"
-  | Swapping_fifo -> "swapping/fifo"
-  | Swapping_clock -> "swapping/clock"
-  | Swapping_level -> "swapping/level"
+let memory_choice_to_string c =
+  Memory_manager.implementation_name (memory_policy c)
 
 (* Run to completion and report. *)
 let run ?max_ns ?max_steps t = K.Machine.run ?max_ns ?max_steps t.machine

@@ -15,6 +15,12 @@ type memory_choice =
   | Swapping_clock
   | Swapping_level
 
+(** Every choice, in the order above. *)
+val memory_choices : memory_choice list
+
+(** The victim policy a choice selects, [None] for [Non_swapping]. *)
+val memory_policy : memory_choice -> I432_vm.Policy.t option
+
 type config = {
   processors : int;
   memory_bytes : int;
@@ -63,6 +69,8 @@ val mm_name : t -> string
 val mm_resident_bytes : t -> int option
 val mm_resident_count : t -> int option
 val mm_device : t -> I432_vm.Swap_device.t option
+
+(** [mm_name] of a system booted with this choice. *)
 val memory_choice_to_string : memory_choice -> string
 
 (** Run the machine to completion (or a bound). *)

@@ -30,8 +30,6 @@ let process_filter_port table = Object_table.process_filter_port table
 let register table ~typedef ~port =
   Type_def.set_filter_port table typedef ~port_index:(Access.index port)
 
-let unregister table ~typedef = Type_def.clear_filter_port table typedef
-
 (* A type manager drains its filter port, disassembles each corpse, and
    frees the storage.  Returns the corpses drained this call. *)
 let drain machine ~port ~finalize =

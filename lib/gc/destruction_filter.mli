@@ -20,8 +20,6 @@ val process_filter_port : Object_table.t -> int option
 (** Register a filter port for a user-defined type. *)
 val register : Object_table.t -> typedef:Access.t -> port:Access.t -> unit
 
-val unregister : Object_table.t -> typedef:Access.t -> unit
-
 (** Drain every corpse currently queued at [port], calling [finalize] on
     each.  Must be called from inside a process body. *)
 val drain :

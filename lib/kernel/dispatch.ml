@@ -26,9 +26,7 @@ type t = {
   killed : (int, int) Hashtbl.t;  (* process -> kill boundary seq *)
   mutable live : int;  (* total live entries *)
   mutable seq : int;
-  mutable enqueues : int;
   mutable dispatches : int;
-  mutable max_ready : int;
 }
 
 let create () =
@@ -38,9 +36,7 @@ let create () =
     killed = Hashtbl.create 16;
     live = 0;
     seq = 0;
-    enqueues = 0;
     dispatches = 0;
-    max_ready = 0;
   }
 
 let count t process =
@@ -51,9 +47,7 @@ let enqueue t ~process ~priority =
   t.seq <- t.seq + 1;
   Pqueue.insert t.heap ~priority ~seq:e.seq e;
   Hashtbl.replace t.counts process (count t process + 1);
-  t.live <- t.live + 1;
-  t.enqueues <- t.enqueues + 1;
-  if t.live > t.max_ready then t.max_ready <- t.live
+  t.live <- t.live + 1
 
 let is_dead t e =
   match Hashtbl.find_opt t.killed e.process with
@@ -103,5 +97,3 @@ let remove t ~process =
 let mem t ~process = count t process > 0
 let length t = t.live
 let dispatches_of t = t.dispatches
-let enqueues_of t = t.enqueues
-let max_ready_of t = t.max_ready

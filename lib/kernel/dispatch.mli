@@ -21,5 +21,3 @@ val length : t -> int
 
 (* Statistics consumed by the machine's run report. *)
 val dispatches_of : t -> int
-val enqueues_of : t -> int
-val max_ready_of : t -> int

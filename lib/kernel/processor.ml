@@ -34,7 +34,6 @@ let make ~id ~self =
     transient_pending = false;
   }
 
-let is_idle t = t.current = None
 
 (* Utilization over the life of the run. *)
 let utilization t =

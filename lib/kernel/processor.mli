@@ -22,7 +22,6 @@ type t = {
 type Object_table.payload += Processor_state of t
 
 val make : id:int -> self:int -> t
-val is_idle : t -> bool
 
 (** Busy fraction over the life of the run. *)
 val utilization : t -> float

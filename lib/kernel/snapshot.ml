@@ -162,9 +162,6 @@ let capture machine =
     events_dropped = I432_obs.Tracer.dropped (Machine.tracer machine);
   }
 
-let total_cpu_ns t =
-  List.fold_left (fun acc p -> acc + p.p_cpu_ns) 0 t.processes
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic full-state image (checkpoint verification)            *)
 (* ------------------------------------------------------------------ *)

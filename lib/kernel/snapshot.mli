@@ -60,7 +60,6 @@ type t = {
 }
 
 val capture : Machine.t -> t
-val total_cpu_ns : t -> int
 
 (** Multi-line human-readable rendering. *)
 val render : t -> string

@@ -32,6 +32,7 @@ module K = I432_kernel
 module Obs = I432_obs
 module Net = I432_net
 module Fi = I432_fi.Fi
+module St = I432_store
 
 (* Typed-port instance carrying raw access descriptors (paper Figure 2);
    the single-machine harness issues every request through it. *)
@@ -292,7 +293,39 @@ let port_name = "loadgen"
 type chaos = {
   c_kill_after_rounds : int;  (* checkpoint + kill at this round boundary *)
   c_outage_ns : int;  (* restart the server this long after the kill *)
+  c_store : St.Store.t;  (* where the checkpoint is filed *)
 }
+
+(* Cluster runs step in 100 us rounds. *)
+let quantum_ns = 100_000
+
+(* Checkpoint rejoin by replay: file every node's image at the kill
+   round, and at the restart let Checkpoint re-boot the scenario, replay
+   the recorded rounds on the sequential engine and verify node 0's image
+   before it is spliced back in. *)
+let stage_chaos { c_kill_after_rounds; c_outage_ns; c_store } ~seed ~engine
+    ~boot cl =
+  let r1 =
+    Net.Cluster.run cl ~engine ~quantum_ns ~max_rounds:c_kill_after_rounds ()
+  in
+  ignore
+    (St.Checkpoint.save_cluster c_store ~key:"loadgen"
+       ~rounds:r1.Net.Cluster.rounds ~quantum_ns cl);
+  let kill_at = r1.Net.Cluster.horizon_ns in
+  let restart_at = kill_at + c_outage_ns in
+  Net.Cluster.arm_nodes cl
+    ~restore:(fun ~node ~at_ns:_ ->
+      St.Checkpoint.restore_node c_store ~key:"loadgen" ~node ~boot)
+    {
+      Fi.n_seed = seed;
+      n_events =
+        [
+          { Fi.n_at_ns = kill_at; n_node = 0; n_act = Fi.N_kill };
+          { Fi.n_at_ns = restart_at; n_node = 0; n_act = Fi.N_restart };
+        ];
+    };
+  ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
+  (kill_at, restart_at)
 
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are
    partitioned across the client nodes; each client preallocates only its
@@ -304,13 +337,12 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
     ?(engine = Net.Cluster.Seq) ?(trace_level = Obs.Tracer.Off) ?chaos ~spec
     () =
   if nodes < 2 then invalid_arg "Loadgen.run_cluster: nodes";
-  if chaos <> None && trace_level = Obs.Tracer.Off then
+  if Option.is_some chaos && trace_level = Obs.Tracer.Off then
     invalid_arg "Loadgen.run_cluster: chaos needs trace_level Events";
   let workers = if workers > 0 then workers else 2 * processors in
   let clients = nodes - 1 in
   let reqs = Arrival.generate spec in
   let total = Array.length reqs in
-  let quantum_ns = 100_000 in
   let boot () =
     (* A wide window keeps the interconnect itself from throttling the
        offered load: above-knee sweep points must overload the server's
@@ -375,45 +407,11 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
     | None ->
       ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
       None
-    | Some { c_kill_after_rounds; c_outage_ns } ->
-      (* Phase A: advance to the checkpoint boundary and capture every
-         node's state image — the in-memory form of a cluster checkpoint
-         (same record, same verification; imax_ctl's path goes through
-         the journal). *)
-      let r1 =
-        Net.Cluster.run cl ~engine ~quantum_ns
-          ~max_rounds:c_kill_after_rounds ()
-      in
-      let rounds = r1.Net.Cluster.rounds in
-      let images =
-        Array.init nodes (fun i ->
-            K.Snapshot.state_image (Net.Cluster.machine cl i))
-      in
-      let kill_at = r1.Net.Cluster.horizon_ns in
-      let restart_at = kill_at + c_outage_ns in
-      let restore ~node ~at_ns:_ =
-        (* Checkpoint rejoin by replay: re-boot the identical scenario,
-           replay the recorded rounds on the sequential engine, verify
-           the target node's image byte-for-byte. *)
-        let shadow, _ = boot () in
-        if rounds > 0 then
-          ignore (Net.Cluster.run shadow ~quantum_ns ~max_rounds:rounds ());
-        let m = Net.Cluster.machine shadow node in
-        if not (String.equal (K.Snapshot.state_image m) images.(node)) then
-          failwith "Loadgen chaos: checkpoint replay diverged";
-        m
-      in
-      Net.Cluster.arm_nodes cl ~restore
-        {
-          Fi.n_seed = spec.Arrival.seed;
-          n_events =
-            [
-              { Fi.n_at_ns = kill_at; n_node = 0; n_act = Fi.N_kill };
-              { Fi.n_at_ns = restart_at; n_node = 0; n_act = Fi.N_restart };
-            ];
-        };
-      ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
-      Some (kill_at, restart_at)
+    | Some c ->
+      Some
+        (stage_chaos c ~seed:spec.Arrival.seed ~engine
+           ~boot:(fun () -> fst (boot ()))
+           cl)
   in
   (* Re-fetch from the cluster: with chaos the server machine was replaced
      by its checkpoint replay mid-run. *)

@@ -37,17 +37,35 @@ val run_machine :
   unit ->
   outcome
 
-(** Whole-node failure staged under load: checkpoint at the given round
-    boundary (100 us rounds), kill the serving node exactly there, and
-    splice a verified checkpoint replay back in [c_outage_ns] later.
-    Because the kill lands on the checkpoint horizon, the rollback
-    window is empty: no completion is lost or double-counted, and every
-    in-flight request rides ARQ retransmission across the outage (keep
-    the outage well below the retry give-up time). *)
+(** Whole-node failure staged under load: checkpoint every node into
+    [c_store] (key ["loadgen"]) at the given round boundary (100 us
+    rounds), kill the serving node exactly there, and splice a verified
+    checkpoint replay back in [c_outage_ns] later.  Because the kill
+    lands on the checkpoint horizon, the rollback window is empty: no
+    completion is lost or double-counted, and every in-flight request
+    rides ARQ retransmission across the outage (keep the outage well
+    below the retry give-up time).  A store that is not attached to a
+    machine emits no events, so it leaves every stream unchanged. *)
 type chaos = {
   c_kill_after_rounds : int;  (** checkpoint + kill at this round boundary *)
   c_outage_ns : int;  (** restart the server this long after the kill *)
+  c_store : I432_store.Store.t;  (** where the checkpoint is filed *)
 }
+
+(** Stage [chaos] on a cluster [boot] built, then run it to halt; returns
+    the (kill, restart) instants.  The restart re-runs [boot], replays
+    the checkpointed rounds and splices node 0 back in only if its image
+    equals the checkpoint's; otherwise it raises
+    {!I432_store.Checkpoint.Restore_mismatch} naming the node and its
+    first divergent image line.  {!run_cluster} stages its chaos
+    here. *)
+val stage_chaos :
+  chaos ->
+  seed:int ->
+  engine:Net.Cluster.engine ->
+  boot:(unit -> Net.Cluster.t) ->
+  Net.Cluster.t ->
+  int * int
 
 (** Run the harness on a [nodes]-machine cluster: node 0 serves, the
     others issue through imported surrogate ports, so every request

@@ -194,17 +194,13 @@ let mk_node ~id ~name ~alive ~down_since ~up_since machine =
     m_restarts = c "node.restarts";
   }
 
-let add_node t ~name machine =
+let boot_node t ~name ?config () =
+  let machine = K.Machine.create ?config () in
   let id = Array.length t.nodes in
   let node =
     mk_node ~id ~name ~alive:true ~down_since:max_int ~up_since:0 machine
   in
   t.nodes <- Array.append t.nodes [| node |];
-  id
-
-let boot_node t ~name ?config () =
-  let machine = K.Machine.create ?config () in
-  let id = add_node t ~name machine in
   (id, machine)
 
 let connect t ?latency_ns ?ns_per_byte a b =
@@ -679,10 +675,6 @@ let restart_now t id ~at ~machine =
   emit fresh ~ts_ns:at ~name:fresh.node_name ~a:id
     ~b:(Name_service.epoch t.ns) Obs.Event.Node_restart;
   Obs.Metrics.incr fresh.m_restarts
-
-let fail_node t ?at_ns id =
-  let at = match at_ns with Some a -> a | None -> t.cur_horizon in
-  kill_now t id ~at
 
 let restart_node t ?at_ns ~machine id =
   let at = match at_ns with Some a -> a | None -> t.cur_horizon in

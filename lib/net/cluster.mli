@@ -76,11 +76,8 @@ val create :
   unit ->
   t
 
-(** Join an existing machine; returns its node id.  Registers the node's
-    net counters in its metrics registry. *)
-val add_node : t -> name:string -> K.Machine.t -> int
-
-(** Create a machine and join it. *)
+(** Create a machine and join it; returns its node id.  Registers the
+    node's net counters in its metrics registry. *)
 val boot_node : t -> name:string -> ?config:K.Machine.config -> unit -> int * K.Machine.t
 
 (** Link two nodes.  Raises [Invalid_argument] on a self-link or unknown
@@ -92,7 +89,6 @@ val machine : t -> int -> K.Machine.t
 val node_name : t -> int -> string
 val name_service : t -> Name_service.t
 val links : t -> Link.t list
-val link_by_id : t -> int -> Link.t option
 val channels : t -> channel list
 
 (** Arm a link-fault plan: each event applies to its link the first round
@@ -112,11 +108,6 @@ val arm_links : t -> Fi.link_plan -> unit
     restart; survivors keep their surrogate descriptors, which stay
     valid because the replacement machine is a checkpoint replay with a
     byte-identical object-table layout.  See DESIGN.md §13. *)
-
-(** Kill [id] at [at_ns] (default: the current horizon).  The victim
-    executes exactly up to the kill instant.  Idempotent on a dead
-    node. *)
-val fail_node : t -> ?at_ns:int -> int -> unit
 
 (** Splice a replacement machine in for dead node [id] at [at_ns]
     (default: the current horizon).  [machine] must be a replay of the
@@ -144,6 +135,17 @@ val txn_dup_drops : t -> int
     deterministic under every engine.  Cumulative with earlier plans. *)
 val arm_nodes :
   t -> restore:(node:int -> at_ns:int -> K.Machine.t) -> Fi.node_plan -> unit
+
+(** {1 Network-transparent ports}
+
+    Exporting gives a port a cluster-wide name; importing installs a
+    local surrogate port and returns a send-only descriptor to it.  Not
+    transparent by design (DESIGN.md §9): receive (the t2 right stays on
+    the home node, whose business the service order of its queue is),
+    level/lifetime rules (a marshalled graph is rebuilt at the
+    destination's global-heap level; lifetime containment stops at the
+    node boundary), and object identity (the destination sees an
+    isomorphic copy, not the sender's object). *)
 
 exception Not_exported of string
 exception No_route of string

@@ -35,9 +35,6 @@ val make :
 
 val connects : t -> int -> int -> bool
 
-(** Is the link severed at this virtual instant? *)
-val partitioned_at : t -> int -> bool
-
 (** Arm one fault act at virtual instant [at]. *)
 val apply : t -> at:int -> Fi.link_act -> unit
 

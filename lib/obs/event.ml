@@ -79,63 +79,6 @@ type t = {
   b : int;
 }
 
-let kind_to_string = function
-  | Spawn -> "spawn"
-  | Exit -> "exit"
-  | Finish -> "finish"
-  | Fault -> "fault"
-  | Ready -> "ready"
-  | Dispatch -> "dispatch"
-  | Preempt -> "preempt"
-  | Yield -> "yield"
-  | Deschedule -> "deschedule"
-  | Block_send -> "block-send"
-  | Block_receive -> "block-receive"
-  | Sleep -> "sleep"
-  | Wake -> "wake"
-  | Send -> "send"
-  | Receive -> "receive"
-  | Allocate -> "allocate"
-  | Release -> "release"
-  | Sro_create -> "sro-create"
-  | Sro_destroy -> "sro-destroy"
-  | Domain_call -> "domain-call"
-  | Domain_return -> "domain-return"
-  | Stop -> "stop"
-  | Start -> "start"
-  | Gc_mark_begin -> "gc-mark-begin"
-  | Gc_mark_end -> "gc-mark-end"
-  | Gc_sweep_begin -> "gc-sweep-begin"
-  | Gc_sweep_end -> "gc-sweep-end"
-  | Fi_inject -> "fi-inject"
-  | Cpu_offline -> "cpu-offline"
-  | Proc_requeued -> "proc-requeued"
-  | Alloc_retry -> "alloc-retry"
-  | Timeout_fired -> "timeout-fired"
-  | Proc_restarted -> "proc-restarted"
-  | Remote_send -> "remote-send"
-  | Remote_deliver -> "remote-deliver"
-  | Frame_tx -> "frame-tx"
-  | Frame_rx -> "frame-rx"
-  | Journal_append -> "journal-append"
-  | Journal_sync -> "journal-sync"
-  | Store_compact -> "store-compact"
-  | Ckpt_save -> "ckpt-save"
-  | Ckpt_restore -> "ckpt-restore"
-  | Req_issue -> "req-issue"
-  | Req_done -> "req-done"
-  | Node_kill -> "node-kill"
-  | Node_restart -> "node-restart"
-  | Frame_dead -> "frame-dead"
-  | Dead_letter -> "dead-letter"
-  | Swap_out -> "swap-out"
-  | Swap_in -> "swap-in"
-  | Swap_fault -> "swap-fault"
-  | Txn_commit -> "txn-commit"
-  | Txn_abort -> "txn-abort"
-  | Txn_dup_drop -> "txn-dup-drop"
-  | Hist_append -> "hist-append"
-
 (* Dense integer codes, for storing kinds in the tracer's packed int
    rings.  [kind_of_int] is the inverse on [0 .. kind_count - 1]. *)
 let kind_to_int = function
@@ -195,86 +138,88 @@ let kind_to_int = function
   | Txn_dup_drop -> 53
   | Hist_append -> 54
 
-let kind_count = 55
+(* The kinds in code order, each with its name and its subsystem (the
+   Chrome trace category): [kind_of_int], [kind_to_string] and [category]
+   are lookups here.  [kind_to_int] stays a match — it is on the tracer's
+   hot path — and module initialisation checks the two agree. *)
+let kinds =
+  [|
+    (Spawn, "spawn", "proc");
+    (Exit, "exit", "proc");
+    (Finish, "finish", "proc");
+    (Fault, "fault", "proc");
+    (Ready, "ready", "dispatch");
+    (Dispatch, "dispatch", "dispatch");
+    (Preempt, "preempt", "dispatch");
+    (Yield, "yield", "dispatch");
+    (Deschedule, "deschedule", "dispatch");
+    (Block_send, "block-send", "port");
+    (Block_receive, "block-receive", "port");
+    (Sleep, "sleep", "dispatch");
+    (Wake, "wake", "dispatch");
+    (Send, "send", "port");
+    (Receive, "receive", "port");
+    (Allocate, "allocate", "sro");
+    (Release, "release", "sro");
+    (Sro_create, "sro-create", "sro");
+    (Sro_destroy, "sro-destroy", "sro");
+    (Domain_call, "domain-call", "domain");
+    (Domain_return, "domain-return", "domain");
+    (Stop, "stop", "proc");
+    (Start, "start", "proc");
+    (Gc_mark_begin, "gc-mark-begin", "gc");
+    (Gc_mark_end, "gc-mark-end", "gc");
+    (Gc_sweep_begin, "gc-sweep-begin", "gc");
+    (Gc_sweep_end, "gc-sweep-end", "gc");
+    (Fi_inject, "fi-inject", "fi");
+    (Cpu_offline, "cpu-offline", "dispatch");
+    (Proc_requeued, "proc-requeued", "dispatch");
+    (Alloc_retry, "alloc-retry", "sro");
+    (Timeout_fired, "timeout-fired", "port");
+    (Proc_restarted, "proc-restarted", "proc");
+    (Remote_send, "remote-send", "net");
+    (Remote_deliver, "remote-deliver", "net");
+    (Frame_tx, "frame-tx", "net");
+    (Frame_rx, "frame-rx", "net");
+    (Journal_append, "journal-append", "store");
+    (Journal_sync, "journal-sync", "store");
+    (Store_compact, "store-compact", "store");
+    (Ckpt_save, "ckpt-save", "store");
+    (Ckpt_restore, "ckpt-restore", "store");
+    (Req_issue, "req-issue", "load");
+    (Req_done, "req-done", "load");
+    (Node_kill, "node-kill", "net");
+    (Node_restart, "node-restart", "net");
+    (Frame_dead, "frame-dead", "net");
+    (Dead_letter, "dead-letter", "net");
+    (Swap_out, "swap-out", "vm");
+    (Swap_in, "swap-in", "vm");
+    (Swap_fault, "swap-fault", "vm");
+    (Txn_commit, "txn-commit", "txn");
+    (Txn_abort, "txn-abort", "txn");
+    (Txn_dup_drop, "txn-dup-drop", "txn");
+    (Hist_append, "hist-append", "txn");
+  |]
 
-let kind_of_int = function
-  | 0 -> Spawn
-  | 1 -> Exit
-  | 2 -> Finish
-  | 3 -> Fault
-  | 4 -> Ready
-  | 5 -> Dispatch
-  | 6 -> Preempt
-  | 7 -> Yield
-  | 8 -> Deschedule
-  | 9 -> Block_send
-  | 10 -> Block_receive
-  | 11 -> Sleep
-  | 12 -> Wake
-  | 13 -> Send
-  | 14 -> Receive
-  | 15 -> Allocate
-  | 16 -> Release
-  | 17 -> Sro_create
-  | 18 -> Sro_destroy
-  | 19 -> Domain_call
-  | 20 -> Domain_return
-  | 21 -> Stop
-  | 22 -> Start
-  | 23 -> Gc_mark_begin
-  | 24 -> Gc_mark_end
-  | 25 -> Gc_sweep_begin
-  | 26 -> Gc_sweep_end
-  | 27 -> Fi_inject
-  | 28 -> Cpu_offline
-  | 29 -> Proc_requeued
-  | 30 -> Alloc_retry
-  | 31 -> Timeout_fired
-  | 32 -> Proc_restarted
-  | 33 -> Remote_send
-  | 34 -> Remote_deliver
-  | 35 -> Frame_tx
-  | 36 -> Frame_rx
-  | 37 -> Journal_append
-  | 38 -> Journal_sync
-  | 39 -> Store_compact
-  | 40 -> Ckpt_save
-  | 41 -> Ckpt_restore
-  | 42 -> Req_issue
-  | 43 -> Req_done
-  | 44 -> Node_kill
-  | 45 -> Node_restart
-  | 46 -> Frame_dead
-  | 47 -> Dead_letter
-  | 48 -> Swap_out
-  | 49 -> Swap_in
-  | 50 -> Swap_fault
-  | 51 -> Txn_commit
-  | 52 -> Txn_abort
-  | 53 -> Txn_dup_drop
-  | 54 -> Hist_append
-  | n -> invalid_arg (Printf.sprintf "Event.kind_of_int: %d" n)
+let kind_count = Array.length kinds
 
-(* Subsystem, used as the Chrome trace category. *)
-let category = function
-  | Spawn | Exit | Finish | Fault | Stop | Start | Proc_restarted -> "proc"
-  | Ready | Dispatch | Preempt | Yield | Deschedule | Sleep | Wake
-  | Cpu_offline | Proc_requeued ->
-    "dispatch"
-  | Block_send | Block_receive | Send | Receive | Timeout_fired -> "port"
-  | Allocate | Release | Sro_create | Sro_destroy | Alloc_retry -> "sro"
-  | Domain_call | Domain_return -> "domain"
-  | Gc_mark_begin | Gc_mark_end | Gc_sweep_begin | Gc_sweep_end -> "gc"
-  | Fi_inject -> "fi"
-  | Remote_send | Remote_deliver | Frame_tx | Frame_rx | Node_kill
-  | Node_restart | Frame_dead | Dead_letter ->
-    "net"
-  | Journal_append | Journal_sync | Store_compact | Ckpt_save | Ckpt_restore
-    ->
-    "store"
-  | Req_issue | Req_done -> "load"
-  | Swap_out | Swap_in | Swap_fault -> "vm"
-  | Txn_commit | Txn_abort | Txn_dup_drop | Hist_append -> "txn"
+let () =
+  Array.iteri (fun i (k, _, _) -> assert (kind_to_int k = i)) kinds
+
+let kind_of_int n =
+  if n < 0 || n >= kind_count then
+    invalid_arg (Printf.sprintf "Event.kind_of_int: %d" n)
+  else
+    let k, _, _ = kinds.(n) in
+    k
+
+let kind_to_string k =
+  let _, name, _ = kinds.(kind_to_int k) in
+  name
+
+let category k =
+  let _, _, cat = kinds.(kind_to_int k) in
+  cat
 
 (* Every category value, in fixed order (for filter UIs and validation). *)
 let subsystems =

@@ -48,7 +48,5 @@ let completed r ~cls ~latency_ns =
   Metrics.observe_log r.sr_latency ns;
   Metrics.observe_log r.sr_by_class.(cls) ns
 
-let issued_count r = Metrics.counter_value r.sr_issued
-let completed_count r = Metrics.counter_value r.sr_completed
 let quantile r q = Metrics.log_quantile r.sr_latency q
 let class_quantile r ~cls q = Metrics.log_quantile r.sr_by_class.(cls) q

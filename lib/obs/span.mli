@@ -25,9 +25,6 @@ val issued : recorder -> unit
     outside [classes]. *)
 val completed : recorder -> cls:int -> latency_ns:int -> unit
 
-val issued_count : recorder -> int
-val completed_count : recorder -> int
-
 (** Overall / per-class latency quantile, [q] in [0, 1]. *)
 val quantile : recorder -> float -> float
 

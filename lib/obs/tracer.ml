@@ -36,11 +36,6 @@
 
 type level = Off | Events | Events_and_legacy_lines
 
-let level_to_string = function
-  | Off -> "off"
-  | Events -> "events"
-  | Events_and_legacy_lines -> "events+legacy"
-
 (* Field offsets within a slot. *)
 let fields = 8
 

@@ -9,8 +9,6 @@
 
 type level = Off | Events | Events_and_legacy_lines
 
-val level_to_string : level -> string
-
 type t
 
 val default_capacity : int

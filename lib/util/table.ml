@@ -57,6 +57,5 @@ let print ~title ~header ~aligns rows =
 let fmt_float ?(decimals = 2) v =
   Printf.sprintf "%.*f" decimals v
 
-let fmt_int = string_of_int
 
 let fmt_us ns = Printf.sprintf "%.2f" (float_of_int ns /. 1000.0)

@@ -21,7 +21,5 @@ val print :
 (** Format a float with the given number of decimals (default 2). *)
 val fmt_float : ?decimals:int -> float -> string
 
-val fmt_int : int -> string
-
 (** Render a nanosecond count as microseconds with two decimals. *)
 val fmt_us : int -> string

@@ -446,6 +446,52 @@ let test_mm_fifo_policy_selectable () =
   let sys = boot ~memory_manager:System.Swapping_fifo () in
   Alcotest.(check string) "selected" "swapping/fifo" (System.mm_name sys)
 
+(* Every memory choice boots the manager it names, and a swapping
+   manager's Swap_out events carry its policy's name. *)
+let test_mm_choice_names () =
+  let choices =
+    System.
+      [ Non_swapping; Swapping_lru; Swapping_fifo; Swapping_clock;
+        Swapping_level ]
+  in
+  Alcotest.(check int) "memory_choices lists each once"
+    (List.length choices)
+    (List.length (List.sort_uniq compare System.memory_choices));
+  List.iter
+    (fun c ->
+      let sys = boot ~memory_manager:c () in
+      Alcotest.(check string) "mm_name"
+        (System.memory_choice_to_string c)
+        (System.mm_name sys))
+    choices;
+  let sys =
+    System.boot
+      ~config:
+        {
+          System.default_config with
+          System.memory_manager = System.Swapping_level;
+          heap_bytes = 4096;
+          swap_device = Some (I432_vm.Swap_device.in_memory ());
+          trace_level = I432_obs.Tracer.Events;
+        }
+      ()
+  in
+  ignore
+    (List.init 8 (fun _ ->
+         System.mm_allocate sys ~data_length:1024 ~access_length:0
+           ~otype:Obj_type.Generic));
+  let outs =
+    List.filter
+      (fun (e : I432_obs.Event.t) -> e.I432_obs.Event.kind = I432_obs.Event.Swap_out)
+      (K.Machine.events (System.machine sys))
+  in
+  Alcotest.(check bool) "evictions traced" true (outs <> []);
+  List.iter
+    (fun (e : I432_obs.Event.t) ->
+      Alcotest.(check string) "Swap_out names the policy" "level"
+        e.I432_obs.Event.name)
+    outs
+
 (* ---------------- Device I/O ---------------- *)
 
 let test_device_common_interface () =
@@ -694,6 +740,8 @@ let suite =
     ("mm swapping preserves content", `Quick, test_mm_swapping_preserves_content);
     ("mm swapping faults without touch", `Quick, test_mm_swapping_faults_without_touch);
     ("mm fifo policy selectable", `Quick, test_mm_fifo_policy_selectable);
+    ("mm each choice boots the manager it names", `Quick,
+      test_mm_choice_names);
     ("device common interface", `Quick, test_device_common_interface);
     ("device closed rejects", `Quick, test_device_closed_rejects);
     ("disk blocks", `Quick, test_disk_blocks);

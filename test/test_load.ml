@@ -10,6 +10,7 @@ module Obs = I432_obs
 module Net = I432_net
 module Load = I432_load
 module Scenario = I432_store.Scenario
+module Ckpt = I432_store.Checkpoint
 
 (* ---------------- Stats.log_hist ---------------- *)
 
@@ -291,6 +292,69 @@ let test_cluster_overload_drains () =
   Alcotest.(check int) "all requests served under overload"
     (Load.Arrival.total s) o.Load.Loadgen.o_completed
 
+(* ---------------- Harness: chaos rejoin ---------------- *)
+
+(* The server is checkpointed into the caller's store, killed, and its
+   verified replay spliced back in: every request still completes. *)
+let test_chaos_rejoin_completes () =
+  let s = spec ~seed:3 ~users:4 ~sessions:1 ~requests:6 () in
+  Testkit.with_store (fun _path store ->
+      let chaos =
+        {
+          Load.Loadgen.c_kill_after_rounds = 5;
+          c_outage_ns = 1_000_000;
+          c_store = store;
+        }
+      in
+      let o =
+        Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~engine:Net.Cluster.Seq
+          ~trace_level:Obs.Tracer.Events ~chaos ~spec:s ()
+      in
+      Alcotest.(check int) "completed" (Load.Arrival.total s)
+        o.Load.Loadgen.o_completed;
+      Alcotest.(check int) "one restart" 1
+        (Obs.Metrics.count o.Load.Loadgen.o_metrics "node.restarts");
+      Alcotest.(check bool) "checkpoint filed" true
+        (Option.is_some (Ckpt.load store ~key:"loadgen")))
+
+(* A boot closure that builds something else on its second call (the
+   replay) must not be spliced in: the rejoin raises Restore_mismatch
+   naming the node and its first divergent image line. *)
+let test_chaos_divergent_replay () =
+  let boots = ref 0 in
+  let boot () =
+    incr boots;
+    let cl = Net.Cluster.create () in
+    let server, m = Net.Cluster.boot_node cl ~name:"server" () in
+    let client, _ = Net.Cluster.boot_node cl ~name:"client" () in
+    ignore (Net.Cluster.connect cl server client);
+    if !boots > 1 then
+      ignore (K.Machine.allocate_generic m ~data_length:8 ~access_length:0 ());
+    ignore
+      (K.Machine.spawn m ~name:"ticker" (fun () ->
+           for _ = 1 to 20 do
+             K.Machine.delay m ~ns:100_000
+           done));
+    cl
+  in
+  Testkit.with_store (fun _path store ->
+      let chaos =
+        {
+          Load.Loadgen.c_kill_after_rounds = 3;
+          c_outage_ns = 300_000;
+          c_store = store;
+        }
+      in
+      match
+        Load.Loadgen.stage_chaos chaos ~seed:1 ~engine:Net.Cluster.Seq ~boot
+          (boot ())
+      with
+      | _ -> Alcotest.fail "a divergent replay was spliced in"
+      | exception Ckpt.Restore_mismatch { divergence = Some d; _ } ->
+        Alcotest.(check string) "names the node"
+          "checkpoint \"loadgen\" node \"server\" image" d.Ckpt.stream;
+        Alcotest.(check bool) "names a line" true (d.Ckpt.index >= 1))
+
 let suite =
   [
     ("log_hist basic", `Quick, test_log_hist_basic);
@@ -311,4 +375,7 @@ let suite =
     ("cluster completes all", `Quick, test_cluster_completes_all);
     QCheck_alcotest.to_alcotest prop_cluster_par_equals_seq;
     ("cluster overload drains", `Quick, test_cluster_overload_drains);
+    ("chaos rejoin completes", `Quick, test_chaos_rejoin_completes);
+    ("chaos divergent replay raises Restore_mismatch", `Quick,
+      test_chaos_divergent_replay);
   ]

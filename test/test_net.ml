@@ -365,10 +365,13 @@ let test_name_service_errors () =
      ignore (Net.Cluster.import cluster ~node:c ~name:"svc");
      Alcotest.fail "expected No_route"
    with Net.Cluster.No_route _ -> ());
+  let ns = Net.Cluster.name_service cluster in
   Alcotest.(check (list string)) "names sorted" [ "svc" ]
-    (Net.Remote_port.names cluster);
+    (Net.Name_service.names ns);
   Alcotest.(check (option (pair int int))) "resolve" (Some (b, 2))
-    (Net.Remote_port.resolve cluster "svc");
+    (Option.map
+       (fun e -> (e.Net.Name_service.e_node, e.Net.Name_service.e_capacity))
+       (Net.Name_service.lookup ns "svc"));
   ignore a
 
 let test_surrogate_is_send_only () =

@@ -95,6 +95,80 @@ let test_kind_codes_roundtrip () =
        (Printf.sprintf "Event.kind_of_int: %d" Obs.Event.kind_count))
     (fun () -> ignore (Obs.Event.kind_of_int Obs.Event.kind_count))
 
+(* Every kind's dense code, name and category, pinned: the tracer's rings,
+   the exporters and the subsystem filter all read these, so a reordered
+   or renamed kind must show up here. *)
+let kind_table =
+  [
+    (0, "spawn", "proc");
+    (1, "exit", "proc");
+    (2, "finish", "proc");
+    (3, "fault", "proc");
+    (4, "ready", "dispatch");
+    (5, "dispatch", "dispatch");
+    (6, "preempt", "dispatch");
+    (7, "yield", "dispatch");
+    (8, "deschedule", "dispatch");
+    (9, "block-send", "port");
+    (10, "block-receive", "port");
+    (11, "sleep", "dispatch");
+    (12, "wake", "dispatch");
+    (13, "send", "port");
+    (14, "receive", "port");
+    (15, "allocate", "sro");
+    (16, "release", "sro");
+    (17, "sro-create", "sro");
+    (18, "sro-destroy", "sro");
+    (19, "domain-call", "domain");
+    (20, "domain-return", "domain");
+    (21, "stop", "proc");
+    (22, "start", "proc");
+    (23, "gc-mark-begin", "gc");
+    (24, "gc-mark-end", "gc");
+    (25, "gc-sweep-begin", "gc");
+    (26, "gc-sweep-end", "gc");
+    (27, "fi-inject", "fi");
+    (28, "cpu-offline", "dispatch");
+    (29, "proc-requeued", "dispatch");
+    (30, "alloc-retry", "sro");
+    (31, "timeout-fired", "port");
+    (32, "proc-restarted", "proc");
+    (33, "remote-send", "net");
+    (34, "remote-deliver", "net");
+    (35, "frame-tx", "net");
+    (36, "frame-rx", "net");
+    (37, "journal-append", "store");
+    (38, "journal-sync", "store");
+    (39, "store-compact", "store");
+    (40, "ckpt-save", "store");
+    (41, "ckpt-restore", "store");
+    (42, "req-issue", "load");
+    (43, "req-done", "load");
+    (44, "node-kill", "net");
+    (45, "node-restart", "net");
+    (46, "frame-dead", "net");
+    (47, "dead-letter", "net");
+    (48, "swap-out", "vm");
+    (49, "swap-in", "vm");
+    (50, "swap-fault", "vm");
+    (51, "txn-commit", "txn");
+    (52, "txn-abort", "txn");
+    (53, "txn-dup-drop", "txn");
+    (54, "hist-append", "txn");
+  ]
+
+let test_kind_table_pinned () =
+  Alcotest.(check int) "kind count" (List.length kind_table)
+    Obs.Event.kind_count;
+  List.iter
+    (fun (code, name, category) ->
+      let k = Obs.Event.kind_of_int code in
+      Alcotest.(check int) name code (Obs.Event.kind_to_int k);
+      Alcotest.(check string) "name" name (Obs.Event.kind_to_string k);
+      Alcotest.(check string) (name ^ " category") category
+        (Obs.Event.category k))
+    kind_table
+
 let test_subsystem_filter () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 () in
   (* Keep only the port subsystem: process events are skipped before any
@@ -286,6 +360,7 @@ let suite =
     ("tracer: per-processor rings", `Quick, test_rings_are_per_processor);
     ("tracer: off level inert", `Quick, test_off_level_is_inert);
     ("tracer: kind codes roundtrip", `Quick, test_kind_codes_roundtrip);
+    ("event: kind table pinned", `Quick, test_kind_table_pinned);
     ("tracer: subsystem filter", `Quick, test_subsystem_filter);
     ("shim: byte-identical lines", `Quick, test_legacy_lines_byte_identical);
     ("shim: silent at Events", `Quick, test_events_level_has_no_legacy_lines);

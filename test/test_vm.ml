@@ -131,30 +131,31 @@ let test_manager_level_aware () =
   let m = mk () in
   let table = K.Machine.table m in
   let mm =
-    MM.Swapping_level.create_with ~ram_bytes:96 m ~heap_bytes:(64 * 1024)
+    MM.Swapping.create_with ~policy:Vm.Policy.Level_aware ~ram_bytes:96 m
+      ~heap_bytes:(64 * 1024)
   in
   let alloc_global () =
-    MM.Swapping_level.allocate mm ~data_length:32 ~access_length:0
+    MM.Swapping.allocate mm ~data_length:32 ~access_length:0
       ~otype:Obj_type.Generic
   in
   let a0 = alloc_global () in
   let b2 =
-    MM.Swapping_level.allocate_local mm ~level:2 ~data_length:32
+    MM.Swapping.allocate_local mm ~level:2 ~data_length:32
       ~access_length:0 ~otype:Obj_type.Generic
   in
   let _c0 = alloc_global () in
   (* b2 is the most recently used object in the set... *)
-  MM.Swapping_level.touch mm b2;
+  MM.Swapping.touch mm b2;
   Alcotest.(check int) "three residents, envelope full" 96
-    (MM.Swapping_level.resident_bytes mm);
+    (MM.Swapping.resident_bytes mm);
   (* ...and the next admission still evicts it first. *)
   let _d0 = alloc_global () in
   let swapped a = (Object_table.entry_of_access table a).Object_table.swapped_out in
   Alcotest.(check bool) "level-2 segment went out" true (swapped b2);
   Alcotest.(check bool) "level-0 stayed" false (swapped a0);
-  Alcotest.(check int) "one eviction" 1 (MM.Swapping_level.stats mm).MM.swap_outs;
+  Alcotest.(check int) "one eviction" 1 (MM.Swapping.stats mm).MM.swap_outs;
   (* Touch brings it back (and evicts a level-0 victim to make room). *)
-  MM.Swapping_level.touch mm b2;
+  MM.Swapping.touch mm b2;
   Alcotest.(check bool) "touch faulted it in" false (swapped b2)
 
 (* ---------------- Swapping vs Nonswapping equality ---------------- *)
