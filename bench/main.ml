@@ -118,10 +118,15 @@ let run_micro args =
       exit 1
     end;
     if append_gate && not (Store_tp.check_append store_tp) then begin
-      Printf.printf "FAIL: %d store appends cost %s write syscalls > %d\n"
+      Printf.printf
+        "FAIL: %d store appends cost %s write syscalls (limit %d); %d \
+         put+get pairs cost %s (limit %d)\n"
         Store_tp.append_records
-        (Store_tp.append_writes_text store_tp)
-        (Store_tp.append_limit store_tp);
+        (Store_tp.writes_text store_tp.Store_tp.append_writes)
+        (Store_tp.append_limit store_tp)
+        Store_tp.append_records
+        (Store_tp.writes_text store_tp.Store_tp.swap_writes)
+        (Store_tp.swap_limit store_tp);
       exit 1
     end;
     if run_loop_gate && not (Run_loop.check run_loop) then begin

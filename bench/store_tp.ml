@@ -19,7 +19,12 @@
    from /proc/self/io.  The journal writes its frames behind, one
    [write] per 64 KiB, so the count is at most ceil(bytes / 64 KiB) + 1
    (the last partial buffer); a [write] per append would read 10,000.
-   A count, not a time: host noise cannot move it. *)
+   Beside it, the same bound over a swap-shaped interleave: 10,000 x (a
+   blob under a new key, then a read of a key already on disk), as a
+   swap-out then a fault-in.  Only a read of a buffered frame writes the
+   buffer out, so the interleave also costs one [write] per 64 KiB; a
+   read that flushed would read 10,000.  Counts, not times: host noise
+   cannot move them. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -66,6 +71,8 @@ type result = {
   read : Paired.t;  (* first-key get_blob: large journal over small *)
   append_bytes : int;  (* journal bytes the append guard wrote *)
   append_writes : int option;  (* its write syscalls; None: unreadable *)
+  swap_bytes : int;  (* journal bytes the swap-shaped interleave wrote *)
+  swap_writes : int option;  (* its write syscalls; None: unreadable *)
 }
 
 let read_small_records = 64
@@ -74,6 +81,8 @@ let read_limit = 3.0
 let append_records = 10_000
 let append_payload_bytes = 40
 let append_buffer_bytes = 65_536 (* the journal's write-behind buffer *)
+let swap_image_bytes = 32
+let swap_on_disk = 1024 (* keys written and synced before the interleave *)
 
 let measure_store ~pairs =
   cleanup ();
@@ -184,19 +193,18 @@ let write_syscalls () =
         | _ -> None)
       (String.split_on_char '\n' text)
 
-(* Keys are built before the first reading, and nothing between the two
-   readings prints, so every write counted is the journal's. *)
-let measure_append () =
-  let path = St.scratch_path "bench_append.journal" in
+(* Write syscalls of [f store] on a fresh no-fsync journal, and the
+   journal bytes it appended.  Keys are built before the first reading,
+   and nothing between the two readings prints, so every write counted is
+   the journal's. *)
+let count_writes name ~prepare f =
+  let path = St.scratch_path name in
   St.fresh_path path;
   let store = St.open_ ~sync_every:max_int path in
-  let payload = Bytes.make append_payload_bytes 'x' in
-  let keys =
-    Array.init append_records (fun i ->
-        Printf.sprintf "hist/acct%d/%d" (i mod 8) ((i / 8) + 1))
-  in
+  prepare store;
+  let _, _, _, bytes0, _ = St.stats store in
   let before = write_syscalls () in
-  Array.iter (fun key -> St.put_blob store ~key payload) keys;
+  f store;
   St.sync store;
   let after = write_syscalls () in
   let _, _, _, bytes, _ = St.stats store in
@@ -207,13 +215,43 @@ let measure_append () =
     | Some b, Some a -> Some (a - b)
     | _ -> None
   in
-  (bytes, writes)
+  (bytes - bytes0, writes)
 
-let append_limit r =
-  ((r.append_bytes + append_buffer_bytes - 1) / append_buffer_bytes) + 1
+let measure_append () =
+  let payload = Bytes.make append_payload_bytes 'x' in
+  let keys =
+    Array.init append_records (fun i ->
+        Printf.sprintf "hist/acct%d/%d" (i mod 8) ((i / 8) + 1))
+  in
+  count_writes "bench_append.journal" ~prepare:ignore (fun store ->
+      Array.iter (fun key -> St.put_blob store ~key payload) keys)
+
+(* The reads' keys were synced before the first reading, so every read
+   is of a frame on disk while the interleave's own frames are buffered. *)
+let measure_swap_interleave () =
+  let image = Bytes.make swap_image_bytes 's' in
+  let old_keys = Array.init swap_on_disk (Printf.sprintf "swap/old%06d") in
+  let new_keys = Array.init append_records (Printf.sprintf "swap/new%06d") in
+  count_writes "bench_swap.journal"
+    ~prepare:(fun store ->
+      Array.iter (fun key -> St.put_blob store ~key image) old_keys;
+      St.sync store)
+    (fun store ->
+      Array.iteri
+        (fun i key ->
+          St.put_blob store ~key image;
+          ignore (St.get_blob store ~key:old_keys.(i mod swap_on_disk)))
+        new_keys)
+
+let write_limit bytes =
+  ((bytes + append_buffer_bytes - 1) / append_buffer_bytes) + 1
+
+let append_limit r = write_limit r.append_bytes
+let swap_limit r = write_limit r.swap_bytes
+let within writes limit = match writes with Some w -> w <= limit | None -> true
 
 let check_append r =
-  match r.append_writes with Some w -> w <= append_limit r | None -> true
+  within r.append_writes (append_limit r) && within r.swap_writes (swap_limit r)
 
 let measure ~smoke () =
   let pairs = if smoke then 256 else 2048 in
@@ -222,6 +260,7 @@ let measure ~smoke () =
   let save_ns, restore_ns = measure_ckpt ~trips in
   let read = measure_read () in
   let append_bytes, append_writes = measure_append () in
+  let swap_bytes, swap_writes = measure_swap_interleave () in
   {
     pairs;
     store_ns_per_op = store_ns;
@@ -232,10 +271,11 @@ let measure ~smoke () =
     read;
     append_bytes;
     append_writes;
+    swap_bytes;
+    swap_writes;
   }
 
-let append_writes_text r =
-  match r.append_writes with Some w -> string_of_int w | None -> "n/a"
+let writes_text = function Some w -> string_of_int w | None -> "n/a"
 
 let print_summary r =
   Printf.printf
@@ -250,7 +290,12 @@ let print_summary r =
   Printf.printf
     "Store appends: %d records, %d journal bytes, %s write syscalls (limit \
      %d)\n"
-    append_records r.append_bytes (append_writes_text r) (append_limit r);
+    append_records r.append_bytes (writes_text r.append_writes)
+    (append_limit r);
+  Printf.printf
+    "Store swap interleave: %d put+get pairs, %d journal bytes, %s write \
+     syscalls (limit %d)\n"
+    append_records r.swap_bytes (writes_text r.swap_writes) (swap_limit r);
   Printf.printf
     "Checkpoint round trip (%d trips): save %.0f ns, restore %.0f ns \
      (re-boot + replay + verify)\n"
@@ -282,6 +327,16 @@ let to_json_tp r =
             ( "write_syscalls",
               match r.append_writes with Some w -> Int w | None -> Null );
             ("limit", Int (append_limit r));
+          ] );
+      ( "swap_interleave_syscalls",
+        Obj
+          [
+            ("pairs", Int append_records);
+            ("image_bytes", Int swap_image_bytes);
+            ("bytes", Int r.swap_bytes);
+            ( "write_syscalls",
+              match r.swap_writes with Some w -> Int w | None -> Null );
+            ("limit", Int (swap_limit r));
           ] );
     ]
 

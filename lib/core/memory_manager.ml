@@ -153,6 +153,9 @@ module Swapping = struct
   type observed = {
     o_ins : Obs.Metrics.counter;
     o_outs : Obs.Metrics.counter;
+    o_clean : Obs.Metrics.counter Lazy.t;
+        (* registered at the first clean eviction, so a run without one
+           dumps the same counters as before *)
     o_faults : Obs.Metrics.counter;
     o_bytes_in : Obs.Metrics.counter;
     o_bytes_out : Obs.Metrics.counter;
@@ -183,6 +186,7 @@ module Swapping = struct
             {
               o_ins = c "swap.ins";
               o_outs = c "swap.outs";
+              o_clean = lazy (c "swap.clean_evictions");
               o_faults = c "swap.faults";
               o_bytes_in = c "swap.bytes_in";
               o_bytes_out = c "swap.bytes_out";
@@ -265,11 +269,7 @@ module Swapping = struct
     match t.obs with
     | Some o ->
       Obs.Metrics.incr o.o_outs;
-      if clean then
-        Obs.Metrics.incr
-          (Obs.Metrics.counter
-             (K.Machine.metrics t.machine)
-             "swap.clean_evictions")
+      if clean then Obs.Metrics.incr (Lazy.force o.o_clean)
       else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
       K.Machine.emit_event t.machine ~name:(Vm.Policy.to_string t.pol) ~a:index
         ~b:e.Object_table.data_length Obs.Event.Swap_out

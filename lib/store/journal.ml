@@ -16,12 +16,25 @@ type record = {
 }
 
 (* Appends are framed in place into [pending] and go out in one [write]
-   when the next frame would overflow it, and at the next [read_at],
-   [sync] or [close]; only whole frames are ever written, so the file on
-   disk is always a prefix of whole frames.  The buffer belongs to the
-   journal (never module-global): cluster nodes on separate domains each
-   append to their own journal. *)
+   when the next frame would overflow it, at a [read_at] of one of the
+   buffered frames, and at [sync] or [close]; only whole frames are ever
+   written, so the file on disk is always a prefix of whole frames.  The
+   buffer belongs to the journal (never module-global): cluster nodes on
+   separate domains each append to their own journal. *)
 let buffer_bytes = 65_536
+
+(* Reads of frames already on disk go through read-only mappings of the
+   file in fixed, aligned windows: window [k] maps bytes
+   [k * window_bytes, (k + 1) * window_bytes), once, at the first read
+   inside it after all of it is on disk, and is never remapped.  A frame
+   in the unmapped tail, or across a window boundary, is read with
+   syscalls.  A mapping lives outside the OCaml heap and goes when the GC
+   collects it after [close]. *)
+let window_bytes = 65_536
+
+type window = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let no_window : window = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
 
 type t = {
   j_path : string;
@@ -31,6 +44,7 @@ type t = {
   mutable pending : Bytes.t;  (* write-behind frames; allocated on first use *)
   mutable pending_len : int;  (* bytes of [pending] not yet written *)
   mutable unsynced : int;  (* appends since the last fsync *)
+  mutable windows : window array;  (* [no_window] where not mapped yet *)
   mutable closed : bool;
 }
 
@@ -133,9 +147,12 @@ let write_out t b len ~off =
   write_all t.fd b len;
   t.fd_pos <- off + len
 
+(* Length of the file: every frame before this offset is on disk. *)
+let on_disk t = t.end_off - t.pending_len
+
 let flush t =
   if t.pending_len > 0 then begin
-    write_out t t.pending t.pending_len ~off:(t.end_off - t.pending_len);
+    write_out t t.pending t.pending_len ~off:(on_disk t);
     t.pending_len <- 0
   end
 
@@ -162,6 +179,7 @@ let open_ path =
       pending = Bytes.empty;
       pending_len = 0;
       unsynced = 0;
+      windows = [||];
       closed = false;
     },
     records )
@@ -189,27 +207,93 @@ let append t ~kind ~key ~payload =
   t.unsynced <- t.unsynced + 1;
   off
 
-(* One frame, read from the file after the pending frames are written
-   out: the header names the frame's length, capped at the committed end
-   so a garbage header can neither allocate nor read past it; [parse]
-   then checks magic, CRC and commit marker as recovery does. *)
-let read_at t off =
-  if t.closed then invalid_arg "Journal.read_at: closed";
-  if off < 0 || off >= t.end_off then invalid_arg "Journal.read_at: offset";
-  flush t;
-  let avail = t.end_off - off in
+(* The mapped window holding file offset [off], or [no_window] while
+   part of that window is not on disk yet, or when the file cannot be
+   mapped (the read then falls back to syscalls). *)
+let window t off =
+  let k = off / window_bytes in
+  if (k + 1) * window_bytes > on_disk t then no_window
+  else begin
+    let n = Array.length t.windows in
+    if k >= n then begin
+      let grown = Array.make (max (k + 1) (2 * n)) no_window in
+      Array.blit t.windows 0 grown 0 n;
+      t.windows <- grown
+    end;
+    if Bigarray.Array1.dim t.windows.(k) = 0 then begin
+      try
+        t.windows.(k) <-
+          Bigarray.array1_of_genarray
+            (Unix.map_file t.fd
+               ~pos:(Int64.of_int (k * window_bytes))
+               Bigarray.char Bigarray.c_layout false [| window_bytes |])
+      with Unix.Unix_error _ -> ()
+    end;
+    t.windows.(k)
+  end
+
+let window_u32 (w : window) pos =
+  Char.code w.{pos}
+  lor (Char.code w.{pos + 1} lsl 8)
+  lor (Char.code w.{pos + 2} lsl 16)
+  lor (Char.code w.{pos + 3} lsl 24)
+
+(* The frame's length as its header names it, capped at the [avail]
+   bytes the file holds from its start, so a garbage header can neither
+   allocate nor read past the file's end. *)
+let frame_len ~key_len ~payload_len avail =
+  min avail (header_bytes + key_len + payload_len + trailer_bytes)
+
+(* The frame at [off] copied out of its mapped window, or [None] when
+   the window is not mapped or the frame does not lie inside it. *)
+let read_mapped t off avail =
+  let w = window t off in
+  let pos = off mod window_bytes in
+  if pos + header_bytes > Bigarray.Array1.dim w then None
+  else
+    let len =
+      frame_len ~key_len:(window_u32 w (pos + 5))
+        ~payload_len:(window_u32 w (pos + 9)) avail
+    in
+    if pos + len > window_bytes then None
+    else begin
+      let buf = Bytes.create len in
+      for i = 0 to len - 1 do
+        Bytes.unsafe_set buf i (Bigarray.Array1.unsafe_get w (pos + i))
+      done;
+      Some buf
+    end
+
+(* The frame at [off] read with syscalls: the header, then the rest of
+   the frame it names. *)
+let read_syscalls t off avail =
   seek t off;
   let header = read_all t.fd (min header_bytes avail) in
   let len =
     if Bytes.length header < header_bytes then Bytes.length header
     else
-      min avail
-        (header_bytes + get_u32 header 5 + get_u32 header 9 + trailer_bytes)
+      frame_len ~key_len:(get_u32 header 5) ~payload_len:(get_u32 header 9)
+        avail
   in
   let buf = Bytes.extend header 0 (len - Bytes.length header) in
   let got = read_into t.fd buf (Bytes.length header) in
   t.fd_pos <- off + got;
-  match parse buf 0 got with
+  if got = len then buf else Bytes.sub buf 0 got
+
+(* One frame, read from the file: the buffered frames are written out
+   first only when [off] is among them.  [parse] then checks magic, CRC
+   and commit marker of the bytes on disk, as recovery does. *)
+let read_at t off =
+  if t.closed then invalid_arg "Journal.read_at: closed";
+  if off < 0 || off >= t.end_off then invalid_arg "Journal.read_at: offset";
+  if off >= on_disk t then flush t;
+  let avail = on_disk t - off in
+  let buf =
+    match read_mapped t off avail with
+    | Some buf -> buf
+    | None -> read_syscalls t off avail
+  in
+  match parse buf 0 (Bytes.length buf) with
   | Some (r, _) -> { r with r_offset = off }
   | None -> invalid_arg "Journal.read_at: no committed record at offset"
 
@@ -226,6 +310,7 @@ let close t =
     Fun.protect
       ~finally:(fun () ->
         t.pending <- Bytes.empty;
+        t.windows <- [||];
         Unix.close t.fd)
       (fun () -> flush t)
   end

@@ -17,11 +17,17 @@
 
     Appends are written behind: each journal frames its records in place
     in one 64 KiB buffer, and the buffered frames reach the OS in one
-    [write] when the next frame would overflow it, and at the next
-    {!read_at}, {!sync} or {!close}.  Only whole frames are written, so
-    the file on disk is always a prefix of whole frames — another
-    [open_] of the path at any moment recovers an exact prefix of the
-    appended records.
+    [write] when the next frame would overflow it, at a {!read_at} of
+    one of them, and at {!sync} or {!close}.  Only whole frames are
+    written, so the file on disk is always a prefix of whole frames —
+    another [open_] of the path at any moment recovers an exact prefix
+    of the appended records.
+
+    Reads of frames already on disk go through read-only [Unix.map_file]
+    mappings of the file in fixed 64 KiB windows, each mapped once, when
+    all of it is on disk, and never remapped.  The file must not shrink
+    under an open journal: recovery by another [open_] truncates only a
+    torn tail, which whole-frame writes never leave.
 
     Offsets returned by [append] are stable until [Store] compaction
     rewrites the file.  All I/O is plain [Unix] file operations; [sync]
@@ -51,16 +57,21 @@ val unsynced : t -> int
 
 (** Append one record; returns its offset.  The frame (commit marker
     included) is buffered: it reaches the OS with the buffer's next write
-    (at 64 KiB of frames, or at the next {!read_at}, {!sync} or
-    {!close}); a frame larger than the buffer is written at once, after
-    the frames before it.  Call {!sync} for a durability barrier.  Raises
+    (at 64 KiB of frames, at a {!read_at} of a buffered frame, or at
+    {!sync} or {!close}); a frame larger than the buffer is written at
+    once, after the frames before it.  Call {!sync} for a durability barrier.  Raises
     [Invalid_argument] if [kind] is outside 0..255, and on a closed
     journal. *)
 val append : t -> kind:int -> key:string -> payload:Bytes.t -> int
 
 (** Read the committed record at [offset] (as returned by {!append} or
-    recovery).  Writes the buffered frames out first, then reads the
-    record from the file: the header and then only the frame it names, so
+    recovery) from the file, checking its magic, CRC and commit marker
+    as recovery does.  The buffered frames are written out first only
+    when [offset] is among them; a read of a frame already on disk
+    leaves the buffer, and the file's length, alone.  The frame is
+    copied out of its mapped window without a syscall; one in the
+    unmapped tail, or across a window boundary, is read with syscalls:
+    the header, then the rest of the frame it names.  Either way
     the cost is O(record), whatever follows it in the journal.  Raises
     [Invalid_argument] on an offset that does not hold a committed
     record, and on a closed journal. *)

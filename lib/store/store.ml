@@ -16,7 +16,11 @@ let kind_name = function
   | 3 -> "blob"
   | n -> string_of_int n
 
-type dir_entry = { d_offset : int; d_kind : int; d_size : int }
+type dir_entry = {
+  mutable d_offset : int;
+  mutable d_kind : int;
+  mutable d_size : int;
+}
 
 type mon = {
   mon_machine : K.Machine.t;
@@ -61,30 +65,37 @@ let stats t =
 let attached_machine t =
   match t.mon with None -> None | Some m -> Some m.mon_machine
 
+(* Apply one record to the directory, hashing [key] once for a
+   supersede; returns the bytes it makes garbage.  A tombstone is garbage
+   too, once applied. *)
+let apply dir ~kind ~key ~off ~size =
+  match Hashtbl.find_opt dir key with
+  | Some e when kind = kind_delete ->
+    Hashtbl.remove dir key;
+    e.d_size + size
+  | None when kind = kind_delete -> size
+  | Some e ->
+    let old_size = e.d_size in
+    e.d_offset <- off;
+    e.d_kind <- kind;
+    e.d_size <- size;
+    old_size
+  | None ->
+    Hashtbl.add dir key { d_offset = off; d_kind = kind; d_size = size };
+    0
+
 (* Replay the committed records into a directory, accumulating the bytes
    made garbage by supersedes and deletes. *)
 let build_dir records dir =
-  let garbage = ref 0 in
-  List.iter
-    (fun (r : Journal.record) ->
-      let size = Journal.framed_size ~key:r.Journal.r_key ~payload:r.Journal.r_payload in
-      let old_size =
-        match Hashtbl.find_opt dir r.Journal.r_key with
-        | Some e -> e.d_size
-        | None -> 0
+  List.fold_left
+    (fun garbage (r : Journal.record) ->
+      let size =
+        Journal.framed_size ~key:r.Journal.r_key ~payload:r.Journal.r_payload
       in
-      if r.Journal.r_kind = kind_delete then begin
-        Hashtbl.remove dir r.Journal.r_key;
-        (* The tombstone itself is garbage too, once applied. *)
-        garbage := !garbage + old_size + size
-      end
-      else begin
-        Hashtbl.replace dir r.Journal.r_key
-          { d_offset = r.Journal.r_offset; d_kind = r.Journal.r_kind; d_size = size };
-        garbage := !garbage + old_size
-      end)
-    records;
-  !garbage
+      garbage
+      + apply dir ~kind:r.Journal.r_kind ~key:r.Journal.r_key
+          ~off:r.Journal.r_offset ~size)
+    0 records
 
 let open_ ?(sync_every = 8) ?(compact_interval_ns = 10_000_000)
     ?(min_garbage_bytes = 4096) path =
@@ -184,29 +195,24 @@ let advance_clock t now_ns =
 (* Appending                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let k_append = Obs.Event.kind_to_int Obs.Event.Journal_append
+
 let append t ~kind ~key ~payload =
   let size = Journal.framed_size ~key ~payload in
-  let old_size =
-    match Hashtbl.find_opt t.dir key with Some e -> e.d_size | None -> 0
-  in
   let off = Journal.append t.journal ~kind ~key ~payload in
-  if kind = kind_delete then begin
-    Hashtbl.remove t.dir key;
-    t.garbage <- t.garbage + old_size + size
-  end
-  else begin
-    Hashtbl.replace t.dir key { d_offset = off; d_kind = kind; d_size = size };
-    t.garbage <- t.garbage + old_size
-  end;
+  t.garbage <- t.garbage + apply t.dir ~kind ~key ~off ~size;
   t.st_appends <- t.st_appends + 1;
   t.st_bytes_written <- t.st_bytes_written + size;
   (match t.mon with
   | Some m ->
     Obs.Metrics.incr m.mon_appends;
-    Obs.Metrics.incr ~by:size m.mon_bytes
+    Obs.Metrics.incr ~by:size m.mon_bytes;
+    (* Untraced, skip [emit]'s boxed optionals and the kind's name. *)
+    if Obs.Tracer.wants (K.Machine.tracer m.mon_machine) ~kind_code:k_append
+    then
+      K.Machine.emit_event m.mon_machine ~name:key ~detail:(kind_name kind)
+        ~a:off ~b:size Obs.Event.Journal_append
   | None -> ());
-  emit t ~name:key ~detail:(kind_name kind) ~a:off ~b:size
-    Obs.Event.Journal_append;
   if Journal.unsynced t.journal >= t.sync_every then sync t
 
 let store_graph t machine ~key ?mask root =

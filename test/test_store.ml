@@ -240,10 +240,12 @@ let test_read_at_own_frame () =
    (0 B to past the 64 KiB buffer, so some frames overflow it and some
    appends cross the flush threshold), reads, syncs and close+reopen
    checks what reaches the file and when.  Every [read_at] returns its
-   record; a second [open_] at any point recovers an exact prefix with
-   no partial frame behind it, at least everything appended before the
-   last read/sync/reopen; after [sync] the prefix is everything; a
-   reopen after [close] recovers everything. *)
+   record; a read of a buffered frame writes every frame out, and a read
+   of a frame already on disk leaves the file's length alone; a second
+   [open_] at any point recovers an exact prefix with no partial frame
+   behind it, at least everything appended before the last buffered
+   read/sync/reopen; after [sync] the prefix is everything; a reopen
+   after [close] recovers everything. *)
 type wb_op = Append of int * int | Read of int | Sync | Peek | Reopen
 
 let prop_write_behind =
@@ -319,9 +321,27 @@ let prop_write_behind =
             | Read i ->
               if !count > 0 then begin
                 let r = List.nth !appended (i mod !count) in
+                let before = (Unix.stat path).Unix.st_size in
+                let buffered =
+                  r.Journal.r_offset
+                  + Journal.framed_size ~key:r.Journal.r_key
+                      ~payload:r.Journal.r_payload
+                  > before
+                in
                 if Journal.read_at !j r.Journal.r_offset <> r then
                   fail "read_at %d <> appended record" r.Journal.r_offset;
-                flushed := !count
+                let after = (Unix.stat path).Unix.st_size in
+                if buffered then begin
+                  (* A read of a buffered frame writes every frame out. *)
+                  if after <> Journal.size !j then
+                    fail "read of buffered %d: %d bytes on disk, %d appended"
+                      r.Journal.r_offset after (Journal.size !j);
+                  flushed := !count
+                end
+                else if after <> before then
+                  (* A read of an on-disk frame leaves the buffer alone. *)
+                  fail "read of on-disk %d: file grew from %d to %d"
+                    r.Journal.r_offset before after
               end
             | Sync ->
               Journal.sync !j;
@@ -362,6 +382,74 @@ let prop_write_behind =
               j := j';
               same_records "final reopen" got;
               true)))
+
+(* A read never sees anything but the record recovery finds: a random
+   script of appends (some past a 64 KiB mapping window) and reads of any
+   earlier offset, buffered or already on disk, and every [read_at]
+   equals the record [open_] recovers at that offset after [close] —
+   including reads taken while later frames were still buffered. *)
+type rr_op = Add of int * int | Get of int
+
+let prop_read_matches_recovery =
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun n seed -> Add (n, seed))
+              (frequency [ (5, int_range 0 80); (2, int_range 4_000 30_000) ])
+              (int_range 0 255) );
+          (4, map (fun i -> Get i) nat);
+        ])
+  in
+  let print_op = function
+    | Add (n, _) -> Printf.sprintf "append %dB" n
+    | Get i -> Printf.sprintf "read %d" i
+  in
+  QCheck2.Test.make ~name:"journal: every read_at equals the recovered record"
+    ~count:40
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 1 60) op_gen)
+    (fun ops ->
+      with_path (fun path ->
+          let j, _ = Journal.open_ path in
+          let offs = ref [||] in
+          let reads = ref [] in
+          List.iter
+            (function
+              | Add (n, seed) ->
+                let key = Printf.sprintf "r%d" (Array.length !offs) in
+                let payload =
+                  Bytes.init n (fun i -> Char.chr ((i * 7 + seed) land 0xff))
+                in
+                let off = Journal.append j ~kind:seed ~key ~payload in
+                offs := Array.append !offs [| off |]
+              | Get i ->
+                let n = Array.length !offs in
+                if n > 0 then begin
+                  let off = !offs.(i mod n) in
+                  let buffered = (Unix.stat path).Unix.st_size < Journal.size j in
+                  reads := (off, buffered, Journal.read_at j off) :: !reads
+                end)
+            ops;
+          Journal.close j;
+          let j, recovered = Journal.open_ path in
+          Journal.close j;
+          if List.map (fun r -> r.Journal.r_offset) recovered <> Array.to_list !offs
+          then QCheck2.Test.fail_report "recovery lost a record";
+          List.iter
+            (fun (off, buffered, r) ->
+              match
+                List.find_opt (fun g -> g.Journal.r_offset = off) recovered
+              with
+              | Some g when g = r -> ()
+              | _ ->
+                QCheck2.Test.fail_reportf
+                  "read_at %d (%s) <> the record recovered there" off
+                  (if buffered then "frames buffered" else "all on disk"))
+            !reads;
+          true))
 
 (* ---------------- Store: filing graphs ---------------- *)
 
@@ -783,6 +871,7 @@ let suite =
     Alcotest.test_case "journal: read_at CRC-checks its own frame only"
       `Quick test_read_at_own_frame;
     QCheck_alcotest.to_alcotest prop_write_behind;
+    QCheck_alcotest.to_alcotest prop_read_matches_recovery;
     Alcotest.test_case "store: graph round trip (cycle/sharing/seal)" `Quick
       test_store_retrieve_graph;
     Alcotest.test_case "store: rights mask survives disk" `Quick

@@ -295,6 +295,20 @@ let test_swap_out_crash_sweep () =
         Store.close s
       done)
 
+(* The swap key is formatted by hand on the fault path; it must stay the
+   [Printf] spelling byte for byte, past ten digits too. *)
+let prop_swap_key =
+  QCheck2.Test.make ~name:"swap store: key_of_index = swap/%010d" ~count:500
+    ~print:string_of_int
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ 0; 9; 10; 999_999_999; 9_999_999_999; max_int ];
+          int_range 0 max_int;
+          nat;
+        ])
+    (fun i -> Swap_store.key_of_index i = Printf.sprintf "swap/%010d" i)
+
 (* ---------------- Clean evictions (dirty bit) ---------------- *)
 
 let counter_value m name = Obs.Metrics.count (K.Machine.metrics m) name
@@ -412,6 +426,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_swap_nonswap_equal;
     Alcotest.test_case "swap store: crash sweep across a swap-out" `Quick
       test_swap_out_crash_sweep;
+    QCheck_alcotest.to_alcotest prop_swap_key;
     Alcotest.test_case "clean eviction skips the device write" `Quick
       test_clean_eviction_skips_write;
     Alcotest.test_case "dirty eviction writes the device" `Quick
