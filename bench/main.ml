@@ -130,11 +130,18 @@ let run_micro args =
       exit 1
     end;
     if run_loop_gate && not (Run_loop.check run_loop) then begin
-      Printf.printf
-        "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
-         workers\n"
-        run_loop.Run_loop.paired.Paired.ratio Run_loop.limit
-        Run_loop.test_workers Run_loop.base_workers;
+      if not (Run_loop.check_words run_loop) then
+        Printf.printf
+          "FAIL: run loop allocates %.1f minor words per request > %.0f at \
+           %d workers\n"
+          run_loop.Run_loop.minor_words_per_request Run_loop.words_limit
+          Run_loop.base_workers
+      else
+        Printf.printf
+          "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
+           workers\n"
+          run_loop.Run_loop.paired.Paired.ratio Run_loop.limit
+          Run_loop.test_workers Run_loop.base_workers;
       exit 1
     end
   end

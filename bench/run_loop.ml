@@ -7,17 +7,25 @@
 
    One machine, 4 processors, 4 pumps, 4 users at 15k req/s aggregate,
    20,000 requests per user (2,500 in smoke mode): the scaling run of
-   ROADMAP.md. *)
+   ROADMAP.md.
+
+   The gate also bounds the OCaml minor-heap words one untraced run at 8
+   workers allocates per request, schedule and boot included.  That count
+   is the same on every host for a given binary, so it catches an
+   allocation creeping back into create-object, the schedule or the
+   dispatch path where a timing ratio could not. *)
 
 module Load = I432_load
 
 let base_workers = 8
 let test_workers = 512
 let limit = 2.0
+let words_limit = 400.0
 
 type result = {
   requests : int;  (* per run *)
   paired : Paired.t;  (* host ns per run: base 8 workers, test 512 *)
+  minor_words_per_request : float;  (* one untraced run at 8 workers *)
 }
 
 let spec ~smoke =
@@ -38,8 +46,15 @@ let measure ~smoke () =
     if o.Load.Loadgen.o_completed <> Load.Arrival.total spec then
       failwith "run_loop: loadgen run did not complete every request"
   in
+  let requests = Load.Arrival.total spec in
+  let minor_words_per_request =
+    let before = Gc.minor_words () in
+    run base_workers ();
+    (Gc.minor_words () -. before) /. float_of_int requests
+  in
   {
-    requests = Load.Arrival.total spec;
+    requests;
+    minor_words_per_request;
     paired =
       Paired.measure
         ~trials:(if smoke then 5 else 9)
@@ -47,16 +62,19 @@ let measure ~smoke () =
   }
 
 let per_request ns r = ns /. float_of_int r.requests
-let check r = r.paired.Paired.ratio <= limit
+let check_words r = r.minor_words_per_request <= words_limit
+let check r = r.paired.Paired.ratio <= limit && check_words r
 
 let print_summary r =
   Printf.printf
     "Run loop at %d vs %d workers (%d requests): %.0f vs %.0f host ns per \
-     request, median ratio x%.2f (limit x%.1f)\n"
+     request, median ratio x%.2f (limit x%.1f); %.1f minor words per \
+     request at %d (limit %.0f)\n"
     test_workers base_workers r.requests
     (per_request r.paired.Paired.test_ns r)
     (per_request r.paired.Paired.base_ns r)
-    r.paired.Paired.ratio limit
+    r.paired.Paired.ratio limit r.minor_words_per_request base_workers
+    words_limit
 
 let to_json r =
   let open Json_out in
@@ -69,4 +87,6 @@ let to_json r =
       ("test_ns_per_request", Float (per_request r.paired.Paired.test_ns r));
       ("ratio", Float r.paired.Paired.ratio);
       ("limit", Float limit);
+      ("minor_words_per_request", Float r.minor_words_per_request);
+      ("words_limit", Float words_limit);
     ]

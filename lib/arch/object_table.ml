@@ -33,10 +33,12 @@ type entry = {
   mutable swapped_out : bool;  (* used by the swapping memory manager (§6.2) *)
   mutable dirty : bool;  (* data part written since the last swap transfer *)
   mutable payload : payload option;
+  mutable sro_prev : int;  (* neighbours on the allocating SRO's live list, *)
+  mutable sro_next : int;  (* -1 = none; written only by Sro *)
 }
 
 type t = {
-  mutable entries : entry option array;
+  mutable entries : entry array;  (* [vacant] in every free slot *)
   mutable free : int list;  (* recycled descriptor indices (LIFO pool) *)
   mutable next : int;  (* high-water mark *)
   mutable live : int;  (* valid entries, maintained incrementally *)
@@ -55,10 +57,30 @@ type t = {
          here, per machine, for the same domain-safety reason. *)
 }
 
+(* The one occupant of every free slot.  It is never valid, so [lookup]
+   rejects it, and nothing writes it: it is shared by every table. *)
+let vacant =
+  {
+    index = -1;
+    valid = false;
+    otype = Obj_type.Generic;
+    base = 0;
+    data_length = 0;
+    access_part = [||];
+    level = 0;
+    color = White;
+    sro = -1;
+    swapped_out = false;
+    dirty = false;
+    payload = None;
+    sro_prev = -1;
+    sro_next = -1;
+  }
+
 let create ?(initial_capacity = 256) () =
   if initial_capacity <= 0 then invalid_arg "Object_table.create";
   {
-    entries = Array.make initial_capacity None;
+    entries = Array.make initial_capacity vacant;
     free = [];
     next = 0;
     live = 0;
@@ -77,23 +99,22 @@ let process_filter_port t = t.process_filter_port
 
 let grow t =
   let n = Array.length t.entries in
-  let bigger = Array.make (2 * n) None in
+  let bigger = Array.make (2 * n) vacant in
   Array.blit t.entries 0 bigger 0 n;
   t.entries <- bigger
 
 let lookup t index =
   if index < 0 || index >= Array.length t.entries then
     Fault.raise_fault (Fault.Invalid_descriptor index);
-  match t.entries.(index) with
-  | Some e when e.valid -> e
-  | Some _ | None -> Fault.raise_fault (Fault.Invalid_descriptor index)
+  let e = Array.unsafe_get t.entries index in
+  if e.valid then e else Fault.raise_fault (Fault.Invalid_descriptor index)
 
 let entry_of_access t access = lookup t (Access.index access)
 
 let is_valid t index =
   index >= 0
   && index < Array.length t.entries
-  && (match t.entries.(index) with Some e -> e.valid | None -> false)
+  && (Array.unsafe_get t.entries index).valid
 
 let max_access_length = 0x4000
 
@@ -115,6 +136,7 @@ let allocate_entry t ~otype ~base ~data_length ~access_length ~level ~sro =
   in
   let e =
     {
+      vacant with
       index;
       valid = true;
       otype;
@@ -127,12 +149,9 @@ let allocate_entry t ~otype ~base ~data_length ~access_length ~level ~sro =
          standard allocate-black discipline for on-the-fly collectors). *)
       color = Gray;
       sro;
-      swapped_out = false;
-      dirty = false;
-      payload = None;
     }
   in
-  t.entries.(index) <- Some e;
+  t.entries.(index) <- e;
   t.live <- t.live + 1;
   e
 
@@ -141,7 +160,7 @@ let free_entry t index =
   e.valid <- false;
   e.payload <- None;
   e.access_part <- [||];
-  t.entries.(index) <- None;
+  t.entries.(index) <- vacant;
   t.free <- index :: t.free;
   t.live <- t.live - 1
 
@@ -159,9 +178,7 @@ let shade t index =
 let barrier_shades t = t.barrier_shades
 
 let iter_valid f t =
-  Array.iter
-    (function Some e when e.valid -> f e | Some _ | None -> ())
-    t.entries
+  Array.iter (fun e -> if e.valid then f e) t.entries
 
 let count_valid t = t.live
 

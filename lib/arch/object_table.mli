@@ -25,6 +25,10 @@ type entry = {
   mutable swapped_out : bool;
   mutable dirty : bool;
   mutable payload : payload option;
+  mutable sro_prev : int;
+  mutable sro_next : int;
+      (** Neighbours on the allocating SRO's live-object list, -1 = none.
+          Only {!Sro} writes them. *)
 }
 
 type t

@@ -10,9 +10,11 @@
    The free store is first-fit with address-ordered coalescing on free,
    held in {!I432_util.Free_store} — an augmented balanced tree whose fit
    query returns exactly what a first-fit scan of a base-sorted list would,
-   in O(log regions) instead of O(regions).  Live-object tracking is an
-   O(1) index pool (intrusive list + handle table) instead of an O(n)
-   filtered list, so release cost no longer grows with heap population.
+   in O(log regions) instead of O(regions).  The live objects form a
+   doubly-linked list threaded through their own descriptors
+   ([sro_prev]/[sro_next] in {!Object_table.entry}), newest first, so
+   tracking a new object and untracking a released one are O(1) and
+   allocate nothing, and [destroy] walks only this SRO's population.
 
    The SRO itself is an object in the table (type Storage_resource), so
    access to it is capability-controlled: Rights.t1 on an SRO access is the
@@ -24,13 +26,12 @@ type state = {
   self : int;  (* object-table index of this SRO *)
   sro_level : int;  (* level of objects created from this SRO *)
   free_store : Free_store.t;  (* free regions, address-ordered *)
-  allocated : int Dlist.t;  (* live object indices, newest first *)
-  alloc_nodes : (int, int Dlist.node) Hashtbl.t;  (* index -> list handle *)
-  mutable children : int list;  (* child SROs carved from this store (§5) *)
+  mutable head : int;  (* newest live object, -1 = none *)
+  mutable live_count : int;  (* length of the live list *)
+  mutable children : state list;  (* child SROs carved from this store (§5) *)
   mutable live : bool;
   mutable alloc_count : int;
   mutable free_bytes : int;
-  mutable destroy_count : int;
 }
 
 type Object_table.payload += Sro_state of state
@@ -65,13 +66,12 @@ let create table ~level ~base ~length =
       self = e.Object_table.index;
       sro_level = level;
       free_store;
-      allocated = Dlist.create ();
-      alloc_nodes = Hashtbl.create 64;
+      head = -1;
+      live_count = 0;
       children = [];
       live = true;
       alloc_count = 0;
       free_bytes = length;
-      destroy_count = 0;
     }
   in
   e.Object_table.payload <- Some (Sro_state s);
@@ -92,15 +92,20 @@ let take_region s size =
 (* Return a region to the store, coalescing with adjacent neighbours. *)
 let give_region s ~base ~length = Free_store.insert s.free_store ~base ~length
 
-let track_allocated s index =
-  Hashtbl.replace s.alloc_nodes index (Dlist.push_front s.allocated index)
+let track_allocated table s (e : Object_table.entry) =
+  let index = e.Object_table.index in
+  if s.head >= 0 then
+    (Object_table.lookup table s.head).Object_table.sro_prev <- index;
+  e.Object_table.sro_next <- s.head;
+  s.head <- index;
+  s.live_count <- s.live_count + 1
 
-let untrack_allocated s index =
-  match Hashtbl.find_opt s.alloc_nodes index with
-  | Some node ->
-    Dlist.remove s.allocated node;
-    Hashtbl.remove s.alloc_nodes index
-  | None -> ()
+let untrack_allocated table s (e : Object_table.entry) =
+  let prev = e.Object_table.sro_prev and next = e.Object_table.sro_next in
+  if prev >= 0 then (Object_table.lookup table prev).Object_table.sro_next <- next
+  else s.head <- next;
+  if next >= 0 then (Object_table.lookup table next).Object_table.sro_prev <- prev;
+  s.live_count <- s.live_count - 1
 
 (* The create-object instruction: carve a data part from the free store and
    allocate a descriptor.  Takes ~80 us of virtual time, charged by the
@@ -116,7 +121,7 @@ let allocate table access ~data_length ~access_length ~otype =
     Object_table.allocate_entry table ~otype ~base ~data_length ~access_length
       ~level:s.sro_level ~sro:s.self
   in
-  track_allocated s e.Object_table.index;
+  track_allocated table s e;
   s.alloc_count <- s.alloc_count + 1;
   s.free_bytes <- s.free_bytes - data_length;
   Access.make ~index:e.Object_table.index ~rights:Rights.full
@@ -129,8 +134,7 @@ let release table ~sro_state:s ~index =
     Fault.raise_fault (Fault.Protocol "object released to foreign SRO");
   give_region s ~base:e.Object_table.base ~length:e.Object_table.data_length;
   s.free_bytes <- s.free_bytes + e.Object_table.data_length;
-  untrack_allocated s index;
-  s.destroy_count <- s.destroy_count + 1;
+  untrack_allocated table s e;
   Object_table.free_entry table index
 
 let release_by_access table access ~index =
@@ -174,52 +178,53 @@ let create_child table access ~level ~bytes =
   let base = take_region s bytes in
   s.free_bytes <- s.free_bytes - bytes;
   let child = create table ~level ~base ~length:bytes in
-  s.children <- Access.index child :: s.children;
+  s.children <- state_of table child :: s.children;
   child
 
 (* Destroy a local heap: bulk-free every object it created (§5: "objects may
    be destroyed whenever their ancestral SRO is destroyed, without leaving
    dangling references"), cascading through child SROs.  Returns how many
    objects were reclaimed across the whole subtree. *)
-let rec destroy table access =
-  let s = state_of table access in
-  check_live s;
+let rec destroy_state table s =
+  (* A child destroyed on its own is no longer live; its index may since
+     name another object, so the cascade follows states, not indices. *)
   let from_children =
     List.fold_left
-      (fun acc child_index ->
-        if Object_table.is_valid table child_index then
-          acc
-          + destroy table (Access.make ~index:child_index ~rights:Rights.full)
-        else acc)
+      (fun acc child -> if child.live then acc + destroy_state table child else acc)
       0 s.children
   in
-  (* Newest-first, matching descriptor recycling order of the cons-list
-     implementation this replaced. *)
-  let victims = Dlist.to_list s.allocated in
-  List.iter
-    (fun index ->
-      if Object_table.is_valid table index then begin
-        let e = Object_table.lookup table index in
-        give_region s ~base:e.Object_table.base
-          ~length:e.Object_table.data_length;
-        Object_table.free_entry table index
-      end)
-    victims;
-  let n = List.length victims in
-  Dlist.clear s.allocated;
-  Hashtbl.reset s.alloc_nodes;
+  (* Newest first: the descriptor pool is LIFO, so the oldest object's
+     index is the first one the next allocation reuses. *)
+  let rec free_from index =
+    if index >= 0 then begin
+      let e = Object_table.lookup table index in
+      give_region s ~base:e.Object_table.base
+        ~length:e.Object_table.data_length;
+      Object_table.free_entry table index;
+      free_from e.Object_table.sro_next
+    end
+  in
+  free_from s.head;
+  let n = s.live_count in
+  s.head <- -1;
+  s.live_count <- 0;
   s.children <- [];
   s.live <- false;
   Object_table.free_entry table s.self;
   n + from_children
+
+let destroy table access =
+  let s = state_of table access in
+  check_live s;
+  destroy_state table s
 
 (* Introspection for the memory managers and benches. *)
 
 let free_bytes table access = total_free (state_of table access)
 let level table access = (state_of table access).sro_level
 let alloc_count table access = (state_of table access).alloc_count
-let destroy_count table access = (state_of table access).destroy_count
-let live_objects table access = Dlist.length (state_of table access).allocated
+let live_objects table access = (state_of table access).live_count
+
 let child_count table access = List.length (state_of table access).children
 let is_live table access = (state_of table access).live
 

@@ -40,7 +40,6 @@ val child_count : Object_table.t -> Access.t -> int
 val free_bytes : Object_table.t -> Access.t -> int
 val level : Object_table.t -> Access.t -> int
 val alloc_count : Object_table.t -> Access.t -> int
-val destroy_count : Object_table.t -> Access.t -> int
 val live_objects : Object_table.t -> Access.t -> int
 val is_live : Object_table.t -> Access.t -> bool
 val largest_free : Object_table.t -> Access.t -> int

@@ -129,48 +129,56 @@ let retrieve_as t ?sro ~key ~expected () =
    assigned in discovery order so reconstruction is deterministic. *)
 let capture machine ?(mask = Rights.full) root =
   let table = K.Machine.table machine in
-  let serial_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let acc : (int * wire_node) list ref = ref [] in
-  let count = ref 0 in
-  let rec walk access =
-    let e = Object_table.entry_of_access table access in
-    match Hashtbl.find_opt serial_of e.Object_table.index with
-    | Some serial -> serial
-    | None ->
-      let serial = !count in
-      incr count;
-      Hashtbl.add serial_of e.Object_table.index serial;
-      let image =
-        K.Machine.read_bytes machine access ~offset:0
-          ~len:e.Object_table.data_length
-      in
-      (* Reserve our slot in discovery order, then fill edges after the
-         children are walked (placeholder updated in place). *)
-      let edges = ref [] in
-      Array.iteri
-        (fun slot stored ->
-          match stored with
-          | Some child ->
-            let rights = Rights.restrict (Access.rights child) mask in
-            edges := (slot, walk child, rights) :: !edges
-          | None -> ())
-        e.Object_table.access_part;
-      acc :=
-        ( serial,
-          {
-            w_image = image;
-            w_type = e.Object_table.otype;
-            w_access_length = Array.length e.Object_table.access_part;
-            w_edges = List.rev !edges;
-          } )
-        :: !acc;
-      serial
+  let image access (e : Object_table.entry) =
+    K.Machine.read_bytes machine access ~offset:0 ~len:e.Object_table.data_length
   in
-  let root_serial = walk root in
-  assert (root_serial = 0);
-  let w_nodes = Array.make !count (List.assoc 0 !acc) in
-  List.iter (fun (serial, node) -> w_nodes.(serial) <- node) !acc;
-  { w_root_rights = Rights.restrict (Access.rights root) mask; w_nodes }
+  let make_node w_image (e : Object_table.entry) w_edges =
+    {
+      w_image;
+      w_type = e.Object_table.otype;
+      w_access_length = Array.length e.Object_table.access_part;
+      w_edges;
+    }
+  in
+  let w_root_rights = Rights.restrict (Access.rights root) mask in
+  let root_entry = Object_table.entry_of_access table root in
+  if Array.for_all Option.is_none root_entry.Object_table.access_part then
+    (* A leaf — every request message is one: the walk would find no edge,
+       so skip its serial table. *)
+    { w_root_rights; w_nodes = [| make_node (image root root_entry) root_entry [] |] }
+  else begin
+    let serial_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let acc : (int * wire_node) list ref = ref [] in
+    let count = ref 0 in
+    let rec walk access =
+      let e = Object_table.entry_of_access table access in
+      match Hashtbl.find_opt serial_of e.Object_table.index with
+      | Some serial -> serial
+      | None ->
+        let serial = !count in
+        incr count;
+        Hashtbl.add serial_of e.Object_table.index serial;
+        let image = image access e in
+        (* Reserve our slot in discovery order, then fill edges after the
+           children are walked (placeholder updated in place). *)
+        let edges = ref [] in
+        Array.iteri
+          (fun slot stored ->
+            match stored with
+            | Some child ->
+              let rights = Rights.restrict (Access.rights child) mask in
+              edges := (slot, walk child, rights) :: !edges
+            | None -> ())
+          e.Object_table.access_part;
+        acc := (serial, make_node image e (List.rev !edges)) :: !acc;
+        serial
+    in
+    let root_serial = walk root in
+    assert (root_serial = 0);
+    let w_nodes = Array.make !count (List.assoc 0 !acc) in
+    List.iter (fun (serial, node) -> w_nodes.(serial) <- node) !acc;
+    { w_root_rights; w_nodes }
+  end
 
 (* Rebuild a captured graph on [machine]'s heap: allocate every node,
    restore images and types, then wire the access parts with the captured

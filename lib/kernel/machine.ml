@@ -349,6 +349,7 @@ let k_block_receive = Obs.Event.kind_to_int Obs.Event.Block_receive
 let k_allocate = Obs.Event.kind_to_int Obs.Event.Allocate
 let k_release = Obs.Event.kind_to_int Obs.Event.Release
 let k_dispatch = Obs.Event.kind_to_int Obs.Event.Dispatch
+let k_deschedule = Obs.Event.kind_to_int Obs.Event.Deschedule
 let k_finish = Obs.Event.kind_to_int Obs.Event.Finish
 
 let emit_fast t ~name_id ~a ~b kind_code =
@@ -1404,8 +1405,9 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     match handle_syscall t cpu proc op with
     | still_current ->
       t.current <- None;
-      if still_current then ()
-      else
+      (* Guarded here: rendering the op formats, even when untraced. *)
+      if (not still_current) && Obs.Tracer.wants t.obs ~kind_code:k_deschedule
+      then
         emit_on t cpu ~name:proc.Process.name
           ~detail:(Syscall.op_to_string op) Obs.Event.Deschedule
     | exception Fault.Fault cause ->

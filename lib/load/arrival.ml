@@ -15,7 +15,13 @@
    [Poisson] draws i.i.d. exponential inter-arrival gaps;
    [Bursty] compresses each session's gaps 4x and parks the saved time in
    an inter-session gap, keeping the same mean offered rate with a much
-   burstier short-range profile. *)
+   burstier short-range profile.
+
+   A user's own stream comes out in time order, so [generate] never sorts:
+   it draws each stream one request ahead and merges the streams through a
+   binary heap of per-user heads, ordered by (arrival instant, user) —
+   O(log users) per request and no array beyond the schedule itself.
+   Requests sharing (instant, user, session) keep their draw order. *)
 
 module Prng = I432_util.Prng
 
@@ -29,7 +35,7 @@ let pattern_of_string = function
   | _ -> None
 
 type request = {
-  mutable r_id : int;  (* dense, in arrival order; set once, after the sort *)
+  r_id : int;  (* dense, in arrival order *)
   r_user : int;
   r_session : int;
   r_cls : int;  (* Mix class code *)
@@ -48,6 +54,22 @@ type spec = {
 
 let total spec = spec.users * spec.sessions * spec.requests_per_session
 
+(* One user's stream, drawn one request ahead: [at], [session] and [cls]
+   describe the next request the user issues. *)
+type cursor = {
+  user : int;
+  prng : Prng.t;
+  mutable clock : float;  (* virtual ns, accumulated gaps *)
+  mutable session : int;
+  mutable drawn : int;  (* requests drawn in [session] so far *)
+  mutable at : int;
+  mutable cls : int;
+}
+
+(* The merge order.  One head per user sits in the heap, so (at, user) is
+   a strict order there; a user's own requests leave in draw order. *)
+let before a b = a.at < b.at || (a.at = b.at && a.user < b.user)
+
 let generate spec =
   if spec.users <= 0 then invalid_arg "Arrival.generate: users";
   if spec.sessions <= 0 then invalid_arg "Arrival.generate: sessions";
@@ -56,58 +78,79 @@ let generate spec =
   if not (spec.rate_rps > 0.0) then invalid_arg "Arrival.generate: rate";
   (* Mean inter-arrival gap per user, ns: aggregate rate split evenly. *)
   let mean_ns = 1e9 *. float_of_int spec.users /. spec.rate_rps in
-  let out = Array.make (total spec) { r_id = 0; r_user = 0; r_session = 0; r_cls = 0; r_at_ns = 0 } in
-  let k = ref 0 in
-  for user = 0 to spec.users - 1 do
-    (* Independent per-user stream: user count changes never reshuffle
-       other users' draws. *)
-    let prng = Prng.create ~seed:(spec.seed + ((user + 1) * 1_000_003)) in
-    let clock = ref 0.0 in
-    for session = 0 to spec.sessions - 1 do
-      (match spec.pattern with
-      | Poisson -> ()
-      | Bursty ->
-        (* Park the time the compressed intra-session gaps save into one
-           inter-session gap, preserving the mean offered rate. *)
-        if session > 0 then
-          let parked =
-            0.75 *. mean_ns *. float_of_int spec.requests_per_session
-          in
-          clock := !clock +. Prng.exponential prng ~mean:parked);
-      for _ = 0 to spec.requests_per_session - 1 do
-        let gap_mean =
-          match spec.pattern with
-          | Poisson -> mean_ns
-          | Bursty -> 0.25 *. mean_ns
-        in
-        clock := !clock +. Prng.exponential prng ~mean:gap_mean;
-        let cls = Mix.code (Mix.pick prng spec.profile) in
-        out.(!k) <-
+  let gap_mean =
+    match spec.pattern with Poisson -> mean_ns | Bursty -> 0.25 *. mean_ns
+  in
+  (* Bursty parks the time its compressed intra-session gaps save into one
+     inter-session gap, preserving the mean offered rate. *)
+  let parked = 0.75 *. mean_ns *. float_of_int spec.requests_per_session in
+  (* Draw [c]'s next request; false once its last session is spent. *)
+  let advance c =
+    if c.drawn = spec.requests_per_session then begin
+      c.session <- c.session + 1;
+      c.drawn <- 0;
+      if c.session < spec.sessions && spec.pattern = Bursty then
+        c.clock <- c.clock +. Prng.exponential c.prng ~mean:parked
+    end;
+    c.session < spec.sessions
+    && begin
+         c.clock <- c.clock +. Prng.exponential c.prng ~mean:gap_mean;
+         c.cls <- Mix.code (Mix.pick c.prng spec.profile);
+         c.at <- int_of_float c.clock;
+         c.drawn <- c.drawn + 1;
+         true
+       end
+  in
+  (* Independent per-user streams: user count changes never reshuffle
+     other users' draws.  Each holds its first request; sifting down every
+     inner node makes the array a heap of them. *)
+  let heap =
+    Array.init spec.users (fun user ->
+        let c =
           {
-            r_id = 0;
-            r_user = user;
-            r_session = session;
-            r_cls = cls;
-            r_at_ns = int_of_float !clock;
-          };
-        incr k
-      done
-    done
+            user;
+            prng = Prng.create ~seed:(spec.seed + ((user + 1) * 1_000_003));
+            clock = 0.0;
+            session = 0;
+            drawn = 0;
+            at = 0;
+            cls = 0;
+          }
+        in
+        ignore (advance c);
+        c)
+  in
+  let size = ref spec.users in
+  let rec sift_down i =
+    let l = (2 * i) + 1 in
+    if l < !size then begin
+      let r = l + 1 in
+      let m = if r < !size && before heap.(r) heap.(l) then r else l in
+      if before heap.(m) heap.(i) then begin
+        let c = heap.(i) in
+        heap.(i) <- heap.(m);
+        heap.(m) <- c;
+        sift_down m
+      end
+    end
+  in
+  for i = (spec.users / 2) - 1 downto 0 do
+    sift_down i
   done;
-  (* Merge the per-user streams into one arrival-ordered schedule; the
-     (user, session) tie-break keeps simultaneous arrivals deterministic.
-     Ids are dense in arrival order.  The comparator compares the three
-     ints in turn: no tuple per call, no polymorphic compare. *)
-  Array.sort
-    (fun a b ->
-      let c = Int.compare a.r_at_ns b.r_at_ns in
-      if c <> 0 then c
-      else
-        let c = Int.compare a.r_user b.r_user in
-        if c <> 0 then c else Int.compare a.r_session b.r_session)
-    out;
-  Array.iteri (fun i r -> r.r_id <- i) out;
-  out
+  (* Merge the sorted per-user streams into one arrival-ordered schedule,
+     O(log users) per request: emit the earliest head, draw that user's
+     next request and restore the heap.  Ids are dense in arrival order. *)
+  Array.init (total spec) (fun k ->
+      let c = heap.(0) in
+      let r =
+        { r_id = k; r_user = c.user; r_session = c.session; r_cls = c.cls; r_at_ns = c.at }
+      in
+      if not (advance c) then begin
+        decr size;
+        heap.(0) <- heap.(!size)
+      end;
+      sift_down 0;
+      r)
 
 (* Canonical text rendering, one line per request — the byte-equality
    surface for --check gates and the qcheck determinism properties. *)

@@ -11,9 +11,7 @@ val pattern_name : pattern -> string
 val pattern_of_string : string -> pattern option
 
 type request = {
-  mutable r_id : int;
-      (** dense, in arrival order; {!generate} numbers the sorted schedule
-          in place rather than copying every request *)
+  r_id : int;  (** dense, in arrival order *)
   r_user : int;
   r_session : int;
   r_cls : int;  (** {!Mix.cls} code *)
@@ -33,6 +31,7 @@ type spec = {
 val total : spec -> int
 
 (** The arrival-ordered schedule; ids are dense in arrival order.
+    Requests at one instant leave by user, then in draw order.
     [Poisson] draws i.i.d. exponential gaps at the per-user rate;
     [Bursty] compresses intra-session gaps 4x and parks the saved time
     between sessions (same mean rate, burstier short-range profile).

@@ -78,13 +78,20 @@ let profile_of_string = function
   | "mixed" -> Some Mixed
   | _ -> None
 
-(* Percent weight per class, in [all] order; each row sums to 100. *)
-let weights = function
-  | Typical -> [| 30; 25; 20; 15; 10 |]
-  | Compute -> [| 55; 15; 10; 15; 5 |]
-  | Memory_bound -> [| 15; 25; 45; 10; 5 |]
-  | Control_flow -> [| 20; 15; 10; 45; 10 |]
-  | Mixed -> [| 20; 20; 20; 20; 20 |]
+(* Percent weight per class, in [all] order; each row sums to 100.  The
+   rows are built once, not per call: [pick] runs for every request. *)
+let weights =
+  let typical = [| 30; 25; 20; 15; 10 |]
+  and compute = [| 55; 15; 10; 15; 5 |]
+  and memory = [| 15; 25; 45; 10; 5 |]
+  and control = [| 20; 15; 10; 45; 10 |]
+  and mixed = [| 20; 20; 20; 20; 20 |] in
+  function
+  | Typical -> typical
+  | Compute -> compute
+  | Memory_bound -> memory
+  | Control_flow -> control
+  | Mixed -> mixed
 
 (* Weighted class draw: one uniform int in [0, 100). *)
 let pick prng profile =

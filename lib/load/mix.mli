@@ -40,7 +40,8 @@ val profiles : profile array
 val profile_name : profile -> string
 val profile_of_string : string -> profile option
 
-(** Percent weight per class in [all] order; sums to 100. *)
+(** Percent weight per class in [all] order; sums to 100.  The array is
+    shared: do not mutate it. *)
 val weights : profile -> int array
 
 (** Weighted class draw (consumes one Prng int). *)

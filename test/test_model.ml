@@ -336,6 +336,140 @@ let prop_sro_coalescing_and_fit =
       && Sro.largest_free table sro = total
       && Sro.live_objects table sro = 0)
 
+(* ------------------------------------------------------------------ *)
+(* SRO live lists vs a list model of SROs and the descriptor pool      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each model SRO keeps its live objects newest first, and one LIFO pool
+   predicts every descriptor index the table hands out.  Allocating,
+   releasing, carving a child and destroying a subtree must agree with the
+   model at every step: each SRO's live list (order included), its count,
+   every listed object naming the SRO as its owner, the count [destroy]
+   returns, and — because the prediction is checked on every allocation —
+   the newest-first order in which [destroy] recycles indices. *)
+module Model_sro = struct
+  type t = {
+    access : Access.t;
+    mutable objects : int list;  (* newest first *)
+    mutable children : t list;  (* newest first *)
+    mutable alive : bool;
+  }
+
+  let make access = { access; objects = []; children = []; alive = true }
+
+  let rec live_sros m =
+    if m.alive then m :: List.concat_map live_sros m.children else []
+end
+
+type sro_op =
+  | Sro_alloc of int * int  (* pick an SRO, data length *)
+  | Sro_release of int  (* pick a live object *)
+  | Sro_child of int
+  | Sro_destroy of int  (* pick a live non-root SRO *)
+
+let sro_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map2 (fun p n -> Sro_alloc (p, n)) nat (int_range 0 24));
+        (3, map (fun p -> Sro_release p) nat);
+        (1, map (fun p -> Sro_child p) nat);
+        (1, map (fun p -> Sro_destroy p) nat);
+      ])
+
+let prop_sro_live_lists_match_model =
+  QCheck2.Test.make ~name:"SRO live lists + destroy recycling = list model"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 120) sro_op_gen)
+    (fun script ->
+      let table = Object_table.create ~initial_capacity:4 () in
+      let root = Model_sro.make (Sro.create table ~level:0 ~base:0 ~length:(1 lsl 16)) in
+      (* The descriptor pool: LIFO reuse, then the high-water mark. *)
+      let pool = ref [] and next = ref 1 in
+      let take () =
+        match !pool with
+        | i :: rest ->
+          pool := rest;
+          i
+        | [] ->
+          incr next;
+          !next - 1
+      in
+      let give i = pool := i :: !pool in
+      let rec destroy_model (m : Model_sro.t) =
+        let from_children =
+          List.fold_left
+            (fun acc (c : Model_sro.t) -> if c.alive then acc + destroy_model c else acc)
+            0 m.children
+        in
+        List.iter give m.objects;
+        give (Access.index m.access);
+        m.alive <- false;
+        List.length m.objects + from_children
+      in
+      let nth l p = List.nth l (p mod List.length l) in
+      (* The list as the descriptors link it, from the model's newest. *)
+      let rec linked prev index =
+        if index < 0 then []
+        else
+          let e = Object_table.lookup table index in
+          if e.Object_table.sro_prev <> prev then [ -2 ]
+          else index :: linked index e.Object_table.sro_next
+      in
+      let agrees () =
+        List.for_all
+          (fun (m : Model_sro.t) ->
+            let self = Access.index m.access in
+            linked (-1) (match m.objects with i :: _ -> i | [] -> -1) = m.objects
+            && Sro.live_objects table m.access = List.length m.objects
+            && List.for_all
+                 (fun i -> (Object_table.lookup table i).Object_table.sro = self)
+                 m.objects)
+          (Model_sro.live_sros root)
+      in
+      List.for_all
+        (fun op ->
+          let sros = Model_sro.live_sros root in
+          let step_ok =
+            match op with
+            | Sro_alloc (p, n) ->
+              let m = nth sros p in
+              (match
+                 Sro.allocate table m.access ~data_length:n ~access_length:0
+                   ~otype:Obj_type.Generic
+               with
+               | a ->
+                 m.objects <- Access.index a :: m.objects;
+                 Access.index a = take ()
+               | exception Fault.Fault (Fault.Storage_exhausted _) -> true)
+            | Sro_release p -> (
+              match List.filter (fun (m : Model_sro.t) -> m.objects <> []) sros with
+              | [] -> true
+              | owners ->
+                let m = nth owners p in
+                let i = nth m.objects p in
+                Sro.release_by_access table m.access ~index:i;
+                m.objects <- List.filter (( <> ) i) m.objects;
+                give i;
+                true)
+            | Sro_child p -> (
+              let m = nth sros p in
+              match Sro.create_child table m.access ~level:1 ~bytes:1024 with
+              | c ->
+                m.children <- Model_sro.make c :: m.children;
+                Access.index c = take ()
+              | exception Fault.Fault (Fault.Storage_exhausted _) -> true)
+            | Sro_destroy p -> (
+              match List.tl sros with
+              | [] -> true
+              | victims ->
+                let m = nth victims p in
+                let n = Sro.destroy table m.access in
+                n = destroy_model m)
+          in
+          step_ok && agrees ())
+        script)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pqueue_matches_sorted_list;
@@ -343,4 +477,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_port_matches_model;
     QCheck_alcotest.to_alcotest prop_free_store_matches_model;
     QCheck_alcotest.to_alcotest prop_sro_coalescing_and_fit;
+    QCheck_alcotest.to_alcotest prop_sro_live_lists_match_model;
   ]

@@ -69,7 +69,22 @@ let test_wire_rights_mask () =
   Alcotest.(check bool) "edge never amplifies" true
     (Rights.subset ~of_:(Access.rights child) (Access.rights child'));
   Alcotest.(check int) "data still crossed" 77
-    (K.Machine.read_word dst child' ~offset:0)
+    (K.Machine.read_word dst child' ~offset:0);
+  (* A leaf — its slots all empty — is captured without the graph walk
+     and must cross the same way: one node, masked root, slots kept. *)
+  let leaf = alloc src ~access_length:3 () in
+  K.Machine.write_word src leaf ~offset:0 55;
+  let wire = Filing.capture src ~mask:Rights.read_only leaf in
+  Alcotest.(check int) "leaf is one node" 1 (Filing.wire_nodes wire);
+  let leaf' = Filing.reconstruct dst wire in
+  Alcotest.(check bool) "leaf write stripped" false
+    (Rights.has_write (Access.rights leaf'));
+  Alcotest.(check int) "leaf slots kept" 3
+    (Array.length
+       (Object_table.entry_of_access (K.Machine.table dst) leaf')
+         .Object_table.access_part);
+  Alcotest.(check int) "leaf data crossed" 55
+    (K.Machine.read_word dst leaf' ~offset:0)
 
 let test_wire_sealed_instance () =
   let src = mk () and dst = mk () in
