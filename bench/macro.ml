@@ -399,12 +399,7 @@ type swap_point = {
   sp_fraction : int;
   sp_ram_bytes : int;
   sp_requests : int;
-  sp_completed : int;
-  sp_touches : int;
-  sp_faults : int;
-  sp_swap_ins : int;
-  sp_swap_outs : int;
-  sp_errors : int;  (* payload reads that came back corrupt *)
+  sp_tally : Load.Working_set.tally;
   sp_fault_rate : float;  (* faults per touch: the swap_fault key *)
   sp_tp_mb_s : float;  (* device MB moved per virtual second: swap_tp *)
   sp_resident_bytes : int;  (* at halt; must sit inside the envelope *)
@@ -420,142 +415,62 @@ type swap_sweep = {
   ss_restore_identical : verdict;  (* kill-mid-swap restore == straight run *)
 }
 
-(* Boot one swap run: store-backed device, bounded resident set, the
-   object population written with its index, and one process per
-   scheduled user touching at its arrival instants.  Returns the boot
-   closure (reused by checkpoint restore) plus the host-side tallies the
-   workload closures write into. *)
+(* One swap run's boot (reused by checkpoint restore): each scheduled
+   user touches [touches] objects per request at its arrival instants,
+   then computes the request's CPI-mix cycles.  The caller closes the
+   booted store. *)
 let boot_swap ~objects ~ram_bytes ~touches ~spec =
-  let errors = ref 0 and touched = ref 0 and completed = ref 0 in
-  let sys_ref = ref None and store_ref = ref None in
-  let boot () =
-    let journal = fresh_scratch_journal () in
-    let store =
-      St.open_ ~sync_every:1024 ~compact_interval_ns:1_000_000
-        ~min_garbage_bytes:(max 4096 (ram_bytes / 2))
-        journal
-    in
-    (match !store_ref with Some s -> St.close s | None -> ());
-    store_ref := Some store;
-    errors := 0;
-    touched := 0;
-    completed := 0;
-    let heap_bytes = ram_bytes + max ram_bytes (1 lsl 16) in
-    let memory_bytes = max (1 lsl 22) ((2 * heap_bytes) + (1 lsl 20)) in
-    let sys =
-      System.boot
-        ~config:
-          {
-            System.default_config with
-            System.processors = machine_processors;
-            memory_manager = System.Swapping_lru;
-            heap_bytes;
-            memory_bytes;
-            swap_ram_bytes = Some ram_bytes;
-            swap_device = Some (I432_store.Swap_store.device store);
-            trace_level = Obs.Tracer.Events;
-          }
-        ()
-    in
-    sys_ref := Some sys;
-    let m = System.machine sys in
-    St.attach store m;
-    let objs =
-      Array.init objects (fun i ->
-          let o =
-            System.mm_allocate sys ~data_length:swap_object_bytes
-              ~access_length:0 ~otype:I432.Obj_type.Generic
-          in
-          K.Machine.write_word m o ~offset:0 (i + 1);
-          o)
-    in
-    let reqs = Load.Arrival.generate spec in
-    let by_user = Array.make spec.Load.Arrival.users [] in
-    Array.iter
-      (fun (r : Load.Arrival.request) ->
-        by_user.(r.Load.Arrival.r_user) <-
-          r :: by_user.(r.Load.Arrival.r_user))
-      reqs;
-    Array.iteri
-      (fun u rs ->
-        let rs = List.rev rs in
-        let prng = U.Prng.create ~seed:(swap_seed + (u * 7919)) in
-        ignore
-          (K.Machine.spawn m
-             ~name:(Printf.sprintf "user%d" u)
-             (fun () ->
-               List.iter
-                 (fun (r : Load.Arrival.request) ->
-                   let lag = r.Load.Arrival.r_at_ns - K.Machine.now m in
-                   if lag > 0 then K.Machine.delay m ~ns:lag;
-                   for _ = 1 to touches do
-                     let i = U.Prng.int prng objects in
-                     let o = objs.(i) in
-                     (* Fault-and-retry: a preemption between touch and
-                        read can let another user's fault-in evict [o]. *)
-                     let rec read_back () =
-                       System.mm_touch sys o;
-                       match K.Machine.read_word m o ~offset:0 with
-                       | v -> v
-                       | exception
-                           I432.Fault.Fault (I432.Fault.Segment_swapped_out _)
-                         ->
-                         read_back ()
-                     in
-                     if read_back () <> i + 1 then incr errors;
-                     incr touched
-                   done;
-                   K.Machine.compute m
-                     (Load.Mix.cycles
-                        (Load.Mix.of_code r.Load.Arrival.r_cls));
-                   incr completed)
-                 rs)))
-      by_user;
-    m
-  in
-  (boot, errors, touched, completed, sys_ref, store_ref)
+  let by_user = Array.make spec.Load.Arrival.users [] in
+  Array.fold_right
+    (fun (r : Load.Arrival.request) () ->
+      let cycles = Load.Mix.cycles (Load.Mix.of_code r.r_cls) in
+      by_user.(r.r_user) <- (r.r_at_ns, touches, cycles) :: by_user.(r.r_user))
+    (Load.Arrival.generate spec) ();
+  let users = List.mapi (fun u rs -> (u, rs)) (Array.to_list by_user) in
+  fun () ->
+    Load.Working_set.boot
+      ~config:
+        {
+          System.default_config with
+          System.processors = machine_processors;
+          memory_manager = System.Swapping_lru;
+          trace_level = Obs.Tracer.Events;
+        }
+      ~journal:(fresh_scratch_journal ()) ~sync_every:1024 ~ram_bytes ~objects
+      ~object_bytes:swap_object_bytes ~seed:swap_seed ~users
 
 let measure_swap_point ~smoke ~fraction =
   let objects = swap_objects ~smoke in
   let ws = objects * swap_object_bytes in
   let ram_bytes = max swap_object_bytes (ws / fraction) in
   let spec = swap_spec ~smoke in
-  let boot, errors, touched, completed, sys_ref, store_ref =
-    boot_swap ~objects ~ram_bytes ~touches:(swap_touches ~smoke) ~spec
+  let w =
+    boot_swap ~objects ~ram_bytes ~touches:(swap_touches ~smoke) ~spec ()
   in
-  let m = boot () in
-  let report = K.Machine.run m in
-  let sys = Option.get !sys_ref in
-  let faults = Obs.Metrics.count (K.Machine.metrics m) "swap.faults" in
-  let st = System.mm_stats sys in
+  let report = K.Machine.run (Load.Working_set.machine w) in
+  let t = Load.Working_set.tally w in
+  St.close (Load.Working_set.store w);
+  remove_scratch_journals ();
   let dev_bytes =
-    match System.mm_device sys with
-    | Some dev ->
-      let ds = I432_vm.Swap_device.stats dev in
+    match t.Load.Working_set.device with
+    | Some (_, ds) ->
       ds.I432_vm.Swap_device.bytes_written + ds.I432_vm.Swap_device.bytes_read
     | None -> 0
   in
-  let resident_bytes = Option.value ~default:0 (System.mm_resident_bytes sys) in
-  (match !store_ref with Some s -> St.close s | None -> ());
-  remove_scratch_journals ();
   let elapsed_s = float_of_int report.K.Machine.elapsed_ns /. 1e9 in
   {
     sp_fraction = fraction;
     sp_ram_bytes = ram_bytes;
     sp_requests = Load.Arrival.total spec;
-    sp_completed = !completed;
-    sp_touches = !touched;
-    sp_faults = faults;
-    sp_swap_ins = st.Imax.Memory_manager.swap_ins;
-    sp_swap_outs = st.Imax.Memory_manager.swap_outs;
-    sp_errors = !errors;
+    sp_tally = t;
     sp_fault_rate =
-      (if !touched = 0 then 0.0
-       else float_of_int faults /. float_of_int !touched);
+      (if t.touches = 0 then 0.0
+       else float_of_int t.faults /. float_of_int t.touches);
     sp_tp_mb_s =
       (if elapsed_s <= 0.0 then 0.0
        else float_of_int dev_bytes /. 1e6 /. elapsed_s);
-    sp_resident_bytes = resident_bytes;
+    sp_resident_bytes =
+      (match t.resident with Some (_, b) -> b | None -> 0);
     sp_elapsed_ms = float_of_int report.K.Machine.elapsed_ns /. 1e6;
   }
 
@@ -567,14 +482,18 @@ let measure_swap_determinism () =
   let ws = objects * swap_object_bytes in
   let ram_bytes = ws / 4 in
   let spec = swap_spec ~smoke:true in
-  let boot, _, _, _, _, store_ref =
+  let boot_ws =
     boot_swap ~objects ~ram_bytes ~touches:(swap_touches ~smoke:true) ~spec
+  in
+  let boots = ref [] in
+  let boot () =
+    let w = boot_ws () in
+    boots := w :: !boots;
+    Load.Working_set.machine w
   in
   let swap = Scenario.machine ~name:"swap" boot in
   let m1 = boot () in
   ignore (K.Machine.run m1);
-  (* Read the straight streams now: the next boot closes m1's store, and
-     closing syncs it, which emits one more event into m1's trace. *)
   let expected = swap.Scenario.streams (Scenario.Machine m1) in
   let same_seed = Scenario.same_seed ~first:(Scenario.Machine m1) swap in
   let ckpt_store = St.open_ (fresh_scratch_journal ()) in
@@ -583,7 +502,7 @@ let measure_swap_determinism () =
       ~bound:(Ckpt.Virtual_ns (max 1 (K.Machine.now m1 / 2)))
   in
   St.close ckpt_store;
-  (match !store_ref with Some s -> St.close s | None -> ());
+  List.iter (fun w -> St.close (Load.Working_set.store w)) !boots;
   remove_scratch_journals ();
   (same_seed, Result.map ignore restored)
 
@@ -816,8 +735,9 @@ let print_summary r =
   List.iter
     (fun p ->
       Printf.printf "  %7dKB %9d %9d %10.3f %4d/%-6d %9.2fMB/s %7.1fms\n"
-        (p.sp_ram_bytes / 1024) p.sp_touches p.sp_faults p.sp_fault_rate
-        p.sp_swap_ins p.sp_swap_outs p.sp_tp_mb_s p.sp_elapsed_ms)
+        (p.sp_ram_bytes / 1024) p.sp_tally.touches p.sp_tally.faults
+        p.sp_fault_rate p.sp_tally.swap_ins p.sp_tally.swap_outs p.sp_tp_mb_s
+        p.sp_elapsed_ms)
     s.ss_points;
   Printf.printf "  swap determinism: same-seed %s, kill-mid-swap restore %s\n"
     (verdict s.ss_deterministic)
@@ -876,10 +796,10 @@ let check r =
   holds s.ss_deterministic && holds s.ss_restore_identical
   && List.for_all
        (fun p ->
-         p.sp_completed = p.sp_requests
-         && p.sp_errors = 0
-         && p.sp_touches > 0
-         && p.sp_faults > 0
+         p.sp_tally.completed = p.sp_requests
+         && p.sp_tally.corrupt = 0
+         && p.sp_tally.touches > 0
+         && p.sp_tally.faults > 0
          && p.sp_fault_rate > 0.0
          && p.sp_fault_rate <= 1.0
          && p.sp_tp_mb_s > 0.0
@@ -995,12 +915,12 @@ let to_json r =
                          ("envelope_fraction", Int p.sp_fraction);
                          ("ram_bytes", Int p.sp_ram_bytes);
                          ("requests", Int p.sp_requests);
-                         ("completed", Int p.sp_completed);
-                         ("touches", Int p.sp_touches);
-                         ("faults", Int p.sp_faults);
-                         ("swap_ins", Int p.sp_swap_ins);
-                         ("swap_outs", Int p.sp_swap_outs);
-                         ("corrupt_reads", Int p.sp_errors);
+                         ("completed", Int p.sp_tally.completed);
+                         ("touches", Int p.sp_tally.touches);
+                         ("faults", Int p.sp_tally.faults);
+                         ("swap_ins", Int p.sp_tally.swap_ins);
+                         ("swap_outs", Int p.sp_tally.swap_outs);
+                         ("corrupt_reads", Int p.sp_tally.corrupt);
                          ("swap_fault", Float p.sp_fault_rate);
                          ("swap_tp", Float p.sp_tp_mb_s);
                          ("resident_bytes", Int p.sp_resident_bytes);

@@ -37,23 +37,87 @@ let run_ablations () =
       print_newline ())
     Ablations.all
 
+(* What [micro --json] measures and a gate can assert on. *)
+type micro = {
+  trace : Trace_overhead.result;
+  par : Par_speedup.result;
+  swap : Swap_overhead.result;
+  store : Store_tp.result;
+  loop : Run_loop.result;
+}
+
+(* The [micro] gates: each flag, its check, and the line printed when the
+   check fails.  Requested gates run in this order; the first failure
+   exits 1. *)
+let micro_gates =
+  [
+    ( "--assert-trace-overhead", (fun r -> Trace_overhead.check r.trace),
+      fun r ->
+        Printf.sprintf "FAIL: trace overhead %.2f%% >= %.1f%% budget"
+          r.trace.overhead_pct Trace_overhead.limit_pct );
+    ( "--assert-par-speedup", (fun r -> Par_speedup.check r.par),
+      fun r ->
+        if not r.par.streams_equal then
+          "FAIL: parallel engine streams diverged from sequential"
+        else
+          Printf.sprintf "FAIL: par speedup x%.2f < x%.1f at 4 domains"
+            r.par.speedup4 Par_speedup.limit );
+    ( "--assert-swap-overhead", (fun r -> Swap_overhead.check r.swap),
+      fun r ->
+        Printf.sprintf "FAIL: swap-path overhead %.2f%% >= %.1f%% budget"
+          r.swap.overhead_pct Swap_overhead.limit_pct );
+    ( "--assert-store-read", (fun r -> Store_tp.check r.store),
+      fun r ->
+        Printf.sprintf "FAIL: store first-key read x%.2f > x%.1f on a %dx journal"
+          r.store.read.ratio Store_tp.read_limit
+          (Store_tp.read_large_records / Store_tp.read_small_records) );
+    ( "--assert-store-append", (fun r -> Store_tp.check_append r.store),
+      fun r ->
+        Printf.sprintf
+          "FAIL: %d store appends cost %s write syscalls (limit %d); %d \
+           put+get pairs cost %s (limit %d)"
+          Store_tp.append_records
+          (Store_tp.writes_text r.store.append_writes)
+          (Store_tp.append_limit r.store) Store_tp.append_records
+          (Store_tp.writes_text r.store.swap_writes)
+          (Store_tp.swap_limit r.store) );
+    ( "--assert-run-loop", (fun r -> Run_loop.check r.loop),
+      fun r ->
+        if not (Run_loop.check_words r.loop) then
+          Printf.sprintf
+            "FAIL: run loop allocates %.1f minor words per request > %.0f at \
+             %d workers"
+            r.loop.minor_words_per_request Run_loop.words_limit
+            Run_loop.base_workers
+        else
+          Printf.sprintf
+            "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
+             workers"
+            r.loop.paired.ratio Run_loop.limit Run_loop.test_workers
+            Run_loop.base_workers );
+  ]
+
+(* The [--out PATH] among a subcommand's arguments (the first one wins;
+   [default] without one).  Any argument that is neither that nor one of
+   [known] is rejected before anything is measured: a mistyped gate flag
+   must fail, not silently switch its gate off. *)
+let rec out_path ~cmd ~known ~default = function
+  | [] -> default
+  | "--out" :: path :: rest ->
+    ignore (out_path ~cmd ~known ~default rest);
+    path
+  | flag :: rest when List.mem flag known -> out_path ~cmd ~known ~default rest
+  | arg :: _ ->
+    Printf.eprintf "main.exe %s: unknown argument %s\n" cmd arg;
+    exit 2
+
 let run_micro args =
+  let out =
+    out_path ~cmd:"micro" ~default:"BENCH_micro.json" args
+      ~known:("--json" :: "--smoke" :: List.map (fun (f, _, _) -> f) micro_gates)
+  in
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
-  let gate = List.mem "--assert-trace-overhead" args in
-  let par_gate = List.mem "--assert-par-speedup" args in
-  let swap_gate = List.mem "--assert-swap-overhead" args in
-  let read_gate = List.mem "--assert-store-read" args in
-  let append_gate = List.mem "--assert-store-append" args in
-  let run_loop_gate = List.mem "--assert-run-loop" args in
-  let out =
-    let rec go = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> go rest
-      | [] -> "BENCH_micro.json"
-    in
-    go args
-  in
   if not json then Micro.run ()
   else begin
     (* Smoke mode keeps the sweep (it is the asymptotic evidence) but
@@ -62,7 +126,7 @@ let run_micro args =
     if estimates <> [] then Micro.print_estimates estimates;
     let rows = Depth_sweep.run ~smoke in
     Depth_sweep.print_summary rows;
-    let overhead =
+    let trace =
       Paired.best_epoch
         ~measure:(Trace_overhead.measure ~smoke)
         ~print:Trace_overhead.print_summary
@@ -71,7 +135,7 @@ let run_micro args =
     in
     let fi_overhead = Fi_overhead.measure ~smoke () in
     Fi_overhead.print_summary fi_overhead;
-    let swap_overhead =
+    let swap =
       Paired.best_epoch
         ~measure:(Swap_overhead.measure ~smoke)
         ~print:Swap_overhead.print_summary
@@ -80,84 +144,36 @@ let run_micro args =
     in
     let net_rtt = Net_rtt.measure ~smoke () in
     Net_rtt.print_summary net_rtt;
-    let store_tp = Store_tp.measure ~smoke () in
-    Store_tp.print_summary store_tp;
-    let par_speedup = Par_speedup.measure ~smoke () in
-    Par_speedup.print_summary par_speedup;
-    let run_loop = Run_loop.measure ~smoke () in
-    Run_loop.print_summary run_loop;
+    let store = Store_tp.measure ~smoke () in
+    Store_tp.print_summary store;
+    let par = Par_speedup.measure ~smoke () in
+    Par_speedup.print_summary par;
+    let loop = Run_loop.measure ~smoke () in
+    Run_loop.print_summary loop;
     let mode = if smoke then "smoke" else "full" in
     Json_out.write_file ~path:out
-      (Depth_sweep.to_json ~bechamel:estimates ~trace_overhead:overhead
-         ~fi_overhead ~net_rtt ~store_tp ~par_speedup ~swap_overhead ~run_loop
-         ~mode rows);
+      (Depth_sweep.to_json ~bechamel:estimates ~trace_overhead:trace
+         ~fi_overhead ~net_rtt ~store_tp:store ~par_speedup:par
+         ~swap_overhead:swap ~run_loop:loop ~mode rows);
     Printf.printf "wrote %s\n" out;
-    if gate && not (Trace_overhead.check overhead) then begin
-      Printf.printf "FAIL: trace overhead %.2f%% >= %.1f%% budget\n"
-        overhead.Trace_overhead.overhead_pct Trace_overhead.limit_pct;
-      exit 1
-    end;
-    if par_gate && not (Par_speedup.check par_speedup) then begin
-      if not par_speedup.Par_speedup.streams_equal then
-        print_endline "FAIL: parallel engine streams diverged from sequential"
-      else
-        Printf.printf "FAIL: par speedup x%.2f < x%.1f at 4 domains\n"
-          par_speedup.Par_speedup.speedup4 Par_speedup.limit;
-      exit 1
-    end;
-    if swap_gate && not (Swap_overhead.check swap_overhead) then begin
-      Printf.printf "FAIL: swap-path overhead %.2f%% >= %.1f%% budget\n"
-        swap_overhead.Swap_overhead.overhead_pct Swap_overhead.limit_pct;
-      exit 1
-    end;
-    if read_gate && not (Store_tp.check store_tp) then begin
-      Printf.printf
-        "FAIL: store first-key read x%.2f > x%.1f on a %dx journal\n"
-        store_tp.Store_tp.read.Paired.ratio Store_tp.read_limit
-        (Store_tp.read_large_records / Store_tp.read_small_records);
-      exit 1
-    end;
-    if append_gate && not (Store_tp.check_append store_tp) then begin
-      Printf.printf
-        "FAIL: %d store appends cost %s write syscalls (limit %d); %d \
-         put+get pairs cost %s (limit %d)\n"
-        Store_tp.append_records
-        (Store_tp.writes_text store_tp.Store_tp.append_writes)
-        (Store_tp.append_limit store_tp)
-        Store_tp.append_records
-        (Store_tp.writes_text store_tp.Store_tp.swap_writes)
-        (Store_tp.swap_limit store_tp);
-      exit 1
-    end;
-    if run_loop_gate && not (Run_loop.check run_loop) then begin
-      if not (Run_loop.check_words run_loop) then
-        Printf.printf
-          "FAIL: run loop allocates %.1f minor words per request > %.0f at \
-           %d workers\n"
-          run_loop.Run_loop.minor_words_per_request Run_loop.words_limit
-          Run_loop.base_workers
-      else
-        Printf.printf
-          "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
-           workers\n"
-          run_loop.Run_loop.paired.Paired.ratio Run_loop.limit
-          Run_loop.test_workers Run_loop.base_workers;
-      exit 1
-    end
+    let r = { trace; par; swap; store; loop } in
+    List.iter
+      (fun (flag, check, failure) ->
+        if List.mem flag args && not (check r) then begin
+          print_endline (failure r);
+          exit 1
+        end)
+      micro_gates
   end
 
 let run_macro args =
+  let out =
+    out_path ~cmd:"macro" ~default:"BENCH_macro.json" args
+      ~known:[ "--json"; "--smoke"; "--assert-sane" ]
+  in
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
   let sane_gate = List.mem "--assert-sane" args in
-  let out =
-    let rec go = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> go rest
-      | [] -> "BENCH_macro.json"
-    in
-    go args
-  in
   let r = Macro.measure ~smoke () in
   Macro.print_summary r;
   if json then begin

@@ -1453,131 +1453,66 @@ let scenario_swap config path policy objects object_bytes users touches
   if users <= 0 then die "--users %d: need at least one user" users;
   let ws = objects * object_bytes in
   let ram_bytes = if ram_bytes > 0 then ram_bytes else max object_bytes (ws / 4) in
-  let heap_bytes = ram_bytes + max ram_bytes (64 * 1024) in
-  let memory_bytes =
-    max System.default_config.System.memory_bytes
-      ((2 * heap_bytes) + (1 lsl 20))
+  let boots = ref [] in
+  (* A closed loop: each touch is a request due at once, with 4 units of
+     compute after it. *)
+  let users =
+    List.init users (fun u -> (u + 1, List.init touches (fun _ -> (0, 1, 4))))
   in
-  let boots = ref 0 in
-  let stores = ref [] in
-  let errors = ref 0 in
-  let verified = ref 0 in
   let boot_sys () =
-    incr boots;
-    let jp = if !boots = 1 then path else Printf.sprintf "%s.%d" path !boots in
-    St.fresh_path jp;
+    let n = List.length !boots + 1 in
     (* A million-object working set appends constantly: raise the fsync
-       cadence and make compaction wait for MB-scale garbage. *)
-    let store =
-      St.open_ ~sync_every:256 ~compact_interval_ns:1_000_000
-        ~min_garbage_bytes:(max 4096 (ram_bytes / 2))
-        jp
-    in
-    stores := store :: !stores;
-    errors := 0;
-    verified := 0;
-    let sys =
-      System.boot
+       cadence. *)
+    let w =
+      Load.Working_set.boot
         ~config:
           {
             config with
             System.memory_manager = policy;
-            heap_bytes;
-            memory_bytes;
-            swap_ram_bytes = Some ram_bytes;
-            swap_device = Some (I432_store.Swap_store.device store);
             trace_level = Obs.Tracer.Events;
           }
-        ()
+        ~journal:(if n = 1 then path else Printf.sprintf "%s.%d" path n)
+        ~sync_every:256 ~ram_bytes ~objects ~object_bytes ~seed ~users
     in
-    let m = System.machine sys in
-    St.attach store m;
-    (* Populate: each object carries its index as payload; the envelope
-       is enforced during this loop, so most of the set is already on the
-       swap device when the users start. *)
-    let objs =
-      Array.init objects (fun i ->
-          let o =
-            System.mm_allocate sys ~data_length:object_bytes ~access_length:0
-              ~otype:Obj_type.Generic
-          in
-          K.Machine.write_word m o ~offset:0 (i + 1);
-          o)
-    in
-    for u = 1 to users do
-      let prng = U.Prng.create ~seed:(seed + (u * 7919)) in
-      ignore
-        (K.Machine.spawn m
-           ~name:(Printf.sprintf "user%d" u)
-           (fun () ->
-             for _ = 1 to touches do
-               let i = U.Prng.int prng objects in
-               let o = objs.(i) in
-               (* Fault-and-retry: a preemption between the touch and the
-                  read can let another user's fault-in evict [o] again. *)
-               let rec read_back () =
-                 System.mm_touch sys o;
-                 match K.Machine.read_word m o ~offset:0 with
-                 | v -> v
-                 | exception Fault.Fault (Fault.Segment_swapped_out _) ->
-                   read_back ()
-               in
-               if read_back () <> i + 1 then incr errors;
-               incr verified;
-               K.Machine.compute m 4
-             done))
-    done;
-    sys
+    boots := w :: !boots;
+    Load.Working_set.machine w
   in
-  let sys = boot_sys () in
-  let m = System.machine sys in
-  let report = System.run sys in
-  let straight_errors = !errors and straight_verified = !verified in
+  let m = boot_sys () in
+  let report = K.Machine.run m in
+  let tally = Load.Working_set.tally (List.hd !boots) in
   Printf.printf "swap: %s policy, %d objects x %d B = %d KB working set\n"
     (System.memory_choice_to_string policy)
     objects object_bytes (ws / 1024);
   Printf.printf "envelope: %d KB RAM (%.1fx over-commit), %d KB heap\n"
     (ram_bytes / 1024)
     (float_of_int ws /. float_of_int ram_bytes)
-    (heap_bytes / 1024);
+    (Load.Working_set.heap_bytes ~ram_bytes / 1024);
   print_report report;
-  let st = System.mm_stats sys in
   Printf.printf "swap traffic: %d faults, %d ins, %d outs, %d pressure events\n"
-    (Obs.Metrics.count (K.Machine.metrics m) "swap.faults")
-    st.Memory_manager.swap_ins st.Memory_manager.swap_outs
-    st.Memory_manager.alloc_faults;
-  (match (System.mm_resident_count sys, System.mm_resident_bytes sys) with
-  | Some n, Some b ->
+    tally.faults tally.swap_ins tally.swap_outs tally.pressure;
+  (match tally.resident with
+  | Some (n, b) ->
     Printf.printf "residents at halt: %d (%d KB of %d KB envelope)\n" n
       (b / 1024) (ram_bytes / 1024);
     if b > ram_bytes then
       die "swap: resident set (%d B) exceeds the RAM envelope (%d B)" b
         ram_bytes
-  | _ -> ());
-  (match System.mm_device sys with
-  | Some dev ->
-    let ds = I432_vm.Swap_device.stats dev in
-    Printf.printf
-      "device %S: %d writes (%d KB), %d reads (%d KB), %d drops\n"
-      (I432_vm.Swap_device.name dev)
-      ds.I432_vm.Swap_device.writes
-      (ds.I432_vm.Swap_device.bytes_written / 1024)
-      ds.I432_vm.Swap_device.reads
-      (ds.I432_vm.Swap_device.bytes_read / 1024)
-      ds.I432_vm.Swap_device.drops
   | None -> ());
-  if straight_errors > 0 then
-    die "swap: %d of %d payload reads came back corrupt" straight_errors
-      straight_verified;
-  Printf.printf "payload check: %d reads verified, 0 corrupt\n"
-    straight_verified;
+  (match tally.device with
+  | Some (name, ds) ->
+    Printf.printf "device %S: %d writes (%d KB), %d reads (%d KB), %d drops\n"
+      name ds.writes (ds.bytes_written / 1024) ds.reads (ds.bytes_read / 1024)
+      ds.drops
+  | None -> ());
+  if tally.corrupt > 0 then
+    die "swap: %d of %d payload reads came back corrupt" tally.corrupt
+      tally.touches;
+  Printf.printf "payload check: %d reads verified, 0 corrupt\n" tally.touches;
   write_chrome chrome_out (machines_trace [ ("", m) ]);
   if check then begin
     (* Same seed, fresh journal: the event stream — swap events, journal
        appends, the lot — must be identical. *)
-    let swap =
-      Scenario.machine ~name:"swap" (fun () -> System.machine (boot_sys ()))
-    in
+    let swap = Scenario.machine ~name:"swap" boot_sys in
     let straight = Scenario.Machine m in
     let expected = swap.Scenario.streams straight in
     or_die "swap check" (Scenario.same_seed ~first:straight swap);
@@ -1602,7 +1537,7 @@ let scenario_swap config path policy objects object_bytes users touches
        identical\n"
       kill_ns
   end;
-  List.iter St.close !stores
+  List.iter (fun w -> St.close (Load.Working_set.store w)) !boots
 
 let swap_cmd =
   let policy =

@@ -45,18 +45,10 @@ type t = {
   machine : K.Machine.t;
   files : (string, filed) Hashtbl.t;
   graphs : (string, wire) Hashtbl.t;
-  mutable stores : int;
-  mutable retrievals : int;
 }
 
 let create machine =
-  {
-    machine;
-    files = Hashtbl.create 16;
-    graphs = Hashtbl.create 16;
-    stores = 0;
-    retrievals = 0;
-  }
+  { machine; files = Hashtbl.create 16; graphs = Hashtbl.create 16 }
 
 (* File an object under [key]: its data image and type identity are
    captured.  Access parts are not filed (a passive store cannot hold live
@@ -78,8 +70,7 @@ let store t ~key access =
       filed_type = e.Object_table.otype;
       filed_level = e.Object_table.level;
       access_length = Array.length e.Object_table.access_part;
-    };
-  t.stores <- t.stores + 1
+    }
 
 exception Not_filed of string
 
@@ -100,7 +91,6 @@ let retrieve t ?sro ~key () =
     (* Restore the hardware type identity. *)
     let e = Object_table.entry_of_access table access in
     e.Object_table.otype <- f.filed_type;
-    t.retrievals <- t.retrievals + 1;
     access
 
 (* Retrieve with a type assertion: the typed channel of §7.2. *)
@@ -378,7 +368,6 @@ let wire_bytes wire =
 let store_graph t ~key root =
   let wire = capture t.machine root in
   Hashtbl.replace t.graphs key wire;
-  t.stores <- t.stores + 1;
   wire_nodes wire
 
 let retrieve_graph t ?sro ~key () =
@@ -386,7 +375,6 @@ let retrieve_graph t ?sro ~key () =
   | None -> raise (Not_filed key)
   | Some wire ->
     let root = reconstruct t.machine ?sro wire in
-    t.retrievals <- t.retrievals + 1;
     root
 
 let graph_size t ~key =
@@ -402,5 +390,3 @@ let filed_type t ~key =
 let mem t ~key = Hashtbl.mem t.files key
 let remove t ~key = Hashtbl.remove t.files key
 let count t = Hashtbl.length t.files
-let stores t = t.stores
-let retrievals t = t.retrievals

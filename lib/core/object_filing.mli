@@ -90,5 +90,3 @@ val filed_type : t -> key:string -> Obj_type.t option
 val mem : t -> key:string -> bool
 val remove : t -> key:string -> unit
 val count : t -> int
-val stores : t -> int
-val retrievals : t -> int

@@ -256,4 +256,3 @@ let recover_lost_processes t =
   n
 
 let recovered t = t.recovered
-let recovery_port t = t.recovery_port

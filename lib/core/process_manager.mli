@@ -18,9 +18,6 @@ type t
     at most [max_restarts] times over the body's lifetime. *)
 type restart_policy = { max_restarts : int; backoff_ns : int }
 
-(** 3 restarts, 1 ms initial backoff. *)
-val default_policy : restart_policy
-
 (** Creating a manager installs the machine's fault hook (see
     {!K.Machine.set_fault_hook}); unsupervised processes are unaffected. *)
 val create : K.Machine.t -> t
@@ -39,7 +36,8 @@ val create_process :
 (** Create a managed process with a restart-on-fault policy: when any
     incarnation faults, a fresh process running the same body is spawned
     after the policy's (exponential, virtual-time) backoff, until the
-    budget is spent.  Each restart emits a [Proc_restarted] event and
+    budget is spent ([policy] defaults to 3 restarts, 1 ms initial
+    backoff).  Each restart emits a [Proc_restarted] event and
     bumps the ["proc.restarts"] counter. *)
 val create_supervised :
   t ->
@@ -78,4 +76,3 @@ val set_scheduler_port : t -> Access.t -> Access.t -> unit
 val recover_lost_processes : t -> int
 
 val recovered : t -> int
-val recovery_port : t -> Access.t

@@ -32,11 +32,10 @@ type t = {
   policy : policy;
   mutable groups : group list;
   quantum_ns : int;  (* fair-share sampling period *)
-  mutable adjustments : int;
 }
 
 let create ?(quantum_ns = 5_000_000) machine pm policy =
-  { machine; pm; policy; groups = []; quantum_ns; adjustments = 0 }
+  { machine; pm; policy; groups = []; quantum_ns }
 
 let add_group t name =
   let g = { group_name = name; members = []; consumed_ns = 0 } in
@@ -83,10 +82,8 @@ let rebalance t =
         List.iter
           (fun a ->
             let p = K.Machine.process_state t.machine a in
-            if not (K.Process.is_terminal p) then begin
-              Process_manager.set_priority t.pm a prio;
-              t.adjustments <- t.adjustments + 1
-            end)
+            if not (K.Process.is_terminal p) then
+              Process_manager.set_priority t.pm a prio)
           g.members)
       groups consumptions
 
@@ -116,7 +113,6 @@ let spawn_daemon t =
   K.Machine.spawn t.machine ~daemon:true ~priority:14 ~system_level:3
     ~name:"scheduler" (daemon_body t)
 
-let adjustments t = t.adjustments
 let groups t = t.groups
 
 let policy_to_string = function

@@ -24,6 +24,5 @@ val rebalance : t -> unit
 (** Spawn the policy daemon; a no-op body for policies that need none. *)
 val spawn_daemon : t -> Access.t
 
-val adjustments : t -> int
 val groups : t -> group list
 val policy_to_string : policy -> string

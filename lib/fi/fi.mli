@@ -66,8 +66,6 @@ val random_links :
   partitions:int ->
   link_plan
 
-val link_act_to_string : link_act -> string
-
 (** Human-readable one-line-per-event rendering. *)
 val link_plan_to_string : link_plan -> string
 
@@ -98,8 +96,6 @@ type node_plan = {
     Raises [Invalid_argument] if [nodes < 2] or [horizon_ns < 10]. *)
 val random_nodes :
   seed:int -> horizon_ns:int -> nodes:int -> kills:int -> node_plan
-
-val node_act_to_string : node_act -> string
 
 (** Human-readable one-line-per-event rendering. *)
 val node_plan_to_string : node_plan -> string

@@ -38,8 +38,5 @@ val stats : t -> stats
     daemon yields there).  Returns the number of objects found dead. *)
 val cycle : ?step:(unit -> unit) -> t -> int
 
-(** Body of the collector daemon: repeat [cycle] then sleep. *)
-val daemon_body : ?cycles:int -> t -> unit -> unit
-
 (** Spawn the collector as a daemon process on the machine. *)
 val spawn_daemon : ?cycles:int -> ?priority:int -> t -> I432.Access.t

@@ -802,13 +802,18 @@ let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
     Some qm.Port.msg
 
 (* Move the first parked sender's message into a free slot and wake the
-   sender. *)
+   sender.  A timed sender (one with a deadline) is counted here, when its
+   send is accepted; a blocking one was counted when it parked. *)
 let[@inline] admit t (p : Port.t) =
   match Port.pop_sender p with
   | Some ws ->
+    let proc = proc_of t ws.Port.sender in
+    (match proc.Process.timeout_at with
+    | Some _ -> count_send t proc p ws.Port.sender_msg
+    | None -> ());
     Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
       ~now:(now t);
-    wake t (proc_of t ws.Port.sender) (Syscall.R_accepted true)
+    wake t proc (Syscall.R_accepted true)
   | None -> ()
 
 (* Queue [msg] at [p] on behalf of no process (the NIC, the fault port,
@@ -1119,7 +1124,7 @@ let advance_idle_clocks t ~to_ns =
 
 (* The send instruction (§4).  An offer the queue cannot take parks the
    sender unless [wait] polls.  A blocking send is counted before it parks;
-   a timed one only when it is accepted at once (see DESIGN.md §8). *)
+   a timed one when it is accepted, at once or by [admit] (DESIGN.md §8). *)
 let[@inline] send_op t cpu (proc : Process.t) ~port ~msg ~wait =
   Port.check_send_right port;
   let p = Port.state_of t.table port in

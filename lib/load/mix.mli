@@ -29,9 +29,8 @@ val names : string array
 (** Per-instruction cycle cost from the CPI model. *)
 val cycles : cls -> int
 
-val insns_per_request : int
-
-(** Nominal virtual-time service cost of one request (8 MHz). *)
+(** Nominal virtual-time service cost of one request: 16 instructions of
+    its class at 8 MHz. *)
 val service_ns : cls -> int
 
 type profile = Typical | Compute | Memory_bound | Control_flow | Mixed

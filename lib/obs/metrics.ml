@@ -109,9 +109,6 @@ let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let counters t = List.map snd (sorted_bindings t.counters)
-let gauges t = List.map snd (sorted_bindings t.gauges)
-let histograms t = List.map snd (sorted_bindings t.histograms)
-let log_histograms t = List.map snd (sorted_bindings t.log_histograms)
 
 let hist_json (h : Stats.hist) =
   let open Jout in

@@ -70,10 +70,6 @@ val count : t -> string -> int
 (** Sorted by name. *)
 val counters : t -> counter list
 
-val gauges : t -> gauge list
-val histograms : t -> histogram list
-val log_histograms : t -> log_histogram list
-
 (** Schema [imax432-metrics/1]: counters, gauges, histograms (with
     underflow/overflow buckets), sorted by name.  A [log_histograms] key
     is appended only when at least one exists, so dumps from runs without

@@ -265,12 +265,11 @@ let restore store ~key ~boot =
   emit store Obs.Event.Ckpt_restore r;
   machine
 
-(* One node out of a cluster checkpoint, for splicing back into a LIVE
-   cluster (Cluster.restart_node).  The whole shadow cluster replays —
-   the node's state depends on every frame it exchanged — but only the
-   target node's image is verified and only its machine survives; the
-   rest of the shadow is garbage once this returns. *)
-let restore_node store ~key ~node ~boot =
+(* Replay a cluster checkpoint into a fresh [boot ()] and verify the
+   stored nodes ([only]: just that one) by name and image.  The whole
+   cluster replays even for one node: its state depends on every frame
+   it exchanged. *)
+let replay_cluster store ~key ~only ~boot =
   let r = require store ~key in
   let rounds, quantum_ns =
     match r.c_bound with
@@ -278,47 +277,36 @@ let restore_node store ~key ~node ~boot =
     | Steps _ | Virtual_ns _ ->
       mismatch "checkpoint %S holds a single machine; use restore" key
   in
-  if node < 0 || node >= List.length r.c_nodes then
-    mismatch "checkpoint %S has no node %d (stored %d)" key node
-      (List.length r.c_nodes);
-  let shadow = boot () in
-  if rounds > 0 then
-    ignore (Net.Cluster.run shadow ~quantum_ns ~max_rounds:rounds ());
-  if Net.Cluster.node_count shadow <> List.length r.c_nodes then
-    mismatch "checkpoint %S: %d nodes stored, boot built %d" key
-      (List.length r.c_nodes)
-      (Net.Cluster.node_count shadow);
-  let name, stored = List.nth r.c_nodes node in
-  let booted = Net.Cluster.node_name shadow node in
-  if not (String.equal name booted) then
-    mismatch "checkpoint %S: node %d is %S, boot built %S" key node name booted;
-  let machine = Net.Cluster.machine shadow node in
-  verify_node ~key ~name ~stored machine;
-  emit store Obs.Event.Ckpt_restore r;
-  machine
-
-let restore_cluster store ~key ~boot =
-  let r = require store ~key in
-  let rounds, quantum_ns =
-    match r.c_bound with
-    | Rounds { rounds; quantum_ns } -> (rounds, quantum_ns)
-    | Steps _ | Virtual_ns _ ->
-      mismatch "checkpoint %S holds a single machine; use restore" key
-  in
+  let stored = List.length r.c_nodes in
+  (match only with
+  | Some node when node < 0 || node >= stored ->
+    mismatch "checkpoint %S has no node %d (stored %d)" key node stored
+  | Some _ | None -> ());
   let cluster = boot () in
   if rounds > 0 then
     ignore (Net.Cluster.run cluster ~quantum_ns ~max_rounds:rounds ());
-  if Net.Cluster.node_count cluster <> List.length r.c_nodes then
-    mismatch "checkpoint %S: %d nodes stored, boot built %d" key
-      (List.length r.c_nodes)
+  if Net.Cluster.node_count cluster <> stored then
+    mismatch "checkpoint %S: %d nodes stored, boot built %d" key stored
       (Net.Cluster.node_count cluster);
   List.iteri
-    (fun i (name, stored) ->
-      let booted = Net.Cluster.node_name cluster i in
-      if not (String.equal name booted) then
-        mismatch "checkpoint %S: node %d is %S, boot built %S" key i name
-          booted;
-      verify_node ~key ~name ~stored (Net.Cluster.machine cluster i))
+    (fun i (name, image) ->
+      match only with
+      | Some node when node <> i -> ()
+      | Some _ | None ->
+        let booted = Net.Cluster.node_name cluster i in
+        if not (String.equal name booted) then
+          mismatch "checkpoint %S: node %d is %S, boot built %S" key i name
+            booted;
+        verify_node ~key ~name ~stored:image (Net.Cluster.machine cluster i))
     r.c_nodes;
   emit store Obs.Event.Ckpt_restore r;
   cluster
+
+(* One node out of a cluster checkpoint, for splicing back into a LIVE
+   cluster (Cluster.restart_node): only the target node's image is
+   verified and only its machine survives; the rest of the shadow is
+   garbage once this returns. *)
+let restore_node store ~key ~node ~boot =
+  Net.Cluster.machine (replay_cluster store ~key ~only:(Some node) ~boot) node
+
+let restore_cluster store ~key ~boot = replay_cluster store ~key ~only:None ~boot

@@ -50,13 +50,6 @@ type outcome =
     }
   | Aborted of { port : int; reason : string; attempts : int }
 
-let outcome_to_string = function
-  | Committed { received; commit_ns; fresh; attempts } ->
-    Printf.sprintf "committed %dr at=%d fresh=%b attempts=%d"
-      (List.length received) commit_ns fresh attempts
-  | Aborted { port; reason; attempts } ->
-    Printf.sprintf "aborted obj=%d %s attempts=%d" port reason attempts
-
 let lazy_incr m name = Obs.Metrics.incr (Obs.Metrics.counter m name)
 
 let commit machine ?(key = 0) ?(retries = 8) ?(backoff_ns = 1_000)

@@ -46,8 +46,6 @@ type outcome =
     }
   | Aborted of { port : int; reason : string; attempts : int }
 
-val outcome_to_string : outcome -> string
-
 (** Commit the group, retrying conflicts up to [retries] times with a
     doubling virtual-time backoff starting at [backoff_ns].  On
     exhaustion: bumps [txn.aborts], emits a [Txn_abort] event, runs

@@ -21,8 +21,6 @@ let int t bound =
   let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
   r mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let float t =
   (* 53 random bits mapped to [0, 1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in

@@ -16,8 +16,6 @@ val next_int64 : t -> int64
     [bound <= 0]. *)
 val int : t -> int -> int
 
-val bool : t -> bool
-
 (** Uniform in [0, 1). *)
 val float : t -> float
 

@@ -87,10 +87,6 @@ val log_hist_observe : log_hist -> float -> unit
 (** 0.0 when empty. *)
 val log_hist_mean : log_hist -> float
 
-(** Lower edge of bucket [b] (also defined for [b] = bucket count, the
-    histogram's upper range limit). *)
-val log_hist_edge : log_hist -> int -> float
-
 (** [log_hist_quantile h q] with [q] in [0, 1]: cumulative bucket walk
     with geometric interpolation inside the landing bucket, clamped to
     the observed [min, max] ([q] = 0 returns the exact minimum).  0.0

@@ -497,7 +497,7 @@ let xfer_expected =
     ("FIFO send_timeout / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("FIFO send_timeout / full",
-     "true | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
     ("FIFO send_timeout, expiring / full",
      "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
     ("FIFO receive / queued",
@@ -537,7 +537,7 @@ let xfer_expected =
     ("priority send_timeout / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("priority send_timeout / full",
-     "true | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
     ("priority send_timeout, expiring / full",
      "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
     ("priority receive / queued",

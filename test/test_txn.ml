@@ -4,6 +4,7 @@
    history replay. *)
 
 module K = I432_kernel
+module Obs = I432_obs
 module Fi = I432_fi.Fi
 module Net = I432_net
 module Store = I432_store.Store
@@ -460,6 +461,289 @@ let test_banking_kill_rejoin_history () =
                 (Bytes.get_int32_le img 0))
             r.Banking.balances))
 
+(* ---------------- Group-commit rules ---------------- *)
+
+(* One Txn_try per group against 1-3 ports and up to two write targets.
+   Write targets are allocated first, so w0 < w1 < p0 < p1 < p2 by object
+   index.  A case renders as one line: each attempt's outcome (a conflict
+   names its object), every port's sends/receives/send blocks/receive
+   blocks/max depth, every target's first word, the txn counters
+   (commits/conflicts/dup_drops), each process's sent/received/blocks
+   counters, the final clock, and the event sequence as kind:name
+   (spawns and allocations omitted).  The group runs in process "g" at
+   the lowest priority, after every helper process has parked. *)
+
+type gc_env = {
+  gm : K.Machine.t;
+  ports : I432.Access.t array;
+  targets : I432.Access.t array;
+  msg : int -> I432.Access.t;
+  spawn : string -> int -> (unit -> unit) -> unit;
+}
+
+let gc_case ~capacities ~targets ~setup ~groups =
+  let m = mk ~trace:true () in
+  let targets =
+    Array.init targets (fun _ -> K.Machine.allocate_generic m ~data_length:8 ())
+  in
+  let ports =
+    Array.of_list
+      (List.map
+         (fun capacity ->
+           K.Machine.create_port m ~capacity ~discipline:K.Port.Fifo ())
+         capacities)
+  in
+  let msg n =
+    let o = K.Machine.allocate_generic m ~data_length:8 () in
+    K.Machine.write_word m o ~offset:0 n;
+    o
+  in
+  let spawn name priority body =
+    ignore (K.Machine.spawn m ~name ~priority body)
+  in
+  let env = { gm = m; ports; targets; msg; spawn } in
+  setup env;
+  let names =
+    List.mapi (fun i a -> (I432.Access.index a, Printf.sprintf "w%d" i))
+      (Array.to_list targets)
+    @ List.mapi (fun i a -> (I432.Access.index a, Printf.sprintf "p%d" i))
+        (Array.to_list ports)
+  in
+  let name idx =
+    Option.value (List.assoc_opt idx names) ~default:(string_of_int idx)
+  in
+  let word a = K.Machine.read_word m a ~offset:0 in
+  let outcomes = ref [] in
+  let attempts = groups env in
+  spawn "g" 1 (fun () ->
+      List.iter
+        (fun (key, receives, sends, writes) ->
+          let line =
+            match K.Machine.txn_try m ~key ~receives ~sends ~writes () with
+            | K.Syscall.Txn_committed { received; commit_ns; fresh } ->
+              Printf.sprintf "committed fresh=%b recv=[%s] at=%d" fresh
+                (String.concat "," (List.map (fun a -> string_of_int (word a)) received))
+                commit_ns
+            | K.Syscall.Txn_conflict { port; reason } ->
+              Printf.sprintf "conflict %s %s" (name port) reason
+          in
+          outcomes := line :: !outcomes)
+        attempts);
+  let report = K.Machine.run m in
+  let port_line i a =
+    let s, r, sb, rb, depth, _ = K.Machine.port_stats m a in
+    Printf.sprintf "p%d:%d/%d/%d/%d/%d" i s r sb rb depth
+  in
+  let count = Obs.Metrics.count (K.Machine.metrics m) in
+  let procs =
+    List.rev_map
+      (fun (p : K.Process.t) ->
+        Printf.sprintf "%s:%d/%d/%d" p.K.Process.name p.K.Process.messages_sent
+          p.K.Process.messages_received p.K.Process.blocks)
+      (K.Machine.all_processes m)
+  in
+  let kinds =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Spawn | Obs.Event.Allocate -> None
+        | k -> Some (Obs.Event.kind_to_string k ^ ":" ^ e.Obs.Event.name))
+      (K.Machine.events m)
+  in
+  Printf.sprintf "%s | %s | %s | %d/%d/%d | %s | %d | %s"
+    (String.concat "; " (List.rev !outcomes))
+    (String.concat " " (Array.to_list (Array.mapi port_line ports)))
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi
+             (fun i a ->
+               let e = I432.Object_table.entry_of_access (K.Machine.table m) a in
+               if e.I432.Object_table.swapped_out then Printf.sprintf "w%d=out" i
+               else Printf.sprintf "w%d=%d" i (word a))
+             targets)))
+    (count "txn.commits") (count "txn.conflicts") (count "txn.dup_drops")
+    (String.concat " " procs) report.K.Machine.elapsed_ns
+    (String.concat " " kinds)
+
+let group ?(key = 0) ?(receives = []) ?(sends = []) ?(writes = []) () =
+  (key, receives, sends, writes)
+
+(* Queue [n] messages at port [i] before the run. *)
+let fill e i n =
+  for k = 1 to n do
+    assert (
+      K.Machine.deliver_external e.gm ~port:e.ports.(i)
+        ~msg:(e.msg ((10 * (i + 1)) + k))
+        ~priority:0 ())
+  done
+
+let read_only a = I432.Access.restrict a I432.Rights.read_only
+let no_setup _ = ()
+
+(* (name, port capacities, write targets, setup, groups) *)
+let gc_cases =
+  let key = Txn.key ~origin:1 ~seq:1 in
+  [
+    ( "commit: receive, write, send",
+      [ 1; 1 ], 1,
+      (fun e -> fill e 0 1),
+      fun e ->
+        [
+          group ~receives:[ e.ports.(0) ] ~sends:[ (e.ports.(1), e.msg 1) ]
+            ~writes:[ (e.targets.(0), 0, 7) ] ();
+        ] );
+    ("empty", [ 2 ], 0, no_setup, fun e -> [ group ~receives:[ e.ports.(0) ] () ]);
+    ( "full",
+      [ 1 ], 0,
+      (fun e -> fill e 0 1),
+      fun e -> [ group ~sends:[ (e.ports.(0), e.msg 1) ] () ] );
+    ( "rights",
+      [], 1, no_setup,
+      fun e -> [ group ~writes:[ (read_only e.targets.(0), 0, 7) ] () ] );
+    ( "swapped",
+      [], 1,
+      (fun e ->
+        (I432.Object_table.entry_of_access (K.Machine.table e.gm) e.targets.(0))
+          .I432.Object_table.swapped_out <- true),
+      fun e -> [ group ~writes:[ (e.targets.(0), 0, 7) ] () ] );
+    ( "bounds",
+      [], 1, no_setup,
+      fun e -> [ group ~writes:[ (e.targets.(0), 6, 7) ] () ] );
+    ( "own receive frees room for own send",
+      [ 1 ], 0,
+      (fun e -> fill e 0 1),
+      fun e ->
+        [ group ~receives:[ e.ports.(0) ] ~sends:[ (e.ports.(0), e.msg 1) ] () ]
+    );
+    ( "tie: lowest port index first",
+      [ 1; 2 ], 0,
+      (fun e -> fill e 0 1),
+      fun e ->
+        [ group ~receives:[ e.ports.(1) ] ~sends:[ (e.ports.(0), e.msg 1) ] () ]
+    );
+    ( "tie: ports before write targets",
+      [ 2 ], 1, no_setup,
+      fun e ->
+        [
+          group ~writes:[ (read_only e.targets.(0), 0, 7) ]
+            ~receives:[ e.ports.(0) ] ();
+        ] );
+    ( "tie: writes in staging order",
+      [], 2, no_setup,
+      fun e ->
+        [
+          group
+            ~writes:[ (read_only e.targets.(1), 0, 7); (e.targets.(0), 6, 7) ]
+            ();
+        ] );
+    ( "parked receiver counts as room",
+      [ 1 ], 0,
+      (fun e ->
+        e.spawn "rx" 10 (fun () -> ignore (K.Machine.receive e.gm ~port:e.ports.(0)))),
+      fun e ->
+        [ group ~sends:[ (e.ports.(0), e.msg 1); (e.ports.(0), e.msg 2) ] () ]
+    );
+    ( "parked receiver, one send too many",
+      [ 1 ], 0,
+      (fun e ->
+        e.spawn "rx" 10 (fun () -> ignore (K.Machine.receive e.gm ~port:e.ports.(0)))),
+      fun e ->
+        [
+          group
+            ~sends:
+              [
+                (e.ports.(0), e.msg 1);
+                (e.ports.(0), e.msg 2);
+                (e.ports.(0), e.msg 3);
+              ]
+            ();
+        ] );
+    (* Senders park at p2, p1, p0 in that order; the group's receives free
+       all three slots, its send claims p1's, and the parked senders of p0
+       and p2 are admitted in ascending port order. *)
+    ( "parked senders admitted in port order, after own sends",
+      [ 1; 1; 1 ], 0,
+      (fun e ->
+        for i = 0 to 2 do
+          fill e i 1
+        done;
+        for i = 2 downto 0 do
+          e.spawn (Printf.sprintf "s%d" i) (8 + i) (fun () ->
+              K.Machine.send e.gm ~port:e.ports.(i) ~msg:(e.msg (100 + i)))
+        done),
+      fun e ->
+        [
+          group
+            ~receives:[ e.ports.(2); e.ports.(1); e.ports.(0) ]
+            ~sends:[ (e.ports.(1), e.msg 1) ]
+            ();
+        ] );
+    ( "repeated key",
+      [ 2; 4 ], 1,
+      (fun e -> fill e 0 2),
+      fun e ->
+        [
+          group ~key ~receives:[ e.ports.(0) ] ~sends:[ (e.ports.(1), e.msg 1) ]
+            ~writes:[ (e.targets.(0), 0, 7) ] ();
+          group ~key ~receives:[ e.ports.(0) ] ~sends:[ (e.ports.(1), e.msg 2) ]
+            ~writes:[ (e.targets.(0), 0, 9) ] ();
+        ] );
+    ( "repeated key, full port: re-offered send dropped",
+      [ 1 ], 0, no_setup,
+      fun e ->
+        [
+          group ~key ~sends:[ (e.ports.(0), e.msg 1) ] ();
+          group ~key ~sends:[ (e.ports.(0), e.msg 2) ] ();
+        ] );
+  ]
+
+let gc_expected =
+  [
+    ("commit: receive, write, send",
+     "committed fresh=true recv=[11] at=46625 | p0:1/1/0/0/1 p1:1/0/0/0/1 | w0=7 | 1/0/0 | g:1/1/0 | 47125 | ready:g dispatch:g receive:g send:g txn-commit:g finish:g");
+    ("empty",
+     "conflict p0 empty | p0:0/0/0/0/0 |  | 0/1/0 | g:0/0/0 | 34000 | ready:g dispatch:g finish:g");
+    ("full",
+     "conflict p0 full | p0:1/0/0/0/1 |  | 0/1/0 | g:0/0/0 | 34000 | ready:g dispatch:g finish:g");
+    ("rights",
+     "conflict w0 rights |  | w0=0 | 0/1/0 | g:0/0/0 | 22625 | ready:g dispatch:g finish:g");
+    ("swapped",
+     "conflict w0 swapped |  | w0=out | 0/1/0 | g:0/0/0 | 22625 | ready:g dispatch:g finish:g");
+    ("bounds",
+     "conflict w0 bounds |  | w0=0 | 0/1/0 | g:0/0/0 | 22625 | ready:g dispatch:g finish:g");
+    ("own receive frees room for own send",
+     "committed fresh=true recv=[11] at=46000 | p0:2/1/0/0/1 |  | 1/0/0 | g:1/1/0 | 46500 | ready:g dispatch:g receive:g send:g txn-commit:g finish:g");
+    ("tie: lowest port index first",
+     "conflict p0 full | p0:1/0/0/0/1 p1:0/0/0/0/0 |  | 0/1/0 | g:0/0/0 | 46000 | ready:g dispatch:g finish:g");
+    ("tie: ports before write targets",
+     "conflict p0 empty | p0:0/0/0/0/0 | w0=0 | 0/1/0 | g:0/0/0 | 34625 | ready:g dispatch:g finish:g");
+    ("tie: writes in staging order",
+     "conflict w1 rights |  | w0=0 w1=0 | 0/1/0 | g:0/0/0 | 23250 | ready:g dispatch:g finish:g");
+    ("parked receiver counts as room",
+     "committed fresh=true recv=[] at=96000 | p0:2/1/0/1/1 |  | 1/0/0 | rx:0/1/1 g:2/0/0 | 118000 | ready:rx ready:g dispatch:rx block-receive:rx deschedule:rx dispatch:g send:g receive:rx ready:rx send:g txn-commit:g finish:g dispatch:rx finish:rx");
+    ("parked receiver, one send too many",
+     "conflict p0 full | p0:0/0/0/1/0 |  | 0/1/0 | rx:0/0/1 g:0/0/0 | 108000 | ready:rx ready:g dispatch:rx block-receive:rx deschedule:rx dispatch:g finish:g");
+    ("parked senders admitted in port order, after own sends",
+     "committed fresh=true recv=[31,21,11] at=461875 | p0:2/1/1/0/1 p1:3/1/1/0/1 p2:2/1/1/0/1 |  | 1/0/0 | s2:1/0/1 s1:1/0/1 s0:1/0/1 g:1/3/0 | 507375 | ready:s2 ready:s1 ready:s0 ready:g dispatch:s2 send:s2 block-send:s2 deschedule:s2 dispatch:s1 send:s1 block-send:s1 deschedule:s1 dispatch:s0 send:s0 block-send:s0 deschedule:s0 dispatch:g receive:g receive:g receive:g send:g ready:s0 ready:s2 txn-commit:g finish:g dispatch:s2 finish:s2 dispatch:s0 finish:s0");
+    ("repeated key",
+     "committed fresh=true recv=[11] at=46625; committed fresh=false recv=[] at=71750 | p0:2/1/0/0/2 p1:2/0/0/0/2 | w0=7 | 1/0/1 | g:2/1/0 | 71750 | ready:g dispatch:g receive:g send:g txn-commit:g send:g txn-dup-drop:g finish:g");
+    ("repeated key, full port: re-offered send dropped",
+     "committed fresh=true recv=[] at=34000; committed fresh=false recv=[] at=46000 | p0:1/0/0/0/1 |  | 1/0/1 | g:1/0/0 | 46000 | ready:g dispatch:g send:g txn-commit:g txn-dup-drop:g finish:g");
+  ]
+
+let test_group_commit_rules () =
+  let bad =
+    List.filter_map
+      (fun (name, capacities, targets, setup, groups) ->
+        let got = gc_case ~capacities ~targets ~setup ~groups in
+        match List.assoc_opt name gc_expected with
+        | Some want when want = got -> None
+        | Some _ | None -> Some (Printf.sprintf "    (%S,\n     %S);" name got))
+      gc_cases
+  in
+  if bad <> [] then
+    Alcotest.failf "group-commit cases differ:\n%s" (String.concat "\n" bad)
+
 let suite =
   [
     Alcotest.test_case "txn: all-or-nothing" `Quick test_all_or_nothing;
@@ -489,4 +773,6 @@ let suite =
       `Quick test_banking_rollback_window_dedup;
     Alcotest.test_case "banking cluster: history survives rejoin" `Quick
       test_banking_kill_rejoin_history;
+    Alcotest.test_case "txn: group-commit rules" `Quick
+      test_group_commit_rules;
   ]
