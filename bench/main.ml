@@ -83,12 +83,18 @@ let micro_gates =
           (Store_tp.swap_limit r.store) );
     ( "--assert-run-loop", (fun r -> Run_loop.check r.loop),
       fun r ->
-        if not (Run_loop.check_words r.loop) then
+        if r.loop.minor_words_per_request > Run_loop.words_limit then
           Printf.sprintf
             "FAIL: run loop allocates %.1f minor words per request > %.0f at \
              %d workers"
             r.loop.minor_words_per_request Run_loop.words_limit
             Run_loop.base_workers
+        else if
+          r.loop.cluster_words_per_request > Run_loop.cluster_words_limit
+        then
+          Printf.sprintf
+            "FAIL: cluster run allocates %.1f minor words per request > %.0f"
+            r.loop.cluster_words_per_request Run_loop.cluster_words_limit
         else
           Printf.sprintf
             "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \

@@ -13,7 +13,13 @@
    workers allocates per request, schedule and boot included.  That count
    is the same on every host for a given binary, so it catches an
    allocation creeping back into create-object, the schedule or the
-   dispatch path where a timing ratio could not. *)
+   dispatch path where a timing ratio could not.
+
+   Beside it, the same count for one untraced 3-node x 2-GDP cluster run
+   (4 users at 10k req/s aggregate, 500 requests each, in both modes):
+   every request crosses the wire codec, the NIC pump and the ARQ, so
+   the bound catches a per-round or per-frame allocation coming back
+   into the cluster round. *)
 
 module Load = I432_load
 
@@ -21,11 +27,14 @@ let base_workers = 8
 let test_workers = 512
 let limit = 2.0
 let words_limit = 400.0
+let cluster_words_limit = 650.0
 
 type result = {
   requests : int;  (* per run *)
   paired : Paired.t;  (* host ns per run: base 8 workers, test 512 *)
   minor_words_per_request : float;  (* one untraced run at 8 workers *)
+  cluster_requests : int;
+  cluster_words_per_request : float;  (* one untraced 3-node run *)
 }
 
 let spec ~smoke =
@@ -39,6 +48,22 @@ let spec ~smoke =
     profile = Load.Mix.Typical;
   }
 
+let cluster_spec =
+  {
+    Load.Arrival.seed = 1;
+    users = 4;
+    sessions = 1;
+    requests_per_session = 500;
+    rate_rps = 10_000.0;
+    pattern = Load.Arrival.Poisson;
+    profile = Load.Mix.Typical;
+  }
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 let measure ~smoke () =
   let spec = spec ~smoke in
   let run workers () =
@@ -48,13 +73,23 @@ let measure ~smoke () =
   in
   let requests = Load.Arrival.total spec in
   let minor_words_per_request =
-    let before = Gc.minor_words () in
-    run base_workers ();
-    (Gc.minor_words () -. before) /. float_of_int requests
+    minor_words_of (run base_workers) /. float_of_int requests
+  in
+  let cluster_requests = Load.Arrival.total cluster_spec in
+  let cluster_words_per_request =
+    minor_words_of (fun () ->
+        let o =
+          Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~spec:cluster_spec ()
+        in
+        if o.Load.Loadgen.o_completed <> cluster_requests then
+          failwith "run_loop: cluster run did not complete every request")
+    /. float_of_int cluster_requests
   in
   {
     requests;
     minor_words_per_request;
+    cluster_requests;
+    cluster_words_per_request;
     paired =
       Paired.measure
         ~trials:(if smoke then 5 else 9)
@@ -62,19 +97,22 @@ let measure ~smoke () =
   }
 
 let per_request ns r = ns /. float_of_int r.requests
-let check_words r = r.minor_words_per_request <= words_limit
+let check_words r =
+  r.minor_words_per_request <= words_limit
+  && r.cluster_words_per_request <= cluster_words_limit
 let check r = r.paired.Paired.ratio <= limit && check_words r
 
 let print_summary r =
   Printf.printf
     "Run loop at %d vs %d workers (%d requests): %.0f vs %.0f host ns per \
      request, median ratio x%.2f (limit x%.1f); %.1f minor words per \
-     request at %d (limit %.0f)\n"
+     request at %d (limit %.0f); cluster %.1f minor words per request \
+     (limit %.0f)\n"
     test_workers base_workers r.requests
     (per_request r.paired.Paired.test_ns r)
     (per_request r.paired.Paired.base_ns r)
     r.paired.Paired.ratio limit r.minor_words_per_request base_workers
-    words_limit
+    words_limit r.cluster_words_per_request cluster_words_limit
 
 let to_json r =
   let open Json_out in
@@ -89,4 +127,8 @@ let to_json r =
       ("limit", Float limit);
       ("minor_words_per_request", Float r.minor_words_per_request);
       ("words_limit", Float words_limit);
+      ("cluster_requests", Int r.cluster_requests);
+      ( "cluster_minor_words_per_request",
+        Float r.cluster_words_per_request );
+      ("cluster_words_limit", Float cluster_words_limit);
     ]

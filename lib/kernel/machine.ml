@@ -148,11 +148,11 @@ type t = {
      same commits and rebuilds the same set, so a retried group can never
      double-apply across a crash.  Empty until the first keyed commit. *)
   txn_applied : (int, unit) Hashtbl.t;
-  (* Domain id currently inside [run], if any.  A machine is a
+  (* Domain id currently inside [advance], -1 if none.  A machine is a
      single-domain object: the parallel cluster engine steps each node on
      exactly one domain per round, and this field turns a violated
      partitioning into an immediate failure instead of a data race. *)
-  mutable stepper : int option;
+  mutable stepper : int;
 }
 
 let make_monitors metrics =
@@ -268,7 +268,7 @@ let create ?(config = default_config) () =
     reclaim_hook = None;
     fault_hook = None;
     txn_applied = Hashtbl.create 16;
-    stepper = None;
+    stepper = -1;
   }
 
 let table t = t.table
@@ -1085,21 +1085,29 @@ let deliver_external t ?txn ~port ~msg ~priority () =
     true
   end
 
-(* Withdraw up to [max] queued messages from [port] in service order — the
-   NIC acting as the port's receiver.  Blocked senders are admitted (and
-   readied) as space opens, exactly as a local receive would admit them.
-   Returns [(msg, priority, enqueued_at, txn)] per message; [txn] is the
-   committing transaction's idempotency key (0 = not transactional), which
-   the interconnect carries across the wire for cluster-level dedup. *)
-let drain_port t ?(max = max_int) ~port () =
+(* Withdraw the head message of [port] in service order — the NIC acting
+   as the port's receiver — and admit (and ready) one blocked sender into
+   the freed slot, exactly as a local receive would.  The message's [txn]
+   is the committing transaction's idempotency key (0 = not
+   transactional), which the interconnect carries across the wire for
+   cluster-level dedup. *)
+let drain_one t ~port =
   let p = Port.state_of t.table port in
+  match take t p with
+  | None -> None
+  | Some _ as qm ->
+    admit t p;
+    qm
+
+(* [drain_one] up to [max] times, as [(msg, priority, enqueued_at, txn)]
+   per message. *)
+let drain_port t ?(max = max_int) ~port () =
   let rec go n acc =
     if n >= max then List.rev acc
     else
-      match take t p with
+      match drain_one t ~port with
       | None -> List.rev acc
       | Some qm ->
-        admit t p;
         go (n + 1)
           ((qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
           :: acc)
@@ -1756,7 +1764,7 @@ let report t =
    processor with the smallest clock, after the injections it has reached
    fire; an injection may take that very processor offline, and then the
    iteration only asks the halting question. *)
-let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
+let run_loop t ~max_ns ~max_steps =
   let steps = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -1772,27 +1780,34 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
         &&
         (if t.injections <> [] then fire_injections t cpu;
          ((not cpu.Processor.online) || step t cpu ~max_ns) && can_progress t)
-  done;
-  report t
+  done
+
+let unclaim t =
+  Obs.Metrics.release t.metrics;
+  t.stepper <- -1
 
 (* Stepping is exclusive: mark the machine (and claim its metrics
    registry) for the calling domain, run, then release.  Two overlapping
-   [run] calls from different domains — a broken parallel-engine
-   partition — fail loudly here rather than corrupting state. *)
-let run ?max_ns ?max_steps t =
+   calls from different domains — a broken parallel-engine partition —
+   fail loudly here rather than corrupting state. *)
+let advance ?(max_steps = max_int) t ~max_ns =
   let self = (Stdlib.Domain.self () :> int) in
-  (match t.stepper with
-  | Some d when d <> self ->
+  if t.stepper >= 0 && t.stepper <> self then
     failwith
-      (Printf.sprintf "Machine.run: machine is being stepped by domain %d" d)
-  | Some _ | None -> ());
-  t.stepper <- Some self;
+      (Printf.sprintf "Machine.run: machine is being stepped by domain %d"
+         t.stepper);
+  t.stepper <- self;
   Obs.Metrics.claim t.metrics;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.release t.metrics;
-      t.stepper <- None)
-    (fun () -> run_loop ?max_ns ?max_steps t)
+  match run_loop t ~max_ns ~max_steps with
+  | () -> unclaim t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    unclaim t;
+    Printexc.raise_with_backtrace e bt
+
+let run ?(max_ns = max_int) ?max_steps t =
+  advance ?max_steps t ~max_ns;
+  report t
 
 (* Total busy time across processors: the "total processing power" metric of
    the scaling experiment. *)

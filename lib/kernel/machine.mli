@@ -272,10 +272,14 @@ val post :
 val deliver_external :
   t -> ?txn:int -> port:Access.t -> msg:Access.t -> priority:int -> unit -> bool
 
-(** Withdraw up to [max] queued messages in service order, admitting (and
-    readying) blocked senders as space opens.  Returns
-    [(msg, priority, enqueued_at, txn)] per message; [txn] is the
-    committing transaction's idempotency key (0 = not transactional). *)
+(** Withdraw the head message in service order, admitting (and
+    readying) one blocked sender into the freed slot; [None] when the
+    queue is empty.  The message's [txn] is the committing transaction's
+    idempotency key (0 = not transactional). *)
+val drain_one : t -> port:Access.t -> Port.queued_message option
+
+(** {!drain_one} up to [max] times.  Returns
+    [(msg, priority, enqueued_at, txn)] per message. *)
 val drain_port :
   t -> ?max:int -> port:Access.t -> unit -> (Access.t * int * int * int) list
 
@@ -380,6 +384,12 @@ val progress : t -> progress
     ({!has_local_work}), no user process waits with an armed deadline,
     and no ready process may be dispatched by an online processor. *)
 val run : ?max_ns:int -> ?max_steps:int -> t -> run_report
+
+(** {!run} without its report: what the cluster round calls, since
+    building a report walks every process.  Stepping is exclusive to one
+    domain at a time; a call from a second domain while one is stepping
+    fails. *)
+val advance : ?max_steps:int -> t -> max_ns:int -> unit
 
 (** Sum of busy time across processors: the "total processing power"
     delivered. *)

@@ -299,6 +299,19 @@ type chaos = {
 (* Cluster runs step in 100 us rounds. *)
 let quantum_ns = 100_000
 
+exception Round_limit of { rounds : int; horizon_ns : int }
+
+(* A run with no round bound of its own must end quiescent: one that ran
+   out of rounds would hand back a truncated schedule as if complete. *)
+let run_to_quiescence cl ~engine =
+  let r = Net.Cluster.run cl ~engine ~quantum_ns () in
+  match r.Net.Cluster.stop with
+  | Net.Cluster.Quiescent -> ()
+  | Net.Cluster.Round_limit ->
+    raise
+      (Round_limit
+         { rounds = r.Net.Cluster.rounds; horizon_ns = r.Net.Cluster.horizon_ns })
+
 (* Checkpoint rejoin by replay: file every node's image at the kill
    round, and at the restart let Checkpoint re-boot the scenario, replay
    the recorded rounds on the sequential engine and verify node 0's image
@@ -324,7 +337,7 @@ let stage_chaos { c_kill_after_rounds; c_outage_ns; c_store } ~seed ~engine
           { Fi.n_at_ns = restart_at; n_node = 0; n_act = Fi.N_restart };
         ];
     };
-  ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
+  run_to_quiescence cl ~engine;
   (kill_at, restart_at)
 
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are
@@ -405,7 +418,7 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
   let staged =
     match chaos with
     | None ->
-      ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
+      run_to_quiescence cl ~engine;
       None
     | Some c ->
       Some

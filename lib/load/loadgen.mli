@@ -52,8 +52,14 @@ type chaos = {
   c_store : I432_store.Store.t;  (** where the checkpoint is filed *)
 }
 
+(** A cluster run that should have gone quiescent ran out of rounds
+    instead ({!Net.Cluster.run}'s default bound, 100k rounds of 100 us):
+    its schedule did not finish, so its outcome would be truncated. *)
+exception Round_limit of { rounds : int; horizon_ns : int }
+
 (** Stage [chaos] on a cluster [boot] built, then run it to halt; returns
-    the (kill, restart) instants.  The restart re-runs [boot], replays
+    the (kill, restart) instants; raises {!Round_limit} if the run after
+    the kill does not go quiescent.  The restart re-runs [boot], replays
     the checkpointed rounds and splices node 0 back in only if its image
     equals the checkpoint's; otherwise it raises
     {!I432_store.Checkpoint.Restore_mismatch} naming the node and its
@@ -74,7 +80,8 @@ val stage_chaos :
     byte-identical either way).  [chaos] stages the kill/rejoin of the
     serving node and requires [trace_level] at least [Events] (phase
     stats and retirement instants come off the event stream).  Raises
-    [Invalid_argument] when [nodes < 2]. *)
+    [Invalid_argument] when [nodes < 2], and {!Round_limit} when the
+    cluster runs out of rounds before every request is served. *)
 val run_cluster :
   ?nodes:int ->
   ?processors:int ->

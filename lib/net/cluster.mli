@@ -40,8 +40,6 @@ type node = private {
   m_restarts : I432_obs.Metrics.counter;
 }
 
-type pending
-
 (** One import: a surrogate port on [ch_src] standing for the exported
     name whose home port lives on [ch_dst]. *)
 type channel = private {
@@ -55,9 +53,8 @@ type channel = private {
   ch_home : Access.t;
   ch_mask : Rights.t;
   mutable ch_next_seq : int;
-  ch_unacked : (int, pending) Hashtbl.t;
-  mutable ch_unacked_n : int;
-  ch_seen : (int, unit) Hashtbl.t;
+  ch_unacked : Frame.t Arq.Unacked.t;
+  ch_seen : Arq.Seen.t;
   ch_backlog : (Frame.t * Access.t) Queue.t;
   mutable ch_frames_dead : int;  (** gave up after [max_retries] *)
   mutable ch_dead_letters : int;  (** dead-lettered against a dead node *)
@@ -165,6 +162,10 @@ val export :
     itself (send-only).  Raises {!Not_exported} or {!No_route}. *)
 val import : t -> node:int -> name:string -> Access.t
 
+(** Why {!run} returned: nothing left to move, or [max_rounds] ran out
+    first with work still pending. *)
+type stop = Quiescent | Round_limit
+
 type report = {
   rounds : int;
   horizon_ns : int;
@@ -176,6 +177,7 @@ type report = {
   dup_drops : int;
   dead_letters : int;
       (** frames whose only possible destination was a dead node *)
+  stop : stop;
 }
 
 (** How a round's node slices execute.  [Seq] steps nodes in id order on
@@ -192,9 +194,9 @@ type report = {
 type engine = Seq | Par of int
 
 (** Advance the cluster until every machine is quiescent and no frame is
-    in flight, unacked, or backlogged (or [max_rounds] elapses).  Each
-    round steps every machine [quantum_ns] of virtual time, then pumps
-    the interconnect.
+    in flight, unacked, or backlogged (or [max_rounds] elapses; the
+    report's [stop] tells the two apart).  Each round steps every
+    machine [quantum_ns] of virtual time, then pumps the interconnect.
 
     Resumable: the quantum grid persists across calls, so
     [run ~max_rounds:k] followed by [run ()] (with the same [quantum_ns])

@@ -78,12 +78,18 @@ let apply t ~at = function
    so a later frame can overtake it). *)
 let transmit t ~now ~src ~size_bytes =
   let serialize_ns = size_bytes * t.ns_per_byte in
-  let depart, set_free =
-    if src = t.node_a then
-      (max now t.next_free_ab, fun v -> t.next_free_ab <- v)
-    else (max now t.next_free_ba, fun v -> t.next_free_ba <- v)
+  let depart =
+    if src = t.node_a then begin
+      let depart = max now t.next_free_ab in
+      t.next_free_ab <- depart + serialize_ns;
+      depart
+    end
+    else begin
+      let depart = max now t.next_free_ba in
+      t.next_free_ba <- depart + serialize_ns;
+      depart
+    end
   in
-  set_free (depart + serialize_ns);
   let arrival = depart + serialize_ns + t.latency_ns in
   if partitioned_at t depart then begin
     t.dropped <- t.dropped + 1;

@@ -20,12 +20,12 @@ type t = {
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   log_histograms : (string, log_histogram) Hashtbl.t;
-  (* Domain id of the current writer, if claimed.  Registries are not
+  (* Domain id of the current writer, -1 if unclaimed.  Registries are not
      thread-safe: exactly one domain may update instruments at a time.
      The parallel cluster engine claims each node's registry for the
      duration of a round slice; a second claim from a different domain is
      a bug in the engine's partitioning, not a race to tolerate. *)
-  mutable writer : int option;
+  mutable writer : int;
 }
 
 let create () =
@@ -34,20 +34,19 @@ let create () =
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
     log_histograms = Hashtbl.create 16;
-    writer = None;
+    writer = -1;
   }
 
 let claim t =
   let self = (Stdlib.Domain.self () :> int) in
-  match t.writer with
-  | Some d when d <> self ->
+  if t.writer >= 0 && t.writer <> self then
     failwith
       (Printf.sprintf
-         "Metrics.claim: registry already claimed by domain %d (self %d)" d
-         self)
-  | Some _ | None -> t.writer <- Some self
+         "Metrics.claim: registry already claimed by domain %d (self %d)"
+         t.writer self);
+  t.writer <- self
 
-let release t = t.writer <- None
+let release t = t.writer <- -1
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with

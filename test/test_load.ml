@@ -416,6 +416,20 @@ let test_chaos_divergent_replay () =
           "checkpoint \"loadgen\" node \"server\" image" d.Ckpt.stream;
         Alcotest.(check bool) "names a line" true (d.Ckpt.index >= 1))
 
+(* An unbounded cluster run that runs out of rounds fails by name instead
+   of returning a truncated schedule: arrivals this sparse outlast the
+   default 100k rounds of 100 us. *)
+let test_cluster_round_limit_raises () =
+  let s = spec ~seed:1 ~users:1 ~sessions:1 ~requests:3 ~rate:0.1 () in
+  Alcotest.(check bool) "schedule outlasts the round bound" true
+    (Load.Arrival.horizon_ns (Load.Arrival.generate s) > 10_000_000_000);
+  match run_cluster ~engine:Net.Cluster.Seq s with
+  | _ -> Alcotest.fail "a truncated run returned an outcome"
+  | exception Load.Loadgen.Round_limit { rounds; horizon_ns } ->
+    Alcotest.(check int) "rounds" 100_000 rounds;
+    Alcotest.(check bool) "horizon past 10 virtual s" true
+      (horizon_ns >= 10_000_000_000)
+
 let suite =
   [
     ("log_hist basic", `Quick, test_log_hist_basic);
@@ -441,4 +455,6 @@ let suite =
       test_chaos_divergent_replay);
     (* Kept last so the earlier cases keep their positions in the suite. *)
     QCheck_alcotest.to_alcotest prop_arrival_matches_reference;
+    ("cluster round limit raises Round_limit", `Quick,
+      test_cluster_round_limit_raises);
   ]
