@@ -24,6 +24,7 @@ module Load = I432_load
 module U = I432_util
 module St = I432_store.Store
 module Scenario = I432_store.Scenario
+module Ckpt = I432_store.Checkpoint
 
 (* A verifier's outcome, kept whole so a failure prints its first
    divergent line; the JSON records only whether it held. *)
@@ -276,24 +277,21 @@ let measure_chaos ~smoke ~rate_rps =
     Scenario.make ~name:"chaos-at-knee" ~streams:Load.Loadgen.streams
       (fun () ->
         let store = St.open_ (fresh_scratch_journal ()) in
-        let chaos =
-          {
-            Load.Loadgen.c_kill_after_rounds =
-              max 1 (horizon * 2 / 5 / quantum);
-            c_outage_ns = max (10 * quantum) (horizon / 8);
-            c_store = store;
-          }
-        in
+        let kill_ns = max 1 (horizon * 2 / 5 / quantum) * quantum in
+        let restart_ns = Some (kill_ns + max (10 * quantum) (horizon / 8)) in
+        let rejoin = { Ckpt.store; ckpt_ns = kill_ns; kill_ns; restart_ns } in
         Fun.protect
           ~finally:(fun () -> St.close store)
           (fun () ->
             Load.Loadgen.run_cluster ~nodes:cluster_nodes
               ~processors:cluster_processors ~engine:Net.Cluster.Seq
-              ~trace_level:Obs.Tracer.Events ~chaos ~spec ()))
+              ~trace_level:Obs.Tracer.Events ~rejoin ~spec ()))
   in
   let o = Scenario.play staged in
   let kill_at, restart_at =
-    match o.Load.Loadgen.o_chaos with Some kr -> kr | None -> (0, 0)
+    match o.Load.Loadgen.o_chaos with
+    | Some (kill, Some restart) -> (kill, restart)
+    | Some (_, None) | None -> (0, 0)
   in
   let done_ns = Hashtbl.create 512 in
   List.iter
@@ -365,7 +363,6 @@ let measure_chaos ~smoke ~rate_rps =
    bit-identically. *)
 
 module System = Imax.System
-module Ckpt = I432_store.Checkpoint
 
 let swap_object_bytes = 32
 let swap_objects ~smoke = if smoke then 20_000 else 1_000_000
@@ -612,12 +609,20 @@ let measure_banking ~smoke =
     Banking.atomic rc
   in
   let kill_sound, dup_drops =
-    let ckpt_store = St.open_ (fresh_scratch_journal ()) in
-    let cr =
-      Banking.run_cluster ~workers:banking_workers ~kill:(600_000, 900_000)
-        ~ckpt_ns:200_000 ~ckpt_store ~accounts ~transfers ~seed:banking_seed ()
+    let store = St.open_ (fresh_scratch_journal ()) in
+    let rejoin =
+      {
+        Ckpt.store;
+        ckpt_ns = 200_000;
+        kill_ns = 600_000;
+        restart_ns = Some 900_000;
+      }
     in
-    St.close ckpt_store;
+    let cr =
+      Banking.run_cluster ~workers:banking_workers ~rejoin ~accounts ~transfers
+        ~seed:banking_seed ()
+    in
+    St.close store;
     remove_scratch_journals ();
     ( banking_sound cr.Banking.res,
       Net.Cluster.txn_dup_drops cr.Banking.cluster )

@@ -325,7 +325,7 @@ let scenario_rendezvous config snapshot calls =
    daemon forwards them to a slow printer behind a shallow port (so senders
    block), clients sleep between submissions.  Exercises every traced seam:
    spawn/dispatch/preempt, send/receive/block, sleep/wake, allocation. *)
-let run_spooler ~config ~clients ~jobs =
+let boot_spooler ~config ~clients ~jobs =
   let sys = System.boot ~config () in
   let m = System.machine sys in
   let pm = System.process_manager sys in
@@ -333,7 +333,6 @@ let run_spooler ~config ~clients ~jobs =
   let printer = Untyped_ports.create_port m ~message_count:2 () in
   let total = clients * jobs in
   let printed = ref 0 in
-  let sum = ref 0 in
   ignore
     (Process_manager.create_process pm ~name:"spooler" (fun () ->
          for _ = 1 to total do
@@ -347,7 +346,7 @@ let run_spooler ~config ~clients ~jobs =
            let job = Untyped_ports.receive m ~prt:printer in
            K.Machine.compute m 10;
            printed := !printed + 1;
-           sum := !sum + K.Machine.read_word m job ~offset:0
+           ignore (K.Machine.read_word m job ~offset:0)
          done));
   for c = 1 to clients do
     ignore
@@ -367,8 +366,12 @@ let run_spooler ~config ~clients ~jobs =
          for _ = 1 to 2 do
            K.Machine.compute m 12_000
          done));
+  (sys, printed)
+
+let run_spooler ~config ~clients ~jobs =
+  let sys, printed = boot_spooler ~config ~clients ~jobs in
   let report = System.run sys in
-  (m, report, !printed, !sum)
+  (System.machine sys, report, !printed)
 
 let scenario_trace config snapshot clients jobs chrome_out dump legacy =
   let config =
@@ -379,7 +382,7 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
          else Obs.Tracer.Events);
     }
   in
-  let m, report, printed, _sum = run_spooler ~config ~clients ~jobs in
+  let m, report, printed = run_spooler ~config ~clients ~jobs in
   let tracer = K.Machine.tracer m in
   Printf.printf "spooler: %d clients x %d jobs, %d printed\n" clients jobs
     printed;
@@ -395,7 +398,7 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
 
 let scenario_metrics config snapshot clients jobs json_out =
   let config = { config with System.trace_level = Obs.Tracer.Events } in
-  let m, report, printed, _sum = run_spooler ~config ~clients ~jobs in
+  let m, report, printed = run_spooler ~config ~clients ~jobs in
   Printf.printf "spooler: %d clients x %d jobs, %d printed\n" clients jobs
     printed;
   print_report report;
@@ -524,110 +527,105 @@ let scenario_chaos config snapshot seed clients jobs faults chrome_out check =
     print_endline "determinism check: identical event streams"
   end
 
-let kconfig processors =
-  {
-    K.Machine.default_config with
-    K.Machine.processors;
-    trace_level = Obs.Tracer.Events;
-  }
-
 (* Net: the spooler split across an N-node star cluster joined by the
    virtual interconnect, optionally under a seeded link-fault plan.
    Nodes 0..N-2 each run [clients] users sending composite jobs through
    an imported surrogate port; node N-1 (the printshop) owns the real
    queue.  The printer drains until quiet so a plan hostile enough to
-   lose frames still halts cleanly.
+   lose frames still halts cleanly.  Returns the cluster, the link plan
+   armed, and the list the printer records into. *)
+let boot_net ~processors ~nodes ~seed ~clients ~jobs ~link_faults ~partitions
+    ?latency () =
+  let cluster = Net.Cluster.create ?default_latency_ns:latency () in
+  let trace_level = Obs.Tracer.Events in
+  let config = { K.Machine.default_config with processors; trace_level } in
+  let client_nodes =
+    Array.init (nodes - 1) (fun i ->
+        Net.Cluster.boot_node cluster
+          ~name:
+            (if nodes = 2 then "clients"
+             else Printf.sprintf "clients%d" (i + 1))
+          ~config ())
+  in
+  let node_b, mb = Net.Cluster.boot_node cluster ~name:"printshop" ~config () in
+  Array.iter
+    (fun (id, _) -> ignore (Net.Cluster.connect cluster id node_b))
+    client_nodes;
+  let plan =
+    if link_faults > 0 || partitions > 0 then begin
+      let horizon_ns = max 2_000_000 (clients * jobs * 300_000) in
+      let p =
+        Fi.random_links ~seed ~horizon_ns ~links:(nodes - 1)
+          ~count:link_faults ~partitions
+      in
+      Net.Cluster.arm_links cluster p;
+      Some p
+    end
+    else None
+  in
+  let queue = K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo () in
+  Net.Cluster.export cluster ~node:node_b ~name:"printer"
+    ~mask:Rights.read_only queue;
+  let printed = ref [] in
+  ignore
+    (K.Machine.spawn mb ~name:"printer" (fun () ->
+         let quiet = ref 0 in
+         while !quiet < 3 do
+           match
+             K.Machine.receive_timeout mb ~port:queue ~timeout_ns:2_000_000
+           with
+           | Some job ->
+             quiet := 0;
+             let owner = K.Machine.read_word mb job ~offset:0 in
+             let seq = K.Machine.read_word mb job ~offset:4 in
+             K.Machine.compute mb 25;
+             printed := (owner, seq) :: !printed
+           | None -> incr quiet
+         done));
+  Array.iteri
+    (fun i (id, ma) ->
+      let surrogate = Net.Cluster.import cluster ~node:id ~name:"printer" in
+      for u = 1 to clients do
+        (* Users are numbered globally so every job's owner field is
+           unique cluster-wide (and unchanged in the 2-node case). *)
+        let u = (i * clients) + u in
+        ignore
+          (K.Machine.spawn ma
+             ~name:(Printf.sprintf "user%d" u)
+             (fun () ->
+               for j = 1 to jobs do
+                 let job = K.Machine.allocate_generic ma ~data_length:16 () in
+                 K.Machine.write_word ma job ~offset:0 u;
+                 K.Machine.write_word ma job ~offset:4 j;
+                 K.Machine.compute ma 10;
+                 K.Machine.send ma ~port:surrogate ~msg:job;
+                 (* Spread traffic across the fault plan's horizon so armed
+                    link faults actually meet frames in flight. *)
+                 K.Machine.delay ma ~ns:400_000
+               done))
+      done)
+    client_nodes;
+  (cluster, plan, printed)
 
-   [kill = Some (name, kill_ns, restart_at)] stages the whole-node
-   failure story: run to the round boundary at or below [kill_ns],
-   checkpoint every node into a scratch journal, then arm a node-fault
-   plan that kills [name] at [kill_ns] and (when [restart_at] is set)
-   splices a checkpoint replay back in at the restart instant.  The
-   boot closure rebuilds the identical scenario, which is what makes
-   the replay — and therefore the rejoin — deterministic. *)
+(* [kill = Some (name, kill_ns, restart_at)] stages the whole-node
+   failure story through [Ckpt.stage_rejoin]: checkpoint every node into
+   a scratch journal at the round boundary at or below [kill_ns], kill
+   [name] there, and (when [restart_at] is set) splice a checkpoint
+   replay back in at the restart instant.  The boot closure rebuilds the
+   identical scenario, which is what makes the replay — and therefore
+   the rejoin — deterministic. *)
 let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     ~partitions ~latency ~kill =
   let quantum_ns = 200_000 in
-  let boot () =
-    let cluster = Net.Cluster.create ~default_latency_ns:latency () in
-    let config = kconfig processors in
-    let client_nodes =
-      Array.init (nodes - 1) (fun i ->
-          Net.Cluster.boot_node cluster
-            ~name:
-              (if nodes = 2 then "clients"
-               else Printf.sprintf "clients%d" (i + 1))
-            ~config ())
-    in
-    let node_b, mb =
-      Net.Cluster.boot_node cluster ~name:"printshop" ~config ()
-    in
-    Array.iter
-      (fun (id, _) -> ignore (Net.Cluster.connect cluster id node_b))
-      client_nodes;
-    let plan =
-      if link_faults > 0 || partitions > 0 then begin
-        let horizon_ns = max 2_000_000 (clients * jobs * 300_000) in
-        let p =
-          Fi.random_links ~seed ~horizon_ns ~links:(nodes - 1)
-            ~count:link_faults ~partitions
-        in
-        Net.Cluster.arm_links cluster p;
-        Some p
-      end
-      else None
-    in
-    let queue =
-      K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo ()
-    in
-    Net.Cluster.export cluster ~node:node_b ~name:"printer"
-      ~mask:Rights.read_only queue;
-    let printed = ref [] in
-    ignore
-      (K.Machine.spawn mb ~name:"printer" (fun () ->
-           let quiet = ref 0 in
-           while !quiet < 3 do
-             match
-               K.Machine.receive_timeout mb ~port:queue ~timeout_ns:2_000_000
-             with
-             | Some job ->
-               quiet := 0;
-               let owner = K.Machine.read_word mb job ~offset:0 in
-               let seq = K.Machine.read_word mb job ~offset:4 in
-               K.Machine.compute mb 25;
-               printed := (owner, seq) :: !printed
-             | None -> incr quiet
-           done));
-    Array.iteri
-      (fun i (id, ma) ->
-        let surrogate =
-          Net.Cluster.import cluster ~node:id ~name:"printer"
-        in
-        for u = 1 to clients do
-          (* Users are numbered globally so every job's owner field is
-             unique cluster-wide (and unchanged in the 2-node case). *)
-          let u = (i * clients) + u in
-          ignore
-            (K.Machine.spawn ma
-               ~name:(Printf.sprintf "user%d" u)
-               (fun () ->
-                 for j = 1 to jobs do
-                   let job =
-                     K.Machine.allocate_generic ma ~data_length:16 ()
-                   in
-                   K.Machine.write_word ma job ~offset:0 u;
-                   K.Machine.write_word ma job ~offset:4 j;
-                   K.Machine.compute ma 10;
-                   K.Machine.send ma ~port:surrogate ~msg:job;
-                   (* Spread traffic across the fault plan's horizon so armed
-                      link faults actually meet frames in flight. *)
-                   K.Machine.delay ma ~ns:400_000
-                 done))
-        done)
-      client_nodes;
-    (cluster, plan, printed)
+  let boot =
+    boot_net ~processors ~nodes ~seed ~clients ~jobs ~link_faults ~partitions
+      ~latency
   in
   let cluster, plan, printed = boot () in
+  (* The list of the printer incarnation alive at halt: a printshop
+     rejoin splices in a replay whose printer records into its own boot's
+     list, re-printing the checkpointed jobs there. *)
+  let printed = ref printed in
   let staged =
     match kill with
     | None -> None
@@ -649,53 +647,34 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
       | Some at when at <= kill_ns ->
         die "--restart-at %d: must come after the kill at %d ns" at kill_ns
       | _ -> ());
-      (* Phase A: advance to the last round boundary at or below the kill
-         instant and file every node's image.  The rejoin replays from
-         this checkpoint; work the victim did inside the final partial
-         round is rolled back and re-done after the restart (the
-         at-least-once seam DESIGN.md documents). *)
-      let r1 =
-        Net.Cluster.run cluster ~engine ~quantum_ns
-          ~max_rounds:(kill_ns / quantum_ns) ()
-      in
       let path = St.scratch_path "imax_net_ckpt.journal" in
       St.fresh_path path;
       let store = St.open_ path in
-      ignore
-        (Ckpt.save_cluster store ~key:"net" ~rounds:r1.Net.Cluster.rounds
-           ~quantum_ns cluster);
-      let events =
-        { Fi.n_at_ns = kill_ns; n_node = victim; n_act = Fi.N_kill }
-        ::
-        (match restart_at with
-        | Some at ->
-          [ { Fi.n_at_ns = at; n_node = victim; n_act = Fi.N_restart } ]
-        | None -> [])
+      (* The checkpoint sits on the kill instant's round boundary: work
+         the victim did inside the final partial round is rolled back
+         and re-done after the restart (the at-least-once seam DESIGN.md
+         documents). *)
+      let nplan =
+        Ckpt.stage_rejoin
+          { Ckpt.store; ckpt_ns = kill_ns; kill_ns; restart_ns = restart_at }
+          ~key:"net" ~node:victim ~seed ~engine ~quantum_ns
+          ~boot:(fun () ->
+            let c, _, p = boot () in
+            if victim = nodes - 1 then printed := p;
+            c)
+          cluster
       in
-      let nplan = { Fi.n_seed = seed; n_events = events } in
-      Net.Cluster.arm_nodes cluster
-        ~restore:(fun ~node ~at_ns:_ ->
-          Ckpt.restore_node store ~key:"net" ~node
-            ~boot:(fun () ->
-              let c, _, _ = boot () in
-              c))
-        nplan;
       Some (store, nplan, victim)
   in
   (* Counters and the round/horizon clock are cumulative across resumed
-     runs, so this report covers phase A too. *)
+     runs, so this report covers the run up to the checkpoint too. *)
   let report = Net.Cluster.run cluster ~engine ~quantum_ns () in
-  let nplan =
-    match staged with
-    | None -> None
-    | Some (store, nplan, victim) ->
-      St.close store;
-      Some (nplan, victim)
-  in
+  Option.iter (fun (store, _, _) -> St.close store) staged;
+  let nplan = Option.map (fun (_, nplan, victim) -> (nplan, victim)) staged in
   (* Re-fetch from the cluster: a restarted node's machine record was
      replaced by the checkpoint replay mid-run. *)
   let machines = Array.init nodes (Net.Cluster.machine cluster) in
-  (cluster, plan, nplan, report, List.rev !printed, machines)
+  (cluster, plan, nplan, report, List.rev !(!printed), machines)
 
 let scenario_net processors nodes par seed clients jobs link_faults partitions
     latency kill_spec restart_at topology chrome_out check =
@@ -891,82 +870,13 @@ let scenario_store config path graphs compact_flag par check =
       (Array.length wires) par_domains
   end
 
-(* Checkpoint: run a deterministic spooler workload, kill it at a chosen
-   virtual-time instant (or a cluster at a round boundary), checkpoint,
-   re-boot + replay + resume, and — with --check — fail unless the resumed
-   event stream is bit-identical to an uninterrupted run's. *)
+(* Checkpoint: run a deterministic spooler workload — the one [trace]
+   runs, or [net]'s at two nodes — kill it at a chosen virtual-time
+   instant (or a cluster at a round boundary), checkpoint, re-boot +
+   replay + resume, and — with --check — fail unless the resumed event
+   stream is bit-identical to an uninterrupted run's.
 
-let boot_spool_machine ~processors ~clients ~jobs () =
-  let m = K.Machine.create ~config:(kconfig processors) () in
-  let spool = K.Machine.create_port m ~capacity:8 ~discipline:K.Port.Fifo () in
-  let printer =
-    K.Machine.create_port m ~capacity:2 ~discipline:K.Port.Fifo ()
-  in
-  let total = clients * jobs in
-  ignore
-    (K.Machine.spawn m ~name:"spooler" (fun () ->
-         for _ = 1 to total do
-           let job = K.Machine.receive m ~port:spool in
-           K.Machine.compute m 2;
-           K.Machine.send m ~port:printer ~msg:job
-         done));
-  ignore
-    (K.Machine.spawn m ~name:"printer" (fun () ->
-         for _ = 1 to total do
-           let job = K.Machine.receive m ~port:printer in
-           K.Machine.compute m 10;
-           ignore (K.Machine.read_word m job ~offset:0)
-         done));
-  for c = 1 to clients do
-    ignore
-      (K.Machine.spawn m
-         ~name:(Printf.sprintf "client%d" c)
-         (fun () ->
-           for j = 1 to jobs do
-             let job = K.Machine.allocate_generic m ~data_length:16 () in
-             K.Machine.write_word m job ~offset:0 ((c * 100) + j);
-             K.Machine.send m ~port:spool ~msg:job;
-             K.Machine.delay m ~ns:50_000
-           done))
-  done;
-  m
-
-let boot_spool_cluster ~processors ~clients ~jobs () =
-  let cluster = Net.Cluster.create () in
-  let config = kconfig processors in
-  let node_a, ma = Net.Cluster.boot_node cluster ~name:"clients" ~config () in
-  let node_b, mb =
-    Net.Cluster.boot_node cluster ~name:"printshop" ~config ()
-  in
-  ignore (Net.Cluster.connect cluster node_a node_b);
-  let queue = K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo () in
-  Net.Cluster.export cluster ~node:node_b ~name:"printer" queue;
-  let total = clients * jobs in
-  ignore
-    (K.Machine.spawn mb ~name:"printer" (fun () ->
-         for _ = 1 to total do
-           let job = K.Machine.receive mb ~port:queue in
-           K.Machine.compute mb 25;
-           ignore (K.Machine.read_word mb job ~offset:0)
-         done));
-  let surrogate =
-    Net.Cluster.import cluster ~node:node_a ~name:"printer"
-  in
-  for u = 1 to clients do
-    ignore
-      (K.Machine.spawn ma
-         ~name:(Printf.sprintf "user%d" u)
-         (fun () ->
-           for j = 1 to jobs do
-             let job = K.Machine.allocate_generic ma ~data_length:16 () in
-             K.Machine.write_word ma job ~offset:0 ((u * 100) + j);
-             K.Machine.send ma ~port:surrogate ~msg:job;
-             K.Machine.delay ma ~ns:100_000
-           done))
-  done;
-  cluster
-
-(* The straight run of a cluster always uses the sequential engine; the
+   The straight run of a cluster always uses the sequential engine; the
    victim and the restored cluster use --par's engine.  With --check this
    proves checkpoint/restore composes with the parallel engine: kill a
    parallel run, restore it, and the streams still match a sequential run
@@ -983,8 +893,12 @@ let scenario_checkpoint processors path kill_ns rounds quantum_ns cluster
   let result =
     if cluster then
       let spool engine =
-        Scenario.cluster ~name:"checkpoint" ~engine ~quantum_ns
-          (boot_spool_cluster ~processors ~clients ~jobs)
+        Scenario.cluster ~name:"checkpoint" ~engine ~quantum_ns (fun () ->
+            let cluster, _, _ =
+              boot_net ~processors ~nodes:2 ~seed:0 ~clients ~jobs
+                ~link_faults:0 ~partitions:0 ()
+            in
+            cluster)
       in
       let seq = spool Net.Cluster.Seq in
       Scenario.kill_restore
@@ -992,9 +906,11 @@ let scenario_checkpoint processors path kill_ns rounds quantum_ns cluster
         (spool engine) ~store ~key
         ~bound:(Ckpt.Rounds { rounds; quantum_ns })
     else
+      let trace_level = Obs.Tracer.Events in
+      let config = { System.default_config with processors; trace_level } in
       Scenario.kill_restore
-        (Scenario.machine ~name:"checkpoint"
-           (boot_spool_machine ~processors ~clients ~jobs))
+        (Scenario.machine ~name:"checkpoint" (fun () ->
+             System.machine (fst (boot_spooler ~config ~clients ~jobs))))
         ~store ~key ~bound:(Ckpt.Virtual_ns kill_ns)
   in
   let r = Option.get (Ckpt.load store ~key) in
@@ -1656,21 +1572,24 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
   St.fresh_path path;
   let store = St.open_ path in
   if cluster then begin
-    let kill = if kill_ns > 0 then Some (kill_ns, restart_ns) else None in
-    let ckpt_path = path ^ ".ckpt" in
-    let ckpt_store =
-      match kill with
-      | None -> None
-      | Some _ ->
+    let rejoin =
+      if kill_ns = 0 then None
+      else begin
+        let ckpt_path = path ^ ".ckpt" in
         St.fresh_path ckpt_path;
-        Some (St.open_ ckpt_path)
+        Some
+          {
+            Ckpt.store = St.open_ ckpt_path;
+            ckpt_ns = (if ckpt_ns > 0 then ckpt_ns else kill_ns);
+            kill_ns;
+            restart_ns = Some restart_ns;
+          }
+      end
     in
-    let go () =
-      I432_txn.Banking.run_cluster ~workers ?kill
-        ?ckpt_ns:(if ckpt_ns > 0 then Some ckpt_ns else None)
-        ?ckpt_store ~history_store:store ~accounts ~transfers ~seed ()
+    let cr =
+      I432_txn.Banking.run_cluster ~workers ?rejoin ~history_store:store
+        ~accounts ~transfers ~seed ()
     in
-    let cr = go () in
     let r = cr.I432_txn.Banking.res in
     Printf.printf "banking cluster: %d accounts on %s, auditor on %s%s\n"
       accounts
@@ -1678,10 +1597,10 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
          cr.I432_txn.Banking.bank_node)
       (Net.Cluster.node_name cr.I432_txn.Banking.cluster
          cr.I432_txn.Banking.audit_node)
-      (match kill with
-      | Some (k, rs) ->
-        Printf.sprintf ", bank killed at %d ns, rejoined at %d ns" k rs
-      | None -> "");
+      (if kill_ns > 0 then
+         Printf.sprintf ", bank killed at %d ns, rejoined at %d ns" kill_ns
+           restart_ns
+       else "");
     print_result "cluster" r;
     Printf.printf "%s\n"
       (Net.Cluster.report_to_string cr.I432_txn.Banking.report);
@@ -1689,13 +1608,12 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       (Net.Cluster.txn_dup_drops cr.I432_txn.Banking.cluster);
     die_unless_sound "cluster" r;
     if check then begin
-      (match kill with
-      | None -> ()
-      | Some _ ->
-        if not
+      if
+        kill_ns > 0
+        && not
              (Net.Cluster.node_alive cr.I432_txn.Banking.cluster
                 cr.I432_txn.Banking.bank_node)
-        then die "check FAILED: bank node did not rejoin");
+      then die "check FAILED: bank node did not rejoin";
       (* An early checkpoint leaves a rollback window of commits whose
          completions already escaped — the rejoin MUST re-send them and
          the audit NIC MUST drop them. *)
@@ -1709,12 +1627,11 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
           ckpt_ns;
       Printf.printf
         "check: %s exactly-once across %s\n"
-        (match kill with
-        | Some _ -> "kill-mid-commit rejoin kept delivery"
-        | None -> "cluster delivery")
+        (if kill_ns > 0 then "kill-mid-commit rejoin kept delivery"
+         else "cluster delivery")
         (Printf.sprintf "%d commits" r.I432_txn.Banking.committed)
     end;
-    (match ckpt_store with Some s -> St.close s | None -> ())
+    Option.iter (fun r -> St.close r.Ckpt.store) rejoin
   end
   else begin
     let machine, history, r =
@@ -1770,8 +1687,15 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       St.fresh_path ckpt_path;
       let ckpt_store = St.open_ ckpt_path in
       let cr =
-        I432_txn.Banking.run_cluster ~workers ~kill:(600_000, 900_000)
-          ~ckpt_ns:200_000 ~ckpt_store ~accounts ~transfers ~seed ()
+        I432_txn.Banking.run_cluster ~workers
+          ~rejoin:
+            {
+              Ckpt.store = ckpt_store;
+              ckpt_ns = 200_000;
+              kill_ns = 600_000;
+              restart_ns = Some 900_000;
+            }
+          ~accounts ~transfers ~seed ()
       in
       die_unless_sound "kill/rejoin" cr.I432_txn.Banking.res;
       let drops = Net.Cluster.txn_dup_drops cr.I432_txn.Banking.cluster in

@@ -31,7 +31,6 @@
 module K = I432_kernel
 module Obs = I432_obs
 module Net = I432_net
-module Fi = I432_fi.Fi
 module St = I432_store
 
 (* Typed-port instance carrying raw access descriptors (paper Figure 2);
@@ -166,7 +165,7 @@ type outcome = {
   o_completed : int;
   o_last_done_ns : int;  (* virtual instant the last request retired *)
   o_deadlocked : int;  (* processes still blocked at halt; 0 by design *)
-  o_chaos : (int * int) option;  (* (kill instant, restart instant) staged *)
+  o_chaos : (int * int option) option;  (* (kill, restart) instants staged *)
 }
 
 let merged_metrics machines =
@@ -284,18 +283,6 @@ let run_machine ?(processors = 4) ?(workers = 0) ?(pumps = 4)
 
 let port_name = "loadgen"
 
-(* Whole-node failure staged under load: checkpoint at a round boundary,
-   kill the serving node there, splice a checkpoint replay back in after
-   the outage.  The kill lands exactly on the checkpoint horizon, so the
-   rollback window is empty — no completion is lost or double-counted —
-   and the outage must stay well below the ARQ give-up time so in-flight
-   requests ride retransmission across it instead of dead-lettering. *)
-type chaos = {
-  c_kill_after_rounds : int;  (* checkpoint + kill at this round boundary *)
-  c_outage_ns : int;  (* restart the server this long after the kill *)
-  c_store : St.Store.t;  (* where the checkpoint is filed *)
-}
-
 (* Cluster runs step in 100 us rounds. *)
 let quantum_ns = 100_000
 
@@ -312,34 +299,6 @@ let run_to_quiescence cl ~engine =
       (Round_limit
          { rounds = r.Net.Cluster.rounds; horizon_ns = r.Net.Cluster.horizon_ns })
 
-(* Checkpoint rejoin by replay: file every node's image at the kill
-   round, and at the restart let Checkpoint re-boot the scenario, replay
-   the recorded rounds on the sequential engine and verify node 0's image
-   before it is spliced back in. *)
-let stage_chaos { c_kill_after_rounds; c_outage_ns; c_store } ~seed ~engine
-    ~boot cl =
-  let r1 =
-    Net.Cluster.run cl ~engine ~quantum_ns ~max_rounds:c_kill_after_rounds ()
-  in
-  ignore
-    (St.Checkpoint.save_cluster c_store ~key:"loadgen"
-       ~rounds:r1.Net.Cluster.rounds ~quantum_ns cl);
-  let kill_at = r1.Net.Cluster.horizon_ns in
-  let restart_at = kill_at + c_outage_ns in
-  Net.Cluster.arm_nodes cl
-    ~restore:(fun ~node ~at_ns:_ ->
-      St.Checkpoint.restore_node c_store ~key:"loadgen" ~node ~boot)
-    {
-      Fi.n_seed = seed;
-      n_events =
-        [
-          { Fi.n_at_ns = kill_at; n_node = 0; n_act = Fi.N_kill };
-          { Fi.n_at_ns = restart_at; n_node = 0; n_act = Fi.N_restart };
-        ];
-    };
-  run_to_quiescence cl ~engine;
-  (kill_at, restart_at)
-
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are
    partitioned across the client nodes; each client preallocates only its
    own requests' messages.  The request port is exported cluster-wide and
@@ -347,11 +306,11 @@ let stage_chaos { c_kill_after_rounds; c_outage_ns; c_store } ~seed ~engine
    instruction crosses the interconnect (frames, ARQ, link latency are
    all inside the measured span). *)
 let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
-    ?(engine = Net.Cluster.Seq) ?(trace_level = Obs.Tracer.Off) ?chaos ~spec
+    ?(engine = Net.Cluster.Seq) ?(trace_level = Obs.Tracer.Off) ?rejoin ~spec
     () =
   if nodes < 2 then invalid_arg "Loadgen.run_cluster: nodes";
-  if Option.is_some chaos && trace_level = Obs.Tracer.Off then
-    invalid_arg "Loadgen.run_cluster: chaos needs trace_level Events";
+  if Option.is_some rejoin && trace_level = Obs.Tracer.Off then
+    invalid_arg "Loadgen.run_cluster: rejoin needs trace_level Events";
   let workers = if workers > 0 then workers else 2 * processors in
   let clients = nodes - 1 in
   let reqs = Arrival.generate spec in
@@ -415,25 +374,24 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
     (cl, last_done_ns)
   in
   let cl, last_done_ns = boot () in
-  let staged =
-    match chaos with
-    | None ->
-      run_to_quiescence cl ~engine;
-      None
-    | Some c ->
-      Some
-        (stage_chaos c ~seed:spec.Arrival.seed ~engine
+  (* Node 0, the server, is the one killed and spliced back in. *)
+  Option.iter
+    (fun r ->
+      ignore
+        (St.Checkpoint.stage_rejoin r ~key:"loadgen" ~node:0
+           ~seed:spec.Arrival.seed ~engine ~quantum_ns
            ~boot:(fun () -> fst (boot ()))
-           cl)
-  in
-  (* Re-fetch from the cluster: with chaos the server machine was replaced
-     by its checkpoint replay mid-run. *)
+           cl))
+    rejoin;
+  run_to_quiescence cl ~engine;
+  (* Re-fetch from the cluster: a rejoin replaced the server machine by
+     its checkpoint replay mid-run. *)
   let machines =
     List.init nodes (fun i ->
         (Net.Cluster.node_name cl i, Net.Cluster.machine cl i))
   in
   let last_done_ns =
-    match staged with
+    match rejoin with
     | None -> !last_done_ns
     | Some _ ->
       (* The boot closure's ref died with the killed server incarnation;
@@ -449,4 +407,7 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
             acc (K.Machine.events m))
         0 machines
   in
-  outcome ?chaos:staged ~spec ~reqs ~machines ~last_done_ns ~deadlocked:0 ()
+  outcome
+    ?chaos:
+      (Option.map St.Checkpoint.(fun r -> (r.kill_ns, r.restart_ns)) rejoin)
+    ~spec ~reqs ~machines ~last_done_ns ~deadlocked:0 ()

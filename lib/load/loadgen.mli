@@ -21,8 +21,8 @@ type outcome = {
   o_completed : int;
   o_last_done_ns : int;  (** virtual instant the last request retired *)
   o_deadlocked : int;  (** processes still blocked at halt; 0 by design *)
-  o_chaos : (int * int) option;
-      (** (kill instant, restart instant) staged by a chaos run *)
+  o_chaos : (int * int option) option;
+      (** (kill instant, restart instant) staged by a [rejoin] run *)
 }
 
 (** Run the harness on one machine: [pumps] issuing processes and
@@ -37,49 +37,22 @@ val run_machine :
   unit ->
   outcome
 
-(** Whole-node failure staged under load: checkpoint every node into
-    [c_store] (key ["loadgen"]) at the given round boundary (100 us
-    rounds), kill the serving node exactly there, and splice a verified
-    checkpoint replay back in [c_outage_ns] later.  Because the kill
-    lands on the checkpoint horizon, the rollback window is empty: no
-    completion is lost or double-counted, and every in-flight request
-    rides ARQ retransmission across the outage (keep the outage well
-    below the retry give-up time).  A store that is not attached to a
-    machine emits no events, so it leaves every stream unchanged. *)
-type chaos = {
-  c_kill_after_rounds : int;  (** checkpoint + kill at this round boundary *)
-  c_outage_ns : int;  (** restart the server this long after the kill *)
-  c_store : I432_store.Store.t;  (** where the checkpoint is filed *)
-}
-
 (** A cluster run that should have gone quiescent ran out of rounds
     instead ({!Net.Cluster.run}'s default bound, 100k rounds of 100 us):
     its schedule did not finish, so its outcome would be truncated. *)
 exception Round_limit of { rounds : int; horizon_ns : int }
 
-(** Stage [chaos] on a cluster [boot] built, then run it to halt; returns
-    the (kill, restart) instants; raises {!Round_limit} if the run after
-    the kill does not go quiescent.  The restart re-runs [boot], replays
-    the checkpointed rounds and splices node 0 back in only if its image
-    equals the checkpoint's; otherwise it raises
-    {!I432_store.Checkpoint.Restore_mismatch} naming the node and its
-    first divergent image line.  {!run_cluster} stages its chaos
-    here. *)
-val stage_chaos :
-  chaos ->
-  seed:int ->
-  engine:Net.Cluster.engine ->
-  boot:(unit -> Net.Cluster.t) ->
-  Net.Cluster.t ->
-  int * int
-
 (** Run the harness on a [nodes]-machine cluster: node 0 serves, the
     others issue through imported surrogate ports, so every request
     crosses the virtual interconnect.  [pumps] is per client node;
     [engine] selects the sequential or parallel cluster engine (runs are
-    byte-identical either way).  [chaos] stages the kill/rejoin of the
-    serving node and requires [trace_level] at least [Events] (phase
-    stats and retirement instants come off the event stream).  Raises
+    byte-identical either way).  [rejoin] kills the serving node (node
+    0) and splices it back in through
+    {!I432_store.Checkpoint.stage_rejoin} (key ["loadgen"], the spec's
+    seed, 100 us rounds); it requires [trace_level] at least [Events],
+    as phase stats and retirement instants come off the event stream.
+    A kill at the checkpoint instant loses and double-counts nothing;
+    keep the outage well below the ARQ give-up time.  Raises
     [Invalid_argument] when [nodes < 2], and {!Round_limit} when the
     cluster runs out of rounds before every request is served. *)
 val run_cluster :
@@ -89,7 +62,7 @@ val run_cluster :
   ?pumps:int ->
   ?engine:Net.Cluster.engine ->
   ?trace_level:Obs.Tracer.level ->
-  ?chaos:chaos ->
+  ?rejoin:I432_store.Checkpoint.rejoin ->
   spec:Arrival.spec ->
   unit ->
   outcome

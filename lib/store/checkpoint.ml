@@ -4,6 +4,7 @@
 
 module K = I432_kernel
 module Net = I432_net
+module Fi = I432_fi.Fi
 module Obs = I432_obs
 module Filing = Imax.Object_filing
 
@@ -310,3 +311,48 @@ let restore_node store ~key ~node ~boot =
   Net.Cluster.machine (replay_cluster store ~key ~only:(Some node) ~boot) node
 
 let restore_cluster store ~key ~boot = replay_cluster store ~key ~only:None ~boot
+
+(* ------------------------------------------------------------------ *)
+(* Staged rejoin                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type rejoin = {
+  store : Store.t;
+  ckpt_ns : int;
+  kill_ns : int;
+  restart_ns : int option;
+}
+
+(* Arguments are checked here because the cluster would not catch them:
+   node events are sorted by instant, so a restart at or before the kill
+   would fire on a live node, do nothing, and leave the node down. *)
+let stage_rejoin r ~key ~node ~seed ~engine ~quantum_ns ~boot cluster =
+  if r.kill_ns < quantum_ns then
+    invalid_arg "Checkpoint.stage_rejoin: kill before the first round";
+  if r.ckpt_ns > r.kill_ns then
+    invalid_arg "Checkpoint.stage_rejoin: checkpoint after the kill";
+  (match r.restart_ns with
+  | Some at when at <= r.kill_ns ->
+    invalid_arg "Checkpoint.stage_rejoin: restart not after the kill"
+  | Some _ | None -> ());
+  let report =
+    Net.Cluster.run cluster ~engine ~quantum_ns
+      ~max_rounds:(r.ckpt_ns / quantum_ns) ()
+  in
+  ignore
+    (save_cluster r.store ~key ~rounds:report.Net.Cluster.rounds ~quantum_ns
+       cluster);
+  let event n_at_ns n_act = { Fi.n_at_ns; n_node = node; n_act } in
+  let plan =
+    {
+      Fi.n_seed = seed;
+      n_events =
+        event r.kill_ns Fi.N_kill
+        :: Option.to_list
+             (Option.map (fun at -> event at Fi.N_restart) r.restart_ns);
+    }
+  in
+  Net.Cluster.arm_nodes cluster
+    ~restore:(fun ~node ~at_ns:_ -> restore_node r.store ~key ~node ~boot)
+    plan;
+  plan

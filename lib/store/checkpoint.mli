@@ -21,6 +21,7 @@
 
 module K := I432_kernel
 module Net := I432_net
+module Fi := I432_fi.Fi
 
 (** How far the checkpointed run had advanced — the bound to replay to. *)
 type bound =
@@ -101,3 +102,37 @@ val restore_node :
 
 (** The decoded checkpoint record under [key], if any. *)
 val load : Store.t -> key:string -> record option
+
+(** A whole-node kill and rejoin, staged on a running cluster: every
+    node's image is filed at the last round boundary at or below
+    [ckpt_ns], the node dies at [kill_ns], and at [restart_ns] a
+    verified checkpoint replay of it is spliced back in.  Work the node
+    did between the checkpoint and the kill is rolled back and re-done
+    after the restart. *)
+type rejoin = {
+  store : Store.t;  (** where the node images are filed *)
+  ckpt_ns : int;  (** checkpoint at the last round boundary <= this *)
+  kill_ns : int;  (** kill the node here *)
+  restart_ns : int option;
+      (** splice the verified replay back in; [None] = stays down *)
+}
+
+(** Stage [rejoin] of [node] on [cluster], which [boot] built: run
+    [ckpt_ns / quantum_ns] rounds on [engine], {!save_cluster} them under
+    [key], and arm the kill (and restart) as a node plan of [seed] whose
+    restore hook is {!restore_node} [~key ~boot].  Returns the armed
+    plan; the caller runs the cluster on.  A replay that diverges raises
+    {!Restore_mismatch} from that later run, naming the node and its
+    first divergent image line.  Raises [Invalid_argument] when the kill
+    comes before the first round, the checkpoint after the kill, or the
+    restart not after the kill. *)
+val stage_rejoin :
+  rejoin ->
+  key:string ->
+  node:int ->
+  seed:int ->
+  engine:Net.Cluster.engine ->
+  quantum_ns:int ->
+  boot:(unit -> Net.Cluster.t) ->
+  Net.Cluster.t ->
+  Fi.node_plan

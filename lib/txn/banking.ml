@@ -276,8 +276,8 @@ type cluster_run = {
 }
 
 let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
-    ?(quantum_ns = 50_000) ?(engine = Net.Cluster.Seq) ?kill ?ckpt_ns
-    ?ckpt_store ?history_store ?link_plan ~accounts ~transfers ~seed () =
+    ?(quantum_ns = 50_000) ?(engine = Net.Cluster.Seq) ?rejoin ?history_store
+    ?link_plan ~accounts ~transfers ~seed () =
   let boot () =
     let cluster = Net.Cluster.create () in
     let config =
@@ -326,49 +326,16 @@ let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
     (cluster, bank_id, audit_id, accts, c, done_home)
   in
   let cluster, bank_id, audit_id, accts, c, done_home = boot () in
-  (match kill with
-  | None -> ()
-  | Some (kill_ns, restart_ns) ->
-    let store =
-      match ckpt_store with
-      | Some s -> s
-      | None -> invalid_arg "Banking.run_cluster: kill requires ckpt_store"
-    in
-    if kill_ns < quantum_ns then
-      invalid_arg "Banking.run_cluster: kill instant before the first round";
-    (* Advance to the round boundary at or below the checkpoint instant
-       (default: the kill itself) and file every node's image; the rejoin
-       replays from here.  Checkpointing EARLIER than the kill leaves a
-       window of committed-and-pumped completions that the rejoin rolls
-       back and re-commits — the configuration that actually exercises
-       the audit NIC's transaction-tag dedup. *)
-    let ckpt_at = Option.value ckpt_ns ~default:kill_ns in
-    if ckpt_at > kill_ns then
-      invalid_arg "Banking.run_cluster: checkpoint after the kill";
-    let r1 =
-      Net.Cluster.run cluster ~engine ~quantum_ns
-        ~max_rounds:(ckpt_at / quantum_ns) ()
-    in
-    ignore
-      (St.Checkpoint.save_cluster store ~key:"banking"
-         ~rounds:r1.Net.Cluster.rounds ~quantum_ns cluster);
-    let plan =
-      {
-        Fi.n_seed = seed;
-        n_events =
-          [
-            { Fi.n_at_ns = kill_ns; n_node = bank_id; n_act = Fi.N_kill };
-            { Fi.n_at_ns = restart_ns; n_node = bank_id; n_act = Fi.N_restart };
-          ];
-      }
-    in
-    Net.Cluster.arm_nodes cluster
-      ~restore:(fun ~node ~at_ns:_ ->
-        St.Checkpoint.restore_node store ~key:"banking" ~node
-          ~boot:(fun () ->
-            let cl, _, _, _, _, _ = boot () in
-            cl))
-      plan);
+  Option.iter
+    (fun r ->
+      ignore
+        (St.Checkpoint.stage_rejoin r ~key:"banking" ~node:bank_id ~seed
+           ~engine ~quantum_ns
+           ~boot:(fun () ->
+             let cl, _, _, _, _, _ = boot () in
+             cl)
+           cluster))
+    rejoin;
   let report = Net.Cluster.run cluster ~engine ~quantum_ns () in
   (* Re-fetch: a killed bank node's machine was replaced by the replay. *)
   let bank = Net.Cluster.machine cluster bank_id in

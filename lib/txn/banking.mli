@@ -74,22 +74,21 @@ type cluster_run = {
 (** Two-node variant: node "bank" hosts accounts and tellers, node
     "audit" hosts the collector behind an exported port, so every
     completion crosses the interconnect carrying its per-send
-    idempotency tag.  [kill = (kill_ns, restart_ns)] checkpoints at the
-    round boundary below [ckpt_ns] (default [kill_ns]) into
-    [ckpt_store] (required), kills the bank node, and rejoins it by
-    checkpoint replay — re-committed groups re-issue their completion
-    sends, and the audit NIC's tag dedup drops any frame that already
-    escaped, keeping delivery exactly-once.  Set [ckpt_ns] well below
-    [kill_ns] to guarantee escaped frames exist to drop. *)
+    idempotency tag.  [rejoin] kills the bank node and rejoins it by
+    checkpoint replay through {!I432_store.Checkpoint.stage_rejoin}
+    (key ["banking"], plan seed [seed]).  Commits between the checkpoint
+    and the kill roll back and re-commit after the restart: their groups
+    re-issue their completion sends, and the audit NIC's tag dedup drops
+    any frame that already escaped, keeping delivery exactly-once.  Set
+    [ckpt_ns] well below [kill_ns] to guarantee escaped frames exist to
+    drop. *)
 val run_cluster :
   ?processors:int ->
   ?workers:int ->
   ?pace_ns:int ->
   ?quantum_ns:int ->
   ?engine:Net.Cluster.engine ->
-  ?kill:int * int ->
-  ?ckpt_ns:int ->
-  ?ckpt_store:St.Store.t ->
+  ?rejoin:St.Checkpoint.rejoin ->
   ?history_store:St.Store.t ->
   ?link_plan:Fi.link_plan ->
   accounts:int ->

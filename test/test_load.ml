@@ -360,16 +360,17 @@ let test_cluster_overload_drains () =
 let test_chaos_rejoin_completes () =
   let s = spec ~seed:3 ~users:4 ~sessions:1 ~requests:6 () in
   Testkit.with_store (fun _path store ->
-      let chaos =
+      let rejoin =
         {
-          Load.Loadgen.c_kill_after_rounds = 5;
-          c_outage_ns = 1_000_000;
-          c_store = store;
+          Ckpt.store;
+          ckpt_ns = 500_000;
+          kill_ns = 500_000;
+          restart_ns = Some 1_500_000;
         }
       in
       let o =
         Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~engine:Net.Cluster.Seq
-          ~trace_level:Obs.Tracer.Events ~chaos ~spec:s ()
+          ~trace_level:Obs.Tracer.Events ~rejoin ~spec:s ()
       in
       Alcotest.(check int) "completed" (Load.Arrival.total s)
         o.Load.Loadgen.o_completed;
@@ -399,16 +400,20 @@ let test_chaos_divergent_replay () =
     cl
   in
   Testkit.with_store (fun _path store ->
-      let chaos =
-        {
-          Load.Loadgen.c_kill_after_rounds = 3;
-          c_outage_ns = 300_000;
-          c_store = store;
-        }
-      in
+      let cl = boot () in
+      let quantum_ns = 100_000 in
       match
-        Load.Loadgen.stage_chaos chaos ~seed:1 ~engine:Net.Cluster.Seq ~boot
-          (boot ())
+        ignore
+          (Ckpt.stage_rejoin
+             {
+               Ckpt.store;
+               ckpt_ns = 300_000;
+               kill_ns = 300_000;
+               restart_ns = Some 600_000;
+             }
+             ~key:"loadgen" ~node:0 ~seed:1 ~engine:Net.Cluster.Seq
+             ~quantum_ns ~boot cl);
+        Net.Cluster.run cl ~quantum_ns ()
       with
       | _ -> Alcotest.fail "a divergent replay was spliced in"
       | exception Ckpt.Restore_mismatch { divergence = Some d; _ } ->

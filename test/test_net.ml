@@ -727,22 +727,12 @@ let rejoin_staged ~quantum_ns k =
   @@ fun () ->
   with_store (fun _path store ->
       let cluster = rejoin_boot () in
-      let r1 = Net.Cluster.run cluster ~quantum_ns ~max_rounds:k () in
+      let kill_ns = k * quantum_ns in
+      let restart_ns = Some (kill_ns + 300_000) in
+      let rejoin = { Ckpt.store; ckpt_ns = kill_ns; kill_ns; restart_ns } in
       ignore
-        (Ckpt.save_cluster store ~key:"rejoin" ~rounds:r1.Net.Cluster.rounds
-           ~quantum_ns cluster);
-      let kill_at = r1.Net.Cluster.horizon_ns in
-      Net.Cluster.arm_nodes cluster
-        ~restore:(fun ~node ~at_ns:_ ->
-          Ckpt.restore_node store ~key:"rejoin" ~node ~boot:rejoin_boot)
-        {
-          Fi.n_seed = k;
-          n_events =
-            [
-              { Fi.n_at_ns = kill_at; n_node = 1; n_act = Fi.N_kill };
-              { Fi.n_at_ns = kill_at + 300_000; n_node = 1; n_act = Fi.N_restart };
-            ];
-        };
+        (Ckpt.stage_rejoin rejoin ~key:"rejoin" ~node:1 ~seed:k
+           ~engine:Net.Cluster.Seq ~quantum_ns ~boot:rejoin_boot cluster);
       (cluster, Net.Cluster.run cluster ~quantum_ns ()))
 
 (* Sweep the kill instant across every round boundary of the run: at each

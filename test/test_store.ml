@@ -857,6 +857,31 @@ let test_kill_restore_mismatched_boot () =
           && Option.is_some d.Scenario.expected
           && Option.is_some d.Scenario.got))
 
+(* The stager refuses a rejoin the cluster would mis-stage: a kill
+   before the first round, a checkpoint after the kill, and a restart at
+   or before the kill (node events sort by instant, so that restart would
+   fire on a live node and leave the victim down).  Nothing is filed. *)
+let test_stage_rejoin_rejects_bad_instants () =
+  with_store (fun _path store ->
+      let cluster = boot_ping_cluster () in
+      List.iter
+        (fun (what, ckpt_ns, kill_ns, restart_ns) ->
+          match
+            Checkpoint.stage_rejoin
+              { Checkpoint.store; ckpt_ns; kill_ns; restart_ns }
+              ~key:"bad" ~node:1 ~seed:1 ~engine:Net.Cluster.Seq
+              ~quantum_ns:100_000 ~boot:boot_ping_cluster cluster
+          with
+          | _ -> Alcotest.failf "%s: staged" what
+          | exception Invalid_argument _ -> ())
+        [
+          ("kill before the first round", 0, 50_000, Some 400_000);
+          ("checkpoint after the kill", 300_000, 200_000, Some 400_000);
+          ("restart at the kill", 200_000, 200_000, Some 200_000);
+        ];
+      Alcotest.(check bool) "nothing filed" true
+        (Option.is_none (Checkpoint.load store ~key:"bad")))
+
 let suite =
   [
     Alcotest.test_case "journal: append/recover/read_at" `Quick
@@ -912,4 +937,6 @@ let suite =
       `Quick test_equal_engines_par2;
     Alcotest.test_case "scenario: kill_restore surfaces the image divergence"
       `Quick test_kill_restore_mismatched_boot;
+    Alcotest.test_case "checkpoint: stage_rejoin rejects bad instants" `Quick
+      test_stage_rejoin_rejects_bad_instants;
   ]

@@ -8,6 +8,7 @@ module Obs = I432_obs
 module Fi = I432_fi.Fi
 module Net = I432_net
 module Store = I432_store.Store
+module Ckpt = I432_store.Checkpoint
 module Txn = I432_txn.Txn
 module History = I432_txn.History
 module Banking = I432_txn.Banking
@@ -384,15 +385,20 @@ let test_banking_cluster_link_chaos () =
   in
   check_exactly_once cr.Banking.res
 
+let rejoin store ~ckpt_ns ~kill_ns ~restart_ns =
+  { Ckpt.store; ckpt_ns; kill_ns; restart_ns = Some restart_ns }
+
 (* Kill the bank node mid-stream and rejoin it from its checkpoint: the
    replayed tellers re-commit deterministically, re-issued completion
    frames that had already escaped are dropped by the audit NIC's
    per-tag dedup, and delivery stays exactly-once. *)
 let test_banking_kill_rejoin () =
-  with_store (fun ckpt_store ->
+  with_store (fun store ->
       let cr =
         Banking.run_cluster ~accounts:4 ~transfers:24 ~seed:13
-          ~kill:(400_000, 700_000) ~ckpt_store ()
+          ~rejoin:
+            (rejoin store ~ckpt_ns:400_000 ~kill_ns:400_000 ~restart_ns:700_000)
+          ()
       in
       let r = cr.Banking.res in
       Alcotest.(check bool) "some transfers committed" true (r.Banking.committed > 0);
@@ -410,11 +416,13 @@ let test_banking_kill_rejoin () =
    configuration that proves the dedup path actually fires (the
    boundary-checkpoint test above never rolls a commit back). *)
 let test_banking_rollback_window_dedup () =
-  with_store (fun ckpt_store ->
+  with_store (fun store ->
       with_store (fun history_store ->
           let cr =
             Banking.run_cluster ~accounts:4 ~transfers:24 ~seed:13
-              ~kill:(600_000, 900_000) ~ckpt_ns:200_000 ~ckpt_store
+              ~rejoin:
+                (rejoin store ~ckpt_ns:200_000 ~kill_ns:600_000
+                   ~restart_ns:900_000)
               ~history_store ()
           in
           let r = cr.Banking.res in
@@ -441,11 +449,14 @@ let test_banking_rollback_window_dedup () =
    replaying any account from the store reproduces the final live
    balance. *)
 let test_banking_kill_rejoin_history () =
-  with_store (fun ckpt_store ->
+  with_store (fun store ->
       with_store (fun history_store ->
           let cr =
             Banking.run_cluster ~accounts:3 ~transfers:18 ~seed:17
-              ~kill:(400_000, 700_000) ~ckpt_store ~history_store ()
+              ~rejoin:
+                (rejoin store ~ckpt_ns:400_000 ~kill_ns:400_000
+                   ~restart_ns:700_000)
+              ~history_store ()
           in
           let r = cr.Banking.res in
           check_exactly_once r;
