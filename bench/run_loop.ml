@@ -26,8 +26,8 @@ module Load = I432_load
 let base_workers = 8
 let test_workers = 512
 let limit = 2.0
-let words_limit = 400.0
-let cluster_words_limit = 650.0
+let words_limit = 380.0
+let cluster_words_limit = 620.0
 
 type result = {
   requests : int;  (* per run *)

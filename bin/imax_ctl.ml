@@ -374,16 +374,19 @@ let run_spooler ~config ~clients ~jobs =
   (System.machine sys, report, !printed)
 
 let scenario_trace config snapshot clients jobs chrome_out dump legacy =
-  let config =
-    {
-      config with
-      System.trace_level =
-        (if legacy then Obs.Tracer.Events_and_legacy_lines
-         else Obs.Tracer.Events);
-    }
-  in
+  let config = { config with System.trace_level = Obs.Tracer.Events } in
   let m, report, printed = run_spooler ~config ~clients ~jobs in
   let tracer = K.Machine.tracer m in
+  (* The legacy transcript is rendered from the rings, so a ring that
+     overflowed would print a silently truncated one: refuse instead. *)
+  if legacy && Obs.Tracer.dropped tracer > 0 then begin
+    Printf.eprintf
+      "trace --legacy: the rings dropped %d of %d events; the legacy \
+       transcript would be incomplete\n"
+      (Obs.Tracer.dropped tracer)
+      (Obs.Tracer.emitted tracer);
+    exit 1
+  end;
   Printf.printf "spooler: %d clients x %d jobs, %d printed\n" clients jobs
     printed;
   Printf.printf "trace: %d events emitted, %d retained, %d dropped\n"
@@ -392,7 +395,9 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
     (Obs.Tracer.dropped tracer);
   print_report report;
   if dump then List.iter print_endline (Scenario.event_lines m);
-  if legacy then List.iter print_endline (K.Machine.trace_lines m);
+  if legacy then
+    List.iter print_endline
+      (List.filter_map Obs.Event.legacy_line (K.Machine.events m));
   write_chrome chrome_out (machines_trace [ ("", m) ]);
   maybe_snapshot snapshot m
 
@@ -986,7 +991,9 @@ let trace_cmd =
   let dump = flag_arg "dump" ~doc:"Print every retained event." in
   let legacy =
     flag_arg "legacy"
-      ~doc:"Also render and print the legacy-format trace lines."
+      ~doc:
+        "Also render and print the legacy-format trace lines from the \
+         retained events; exits 1 if the rings dropped any."
   in
   Cmd.v
     (Cmd.info "trace"

@@ -159,6 +159,8 @@ module Swapping = struct
     o_faults : Obs.Metrics.counter;
     o_bytes_in : Obs.Metrics.counter;
     o_bytes_out : Obs.Metrics.counter;
+    o_policy_id : int;  (* the tracer's ids for the policy and device names *)
+    o_device_id : int;
   }
 
   type t = {
@@ -190,6 +192,10 @@ module Swapping = struct
               o_faults = c "swap.faults";
               o_bytes_in = c "swap.bytes_in";
               o_bytes_out = c "swap.bytes_out";
+              o_policy_id =
+                K.Machine.string_id machine (Vm.Policy.to_string policy);
+              o_device_id =
+                K.Machine.string_id machine (Vm.Swap_device.name d);
             } )
       | None -> (Vm.Swap_device.in_memory (), None)
     in
@@ -271,8 +277,8 @@ module Swapping = struct
       Obs.Metrics.incr o.o_outs;
       if clean then Obs.Metrics.incr (Lazy.force o.o_clean)
       else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
-      K.Machine.emit_event t.machine ~name:(Vm.Policy.to_string t.pol) ~a:index
-        ~b:e.Object_table.data_length Obs.Event.Swap_out
+      K.Machine.emit t.machine Obs.Event.Swap_out ~name_id:o.o_policy_id
+        ~detail_id:0 ~a:index ~b:e.Object_table.data_length
     | None -> ()
 
   (* Evict until [sro_state] can supply [size] bytes, or no victims remain. *)
@@ -334,9 +340,8 @@ module Swapping = struct
           | Some o ->
             Obs.Metrics.incr o.o_ins;
             Obs.Metrics.incr ~by:size o.o_bytes_in;
-            K.Machine.emit_event t.machine
-              ~name:(Vm.Swap_device.name t.dev)
-              ~a:index ~b:size Obs.Event.Swap_in
+            K.Machine.emit t.machine Obs.Event.Swap_in ~name_id:o.o_device_id
+              ~detail_id:0 ~a:index ~b:size
           | None -> ());
           enforce_envelope t ~avoid:index)
     end
@@ -415,8 +420,8 @@ module Swapping = struct
       (match t.obs with
       | Some o ->
         Obs.Metrics.incr o.o_faults;
-        K.Machine.emit_event t.machine ~a:e.Object_table.index
-          ~b:e.Object_table.data_length Obs.Event.Swap_fault
+        K.Machine.emit t.machine Obs.Event.Swap_fault ~name_id:0 ~detail_id:0
+          ~a:e.Object_table.index ~b:e.Object_table.data_length
       | None -> ());
       swap_in t e.Object_table.index
     end;

@@ -112,8 +112,9 @@ let handle_fault t (proc : K.Process.t) (_ : Fault.cause) =
       s.incarnations <- Access.index access :: s.incarnations;
       ignore (register_node t ~access ~name:s.sup_name ~parent_index:s.sup_parent);
       I432_obs.Metrics.incr t.restarts_ctr;
-      K.Machine.emit_event t.machine ~name:s.sup_name ~a:(Access.index access)
-        ~b:s.restarts I432_obs.Event.Proc_restarted
+      K.Machine.emit t.machine I432_obs.Event.Proc_restarted
+        ~name_id:(K.Machine.string_id t.machine s.sup_name) ~detail_id:0
+        ~a:(Access.index access) ~b:s.restarts
     end
 
 let create machine =

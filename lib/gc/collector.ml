@@ -54,6 +54,7 @@ type t = {
   config : config;
   stats : stats;
   mutable gray_stack : int list;
+  daemon_id : int;  (* the tracer's id for "gc-daemon" *)
 }
 
 let create ?(config = default_config) machine =
@@ -71,6 +72,7 @@ let create ?(config = default_config) machine =
         sweep_ns = 0;
       };
     gray_stack = [];
+    daemon_id = I432_kernel.Machine.string_id machine "gc-daemon";
   }
 
 let stats t = t.stats
@@ -226,8 +228,8 @@ let cycle ?(step = fun () -> ()) t =
   let filtered0 = t.stats.filtered in
   let t0 = I432_kernel.Machine.now t.machine in
   I432_obs.Metrics.set phase 1;
-  I432_kernel.Machine.emit_event t.machine ~name:"gc-daemon"
-    I432_obs.Event.Gc_mark_begin;
+  I432_kernel.Machine.emit t.machine I432_obs.Event.Gc_mark_begin
+    ~name_id:t.daemon_id ~detail_id:0 ~a:0 ~b:0;
   (* Whiten the world. *)
   Object_table.iter_valid
     (fun e -> e.Object_table.color <- Object_table.White)
@@ -252,13 +254,13 @@ let cycle ?(step = fun () -> ()) t =
     else step ()
   done;
   t.stats.mark_ns <- t.stats.mark_ns + (I432_kernel.Machine.now t.machine - t0);
-  I432_kernel.Machine.emit_event t.machine ~name:"gc-daemon"
-    ~a:(t.stats.marked - marked0) I432_obs.Event.Gc_mark_end;
+  I432_kernel.Machine.emit t.machine I432_obs.Event.Gc_mark_end
+    ~name_id:t.daemon_id ~detail_id:0 ~a:(t.stats.marked - marked0) ~b:0;
   (* Sweep: white collectable objects die (via filter when registered). *)
   let t1 = I432_kernel.Machine.now t.machine in
   I432_obs.Metrics.set phase 2;
-  I432_kernel.Machine.emit_event t.machine ~name:"gc-daemon"
-    I432_obs.Event.Gc_sweep_begin;
+  I432_kernel.Machine.emit t.machine I432_obs.Event.Gc_sweep_begin
+    ~name_id:t.daemon_id ~detail_id:0 ~a:0 ~b:0;
   let victims = ref [] in
   Object_table.iter_valid
     (fun e ->
@@ -272,9 +274,9 @@ let cycle ?(step = fun () -> ()) t =
     !victims;
   t.stats.sweep_ns <- t.stats.sweep_ns + (I432_kernel.Machine.now t.machine - t1);
   t.stats.cycles <- t.stats.cycles + 1;
-  I432_kernel.Machine.emit_event t.machine ~name:"gc-daemon"
-    ~a:(t.stats.swept - swept0) ~b:(t.stats.filtered - filtered0)
-    I432_obs.Event.Gc_sweep_end;
+  I432_kernel.Machine.emit t.machine I432_obs.Event.Gc_sweep_end
+    ~name_id:t.daemon_id ~detail_id:0 ~a:(t.stats.swept - swept0)
+    ~b:(t.stats.filtered - filtered0);
   I432_obs.Metrics.set phase 0;
   I432_obs.Metrics.incr (I432_obs.Metrics.counter metrics "gc.cycles");
   I432_obs.Metrics.incr

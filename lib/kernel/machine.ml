@@ -281,10 +281,6 @@ let tracer t = t.obs
 let metrics t = t.metrics
 let events t = Obs.Tracer.events t.obs
 
-(* Compat shim: the seed's unstructured trace lines, rendered by the tracer
-   at emit time (byte-identical formats, unbounded). *)
-let trace_lines t = Obs.Tracer.legacy_lines t.obs
-
 (* Faults in emission order: the list is accumulated newest-first (O(1)
    prepend on the fault path) and reversed here, so the first fault the
    machine recorded is the first element.  This ordering is part of the
@@ -315,57 +311,27 @@ let[@inline] now t =
    and virtual clock (or -1 / max clock outside the run loop).  One field
    read when tracing is off; one mask load more when the event's subsystem
    is filtered out — the timestamp ([now t] folds every processor clock
-   outside the run loop) and interning are skipped entirely. *)
-let emit t ?name ?detail ?a ?b kind =
-  if Obs.Tracer.wants t.obs ~kind_code:(Obs.Event.kind_to_int kind) then
+   outside the run loop) is skipped entirely.  Names and details are ids
+   from [string_id]: a process's name is interned once at spawn
+   ([Process.trace_name_id]). *)
+let emit t kind ~name_id ~detail_id ~a ~b =
+  if Obs.Tracer.wants t.obs kind then
     match t.current with
     | Some p ->
-      Obs.Tracer.emit t.obs ~ts_ns:p.Processor.clock_ns ~cpu:p.Processor.id
-        ?name ?detail ?a ?b kind
-    | None -> Obs.Tracer.emit t.obs ~ts_ns:(now t) ~cpu:(-1) ?name ?detail ?a ?b kind
+      Obs.Tracer.emit t.obs kind ~cpu:p.Processor.id ~ts_ns:p.Processor.clock_ns
+        ~name_id ~detail_id ~a ~b
+    | None ->
+      Obs.Tracer.emit t.obs kind ~cpu:(-1) ~ts_ns:(now t) ~name_id ~detail_id
+        ~a ~b
 
 (* Same, on behalf of a known processor (the run loop clears [t.current]
    before it settles a process's outcome). *)
-let emit_on t (cpu : Processor.t) ?name ?detail ?a ?b kind =
-  if Obs.Tracer.wants t.obs ~kind_code:(Obs.Event.kind_to_int kind) then
-    Obs.Tracer.emit t.obs ~ts_ns:cpu.Processor.clock_ns ~cpu:cpu.Processor.id
-      ?name ?detail ?a ?b kind
+let emit_on t (cpu : Processor.t) kind ~name_id ~detail_id ~a ~b =
+  if Obs.Tracer.wants t.obs kind then
+    Obs.Tracer.emit t.obs kind ~cpu:cpu.Processor.id
+      ~ts_ns:cpu.Processor.clock_ns ~name_id ~detail_id ~a ~b
 
-let emit_event = emit
-
-(* The hottest seams bypass [emit]'s option boxing, string interning, and
-   kind conversion: kind codes are computed once here, and each process's
-   name id is interned once at spawn ([Process.trace_name_id]). *)
-let k_ready = Obs.Event.kind_to_int Obs.Event.Ready
-let k_yield = Obs.Event.kind_to_int Obs.Event.Yield
-let k_preempt = Obs.Event.kind_to_int Obs.Event.Preempt
-let k_exit = Obs.Event.kind_to_int Obs.Event.Exit
-let k_sleep = Obs.Event.kind_to_int Obs.Event.Sleep
-let k_wake = Obs.Event.kind_to_int Obs.Event.Wake
-let k_send = Obs.Event.kind_to_int Obs.Event.Send
-let k_receive = Obs.Event.kind_to_int Obs.Event.Receive
-let k_block_send = Obs.Event.kind_to_int Obs.Event.Block_send
-let k_block_receive = Obs.Event.kind_to_int Obs.Event.Block_receive
-let k_allocate = Obs.Event.kind_to_int Obs.Event.Allocate
-let k_release = Obs.Event.kind_to_int Obs.Event.Release
-let k_dispatch = Obs.Event.kind_to_int Obs.Event.Dispatch
-let k_deschedule = Obs.Event.kind_to_int Obs.Event.Deschedule
-let k_finish = Obs.Event.kind_to_int Obs.Event.Finish
-
-let emit_fast t ~name_id ~a ~b kind_code =
-  if Obs.Tracer.wants t.obs ~kind_code then
-    match t.current with
-    | Some p ->
-      Obs.Tracer.emit_raw t.obs ~ts_ns:p.Processor.clock_ns
-        ~cpu:p.Processor.id ~kind_code ~name_id ~detail_id:0 ~a ~b
-    | None ->
-      Obs.Tracer.emit_raw t.obs ~ts_ns:(now t) ~cpu:(-1) ~kind_code ~name_id
-        ~detail_id:0 ~a ~b
-
-let emit_fast_on t (cpu : Processor.t) ~name_id ~a ~b kind_code =
-  if Obs.Tracer.wants t.obs ~kind_code then
-    Obs.Tracer.emit_raw t.obs ~ts_ns:cpu.Processor.clock_ns
-      ~cpu:cpu.Processor.id ~kind_code ~name_id ~detail_id:0 ~a ~b
+let string_id t s = Obs.Tracer.string_id t.obs s
 
 (* Charge virtual time for an instruction to the running processor, with bus
    contention applied.  Outside the run loop (boot code) charges are free:
@@ -444,7 +410,8 @@ let allocate t sro ~data_length ~access_length ~otype =
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
   Obs.Metrics.incr t.mon.mon_allocates;
   Obs.Metrics.observe t.mon.mon_alloc_size (float_of_int data_length);
-  emit_fast t ~name_id:0 ~a:(Access.index access) ~b:data_length k_allocate;
+  emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:(Access.index access)
+    ~b:data_length;
   access
 
 let allocate_generic t ?(data_length = 64) ?(access_length = 4) () =
@@ -454,7 +421,7 @@ let release t sro ~index =
   charge t t.timings.Timings.destroy_ns;
   Sro.release_by_access t.table sro ~index;
   Obs.Metrics.incr t.mon.mon_releases;
-  emit_fast t ~name_id:0 ~a:index ~b:0 k_release
+  emit t Obs.Event.Release ~name_id:0 ~detail_id:0 ~a:index ~b:0
 
 (* Local heaps (§5): an SRO created at the process's current call depth.
    Carved from the global heap's free store. *)
@@ -468,7 +435,8 @@ let create_local_sro t ~level ~bytes =
   | Some base ->
     let sro = Sro.create t.table ~level ~base ~length:bytes in
     Obs.Metrics.incr t.mon.mon_sro_creates;
-    emit t ~a:(Access.index sro) ~b:bytes Obs.Event.Sro_create;
+    emit t Obs.Event.Sro_create ~name_id:0 ~detail_id:0 ~a:(Access.index sro)
+      ~b:bytes;
     sro
   | None ->
     Fault.raise_fault
@@ -480,7 +448,7 @@ let destroy_sro t sro =
   let index = Access.index sro in
   let reclaimed = Sro.destroy t.table sro in
   Obs.Metrics.incr t.mon.mon_sro_destroys;
-  emit t ~a:index ~b:reclaimed Obs.Event.Sro_destroy;
+  emit t Obs.Event.Sro_destroy ~name_id:0 ~detail_id:0 ~a:index ~b:reclaimed;
   reclaimed
 
 (* Domain transitions (§2): ~65 us per switch at 8 MHz.  With [timeout_ns]
@@ -495,11 +463,13 @@ let domain_call t ?timeout_ns domain f =
   d.Domain.depth <- d.Domain.depth + 1;
   if d.Domain.depth > d.Domain.max_depth then d.Domain.max_depth <- d.Domain.depth;
   Obs.Metrics.incr t.mon.mon_domain_calls;
-  emit t ~detail:d.Domain.domain_name ~a:d.Domain.self Obs.Event.Domain_call;
+  emit t Obs.Event.Domain_call ~name_id:0
+    ~detail_id:(string_id t d.Domain.domain_name) ~a:d.Domain.self ~b:0;
   let finish () =
     d.Domain.depth <- d.Domain.depth - 1;
     d.Domain.returns <- d.Domain.returns + 1;
-    emit t ~detail:d.Domain.domain_name ~a:d.Domain.self Obs.Event.Domain_return;
+    emit t Obs.Event.Domain_return ~name_id:0
+      ~detail_id:(string_id t d.Domain.domain_name) ~a:d.Domain.self ~b:0;
     charge t t.timings.Timings.domain_return_ns
   in
   match f () with
@@ -542,12 +512,13 @@ let allocate_retry t sro ?(max_retries = 4) ?(backoff_ns = 100_000)
       if attempt > max_retries then Fault.raise_fault cause
       else begin
         Obs.Metrics.incr t.mon.mon_alloc_retries;
-        let name =
+        let name_id =
           match running_process t with
-          | Some p -> p.Process.name
-          | None -> ""
+          | Some p -> p.Process.trace_name_id
+          | None -> 0
         in
-        emit t ~name ~a:attempt ~b:backoff Obs.Event.Alloc_retry;
+        emit t Obs.Event.Alloc_retry ~name_id ~detail_id:0 ~a:attempt
+          ~b:backoff;
         (match t.reclaim_hook with
         | Some reclaim -> ignore (reclaim ())
         | None -> ());
@@ -710,8 +681,8 @@ let make_ready t (proc : Process.t) =
     ~priority:proc.Process.priority;
   Obs.Metrics.incr t.mon.mon_enqueues;
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
-  emit_fast t ~name_id:proc.Process.trace_name_id ~a:proc.Process.index ~b:0
-    k_ready
+  emit t Obs.Event.Ready ~name_id:proc.Process.trace_name_id ~detail_id:0
+    ~a:proc.Process.index ~b:0
 
 (* A process leaving a wait re-enters the dispatching mix — unless it is
    stopped, in which case it only turns Ready and [set_stopped] enqueues it
@@ -756,8 +727,8 @@ let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
   p.Port.sends <- p.Port.sends + 1;
   proc.Process.messages_sent <- proc.Process.messages_sent + 1;
   Obs.Metrics.incr t.mon.mon_sends;
-  emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-    ~b:(Access.index msg) k_send
+  emit t Obs.Event.Send ~name_id:proc.Process.trace_name_id ~detail_id:0
+    ~a:p.Port.self ~b:(Access.index msg)
 
 (* Deliver [msg] from [proc] without waiting: straight to the first parked
    receiver, else into a free slot.  [false] (and nothing counted) when the
@@ -769,8 +740,8 @@ let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
     p.Port.receives <- p.Port.receives + 1;
     let rproc = proc_of t r in
     Obs.Metrics.incr t.mon.mon_receives;
-    emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-      ~b:(Access.index msg) k_receive;
+    emit t Obs.Event.Receive ~name_id:rproc.Process.trace_name_id ~detail_id:0
+      ~a:p.Port.self ~b:(Access.index msg);
     unblock_receiver t rproc msg;
     true
   | None when Port.is_full p -> false
@@ -797,8 +768,8 @@ let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
   | Some qm ->
     proc.Process.messages_received <- proc.Process.messages_received + 1;
     Obs.Metrics.observe t.mon.mon_port_wait (float_of_int p.Port.last_wait_ns);
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-      ~b:(Access.index qm.Port.msg) k_receive;
+    emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:p.Port.self ~b:(Access.index qm.Port.msg);
     Some qm.Port.msg
 
 (* Move the first parked sender's message into a free slot and wake the
@@ -841,8 +812,8 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
   | Some msg ->
     p.Port.send_blocks <- p.Port.send_blocks + 1;
     Obs.Metrics.incr t.mon.mon_send_blocks;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-      k_block_send;
+    emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
+      ~detail_id:0 ~a:p.Port.self ~b:0;
     Object_table.shade t.table (Access.index msg);
     Port.push_sender p ~sender:proc.Process.index ~msg
       ~priority:proc.Process.priority;
@@ -850,8 +821,8 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
   | None ->
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
     Obs.Metrics.incr t.mon.mon_receive_blocks;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-      k_block_receive;
+    emit t Obs.Event.Block_receive ~name_id:proc.Process.trace_name_id
+      ~detail_id:0 ~a:p.Port.self ~b:0;
     Port.push_receiver p proc.Process.index;
     set_status t proc (Process.Blocked_receive p.Port.self));
   (match wait with
@@ -922,13 +893,14 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
       messages_received = 0;
     }
   in
-  proc.Process.trace_name_id <- Obs.Tracer.string_id t.obs name;
+  proc.Process.trace_name_id <- string_id t name;
   e.Object_table.payload <- Some (Process.Process_state proc);
   t.processes <- proc :: t.processes;
   t.spawned <- t.spawned + 1;
   tally t proc 1;
   Obs.Metrics.incr t.mon.mon_spawns;
-  emit t ~name ~a:proc.Process.index Obs.Event.Spawn;
+  emit t Obs.Event.Spawn ~name_id:proc.Process.trace_name_id ~detail_id:0
+    ~a:proc.Process.index ~b:0;
   (match start_after with
   | None -> make_ready t proc
   | Some ns ->
@@ -957,7 +929,8 @@ let set_stopped t access stopped =
       | Process.Created | Process.Running | Process.Blocked_send _
       | Process.Blocked_receive _ | Process.Sleeping | Process.Finished
       | Process.Faulted _ -> ());
-      emit t ~name:proc.Process.name ~a:proc.Process.index Obs.Event.Stop
+      emit t Obs.Event.Stop ~name_id:proc.Process.trace_name_id ~detail_id:0
+        ~a:proc.Process.index ~b:0
     end
     else begin
       (match proc.Process.status with
@@ -967,7 +940,8 @@ let set_stopped t access stopped =
       | Process.Created | Process.Running | Process.Blocked_send _
       | Process.Blocked_receive _ | Process.Sleeping | Process.Finished
       | Process.Faulted _ -> ());
-      emit t ~name:proc.Process.name ~a:proc.Process.index Obs.Event.Start
+      emit t Obs.Event.Start ~name_id:proc.Process.trace_name_id ~detail_id:0
+        ~a:proc.Process.index ~b:0
     end;
     notify_scheduler t proc
   end
@@ -1180,7 +1154,8 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
   match op with
   | Syscall.Yield ->
     charge t tm.Timings.dispatch_ns;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_yield;
+    emit t Obs.Event.Yield ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:0 ~b:0;
     proc.Process.pending <- Syscall.R_unit;
     cpu.Processor.current <- None;
     ready_or_hold t proc;
@@ -1192,19 +1167,22 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.preemptions <- proc.Process.preemptions + 1;
     t.preemptions <- t.preemptions + 1;
     Obs.Metrics.incr t.mon.mon_preemptions;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_preempt;
+    emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:0 ~b:0;
     cpu.Processor.current <- None;
     ready_or_hold t proc;
     false
   | Syscall.Exit ->
     set_status t proc Process.Finished;
     proc.Process.code <- Process.Terminated;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_exit;
+    emit t Obs.Event.Exit ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:0 ~b:0;
     cpu.Processor.current <- None;
     false
   | Syscall.Delay ns ->
     if ns < 0 then invalid_arg "delay: negative";
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:ns ~b:0 k_sleep;
+    emit t Obs.Event.Sleep ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:ns ~b:0;
     proc.Process.pending <- Syscall.R_unit;
     set_status t proc Process.Sleeping;
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
@@ -1245,7 +1223,8 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
         (fun i (p, msg) -> ignore (offer t proc p ~txn:(t_key + i) msg))
         send_ports;
       Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.dup_drops");
-      emit t ~name:proc.Process.name ~a:t_key ~b:0 Obs.Event.Txn_dup_drop;
+      emit t Obs.Event.Txn_dup_drop ~name_id:proc.Process.trace_name_id
+        ~detail_id:0 ~a:t_key ~b:0;
       proc.Process.pending <-
         Syscall.R_txn
           (Syscall.Txn_committed
@@ -1346,8 +1325,8 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
           port_by_index;
         if t_key <> 0 then Hashtbl.replace t.txn_applied t_key ();
         Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.commits");
-        emit t ~name:proc.Process.name ~a:t_key ~b:(nr + ns + nw)
-          Obs.Event.Txn_commit;
+        emit t Obs.Event.Txn_commit ~name_id:proc.Process.trace_name_id
+          ~detail_id:0 ~a:t_key ~b:(nr + ns + nw);
         proc.Process.pending <-
           Syscall.R_txn
             (Syscall.Txn_committed
@@ -1367,8 +1346,10 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
 let record_fault t (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
   Obs.Metrics.incr t.mon.mon_faults;
-  emit t ~name:proc.Process.name ~detail:(Fault.to_string cause)
-    Obs.Event.Fault;
+  (* Guarded: rendering the cause formats, even when untraced. *)
+  if Obs.Tracer.wants t.obs Obs.Event.Fault then
+    emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
+      ~detail_id:(string_id t (Fault.to_string cause)) ~a:0 ~b:0;
   set_status t proc (Process.Faulted cause);
   proc.Process.code <- Process.Terminated;
   if proc.Process.system_level < 3 then
@@ -1403,7 +1384,8 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
   | Process.Completed ->
     set_status t proc Process.Finished;
     cpu.Processor.current <- None;
-    emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_finish
+    emit_on t cpu Obs.Event.Finish ~name_id:proc.Process.trace_name_id
+      ~detail_id:0 ~a:0 ~b:0
   | Process.Raised (Fault.Fault cause) ->
     cpu.Processor.current <- None;
     record_fault t proc cause
@@ -1419,10 +1401,10 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     | still_current ->
       t.current <- None;
       (* Guarded here: rendering the op formats, even when untraced. *)
-      if (not still_current) && Obs.Tracer.wants t.obs ~kind_code:k_deschedule
+      if (not still_current) && Obs.Tracer.wants t.obs Obs.Event.Deschedule
       then
-        emit_on t cpu ~name:proc.Process.name
-          ~detail:(Syscall.op_to_string op) Obs.Event.Deschedule
+        emit_on t cpu Obs.Event.Deschedule ~name_id:proc.Process.trace_name_id
+          ~detail_id:(string_id t (Syscall.op_to_string op)) ~a:0 ~b:0
     | exception Fault.Fault cause ->
       t.current <- None;
       cpu.Processor.current <- None;
@@ -1446,7 +1428,7 @@ let fail_processor t id =
   if cpu.Processor.online then begin
     cpu.Processor.online <- false;
     Obs.Metrics.incr t.mon.mon_cpu_offline;
-    emit_on t cpu ~a:id Obs.Event.Cpu_offline;
+    emit_on t cpu Obs.Event.Cpu_offline ~name_id:0 ~detail_id:0 ~a:id ~b:0;
     (match cpu.Processor.current with
     | Some pi ->
       cpu.Processor.current <- None;
@@ -1454,8 +1436,8 @@ let fail_processor t id =
       proc.Process.slice_used_ns <- 0;
       set_binding t proc None;
       Obs.Metrics.incr t.mon.mon_requeues;
-      emit_on t cpu ~name:proc.Process.name ~a:pi ~b:id
-        Obs.Event.Proc_requeued;
+      emit_on t cpu Obs.Event.Proc_requeued ~name_id:proc.Process.trace_name_id
+        ~detail_id:0 ~a:pi ~b:id;
       ready_or_hold t proc
     | None -> ());
     List.iter
@@ -1509,9 +1491,11 @@ let fire_injections t (cpu : Processor.t) =
       t.injections <- rest;
       t.current <- t.on_cpu.(cpu.Processor.id);
       Obs.Metrics.incr t.mon.mon_injections;
-      emit t
-        ~detail:(injection_to_string inj)
-        ~a:(injection_arg inj) Obs.Event.Fi_inject;
+      (* Guarded: rendering the injection formats, even when untraced. *)
+      if Obs.Tracer.wants t.obs Obs.Event.Fi_inject then
+        emit t Obs.Event.Fi_inject ~name_id:0
+          ~detail_id:(string_id t (injection_to_string inj))
+          ~a:(injection_arg inj) ~b:0;
       apply_injection t inj;
       t.current <- None;
       go ()
@@ -1531,7 +1515,8 @@ let rec pop_due t ~horizon acc =
 let wake_sleeper t (proc : Process.t) =
   match proc.Process.status with
   | Process.Sleeping ->
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
+    emit t Obs.Event.Wake ~name_id:proc.Process.trace_name_id ~detail_id:0
+      ~a:0 ~b:0;
     ready_or_hold t proc
   | _ -> ()
 
@@ -1540,7 +1525,8 @@ let wake_sleeper t (proc : Process.t) =
 let expire t (proc : Process.t) =
   let give_up pi ~b result =
     Obs.Metrics.incr t.mon.mon_timeouts;
-    emit t ~name:proc.Process.name ~a:pi ~b Obs.Event.Timeout_fired;
+    emit t Obs.Event.Timeout_fired ~name_id:proc.Process.trace_name_id
+      ~detail_id:0 ~a:pi ~b;
     wake t proc result
   in
   match proc.Process.status with
@@ -1669,8 +1655,8 @@ let dispatch t (cpu : Processor.t) index =
   Obs.Metrics.observe t.mon.mon_dispatch_latency
     (float_of_int (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns)));
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
-  emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:cpu.Processor.id
-    ~b:0 k_dispatch;
+  emit_on t cpu Obs.Event.Dispatch ~name_id:proc.Process.trace_name_id
+    ~detail_id:0 ~a:cpu.Processor.id ~b:0;
   t.current <- t.on_cpu.(cpu.Processor.id);
   charge t t.timings.Timings.dispatch_ns;
   t.current <- None

@@ -60,21 +60,22 @@ val metrics : t -> I432_obs.Metrics.t
 (** All retained structured events, in emission order. *)
 val events : t -> I432_obs.Event.t list
 
-(** Record a custom event, stamped with the executing processor's id and
-    virtual clock.  No-op unless tracing is enabled. *)
-val emit_event :
+(** Record one event, stamped with the executing processor's id and
+    virtual clock (-1 and the maximum clock outside the run loop).
+    [name_id]/[detail_id] come from {!string_id}; intern a fixed string
+    once, not per event.  No-op unless the event's kind is traced. *)
+val emit :
   t ->
-  ?name:string ->
-  ?detail:string ->
-  ?a:int ->
-  ?b:int ->
   I432_obs.Event.kind ->
+  name_id:int ->
+  detail_id:int ->
+  a:int ->
+  b:int ->
   unit
 
-(** Deprecated compat shim: the seed's unstructured trace lines, rendered
-    byte-identically from structured events.  Empty unless the level is
-    [Events_and_legacy_lines]. *)
-val trace_lines : t -> string list
+(** The machine tracer's id for a string ({!I432_obs.Tracer.string_id}):
+    0 when tracing is off.  Valid only on this machine. *)
+val string_id : t -> string -> int
 
 (** Every fault the machine recorded, in emission order: the first fault
     recorded is the first element.  (Internally the list is accumulated

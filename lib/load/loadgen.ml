@@ -96,8 +96,10 @@ let boot_poison m =
 let spawn_pumps m ~label ~pumps ~reqs ~msgs ~issued ~send_msg =
   let n = Array.length reqs in
   let pumps = max 1 (min pumps n) in
+  let cls_ids = Array.map (K.Machine.string_id m) Mix.names in
   for p = 0 to pumps - 1 do
     let name = Printf.sprintf "%s%d" label p in
+    let name_id = K.Machine.string_id m name in
     ignore
       (K.Machine.spawn m ~name (fun () ->
            let i = ref p in
@@ -107,9 +109,9 @@ let spawn_pumps m ~label ~pumps ~reqs ~msgs ~issued ~send_msg =
              if r.Arrival.r_at_ns > nowv then
                K.Machine.delay m ~ns:(r.Arrival.r_at_ns - nowv);
              Obs.Metrics.incr issued;
-             K.Machine.emit_event m ~name
-               ~detail:(Mix.name (Mix.of_code r.Arrival.r_cls))
-               ~a:r.Arrival.r_id ~b:r.Arrival.r_session Obs.Event.Req_issue;
+             K.Machine.emit m Obs.Event.Req_issue ~name_id
+               ~detail_id:cls_ids.(r.Arrival.r_cls) ~a:r.Arrival.r_id
+               ~b:r.Arrival.r_session;
              send_msg msgs.(!i);
              i := !i + pumps
            done))
@@ -122,8 +124,10 @@ let spawn_pumps m ~label ~pumps ~reqs ~msgs ~issued ~send_msg =
 let spawn_workers m ~workers ~recorder ~remaining ~last_done_ns ~recv
     ~send_poison =
   let workers = max 1 workers in
+  let cls_ids = Array.map (K.Machine.string_id m) Mix.names in
   for w = 0 to workers - 1 do
     let name = Printf.sprintf "worker%d" w in
+    let name_id = K.Machine.string_id m name in
     ignore
       (K.Machine.spawn m ~name (fun () ->
            let scratch =
@@ -139,9 +143,8 @@ let spawn_workers m ~workers ~recorder ~remaining ~last_done_ns ~recv
                decr remaining;
                if nowv > !last_done_ns then last_done_ns := nowv;
                Obs.Span.completed recorder ~cls ~latency_ns;
-               K.Machine.emit_event m ~name
-                 ~detail:(Mix.name (Mix.of_code cls))
-                 ~a:id ~b:latency_ns Obs.Event.Req_done;
+               K.Machine.emit m Obs.Event.Req_done ~name_id
+                 ~detail_id:cls_ids.(cls) ~a:id ~b:latency_ns;
                if !remaining = 0 then
                  for _ = 2 to workers do
                    send_poison ()

@@ -330,14 +330,12 @@ let channel_by_id t id =
 (* The NIC pump                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Callers test [traced] first, the way the kernel's [emit_fast] does: the
-   optional arguments box and a frame kind formats at the call, so an
-   untraced node must not reach [emit] at all. *)
-let[@inline] traced node = Obs.Tracer.enabled (K.Machine.tracer node.machine)
-
-let emit node ~ts_ns ?name ?detail ?a ?b kind =
-  Obs.Tracer.emit (K.Machine.tracer node.machine) ~ts_ns ~cpu:(-1) ?name
-    ?detail ?a ?b kind
+(* The pump's events are stamped with the instant they describe, not the
+   node's clock, so they go straight to the node's tracer (cpu -1).  A
+   frame event names the frame's kind; callers test [traced] before
+   looking it up, so an untraced node does not. *)
+let[@inline] tracer node = K.Machine.tracer node.machine
+let[@inline] traced node = Obs.Tracer.enabled (tracer node)
 
 let fresh_uid t =
   let u = t.uid in
@@ -362,9 +360,10 @@ let node_accepts n ~arrival =
    on the sender plus counters at every level, never a silent stall. *)
 let dead_letter t ch (frame : Frame.t) ~now =
   let src = node_of t ch.ch_src in
-  if traced src then
-    emit src ~ts_ns:now ~name:ch.ch_name ~a:ch.ch_id ~b:frame.Frame.seq
-      Obs.Event.Dead_letter;
+  let tr = tracer src in
+  Obs.Tracer.emit tr Obs.Event.Dead_letter ~cpu:(-1) ~ts_ns:now
+    ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0 ~a:ch.ch_id
+    ~b:frame.Frame.seq;
   Obs.Metrics.incr src.m_dead_letters;
   ch.ch_dead_letters <- ch.ch_dead_letters + 1;
   t.dead_letters <- t.dead_letters + 1
@@ -384,10 +383,14 @@ let send_frame t (frame : Frame.t) ~now =
     Link.transmit ch.ch_link ~now ~src:frame.Frame.src
       ~size_bytes:frame.Frame.size_bytes
   in
-  if traced src then
-    emit src ~ts_ns:depart ~name:frame.Frame.port_name
-      ~detail:(Frame.kind_to_string frame.Frame.kind)
-      ~a:frame.Frame.seq ~b:frame.Frame.dst Obs.Event.Frame_tx;
+  if traced src then begin
+    let tr = tracer src in
+    Obs.Tracer.emit tr Obs.Event.Frame_tx ~cpu:(-1) ~ts_ns:depart
+      ~name_id:(Obs.Tracer.string_id tr frame.Frame.port_name)
+      ~detail_id:
+        (Obs.Tracer.string_id tr (Frame.kind_to_string frame.Frame.kind))
+      ~a:frame.Frame.seq ~b:frame.Frame.dst
+  end;
   Obs.Metrics.incr src.m_frames_tx;
   put_in_flight t frame arrivals;
   depart
@@ -445,9 +448,10 @@ let drain_channel t ch =
           }
         in
         let enqueued_at = qm.K.Port.enqueued_at in
-        if traced src then
-          emit src ~ts_ns:enqueued_at ~name:ch.ch_name ~a:ch.ch_id ~b:seq
-            Obs.Event.Remote_send;
+        let tr = tracer src in
+        Obs.Tracer.emit tr Obs.Event.Remote_send ~cpu:(-1) ~ts_ns:enqueued_at
+          ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0
+          ~a:ch.ch_id ~b:seq;
         Obs.Metrics.incr src.m_remote_sends;
         t.frames_sent <- t.frames_sent + 1;
         let depart = send_frame t frame ~now:enqueued_at in
@@ -468,10 +472,14 @@ let retransmit_one t ch seq (p : Frame.t Arq.Unacked.pending) =
     (* Loud, typed give-up: a Frame_dead always; additionally a
        Dead_letter when the reason is a dead destination. *)
     ch.ch_frames_dead <- ch.ch_frames_dead + 1;
-    if traced src then
-      emit src ~ts_ns:at ~name:ch.ch_name
-        ~detail:(Frame.kind_to_string frame.Frame.kind)
-        ~a:seq ~b:ch.ch_dst Obs.Event.Frame_dead;
+    if traced src then begin
+      let tr = tracer src in
+      Obs.Tracer.emit tr Obs.Event.Frame_dead ~cpu:(-1) ~ts_ns:at
+        ~name_id:(Obs.Tracer.string_id tr ch.ch_name)
+        ~detail_id:
+          (Obs.Tracer.string_id tr (Frame.kind_to_string frame.Frame.kind))
+        ~a:seq ~b:ch.ch_dst
+    end;
     if not (node_of t ch.ch_dst).n_alive then dead_letter t ch frame ~now:at;
     false
   end
@@ -500,9 +508,10 @@ let deliver_home t dst ch (frame : Frame.t) msg ~now =
     K.Machine.deliver_external dst.machine ~txn:frame.Frame.txn
       ~port:ch.ch_home ~msg ~priority:frame.Frame.priority ()
   then begin
-    if traced dst then
-      emit dst ~ts_ns:now ~name:ch.ch_name ~a:ch.ch_id ~b:frame.Frame.seq
-        Obs.Event.Remote_deliver;
+    let tr = tracer dst in
+    Obs.Tracer.emit tr Obs.Event.Remote_deliver ~cpu:(-1) ~ts_ns:now
+      ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0 ~a:ch.ch_id
+      ~b:frame.Frame.seq;
     Obs.Metrics.incr dst.m_remote_delivers;
     t.frames_delivered <- t.frames_delivered + 1;
     true
@@ -519,10 +528,14 @@ let handle_arrival t (frame : Frame.t) ~arrival =
        Frame_dead/Dead_letter); an Ack to a dead sender acks nothing
        because the kill already cleared its unacked table. *)
   else begin
-  if traced dst then
-    emit dst ~ts_ns:arrival ~name:frame.Frame.port_name
-      ~detail:(Frame.kind_to_string frame.Frame.kind)
-      ~a:frame.Frame.seq ~b:frame.Frame.src Obs.Event.Frame_rx;
+  if traced dst then begin
+    let tr = tracer dst in
+    Obs.Tracer.emit tr Obs.Event.Frame_rx ~cpu:(-1) ~ts_ns:arrival
+      ~name_id:(Obs.Tracer.string_id tr frame.Frame.port_name)
+      ~detail_id:
+        (Obs.Tracer.string_id tr (Frame.kind_to_string frame.Frame.kind))
+      ~a:frame.Frame.seq ~b:frame.Frame.src
+  end;
   Obs.Metrics.incr dst.m_frames_rx;
   match frame.Frame.kind with
   | Frame.Ack ->
@@ -549,9 +562,10 @@ let handle_arrival t (frame : Frame.t) ~arrival =
         t.txn_dup_drops <- t.txn_dup_drops + 1;
         Obs.Metrics.incr
           (Obs.Metrics.counter (K.Machine.metrics dst.machine) "txn.dup_drops");
-        if traced dst then
-          emit dst ~ts_ns:arrival ~name:ch.ch_name ~a:frame.Frame.txn
-            ~b:frame.Frame.src Obs.Event.Txn_dup_drop
+        let tr = tracer dst in
+        Obs.Tracer.emit tr Obs.Event.Txn_dup_drop ~cpu:(-1) ~ts_ns:arrival
+          ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0
+          ~a:frame.Frame.txn ~b:frame.Frame.src
       end
       else begin
         if frame.Frame.txn <> 0 then
@@ -618,7 +632,9 @@ let kill_now t id ~at =
     (* The victim executes up to the instant of death, then never again:
        the kill lands mid-quantum exactly at [at]. *)
     K.Machine.advance n.machine ~max_ns:at;
-    if traced n then emit n ~ts_ns:at ~name:n.node_name ~a:id Obs.Event.Node_kill;
+    let tr = tracer n in
+    Obs.Tracer.emit tr Obs.Event.Node_kill ~cpu:(-1) ~ts_ns:at
+      ~name_id:(Obs.Tracer.string_id tr n.node_name) ~detail_id:0 ~a:id ~b:0;
     n.n_alive <- false;
     n.n_down_since <- at;
     (* Withdraw the dead node's names; the restart republishes them
@@ -672,9 +688,10 @@ let restart_now t id ~at ~machine =
      cached home-port AD still names the same object on the new
      incarnation. *)
   List.iter (fun e -> Name_service.publish t.ns e) n.n_parked;
-  if traced fresh then
-    emit fresh ~ts_ns:at ~name:fresh.node_name ~a:id
-      ~b:(Name_service.epoch t.ns) Obs.Event.Node_restart;
+  let tr = tracer fresh in
+  Obs.Tracer.emit tr Obs.Event.Node_restart ~cpu:(-1) ~ts_ns:at
+    ~name_id:(Obs.Tracer.string_id tr fresh.node_name) ~detail_id:0 ~a:id
+    ~b:(Name_service.epoch t.ns);
   Obs.Metrics.incr fresh.m_restarts
 
 let restart_node t ?at_ns ~machine id =

@@ -80,68 +80,18 @@ type t = {
 }
 
 (* Dense integer codes, for storing kinds in the tracer's packed int
-   rings.  [kind_of_int] is the inverse on [0 .. kind_count - 1]. *)
-let kind_to_int = function
-  | Spawn -> 0
-  | Exit -> 1
-  | Finish -> 2
-  | Fault -> 3
-  | Ready -> 4
-  | Dispatch -> 5
-  | Preempt -> 6
-  | Yield -> 7
-  | Deschedule -> 8
-  | Block_send -> 9
-  | Block_receive -> 10
-  | Sleep -> 11
-  | Wake -> 12
-  | Send -> 13
-  | Receive -> 14
-  | Allocate -> 15
-  | Release -> 16
-  | Sro_create -> 17
-  | Sro_destroy -> 18
-  | Domain_call -> 19
-  | Domain_return -> 20
-  | Stop -> 21
-  | Start -> 22
-  | Gc_mark_begin -> 23
-  | Gc_mark_end -> 24
-  | Gc_sweep_begin -> 25
-  | Gc_sweep_end -> 26
-  | Fi_inject -> 27
-  | Cpu_offline -> 28
-  | Proc_requeued -> 29
-  | Alloc_retry -> 30
-  | Timeout_fired -> 31
-  | Proc_restarted -> 32
-  | Remote_send -> 33
-  | Remote_deliver -> 34
-  | Frame_tx -> 35
-  | Frame_rx -> 36
-  | Journal_append -> 37
-  | Journal_sync -> 38
-  | Store_compact -> 39
-  | Ckpt_save -> 40
-  | Ckpt_restore -> 41
-  | Req_issue -> 42
-  | Req_done -> 43
-  | Node_kill -> 44
-  | Node_restart -> 45
-  | Frame_dead -> 46
-  | Dead_letter -> 47
-  | Swap_out -> 48
-  | Swap_in -> 49
-  | Swap_fault -> 50
-  | Txn_commit -> 51
-  | Txn_abort -> 52
-  | Txn_dup_drop -> 53
-  | Hist_append -> 54
+   rings.  A constant constructor is represented as its position in the
+   type's declaration (OCaml manual, "Interfacing C with OCaml"), and
+   [kind] has only constant constructors, so the code is the value
+   itself: a primitive the compiler inlines at every call, even across
+   modules, on the tracer's hot path.  [kind_of_int] is the inverse on
+   [0 .. kind_count - 1]. *)
+external kind_to_int : kind -> int = "%identity"
 
 (* The kinds in code order, each with its name and its subsystem (the
    Chrome trace category): [kind_of_int], [kind_to_string] and [category]
-   are lookups here.  [kind_to_int] stays a match — it is on the tracer's
-   hot path — and module initialisation checks the two agree. *)
+   are lookups here.  Module initialisation checks that the table's order
+   is the declaration order [kind_to_int] reads. *)
 let kinds =
   [|
     (Spawn, "spawn", "proc");

@@ -16,19 +16,9 @@ type recorder
     per entry of [classes] (index = class code). *)
 val recorder : Metrics.t -> classes:string array -> recorder
 
-val classes : recorder -> string array
-
-(** Count one request entering the system. *)
-val issued : recorder -> unit
-
 (** Record one completion.  Raises [Invalid_argument] on a class code
     outside [classes]. *)
 val completed : recorder -> cls:int -> latency_ns:int -> unit
-
-(** Overall / per-class latency quantile, [q] in [0, 1]. *)
-val quantile : recorder -> float -> float
-
-val class_quantile : recorder -> cls:int -> float -> float
 
 (** The metrics name of a class's latency histogram
     ([load.latency_ns.<class>]). *)

@@ -20,21 +20,15 @@
    Packing an event into eight adjacent ints makes emission eight
    immediate stores into a single cache line — no allocation, no
    {!caml_modify} write barriers, and no scatter across per-field arrays
-   whose lines the kernel's own working set would keep evicting.  The
-   string fields are interned to small ids; interning is one
-   physical-equality check in the common case, because call sites pass
-   the same physical string over and over (a process's name,
-   [op_to_string]'s literals), so a one-entry memo per field absorbs
-   almost every lookup.  {!Event.t} records are materialized only when a
-   reader asks for them.
+   whose lines the kernel's own working set would keep evicting.  An
+   event carries no strings: callers intern a name or detail once with
+   {!string_id} (a process's name at spawn, a pump's name at boot) and
+   emit the id.  {!Event.t} records are materialized only when a reader
+   asks for them, and so is the seed's unstructured text: a reader renders
+   it from the retained events with {!Event.legacy_line}, so the rings are
+   the only copy of a trace. *)
 
-   At [Events_and_legacy_lines] the tracer also renders the seed's
-   unstructured trace lines through {!Event.legacy_line} as events are
-   emitted.  The lines live in an unbounded list (exactly like the string
-   tracer this replaces), so ring overflow never loses a legacy line and
-   the old [trace_lines] output stays byte-identical. *)
-
-type level = Off | Events | Events_and_legacy_lines
+type level = Off | Events
 
 (* Field offsets within a slot. *)
 let fields = 8
@@ -47,7 +41,6 @@ type ring = {
 }
 
 let ring_create capacity =
-  if capacity <= 0 then invalid_arg "Tracer.create: capacity";
   {
     r_data = Array.make (capacity * fields) 0;
     r_cap = capacity;
@@ -80,11 +73,10 @@ type t = {
   strings : interns;
   (* Per-kind-code enable mask (index = Event.kind_to_int).  All-true by
      default, so unfiltered traces are byte-identical to pre-filter runs.
-     Checked before seq assignment, interning and ring stores: a filtered
-     subsystem costs one array load per event, nothing else. *)
+     Checked before seq assignment and ring stores: a filtered subsystem
+     costs one array load per event, nothing else. *)
   mask : bool array;
   mutable emitted : int;  (* total events ever emitted (= next seq) *)
-  mutable legacy : string list;  (* newest first, like the seed's buffer *)
 }
 
 let interns_create () =
@@ -165,16 +157,13 @@ let create ?(capacity = default_capacity) ~level ~processors () =
     strings = interns_create ();
     mask = Array.make Event.kind_count true;
     emitted = 0;
-    legacy = [];
   }
 
 let level t = t.level
 
 (* Pattern matches, not [=]/[<>]: polymorphic compare on the level is a C
    call, which the per-event budget cannot afford. *)
-let enabled t = match t.level with Off -> false | _ -> true
-let capacity t = t.rings.(0).r_cap
-let processors t = Array.length t.rings - 1
+let enabled t = match t.level with Off -> false | Events -> true
 
 (* Subsystem filtering.  [set_filter ~keep:None] restores the default
    (everything traced); [Some subs] keeps only kinds whose
@@ -194,108 +183,66 @@ let set_filter t ~keep =
         List.mem (Event.category (Event.kind_of_int code)) subs
     done
 
-(* [wants t ~kind_code] is the cheap pre-flight for instrumentation sites:
-   false means the event would be discarded, so the caller can skip
-   computing the timestamp and arguments entirely.  [kind_code] must be a
-   valid dense code (they are compile-time constants at every call
-   site). *)
-let wants t ~kind_code =
+(* [wants t kind] is the cheap pre-flight for instrumentation sites: false
+   means the event would be discarded, so the caller can skip computing
+   the timestamp or formatting a string entirely. *)
+let wants t kind =
   match t.level with
   | Off -> false
-  | Events | Events_and_legacy_lines -> Array.unsafe_get t.mask kind_code
-
-(* The one physical "" that omitted ?name/?detail default to, so the
-   common no-string case is a single pointer compare, not a memo scan. *)
-let no_string = ""
-
-(* The raw emit path: level check, slot accounting, eight immediate
-   stores.  No optional arguments, no strings — callers on the hottest
-   seams pre-intern their ids (a process's name id is interned once at
-   spawn) and pass kind codes they computed once at module init. *)
-let emit_raw t ~ts_ns ~cpu ~kind_code ~name_id ~detail_id ~a ~b =
-  match t.level with
-  | Off -> ()
-  | (Events | Events_and_legacy_lines) as lvl
-    when Array.unsafe_get t.mask kind_code ->
-    let record_legacy = match lvl with
-      | Events_and_legacy_lines -> true
-      | _ -> false
-    in
-    let seq = t.emitted in
-    t.emitted <- seq + 1;
-    let idx =
-      let i = cpu + 1 in
-      if i < 0 || i >= Array.length t.rings then 0 else i
-    in
-    let r = t.rings.(idx) in
-    let cap = r.r_cap in
-    let slot =
-      if r.r_len = cap then begin
-        (* Full: the oldest event's slot is recycled for the newest. *)
-        let s = r.r_head in
-        r.r_head <- (if s + 1 = cap then 0 else s + 1);
-        t.dropped.(idx) <- t.dropped.(idx) + 1;
-        s
-      end
-      else begin
-        let s = r.r_head + r.r_len in
-        let s = if s >= cap then s - cap else s in
-        r.r_len <- r.r_len + 1;
-        s
-      end
-    in
-    (* [base .. base+7] < length by construction; unsafe stores keep the
-       eight writes — all into one slot, typically one cache line — free
-       of bounds checks on the hottest kernel seam. *)
-    let base = slot * fields in
-    let d = r.r_data in
-    Array.unsafe_set d base seq;
-    Array.unsafe_set d (base + 1) ts_ns;
-    Array.unsafe_set d (base + 2) cpu;
-    Array.unsafe_set d (base + 3) a;
-    Array.unsafe_set d (base + 4) b;
-    Array.unsafe_set d (base + 5) kind_code;
-    Array.unsafe_set d (base + 6) name_id;
-    Array.unsafe_set d (base + 7) detail_id;
-    if record_legacy then begin
-      match
-        Event.legacy_line
-          {
-            Event.seq;
-            ts_ns;
-            cpu;
-            kind = Event.kind_of_int kind_code;
-            name = t.strings.pool.(name_id);
-            detail = t.strings.pool.(detail_id);
-            a;
-            b;
-          }
-      with
-      | Some line -> t.legacy <- line :: t.legacy
-      | None -> ()
-    end
-  | Events | Events_and_legacy_lines -> ()  (* subsystem filtered out *)
+  | Events -> Array.unsafe_get t.mask (Event.kind_to_int kind)
 
 let string_id t s =
-  match t.level with Off -> 0 | _ -> intern t.strings s
+  match t.level with Off -> 0 | Events -> intern t.strings s
 
-let emit t ~ts_ns ~cpu ?(name = no_string) ?(detail = no_string) ?(a = 0)
-    ?(b = 0) kind =
+(* The one emit path: level check, mask check, slot accounting, eight
+   immediate stores.  No optional arguments and no strings — callers pass
+   ids from [string_id], interned once where the string is fixed. *)
+let emit t kind ~cpu ~ts_ns ~name_id ~detail_id ~a ~b =
   match t.level with
   | Off -> ()
-  | Events | Events_and_legacy_lines ->
-    (* Mask check before interning: a filtered-out subsystem must not pay
-       for (or pollute) the intern pool. *)
+  | Events ->
     let kind_code = Event.kind_to_int kind in
     if Array.unsafe_get t.mask kind_code then begin
-      let st = t.strings in
-      let name_id = if name == no_string then 0 else intern st name in
-      let detail_id = if detail == no_string then 0 else intern st detail in
-      emit_raw t ~ts_ns ~cpu ~kind_code ~name_id ~detail_id ~a ~b
+      let seq = t.emitted in
+      t.emitted <- seq + 1;
+      let idx =
+        let i = cpu + 1 in
+        if i < 0 || i >= Array.length t.rings then 0 else i
+      in
+      let r = t.rings.(idx) in
+      let cap = r.r_cap in
+      let slot =
+        if r.r_len = cap then begin
+          (* Full: the oldest event's slot is recycled for the newest. *)
+          let s = r.r_head in
+          r.r_head <- (if s + 1 = cap then 0 else s + 1);
+          t.dropped.(idx) <- t.dropped.(idx) + 1;
+          s
+        end
+        else begin
+          let s = r.r_head + r.r_len in
+          let s = if s >= cap then s - cap else s in
+          r.r_len <- r.r_len + 1;
+          s
+        end
+      in
+      (* [base .. base+7] < length by construction; unsafe stores keep the
+         eight writes — all into one slot, typically one cache line — free
+         of bounds checks on the hottest kernel seam. *)
+      let base = slot * fields in
+      let d = r.r_data in
+      Array.unsafe_set d base seq;
+      Array.unsafe_set d (base + 1) ts_ns;
+      Array.unsafe_set d (base + 2) cpu;
+      Array.unsafe_set d (base + 3) a;
+      Array.unsafe_set d (base + 4) b;
+      Array.unsafe_set d (base + 5) kind_code;
+      Array.unsafe_set d (base + 6) name_id;
+      Array.unsafe_set d (base + 7) detail_id
     end
 
-(* All retained events in emission order (seq ascending).  Each ring is
-   already seq-sorted, so this is a k-way merge. *)
+(* All retained events in emission order: every ring's events,
+   concatenated and sorted by seq. *)
 let events t =
   let lists =
     Array.to_list
@@ -314,24 +261,3 @@ let dropped t = Array.fold_left ( + ) 0 t.dropped
 let dropped_on t ~cpu =
   let i = cpu + 1 in
   if i < 0 || i >= Array.length t.dropped then 0 else t.dropped.(i)
-
-let legacy_lines t = List.rev t.legacy
-
-let clear t =
-  Array.iter
-    (fun r ->
-      r.r_head <- 0;
-      r.r_len <- 0)
-    t.rings;
-  Array.fill t.dropped 0 (Array.length t.dropped) 0;
-  (* Reset the intern pool so cleared traces do not pin old heap data. *)
-  let st = t.strings in
-  Hashtbl.reset st.ids;
-  Hashtbl.add st.ids "" 0;
-  st.pool <- Array.make 64 "";
-  st.used <- 1;
-  Array.fill st.memo_s 0 memo_slots "";
-  Array.fill st.memo_id 0 memo_slots 0;
-  st.memo_next <- 0;
-  t.emitted <- 0;
-  t.legacy <- []

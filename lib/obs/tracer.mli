@@ -3,11 +3,12 @@
     with a per-ring drop counter.
 
     [Off] is free on the hot path (one field read); [Events] records
-    structured events only; [Events_and_legacy_lines] additionally renders
-    the seed's unstructured trace lines (byte-identical, unbounded, immune
-    to ring overflow) for legacy consumers. *)
+    structured events.  An event is a kind, two interned string ids and
+    two ints; the seed's unstructured trace lines are rendered from the
+    retained events by {!Event.legacy_line}, so they are exactly as
+    complete as the rings. *)
 
-type level = Off | Events | Events_and_legacy_lines
+type level = Off | Events
 
 type t
 
@@ -19,52 +20,36 @@ val create : ?capacity:int -> level:level -> processors:int -> unit -> t
 
 val level : t -> level
 val enabled : t -> bool
-val capacity : t -> int
-val processors : t -> int
 
 (** {1 Subsystem filtering}
 
     [set_filter t ~keep:(Some subs)] drops every event whose
     {!Event.category} is not listed, before any per-event work (no seq,
-    no interning, no ring store: a filtered event costs one array load).
-    [~keep:None] restores the default — everything traced — under which
-    streams are byte-identical to a tracer without filtering.  The filter
-    survives {!clear}.  Raises [Invalid_argument] on an unknown subsystem
-    name. *)
+    no ring store: a filtered event costs one array load).  [~keep:None]
+    restores the default — everything traced — under which streams are
+    byte-identical to a tracer without filtering.  Raises
+    [Invalid_argument] on an unknown subsystem name. *)
 val set_filter : t -> keep:string list option -> unit
 
-(** [wants t ~kind_code] is false when an event of that kind would be
-    discarded (level [Off] or subsystem filtered out) — instrumentation
-    sites use it to skip computing timestamps and arguments entirely.
-    [kind_code] must be a valid dense code from {!Event.kind_to_int}. *)
-val wants : t -> kind_code:int -> bool
+(** [wants t kind] is false when an event of that kind would be discarded
+    (level [Off] or subsystem filtered out) — instrumentation sites that
+    must format a string use it to skip the formatting entirely. *)
+val wants : t -> Event.kind -> bool
 
-(** Record one event.  No-op when the level is [Off].  [cpu] is the
-    emitting processor id, or -1 outside the run loop. *)
-val emit :
-  t ->
-  ts_ns:int ->
-  cpu:int ->
-  ?name:string ->
-  ?detail:string ->
-  ?a:int ->
-  ?b:int ->
-  Event.kind ->
-  unit
-
-(** Intern a string, returning its id for {!emit_raw} (0 when the level
-    is [Off], where ids are never consulted).  Id 0 is always "". *)
+(** Intern a string, returning its id for {!emit} (0 when the level is
+    [Off], where ids are never consulted).  Id 0 is always "".  An id is
+    valid only on the tracer that issued it. *)
 val string_id : t -> string -> int
 
-(** The allocation- and lookup-free emit path for the kernel's hottest
-    seams: [kind_code] is {!Event.kind_to_int} of the kind (computed once
-    by the caller), [name_id]/[detail_id] come from {!string_id}.  No-op
-    when the level is [Off]. *)
-val emit_raw :
+(** Record one event: the only emit path.  [cpu] is the emitting processor
+    id, or -1 outside the run loop; [name_id]/[detail_id] come from
+    {!string_id}.  No-op when the level is [Off] or the kind's subsystem
+    is filtered out. *)
+val emit :
   t ->
-  ts_ns:int ->
+  Event.kind ->
   cpu:int ->
-  kind_code:int ->
+  ts_ns:int ->
   name_id:int ->
   detail_id:int ->
   a:int ->
@@ -84,9 +69,3 @@ val emitted : t -> int
 val dropped : t -> int
 
 val dropped_on : t -> cpu:int -> int
-
-(** The seed-format trace lines, oldest first.  Empty unless the level is
-    [Events_and_legacy_lines]. *)
-val legacy_lines : t -> string list
-
-val clear : t -> unit

@@ -128,7 +128,7 @@ let decode ~key bytes =
 (* Observability (routed through the store's attached machine)         *)
 (* ------------------------------------------------------------------ *)
 
-let emit store kind r =
+let observe store kind r =
   match Store.attached_machine store with
   | None -> ()
   | Some machine ->
@@ -140,7 +140,9 @@ let emit store kind r =
          (match kind with
          | Obs.Event.Ckpt_restore -> "store.ckpt_restores"
          | _ -> "store.ckpt_saves"));
-    K.Machine.emit_event machine ~name:r.c_key ~a:bytes ~b:r.c_now_ns kind
+    K.Machine.emit machine kind
+      ~name_id:(K.Machine.string_id machine r.c_key) ~detail_id:0 ~a:bytes
+      ~b:r.c_now_ns
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                                *)
@@ -149,7 +151,7 @@ let emit store kind r =
 let save_record store r =
   Store.put_blob store ~now_ns:r.c_now_ns ~key:r.c_key (encode r);
   Store.sync store;
-  emit store Obs.Event.Ckpt_save r;
+  observe store Obs.Event.Ckpt_save r;
   r
 
 let save store ~key ~bound machine =
@@ -263,7 +265,7 @@ let restore store ~key ~boot =
   | Virtual_ns n -> ignore (K.Machine.run ~max_ns:n machine)
   | Rounds _ -> assert false);
   verify_node ~key ~name:"" ~stored machine;
-  emit store Obs.Event.Ckpt_restore r;
+  observe store Obs.Event.Ckpt_restore r;
   machine
 
 (* Replay a cluster checkpoint into a fresh [boot ()] and verify the
@@ -300,7 +302,7 @@ let replay_cluster store ~key ~only ~boot =
             booted;
         verify_node ~key ~name ~stored:image (Net.Cluster.machine cluster i))
     r.c_nodes;
-  emit store Obs.Event.Ckpt_restore r;
+  observe store Obs.Event.Ckpt_restore r;
   cluster
 
 (* One node out of a cluster checkpoint, for splicing back into a LIVE

@@ -132,18 +132,17 @@ let attach t machine =
         mon_bytes = Obs.Metrics.counter metrics "store.bytes_written";
       }
 
-let emit t ?name ?detail ?a ?b kind =
-  match t.mon with
-  | None -> ()
-  | Some m -> K.Machine.emit_event m.mon_machine ?name ?detail ?a ?b kind
-
 let sync t =
   let pending = Journal.unsynced t.journal in
   if pending > 0 then begin
     Journal.sync t.journal;
     t.st_syncs <- t.st_syncs + 1;
-    (match t.mon with Some m -> Obs.Metrics.incr m.mon_syncs | None -> ());
-    emit t ~a:pending ~b:(Journal.size t.journal) Obs.Event.Journal_sync
+    match t.mon with
+    | Some m ->
+      Obs.Metrics.incr m.mon_syncs;
+      K.Machine.emit m.mon_machine Obs.Event.Journal_sync ~name_id:0
+        ~detail_id:0 ~a:pending ~b:(Journal.size t.journal)
+    | None -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -178,8 +177,12 @@ let compact t =
   let reclaimed = old_size - Journal.size t.journal in
   t.st_compactions <- t.st_compactions + 1;
   t.st_bytes_reclaimed <- t.st_bytes_reclaimed + reclaimed;
-  (match t.mon with Some m -> Obs.Metrics.incr m.mon_compactions | None -> ());
-  emit t ~a:(List.length live) ~b:reclaimed Obs.Event.Store_compact;
+  (match t.mon with
+  | Some m ->
+    Obs.Metrics.incr m.mon_compactions;
+    K.Machine.emit m.mon_machine Obs.Event.Store_compact ~name_id:0
+      ~detail_id:0 ~a:(List.length live) ~b:reclaimed
+  | None -> ());
   reclaimed
 
 (* Compaction clock: at most one compaction per virtual-time interval,
@@ -195,8 +198,6 @@ let advance_clock t now_ns =
 (* Appending                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let k_append = Obs.Event.kind_to_int Obs.Event.Journal_append
-
 let append t ~kind ~key ~payload =
   let size = Journal.framed_size ~key ~payload in
   let off = Journal.append t.journal ~kind ~key ~payload in
@@ -207,11 +208,10 @@ let append t ~kind ~key ~payload =
   | Some m ->
     Obs.Metrics.incr m.mon_appends;
     Obs.Metrics.incr ~by:size m.mon_bytes;
-    (* Untraced, skip [emit]'s boxed optionals and the kind's name. *)
-    if Obs.Tracer.wants (K.Machine.tracer m.mon_machine) ~kind_code:k_append
-    then
-      K.Machine.emit_event m.mon_machine ~name:key ~detail:(kind_name kind)
-        ~a:off ~b:size Obs.Event.Journal_append
+    let mm = m.mon_machine in
+    K.Machine.emit mm Obs.Event.Journal_append
+      ~name_id:(K.Machine.string_id mm key)
+      ~detail_id:(K.Machine.string_id mm (kind_name kind)) ~a:off ~b:size
   | None -> ());
   if Journal.unsynced t.journal >= t.sync_every then sync t
 

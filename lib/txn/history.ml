@@ -21,6 +21,7 @@ module St = I432_store
 
 type tracked = {
   h_name : string;
+  h_name_id : int;  (* the tracer's id for [h_name] *)
   h_obj : Access.t;
   h_index : int;  (* [Access.index h_obj] *)
   h_len : int;  (* data bytes captured in the base image *)
@@ -84,6 +85,7 @@ let track t ~name obj =
   let tr =
     {
       h_name = name;
+      h_name_id = K.Machine.string_id t.machine name;
       h_obj = obj;
       h_index = index;
       h_len = len;
@@ -152,8 +154,8 @@ let append t tr ~commit_ns ~key writes =
   let next = rec_key t.buf tr.h_prefix (tr.h_seq + 1) in
   if St.Store.mem t.store ~key:next then St.Store.delete t.store ~key:next;
   tr.h_next_key <- next;
-  K.Machine.emit_event t.machine ~name:tr.h_name ~a:key ~b:tr.h_seq
-    Obs.Event.Hist_append
+  K.Machine.emit t.machine Obs.Event.Hist_append ~name_id:tr.h_name_id
+    ~detail_id:0 ~a:key ~b:tr.h_seq
 
 (* One record per tracked object the commit wrote, in order of each
    object's first write; the stamp marks objects already filed. *)

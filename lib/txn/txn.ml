@@ -75,8 +75,8 @@ let commit machine ?(key = 0) ?(retries = 8) ?(backoff_ns = 1_000)
     | K.Syscall.Txn_conflict { port; reason } ->
       if n > retries then begin
         lazy_incr metrics "txn.aborts";
-        K.Machine.emit_event machine ~detail:reason ~a:key ~b:port
-          Obs.Event.Txn_abort;
+        K.Machine.emit machine Obs.Event.Txn_abort ~name_id:0
+          ~detail_id:(K.Machine.string_id machine reason) ~a:key ~b:port;
         (match compensate with Some f -> f () | None -> ());
         Aborted { port; reason; attempts = n }
       end

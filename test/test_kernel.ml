@@ -1143,13 +1143,15 @@ let test_trace_records_lifecycle () =
       ~config:
         {
           K.Machine.default_config with
-          K.Machine.trace_level = I432_obs.Tracer.Events_and_legacy_lines;
+          K.Machine.trace_level = I432_obs.Tracer.Events;
         }
       ()
   in
   ignore (K.Machine.spawn m ~name:"traced" (fun () -> K.Machine.yield m));
   let _ = run m in
-  let lines = K.Machine.trace_lines m in
+  let lines =
+    List.filter_map I432_obs.Event.legacy_line (K.Machine.events m)
+  in
   let mentions sub line =
     let n = String.length line and m' = String.length sub in
     let rec go i = i + m' <= n && (String.sub line i m' = sub || go (i + 1)) in
@@ -1164,7 +1166,8 @@ let test_trace_disabled_by_default () =
   let m = mk () in
   ignore (K.Machine.spawn m ~name:"quiet" (fun () -> ()));
   let _ = run m in
-  Alcotest.(check (list string)) "no trace" [] (K.Machine.trace_lines m)
+  Alcotest.(check (list string)) "no trace" []
+    (List.filter_map I432_obs.Event.legacy_line (K.Machine.events m))
 
 let test_obj_type_helpers () =
   Alcotest.(check bool) "process is system" true (Obj_type.is_system Obj_type.Process);

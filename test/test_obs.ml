@@ -1,8 +1,8 @@
 (* Tests for the observability layer: tracer rings (overflow, drop
-   accounting), the legacy trace-line compat shim (byte identity with the
-   seed's formats), cross-run determinism of events and metrics, the
-   Chrome trace exporter, the metrics registry, and the snapshot
-   extensions. *)
+   accounting), the legacy trace lines rendered from the rings (byte
+   identity with the seed's formats), cross-run determinism of events and
+   metrics, the Chrome trace exporter, the metrics registry, and the
+   snapshot extensions. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -18,6 +18,13 @@ let mk ?(processors = 1) ~level () =
     ()
 
 let run m = K.Machine.run ~max_ns:2_000_000_000 ~max_steps:2_000_000 m
+
+(* One tracer event with no strings and a zero [b]. *)
+let emit t ~ts_ns ~cpu ?(name_id = 0) ?(a = 0) kind =
+  Obs.Tracer.emit t kind ~cpu ~ts_ns ~name_id ~detail_id:0 ~a ~b:0
+
+(* The seed's legacy transcript, rendered from the retained events. *)
+let legacy_lines events = List.filter_map Obs.Event.legacy_line events
 
 (* A small deterministic two-processor workload touching every traced
    subsystem: ports (send/receive/block), allocation, yields. *)
@@ -50,7 +57,7 @@ let test_ring_overflow () =
      recycled. *)
   let t = Obs.Tracer.create ~capacity:4 ~level:Obs.Tracer.Events ~processors:1 () in
   for i = 1 to 7 do
-    Obs.Tracer.emit t ~ts_ns:(i * 10) ~cpu:0 ~a:i Obs.Event.Yield
+    emit t ~ts_ns:(i * 10) ~cpu:0 ~a:i Obs.Event.Yield
   done;
   Alcotest.(check int) "emitted" 7 (Obs.Tracer.emitted t);
   Alcotest.(check int) "retained" 4 (Obs.Tracer.retained t);
@@ -66,10 +73,10 @@ let test_rings_are_per_processor () =
   let t = Obs.Tracer.create ~capacity:2 ~level:Obs.Tracer.Events ~processors:2 () in
   (* Overflow cpu 0 only; cpu 1 and the boot ring (-1) are untouched. *)
   for i = 1 to 5 do
-    Obs.Tracer.emit t ~ts_ns:i ~cpu:0 Obs.Event.Yield
+    emit t ~ts_ns:i ~cpu:0 Obs.Event.Yield
   done;
-  Obs.Tracer.emit t ~ts_ns:6 ~cpu:1 Obs.Event.Yield;
-  Obs.Tracer.emit t ~ts_ns:7 ~cpu:(-1) Obs.Event.Spawn;
+  emit t ~ts_ns:6 ~cpu:1 Obs.Event.Yield;
+  emit t ~ts_ns:7 ~cpu:(-1) Obs.Event.Spawn;
   Alcotest.(check int) "cpu 0 dropped" 3 (Obs.Tracer.dropped_on t ~cpu:0);
   Alcotest.(check int) "cpu 1 kept all" 0 (Obs.Tracer.dropped_on t ~cpu:1);
   Alcotest.(check int) "boot ring kept all" 0 (Obs.Tracer.dropped_on t ~cpu:(-1));
@@ -77,10 +84,13 @@ let test_rings_are_per_processor () =
 
 let test_off_level_is_inert () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
-  Obs.Tracer.emit t ~ts_ns:1 ~cpu:0 ~name:"ghost" Obs.Event.Spawn;
+  let name_id = Obs.Tracer.string_id t "ghost" in
+  Alcotest.(check int) "no interning" 0 name_id;
+  emit t ~ts_ns:1 ~cpu:0 ~name_id Obs.Event.Spawn;
   Alcotest.(check int) "nothing emitted" 0 (Obs.Tracer.emitted t);
   Alcotest.(check int) "nothing retained" 0 (Obs.Tracer.retained t);
-  Alcotest.(check (list string)) "no legacy lines" [] (Obs.Tracer.legacy_lines t)
+  Alcotest.(check (list string)) "no legacy lines" []
+    (legacy_lines (Obs.Tracer.events t))
 
 let test_kind_codes_roundtrip () =
   (* The packed rings store kinds as dense ints; the mapping must be a
@@ -172,15 +182,14 @@ let test_kind_table_pinned () =
 let test_subsystem_filter () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 () in
   (* Keep only the port subsystem: process events are skipped before any
-     interning or ring store, and [wants] reports the mask so emitters
-     can skip timestamp computation too. *)
+     ring store, and [wants] reports the mask so emitters can skip
+     timestamp computation and string formatting too. *)
   Obs.Tracer.set_filter t ~keep:(Some [ "port" ]);
-  Alcotest.(check bool) "wants port" true
-    (Obs.Tracer.wants t ~kind_code:(Obs.Event.kind_to_int Obs.Event.Send));
+  Alcotest.(check bool) "wants port" true (Obs.Tracer.wants t Obs.Event.Send);
   Alcotest.(check bool) "rejects proc" false
-    (Obs.Tracer.wants t ~kind_code:(Obs.Event.kind_to_int Obs.Event.Spawn));
-  Obs.Tracer.emit t ~ts_ns:1 ~cpu:0 ~name:"p" Obs.Event.Spawn;
-  Obs.Tracer.emit t ~ts_ns:2 ~cpu:0 ~name:"q" Obs.Event.Send;
+    (Obs.Tracer.wants t Obs.Event.Spawn);
+  emit t ~ts_ns:1 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "p") Obs.Event.Spawn;
+  emit t ~ts_ns:2 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "q") Obs.Event.Send;
   Alcotest.(check int) "only port event stored" 1 (Obs.Tracer.emitted t);
   (match Obs.Tracer.events t with
   | [ e ] -> Alcotest.(check string) "kept the send" "send"
@@ -188,7 +197,7 @@ let test_subsystem_filter () =
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
   (* None restores the all-pass mask. *)
   Obs.Tracer.set_filter t ~keep:None;
-  Obs.Tracer.emit t ~ts_ns:3 ~cpu:0 ~name:"r" Obs.Event.Spawn;
+  emit t ~ts_ns:3 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "r") Obs.Event.Spawn;
   Alcotest.(check int) "unfiltered again" 2 (Obs.Tracer.emitted t);
   (* Unknown subsystem names are refused. *)
   Alcotest.check_raises "bad subsystem"
@@ -197,53 +206,57 @@ let test_subsystem_filter () =
   (* Off level wins over any mask. *)
   let off = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
   Alcotest.(check bool) "off never wants" false
-    (Obs.Tracer.wants off ~kind_code:(Obs.Event.kind_to_int Obs.Event.Send))
+    (Obs.Tracer.wants off Obs.Event.Send)
 
-(* ---------------- Legacy compat shim ---------------- *)
+(* ---------------- Legacy lines, rendered from the rings ---------------- *)
 
 let test_legacy_lines_byte_identical () =
-  (* The shim must render the seed's exact strings from structured
-     events. *)
-  let m = mk ~level:Obs.Tracer.Events_and_legacy_lines () in
+  (* The renderer must produce the seed's exact strings from structured
+     events, in event order. *)
+  let m = mk ~level:Obs.Tracer.Events () in
   let p =
     K.Machine.spawn m ~name:"traced" (fun () -> K.Machine.yield m)
   in
   let _ = run m in
   let index = (K.Machine.process_state m p).K.Process.index in
-  let lines = K.Machine.trace_lines m in
-  let mem line = List.mem line lines in
-  Alcotest.(check bool) "seed spawn format" true
-    (mem (Printf.sprintf "spawn traced as process %d" index));
-  Alcotest.(check bool) "seed finish format" true
-    (mem "process traced finished");
-  (* Every legacy line is the rendering of some retained or shim-recorded
-     event, in event order. *)
-  let from_events =
-    List.filter_map Obs.Event.legacy_line (K.Machine.events m)
-  in
-  Alcotest.(check (list string)) "shim agrees with structured stream"
-    from_events lines
+  Alcotest.(check (list string)) "seed spawn, deschedule, finish formats"
+    [ Printf.sprintf "spawn traced as process %d" index;
+      "process traced descheduled on yield";
+      "process traced finished" ]
+    (legacy_lines (K.Machine.events m))
 
 let test_events_level_has_no_legacy_lines () =
+  (* The tracer keeps no text: at Events a trace is its rings, and the
+     rendered transcript has one line per retained event of the five
+     legacy kinds — nothing else. *)
   let m = workload ~level:Obs.Tracer.Events () in
-  Alcotest.(check (list string)) "no lines at Events" []
-    (K.Machine.trace_lines m);
-  Alcotest.(check bool) "but events recorded" true
-    (K.Machine.events m <> [])
+  let events = K.Machine.events m in
+  let legacy_kind (e : Obs.Event.t) =
+    match e.Obs.Event.kind with
+    | Obs.Event.Spawn | Stop | Start | Finish | Deschedule -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "events recorded" true (events <> []);
+  Alcotest.(check int) "one line per legacy-kind event"
+    (List.length (List.filter legacy_kind events))
+    (List.length (legacy_lines events))
 
 let test_legacy_lines_survive_ring_overflow () =
-  (* The shim is unbounded: overflowing the event rings must not lose
-     lines, because legacy consumers expect the full history. *)
+  (* The rings are the only copy of a trace: after an overflow the
+     renderer sees the retained window only, so a reader that needs the
+     full transcript must check [dropped] (as [imax_ctl trace --legacy]
+     does) instead of trusting the lines. *)
   let t =
-    Obs.Tracer.create ~capacity:2
-      ~level:Obs.Tracer.Events_and_legacy_lines ~processors:1 ()
+    Obs.Tracer.create ~capacity:2 ~level:Obs.Tracer.Events ~processors:1 ()
   in
+  let name_id = Obs.Tracer.string_id t "p" in
   for i = 1 to 6 do
-    Obs.Tracer.emit t ~ts_ns:i ~cpu:0 ~name:"p" ~a:i Obs.Event.Spawn
+    emit t ~ts_ns:i ~cpu:0 ~name_id ~a:i Obs.Event.Spawn
   done;
   Alcotest.(check int) "rings overflowed" 4 (Obs.Tracer.dropped t);
-  Alcotest.(check int) "all lines kept" 6
-    (List.length (Obs.Tracer.legacy_lines t))
+  Alcotest.(check (list string)) "the retained window renders"
+    [ "spawn p as process 5"; "spawn p as process 6" ]
+    (legacy_lines (Obs.Tracer.events t))
 
 (* ---------------- Determinism ---------------- *)
 
