@@ -90,6 +90,15 @@ let micro_gates =
             r.loop.minor_words_per_request Run_loop.words_limit
             Run_loop.base_workers
         else if
+          r.loop.traced_words_per_request > Run_loop.traced_words_limit r.loop
+        then
+          Printf.sprintf
+            "FAIL: traced run allocates %.1f minor words per request > %.1f \
+             (untraced + %.0f)"
+            r.loop.traced_words_per_request
+            (Run_loop.traced_words_limit r.loop)
+            Run_loop.traced_words_slack
+        else if
           r.loop.cluster_words_per_request > Run_loop.cluster_words_limit
         then
           Printf.sprintf

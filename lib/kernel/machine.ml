@@ -333,6 +333,10 @@ let emit_on t (cpu : Processor.t) kind ~name_id ~detail_id ~a ~b =
 
 let string_id t s = Obs.Tracer.string_id t.obs s
 
+(* A Deschedule's detail is its op's trace encoding, not an interned
+   string: the tracer renders it with [Syscall.render] when read. *)
+let () = Obs.Tracer.set_renderer Obs.Event.Deschedule Syscall.render
+
 (* Charge virtual time for an instruction to the running processor, with bus
    contention applied.  Outside the run loop (boot code) charges are free:
    configuration happens "before the machine starts". *)
@@ -1400,11 +1404,14 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     match handle_syscall t cpu proc op with
     | still_current ->
       t.current <- None;
-      (* Guarded here: rendering the op formats, even when untraced. *)
+      (* The op goes in as its trace encoding (three ints, rendered when
+         the trace is read); guarded so an untraced deschedule never
+         walks a txn's lists to count them. *)
       if (not still_current) && Obs.Tracer.wants t.obs Obs.Event.Deschedule
       then
         emit_on t cpu Obs.Event.Deschedule ~name_id:proc.Process.trace_name_id
-          ~detail_id:(string_id t (Syscall.op_to_string op)) ~a:0 ~b:0
+          ~detail_id:(Syscall.trace_detail op) ~a:(Syscall.trace_a op)
+          ~b:(Syscall.trace_b op)
     | exception Fault.Fault cause ->
       t.current <- None;
       cpu.Processor.current <- None;

@@ -62,4 +62,25 @@ type _ Effect.t += Syscall : op -> result Effect.t
     under the machine's handler. *)
 val perform : op -> result
 
+(** {1 Trace encoding}
+
+    A traced deschedule records its op as three immediate ints — a detail
+    code and two arguments — and its text is rendered only when the trace
+    is read, so emitting one formats and interns nothing. *)
+
+(** The op's code; for [Txn_try] also its write count, above the code. *)
+val trace_detail : op -> int
+
+(** A timed op's timeout or a delay's ns; [Txn_try]'s receive count. *)
+val trace_a : op -> int
+
+(** [Txn_try]'s send count. *)
+val trace_b : op -> int
+
+(** The text of an encoded op, e.g. ["delay(123456ns)"] or
+    ["txn-try(1r/2s/0w)"].  Raises [Invalid_argument] on a detail no op
+    encodes to. *)
+val render : detail:int -> a:int -> b:int -> string
+
+(** [render] of the op's encoding: the one text source for an op. *)
 val op_to_string : op -> string

@@ -176,9 +176,15 @@ let subsystems =
   [ "proc"; "dispatch"; "port"; "sro"; "domain"; "gc"; "fi"; "net"; "store";
     "load"; "vm"; "txn" ]
 
+(* "#%d %dns cpu%d %s name=%s detail=%s a=%d b=%d", built with one
+   concatenation rather than [Printf]'s format interpreter: a trace dump
+   or digest calls it once per event. *)
 let to_string e =
-  Printf.sprintf "#%d %dns cpu%d %s name=%s detail=%s a=%d b=%d" e.seq
-    e.ts_ns e.cpu (kind_to_string e.kind) e.name e.detail e.a e.b
+  String.concat ""
+    [ "#"; string_of_int e.seq; " "; string_of_int e.ts_ns; "ns cpu";
+      string_of_int e.cpu; " "; kind_to_string e.kind; " name="; e.name;
+      " detail="; e.detail; " a="; string_of_int e.a; " b=";
+      string_of_int e.b ]
 
 (* Compat shim: render the pre-structured-tracing trace line for the events
    that used to produce one.  The formats are frozen — the seed emitted

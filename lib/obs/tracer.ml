@@ -1,11 +1,13 @@
 (* The kernel event tracer.
 
    Domain safety: a tracer is per-machine instance state — rings, drop
-   counters, and the interning memos are all fields of [t], with no module
-   globals.  The parallel cluster engine therefore needs no locking here:
-   each node's tracer is touched only by the one domain stepping that node
-   during a round slice (see Machine.run's stepper assertion), and by the
-   coordinator between slices.
+   counters, and the interning memos are all fields of [t].  The one
+   module global, the detail-renderer table, is written only at module
+   initialisation and read-only after.  The parallel cluster engine
+   therefore needs no locking here: each node's tracer is touched only by
+   the one domain stepping that node during a round slice (see
+   Machine.run's stepper assertion), and by the coordinator between
+   slices.
 
    One bounded ring of fixed-shape event records per processor (plus one
    for boot-time/kernel events emitted outside the run loop), so tracing a
@@ -23,8 +25,12 @@
    whose lines the kernel's own working set would keep evicting.  An
    event carries no strings: callers intern a name or detail once with
    {!string_id} (a process's name at spawn, a pump's name at boot) and
-   emit the id.  {!Event.t} records are materialized only when a reader
-   asks for them, and so is the seed's unstructured text: a reader renders
+   emit the id.  A detail that would be formatted per event (a deschedule's
+   op, "delay(123456ns)") is not interned at all: its kind has a renderer,
+   and the event stores a code and two int arguments that the renderer
+   turns into text when the event is read.  {!Event.t} records are
+   materialized only when a reader asks for them, merged from the rings
+   in seq order, and so is the seed's unstructured text: a reader renders
    it from the retained events with {!Event.legacy_line}, so the rings are
    the only copy of a trace. *)
 
@@ -53,7 +59,7 @@ let ring_create capacity =
    with physical comparisons ([==]) and falls back to the hashtable (a
    content hash) only on a miss.  Eight entries cover the working set of
    a trace — the names of the processes currently bouncing between the
-   processors plus the handful of syscall/domain literals — so the
+   processors plus the handful of domain and frame-kind names — so the
    fallback is rare even when consecutive events alternate names. *)
 let memo_slots = 8
 
@@ -128,18 +134,41 @@ let intern st s =
   else if Array.unsafe_get m 7 == s then Array.unsafe_get st.memo_id 7
   else intern_slow st s
 
+(* Detail renderers, by kind code.  An event of a kind with a renderer
+   stores a code in its detail slot and the code's arguments in [a] and
+   [b]; reading it renders the three into the detail text, and the event
+   reads a=0 b=0 because its ints belong to the detail.  Obs sits below
+   the layers that define such codes, so each registers its renderer at
+   its own module initialisation (the kernel's deschedule op, in
+   Machine). *)
+type renderer = detail:int -> a:int -> b:int -> string
+
+let renderers : renderer option array = Array.make Event.kind_count None
+let set_renderer kind render =
+  renderers.(Event.kind_to_int kind) <- Some render
+
+(* Offset of the [i]th oldest event in [r]. *)
+let slot_base r i = (r.r_head + i) mod r.r_cap * fields
+
 let ring_event t r i =
-  let base = (r.r_head + i) mod r.r_cap * fields in
+  let base = slot_base r i in
   let d = r.r_data in
+  let code = d.(base + 5) and detail = d.(base + 7) in
+  let a = d.(base + 3) and b = d.(base + 4) in
+  let detail, a, b =
+    match renderers.(code) with
+    | None -> (t.strings.pool.(detail), a, b)
+    | Some render -> (render ~detail ~a ~b, 0, 0)
+  in
   {
     Event.seq = d.(base);
     ts_ns = d.(base + 1);
     cpu = d.(base + 2);
-    a = d.(base + 3);
-    b = d.(base + 4);
-    kind = Event.kind_of_int d.(base + 5);
+    a;
+    b;
+    kind = Event.kind_of_int code;
     name = t.strings.pool.(d.(base + 6));
-    detail = t.strings.pool.(d.(base + 7));
+    detail;
   }
 
 let default_capacity = 16_384
@@ -241,18 +270,36 @@ let emit t kind ~cpu ~ts_ns ~name_id ~detail_id ~a ~b =
       Array.unsafe_set d (base + 7) detail_id
     end
 
-(* All retained events in emission order: every ring's events,
-   concatenated and sorted by seq. *)
+(* All retained events in emission order.  A ring only appends and
+   overflow drops its oldest, so each ring is already in seq order and
+   the rings are merged, not sorted: the list is built from its end,
+   each step taking the ring whose newest unread event has the highest
+   seq.  A step scans the rings, one per processor plus the boot ring. *)
 let events t =
-  let lists =
-    Array.to_list
-      (Array.map
-         (fun r -> List.init r.r_len (fun i -> ring_event t r i))
-         t.rings)
+  let rings = t.rings in
+  let next = Array.map (fun r -> r.r_len - 1) rings in
+  let rec merge acc =
+    let best = ref (-1) and best_seq = ref (-1) in
+    for k = 0 to Array.length rings - 1 do
+      let i = next.(k) in
+      if i >= 0 then begin
+        let r = rings.(k) in
+        let seq = r.r_data.(slot_base r i) in
+        if seq > !best_seq then begin
+          best := k;
+          best_seq := seq
+        end
+      end
+    done;
+    let k = !best in
+    if k < 0 then acc
+    else begin
+      let i = next.(k) in
+      next.(k) <- i - 1;
+      merge (ring_event t rings.(k) i :: acc)
+    end
   in
-  List.sort
-    (fun (x : Event.t) (y : Event.t) -> compare x.Event.seq y.Event.seq)
-    (List.concat lists)
+  merge []
 
 let retained t = Array.fold_left (fun acc r -> acc + r.r_len) 0 t.rings
 let emitted t = t.emitted

@@ -4,9 +4,10 @@
 
     [Off] is free on the hot path (one field read); [Events] records
     structured events.  An event is a kind, two interned string ids and
-    two ints; the seed's unstructured trace lines are rendered from the
-    retained events by {!Event.legacy_line}, so they are exactly as
-    complete as the rings. *)
+    two ints (or, for a kind with a renderer, a name id and a detail code
+    with two int arguments, rendered to text when read); the seed's
+    unstructured trace lines are rendered from the retained events by
+    {!Event.legacy_line}, so they are exactly as complete as the rings. *)
 
 type level = Off | Events
 
@@ -41,9 +42,20 @@ val wants : t -> Event.kind -> bool
     valid only on the tracer that issued it. *)
 val string_id : t -> string -> int
 
+(** [set_renderer kind render] makes [kind]'s detail a code rather than
+    an interned id: an event of that kind stores a code in [detail_id]
+    and the code's arguments in [a] and [b], and {!events} reads it as
+    [detail = render ~detail ~a ~b] with [a = b = 0].  For a detail that
+    would otherwise be formatted per event (the kernel registers its
+    deschedule op this way, once, at module initialisation); not for use
+    once events of the kind have been emitted. *)
+val set_renderer :
+  Event.kind -> (detail:int -> a:int -> b:int -> string) -> unit
+
 (** Record one event: the only emit path.  [cpu] is the emitting processor
     id, or -1 outside the run loop; [name_id]/[detail_id] come from
-    {!string_id}.  No-op when the level is [Off] or the kind's subsystem
+    {!string_id}, or [detail_id] is a code for a kind with a renderer
+    ({!set_renderer}).  No-op when the level is [Off] or the kind's subsystem
     is filtered out. *)
 val emit :
   t ->
@@ -56,7 +68,8 @@ val emit :
   b:int ->
   unit
 
-(** All retained events, in emission order. *)
+(** All retained events, in emission order: the rings merged by seq, each
+    event's detail rendered if its kind has a renderer. *)
 val events : t -> Event.t list
 
 (** Events currently held in the rings. *)

@@ -1169,6 +1169,74 @@ let test_trace_disabled_by_default () =
   Alcotest.(check (list string)) "no trace" []
     (List.filter_map I432_obs.Event.legacy_line (K.Machine.events m))
 
+(* The seed's op text, verbatim: the renderer must reproduce it for every
+   op shape, from the three ints a traced deschedule stores. *)
+let seed_op_to_string = function
+  | K.Syscall.Send { wait = Block; _ } -> "send"
+  | K.Syscall.Receive { wait = Block; _ } -> "receive"
+  | K.Syscall.Send { wait = Timeout ns; _ } ->
+    Printf.sprintf "timed-send(%dns)" ns
+  | K.Syscall.Receive { wait = Timeout ns; _ } ->
+    Printf.sprintf "timed-receive(%dns)" ns
+  | K.Syscall.Delay ns -> Printf.sprintf "delay(%dns)" ns
+  | K.Syscall.Yield -> "yield"
+  | K.Syscall.Preempt -> "preempt"
+  | K.Syscall.Exit -> "exit"
+  | K.Syscall.Txn_try { t_receives; t_sends; t_writes; _ } ->
+    Printf.sprintf "txn-try(%dr/%ds/%dw)" (List.length t_receives)
+      (List.length t_sends) (List.length t_writes)
+
+let test_op_renderer_matches_seed () =
+  let m = Testkit.mk () in
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let msg = Testkit.alloc m () in
+  let txn r s w =
+    K.Syscall.Txn_try
+      {
+        t_key = 7;
+        t_receives = List.init r (fun _ -> port);
+        t_sends = List.init s (fun _ -> (port, msg));
+        t_writes = List.init w (fun i -> (msg, 0, i));
+      }
+  in
+  let rng = Random.State.make [| 28 |] in
+  let len () = Random.State.int rng 300 in
+  (* 65,537 is past a 16-bit field, in every position. *)
+  let wide = (1 lsl 16) + 1 in
+  let ops =
+    List.concat_map
+      (fun wait ->
+        [ K.Syscall.Send { port; msg; wait };
+          K.Syscall.Receive { port; wait } ])
+      [ K.Syscall.Block; Timeout 0; Timeout (-5); Timeout 1_000_000;
+        Timeout max_int ]
+    @ [ K.Syscall.Delay 0; Delay 123_456; Delay max_int; Delay min_int;
+        Yield; Preempt; Exit; txn 0 0 0; txn wide wide wide; txn 1 0 wide ]
+    @ List.init 40 (fun _ -> txn (len ()) (len ()) (len ()))
+  in
+  (* A tracer on which the machine's deschedule renderer is registered. *)
+  let t =
+    Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 ()
+  in
+  List.iteri
+    (fun i op ->
+      let seed = seed_op_to_string op in
+      Alcotest.(check string) "op_to_string" seed (K.Syscall.op_to_string op);
+      Obs.Tracer.emit t Obs.Event.Deschedule ~cpu:0 ~ts_ns:i ~name_id:0
+        ~detail_id:(K.Syscall.trace_detail op) ~a:(K.Syscall.trace_a op)
+        ~b:(K.Syscall.trace_b op))
+    ops;
+  Alcotest.(check (list string)) "rendered when read"
+    (List.mapi
+       (fun i op ->
+         Printf.sprintf "#%d %dns cpu0 deschedule name= detail=%s a=0 b=0" i
+           i (seed_op_to_string op))
+       ops)
+    (List.map Obs.Event.to_string (Obs.Tracer.events t));
+  Alcotest.check_raises "no op encodes to 15"
+    (Invalid_argument "Syscall.render: op code 15") (fun () ->
+      ignore (K.Syscall.render ~detail:15 ~a:0 ~b:0))
+
 let test_obj_type_helpers () =
   Alcotest.(check bool) "process is system" true (Obj_type.is_system Obj_type.Process);
   Alcotest.(check bool) "generic is not" false (Obj_type.is_system Obj_type.Generic);
@@ -1479,4 +1547,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_port_conservation;
     QCheck_alcotest.to_alcotest prop_port_many_to_many;
     QCheck_alcotest.to_alcotest prop_progress_state_audited;
+    ("op renderer matches the seed", `Quick, test_op_renderer_matches_seed);
   ]

@@ -208,6 +208,46 @@ let test_subsystem_filter () =
   Alcotest.(check bool) "off never wants" false
     (Obs.Tracer.wants off Obs.Event.Send)
 
+(* [Tracer.events] merges the rings; the model is the concat-then-sort it
+   replaced.  Random emissions on random cpus (the boot ring, each
+   processor, and out-of-range cpus, which share the boot ring) into rings
+   small enough to overflow: the model keeps each ring's newest
+   [capacity] events, concatenates the rings and sorts by seq, and the
+   merge must return exactly that list. *)
+let prop_events_merge_matches_sort =
+  QCheck2.Test.make ~name:"tracer: events = rings concatenated and sorted"
+    ~count:200
+    QCheck2.Gen.(
+      triple (int_range 1 4) (int_range 1 6)
+        (list_size (int_range 0 120) (pair (int_range (-2) 5) small_nat)))
+    (fun (processors, capacity, script) ->
+      let t =
+        Obs.Tracer.create ~capacity ~level:Obs.Tracer.Events ~processors ()
+      in
+      let rings = Array.make (processors + 1) [] in
+      List.iteri
+        (fun seq (cpu, a) ->
+          let kind = if a mod 2 = 0 then Obs.Event.Yield else Obs.Event.Wake in
+          Obs.Tracer.emit t kind ~cpu ~ts_ns:(10 * a) ~name_id:0 ~detail_id:0
+            ~a ~b:seq;
+          let ring =
+            if cpu + 1 >= 0 && cpu + 1 <= processors then cpu + 1 else 0
+          in
+          let e =
+            { Obs.Event.seq; ts_ns = 10 * a; cpu; kind; name = ""; detail = "";
+              a; b = seq }
+          in
+          rings.(ring) <-
+            List.filteri (fun i _ -> i < capacity) (e :: rings.(ring)))
+        script;
+      let model =
+        List.sort
+          (fun (x : Obs.Event.t) y -> compare x.Obs.Event.seq y.Obs.Event.seq)
+          (List.concat_map List.rev (Array.to_list rings))
+      in
+      List.map Obs.Event.to_string (Obs.Tracer.events t)
+      = List.map Obs.Event.to_string model)
+
 (* ---------------- Legacy lines, rendered from the rings ---------------- *)
 
 let test_legacy_lines_byte_identical () =
@@ -385,4 +425,5 @@ let suite =
     ("metrics: registry", `Quick, test_metrics_registry);
     ("metrics: machine instruments", `Quick, test_machine_metrics_populated);
     ("snapshot: observability fields", `Quick, test_snapshot_observability_fields);
+    QCheck_alcotest.to_alcotest prop_events_merge_matches_sort;
   ]
