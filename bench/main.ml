@@ -104,6 +104,10 @@ let micro_gates =
           Printf.sprintf
             "FAIL: cluster run allocates %.1f minor words per request > %.0f"
             r.loop.cluster_words_per_request Run_loop.cluster_words_limit
+        else if r.loop.bank_words_per_transfer > Run_loop.bank_words_limit then
+          Printf.sprintf
+            "FAIL: banking run allocates %.1f minor words per transfer > %.0f"
+            r.loop.bank_words_per_transfer Run_loop.bank_words_limit
         else
           Printf.sprintf
             "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \

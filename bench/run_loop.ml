@@ -26,9 +26,15 @@
    (4 users at 10k req/s aggregate, 500 requests each, in both modes):
    every request crosses the wire codec, the NIC pump and the ARQ, so
    the bound catches a per-round or per-frame allocation coming back
-   into the cluster round. *)
+   into the cluster round.
+
+   Last, the words per transfer of one untraced banking run (2 GDPs, 4
+   tellers, 8 accounts, 4,000 transfers, seed 1): two group commits each,
+   so a [Map] functor applied per [Txn_try] read 1,293.6 and fails; the
+   one-tally validation reads 723.5. *)
 
 module Load = I432_load
+module Banking = I432_txn.Banking
 
 let base_workers = 8
 let test_workers = 512
@@ -36,6 +42,8 @@ let limit = 2.0
 let words_limit = 380.0
 let cluster_words_limit = 620.0
 let traced_words_slack = 1.0
+let bank_transfers = 4_000
+let bank_words_limit = 900.0
 
 type result = {
   requests : int;  (* per run *)
@@ -44,6 +52,7 @@ type result = {
   traced_words_per_request : float;  (* the same run, traced *)
   cluster_requests : int;
   cluster_words_per_request : float;  (* one untraced 3-node run *)
+  bank_words_per_transfer : float;  (* one untraced banking run *)
 }
 
 let spec ~smoke =
@@ -101,12 +110,24 @@ let measure ~smoke () =
           failwith "run_loop: cluster run did not complete every request")
     /. float_of_int cluster_requests
   in
+  let bank_words_per_transfer =
+    let before = Gc.minor_words () in
+    let _, _, r =
+      Banking.run ~processors:2 ~workers:4 ~trace:false ~accounts:8
+        ~transfers:bank_transfers ~seed:1 ()
+    in
+    let words = Gc.minor_words () -. before in
+    List.iter (fun v -> failwith ("run_loop: banking run: " ^ v))
+      (Banking.violations r);
+    words /. float_of_int bank_transfers
+  in
   {
     requests;
     minor_words_per_request;
     traced_words_per_request;
     cluster_requests;
     cluster_words_per_request;
+    bank_words_per_transfer;
     paired =
       Paired.measure
         ~trials:(if smoke then 5 else 9)
@@ -120,6 +141,7 @@ let check_words r =
   r.minor_words_per_request <= words_limit
   && r.traced_words_per_request <= traced_words_limit r
   && r.cluster_words_per_request <= cluster_words_limit
+  && r.bank_words_per_transfer <= bank_words_limit
 let check r = r.paired.Paired.ratio <= limit && check_words r
 
 let print_summary r =
@@ -127,13 +149,15 @@ let print_summary r =
     "Run loop at %d vs %d workers (%d requests): %.0f vs %.0f host ns per \
      request, median ratio x%.2f (limit x%.1f); %.1f minor words per \
      request at %d (limit %.0f), %.1f traced (limit %.1f); cluster %.1f \
-     minor words per request (limit %.0f)\n"
+     minor words per request (limit %.0f); bank %.1f minor words per \
+     transfer (limit %.0f)\n"
     test_workers base_workers r.requests
     (per_request r.paired.Paired.test_ns r)
     (per_request r.paired.Paired.base_ns r)
     r.paired.Paired.ratio limit r.minor_words_per_request base_workers
     words_limit r.traced_words_per_request (traced_words_limit r)
-    r.cluster_words_per_request cluster_words_limit
+    r.cluster_words_per_request cluster_words_limit r.bank_words_per_transfer
+    bank_words_limit
 
 let to_json r =
   let open Json_out in
@@ -154,4 +178,7 @@ let to_json r =
       ( "cluster_minor_words_per_request",
         Float r.cluster_words_per_request );
       ("cluster_words_limit", Float cluster_words_limit);
+      ("bank_transfers", Int bank_transfers);
+      ("bank_minor_words_per_transfer", Float r.bank_words_per_transfer);
+      ("bank_words_limit", Float bank_words_limit);
     ]

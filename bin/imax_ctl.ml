@@ -1565,16 +1565,8 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
         (q 0.99) n
     end
   in
-  let die_unless_sound tag (r : I432_txn.Banking.result) =
-    if not (I432_txn.Banking.conserved r) then
-      die "%s: balance NOT conserved (%d != %d)" tag
-        r.I432_txn.Banking.final_total r.I432_txn.Banking.initial_total;
-    if r.I432_txn.Banking.completions <> r.I432_txn.Banking.committed then
-      die "%s: %d commits but %d completions — not exactly-once" tag
-        r.I432_txn.Banking.committed r.I432_txn.Banking.completions;
-    if r.I432_txn.Banking.dup_completions <> 0 then
-      die "%s: %d duplicate completions reached the auditor" tag
-        r.I432_txn.Banking.dup_completions
+  let die_unless_sound tag r =
+    List.iter (die "%s: %s" tag) (I432_txn.Banking.violations r)
   in
   St.fresh_path path;
   let store = St.open_ path in
@@ -1654,12 +1646,9 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
           c.Obs.Metrics.c_value)
       (txn_counters machine);
     die_unless_sound "banking" r;
-    let h = Option.get history in
     List.iter
-      (fun (name, _) ->
-        if not (I432_txn.History.verify h ~name) then
-          die "history FAILED: %s does not replay to its live state" name)
-      (I432_txn.History.tracked h);
+      (die "history FAILED: %s does not replay to its live state")
+      (I432_txn.History.diverged (Option.get history));
     Printf.printf
       "history: %d accounts tracked, every one replays to its live balance \
        (imax_ctl history acct0 --path %s)\n"
@@ -1695,13 +1684,7 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       let ckpt_store = St.open_ ckpt_path in
       let cr =
         I432_txn.Banking.run_cluster ~workers
-          ~rejoin:
-            {
-              Ckpt.store = ckpt_store;
-              ckpt_ns = 200_000;
-              kill_ns = 600_000;
-              restart_ns = Some 900_000;
-            }
+          ~rejoin:(I432_txn.Banking.rollback_window ckpt_store)
           ~accounts ~transfers ~seed ()
       in
       die_unless_sound "kill/rejoin" cr.I432_txn.Banking.res;

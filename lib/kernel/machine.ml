@@ -98,6 +98,10 @@ type monitors = {
   mon_dispatch_latency : Obs.Metrics.histogram;
   mon_port_wait : Obs.Metrics.histogram;
   mon_alloc_size : Obs.Metrics.histogram;
+  (* registered at first use: runs without transactions dump as before *)
+  mon_txn_commits : Obs.Metrics.counter Lazy.t;
+  mon_txn_conflicts : Obs.Metrics.counter Lazy.t;
+  mon_txn_dup_drops : Obs.Metrics.counter Lazy.t;
 }
 
 (* One sleep or port-wait deadline on the timer heap: live while
@@ -187,6 +191,9 @@ let make_monitors metrics =
     mon_alloc_size =
       Obs.Metrics.histogram metrics ~buckets:32 ~lo:0.0 ~hi:65536.0
         "alloc.size_bytes";
+    mon_txn_commits = lazy (Obs.Metrics.counter metrics "txn.commits");
+    mon_txn_conflicts = lazy (Obs.Metrics.counter metrics "txn.conflicts");
+    mon_txn_dup_drops = lazy (Obs.Metrics.counter metrics "txn.dup_drops");
   }
 
 (* Eligibility for dispatch onto [cpu]: in the mix, ready, and (when the
@@ -298,6 +305,8 @@ let set_fault_hook t hook = t.fault_hook <- hook
 (* Applied transaction keys, ascending (snapshot images and tests). *)
 let txn_applied_keys t =
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.txn_applied [])
+
+let count_txn_dup_drop t = Obs.Metrics.incr (Lazy.force t.mon.mon_txn_dup_drops)
 
 (* Virtual time now: the clock of the executing processor, or the max clock
    when called from outside the run loop. *)
@@ -1150,6 +1159,127 @@ let[@inline] receive_op t cpu (proc : Process.t) ~port ~wait =
       true
     | Syscall.Timeout _ | Syscall.Block -> park t cpu proc p ~wait ())
 
+(* Group-commit validation (DESIGN.md §15), one tally per distinct port in
+   ascending object-index order.  A port gives at most its queued messages
+   (parked senders do not rendezvous with a transaction) and takes at most
+   its free slots, plus those its own receives free, plus its parked
+   receivers. *)
+let rec count_port (p : Port.t) n = function
+  | [] -> n
+  | (q : Port.t) :: rest ->
+    count_port p (if q.Port.self = p.Port.self then n + 1 else n) rest
+
+let rec port_conflict recvs sends = function
+  | [] -> None
+  | (p : Port.t) :: rest ->
+    let wants = count_port p 0 recvs and puts = count_port p 0 sends in
+    let queued = Port.queue_length p in
+    if wants > queued then Some (p.Port.self, "empty")
+    else if
+      puts > p.Port.capacity - queued + wants + Queue.length p.Port.receivers
+    then Some (p.Port.self, "full")
+    else port_conflict recvs sends rest
+
+(* Write targets validate after the ports, in staging order, so the apply
+   step cannot fault. *)
+let rec write_conflict table = function
+  | [] -> None
+  | (a, offset, _) :: rest ->
+    let e = Object_table.entry_of_access table a in
+    if not (Rights.has_write (Access.rights a)) then
+      Some (e.Object_table.index, "rights")
+    else if e.Object_table.swapped_out then
+      Some (e.Object_table.index, "swapped")
+    else if offset < 0 || offset + 4 > e.Object_table.data_length then
+      Some (e.Object_table.index, "bounds")
+    else write_conflict table rest
+
+(* One atomic attempt at a multi-port group, serviced with [in_body =
+   false], so it commits at one virtual-time instant or, on a conflict,
+   touches nothing.  Never blocks.  A key that already committed replays:
+   only the sends are re-offered, best-effort, so a retrier gets its
+   completion (or returned tokens) again. *)
+let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
+    ~writes =
+  let tm = t.timings in
+  let nr = List.length receives
+  and ns = List.length sends
+  and nw = List.length writes in
+  (* Conflicts cost what commits cost, so a retry loop above the kernel
+     consumes virtual time and cannot livelock the clock. *)
+  charge t
+    ((tm.Timings.receive_ns * nr) + (tm.Timings.send_ns * ns)
+    + (tm.Timings.write_word_ns * nw));
+  consume_port_delay t;
+  let recv_ports = List.map (Port.state_of t.table) receives in
+  let send_ports = List.map (fun (a, m) -> (Port.state_of t.table a, m)) sends in
+  List.iter Port.check_receive_right receives;
+  List.iter (fun (a, _) -> Port.check_send_right a) sends;
+  let replay = key <> 0 && Hashtbl.mem t.txn_applied key in
+  let send_targets = List.map fst send_ports in
+  let ports =
+    List.sort_uniq
+      (fun (p : Port.t) (q : Port.t) -> Int.compare p.Port.self q.Port.self)
+      (recv_ports @ send_targets)
+  in
+  match
+    if replay then None
+    else
+      match port_conflict recv_ports send_targets ports with
+      | None -> write_conflict t.table writes
+      | conflict -> conflict
+  with
+  | Some (port, reason) ->
+    Obs.Metrics.incr (Lazy.force t.mon.mon_txn_conflicts);
+    proc.Process.pending <- Syscall.R_txn (Syscall.Txn_conflict { port; reason });
+    true
+  | None ->
+    (* Receives, then writes, then sends, all at this instant. *)
+    let received =
+      if replay then []
+      else
+        List.map
+          (fun p -> Option.get (receive_from t proc p) (* queued >= wants *))
+          recv_ports
+    in
+    if not replay then
+      List.iter
+        (fun (a, offset, v) -> Segment.write_i32 t.table t.memory a ~offset v)
+        writes;
+    (* The i-th send of group [k] is tagged [k + i], so cluster-level dedup
+       can drop a re-issued copy without confusing two sends of one group
+       bound for one node ([I432_txn.Txn] strides keys apart). *)
+    List.iteri
+      (fun i (p, msg) ->
+        let txn = if key = 0 then 0 else key + i in
+        let delivered = offer t proc p ~txn msg in
+        assert (delivered || replay) (* validated: a receiver or a slot *))
+      send_ports;
+    if replay then begin
+      count_txn_dup_drop t;
+      emit t Obs.Event.Txn_dup_drop ~name_id:proc.Process.trace_name_id
+        ~detail_id:0 ~a:key ~b:0
+    end
+    else begin
+      (* Room the receives freed, net of the group's own sends, admits
+         parked senders in ascending port order. *)
+      List.iter
+        (fun p ->
+          while (not (Port.is_full p)) && Port.has_blocked_sender p do
+            admit t p
+          done)
+        ports;
+      if key <> 0 then Hashtbl.replace t.txn_applied key ();
+      Obs.Metrics.incr (Lazy.force t.mon.mon_txn_commits);
+      emit t Obs.Event.Txn_commit ~name_id:proc.Process.trace_name_id
+        ~detail_id:0 ~a:key ~b:(nr + ns + nw)
+    end;
+    proc.Process.pending <-
+      Syscall.R_txn
+        (Syscall.Txn_committed
+           { received; commit_ns = cpu.Processor.clock_ns; fresh = not replay });
+    true
+
 (* Implement one syscall for the process running on [cpu].  Returns [true]
    when the process remains current (result delivered at next step), [false]
    when it was descheduled. *)
@@ -1196,151 +1326,8 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
   | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
   | Syscall.Receive { port; wait } -> receive_op t cpu proc ~port ~wait
   | Syscall.Txn_try { t_key; t_receives; t_sends; t_writes } ->
-    (* One atomic attempt at a multi-port group.  The whole syscall is
-       serviced with [in_body = false], so nothing can preempt between
-       validation and application: a group that validates commits at one
-       virtual-time instant.  Never blocks; a conflict leaves every port
-       and segment untouched and reports the first offender in
-       deterministic (ascending object-index) order. *)
-    let nr = List.length t_receives
-    and ns = List.length t_sends
-    and nw = List.length t_writes in
-    (* Conflicts cost the same virtual time as commits, so a retry loop
-       above the kernel consumes time and cannot livelock the clock. *)
-    charge t
-      ((tm.Timings.receive_ns * nr)
-      + (tm.Timings.send_ns * ns)
-      + (tm.Timings.write_word_ns * nw));
-    consume_port_delay t;
-    let recv_ports = List.map (fun a -> Port.state_of t.table a) t_receives in
-    let send_ports =
-      List.map (fun (a, m) -> (Port.state_of t.table a, m)) t_sends
-    in
-    List.iter Port.check_receive_right t_receives;
-    List.iter (fun (a, _) -> Port.check_send_right a) t_sends;
-    if t_key <> 0 && Hashtbl.mem t.txn_applied t_key then begin
-      (* The key already committed (a retried group, e.g. after a lost
-         completion).  Receives and writes must not re-apply; the sends
-         are re-issued best-effort — the reply-cache semantics a retrier
-         needs to get its completion (or returned tokens) again. *)
-      List.iteri
-        (fun i (p, msg) -> ignore (offer t proc p ~txn:(t_key + i) msg))
-        send_ports;
-      Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.dup_drops");
-      emit t Obs.Event.Txn_dup_drop ~name_id:proc.Process.trace_name_id
-        ~detail_id:0 ~a:t_key ~b:0;
-      proc.Process.pending <-
-        Syscall.R_txn
-          (Syscall.Txn_committed
-             { received = []; commit_ns = cpu.Processor.clock_ns; fresh = false });
-      true
-    end
-    else begin
-      (* Validation, ascending object-index order.  Per port, a group may
-         take at most the queued messages ([receives_from] — blocked
-         senders do not rendezvous with a transaction) and may add at most
-         the space its own receives free up, plus direct handoffs to
-         blocked receivers. *)
-      let module IM = Map.Make (Int) in
-      let bump m idx = IM.update idx (fun n -> Some (Option.value n ~default:0 + 1)) m in
-      let recvs_by_port =
-        List.fold_left (fun m (p : Port.t) -> bump m p.Port.self) IM.empty recv_ports
-      in
-      let sends_by_port =
-        List.fold_left
-          (fun m ((p : Port.t), _) -> bump m p.Port.self)
-          IM.empty send_ports
-      in
-      let port_by_index =
-        List.fold_left
-          (fun m ((p : Port.t), _) -> IM.add p.Port.self p m)
-          (List.fold_left
-             (fun m (p : Port.t) -> IM.add p.Port.self p m)
-             IM.empty recv_ports)
-          send_ports
-      in
-      let conflict = ref None in
-      IM.iter
-        (fun idx (p : Port.t) ->
-          if !conflict = None then begin
-            let wants = Option.value (IM.find_opt idx recvs_by_port) ~default:0 in
-            let puts = Option.value (IM.find_opt idx sends_by_port) ~default:0 in
-            let queued = Port.queue_length p in
-            if wants > queued then conflict := Some (idx, "empty")
-            else if
-              puts
-              > p.Port.capacity - queued + wants
-                + Queue.length p.Port.receivers
-            then conflict := Some (idx, "full")
-          end)
-        port_by_index;
-      (* Write targets validate after the ports; apply cannot fault. *)
-      List.iter
-        (fun (a, offset, _) ->
-          if !conflict = None then begin
-            let e = Object_table.entry_of_access t.table a in
-            if not (Rights.has_write (Access.rights a)) then
-              conflict := Some (e.Object_table.index, "rights")
-            else if e.Object_table.swapped_out then
-              conflict := Some (e.Object_table.index, "swapped")
-            else if offset < 0 || offset + 4 > e.Object_table.data_length then
-              conflict := Some (e.Object_table.index, "bounds")
-          end)
-        t_writes;
-      match !conflict with
-      | Some (port, reason) ->
-        Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.conflicts");
-        proc.Process.pending <-
-          Syscall.R_txn (Syscall.Txn_conflict { port; reason });
-        true
-      | None ->
-        (* Apply: receives, then writes, then sends, all at this instant.
-           Blocked senders are admitted only after the group's own sends
-           have claimed their space. *)
-        let received =
-          List.map
-            (fun p ->
-              match receive_from t proc p with
-              | Some msg -> msg
-              | None -> assert false (* validated: queued >= wants *))
-            recv_ports
-        in
-        List.iter
-          (fun (a, offset, v) -> Segment.write_i32 t.table t.memory a ~offset v)
-          t_writes;
-        (* The i-th send of group [k] is tagged [k + i]: each logical
-           send gets its own idempotency tag, so cluster-level dedup can
-           drop a re-issued copy without confusing two sends of the same
-           group bound for one node.  Key allocation (I432_txn.Txn)
-           strides keys far enough apart for the offsets. *)
-        List.iteri
-          (fun i (p, msg) ->
-            let txn = if t_key = 0 then 0 else t_key + i in
-            if not (offer t proc p ~txn msg) then
-              assert false (* validated: a receiver or a free slot *))
-          send_ports;
-        (* Space the receives freed (net of the group's sends) admits
-           blocked senders, in ascending port order. *)
-        IM.iter
-          (fun _ p ->
-            while (not (Port.is_full p)) && Port.has_blocked_sender p do
-              admit t p
-            done)
-          port_by_index;
-        if t_key <> 0 then Hashtbl.replace t.txn_applied t_key ();
-        Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.commits");
-        emit t Obs.Event.Txn_commit ~name_id:proc.Process.trace_name_id
-          ~detail_id:0 ~a:t_key ~b:(nr + ns + nw);
-        proc.Process.pending <-
-          Syscall.R_txn
-            (Syscall.Txn_committed
-               {
-                 received;
-                 commit_ns = cpu.Processor.clock_ns;
-                 fresh = true;
-               });
-        true
-    end
+    txn_op t cpu proc ~key:t_key ~receives:t_receives ~sends:t_sends
+      ~writes:t_writes
 
 (* Record a fault in a user process; faults below system level 3 are fatal
    to the whole machine (§7.3: such processes "are in general not permitted

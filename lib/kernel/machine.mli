@@ -250,6 +250,10 @@ val txn_try :
     the replayed machine state (checkpoint restores rebuild it). *)
 val txn_applied_keys : t -> int list
 
+(** Count one re-issued send of a committed group dropped, under
+    [txn.dup_drops]. *)
+val count_txn_dup_drop : t -> unit
+
 (** {1 Interconnect hooks}
 
     The kernel surface used by the virtual interconnect ({!I432_net}).  A

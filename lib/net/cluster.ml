@@ -560,8 +560,7 @@ let handle_arrival t (frame : Frame.t) ~arrival =
            sequence numbers, so only the idempotency key identifies
            them.  Acked (it did arrive), never delivered. *)
         t.txn_dup_drops <- t.txn_dup_drops + 1;
-        Obs.Metrics.incr
-          (Obs.Metrics.counter (K.Machine.metrics dst.machine) "txn.dup_drops");
+        K.Machine.count_txn_dup_drop dst.machine;
         let tr = tracer dst in
         Obs.Tracer.emit tr Obs.Event.Txn_dup_drop ~cpu:(-1) ~ts_ns:arrival
           ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0

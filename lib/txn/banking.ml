@@ -17,10 +17,8 @@
                      already escaped.  If txn2 itself aborts, the
                      compensation hook returns the held tokens.
 
-   Invariant checked by every caller: the sum of balances equals the
-   initial total at every quiescent point, every non-aborted transfer
-   completes exactly once, and replaying any tracked account's history
-   reproduces its live balance byte-for-byte. *)
+   Every caller checks a settled run with [violations] and, when it
+   tracks history, [History.diverged]. *)
 
 open I432
 open I432_util
@@ -55,6 +53,24 @@ let conserved r = r.final_total = r.initial_total
 let atomic r =
   conserved r && r.completions = r.committed && r.dup_completions = 0
 
+let violations r =
+  List.filter_map
+    (fun (holds, what) -> if holds then None else Some what)
+    [
+      ( conserved r,
+        Printf.sprintf "balance NOT conserved (%d != %d)" r.final_total
+          r.initial_total );
+      ( r.completions = r.committed,
+        Printf.sprintf "%d commits but %d completions — not exactly-once"
+          r.committed r.completions );
+      ( r.dup_completions = 0,
+        Printf.sprintf "%d duplicate completions reached the auditor"
+          r.dup_completions );
+      ( r.committed + r.aborted = r.transfers,
+        Printf.sprintf "%d commits and %d aborts for %d transfers" r.committed
+          r.aborted r.transfers );
+    ]
+
 let result_to_string r =
   Printf.sprintf
     "transfers=%d committed=%d aborted=%d completions=%d dups=%d total=%d/%d%s"
@@ -68,34 +84,6 @@ let result_to_string r =
    kill it between notes but never lose one it consumed.  Parsing happens
    after the run, outside the loop. *)
 type collector = { mutable notes : (Access.t * int option) list }
-
-let make_collector () = { notes = [] }
-
-let setup_accounts machine ~accounts =
-  Array.init accounts (fun _ ->
-      let a_bal = K.Machine.allocate_generic machine ~data_length:8 () in
-      K.Machine.write_word machine a_bal ~offset:0 initial_balance;
-      let a_port =
-        K.Machine.create_port machine ~capacity:1 ~discipline:K.Port.Fifo ()
-      in
-      let a_token = K.Machine.allocate_generic machine ~data_length:8 () in
-      { a_bal; a_port; a_token })
-
-let prime_tokens machine accts =
-  Array.iter
-    (fun a ->
-      let ok =
-        K.Machine.deliver_external machine ~port:a.a_port ~msg:a.a_token
-          ~priority:0 ()
-      in
-      assert ok)
-    accts
-
-let track_accounts history accts =
-  Array.iteri
-    (fun i a ->
-      History.track history ~name:(Printf.sprintf "acct%d" i) a.a_bal)
-    accts
 
 (* One worker's share of the transfer mix.  [done_port] may be a home
    port or a cluster surrogate; the transaction machinery is identical. *)
@@ -136,12 +124,9 @@ let worker machine ~accts ~done_port ~origin ~seed ~count ~pace_ns ?history ()
         ignore (K.Machine.cond_send machine ~port:a.a_port ~msg:tok_a);
         ignore (K.Machine.cond_send machine ~port:b.a_port ~msg:tok_b)
       in
-      (match
-         Txn.commit machine ~key ~retries:20 ~backoff_ns:4_000 ~compensate
-           ?history g
-       with
-      | Txn.Committed _ -> ()
-      | Txn.Aborted _ -> ()));
+      ignore
+        (Txn.commit machine ~key ~retries:20 ~backoff_ns:4_000 ~compensate
+           ?history g));
     if pace_ns > 0 then K.Machine.delay machine ~ns:pace_ns
   done
 
@@ -156,34 +141,29 @@ let collect machine ~done_port ~quiet_ns c =
       c.notes <- (note, Some (K.Machine.now machine)) :: c.notes
   done
 
-(* Chaos (a transient or CPU fault) can kill the auditor process itself;
-   notes still queued at quiescence were nonetheless delivered exactly
-   once, so fold them into the count (with no latency sample) before
-   judging the run.  Returns (distinct, dups, latencies). *)
-let resolve_completions machine ~done_port c =
-  let leftover =
-    List.map (fun (note, _, _, _) -> note)
-      (K.Machine.drain_port machine ~port:done_port ())
-  in
+(* The run's [result]: completions from [audit]'s [done_port], the rest
+   from [bank].  Chaos (a transient or CPU fault) can kill the auditor
+   process itself; notes still queued at quiescence were nonetheless
+   delivered exactly once, so they count too (with no latency sample). *)
+let gather ~transfers ~bank ~audit ~done_port c ~accts =
   let seen = Hashtbl.create 64 in
   let dups = ref 0 in
   let lats = ref [] in
   let one note arrival =
-    let key = K.Machine.read_word machine note ~offset:0 in
+    let key = K.Machine.read_word audit note ~offset:0 in
     if Hashtbl.mem seen key then incr dups
     else begin
       Hashtbl.replace seen key ();
       match arrival with
       | None -> ()
       | Some at ->
-        lats := (at - K.Machine.read_word machine note ~offset:4) :: !lats
+        lats := (at - K.Machine.read_word audit note ~offset:4) :: !lats
     end
   in
   List.iter (fun (note, at) -> one note at) (List.rev c.notes);
-  List.iter (fun note -> one note None) leftover;
-  (Hashtbl.length seen, !dups, List.rev !lats)
-
-let gather ~transfers ~bank ~completions:(distinct, dups, lats) ~accts =
+  List.iter
+    (fun (note, _, _, _) -> one note None)
+    (K.Machine.drain_port audit ~port:done_port ());
   let balances =
     Array.map (fun a -> K.Machine.read_word bank a.a_bal ~offset:0) accts
   in
@@ -191,9 +171,9 @@ let gather ~transfers ~bank ~completions:(distinct, dups, lats) ~accts =
     transfers;
     committed = List.length (K.Machine.txn_applied_keys bank);
     aborted = Obs.Metrics.count (K.Machine.metrics bank) "txn.aborts";
-    completions = distinct;
-    dup_completions = dups;
-    latencies = lats;
+    completions = Hashtbl.length seen;
+    dup_completions = !dups;
+    latencies = List.rev !lats;
     initial_total = Array.length accts * initial_balance;
     final_total = Array.fold_left ( + ) 0 balances;
     balances;
@@ -210,6 +190,45 @@ let completion_capacity ~cluster ~transfers =
 let max_transfers ~cluster =
   (K.Machine.max_port_capacity - 8) / if cluster then 2 else 1
 
+(* The bank side of a run, in one allocation and spawn order: each
+   account's balance, token port and primed token; history tracking; the
+   completion port [done_port ()] returns; then one teller per worker. *)
+let boot_bank machine ~workers ~pace_ns ?history_store ~done_port ~accounts
+    ~transfers ~seed () =
+  let accts =
+    Array.init accounts (fun _ ->
+        let a_bal = K.Machine.allocate_generic machine ~data_length:8 () in
+        K.Machine.write_word machine a_bal ~offset:0 initial_balance;
+        let a_port =
+          K.Machine.create_port machine ~capacity:1 ~discipline:K.Port.Fifo ()
+        in
+        let a_token = K.Machine.allocate_generic machine ~data_length:8 () in
+        let primed =
+          K.Machine.deliver_external machine ~port:a_port ~msg:a_token
+            ~priority:0 ()
+        in
+        assert primed;
+        { a_bal; a_port; a_token })
+  in
+  let history = Option.map (fun s -> History.create s machine) history_store in
+  Option.iter
+    (fun h ->
+      Array.iteri
+        (fun i a -> History.track h ~name:(Printf.sprintf "acct%d" i) a.a_bal)
+        accts)
+    history;
+  let done_port = done_port () in
+  for w = 0 to workers - 1 do
+    let count = split_transfers ~transfers ~workers w in
+    ignore
+      (K.Machine.spawn machine
+         ~name:(Printf.sprintf "teller%d" w)
+         (fun () ->
+           worker machine ~accts ~done_port ~origin:w ~seed ~count ~pace_ns
+             ?history ()))
+  done;
+  (accts, history, done_port)
+
 (* ---------------- Single machine ---------------- *)
 
 let run ?(processors = 2) ?(workers = 4) ?(pace_ns = 5_000) ?(trace = true)
@@ -224,38 +243,23 @@ let run ?(processors = 2) ?(workers = 4) ?(pace_ns = 5_000) ?(trace = true)
         }
       ()
   in
-  let accts = setup_accounts machine ~accounts in
-  prime_tokens machine accts;
-  let history =
-    match history_store with
-    | None -> None
-    | Some store ->
-      let h = History.create store machine in
-      track_accounts h accts;
-      Some h
+  let accts, history, done_port =
+    boot_bank machine ~workers ~pace_ns ?history_store ~accounts ~transfers
+      ~seed ()
+      ~done_port:(fun () ->
+        K.Machine.create_port machine
+          ~capacity:(completion_capacity ~cluster:false ~transfers)
+          ~discipline:K.Port.Fifo ())
   in
-  let done_port =
-    K.Machine.create_port machine
-      ~capacity:(completion_capacity ~cluster:false ~transfers)
-      ~discipline:K.Port.Fifo ()
-  in
-  let c = make_collector () in
-  for w = 0 to workers - 1 do
-    let count = split_transfers ~transfers ~workers w in
-    ignore
-      (K.Machine.spawn machine
-         ~name:(Printf.sprintf "teller%d" w)
-         (fun () ->
-           worker machine ~accts ~done_port ~origin:w ~seed ~count ~pace_ns
-             ?history ()))
-  done;
+  let c = { notes = [] } in
   ignore
     (K.Machine.spawn machine ~name:"auditor" (fun () ->
          collect machine ~done_port ~quiet_ns:500_000 c));
   (match plan with Some p -> Fi.arm machine p | None -> ());
   ignore (K.Machine.run machine);
-  let completions = resolve_completions machine ~done_port c in
-  (machine, history, gather ~transfers ~bank:machine ~completions ~accts)
+  ( machine,
+    history,
+    gather ~transfers ~bank:machine ~audit:machine ~done_port c ~accts )
 
 (* ---------------- Two-node cluster ---------------- *)
 
@@ -299,26 +303,12 @@ let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
     in
     Net.Cluster.export cluster ~node:audit_id ~name:"done" done_home;
     let done_port = Net.Cluster.import cluster ~node:bank_id ~name:"done" in
-    let accts = setup_accounts bank ~accounts in
-    prime_tokens bank accts;
-    let history =
-      match history_store with
-      | None -> None
-      | Some store ->
-        let h = History.create store bank in
-        track_accounts h accts;
-        Some h
+    let accts, _, _ =
+      boot_bank bank ~workers ~pace_ns ?history_store ~accounts ~transfers
+        ~seed ()
+        ~done_port:(fun () -> done_port)
     in
-    for w = 0 to workers - 1 do
-      let count = split_transfers ~transfers ~workers w in
-      ignore
-        (K.Machine.spawn bank
-           ~name:(Printf.sprintf "teller%d" w)
-           (fun () ->
-             worker bank ~accts ~done_port ~origin:w ~seed ~count ~pace_ns
-               ?history ()))
-    done;
-    let c = make_collector () in
+    let c = { notes = [] } in
     ignore
       (K.Machine.spawn audit ~name:"auditor" (fun () ->
            collect audit ~done_port:done_home ~quiet_ns:2_000_000 c));
@@ -338,10 +328,13 @@ let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
     rejoin;
   let report = Net.Cluster.run cluster ~engine ~quantum_ns () in
   (* Re-fetch: a killed bank node's machine was replaced by the replay. *)
-  let bank = Net.Cluster.machine cluster bank_id in
-  let completions =
-    resolve_completions (Net.Cluster.machine cluster audit_id)
-      ~done_port:done_home c
+  let res =
+    gather ~transfers ~bank:(Net.Cluster.machine cluster bank_id)
+      ~audit:(Net.Cluster.machine cluster audit_id) ~done_port:done_home c
+      ~accts
   in
-  let res = gather ~transfers ~bank ~completions ~accts in
   { cluster; bank_node = bank_id; audit_node = audit_id; report; res }
+
+let rollback_window store =
+  St.Checkpoint.
+    { store; ckpt_ns = 200_000; kill_ns = 600_000; restart_ns = Some 900_000 }

@@ -40,6 +40,10 @@ val conserved : result -> bool
     run keeps even when a fault kills tellers mid-mix. *)
 val atomic : result -> bool
 
+(** The settled-run verdict, one line per broken rule: conserved, every
+    commit completed once, every transfer committed or aborted. *)
+val violations : result -> string list
+
 val result_to_string : result -> string
 
 (** The most transfers a run takes: every completion must fit the
@@ -96,3 +100,8 @@ val run_cluster :
   seed:int ->
   unit ->
   cluster_run
+
+(** The rejoin that rolls commits back, checkpointing into the store:
+    checkpoint at 200 us, kill at 600 us, restart at 900 us.  Commits in
+    that window re-send completions the audit NIC must drop. *)
+val rollback_window : St.Store.t -> St.Checkpoint.rejoin

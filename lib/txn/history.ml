@@ -196,17 +196,20 @@ let replay store ~name ~to_ns =
       (records store ~name);
     Some img
 
-let live t ~name =
-  let rec find = function
-    | [] -> None
-    | tr :: rest ->
-      if String.equal tr.h_name name then
-        Some (K.Machine.read_bytes t.machine tr.h_obj ~offset:0 ~len:tr.h_len)
-      else find rest
-  in
-  find t.names
+(* Replaying [tr]'s history to its end reproduces its live bytes. *)
+let replays_live t tr =
+  match replay t.store ~name:tr.h_name ~to_ns:max_int with
+  | Some img ->
+    Bytes.equal img
+      (K.Machine.read_bytes t.machine tr.h_obj ~offset:0 ~len:tr.h_len)
+  | None -> false
 
 let verify t ~name =
-  match (live t ~name, replay t.store ~name ~to_ns:max_int) with
-  | Some l, Some r -> Bytes.equal l r
-  | _ -> false
+  match List.find_opt (fun tr -> String.equal tr.h_name name) t.names with
+  | Some tr -> replays_live t tr
+  | None -> false
+
+let diverged t =
+  List.filter_map
+    (fun tr -> if replays_live t tr then None else Some tr.h_name)
+    (List.rev t.names)

@@ -48,9 +48,10 @@ val records : St.Store.t -> name:string -> (int * int * (int * int) list) list
     [None] if no history was filed under [name]. *)
 val replay : St.Store.t -> name:string -> to_ns:int -> Bytes.t option
 
-(** The tracked object's current data image, read from the live machine. *)
-val live : t -> name:string -> Bytes.t option
-
 (** [replay] to the end of history equals the live image byte-for-byte.
     [false] for an unknown name. *)
 val verify : t -> name:string -> bool
+
+(** The tracked names, in tracking order, whose {!verify} fails: [[]]
+    when every tracked object replays to its live state. *)
+val diverged : t -> string list
