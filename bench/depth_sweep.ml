@@ -49,18 +49,22 @@ let reps_for ~smoke depth =
 
 (* ---- dispatcher ready queue: steady-state pop + re-enqueue ---- *)
 
-let dispatch_pqueue ~depth ~reps =
+let dispatch_levels ~depth ~reps =
   let d = K.Dispatch.create () in
   let prng = Prng.create ~seed:1 in
   for i = 0 to depth - 1 do
-    K.Dispatch.enqueue d ~process:i ~priority:(Prng.int prng priority_levels)
+    let process =
+      K.Process.create ~index:i ~ordinal:i ~name:"p" ~daemon:false ~priority:0
+        ~system_level:4 ignore
+    in
+    K.Dispatch.enqueue d ~process ~priority:(Prng.int prng priority_levels)
   done;
   let all = fun _ -> true in
   time_ns ~reps (fun () ->
       match K.Dispatch.pop d ~eligible:all with
-      | Some p ->
-        K.Dispatch.enqueue d ~process:p ~priority:(Prng.int prng priority_levels)
-      | None -> assert false)
+      | p when p == K.Process.none -> assert false
+      | process ->
+        K.Dispatch.enqueue d ~process ~priority:(Prng.int prng priority_levels))
 
 let dispatch_list ~depth ~reps =
   let d = Baselines.List_dispatch.create () in
@@ -141,7 +145,7 @@ type row = {
 
 let structures =
   [
-    ("dispatch-ready-queue", "pairing-heap", dispatch_pqueue);
+    ("dispatch-ready-queue", "intrusive-levels", dispatch_levels);
     ("dispatch-ready-queue", "seed-list", dispatch_list);
     ("port-priority-backlog", "pairing-heap", port_pqueue);
     ("port-priority-backlog", "seed-list", port_list);
@@ -196,7 +200,7 @@ let deltas rows =
             before.ns_per_op /. after.ns_per_op ))
         depths)
     [
-      ("dispatch-ready-queue", "pairing-heap");
+      ("dispatch-ready-queue", "intrusive-levels");
       ("port-priority-backlog", "pairing-heap");
       ("sro-free-store", "fit-tree");
     ]

@@ -109,11 +109,20 @@ let micro_gates =
             "FAIL: banking run allocates %.1f minor words per transfer > %.0f"
             r.loop.bank_words_per_transfer Run_loop.bank_words_limit
         else
-          Printf.sprintf
-            "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
-             workers"
-            r.loop.paired.ratio Run_loop.limit Run_loop.test_workers
-            Run_loop.base_workers );
+          match
+            List.find_opt
+              (fun ((p : Run_loop.probe), words) -> words > p.bound)
+              r.loop.probe_words
+          with
+          | Some (p, words) ->
+            Printf.sprintf "FAIL: %s allocates %.1f minor words > %.0f"
+              p.key words p.bound
+          | None ->
+            Printf.sprintf
+              "FAIL: run loop host time per request x%.2f > x%.1f at %d vs %d \
+               workers"
+              r.loop.paired.ratio Run_loop.limit Run_loop.test_workers
+              Run_loop.base_workers );
   ]
 
 (* The [--out PATH] among a subcommand's arguments (the first one wins;

@@ -13,37 +13,113 @@
    workers allocates per request, schedule and boot included.  That count
    is the same on every host for a given binary, so it catches an
    allocation creeping back into create-object, the schedule or the
-   dispatch path where a timing ratio could not.
+   dispatch path where a timing ratio could not.  It reads 149.7 with
+   the intrusive ready queue and the once-built syscall handler; the
+   hashed ready queue with a handler closure per syscall read 368.6.
 
    Its traced twin, the same run at trace level [Events], may allocate at
    most one word per request more: a traced event is eight stores into a
    preallocated ring, so tracing adds only the boot-time interning of
    names.  A detail formatted per event (the deschedule's op text, before
-   it became three ints rendered when the trace is read) reads 415.5
-   against 368.6 and fails it.
+   it became three ints rendered when the trace is read) read 46.9 words
+   per request more than its untraced twin and fails it.
 
    Beside it, the same count for one untraced 3-node x 2-GDP cluster run
    (4 users at 10k req/s aggregate, 500 requests each, in both modes):
    every request crosses the wire codec, the NIC pump and the ARQ, so
    the bound catches a per-round or per-frame allocation coming back
-   into the cluster round.
+   into the cluster round.  It reads 378.5; the hashed ready queue read
+   604.6.
 
    Last, the words per transfer of one untraced banking run (2 GDPs, 4
    tellers, 8 accounts, 4,000 transfers, seed 1): two group commits each,
    so a [Map] functor applied per [Txn_try] read 1,293.6 and fails; the
-   one-tally validation reads 723.5. *)
+   one-tally validation read 723.5 over the hashed ready queue and reads
+   538.1 now.
 
+   Under all of these, the syscall probes price the kernel seam itself:
+   the words one [yield], one [delay] and one send/receive round trip
+   (two sends, two receives between two processes) allocate on a bare
+   machine of 1 and of 2 GDPs.  Each is the difference between a run of
+   20,000 iterations and one of 10,000, over 10,000, so boot and teardown
+   cancel and the reading is exact.  Each is bounded at its reading:
+   - a yield, 5 words: the effect and its continuation, nothing else
+     (the hashed ready queue and a handler closure per syscall read 49);
+   - a delay, 25 words on 1 GDP and 27 on 2 (98 and 100 before): 7 for
+     the effect with its [Delay] op, 16 for its timer-heap entry, and 2
+     per processor that idles until the wake, for the option its look
+     at the heap returns;
+   - a round trip, 52 words (174 before): 20 for four effects, 14 for
+     the four op records, 8 for the two [R_msg_option (Some msg)]
+     results handed to parked receivers, 6 for the two receivers' queue
+     cells and 4 for their [Blocked_receive] statuses. *)
+
+module K = I432_kernel
 module Load = I432_load
 module Banking = I432_txn.Banking
 
 let base_workers = 8
 let test_workers = 512
 let limit = 2.0
-let words_limit = 380.0
-let cluster_words_limit = 620.0
+let words_limit = 150.0
+let cluster_words_limit = 379.0
 let traced_words_slack = 1.0
 let bank_transfers = 4_000
-let bank_words_limit = 900.0
+let bank_words_limit = 539.0
+
+(* One syscall probe: its JSON key, what one iteration does, and its
+   bound. *)
+type probe = {
+  key : string;
+  gdps : int;
+  what : string;
+  bodies : K.Machine.t -> int -> unit;  (* spawn the bodies of [n] iterations *)
+  bound : float;
+}
+
+let probe_iterations = 10_000
+
+let yields m n =
+  ignore
+    (K.Machine.spawn m ~name:"yielder" (fun () ->
+         for _ = 1 to n do
+           K.Machine.yield m
+         done))
+
+let delays m n =
+  ignore
+    (K.Machine.spawn m ~name:"sleeper" (fun () ->
+         for _ = 1 to n do
+           K.Machine.delay m ~ns:1_000
+         done))
+
+let round_trips m n =
+  let port () = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let there = port () and back = port () in
+  let msg = K.Machine.allocate_generic m () in
+  ignore
+    (K.Machine.spawn m ~name:"ping" (fun () ->
+         for _ = 1 to n do
+           K.Machine.send m ~port:there ~msg;
+           ignore (K.Machine.receive m ~port:back)
+         done));
+  ignore
+    (K.Machine.spawn m ~name:"pong" (fun () ->
+         for _ = 1 to n do
+           K.Machine.send m ~port:back ~msg:(K.Machine.receive m ~port:there)
+         done))
+
+let probes =
+  [
+    { key = "yield_words_1gdp"; gdps = 1; what = "yield"; bodies = yields; bound = 5.0 };
+    { key = "yield_words_2gdp"; gdps = 2; what = "yield"; bodies = yields; bound = 5.0 };
+    { key = "delay_words_1gdp"; gdps = 1; what = "delay"; bodies = delays; bound = 25.0 };
+    { key = "delay_words_2gdp"; gdps = 2; what = "delay"; bodies = delays; bound = 27.0 };
+    { key = "round_trip_words_1gdp"; gdps = 1; what = "round trip";
+      bodies = round_trips; bound = 52.0 };
+    { key = "round_trip_words_2gdp"; gdps = 2; what = "round trip";
+      bodies = round_trips; bound = 52.0 };
+  ]
 
 type result = {
   requests : int;  (* per run *)
@@ -53,6 +129,7 @@ type result = {
   cluster_requests : int;
   cluster_words_per_request : float;  (* one untraced 3-node run *)
   bank_words_per_transfer : float;  (* one untraced banking run *)
+  probe_words : (probe * float) list;  (* words per iteration *)
 }
 
 let spec ~smoke =
@@ -81,6 +158,22 @@ let minor_words_of f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before
+
+let words_per_iteration probe =
+  let run n =
+    minor_words_of (fun () ->
+        let m =
+          K.Machine.create
+            ~config:{ K.Machine.default_config with processors = probe.gdps }
+            ()
+        in
+        probe.bodies m n;
+        let report = K.Machine.run m in
+        if report.K.Machine.completed <> List.length (K.Machine.all_processes m)
+        then failwith ("run_loop: " ^ probe.key ^ " probe did not complete"))
+  in
+  let n = probe_iterations in
+  (run (2 * n) -. run n) /. float_of_int n
 
 let measure ~smoke () =
   let spec = spec ~smoke in
@@ -121,8 +214,10 @@ let measure ~smoke () =
       (Banking.violations r);
     words /. float_of_int bank_transfers
   in
+  let probe_words = List.map (fun p -> (p, words_per_iteration p)) probes in
   {
     requests;
+    probe_words;
     minor_words_per_request;
     traced_words_per_request;
     cluster_requests;
@@ -142,6 +237,7 @@ let check_words r =
   && r.traced_words_per_request <= traced_words_limit r
   && r.cluster_words_per_request <= cluster_words_limit
   && r.bank_words_per_transfer <= bank_words_limit
+  && List.for_all (fun (p, words) -> words <= p.bound) r.probe_words
 let check r = r.paired.Paired.ratio <= limit && check_words r
 
 let print_summary r =
@@ -157,12 +253,17 @@ let print_summary r =
     r.paired.Paired.ratio limit r.minor_words_per_request base_workers
     words_limit r.traced_words_per_request (traced_words_limit r)
     r.cluster_words_per_request cluster_words_limit r.bank_words_per_transfer
-    bank_words_limit
+    bank_words_limit;
+  List.iter
+    (fun (p, words) ->
+      Printf.printf "  %.1f minor words per %s on %d GDP%s (limit %.0f)\n" words
+        p.what p.gdps (if p.gdps = 1 then "" else "s") p.bound)
+    r.probe_words
 
 let to_json r =
   let open Json_out in
   Obj
-    [
+    ([
       ("requests", Int r.requests);
       ("base_workers", Int base_workers);
       ("test_workers", Int test_workers);
@@ -182,3 +283,7 @@ let to_json r =
       ("bank_minor_words_per_transfer", Float r.bank_words_per_transfer);
       ("bank_words_limit", Float bank_words_limit);
     ]
+    @ List.concat_map
+        (fun (p, words) ->
+          [ (p.key, Float words); (p.key ^ "_limit", Float p.bound) ])
+        r.probe_words)

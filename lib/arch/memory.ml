@@ -46,20 +46,17 @@ let write_u16 t addr v =
   Bytes.set t.bytes addr (Char.chr (v land 0xff));
   Bytes.set t.bytes (addr + 1) (Char.chr ((v lsr 8) land 0xff))
 
+(* One 32-bit load or store: the int32 is never boxed.  A write keeps
+   the low 32 bits of [v]; a read sign-extends them. *)
 let read_i32 t addr =
   check t addr 4;
   t.reads <- t.reads + 1;
-  let b i = Char.code (Bytes.get t.bytes (addr + i)) in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  (* sign-extend from 32 bits *)
-  (v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
+  Int32.to_int (Bytes.get_int32_le t.bytes addr)
 
 let write_i32 t addr v =
   check t addr 4;
   t.writes <- t.writes + 1;
-  for i = 0 to 3 do
-    Bytes.set t.bytes (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
+  Bytes.set_int32_le t.bytes addr (Int32.of_int v)
 
 let blit_from_bytes t ~src ~dst_addr =
   check t dst_addr (Bytes.length src);

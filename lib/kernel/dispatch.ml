@@ -7,93 +7,167 @@
    queue after state changes; the pop operation skips them (they re-enter
    explicitly when restarted).
 
-   Host-cost structure: a pairing heap keyed by (priority desc, seq asc)
-   replaces the seed's sorted list, turning O(n) enqueue into O(1) and the
-   front pop into O(log n), with service order unchanged bit-for-bit.
-   [remove] is lazy: instead of searching the heap it records a kill
-   boundary — every entry of that process with a sequence number below the
-   boundary is dead and gets discarded when it surfaces at pop.  Live
-   membership and queue length are incremental counters, so the O(n)
-   [List.length] per enqueue is gone too. *)
+   Host-cost structure: the queue holds processes, not object-table
+   indices, and the processes are its nodes, as the 432's dispatching
+   port queues process objects.  Each priority in use has a level, a FIFO
+   doubly linked through the processes' [q_next]/[q_prev]; the levels form
+   a chain in descending priority.  Enqueue appends at its level's tail,
+   pop walks levels and FIFOs to the first eligible process and unlinks
+   it (skipped processes keep their exact place), and remove unlinks at
+   once, so a removed process leaves nothing behind.  None of these
+   allocates or hashes: a level emptied by pops goes to a spare chain and
+   is reused for the next priority that needs one.
 
-open I432_util
+   A process enqueued while already queued gets a second entry, as in
+   the seed's sorted list: the process stays linked at its first entry's
+   key and keeps the others' keys, in service order, in [q_more]; a pop
+   relinks it at the next one.  Only this case allocates, and the
+   machine never makes it: a queued process is ready, and only a
+   non-ready or stopped one is enqueued. *)
 
-type entry = { process : int; priority : int; seq : int }
+let none = Process.none
+
+type level = {
+  mutable prio : int;
+  mutable head : Process.t;  (* [none] when empty *)
+  mutable tail : Process.t;
+  mutable lower : level;  (* the next lower priority's level, or [bottom] *)
+}
+
+(* The end of every level chain.  Nothing writes it. *)
+let rec bottom = { prio = min_int; head = none; tail = none; lower = bottom }
 
 type t = {
-  heap : entry Pqueue.t;
-  counts : (int, int) Hashtbl.t;  (* live entries per process *)
-  killed : (int, int) Hashtbl.t;  (* process -> kill boundary seq *)
+  mutable top : level;  (* highest priority, or [bottom] *)
+  mutable spare : level;  (* emptied levels for reuse, chained by [lower] *)
   mutable live : int;  (* total live entries *)
   mutable seq : int;
   mutable dispatches : int;
 }
 
-let create () =
-  {
-    heap = Pqueue.create ();
-    counts = Hashtbl.create 64;
-    killed = Hashtbl.create 16;
-    live = 0;
-    seq = 0;
-    dispatches = 0;
-  }
+let create () = { top = bottom; spare = bottom; live = 0; seq = 0; dispatches = 0 }
 
-let count t process =
-  match Hashtbl.find_opt t.counts process with Some c -> c | None -> 0
+(* The level of [priority], linked into the chain (a spare, or a fresh
+   one) when there is none. *)
+let rec level_in t above l priority =
+  if l != bottom && l.prio > priority then level_in t l l.lower priority
+  else if l != bottom && l.prio = priority then l
+  else begin
+    let fresh =
+      if t.spare == bottom then
+        { prio = priority; head = none; tail = none; lower = l }
+      else begin
+        let s = t.spare in
+        t.spare <- s.lower;
+        s.prio <- priority;
+        s.lower <- l;
+        s
+      end
+    in
+    if above == bottom then t.top <- fresh else above.lower <- fresh;
+    fresh
+  end
 
-let enqueue t ~process ~priority =
-  let e = { process; priority; seq = t.seq } in
-  t.seq <- t.seq + 1;
-  Pqueue.insert t.heap ~priority ~seq:e.seq e;
-  Hashtbl.replace t.counts process (count t process + 1);
-  t.live <- t.live + 1
+let level_of t priority = level_in t bottom t.top priority
 
-let is_dead t e =
-  match Hashtbl.find_opt t.killed e.process with
-  | Some boundary -> e.seq < boundary
-  | None -> false
+(* The last process from [q] back whose seq is below [seq]. *)
+let rec last_before seq (q : Process.t) =
+  if q != none && q.q_seq > seq then last_before seq q.q_prev else q
 
-let rec restore t = function
+(* Link [p] into its level at key ([priority], [seq]): after every entry
+   with a smaller seq — at the tail, unless [p] is taking up an older
+   entry's key. *)
+let link t (p : Process.t) ~priority ~seq =
+  let l = level_of t priority in
+  p.q_prio <- priority;
+  p.q_seq <- seq;
+  let prev = last_before seq l.tail in
+  let next = if prev == none then l.head else prev.q_next in
+  p.q_prev <- prev;
+  p.q_next <- next;
+  if prev == none then l.head <- p else prev.q_next <- p;
+  if next == none then l.tail <- p else next.q_prev <- p
+
+let unlink l (p : Process.t) =
+  let prev = p.q_prev and next = p.q_next in
+  if prev == none then l.head <- next else prev.q_next <- next;
+  if next == none then l.tail <- prev else next.q_prev <- prev;
+  p.q_prev <- none;
+  p.q_next <- none
+
+(* Insert a key newer than every other into a service-ordered key list:
+   after every key of the same or a higher priority. *)
+let rec insert_key ((priority, _) as key) = function
+  | ((q, _) as k) :: rest when q >= priority -> k :: insert_key key rest
+  | keys -> key :: keys
+
+let enqueue t ~process:(p : Process.t) ~priority =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  t.live <- t.live + 1;
+  if p.q_count = 0 then link t p ~priority ~seq
+  else if priority > p.q_prio then begin
+    (* The new entry is served first; the linked one joins the rest. *)
+    p.q_more <- (p.q_prio, p.q_seq) :: p.q_more;
+    unlink (level_of t p.q_prio) p;
+    link t p ~priority ~seq
+  end
+  else p.q_more <- insert_key (priority, seq) p.q_more;
+  p.q_count <- p.q_count + 1
+
+(* Serve [p]'s linked entry. *)
+let take t l (p : Process.t) =
+  unlink l p;
+  p.q_count <- p.q_count - 1;
+  t.live <- t.live - 1;
+  t.dispatches <- t.dispatches + 1;
+  match p.q_more with
   | [] -> ()
-  | e :: stash ->
-    Pqueue.insert t.heap ~priority:e.priority ~seq:e.seq e;
-    restore t stash
+  | (priority, seq) :: rest ->
+    p.q_more <- rest;
+    link t p ~priority ~seq
 
-(* Pop the first entry accepted by [eligible]; ineligible entries stay.
-   Skipped entries are stashed and re-inserted under their original keys,
-   which restores their exact service position.  Top-level recursion: a
-   pop builds no closure. *)
-let rec pop_from t ~eligible stash =
-  match Pqueue.pop t.heap with
-  | None ->
-    restore t stash;
-    None
-  | Some e ->
-    if is_dead t e then pop_from t ~eligible stash
-    else if eligible e.process then begin
-      restore t stash;
-      let c = count t e.process - 1 in
-      if c = 0 then Hashtbl.remove t.counts e.process
-      else Hashtbl.replace t.counts e.process c;
-      t.live <- t.live - 1;
-      t.dispatches <- t.dispatches + 1;
-      Some e.process
+let rec first_eligible eligible (p : Process.t) =
+  if p == none || eligible p then p else first_eligible eligible p.q_next
+
+(* Walk the levels from [l] down ([above] is the level before it); an
+   empty level is moved to the spare chain on the way.  Top-level
+   recursion: a pop builds no closure. *)
+let rec pop_from t ~eligible above l =
+  if l == bottom then none
+  else if l.head == none then begin
+    let lower = l.lower in
+    if above == bottom then t.top <- lower else above.lower <- lower;
+    l.lower <- t.spare;
+    t.spare <- l;
+    pop_from t ~eligible above lower
+  end
+  else
+    let p = first_eligible eligible l.head in
+    if p == none then pop_from t ~eligible l l.lower
+    else begin
+      take t l p;
+      p
     end
-    else pop_from t ~eligible (e :: stash)
 
-let pop t ~eligible = pop_from t ~eligible []
+let pop t ~eligible = pop_from t ~eligible bottom t.top
 
-let remove t ~process =
-  (match Hashtbl.find_opt t.counts process with
-  | Some c ->
-    t.live <- t.live - c;
-    Hashtbl.remove t.counts process
-  | None -> ());
-  (* Entries already in the heap all carry seq < t.seq; anything the
-     process enqueues later carries seq >= t.seq and survives. *)
-  Hashtbl.replace t.killed process t.seq
+let remove t ~process:(p : Process.t) =
+  if p.q_count > 0 then begin
+    unlink (level_of t p.q_prio) p;
+    t.live <- t.live - p.q_count;
+    p.q_count <- 0;
+    p.q_more <- []
+  end
 
-let mem t ~process = count t process > 0
+let mem (_ : t) ~(process : Process.t) = process.q_count > 0
 let length t = t.live
+
+let rec fold_level l (p : Process.t) acc =
+  if p == none then fold_level_chain l.lower acc
+  else fold_level l p.q_next (p :: acc)
+
+and fold_level_chain l acc = if l == bottom then acc else fold_level l l.head acc
+
+let to_list t = List.rev (fold_level_chain t.top [])
 let dispatches_of t = t.dispatches

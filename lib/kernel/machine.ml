@@ -116,11 +116,11 @@ type t = {
   bus : Bus.t;
   processors : Processor.t array;
   dispatch : Dispatch.t;
-  eligible : (int -> bool) array;  (* per processor: [eligible_for_dispatch] *)
+  eligible : (Process.t -> bool) array;  (* per processor: [eligible_for_dispatch] *)
   global_sro : Access.t;
   mutable current : Processor.t option;
   on_cpu : Processor.t option array;  (* per processor: [Some] it, for [current] *)
-  running : Process.t option array;  (* per processor: what [dispatch] bound *)
+  running : Process.t array;  (* per processor: what [dispatch] bound *)
   mutable in_body : bool;  (* true while a process body is executing *)
   mutable processes : Process.t list;  (* every process ever created *)
   mutable spawned : int;  (* ordinals handed out *)
@@ -201,8 +201,7 @@ let make_monitors metrics =
    realized such partitioning with multiple dispatching ports; a per-process
    binding is the equivalent observable behaviour in this model.  [create]
    partially applies it once per processor, so a pop builds no closure. *)
-let eligible_for_dispatch table ~(cpu : Processor.t) index =
-  let proc = Process.state_of_index table index in
+let eligible_for_dispatch ~(cpu : Processor.t) (proc : Process.t) =
   (not proc.Process.stopped)
   && (match proc.Process.status with
      | Process.Ready -> true
@@ -245,11 +244,11 @@ let create ?(config = default_config) () =
     processors;
     dispatch = Dispatch.create ();
     eligible =
-      Array.map (fun cpu -> eligible_for_dispatch table ~cpu) processors;
+      Array.map (fun cpu -> eligible_for_dispatch ~cpu) processors;
     global_sro;
     current = None;
     on_cpu = Array.map Option.some processors;
-    running = Array.make config.processors None;
+    running = Array.make config.processors Process.none;
     in_body = false;
     processes = [];
     spawned = 0;
@@ -354,12 +353,12 @@ let charge t ns =
   | None -> ()
   | Some p ->
     let eff = Bus.penalize t.bus ns in
-    Obs.Metrics.incr ~by:eff t.mon.mon_charged_ns;
+    Obs.Metrics.add t.mon.mon_charged_ns eff;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
-    (* [running] holds what [dispatch] bound while [current] is [Some]. *)
-    (match (p.Processor.current, t.running.(p.Processor.id)) with
-    | Some _, Some proc ->
+    (* [running] holds what [dispatch] bound while [current] is set. *)
+    if p.Processor.current >= 0 then begin
+      let proc = t.running.(p.Processor.id) in
       proc.Process.cpu_ns <- proc.Process.cpu_ns + eff;
       proc.Process.slice_used_ns <- proc.Process.slice_used_ns + eff;
       (* Injected transient instruction fault: unwinds as the running
@@ -378,7 +377,7 @@ let charge t ns =
         && proc.Process.slice_used_ns >= t.timings.Timings.time_slice_ns
         && proc.Process.status = Process.Running
       then ignore (Syscall.perform Syscall.Preempt)
-    | None, _ | Some _, None -> ())
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Checked, time-charged instruction wrappers                          *)
@@ -422,7 +421,7 @@ let allocate t sro ~data_length ~access_length ~otype =
   end;
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
   Obs.Metrics.incr t.mon.mon_allocates;
-  Obs.Metrics.observe t.mon.mon_alloc_size (float_of_int data_length);
+  Obs.Metrics.observe_int t.mon.mon_alloc_size data_length;
   emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:(Access.index access)
     ~b:data_length;
   access
@@ -503,14 +502,12 @@ let intra_call t f =
   charge t t.timings.Timings.intra_return_ns;
   v
 
-(* The process currently executing on the charging processor, if any. *)
+(* The process currently executing on the charging processor, or
+   [Process.none]. *)
 let running_process t =
   match t.current with
-  | Some p -> (
-    match p.Processor.current with
-    | Some _ -> t.running.(p.Processor.id)
-    | None -> None)
-  | None -> None
+  | Some p when p.Processor.current >= 0 -> t.running.(p.Processor.id)
+  | Some _ | None -> Process.none
 
 (* Bounded retry around [allocate]: on [Storage_exhausted], run the
    registered reclaim hook (a GC cycle, when the system wires one), back
@@ -525,11 +522,7 @@ let allocate_retry t sro ?(max_retries = 4) ?(backoff_ns = 100_000)
       if attempt > max_retries then Fault.raise_fault cause
       else begin
         Obs.Metrics.incr t.mon.mon_alloc_retries;
-        let name_id =
-          match running_process t with
-          | Some p -> p.Process.trace_name_id
-          | None -> 0
-        in
+        let name_id = (running_process t).Process.trace_name_id in
         emit t Obs.Event.Alloc_retry ~name_id ~detail_id:0 ~a:attempt
           ~b:backoff;
         (match t.reclaim_hook with
@@ -547,8 +540,9 @@ let allocate_retry t sro ?(max_retries = 4) ?(backoff_ns = 100_000)
    passed to [f] for its capability locals and destroyed on return. *)
 let call_in_context t ?(slots = 8) f =
   match running_process t with
-  | None -> Fault.raise_fault (Fault.Protocol "call_in_context outside a process")
-  | Some proc ->
+  | proc when proc == Process.none ->
+    Fault.raise_fault (Fault.Protocol "call_in_context outside a process")
+  | proc ->
     charge t t.timings.Timings.intra_call_ns;
     let depth = proc.Process.call_depth + 1 in
     let caller =
@@ -577,10 +571,9 @@ let call_in_context t ?(slots = 8) f =
 
 (* Current activation record of the running process. *)
 let current_context t =
-  match running_process t with
-  | Some proc -> (
-    match proc.Process.contexts with c :: _ -> Some c | [] -> None)
-  | None -> None
+  match (running_process t).Process.contexts with
+  | c :: _ -> Some c
+  | [] -> None
 
 (* Route faulted processes to a supervisor port (§5). *)
 let set_fault_port t port =
@@ -690,8 +683,7 @@ let set_deadline t (proc : Process.t) deadline =
 let make_ready t (proc : Process.t) =
   set_status t proc Process.Ready;
   proc.Process.last_ready_ns <- now t;
-  Dispatch.enqueue t.dispatch ~process:proc.Process.index
-    ~priority:proc.Process.priority;
+  Dispatch.enqueue t.dispatch ~process:proc ~priority:proc.Process.priority;
   Obs.Metrics.incr t.mon.mon_enqueues;
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit t Obs.Event.Ready ~name_id:proc.Process.trace_name_id ~detail_id:0
@@ -748,7 +740,7 @@ let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
    queue is full. *)
 let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
   match Port.pop_receiver p with
-  | Some r ->
+  | r when r >= 0 ->
     count_send t proc p msg;
     p.Port.receives <- p.Port.receives + 1;
     let rproc = proc_of t r in
@@ -757,8 +749,8 @@ let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
       ~a:p.Port.self ~b:(Access.index msg);
     unblock_receiver t rproc msg;
     true
-  | None when Port.is_full p -> false
-  | None ->
+  | _ when Port.is_full p -> false
+  | _ ->
     count_send t proc p msg;
     Object_table.shade t.table (Access.index msg);
     Port.enqueue ?txn p ~msg ~priority:proc.Process.priority ~now:(now t);
@@ -780,7 +772,7 @@ let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
   | None -> None
   | Some qm ->
     proc.Process.messages_received <- proc.Process.messages_received + 1;
-    Obs.Metrics.observe t.mon.mon_port_wait (float_of_int p.Port.last_wait_ns);
+    Obs.Metrics.observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
     emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:p.Port.self ~b:(Access.index qm.Port.msg);
     Some qm.Port.msg
@@ -808,8 +800,8 @@ let post t (p : Port.t) ?txn ~msg ~priority () =
   Port.enqueue ?txn p ~msg ~priority ~now:(now t);
   p.Port.sends <- p.Port.sends + 1;
   match Port.pop_receiver p with
-  | None -> false
-  | Some r ->
+  | -1 -> false
+  | r ->
     let m = Port.dequeue p ~now:(now t) |> Option.get in
     p.Port.receives <- p.Port.receives + 1;
     unblock_receiver t (proc_of t r) m;
@@ -842,7 +834,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
   | Syscall.Timeout ns ->
     set_deadline t proc (Some (cpu.Processor.clock_ns + ns))
   | Syscall.Block -> ());
-  cpu.Processor.current <- None;
+  cpu.Processor.current <- -1;
   false
 
 (* Injected port-delivery delay: charged once, at the next port syscall.
@@ -876,35 +868,8 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   in
   let e = Object_table.entry_of_access t.table access in
   let proc =
-    {
-      Process.index = e.Object_table.index;
-      ordinal = t.spawned;
-      name;
-      daemon;
-      code = Process.Not_started body;
-      status = Process.Created;
-      stopped = false;
-      priority;
-      pending = Syscall.R_unit;
-      wake_at = 0;
-      timeout_at = None;
-      timer = 0;
-      cpu_ns = 0;
-      slice_used_ns = 0;
-      last_ready_ns = 0;
-      trace_name_id = 0;
-      system_level;
-      affinity = None;
-      scheduler_port = None;
-      local_roots = [];
-      call_depth = 0;
-      contexts = [];
-      dispatches = 0;
-      preemptions = 0;
-      blocks = 0;
-      messages_sent = 0;
-      messages_received = 0;
-    }
+    Process.create ~index:e.Object_table.index ~ordinal:t.spawned ~name ~daemon
+      ~priority ~system_level body
   in
   proc.Process.trace_name_id <- string_id t name;
   e.Object_table.payload <- Some (Process.Process_state proc);
@@ -938,7 +903,7 @@ let set_stopped t access stopped =
     tally t proc 1;
     if stopped then begin
       (match proc.Process.status with
-      | Process.Ready -> Dispatch.remove t.dispatch ~process:proc.Process.index
+      | Process.Ready -> Dispatch.remove t.dispatch ~process:proc
       | Process.Created | Process.Running | Process.Blocked_send _
       | Process.Blocked_receive _ | Process.Sleeping | Process.Finished
       | Process.Faulted _ -> ());
@@ -948,8 +913,7 @@ let set_stopped t access stopped =
     else begin
       (match proc.Process.status with
       | Process.Ready ->
-        Dispatch.enqueue t.dispatch ~process:proc.Process.index
-          ~priority:proc.Process.priority
+        Dispatch.enqueue t.dispatch ~process:proc ~priority:proc.Process.priority
       | Process.Created | Process.Running | Process.Blocked_send _
       | Process.Blocked_receive _ | Process.Sleeping | Process.Finished
       | Process.Faulted _ -> ());
@@ -963,9 +927,9 @@ let set_priority t access priority =
   let proc = Process.state_of t.table access in
   proc.Process.priority <- priority;
   (* Re-sort the ready queue if the process is waiting in it. *)
-  if Dispatch.mem t.dispatch ~process:proc.Process.index then begin
-    Dispatch.remove t.dispatch ~process:proc.Process.index;
-    Dispatch.enqueue t.dispatch ~process:proc.Process.index ~priority
+  if Dispatch.mem t.dispatch ~process:proc then begin
+    Dispatch.remove t.dispatch ~process:proc;
+    Dispatch.enqueue t.dispatch ~process:proc ~priority
   end
 
 let set_scheduler_port t access port =
@@ -1109,7 +1073,7 @@ let advance_idle_clocks t ~to_ns =
   Array.iter
     (fun (p : Processor.t) ->
       if
-        p.Processor.online && p.Processor.current = None
+        p.Processor.online && p.Processor.current < 0
         && p.Processor.clock_ns < to_ns
       then begin
         p.Processor.idle_ns <- p.Processor.idle_ns + (to_ns - p.Processor.clock_ns);
@@ -1291,7 +1255,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     emit t Obs.Event.Yield ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
     proc.Process.pending <- Syscall.R_unit;
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     ready_or_hold t proc;
     false
   | Syscall.Preempt ->
@@ -1303,7 +1267,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     Obs.Metrics.incr t.mon.mon_preemptions;
     emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     ready_or_hold t proc;
     false
   | Syscall.Exit ->
@@ -1311,7 +1275,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.code <- Process.Terminated;
     emit t Obs.Event.Exit ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     false
   | Syscall.Delay ns ->
     if ns < 0 then invalid_arg "delay: negative";
@@ -1321,7 +1285,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     set_status t proc Process.Sleeping;
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
     arm_timer t proc proc.Process.wake_at;
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     false
   | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
   | Syscall.Receive { port; wait } -> receive_op t cpu proc ~port ~wait
@@ -1374,17 +1338,17 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
   match outcome with
   | Process.Completed ->
     set_status t proc Process.Finished;
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     emit_on t cpu Obs.Event.Finish ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:0 ~b:0
   | Process.Raised (Fault.Fault cause) ->
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     record_fault t proc cause
   | Process.Raised e ->
-    cpu.Processor.current <- None;
+    cpu.Processor.current <- -1;
     record_fault t proc (Fault.Protocol (Printexc.to_string e))
-  | Process.Pending (op, k) -> (
-    proc.Process.code <- Process.Suspended k;
+  | Process.Pending -> (
+    let op = proc.Process.op in
     t.current <- t.on_cpu.(cpu.Processor.id);
     (* Faults detected while servicing the syscall (rights, types) are
        the faulting process's own. *)
@@ -1401,7 +1365,7 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
           ~b:(Syscall.trace_b op)
     | exception Fault.Fault cause ->
       t.current <- None;
-      cpu.Processor.current <- None;
+      cpu.Processor.current <- -1;
       record_fault t proc cause)
 
 (* ------------------------------------------------------------------ *)
@@ -1424,16 +1388,16 @@ let fail_processor t id =
     Obs.Metrics.incr t.mon.mon_cpu_offline;
     emit_on t cpu Obs.Event.Cpu_offline ~name_id:0 ~detail_id:0 ~a:id ~b:0;
     (match cpu.Processor.current with
-    | Some pi ->
-      cpu.Processor.current <- None;
-      let proc = proc_of t pi in
+    | pi when pi >= 0 ->
+      cpu.Processor.current <- -1;
+      let proc = t.running.(id) in
       proc.Process.slice_used_ns <- 0;
       set_binding t proc None;
       Obs.Metrics.incr t.mon.mon_requeues;
       emit_on t cpu Obs.Event.Proc_requeued ~name_id:proc.Process.trace_name_id
         ~detail_id:0 ~a:pi ~b:id;
       ready_or_hold t proc
-    | None -> ());
+    | _ -> ());
     List.iter
       (fun (proc : Process.t) ->
         match proc.Process.affinity with
@@ -1514,26 +1478,39 @@ let wake_sleeper t (proc : Process.t) =
     ready_or_hold t proc
   | _ -> ()
 
+let give_up t (proc : Process.t) pi ~b result =
+  Obs.Metrics.incr t.mon.mon_timeouts;
+  emit t Obs.Event.Timeout_fired ~name_id:proc.Process.trace_name_id
+    ~detail_id:0 ~a:pi ~b;
+  wake t proc result
+
 (* An expired deadline surgically removes its process from the port's
    blocked queue and delivers the documented give-up result. *)
 let expire t (proc : Process.t) =
-  let give_up pi ~b result =
-    Obs.Metrics.incr t.mon.mon_timeouts;
-    emit t Obs.Event.Timeout_fired ~name_id:proc.Process.trace_name_id
-      ~detail_id:0 ~a:pi ~b;
-    wake t proc result
-  in
   match proc.Process.status with
   | Process.Blocked_receive pi ->
     let p = Port.state_of_index t.table pi in
     ignore (Port.remove_receiver p ~index:proc.Process.index);
-    give_up pi ~b:1 (Syscall.R_msg_option None)
+    give_up t proc pi ~b:1 (Syscall.R_msg_option None)
   | Process.Blocked_send pi ->
     let p = Port.state_of_index t.table pi in
     (* The parked message is withdrawn with its sender. *)
     ignore (Port.remove_sender p ~index:proc.Process.index);
-    give_up pi ~b:0 (Syscall.R_accepted false)
+    give_up t proc pi ~b:0 (Syscall.R_accepted false)
   | _ -> ()
+
+(* Top-level loops: a partial application per fire would allocate. *)
+let rec wake_sleepers t = function
+  | [] -> ()
+  | proc :: rest ->
+    wake_sleeper t proc;
+    wake_sleepers t rest
+
+let rec expire_all t = function
+  | [] -> ()
+  | proc :: rest ->
+    expire t proc;
+    expire_all t rest
 
 (* Wake the sleepers and expire the port-wait deadlines due at [horizon]
    (DESIGN.md §6), in the order the run loop always used: every sleeper
@@ -1541,6 +1518,10 @@ let expire t (proc : Process.t) =
 let fire_timers t ~horizon =
   match pop_due t ~horizon [] with
   | [] -> ()
+  | [ proc ] ->
+    (* One due timer, the common case, needs no sort. *)
+    wake_sleeper t proc;
+    expire t proc
   | due ->
     let due =
       List.sort
@@ -1548,8 +1529,8 @@ let fire_timers t ~horizon =
           Int.compare b.Process.ordinal a.Process.ordinal)
         due
     in
-    List.iter (wake_sleeper t) due;
-    List.iter (expire t) due
+    wake_sleepers t due;
+    expire_all t due
 
 (* The earliest live timer, or [min_int] when none is armed; stale
    entries at the front are dropped on the way. *)
@@ -1597,9 +1578,8 @@ let can_progress t =
     let p = t.processors.(i) in
     if p.Processor.online then begin
       any_online := true;
-      match p.Processor.current with
-      | Some _ -> runnable := true
-      | None -> if t.n_ready_bound.(i) > 0 then runnable := true
+      if p.Processor.current >= 0 || t.n_ready_bound.(i) > 0 then
+        runnable := true
     end
   done;
   !runnable || (!any_online && t.n_ready_unbound > 0)
@@ -1622,9 +1602,7 @@ let idle_target t (cpu : Processor.t) =
     let p = t.processors.(i) in
     if i <> cpu.Processor.id then begin
       let next = p.Processor.clock_ns + 1 in
-      (match p.Processor.current with
-      | Some _ -> acc := earlier ~now next !acc
-      | None -> ());
+      if p.Processor.current >= 0 then acc := earlier ~now next !acc;
       if p.Processor.online then begin
         next_online := earlier ~now next !next_online;
         if t.n_ready_bound.(i) > 0 then acc := earlier ~now next !acc
@@ -1636,18 +1614,17 @@ let idle_target t (cpu : Processor.t) =
   in
   earlier ~now (next_timer t) acc
 
-(* Bind the ready process [index] to the idle processor [cpu]. *)
-let dispatch t (cpu : Processor.t) index =
-  let proc = proc_of t index in
+(* Bind the ready process [proc] to the idle processor [cpu]. *)
+let dispatch t (cpu : Processor.t) (proc : Process.t) =
   set_status t proc Process.Running;
   proc.Process.slice_used_ns <- 0;
   proc.Process.dispatches <- proc.Process.dispatches + 1;
-  cpu.Processor.current <- Some index;
-  t.running.(cpu.Processor.id) <- Some proc;
+  cpu.Processor.current <- proc.Process.index;
+  t.running.(cpu.Processor.id) <- proc;
   cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
   Obs.Metrics.incr t.mon.mon_dispatches;
-  Obs.Metrics.observe t.mon.mon_dispatch_latency
-    (float_of_int (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns)));
+  Obs.Metrics.observe_int t.mon.mon_dispatch_latency
+    (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns));
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit_on t cpu Obs.Event.Dispatch ~name_id:proc.Process.trace_name_id
     ~detail_id:0 ~a:cpu.Processor.id ~b:0;
@@ -1664,16 +1641,16 @@ let step t (cpu : Processor.t) ~max_ns =
   t.current <- t.on_cpu.(cpu.Processor.id);
   fire_timers t ~horizon:cpu.Processor.clock_ns;
   t.current <- None;
-  match (cpu.Processor.current, t.running.(cpu.Processor.id)) with
-  | Some _, Some proc ->
-    step_process t cpu proc;
+  if cpu.Processor.current >= 0 then begin
+    step_process t cpu t.running.(cpu.Processor.id);
     true
-  | None, _ | Some _, None -> (
+  end
+  else
     match Dispatch.pop t.dispatch ~eligible:t.eligible.(cpu.Processor.id) with
-    | Some index ->
-      dispatch t cpu index;
+    | proc when proc != Process.none ->
+      dispatch t cpu proc;
       true
-    | None ->
+    | _ ->
       let target = idle_target t cpu in
       target > cpu.Processor.clock_ns
       &&
@@ -1685,7 +1662,7 @@ let step t (cpu : Processor.t) ~max_ns =
       cpu.Processor.idle_ns <-
         cpu.Processor.idle_ns + (target - cpu.Processor.clock_ns);
       cpu.Processor.clock_ns <- target;
-      true)
+      true
 
 type progress = {
   local_work : int;

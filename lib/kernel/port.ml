@@ -156,19 +156,21 @@ let dequeue_entry t ~now =
     | M_fifo rb -> Ring_buffer.pop rb
     | M_prio q -> Pqueue.pop q
   in
-  match front with
-  | None -> None
+  (match front with
+  | None -> ()
   | Some qm ->
     (* Clamp: the receiver's processor clock can trail the sender's. *)
     let wait = max 0 (now - qm.enqueued_at) in
     t.total_queue_wait_ns <- t.total_queue_wait_ns + wait;
-    t.last_wait_ns <- wait;
-    Some qm
+    t.last_wait_ns <- wait);
+  front
 
 let dequeue t ~now =
   match dequeue_entry t ~now with None -> None | Some qm -> Some qm.msg
 
-let pop_receiver t = Queue.take_opt t.receivers
+(* The first parked receiver's process index, or -1. *)
+let pop_receiver t =
+  if Queue.is_empty t.receivers then -1 else Queue.take t.receivers
 let push_receiver t index = Queue.push index t.receivers
 
 let pop_sender t =

@@ -87,7 +87,9 @@ val dequeue : t -> now:int -> Access.t option
     layer preserves [msg_priority] across the wire and stamps the outgoing
     frame with [enqueued_at]. *)
 val dequeue_entry : t -> now:int -> queued_message option
-val pop_receiver : t -> int option
+
+(** The first parked receiver's process index, or [-1] when none. *)
+val pop_receiver : t -> int
 val push_receiver : t -> int -> unit
 val pop_sender : t -> waiting_sender option
 val push_sender : t -> sender:int -> msg:Access.t -> priority:int -> unit

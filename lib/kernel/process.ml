@@ -11,7 +11,16 @@
    The [stopped] flag and the scheduler notification port implement the
    kernel half of the basic process manager's contract (§6.1): iMAX keeps
    the nested stop/start counts; the kernel keeps a single in/out-of-mix
-   bit and tells the scheduler whenever it flips. *)
+   bit and tells the scheduler whenever it flips.
+
+   Host-cost structure: a syscall allocates only the effect and its
+   continuation.  The handler is built once per process ([start_body]);
+   its [effc] parks the op in [op] and returns the same prebuilt [Some]
+   every time, whose function parks the continuation in the process's
+   one [Suspended] block, allocated at the first syscall and rewritten
+   after.  [Pending] carries nothing.  The dispatching port's queue
+   state lives here too ([q_*], see {!Dispatch}): a process is its own
+   ready-queue node, so queueing it allocates nothing. *)
 
 open I432
 
@@ -28,11 +37,13 @@ type status =
 type outcome =
   | Completed
   | Raised of exn
-  | Pending of Syscall.op * (Syscall.result, outcome) Effect.Deep.continuation
+  | Pending  (* the op is in [op], the continuation in [code] *)
 
 type code =
   | Not_started of (unit -> unit)
-  | Suspended of (Syscall.result, outcome) Effect.Deep.continuation
+  | Suspended of {
+      mutable k : (Syscall.result, outcome) Effect.Deep.continuation;
+    }
   | Terminated
 
 type t = {
@@ -63,9 +74,69 @@ type t = {
   mutable blocks : int;
   mutable messages_sent : int;
   mutable messages_received : int;
+  mutable op : Syscall.op;  (* the syscall parked by the last [Pending] *)
+  (* Dispatching-port queue state, kept by Dispatch alone. *)
+  mutable q_next : t;  (* FIFO neighbours in its priority level *)
+  mutable q_prev : t;
+  mutable q_prio : int;  (* key of its linked entry *)
+  mutable q_seq : int;
+  mutable q_count : int;  (* live entries *)
+  mutable q_more : (int * int) list;  (* keys of the others, served later *)
 }
 
 type Object_table.payload += Process_state of t
+
+(* The absent process: queue links and empty processor slots point here.
+   Nothing ever writes its fields. *)
+let rec none =
+  {
+    index = -1;
+    ordinal = -1;
+    name = "";
+    daemon = true;
+    code = Terminated;
+    status = Created;
+    stopped = false;
+    priority = 0;
+    pending = Syscall.R_unit;
+    wake_at = 0;
+    timeout_at = None;
+    timer = 0;
+    cpu_ns = 0;
+    slice_used_ns = 0;
+    last_ready_ns = 0;
+    trace_name_id = 0;
+    system_level = 4;
+    affinity = None;
+    scheduler_port = None;
+    local_roots = [];
+    call_depth = 0;
+    contexts = [];
+    dispatches = 0;
+    preemptions = 0;
+    blocks = 0;
+    messages_sent = 0;
+    messages_received = 0;
+    op = Syscall.Yield;
+    q_next = none;
+    q_prev = none;
+    q_prio = 0;
+    q_seq = 0;
+    q_count = 0;
+    q_more = [];
+  }
+
+let create ~index ~ordinal ~name ~daemon ~priority ~system_level body =
+  {
+    none with
+    index;
+    ordinal;
+    name;
+    daemon;
+    code = Not_started body;
+    priority;
+    system_level;
+  }
 
 let state_of table access =
   Segment.check_type table access Obj_type.Process;
@@ -82,34 +153,51 @@ let state_of_index table index =
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "process object has no process state")
 
-(* Run the body until its first syscall, completion, or exception. *)
-let start_body body =
+(* Run the body until its first syscall, completion, or exception.  The
+   handler and the [Some] its [effc] returns are built here, once per
+   process: matching [Syscall.Syscall] refines the effect's result type to
+   [Syscall.result], so the one prebuilt [park] fits every syscall. *)
+let start_body t body =
+  let park =
+    Some
+      (fun k ->
+        (match t.code with
+        | Suspended s -> s.k <- k
+        | Not_started _ | Terminated -> t.code <- Suspended { k });
+        Pending)
+  in
   let handler =
     {
-      Effect.Deep.retc = (fun () -> Completed);
-      exnc = (fun e -> Raised e);
+      Effect.Deep.retc =
+        (fun () ->
+          t.code <- Terminated;
+          Completed);
+      exnc =
+        (fun e ->
+          t.code <- Terminated;
+          Raised e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, outcome) Effect.Deep.continuation -> outcome) option ->
           match eff with
           | Syscall.Syscall op ->
-            Some
-              (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                Pending (op, k))
+            t.op <- op;
+            park
           | _ -> None);
     }
   in
   Effect.Deep.match_with body () handler
 
-(* Advance the coroutine one step, delivering the pending syscall result. *)
+(* Advance the coroutine one step, delivering the pending syscall result.
+   A continuation resumes once: stepping a process whose body is already
+   running raises [Effect.Continuation_already_resumed]. *)
 let step t =
   match t.code with
+  | Suspended s -> Effect.Deep.continue s.k t.pending
   | Not_started body ->
     t.code <- Terminated;
-    (* replaced below if the body suspends *)
-    start_body body
-  | Suspended k ->
-    t.code <- Terminated;
-    Effect.Deep.continue k t.pending
+    (* [park] replaces it at the first syscall *)
+    start_body t body
   | Terminated ->
     Fault.raise_fault (Fault.Protocol "stepping a terminated process")
 

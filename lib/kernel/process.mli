@@ -20,11 +20,16 @@ type status =
 type outcome =
   | Completed
   | Raised of exn
-  | Pending of Syscall.op * (Syscall.result, outcome) Effect.Deep.continuation
+  | Pending
+      (** the body performed a syscall: the op is in [op], the
+          continuation in [code] *)
 
 type code =
   | Not_started of (unit -> unit)
-  | Suspended of (Syscall.result, outcome) Effect.Deep.continuation
+  | Suspended of {
+      mutable k : (Syscall.result, outcome) Effect.Deep.continuation;
+    }
+      (** one block per process, rewritten at every syscall *)
   | Terminated
 
 type t = {
@@ -60,9 +65,35 @@ type t = {
   mutable blocks : int;
   mutable messages_sent : int;
   mutable messages_received : int;
+  mutable op : Syscall.op;  (** the syscall parked by the last [Pending] *)
+  mutable q_next : t;
+      (** dispatching-port queue state, kept by {!Dispatch} alone: FIFO
+          neighbours within a priority level ({!none} at either end) *)
+  mutable q_prev : t;
+  mutable q_prio : int;  (** key of the linked entry *)
+  mutable q_seq : int;
+  mutable q_count : int;  (** live ready-queue entries *)
+  mutable q_more : (int * int) list;
+      (** keys [(priority, seq)] of the entries beyond the linked one, in
+          service order; empty unless a queued process is enqueued again *)
 }
 
 type Object_table.payload += Process_state of t
+
+(** The absent process: the end of every queue link and the occupant of
+    an empty processor slot.  Never dispatched; nothing writes it. *)
+val none : t
+
+(** A fresh process in state [Created], out of every queue. *)
+val create :
+  index:int ->
+  ordinal:int ->
+  name:string ->
+  daemon:bool ->
+  priority:int ->
+  system_level:int ->
+  (unit -> unit) ->
+  t
 
 (** Resolve a process object (checked for hardware type). *)
 val state_of : Object_table.t -> Access.t -> t
@@ -70,7 +101,8 @@ val state_of : Object_table.t -> Access.t -> t
 val state_of_index : Object_table.t -> int -> t
 
 (** Advance the coroutine to its next syscall, completion, or exception,
-    delivering the pending result. *)
+    delivering the pending result.  The handler is built at the first
+    step; later steps allocate only what the effect itself does. *)
 val step : t -> outcome
 
 val is_terminal : t -> bool

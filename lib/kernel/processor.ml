@@ -11,7 +11,7 @@ type t = {
   id : int;
   self : int;  (* object-table index of the processor object *)
   mutable clock_ns : int;
-  mutable current : int option;  (* running process object index *)
+  mutable current : int;  (* running process object index; -1 for none *)
   mutable busy_ns : int;
   mutable idle_ns : int;
   mutable dispatches : int;
@@ -26,7 +26,7 @@ let make ~id ~self =
     id;
     self;
     clock_ns = 0;
-    current = None;
+    current = -1;
     busy_ns = 0;
     idle_ns = 0;
     dispatches = 0;

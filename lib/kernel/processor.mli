@@ -8,7 +8,7 @@ type t = {
   id : int;
   self : int;  (** object-table index of the processor object *)
   mutable clock_ns : int;
-  mutable current : int option;  (** running process object index *)
+  mutable current : int;  (** running process object index; [-1] for none *)
   mutable busy_ns : int;
   mutable idle_ns : int;
   mutable dispatches : int;

@@ -269,9 +269,8 @@ let state_image machine =
           c.Processor.idle_ns c.Processor.dispatches
           (if c.Processor.online then "" else " offline")
           (if c.Processor.transient_pending then " transient" else "")
-          (match c.Processor.current with
-          | None -> "-"
-          | Some i -> string_of_int i)
+          (if c.Processor.current < 0 then "-"
+           else string_of_int c.Processor.current)
       | Some (Sro.Sro_state _) ->
         let access =
           Access.make ~index:e.Object_table.index ~rights:Rights.full

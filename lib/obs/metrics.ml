@@ -57,6 +57,7 @@ let counter t name =
     c
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
 let gauge t name =
@@ -79,6 +80,7 @@ let histogram t ?(buckets = 32) ?(lo = 0.0) ?(hi = 1.0e6) name =
     h
 
 let observe h x = Stats.hist_observe h.m_hist x
+let observe_int h n = Stats.hist_observe_int h.m_hist n
 
 (* Log-bucketed histograms: quantile-capable over multi-decade ranges
    (request latencies).  Defaults cover 10 ns .. 10 s of virtual time at
@@ -116,7 +118,7 @@ let hist_json (h : Stats.hist) =
       ("lo", Float h.Stats.h_lo);
       ("hi", Float h.Stats.h_hi);
       ("count", Int h.Stats.h_count);
-      ("sum", Float h.Stats.h_sum);
+      ("sum", Float (Stats.hist_sum h));
       ("mean", Float (Stats.hist_mean h));
       ( "min",
         if h.Stats.h_count = 0 then Null else Float h.Stats.h_min );

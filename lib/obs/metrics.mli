@@ -20,6 +20,10 @@ val create : unit -> t
 val counter : t -> string -> counter
 
 val incr : ?by:int -> counter -> unit
+
+(** [incr ~by:n], without the option an optional argument allocates: for
+    per-instruction counts. *)
+val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
@@ -30,6 +34,10 @@ val gauge_value : gauge -> int
 val histogram : t -> ?buckets:int -> ?lo:float -> ?hi:float -> string -> histogram
 
 val observe : histogram -> float -> unit
+
+(** [observe h (float_of_int n)], byte for byte, without boxing the
+    float: the entry point for integer observations such as virtual ns. *)
+val observe_int : histogram -> int -> unit
 
 (** Log-bucketed quantile histogram ({!Stats.log_hist}); the shape
     arguments apply only on first creation of the name.  Defaults span

@@ -78,7 +78,7 @@ type hist = {
   mutable h_underflow : int;
   mutable h_overflow : int;
   mutable h_count : int;  (* finite observations, including under/overflow *)
-  mutable h_sum : float;
+  h_sum : float array;  (* one cell, stored unboxed: adding allocates nothing *)
   mutable h_min : float;
   mutable h_max : float;
 }
@@ -93,15 +93,17 @@ let hist_create ~buckets ~lo ~hi () =
     h_underflow = 0;
     h_overflow = 0;
     h_count = 0;
-    h_sum = 0.0;
+    h_sum = [| 0.0 |];
     h_min = infinity;
     h_max = neg_infinity;
   }
 
-let hist_observe h x =
+let hist_sum h = h.h_sum.(0)
+
+let[@inline] hist_observe h x =
   if not (Float.is_nan x) then begin
     h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. x;
+    h.h_sum.(0) <- h.h_sum.(0) +. x;
     if x < h.h_min then h.h_min <- x;
     if x > h.h_max then h.h_max <- x;
     if x < h.h_lo then h.h_underflow <- h.h_underflow + 1
@@ -115,8 +117,11 @@ let hist_observe h x =
     end
   end
 
+(* The same body inlined over an int: the float is never boxed. *)
+let hist_observe_int h n = hist_observe h (float_of_int n)
+
 let hist_mean h =
-  if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
+  if h.h_count = 0 then 0.0 else hist_sum h /. float_of_int h.h_count
 
 (* Fold [src] into [dst].  Requires identical shape (same bucket count and
    range), so per-node histograms created from the same instrumentation
@@ -131,7 +136,7 @@ let hist_merge_into ~dst ~src =
   dst.h_underflow <- dst.h_underflow + src.h_underflow;
   dst.h_overflow <- dst.h_overflow + src.h_overflow;
   dst.h_count <- dst.h_count + src.h_count;
-  dst.h_sum <- dst.h_sum +. src.h_sum;
+  dst.h_sum.(0) <- hist_sum dst +. hist_sum src;
   if src.h_min < dst.h_min then dst.h_min <- src.h_min;
   if src.h_max > dst.h_max then dst.h_max <- src.h_max
 

@@ -40,7 +40,9 @@ type hist = {
   mutable h_underflow : int;  (** observations below [lo] *)
   mutable h_overflow : int;  (** observations at or above [hi] *)
   mutable h_count : int;  (** all finite observations *)
-  mutable h_sum : float;
+  h_sum : float array;
+      (** one cell, the sum ({!hist_sum}); a float array keeps it unboxed,
+          so an observation allocates nothing *)
   mutable h_min : float;  (** [infinity] when empty *)
   mutable h_max : float;  (** [neg_infinity] when empty *)
 }
@@ -49,6 +51,12 @@ type hist = {
 val hist_create : buckets:int -> lo:float -> hi:float -> unit -> hist
 
 val hist_observe : hist -> float -> unit
+
+(** The sum of every finite observation. *)
+val hist_sum : hist -> float
+
+(** [hist_observe h (float_of_int n)] without boxing the float. *)
+val hist_observe_int : hist -> int -> unit
 
 (** 0.0 when empty. *)
 val hist_mean : hist -> float

@@ -3,8 +3,9 @@
    Each property drives the live implementation and an inline reference
    model (the seed's O(n) sorted-list algorithm) with the same random op
    script and demands observational equality at every step.  This is the
-   evidence that swapping pairing heaps / fit trees under Dispatch, Port,
-   and Sro changed host cost only — service order, placement, and
+   evidence that the intrusive ready queue under Dispatch, the pairing
+   heaps under Port, the fit trees under Sro and the single-load memory
+   words changed host cost only — service order, placement, and
    statistics are bit-identical, which is what keeps every E1-E11
    virtual-time number unchanged. *)
 
@@ -92,7 +93,12 @@ module Model_dispatch = struct
   let length t = List.length t.ready
 end
 
-type dispatch_op = D_enq of int * int | D_pop of int | D_rem of int
+type dispatch_op =
+  | D_enq of int * int
+  | D_pop of int
+  | D_rem of int
+  | D_requeue of int * int  (* remove, then enqueue: a re-enqueue after remove *)
+  | D_reprio of int * int  (* [Machine.set_priority]: the same, if queued *)
 
 let dispatch_op_gen =
   QCheck2.Gen.(
@@ -101,34 +107,84 @@ let dispatch_op_gen =
         map2 (fun p prio -> D_enq (p, prio)) (int_range 0 7) (int_range 0 5);
         map (fun k -> D_pop k) (int_range 0 4);
         map (fun p -> D_rem p) (int_range 0 7);
+        map2 (fun p prio -> D_requeue (p, prio)) (int_range 0 7) (int_range 0 5);
+        map2 (fun p prio -> D_reprio (p, prio)) (int_range 0 7) (int_range 0 5);
       ])
+
+(* The queue holds processes; process [i] has object-table index [i]. *)
+let dispatch_procs () =
+  Array.init 8 (fun index ->
+      K.Process.create ~index ~ordinal:index ~name:"p" ~daemon:false
+        ~priority:0 ~system_level:4 ignore)
+
+(* A removed process keeps no queue state: no entry, no link, no key, and
+   no place in the queue's walk. *)
+let left_nothing d (p : K.Process.t) =
+  (not (K.Dispatch.mem d ~process:p))
+  && p.K.Process.q_count = 0
+  && p.K.Process.q_next == K.Process.none
+  && p.K.Process.q_prev == K.Process.none
+  && p.K.Process.q_more = []
+  && not (List.memq p (K.Dispatch.to_list d))
+
+(* The model's processes in the order of their first entries: the order
+   the live queue links them in. *)
+let first_entries (m : Model_dispatch.t) =
+  List.fold_left
+    (fun acc (e : Model_dispatch.entry) ->
+      if List.mem e.process acc then acc else e.process :: acc)
+    [] m.ready
+  |> List.rev
 
 let prop_dispatch_matches_model =
   QCheck2.Test.make ~name:"dispatch = seed sorted-list ready queue" ~count:300
     QCheck2.Gen.(list dispatch_op_gen)
     (fun script ->
       let d = K.Dispatch.create () in
+      let procs = dispatch_procs () in
       let m = Model_dispatch.create () in
+      let remove process =
+        K.Dispatch.remove d ~process:procs.(process);
+        Model_dispatch.remove m ~process;
+        left_nothing d procs.(process)
+      in
+      let enqueue process priority =
+        K.Dispatch.enqueue d ~process:procs.(process) ~priority;
+        Model_dispatch.enqueue m ~process ~priority
+      in
       List.for_all
         (fun op ->
           (match op with
           | D_enq (process, priority) ->
-            K.Dispatch.enqueue d ~process ~priority;
-            Model_dispatch.enqueue m ~process ~priority;
+            enqueue process priority;
             true
           | D_pop k ->
             (* k = 4 accepts everyone; otherwise processes congruent to k
                mod 4 are ineligible and must keep their position. *)
             let eligible p = k = 4 || p mod 4 <> k in
-            K.Dispatch.pop d ~eligible = Model_dispatch.pop m ~eligible
-          | D_rem process ->
-            K.Dispatch.remove d ~process;
-            Model_dispatch.remove m ~process;
-            true)
+            let got =
+              K.Dispatch.pop d ~eligible:(fun p -> eligible p.K.Process.index)
+            in
+            (if got == K.Process.none then None else Some got.K.Process.index)
+            = Model_dispatch.pop m ~eligible
+          | D_rem process -> remove process
+          | D_requeue (process, priority) ->
+            let clean = remove process in
+            enqueue process priority;
+            clean
+          | D_reprio (process, priority) ->
+            (not (Model_dispatch.mem m ~process))
+            ||
+            let clean = remove process in
+            enqueue process priority;
+            clean)
           && K.Dispatch.length d = Model_dispatch.length m
+          && List.map (fun p -> p.K.Process.index) (K.Dispatch.to_list d)
+             = first_entries m
           && List.for_all
                (fun p ->
-                 K.Dispatch.mem d ~process:p = Model_dispatch.mem m ~process:p)
+                 K.Dispatch.mem d ~process:procs.(p)
+                 = Model_dispatch.mem m ~process:p)
                [ 0; 1; 2; 3; 4; 5; 6; 7 ])
         script)
 
@@ -470,6 +526,78 @@ let prop_sro_live_lists_match_model =
           step_ok && agrees ())
         script)
 
+(* ------------------------------------------------------------------ *)
+(* Memory words vs the seed's byte-wise formula                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed's word access, one byte at a time. *)
+let seed_read_i32 bytes addr =
+  let b i = Char.code (Bytes.get bytes (addr + i)) in
+  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  (v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
+
+let seed_write_i32 bytes addr v =
+  for i = 0 to 3 do
+    Bytes.set bytes (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
+let memory_size = 64
+
+(* Values near the edges of 32 bits: negatives, 2^31, 2^32 and beyond. *)
+let word_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        int;
+        map2 ( + )
+          (oneofl
+             [ 0; -1; 1 lsl 31; -(1 lsl 31); 1 lsl 32; -(1 lsl 32);
+               (1 lsl 32) + (1 lsl 31); max_int; min_int ])
+          (int_range (-3) 3);
+      ])
+
+(* Every alignment, and the top of memory: a word at [memory_size - 3]
+   or above, or below 0, must fault. *)
+let addr_gen = QCheck2.Gen.int_range (-2) (memory_size + 1)
+
+let prop_memory_word_matches_seed =
+  QCheck2.Test.make ~name:"memory word = seed byte-wise formula" ~count:300
+    QCheck2.Gen.(
+      pair (string_size (return memory_size))
+        (list (pair (option word_gen) addr_gen)))
+    (fun (image, script) ->
+      let m = Memory.create ~size_bytes:memory_size in
+      Memory.blit_from_bytes m ~src:(Bytes.of_string image) ~dst_addr:0;
+      let model = Bytes.of_string image in
+      let in_bounds addr = addr >= 0 && addr + 4 <= memory_size in
+      List.for_all
+        (fun (write, addr) ->
+          let reads = Memory.read_count m and writes = Memory.write_count m in
+          let faulted f =
+            match f () with
+            | () -> false
+            | exception Fault.Fault (Fault.Bounds _) -> true
+          in
+          match write with
+          | Some v ->
+            if in_bounds addr then begin
+              Memory.write_i32 m addr v;
+              seed_write_i32 model addr v;
+              Memory.write_count m = writes + 1
+            end
+            else
+              faulted (fun () -> Memory.write_i32 m addr v)
+              && Memory.write_count m = writes
+          | None ->
+            if in_bounds addr then
+              Memory.read_i32 m addr = seed_read_i32 model addr
+              && Memory.read_count m = reads + 1
+            else
+              faulted (fun () -> ignore (Memory.read_i32 m addr))
+              && Memory.read_count m = reads)
+        script
+      && Memory.blit_to_bytes m ~src_addr:0 ~len:memory_size = model)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pqueue_matches_sorted_list;
@@ -478,4 +606,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_free_store_matches_model;
     QCheck_alcotest.to_alcotest prop_sro_coalescing_and_fit;
     QCheck_alcotest.to_alcotest prop_sro_live_lists_match_model;
+    QCheck_alcotest.to_alcotest prop_memory_word_matches_seed;
   ]

@@ -407,6 +407,37 @@ let test_snapshot_observability_fields () =
   Alcotest.(check bool) "render mentions events" true
     (String.length rendered > 0)
 
+(* The int entry point renders byte-identically to the float one: every
+   field a fixed-width histogram dumps — bucket counts, sum, min, max,
+   underflow and overflow. *)
+let test_metrics_observe_int () =
+  let values =
+    [ 0; 1; 7; 99_999; 100_000; 3_199_999; 3_200_000; 3_200_001; 41_234_567;
+      -1; -250_000; 1 lsl 40 ]
+  in
+  let feed observe =
+    let r = Obs.Metrics.create () in
+    let h = Obs.Metrics.histogram r ~buckets:32 ~lo:0.0 ~hi:3.2e6 "dispatch" in
+    List.iter (observe h) values;
+    r
+  in
+  let by_float = feed (fun h n -> Obs.Metrics.observe h (float_of_int n)) in
+  let by_int = feed Obs.Metrics.observe_int in
+  let json r = Obs.Jout.to_string (Obs.Metrics.to_json r) in
+  Alcotest.(check string) "json" (json by_float) (json by_int);
+  Alcotest.(check string) "render" (Obs.Metrics.render by_float)
+    (Obs.Metrics.render by_int);
+  let h = Option.get (Obs.Metrics.find_histogram by_int "dispatch") in
+  let st = h.Obs.Metrics.m_hist in
+  Alcotest.(check int) "underflow" 2 st.I432_util.Stats.h_underflow;
+  Alcotest.(check int) "overflow" 4 st.I432_util.Stats.h_overflow;
+  Alcotest.(check (float 0.0)) "min" (-250_000.0) st.I432_util.Stats.h_min;
+  Alcotest.(check (float 0.0)) "max" (float_of_int (1 lsl 40))
+    st.I432_util.Stats.h_max;
+  Alcotest.(check (float 0.0)) "sum"
+    (float_of_int (List.fold_left ( + ) 0 values))
+    (I432_util.Stats.hist_sum st)
+
 let suite =
   [
     ("tracer: ring overflow", `Quick, test_ring_overflow);
@@ -426,4 +457,5 @@ let suite =
     ("metrics: machine instruments", `Quick, test_machine_metrics_populated);
     ("snapshot: observability fields", `Quick, test_snapshot_observability_fields);
     QCheck_alcotest.to_alcotest prop_events_merge_matches_sort;
+    ("metrics: int observe = float observe", `Quick, test_metrics_observe_int);
   ]

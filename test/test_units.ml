@@ -90,33 +90,53 @@ let test_bus_invalid () =
 
 (* ---------------- Dispatch queue ---------------- *)
 
+(* A queue over fresh processes 0..3, which stand in for object-table
+   indices: [pop] reads as the popped process's index, [None] for
+   {!K.Process.none}. *)
+let dispatch () =
+  let procs =
+    Array.init 4 (fun index ->
+        K.Process.create ~index ~ordinal:index ~name:"p" ~daemon:false
+          ~priority:0 ~system_level:4 ignore)
+  in
+  (K.Dispatch.create (), procs)
+
+let enqueue (d, procs) i ~priority =
+  K.Dispatch.enqueue d ~process:procs.(i) ~priority
+
+let pop (d, _) ~eligible =
+  let p = K.Dispatch.pop d ~eligible:(fun p -> eligible p.K.Process.index) in
+  if p == K.Process.none then None else Some p.K.Process.index
+
+let mem (d, procs) i = K.Dispatch.mem d ~process:procs.(i)
+
 let test_dispatch_priority_then_fifo () =
-  let d = K.Dispatch.create () in
-  K.Dispatch.enqueue d ~process:1 ~priority:5;
-  K.Dispatch.enqueue d ~process:2 ~priority:9;
-  K.Dispatch.enqueue d ~process:3 ~priority:5;
+  let d = dispatch () in
+  enqueue d 1 ~priority:5;
+  enqueue d 2 ~priority:9;
+  enqueue d 3 ~priority:5;
   let all = fun _ -> true in
-  Alcotest.(check (option int)) "highest" (Some 2) (K.Dispatch.pop d ~eligible:all);
+  Alcotest.(check (option int)) "highest" (Some 2) (pop d ~eligible:all);
   Alcotest.(check (option int)) "fifo within priority" (Some 1)
-    (K.Dispatch.pop d ~eligible:all);
-  Alcotest.(check (option int)) "last" (Some 3) (K.Dispatch.pop d ~eligible:all);
-  Alcotest.(check (option int)) "empty" None (K.Dispatch.pop d ~eligible:all)
+    (pop d ~eligible:all);
+  Alcotest.(check (option int)) "last" (Some 3) (pop d ~eligible:all);
+  Alcotest.(check (option int)) "empty" None (pop d ~eligible:all)
 
 let test_dispatch_skips_ineligible () =
-  let d = K.Dispatch.create () in
-  K.Dispatch.enqueue d ~process:1 ~priority:9;
-  K.Dispatch.enqueue d ~process:2 ~priority:5;
+  let d = dispatch () in
+  enqueue d 1 ~priority:9;
+  enqueue d 2 ~priority:5;
   Alcotest.(check (option int)) "skips head" (Some 2)
-    (K.Dispatch.pop d ~eligible:(fun p -> p <> 1));
-  Alcotest.(check bool) "head kept" true (K.Dispatch.mem d ~process:1)
+    (pop d ~eligible:(fun p -> p <> 1));
+  Alcotest.(check bool) "head kept" true (mem d 1)
 
 let test_dispatch_remove () =
-  let d = K.Dispatch.create () in
-  K.Dispatch.enqueue d ~process:1 ~priority:5;
-  K.Dispatch.enqueue d ~process:2 ~priority:5;
-  K.Dispatch.remove d ~process:1;
-  Alcotest.(check int) "one left" 1 (K.Dispatch.length d);
-  Alcotest.(check bool) "gone" false (K.Dispatch.mem d ~process:1)
+  let ((q, procs) as d) = dispatch () in
+  enqueue d 1 ~priority:5;
+  enqueue d 2 ~priority:5;
+  K.Dispatch.remove q ~process:procs.(1);
+  Alcotest.(check int) "one left" 1 (K.Dispatch.length q);
+  Alcotest.(check bool) "gone" false (mem d 1)
 
 (* ---------------- Port queue ordering ---------------- *)
 
