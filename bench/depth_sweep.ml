@@ -121,8 +121,8 @@ let sro_tree ~depth ~reps =
     (frag_layout depth);
   time_ns ~reps (fun () ->
       match Free_store.take_first_fit fs ~size:200 with
-      | Some base -> Free_store.insert fs ~base ~length:200
-      | None -> assert false)
+      | -1 -> assert false
+      | base -> Free_store.insert fs ~base ~length:200)
 
 let sro_list ~depth ~reps =
   let fs = Baselines.List_free_store.create () in

@@ -13,9 +13,11 @@
    workers allocates per request, schedule and boot included.  That count
    is the same on every host for a given binary, so it catches an
    allocation creeping back into create-object, the schedule or the
-   dispatch path where a timing ratio could not.  It reads 149.7 with
-   the intrusive ready queue and the once-built syscall handler; the
-   hashed ready queue with a handler closure per syscall read 368.6.
+   dispatch path where a timing ratio could not.  It reads 62.6 with
+   timers on their processes, unboxed port queues, in-place carving and
+   allocation-free draws, observes and header reads; the hashed ready
+   queue with a handler closure per syscall read 368.6, and the
+   intrusive ready queue over the pairing-heap timers 149.7.
 
    Its traced twin, the same run at trace level [Events], may allocate at
    most one word per request more: a traced event is eight stores into a
@@ -28,31 +30,38 @@
    (4 users at 10k req/s aggregate, 500 requests each, in both modes):
    every request crosses the wire codec, the NIC pump and the ARQ, so
    the bound catches a per-round or per-frame allocation coming back
-   into the cluster round.  It reads 378.5; the hashed ready queue read
-   604.6.
+   into the cluster round.  It reads 259.1; the hashed ready queue read
+   604.6, the pairing-heap timers 378.5.
 
    Last, the words per transfer of one untraced banking run (2 GDPs, 4
    tellers, 8 accounts, 4,000 transfers, seed 1): two group commits each,
    so a [Map] functor applied per [Txn_try] read 1,293.6 and fails; the
-   one-tally validation read 723.5 over the hashed ready queue and reads
-   538.1 now.
+   one-tally validation read 723.5 over the hashed ready queue, 538.1
+   over the pairing-heap timers, and reads 447.6 now.
 
    Under all of these, the syscall probes price the kernel seam itself:
    the words one [yield], one [delay] and one send/receive round trip
-   (two sends, two receives between two processes) allocate on a bare
-   machine of 1 and of 2 GDPs.  Each is the difference between a run of
-   20,000 iterations and one of 10,000, over 10,000, so boot and teardown
-   cancel and the reading is exact.  Each is bounded at its reading:
+   (two sends, two receives between two processes), one queued message
+   (a send to a port with room, then a receive of it) and one timed
+   receive that times out allocate on a bare machine of 1 and of 2 GDPs.
+   Each is the difference between a run of 20,000 iterations and one of
+   10,000, over 10,000, so boot and teardown cancel and the reading is
+   exact.  Each is bounded at its reading:
    - a yield, 5 words: the effect and its continuation, nothing else
      (the hashed ready queue and a handler closure per syscall read 49);
-   - a delay, 25 words on 1 GDP and 27 on 2 (98 and 100 before): 7 for
-     the effect with its [Delay] op, 16 for its timer-heap entry, and 2
-     per processor that idles until the wake, for the option its look
-     at the heap returns;
-   - a round trip, 52 words (174 before): 20 for four effects, 14 for
-     the four op records, 8 for the two [R_msg_option (Some msg)]
-     results handed to parked receivers, 6 for the two receivers' queue
-     cells and 4 for their [Blocked_receive] statuses. *)
+   - a delay, 7 words on 1 and 2 GDPs: the effect with its [Delay] op
+     (98 and 100 with the hashed ready queue, 25 and 27 over the
+     pairing-heap timers, whose entry took 16 and each idle processor's
+     look at the heap 2 more);
+   - a round trip, 34 words: 20 for four effects and 14 for the four op
+     records (174, then 52, when a delivered message came back as
+     [R_msg_option (Some msg)] and a parked receiver took a queue cell
+     and a fresh [Blocked_receive] status);
+   - a queued message, 17 words: two effects and the [Send] and
+     [Receive] op records, nothing for the queue slot or the result;
+   - a receive timeout, 12 words: the effect, its [Receive] op and
+     [Timeout] wait, and the deadline's [Some] in
+     [Process.timeout_at]. *)
 
 module K = I432_kernel
 module Load = I432_load
@@ -61,11 +70,11 @@ module Banking = I432_txn.Banking
 let base_workers = 8
 let test_workers = 512
 let limit = 2.0
-let words_limit = 150.0
-let cluster_words_limit = 379.0
+let words_limit = 63.0
+let cluster_words_limit = 260.0
 let traced_words_slack = 1.0
 let bank_transfers = 4_000
-let bank_words_limit = 539.0
+let bank_words_limit = 448.0
 
 (* One syscall probe: its JSON key, what one iteration does, and its
    bound. *)
@@ -109,16 +118,45 @@ let round_trips m n =
            K.Machine.send m ~port:back ~msg:(K.Machine.receive m ~port:there)
          done))
 
+(* One process sends to a port with room for two and takes the message
+   back itself: the message waits in the queue between the two. *)
+let queued_messages m n =
+  let port = K.Machine.create_port m ~capacity:2 ~discipline:K.Port.Fifo () in
+  let msg = K.Machine.allocate_generic m () in
+  ignore
+    (K.Machine.spawn m ~name:"queuer" (fun () ->
+         for _ = 1 to n do
+           K.Machine.send m ~port ~msg;
+           ignore (K.Machine.receive m ~port)
+         done))
+
+(* A timed receive on a port nobody sends to: every one times out. *)
+let receive_timeouts m n =
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  ignore
+    (K.Machine.spawn m ~name:"waiter" (fun () ->
+         for _ = 1 to n do
+           ignore (K.Machine.receive_timeout m ~port ~timeout_ns:1_000)
+         done))
+
 let probes =
   [
     { key = "yield_words_1gdp"; gdps = 1; what = "yield"; bodies = yields; bound = 5.0 };
     { key = "yield_words_2gdp"; gdps = 2; what = "yield"; bodies = yields; bound = 5.0 };
-    { key = "delay_words_1gdp"; gdps = 1; what = "delay"; bodies = delays; bound = 25.0 };
-    { key = "delay_words_2gdp"; gdps = 2; what = "delay"; bodies = delays; bound = 27.0 };
+    { key = "delay_words_1gdp"; gdps = 1; what = "delay"; bodies = delays; bound = 7.0 };
+    { key = "delay_words_2gdp"; gdps = 2; what = "delay"; bodies = delays; bound = 7.0 };
     { key = "round_trip_words_1gdp"; gdps = 1; what = "round trip";
-      bodies = round_trips; bound = 52.0 };
+      bodies = round_trips; bound = 34.0 };
     { key = "round_trip_words_2gdp"; gdps = 2; what = "round trip";
-      bodies = round_trips; bound = 52.0 };
+      bodies = round_trips; bound = 34.0 };
+    { key = "queued_words_1gdp"; gdps = 1; what = "queued message";
+      bodies = queued_messages; bound = 17.0 };
+    { key = "queued_words_2gdp"; gdps = 2; what = "queued message";
+      bodies = queued_messages; bound = 17.0 };
+    { key = "timeout_words_1gdp"; gdps = 1; what = "receive timeout";
+      bodies = receive_timeouts; bound = 12.0 };
+    { key = "timeout_words_2gdp"; gdps = 2; what = "receive timeout";
+      bodies = receive_timeouts; bound = 12.0 };
   ]
 
 type result = {

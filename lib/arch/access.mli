@@ -4,7 +4,13 @@
     Rights can only be restricted through this interface; amplification is
     the privilege of the type manager (see {!Type_def.amplify}). *)
 
-type t
+(** Private: the fields read without a call (dune's dev profile compiles
+    with [-opaque], so an accessor across modules is never inlined), but a
+    descriptor is made only by {!make} or narrowed from another. *)
+type t = private {
+  index : int;  (** object-table index *)
+  rights : Rights.t;
+}
 
 (** Raises [Invalid_argument] on a negative index. *)
 val make : index:int -> rights:Rights.t -> t

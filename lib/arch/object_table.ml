@@ -109,7 +109,7 @@ let lookup t index =
   let e = Array.unsafe_get t.entries index in
   if e.valid then e else Fault.raise_fault (Fault.Invalid_descriptor index)
 
-let entry_of_access t access = lookup t (Access.index access)
+let entry_of_access t (access : Access.t) = lookup t access.Access.index
 
 let is_valid t index =
   index >= 0
@@ -142,7 +142,8 @@ let allocate_entry t ~otype ~base ~data_length ~access_length ~level ~sro =
       otype;
       base;
       data_length;
-      access_part = Array.make access_length None;
+      access_part =
+        (if access_length = 0 then [||] else Array.make access_length None);
       level;
       (* Allocate-gray: a fresh object survives the collection cycle in
          progress, giving the mutator time to make it reachable (the
@@ -168,7 +169,7 @@ let free_entry t index =
    the gray bit "whenever access descriptors are moved" (§8.1). *)
 let shade t index =
   if is_valid t index then begin
-    let e = lookup t index in
+    let e = Array.unsafe_get t.entries index in
     if e.color = White then begin
       e.color <- Gray;
       t.barrier_shades <- t.barrier_shades + 1

@@ -3,18 +3,18 @@
    and presence (swapped-out segments fault so the swapping memory manager
    can intervene, paper §6.2). *)
 
-let need_read table access =
+let need_read table (access : Access.t) =
   let e = Object_table.entry_of_access table access in
-  if not (Rights.has_read (Access.rights access)) then
+  if not access.Access.rights.Rights.read then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "read"; held = Access.rights access });
   if e.Object_table.swapped_out then
     Fault.raise_fault (Fault.Segment_swapped_out e.Object_table.index);
   e
 
-let need_write table access =
+let need_write table (access : Access.t) =
   let e = Object_table.entry_of_access table access in
-  if not (Rights.has_write (Access.rights access)) then
+  if not access.Access.rights.Rights.write then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "write"; held = Access.rights access });
   if e.Object_table.swapped_out then

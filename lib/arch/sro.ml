@@ -84,10 +84,10 @@ let total_free s = Free_store.total s.free_store
 (* First-fit carve from the free store. *)
 let take_region s size =
   match Free_store.take_first_fit s.free_store ~size with
-  | Some base -> base
-  | None ->
+  | -1 ->
     Fault.raise_fault
       (Fault.Storage_exhausted { requested = size; available = total_free s })
+  | base -> base
 
 (* Return a region to the store, coalescing with adjacent neighbours. *)
 let give_region s ~base ~length = Free_store.insert s.free_store ~base ~length
@@ -163,10 +163,10 @@ let donate (_ : Object_table.t) ~sro_state:s ~base ~length =
    (used by the swapper to find a frame for a segment being brought in). *)
 let carve (_ : Object_table.t) ~sro_state:s ~size =
   match Free_store.take_first_fit s.free_store ~size with
-  | Some base ->
+  | -1 -> None
+  | base ->
     s.free_bytes <- s.free_bytes - size;
     Some base
-  | None -> None
 
 (* Create a child SRO whose store is carved from this SRO's free regions —
    §5's "uniform tree structure encompassing both processes and storage

@@ -289,13 +289,13 @@ let check_invariants machine =
       if K.Port.has_blocked_sender p && not (K.Port.is_full p) then
         fail "port #%d parks senders beside a free slot (%d/%d queued)" self
           (K.Port.queue_length p) p.K.Port.capacity;
-      Queue.iter
+      K.Port.iter_receivers
         (fun r ->
           match Hashtbl.find_opt status_of r with
           | Some (K.Process.Blocked_receive q) when q = self -> ()
           | _ -> fail "port #%d queues receiver #%d that is not blocked on it"
                    self r)
-        p.K.Port.receivers;
+        p;
       K.Port.iter_senders
         (fun (ws : K.Port.waiting_sender) ->
           match Hashtbl.find_opt status_of ws.K.Port.sender with
@@ -307,7 +307,10 @@ let check_invariants machine =
   let queued_receiver pi index =
     match Hashtbl.find_opt ports pi with
     | None -> false
-    | Some p -> Queue.fold (fun acc r -> acc || r = index) false p.K.Port.receivers
+    | Some p ->
+      let found = ref false in
+      K.Port.iter_receivers (fun r -> if r = index then found := true) p;
+      !found
   in
   let queued_sender pi index =
     match Hashtbl.find_opt ports pi with

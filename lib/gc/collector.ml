@@ -102,12 +102,13 @@ let scan_roots t =
         (* A message delivered but not yet consumed by the resuming process
            is reachable from its (virtual) context. *)
         (match proc.I432_kernel.Process.pending with
-        | I432_kernel.Syscall.R_msg_option (Some a) -> shade t (Access.index a)
+        | I432_kernel.Syscall.R_msg box ->
+          shade t (Access.index box.I432_kernel.Syscall.msg)
         | I432_kernel.Syscall.R_txn
             (I432_kernel.Syscall.Txn_committed { received; _ }) ->
           List.iter (fun a -> shade t (Access.index a)) received
         | I432_kernel.Syscall.R_unit | I432_kernel.Syscall.R_accepted _
-        | I432_kernel.Syscall.R_msg_option None
+        | I432_kernel.Syscall.R_no_msg
         | I432_kernel.Syscall.R_txn (I432_kernel.Syscall.Txn_conflict _) -> ());
         (* Activation records currently on the process's context stack. *)
         List.iter
@@ -120,7 +121,8 @@ let scan_roots t =
       match e.Object_table.payload with
       | Some (I432_kernel.Port.Port_state p) ->
         I432_kernel.Port.iter_messages
-          (fun qm -> shade t (Access.index qm.I432_kernel.Port.msg))
+          (fun ~msg ~priority:_ ~seq:_ ~enqueued_at:_ ~txn:_ ->
+            shade t (Access.index msg))
           p;
         I432_kernel.Port.iter_senders
           (fun ws -> shade t (Access.index ws.I432_kernel.Port.sender_msg))

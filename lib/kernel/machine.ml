@@ -15,7 +15,6 @@
 
 open I432
 module Obs = I432_obs
-module Pqueue = I432_util.Pqueue
 
 exception Kernel_panic of string
 
@@ -71,6 +70,127 @@ let injection_arg = function
   | Inj_alloc_fault n -> n
   | Inj_port_delay ns -> ns
 
+(* The timer heap: sleeps and port-wait deadlines.
+
+   A process holds at most one timer, so the heap is a binary min-heap of
+   processes: the key (instant clamped at 0, arm stamp) and the slot live
+   on the process ([Process.tm_*]).  Equal instants leave in arming
+   order.  Disarming takes the process out, so every entry is live and
+   arming, disarming and firing allocate nothing.  [place] is the one
+   writer of [tm_pos].  It is a module in this file, not beside it:
+   dune's dev profile compiles with [-opaque], so calls across files
+   never inline, and the run loop asks the heap at every step. *)
+module Timers = struct
+  type t = {
+    mutable heap : Process.t array;
+    mutable size : int;
+    mutable arms : int;  (* arm stamps handed out *)
+    mutable due : Process.t array;  (* [pop_due]'s result *)
+  }
+
+  let create () =
+    { heap = Array.make 16 Process.none; size = 0; arms = 0;
+      due = Array.make 16 Process.none }
+
+  let length t = t.size
+
+  let[@inline] before (a : Process.t) (b : Process.t) =
+    a.Process.tm_key < b.Process.tm_key
+    || (a.Process.tm_key = b.Process.tm_key && a.Process.tm_arm < b.Process.tm_arm)
+
+  let[@inline] place t (proc : Process.t) i =
+    t.heap.(i) <- proc;
+    proc.Process.tm_pos <- i
+
+  let rec sift_up t (proc : Process.t) i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before proc t.heap.(parent) then begin
+      place t t.heap.(parent) i;
+      sift_up t proc parent
+    end
+    else place t proc i
+
+  let rec sift_down t (proc : Process.t) i =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < t.size && before t.heap.(l + 1) t.heap.(l) then l + 1 else l in
+    if c < t.size && before t.heap.(c) proc then begin
+      place t t.heap.(c) i;
+      sift_down t proc c
+    end
+    else place t proc i
+
+  let disarm t (proc : Process.t) =
+    let i = proc.Process.tm_pos in
+    if i >= 0 then begin
+      proc.Process.tm_pos <- -1;
+      let n = t.size - 1 in
+      t.size <- n;
+      let last = t.heap.(n) in
+      t.heap.(n) <- Process.none;
+      if i < n then
+        if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t last i
+        else sift_down t last i
+    end
+
+  let grow a =
+    let b = Array.make (2 * Array.length a) Process.none in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* An instant past [max_int] wraps negative and is due at once, so it is
+     keyed as instant 0. *)
+  let arm t (proc : Process.t) at =
+    disarm t proc;
+    t.arms <- t.arms + 1;
+    proc.Process.tm_key <- Int.max 0 at;
+    proc.Process.tm_arm <- t.arms;
+    proc.Process.tm_at <- at;
+    if t.size = Array.length t.heap then t.heap <- grow t.heap;
+    t.size <- t.size + 1;
+    sift_up t proc (t.size - 1)
+
+  let next t = if t.size = 0 then min_int else t.heap.(0).Process.tm_at
+
+  let[@inline] newer (a : Process.t) (b : Process.t) =
+    a.Process.ordinal > b.Process.ordinal
+
+  (* A handful fall due at once, so they are insertion-sorted unless there
+     are many. *)
+  let pop_due t ~horizon =
+    let n = ref 0 in
+    while t.size > 0 && t.heap.(0).Process.tm_key <= horizon do
+      let proc = t.heap.(0) in
+      disarm t proc;
+      if !n = Array.length t.due then t.due <- grow t.due;
+      t.due.(!n) <- proc;
+      incr n
+    done;
+    let n = !n in
+    if n > 16 then begin
+      let due = Array.sub t.due 0 n in
+      Array.sort (fun a b -> if newer a b then -1 else 1) due;
+      Array.blit due 0 t.due 0 n
+    end
+    else
+      for i = 1 to n - 1 do
+        let proc = t.due.(i) in
+        let j = ref i in
+        while !j > 0 && newer proc t.due.(!j - 1) do
+          t.due.(!j) <- t.due.(!j - 1);
+          decr j
+        done;
+        t.due.(!j) <- proc
+      done;
+    n
+
+  let due t i = t.due.(i)
+
+  let iter f t =
+    for i = 0 to t.size - 1 do
+      f t.heap.(i)
+    done
+end
+
 (* Pre-resolved metrics instruments: the hot paths update bare mutable
    fields; the registry is only walked on dump. *)
 type monitors = {
@@ -104,11 +224,6 @@ type monitors = {
   mon_txn_dup_drops : Obs.Metrics.counter Lazy.t;
 }
 
-(* One sleep or port-wait deadline on the timer heap: live while
-   [tm_proc.timer = tm_arm], stale once the process re-arms or a peer
-   serves its wait first. *)
-type timer = { tm_proc : Process.t; tm_at : int; tm_arm : int }
-
 type t = {
   table : Object_table.t;
   memory : Memory.t;
@@ -118,8 +233,7 @@ type t = {
   dispatch : Dispatch.t;
   eligible : (Process.t -> bool) array;  (* per processor: [eligible_for_dispatch] *)
   global_sro : Access.t;
-  mutable current : Processor.t option;
-  on_cpu : Processor.t option array;  (* per processor: [Some] it, for [current] *)
+  mutable cur : int;  (* the executing processor's id, -1 outside the run loop *)
   running : Process.t array;  (* per processor: what [dispatch] bound *)
   mutable in_body : bool;  (* true while a process body is executing *)
   mutable processes : Process.t list;  (* every process ever created *)
@@ -130,10 +244,10 @@ type t = {
   mutable n_timed_waits : int;
   mutable n_ready_unbound : int;
   n_ready_bound : int array;  (* per processor *)
-  timers : timer Pqueue.t;  (* sleeps and deadlines, keyed (-instant, arm) *)
-  mutable timer_arms : int;
+  timers : Timers.t;  (* sleeps and deadlines, one per process at most *)
   mutable gc_roots : Access.t list;
   obs : Obs.Tracer.t;
+  traced : bool;  (* [obs]'s level is not [Off]; fixed at creation *)
   metrics : Obs.Metrics.t;
   mon : monitors;
   mutable preemptions : int;
@@ -158,6 +272,17 @@ type t = {
      partitioning into an immediate failure instead of a data race. *)
   mutable stepper : int;
 }
+
+(* Instrument updates as bare field writes, in this module: dune's dev
+   profile compiles with [-opaque], so a call into [Obs.Metrics] is never
+   inlined and a two-argument one goes through [caml_apply2]. *)
+let[@inline] bump (c : Obs.Metrics.counter) n =
+  c.Obs.Metrics.c_value <- c.Obs.Metrics.c_value + n
+
+let[@inline] set_gauge (g : Obs.Metrics.gauge) v = g.Obs.Metrics.g_value <- v
+
+let[@inline] observe_int (h : Obs.Metrics.histogram) n =
+  I432_util.Stats.hist_observe_int h.Obs.Metrics.m_hist n
 
 let make_monitors metrics =
   {
@@ -246,8 +371,7 @@ let create ?(config = default_config) () =
     eligible =
       Array.map (fun cpu -> eligible_for_dispatch ~cpu) processors;
     global_sro;
-    current = None;
-    on_cpu = Array.map Option.some processors;
+    cur = -1;
     running = Array.make config.processors Process.none;
     in_body = false;
     processes = [];
@@ -256,12 +380,12 @@ let create ?(config = default_config) () =
     n_timed_waits = 0;
     n_ready_unbound = 0;
     n_ready_bound = Array.make config.processors 0;
-    timers = Pqueue.create ();
-    timer_arms = 0;
+    timers = Timers.create ();
     gc_roots = [];
     obs =
       Obs.Tracer.create ~capacity:config.trace_capacity
         ~level:config.trace_level ~processors:config.processors ();
+    traced = config.trace_level <> Obs.Tracer.Off;
     metrics;
     mon = make_monitors metrics;
     preemptions = 0;
@@ -310,32 +434,38 @@ let count_txn_dup_drop t = Obs.Metrics.incr (Lazy.force t.mon.mon_txn_dup_drops)
 (* Virtual time now: the clock of the executing processor, or the max clock
    when called from outside the run loop. *)
 let[@inline] now t =
-  match t.current with
-  | Some p -> p.Processor.clock_ns
-  | None ->
-    Array.fold_left (fun acc p -> max acc p.Processor.clock_ns) 0 t.processors
+  if t.cur >= 0 then t.processors.(t.cur).Processor.clock_ns
+  else
+    Array.fold_left
+      (fun acc p -> Int.max acc p.Processor.clock_ns)
+      0 t.processors
+
+(* Whether [emit] records [kind]: one field read when tracing is off, a
+   call into the tracer for its mask only when it is on. *)
+let[@inline] wants t kind = t.traced && Obs.Tracer.wants t.obs kind
 
 (* Record one structured event, stamped with the executing processor's id
    and virtual clock (or -1 / max clock outside the run loop).  One field
-   read when tracing is off; one mask load more when the event's subsystem
-   is filtered out — the timestamp ([now t] folds every processor clock
-   outside the run loop) is skipped entirely.  Names and details are ids
-   from [string_id]: a process's name is interned once at spawn
+   read when tracing is off.  Inside the run loop the stamp is two field
+   reads, so the tracer's own mask check is the only one; outside it the
+   mask is asked first, so a filtered event skips the timestamp ([now t]
+   folds every processor clock).  Names and details are ids from
+   [string_id]: a process's name is interned once at spawn
    ([Process.trace_name_id]). *)
 let emit t kind ~name_id ~detail_id ~a ~b =
-  if Obs.Tracer.wants t.obs kind then
-    match t.current with
-    | Some p ->
+  if t.traced then
+    if t.cur >= 0 then
+      let p = t.processors.(t.cur) in
       Obs.Tracer.emit t.obs kind ~cpu:p.Processor.id ~ts_ns:p.Processor.clock_ns
         ~name_id ~detail_id ~a ~b
-    | None ->
+    else if Obs.Tracer.wants t.obs kind then
       Obs.Tracer.emit t.obs kind ~cpu:(-1) ~ts_ns:(now t) ~name_id ~detail_id
         ~a ~b
 
-(* Same, on behalf of a known processor (the run loop clears [t.current]
+(* Same, on behalf of a known processor (the run loop clears [t.cur]
    before it settles a process's outcome). *)
 let emit_on t (cpu : Processor.t) kind ~name_id ~detail_id ~a ~b =
-  if Obs.Tracer.wants t.obs kind then
+  if t.traced then
     Obs.Tracer.emit t.obs kind ~cpu:cpu.Processor.id
       ~ts_ns:cpu.Processor.clock_ns ~name_id ~detail_id ~a ~b
 
@@ -349,14 +479,16 @@ let () = Obs.Tracer.set_renderer Obs.Event.Deschedule Syscall.render
    contention applied.  Outside the run loop (boot code) charges are free:
    configuration happens "before the machine starts". *)
 let charge t ns =
-  match t.current with
-  | None -> ()
-  | Some p ->
-    let eff = Bus.penalize t.bus ns in
-    Obs.Metrics.add t.mon.mon_charged_ns eff;
+  if t.cur >= 0 then begin
+    let p = t.processors.(t.cur) in
+    (* [Bus.penalize], written out so that it inlines (see [bump]). *)
+    let eff =
+      ns + (ns * t.bus.Bus.alpha_per_mille * (t.bus.Bus.processors - 1) / 1000)
+    in
+    bump t.mon.mon_charged_ns eff;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
-    (* [running] holds what [dispatch] bound while [current] is set. *)
+    (* [running] holds what [dispatch] bound while [cur] is set. *)
     if p.Processor.current >= 0 then begin
       let proc = t.running.(p.Processor.id) in
       proc.Process.cpu_ns <- proc.Process.cpu_ns + eff;
@@ -378,6 +510,7 @@ let charge t ns =
         && proc.Process.status = Process.Running
       then ignore (Syscall.perform Syscall.Preempt)
     end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Checked, time-charged instruction wrappers                          *)
@@ -414,15 +547,15 @@ let allocate t sro ~data_length ~access_length ~otype =
   charge t t.timings.Timings.allocate_ns;
   (* Injected storage exhaustion: only process-context allocations fault
      (boot-time configuration is exempt). *)
-  if t.forced_alloc_faults > 0 && t.current <> None then begin
+  if t.forced_alloc_faults > 0 && t.cur >= 0 then begin
     t.forced_alloc_faults <- t.forced_alloc_faults - 1;
     Fault.raise_fault
       (Fault.Storage_exhausted { requested = data_length; available = 0 })
   end;
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
-  Obs.Metrics.incr t.mon.mon_allocates;
-  Obs.Metrics.observe_int t.mon.mon_alloc_size data_length;
-  emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:(Access.index access)
+  bump t.mon.mon_allocates 1;
+  observe_int t.mon.mon_alloc_size data_length;
+  emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:access.Access.index
     ~b:data_length;
   access
 
@@ -432,7 +565,7 @@ let allocate_generic t ?(data_length = 64) ?(access_length = 4) () =
 let release t sro ~index =
   charge t t.timings.Timings.destroy_ns;
   Sro.release_by_access t.table sro ~index;
-  Obs.Metrics.incr t.mon.mon_releases;
+  bump t.mon.mon_releases 1;
   emit t Obs.Event.Release ~name_id:0 ~detail_id:0 ~a:index ~b:0
 
 (* Local heaps (§5): an SRO created at the process's current call depth.
@@ -446,7 +579,7 @@ let create_local_sro t ~level ~bytes =
   match Sro.carve t.table ~sro_state:s ~size:bytes with
   | Some base ->
     let sro = Sro.create t.table ~level ~base ~length:bytes in
-    Obs.Metrics.incr t.mon.mon_sro_creates;
+    bump t.mon.mon_sro_creates 1;
     emit t Obs.Event.Sro_create ~name_id:0 ~detail_id:0 ~a:(Access.index sro)
       ~b:bytes;
     sro
@@ -459,7 +592,7 @@ let destroy_sro t sro =
   charge t t.timings.Timings.destroy_ns;
   let index = Access.index sro in
   let reclaimed = Sro.destroy t.table sro in
-  Obs.Metrics.incr t.mon.mon_sro_destroys;
+  bump t.mon.mon_sro_destroys 1;
   emit t Obs.Event.Sro_destroy ~name_id:0 ~detail_id:0 ~a:index ~b:reclaimed;
   reclaimed
 
@@ -474,7 +607,7 @@ let domain_call t ?timeout_ns domain f =
   d.Domain.calls <- d.Domain.calls + 1;
   d.Domain.depth <- d.Domain.depth + 1;
   if d.Domain.depth > d.Domain.max_depth then d.Domain.max_depth <- d.Domain.depth;
-  Obs.Metrics.incr t.mon.mon_domain_calls;
+  bump t.mon.mon_domain_calls 1;
   emit t Obs.Event.Domain_call ~name_id:0
     ~detail_id:(string_id t d.Domain.domain_name) ~a:d.Domain.self ~b:0;
   let finish () =
@@ -505,9 +638,9 @@ let intra_call t f =
 (* The process currently executing on the charging processor, or
    [Process.none]. *)
 let running_process t =
-  match t.current with
-  | Some p when p.Processor.current >= 0 -> t.running.(p.Processor.id)
-  | Some _ | None -> Process.none
+  if t.cur >= 0 && t.processors.(t.cur).Processor.current >= 0 then
+    t.running.(t.cur)
+  else Process.none
 
 (* Bounded retry around [allocate]: on [Storage_exhausted], run the
    registered reclaim hook (a GC cycle, when the system wires one), back
@@ -521,7 +654,7 @@ let allocate_retry t sro ?(max_retries = 4) ?(backoff_ns = 100_000)
     | exception Fault.Fault (Fault.Storage_exhausted _ as cause) ->
       if attempt > max_retries then Fault.raise_fault cause
       else begin
-        Obs.Metrics.incr t.mon.mon_alloc_retries;
+        bump t.mon.mon_alloc_retries 1;
         let name_id = (running_process t).Process.trace_name_id in
         emit t Obs.Event.Alloc_retry ~name_id ~detail_id:0 ~a:attempt
           ~b:backoff;
@@ -659,33 +792,22 @@ let set_binding t (proc : Process.t) affinity =
   proc.Process.affinity <- affinity;
   tally t proc 1
 
-(* Put [proc]'s sleep or deadline, due at [at], on the timer heap; any
-   earlier entry of [proc] goes stale.  An instant past [max_int] wraps
-   negative and is due at once, so it is keyed as instant 0. *)
-let arm_timer t (proc : Process.t) at =
-  t.timer_arms <- t.timer_arms + 1;
-  proc.Process.timer <- t.timer_arms;
-  Pqueue.insert t.timers ~priority:(-max 0 at) ~seq:t.timer_arms
-    { tm_proc = proc; tm_at = at; tm_arm = t.timer_arms }
-
-let[@inline] live (tm : timer) = tm.tm_proc.Process.timer = tm.tm_arm
-
 (* Arm ([Some at]) or disarm ([None]) the deadline of [proc]'s port
-   wait; a disarmed deadline's heap entry goes stale. *)
+   wait. *)
 let set_deadline t (proc : Process.t) deadline =
   tally t proc (-1);
   proc.Process.timeout_at <- deadline;
   (match deadline with
-  | Some at -> arm_timer t proc at
-  | None -> proc.Process.timer <- 0);
+  | Some at -> Timers.arm t.timers proc at
+  | None -> Timers.disarm t.timers proc);
   tally t proc 1
 
 let make_ready t (proc : Process.t) =
   set_status t proc Process.Ready;
   proc.Process.last_ready_ns <- now t;
   Dispatch.enqueue t.dispatch ~process:proc ~priority:proc.Process.priority;
-  Obs.Metrics.incr t.mon.mon_enqueues;
-  Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
+  bump t.mon.mon_enqueues 1;
+  set_gauge t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit t Obs.Event.Ready ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:proc.Process.index ~b:0
 
@@ -723,59 +845,62 @@ let[@inline] wake t (proc : Process.t) result =
   proc.Process.pending <- result;
   ready_or_hold t proc
 
+(* Hand [msg] to [proc] in its prebuilt result. *)
+let[@inline] delivered (proc : Process.t) msg =
+  proc.Process.mailbox.Syscall.msg <- msg;
+  proc.Process.delivered
+
 let[@inline] unblock_receiver t (proc : Process.t) msg =
   proc.Process.messages_received <- proc.Process.messages_received + 1;
-  Object_table.shade t.table (Access.index msg);
-  wake t proc (Syscall.R_msg_option (Some msg))
+  Object_table.shade t.table msg.Access.index;
+  wake t proc (delivered proc msg)
 
 let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
   p.Port.sends <- p.Port.sends + 1;
   proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-  Obs.Metrics.incr t.mon.mon_sends;
+  bump t.mon.mon_sends 1;
   emit t Obs.Event.Send ~name_id:proc.Process.trace_name_id ~detail_id:0
-    ~a:p.Port.self ~b:(Access.index msg)
+    ~a:p.Port.self ~b:msg.Access.index
 
 (* Deliver [msg] from [proc] without waiting: straight to the first parked
    receiver, else into a free slot.  [false] (and nothing counted) when the
    queue is full. *)
 let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
-  match Port.pop_receiver p with
-  | r when r >= 0 ->
+  let rproc = Port.pop_receiver p in
+  if rproc != Process.none then begin
     count_send t proc p msg;
     p.Port.receives <- p.Port.receives + 1;
-    let rproc = proc_of t r in
-    Obs.Metrics.incr t.mon.mon_receives;
+    bump t.mon.mon_receives 1;
     emit t Obs.Event.Receive ~name_id:rproc.Process.trace_name_id ~detail_id:0
-      ~a:p.Port.self ~b:(Access.index msg);
+      ~a:p.Port.self ~b:msg.Access.index;
     unblock_receiver t rproc msg;
     true
-  | _ when Port.is_full p -> false
-  | _ ->
+  end
+  else if Port.is_full p then false
+  else begin
     count_send t proc p msg;
-    Object_table.shade t.table (Access.index msg);
+    Object_table.shade t.table msg.Access.index;
     Port.enqueue ?txn p ~msg ~priority:proc.Process.priority ~now:(now t);
     true
+  end
 
-(* Dequeue the head message of [p], counting it as received.  The caller
-   admits a parked sender into the freed slot ([admit]). *)
+(* Dequeue the head message of the non-empty [p], counting it as
+   received.  The caller admits a parked sender into the freed slot
+   ([admit]). *)
 let[@inline] take t (p : Port.t) =
-  match Port.dequeue_entry p ~now:(now t) with
-  | Some _ as qm ->
-    p.Port.receives <- p.Port.receives + 1;
-    Obs.Metrics.incr t.mon.mon_receives;
-    qm
-  | None -> None
+  let msg = Port.pop p ~now:(now t) in
+  p.Port.receives <- p.Port.receives + 1;
+  bump t.mon.mon_receives 1;
+  msg
 
 (* [take] on behalf of the receiving process [proc]. *)
 let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
-  match take t p with
-  | None -> None
-  | Some qm ->
-    proc.Process.messages_received <- proc.Process.messages_received + 1;
-    Obs.Metrics.observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
-    emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
-      ~a:p.Port.self ~b:(Access.index qm.Port.msg);
-    Some qm.Port.msg
+  let msg = take t p in
+  proc.Process.messages_received <- proc.Process.messages_received + 1;
+  observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
+  emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
+    ~a:p.Port.self ~b:msg.Access.index;
+  msg
 
 (* Move the first parked sender's message into a free slot and wake the
    sender.  A timed sender (one with a deadline) is counted here, when its
@@ -799,13 +924,14 @@ let[@inline] admit t (p : Port.t) =
 let post t (p : Port.t) ?txn ~msg ~priority () =
   Port.enqueue ?txn p ~msg ~priority ~now:(now t);
   p.Port.sends <- p.Port.sends + 1;
-  match Port.pop_receiver p with
-  | -1 -> false
-  | r ->
-    let m = Port.dequeue p ~now:(now t) |> Option.get in
-    p.Port.receives <- p.Port.receives + 1;
-    unblock_receiver t (proc_of t r) m;
-    true
+  let r = Port.pop_receiver p in
+  r != Process.none
+  && begin
+       let m = Port.pop p ~now:(now t) in
+       p.Port.receives <- p.Port.receives + 1;
+       unblock_receiver t r m;
+       true
+     end
 
 (* Park [proc] at [p] — a sender with its [msg], a receiver without — until
    a peer serves it or, when [wait] has a deadline, the timeout sweep gives
@@ -816,20 +942,20 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
   (match msg with
   | Some msg ->
     p.Port.send_blocks <- p.Port.send_blocks + 1;
-    Obs.Metrics.incr t.mon.mon_send_blocks;
+    bump t.mon.mon_send_blocks 1;
     emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:0;
-    Object_table.shade t.table (Access.index msg);
+    Object_table.shade t.table msg.Access.index;
     Port.push_sender p ~sender:proc.Process.index ~msg
       ~priority:proc.Process.priority;
-    set_status t proc (Process.Blocked_send p.Port.self)
+    set_status t proc p.Port.blocked_send
   | None ->
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-    Obs.Metrics.incr t.mon.mon_receive_blocks;
+    bump t.mon.mon_receive_blocks 1;
     emit t Obs.Event.Block_receive ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:0;
-    Port.push_receiver p proc.Process.index;
-    set_status t proc (Process.Blocked_receive p.Port.self));
+    Port.push_receiver p proc;
+    set_status t proc p.Port.blocked_receive);
   (match wait with
   | Syscall.Timeout ns ->
     set_deadline t proc (Some (cpu.Processor.clock_ns + ns))
@@ -876,7 +1002,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   t.processes <- proc :: t.processes;
   t.spawned <- t.spawned + 1;
   tally t proc 1;
-  Obs.Metrics.incr t.mon.mon_spawns;
+  bump t.mon.mon_spawns 1;
   emit t Obs.Event.Spawn ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:proc.Process.index ~b:0;
   (match start_after with
@@ -887,7 +1013,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
     if ns < 0 then invalid_arg "Machine.spawn: start_after";
     set_status t proc Process.Sleeping;
     proc.Process.wake_at <- now t + ns;
-    arm_timer t proc proc.Process.wake_at);
+    Timers.arm t.timers proc proc.Process.wake_at);
   access
 
 let process_state t access = Process.state_of t.table access
@@ -963,15 +1089,25 @@ let all_processes t = t.processes
 let[@inline] send_with wait ~port ~msg =
   match Syscall.perform (Syscall.Send { port; msg; wait }) with
   | Syscall.R_accepted accepted -> accepted
-  | Syscall.R_unit | Syscall.R_msg_option _ | Syscall.R_txn _ -> assert false
+  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_no_msg | Syscall.R_txn _ ->
+    assert false
 
+(* The message a receive got, or [None] when it gave up. *)
 let[@inline] receive_with wait ~port =
   match Syscall.perform (Syscall.Receive { port; wait }) with
-  | Syscall.R_msg_option msg -> msg
+  | Syscall.R_msg box -> Some box.Syscall.msg
+  | Syscall.R_no_msg -> None
   | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_txn _ -> assert false
 
 let send (_ : t) ~port ~msg = ignore (send_with Syscall.Block ~port ~msg)
-let receive (_ : t) ~port = Option.get (receive_with Syscall.Block ~port)
+
+let receive (_ : t) ~port =
+  match Syscall.perform (Syscall.Receive { port; wait = Syscall.Block }) with
+  | Syscall.R_msg box -> box.Syscall.msg
+  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_no_msg | Syscall.R_txn _
+    ->
+    assert false
+
 let cond_send (_ : t) ~port ~msg = send_with (Syscall.Timeout 0) ~port ~msg
 let cond_receive (_ : t) ~port = receive_with (Syscall.Timeout 0) ~port
 
@@ -984,13 +1120,15 @@ let receive_timeout (_ : t) ~port ~timeout_ns =
 let delay (_ : t) ~ns =
   match Syscall.perform (Syscall.Delay ns) with
   | Syscall.R_unit -> ()
-  | Syscall.R_accepted _ | Syscall.R_msg_option _ | Syscall.R_txn _ ->
+  | Syscall.R_accepted _ | Syscall.R_msg _ | Syscall.R_no_msg | Syscall.R_txn _
+    ->
     assert false
 
 let yield (_ : t) =
   match Syscall.perform Syscall.Yield with
   | Syscall.R_unit -> ()
-  | Syscall.R_accepted _ | Syscall.R_msg_option _ | Syscall.R_txn _ ->
+  | Syscall.R_accepted _ | Syscall.R_msg _ | Syscall.R_no_msg | Syscall.R_txn _
+    ->
     assert false
 
 let exit_process (_ : t) =
@@ -1006,7 +1144,8 @@ let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
          { t_key = key; t_receives = receives; t_sends = sends; t_writes = writes })
   with
   | Syscall.R_txn r -> r
-  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_msg_option _ ->
+  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_msg _ | Syscall.R_no_msg
+    ->
     assert false
 
 (* ------------------------------------------------------------------ *)
@@ -1019,7 +1158,7 @@ let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
 
 (* These three entry points are the whole kernel surface the virtual
    interconnect needs: a node's NIC pump runs *between* run-loop slices
-   (t.current = None), draining surrogate ports into frames and landing
+   (t.cur = -1), draining surrogate ports into frames and landing
    reconstructed messages in home ports.  Nothing here is reachable from a
    machine without a cluster around it, so runs without one are untouched. *)
 
@@ -1030,37 +1169,39 @@ let deliver_external t ?txn ~port ~msg ~priority () =
   let p = Port.state_of t.table port in
   if Port.is_full p then false
   else begin
-    Object_table.shade t.table (Access.index msg);
-    Obs.Metrics.incr t.mon.mon_sends;
-    if post t p ?txn ~msg ~priority () then Obs.Metrics.incr t.mon.mon_receives;
+    Object_table.shade t.table msg.Access.index;
+    bump t.mon.mon_sends 1;
+    if post t p ?txn ~msg ~priority () then bump t.mon.mon_receives 1;
     true
   end
 
-(* Withdraw the head message of [port] in service order — the NIC acting
-   as the port's receiver — and admit (and ready) one blocked sender into
-   the freed slot, exactly as a local receive would.  The message's [txn]
-   is the committing transaction's idempotency key (0 = not
-   transactional), which the interconnect carries across the wire for
-   cluster-level dedup. *)
-let drain_one t ~port =
-  let p = Port.state_of t.table port in
-  match take t p with
-  | None -> None
-  | Some _ as qm ->
+(* Withdraw the head message of the port [p] in service order — the NIC
+   acting as the port's receiver — and admit (and ready) one blocked
+   sender into the freed slot, exactly as a local receive would.  The
+   message's priority, enqueue instant and [txn] are left in [p]'s
+   [last_*] fields; [txn] is the committing transaction's idempotency key
+   (0 = not transactional), which the interconnect carries across the
+   wire for cluster-level dedup. *)
+let drain_one t (p : Port.t) =
+  if Port.is_empty p then None
+  else begin
+    let msg = take t p in
     admit t p;
-    qm
+    Some msg
+  end
 
 (* [drain_one] up to [max] times, as [(msg, priority, enqueued_at, txn)]
    per message. *)
 let drain_port t ?(max = max_int) ~port () =
+  let p = Port.state_of t.table port in
   let rec go n acc =
     if n >= max then List.rev acc
     else
-      match drain_one t ~port with
+      match drain_one t p with
       | None -> List.rev acc
-      | Some qm ->
+      | Some msg ->
         go (n + 1)
-          ((qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
+          ((msg, p.Port.last_priority, p.Port.last_enqueued_at, p.Port.last_txn)
           :: acc)
   in
   go 0 []
@@ -1111,17 +1252,18 @@ let[@inline] receive_op t cpu (proc : Process.t) ~port ~wait =
   let p = Port.state_of t.table port in
   charge t t.timings.Timings.receive_ns;
   consume_port_delay t;
-  match receive_from t proc p with
-  | Some _ as got ->
+  if not (Port.is_empty p) then begin
+    let msg = receive_from t proc p in
     admit t p;
-    proc.Process.pending <- Syscall.R_msg_option got;
+    proc.Process.pending <- delivered proc msg;
     true
-  | None -> (
+  end
+  else
     match wait with
     | Syscall.Timeout ns when ns <= 0 ->
-      proc.Process.pending <- Syscall.R_msg_option None;
+      proc.Process.pending <- Syscall.R_no_msg;
       true
-    | Syscall.Timeout _ | Syscall.Block -> park t cpu proc p ~wait ())
+    | Syscall.Timeout _ | Syscall.Block -> park t cpu proc p ~wait ()
 
 (* Group-commit validation (DESIGN.md §15), one tally per distinct port in
    ascending object-index order.  A port gives at most its queued messages
@@ -1140,7 +1282,7 @@ let rec port_conflict recvs sends = function
     let queued = Port.queue_length p in
     if wants > queued then Some (p.Port.self, "empty")
     else if
-      puts > p.Port.capacity - queued + wants + Queue.length p.Port.receivers
+      puts > p.Port.capacity - queued + wants + p.Port.n_receivers
     then Some (p.Port.self, "full")
     else port_conflict recvs sends rest
 
@@ -1203,7 +1345,7 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
       if replay then []
       else
         List.map
-          (fun p -> Option.get (receive_from t proc p) (* queued >= wants *))
+          (fun p -> receive_from t proc p (* queued >= wants *))
           recv_ports
     in
     if not replay then
@@ -1264,7 +1406,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.slice_used_ns <- 0;
     proc.Process.preemptions <- proc.Process.preemptions + 1;
     t.preemptions <- t.preemptions + 1;
-    Obs.Metrics.incr t.mon.mon_preemptions;
+    bump t.mon.mon_preemptions 1;
     emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
     cpu.Processor.current <- -1;
@@ -1284,7 +1426,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.pending <- Syscall.R_unit;
     set_status t proc Process.Sleeping;
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
-    arm_timer t proc proc.Process.wake_at;
+    Timers.arm t.timers proc proc.Process.wake_at;
     cpu.Processor.current <- -1;
     false
   | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
@@ -1300,9 +1442,9 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
    them back to software when various fault ... conditions arise" (§5). *)
 let record_fault t (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
-  Obs.Metrics.incr t.mon.mon_faults;
+  bump t.mon.mon_faults 1;
   (* Guarded: rendering the cause formats, even when untraced. *)
-  if Obs.Tracer.wants t.obs Obs.Event.Fault then
+  if wants t Obs.Event.Fault then
     emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
       ~detail_id:(string_id t (Fault.to_string cause)) ~a:0 ~b:0;
   set_status t proc (Process.Faulted cause);
@@ -1330,11 +1472,11 @@ let record_fault t (proc : Process.t) cause =
 
 (* Execute one step of [proc], the process current on [cpu]. *)
 let step_process t (cpu : Processor.t) (proc : Process.t) =
-  t.current <- t.on_cpu.(cpu.Processor.id);
+  t.cur <- cpu.Processor.id;
   t.in_body <- true;
   let outcome = Process.step proc in
   t.in_body <- false;
-  t.current <- None;
+  t.cur <- -1;
   match outcome with
   | Process.Completed ->
     set_status t proc Process.Finished;
@@ -1349,22 +1491,21 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     record_fault t proc (Fault.Protocol (Printexc.to_string e))
   | Process.Pending -> (
     let op = proc.Process.op in
-    t.current <- t.on_cpu.(cpu.Processor.id);
+    t.cur <- cpu.Processor.id;
     (* Faults detected while servicing the syscall (rights, types) are
        the faulting process's own. *)
     match handle_syscall t cpu proc op with
     | still_current ->
-      t.current <- None;
+      t.cur <- -1;
       (* The op goes in as its trace encoding (three ints, rendered when
          the trace is read); guarded so an untraced deschedule never
          walks a txn's lists to count them. *)
-      if (not still_current) && Obs.Tracer.wants t.obs Obs.Event.Deschedule
-      then
+      if (not still_current) && t.traced then
         emit_on t cpu Obs.Event.Deschedule ~name_id:proc.Process.trace_name_id
           ~detail_id:(Syscall.trace_detail op) ~a:(Syscall.trace_a op)
           ~b:(Syscall.trace_b op)
     | exception Fault.Fault cause ->
-      t.current <- None;
+      t.cur <- -1;
       cpu.Processor.current <- -1;
       record_fault t proc cause)
 
@@ -1385,7 +1526,7 @@ let fail_processor t id =
   let cpu = t.processors.(id) in
   if cpu.Processor.online then begin
     cpu.Processor.online <- false;
-    Obs.Metrics.incr t.mon.mon_cpu_offline;
+    bump t.mon.mon_cpu_offline 1;
     emit_on t cpu Obs.Event.Cpu_offline ~name_id:0 ~detail_id:0 ~a:id ~b:0;
     (match cpu.Processor.current with
     | pi when pi >= 0 ->
@@ -1393,7 +1534,7 @@ let fail_processor t id =
       let proc = t.running.(id) in
       proc.Process.slice_used_ns <- 0;
       set_binding t proc None;
-      Obs.Metrics.incr t.mon.mon_requeues;
+      bump t.mon.mon_requeues 1;
       emit_on t cpu Obs.Event.Proc_requeued ~name_id:proc.Process.trace_name_id
         ~detail_id:0 ~a:pi ~b:id;
       ready_or_hold t proc
@@ -1447,28 +1588,19 @@ let fire_injections t (cpu : Processor.t) =
     match t.injections with
     | (at, _, inj) :: rest when at <= cpu.Processor.clock_ns ->
       t.injections <- rest;
-      t.current <- t.on_cpu.(cpu.Processor.id);
-      Obs.Metrics.incr t.mon.mon_injections;
+      t.cur <- cpu.Processor.id;
+      bump t.mon.mon_injections 1;
       (* Guarded: rendering the injection formats, even when untraced. *)
-      if Obs.Tracer.wants t.obs Obs.Event.Fi_inject then
+      if wants t Obs.Event.Fi_inject then
         emit t Obs.Event.Fi_inject ~name_id:0
           ~detail_id:(string_id t (injection_to_string inj))
           ~a:(injection_arg inj) ~b:0;
       apply_injection t inj;
-      t.current <- None;
+      t.cur <- -1;
       go ()
     | _ -> ()
   in
   go ()
-
-(* The processes whose live timers are due at [horizon], popped off the
-   heap (stale entries are dropped on the way). *)
-let rec pop_due t ~horizon acc =
-  if Pqueue.front_priority t.timers ~empty:min_int < -horizon then acc
-  else
-    match Pqueue.pop t.timers with
-    | None -> acc
-    | Some tm -> pop_due t ~horizon (if live tm then tm.tm_proc :: acc else acc)
 
 let wake_sleeper t (proc : Process.t) =
   match proc.Process.status with
@@ -1479,7 +1611,7 @@ let wake_sleeper t (proc : Process.t) =
   | _ -> ()
 
 let give_up t (proc : Process.t) pi ~b result =
-  Obs.Metrics.incr t.mon.mon_timeouts;
+  bump t.mon.mon_timeouts 1;
   emit t Obs.Event.Timeout_fired ~name_id:proc.Process.trace_name_id
     ~detail_id:0 ~a:pi ~b;
   wake t proc result
@@ -1490,8 +1622,8 @@ let expire t (proc : Process.t) =
   match proc.Process.status with
   | Process.Blocked_receive pi ->
     let p = Port.state_of_index t.table pi in
-    ignore (Port.remove_receiver p ~index:proc.Process.index);
-    give_up t proc pi ~b:1 (Syscall.R_msg_option None)
+    ignore (Port.remove_receiver p proc);
+    give_up t proc pi ~b:1 Syscall.R_no_msg
   | Process.Blocked_send pi ->
     let p = Port.state_of_index t.table pi in
     (* The parked message is withdrawn with its sender. *)
@@ -1499,60 +1631,29 @@ let expire t (proc : Process.t) =
     give_up t proc pi ~b:0 (Syscall.R_accepted false)
   | _ -> ()
 
-(* Top-level loops: a partial application per fire would allocate. *)
-let rec wake_sleepers t = function
-  | [] -> ()
-  | proc :: rest ->
-    wake_sleeper t proc;
-    wake_sleepers t rest
-
-let rec expire_all t = function
-  | [] -> ()
-  | proc :: rest ->
-    expire t proc;
-    expire_all t rest
-
 (* Wake the sleepers and expire the port-wait deadlines due at [horizon]
    (DESIGN.md §6), in the order the run loop always used: every sleeper
    before every deadline, and newest-spawned first within each. *)
 let fire_timers t ~horizon =
-  match pop_due t ~horizon [] with
-  | [] -> ()
-  | [ proc ] ->
-    (* One due timer, the common case, needs no sort. *)
-    wake_sleeper t proc;
-    expire t proc
-  | due ->
-    let due =
-      List.sort
-        (fun (a : Process.t) (b : Process.t) ->
-          Int.compare b.Process.ordinal a.Process.ordinal)
-        due
-    in
-    wake_sleepers t due;
-    expire_all t due
-
-(* The earliest live timer, or [min_int] when none is armed; stale
-   entries at the front are dropped on the way. *)
-let rec next_timer t =
-  match Pqueue.peek t.timers with
-  | None -> min_int
-  | Some tm when live tm -> tm.tm_at
-  | Some _ ->
-    ignore (Pqueue.pop t.timers);
-    next_timer t
+  let n = Timers.pop_due t.timers ~horizon in
+  for i = 0 to n - 1 do
+    wake_sleeper t (Timers.due t.timers i)
+  done;
+  for i = 0 to n - 1 do
+    expire t (Timers.due t.timers i)
+  done
 
 (* The index of the online processor with the smallest clock (ties by
    id), or [-1] when every GDP has hard-faulted. *)
 let min_clock_processor t =
-  let best = ref (-1) in
+  let best = ref (-1) and best_clock = ref 0 in
   for i = 0 to Array.length t.processors - 1 do
-    let p = t.processors.(i) in
-    if
-      p.Processor.online
-      && (!best < 0
-         || p.Processor.clock_ns < t.processors.(!best).Processor.clock_ns)
-    then best := i
+    let p = Array.unsafe_get t.processors i in
+    if p.Processor.online && (!best < 0 || p.Processor.clock_ns < !best_clock)
+    then begin
+      best := i;
+      best_clock := p.Processor.clock_ns
+    end
   done;
   !best
 
@@ -1586,7 +1687,7 @@ let can_progress t =
 
 (* [c] if it is after [now] and before [acc]; [acc = now] means "none
    yet". *)
-let[@inline] earlier ~now c acc = if c > now && (acc = now || c < acc) then c else acc
+let[@inline] earlier ~now (c : int) acc = if c > now && (acc = now || c < acc) then c else acc
 
 (* The next instant at which anything can reach the idle processor [cpu]:
    a sleeper's wake time, a timed wait's deadline, or another processor's
@@ -1612,7 +1713,7 @@ let idle_target t (cpu : Processor.t) =
   let acc =
     if t.n_ready_unbound > 0 then earlier ~now !next_online !acc else !acc
   in
-  earlier ~now (next_timer t) acc
+  earlier ~now (Timers.next t.timers) acc
 
 (* Bind the ready process [proc] to the idle processor [cpu]. *)
 let dispatch t (cpu : Processor.t) (proc : Process.t) =
@@ -1622,15 +1723,15 @@ let dispatch t (cpu : Processor.t) (proc : Process.t) =
   cpu.Processor.current <- proc.Process.index;
   t.running.(cpu.Processor.id) <- proc;
   cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
-  Obs.Metrics.incr t.mon.mon_dispatches;
-  Obs.Metrics.observe_int t.mon.mon_dispatch_latency
-    (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns));
-  Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
+  bump t.mon.mon_dispatches 1;
+  observe_int t.mon.mon_dispatch_latency
+    (Int.max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns));
+  set_gauge t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit_on t cpu Obs.Event.Dispatch ~name_id:proc.Process.trace_name_id
     ~detail_id:0 ~a:cpu.Processor.id ~b:0;
-  t.current <- t.on_cpu.(cpu.Processor.id);
+  t.cur <- cpu.Processor.id;
   charge t t.timings.Timings.dispatch_ns;
-  t.current <- None
+  t.cur <- -1
 
 (* One step on [cpu], the online processor with the smallest clock: wake
    the sleepers and expire the deadlines it has reached (events stamped on
@@ -1638,9 +1739,9 @@ let dispatch t (cpu : Processor.t) (proc : Process.t) =
    process onto it, or idle it to [idle_target].  [false] when it is idle
    and nothing can ever reach it. *)
 let step t (cpu : Processor.t) ~max_ns =
-  t.current <- t.on_cpu.(cpu.Processor.id);
+  t.cur <- cpu.Processor.id;
   fire_timers t ~horizon:cpu.Processor.clock_ns;
-  t.current <- None;
+  t.cur <- -1;
   if cpu.Processor.current >= 0 then begin
     step_process t cpu t.running.(cpu.Processor.id);
     true
@@ -1674,24 +1775,17 @@ type progress = {
 }
 
 (* A copy of the progress state, for the audit in [Fi.check_invariants]:
-   the live heap entries are walked, so the audit does not depend on
-   which stale entries happen to sit at the front. *)
+   the heap is walked, so the audit reads every timer's instant. *)
 let progress t =
-  let timers = ref 0 and next = ref max_int in
-  Pqueue.iter
-    (fun tm ->
-      if live tm then begin
-        incr timers;
-        next := min !next tm.tm_at
-      end)
-    t.timers;
+  let timers = Timers.length t.timers and next = ref max_int in
+  Timers.iter (fun proc -> next := Int.min !next proc.Process.tm_at) t.timers;
   {
     local_work = t.n_local_work;
     timed_waits = t.n_timed_waits;
     ready_unbound = t.n_ready_unbound;
     ready_bound = Array.copy t.n_ready_bound;
-    live_timers = !timers;
-    next_timer = (if !timers = 0 then None else Some !next);
+    live_timers = timers;
+    next_timer = (if timers = 0 then None else Some !next);
   }
 
 let report t =

@@ -12,6 +12,44 @@ open I432
 (** Raised when a process below system level 3 faults (paper §7.3). *)
 exception Kernel_panic of string
 
+(** The machine's timer heap: every process's sleep or port-wait deadline.
+
+    A process holds at most one timer, keyed (instant clamped at 0, arm
+    stamp) so equal instants leave in arming order.  The heap is a binary
+    min-heap of processes whose key and slot live on the process
+    ([Process.tm_*], written here alone); disarming removes the entry, so
+    every entry is live, and no operation allocates beyond the heap's own
+    growth. *)
+module Timers : sig
+  type t
+
+  val create : unit -> t
+
+  (** Processes holding a timer. *)
+  val length : t -> int
+
+  (** Give the process the timer due at the instant, replacing any it
+      held.  An instant past [max_int] wraps negative: it is due at once. *)
+  val arm : t -> Process.t -> int -> unit
+
+  (** Take the process's timer, if any, off the heap. *)
+  val disarm : t -> Process.t -> unit
+
+  (** The earliest timer's instant, or [min_int] when none is armed. *)
+  val next : t -> int
+
+  (** Disarm every timer due at [horizon] (keyed at or before it) and
+      return their count [n]; [due t 0] .. [due t (n - 1)] are those
+      processes, newest-spawned (highest ordinal) first, until the next
+      [pop_due]. *)
+  val pop_due : t -> horizon:int -> int
+
+  val due : t -> int -> Process.t
+
+  (** Every process holding a timer, in heap order. *)
+  val iter : (Process.t -> unit) -> t -> unit
+end
+
 type config = {
   processors : int;
   memory_bytes : int;
@@ -277,11 +315,12 @@ val post :
 val deliver_external :
   t -> ?txn:int -> port:Access.t -> msg:Access.t -> priority:int -> unit -> bool
 
-(** Withdraw the head message in service order, admitting (and
+(** Withdraw the head message of a port in service order, admitting (and
     readying) one blocked sender into the freed slot; [None] when the
-    queue is empty.  The message's [txn] is the committing transaction's
-    idempotency key (0 = not transactional). *)
-val drain_one : t -> port:Access.t -> Port.queued_message option
+    queue is empty.  The message's priority, enqueue instant and [txn]
+    (the committing transaction's idempotency key, 0 = not
+    transactional) are left in the port's [last_*] fields. *)
+val drain_one : t -> Port.t -> Access.t option
 
 (** {!drain_one} up to [max] times.  Returns
     [(msg, priority, enqueued_at, txn)] per message. *)
@@ -376,8 +415,8 @@ type progress = {
   ready_unbound : int;  (** ready processes in the mix without a binding *)
   ready_bound : int array;
       (** per processor: ready processes in the mix bound to it *)
-  live_timers : int;  (** live timer-heap entries: sleeps, armed deadlines *)
-  next_timer : int option;  (** the earliest live entry's instant *)
+  live_timers : int;  (** timer-heap entries: sleeps, armed deadlines *)
+  next_timer : int option;  (** the earliest entry's instant *)
 }
 
 (** A copy of the progress state (the audit {!I432_fi.Fi.check_invariants}

@@ -8,20 +8,28 @@
    Type rights on a port access: t1 = send right, t2 = receive right.
 
    Host-cost structures (service order is unchanged bit-for-bit):
-   - Fifo discipline: ring buffer for messages (capacity is part of the
-     port's semantics) and an O(1) queue for blocked senders — replacing
-     O(n) list appends;
+   - Fifo discipline: a ring over five parallel arrays (message,
+     priority, sequence number, enqueue instant, txn key), grown by
+     doubling to the queue's high-water depth and never past its
+     capacity, so queueing a message allocates nothing; an O(1) queue
+     for blocked senders;
    - Priority discipline: pairing heaps keyed by (priority desc, seq asc)
-     for messages and blocked senders — replacing O(n) sorted inserts.
-   Queue depth is an O(1) counter either way, so the depth statistics no
-   longer cost a list traversal per operation. *)
+     for messages and blocked senders — replacing O(n) sorted inserts;
+   - parked receivers, either discipline: a FIFO list linked through the
+     processes' [w_next]/[w_prev] fields, so parking allocates nothing
+     and a timeout unlinks its receiver in O(1).
+   [pop] leaves the dequeued message's priority, enqueue instant, txn key
+   and queue wait in [last_*] fields, where the interconnect reads them.
+   Queue depth is an O(1) counter either way, so the depth statistics
+   never cost a list traversal. *)
 
 open I432
 open I432_util
 
 type discipline = Fifo | Priority
 
-type queued_message = {
+(* A queued message of a Priority port: its pairing-heap payload. *)
+type prio_message = {
   msg : Access.t;
   msg_priority : int;
   seq : int;  (* FIFO tiebreak *)
@@ -36,10 +44,6 @@ type waiting_sender = {
   sender_seq : int;
 }
 
-type messages =
-  | M_fifo of queued_message Ring_buffer.t
-  | M_prio of queued_message Pqueue.t
-
 type senders =
   | S_fifo of waiting_sender Queue.t
   | S_prio of waiting_sender Pqueue.t
@@ -48,17 +52,33 @@ type t = {
   self : int;
   capacity : int;
   discipline : discipline;
-  messages : messages;
+  (* Fifo queue: slot [(q_head + i) mod size] holds the i-th message. *)
+  mutable q_msg : Access.t array;
+  mutable q_priority : int array;
+  mutable q_seq : int array;
+  mutable q_at : int array;
+  mutable q_txn : int array;
+  mutable q_head : int;
+  mutable q_len : int;  (* queued messages, either discipline *)
+  prio_messages : prio_message Pqueue.t;  (* Priority queue; empty for Fifo *)
   senders : senders;  (* blocked senders, service order *)
-  receivers : int Queue.t;  (* blocked receiver process indices, FIFO *)
+  mutable recv_head : Process.t;  (* parked receivers, FIFO; [none] ends *)
+  mutable recv_tail : Process.t;
+  mutable n_receivers : int;
+  blocked_receive : Process.status;  (* [Blocked_receive self], built once *)
+  blocked_send : Process.status;
   mutable seq : int;
+  (* The message [pop] returned last. *)
+  mutable last_priority : int;
+  mutable last_enqueued_at : int;
+  mutable last_txn : int;
+  mutable last_wait_ns : int;  (* its queue wait *)
   (* statistics *)
   mutable sends : int;
   mutable receives : int;
   mutable send_blocks : int;
   mutable receive_blocks : int;
   mutable total_queue_wait_ns : int;
-  mutable last_wait_ns : int;  (* queue wait of the last dequeued message *)
   mutable max_depth : int;
 }
 
@@ -70,31 +90,44 @@ let make ~self ~capacity ~discipline =
     self;
     capacity;
     discipline;
-    messages =
-      (match discipline with
-      | Fifo -> M_fifo (Ring_buffer.create capacity)
-      | Priority -> M_prio (Pqueue.create ()));
+    q_msg = [||];
+    q_priority = [||];
+    q_seq = [||];
+    q_at = [||];
+    q_txn = [||];
+    q_head = 0;
+    q_len = 0;
+    prio_messages = Pqueue.create ();
     senders =
       (match discipline with
       | Fifo -> S_fifo (Queue.create ())
       | Priority -> S_prio (Pqueue.create ()));
-    receivers = Queue.create ();
+    recv_head = Process.none;
+    recv_tail = Process.none;
+    n_receivers = 0;
+    blocked_receive = Process.Blocked_receive self;
+    blocked_send = Process.Blocked_send self;
     seq = 0;
+    last_priority = 0;
+    last_enqueued_at = 0;
+    last_txn = 0;
+    last_wait_ns = 0;
     sends = 0;
     receives = 0;
     send_blocks = 0;
     receive_blocks = 0;
     total_queue_wait_ns = 0;
-    last_wait_ns = 0;
     max_depth = 0;
   }
 
+(* One table lookup: only a port object carries port state, so the type
+   check runs only on the way to a fault. *)
 let state_of table access =
-  Segment.check_type table access Obj_type.Port;
   let e = Object_table.entry_of_access table access in
   match e.Object_table.payload with
   | Some (Port_state p) -> p
   | Some _ | None ->
+    Segment.check_type table access Obj_type.Port;
     Fault.raise_fault (Fault.Protocol "port object has no port state")
 
 let state_of_index table index =
@@ -104,25 +137,21 @@ let state_of_index table index =
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "port object has no port state")
 
-let check_send_right access =
-  if not (Rights.has_type_right (Access.rights access) Rights.t1) then
+let check_send_right (access : Access.t) =
+  if access.Access.rights.Rights.type_rights land Rights.t1 = 0 then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "send (t1)"; held = Access.rights access })
 
-let check_receive_right access =
-  if not (Rights.has_type_right (Access.rights access) Rights.t2) then
+let check_receive_right (access : Access.t) =
+  if access.Access.rights.Rights.type_rights land Rights.t2 = 0 then
     Fault.raise_fault
       (Fault.Rights_violation
          { needed = "receive (t2)"; held = Access.rights access })
 
-let queue_length t =
-  match t.messages with
-  | M_fifo rb -> Ring_buffer.length rb
-  | M_prio q -> Pqueue.size q
-
-let is_full t = queue_length t >= t.capacity
-let is_empty t = queue_length t = 0
-let has_blocked_receiver t = not (Queue.is_empty t.receivers)
+let queue_length t = t.q_len
+let is_full t = t.q_len >= t.capacity
+let is_empty t = t.q_len = 0
+let has_blocked_receiver t = t.n_receivers > 0
 
 let has_blocked_sender t =
   match t.senders with
@@ -134,44 +163,125 @@ let next_seq t =
   t.seq <- t.seq + 1;
   s
 
+(* The Fifo slot of the [i]-th queued message. *)
+let[@inline] slot t i =
+  let j = t.q_head + i and size = Array.length t.q_msg in
+  if j >= size then j - size else j
+
+(* Double the Fifo arrays (at most to [capacity]), unrolling the ring so
+   the head lands in slot 0. *)
+let grow t ~msg =
+  let size = Int.min t.capacity (Int.max 1 (2 * Array.length t.q_msg)) in
+  let unroll a fill =
+    let b = Array.make size fill in
+    for i = 0 to t.q_len - 1 do
+      b.(i) <- a.(slot t i)
+    done;
+    b
+  in
+  let q_msg = unroll t.q_msg msg
+  and q_priority = unroll t.q_priority 0
+  and q_seq = unroll t.q_seq 0
+  and q_at = unroll t.q_at 0
+  and q_txn = unroll t.q_txn 0 in
+  t.q_msg <- q_msg;
+  t.q_priority <- q_priority;
+  t.q_seq <- q_seq;
+  t.q_at <- q_at;
+  t.q_txn <- q_txn;
+  t.q_head <- 0
+
 (* Enqueue in service order: FIFO appends; Priority orders by descending
    message priority, FIFO within a priority. *)
 let enqueue ?(txn = 0) t ~msg ~priority ~now =
   if is_full t then invalid_arg "Port.enqueue: full";
-  let qm =
-    { msg; msg_priority = priority; seq = next_seq t; enqueued_at = now; txn }
+  let seq = next_seq t in
+  (match t.discipline with
+  | Fifo ->
+    if t.q_len = Array.length t.q_msg then grow t ~msg;
+    let i = slot t t.q_len in
+    t.q_msg.(i) <- msg;
+    t.q_priority.(i) <- priority;
+    t.q_seq.(i) <- seq;
+    t.q_at.(i) <- now;
+    t.q_txn.(i) <- txn
+  | Priority ->
+    Pqueue.insert t.prio_messages ~priority ~seq
+      { msg; msg_priority = priority; seq; enqueued_at = now; txn });
+  t.q_len <- t.q_len + 1;
+  if t.q_len > t.max_depth then t.max_depth <- t.q_len
+
+(* Dequeue the head message, leaving its priority, enqueue instant, txn
+   key and queue wait in the [last_*] fields. *)
+let pop t ~now =
+  if t.q_len = 0 then invalid_arg "Port.pop: empty";
+  let msg =
+    match t.discipline with
+    | Fifo ->
+      let i = t.q_head in
+      t.q_head <- slot t 1;
+      t.last_priority <- t.q_priority.(i);
+      t.last_enqueued_at <- t.q_at.(i);
+      t.last_txn <- t.q_txn.(i);
+      t.q_msg.(i)
+    | Priority -> (
+      match Pqueue.pop t.prio_messages with
+      | Some m ->
+        t.last_priority <- m.msg_priority;
+        t.last_enqueued_at <- m.enqueued_at;
+        t.last_txn <- m.txn;
+        m.msg
+      | None -> assert false (* q_len > 0 *))
   in
-  (match t.messages with
-  | M_fifo rb -> Ring_buffer.push rb qm
-  | M_prio q -> Pqueue.insert q ~priority:qm.msg_priority ~seq:qm.seq qm);
-  let d = queue_length t in
-  if d > t.max_depth then t.max_depth <- d
+  t.q_len <- t.q_len - 1;
+  (* Clamp: the receiver's processor clock can trail the sender's. *)
+  let wait = Int.max 0 (now - t.last_enqueued_at) in
+  t.total_queue_wait_ns <- t.total_queue_wait_ns + wait;
+  t.last_wait_ns <- wait;
+  msg
 
-(* Like [dequeue], but keeps the queue record: the interconnect layer needs
-   the message's priority (preserved across the wire) and its enqueue time
-   (the virtual instant the frame departs). *)
-let dequeue_entry t ~now =
-  let front =
-    match t.messages with
-    | M_fifo rb -> Ring_buffer.pop rb
-    | M_prio q -> Pqueue.pop q
-  in
-  (match front with
-  | None -> ()
-  | Some qm ->
-    (* Clamp: the receiver's processor clock can trail the sender's. *)
-    let wait = max 0 (now - qm.enqueued_at) in
-    t.total_queue_wait_ns <- t.total_queue_wait_ns + wait;
-    t.last_wait_ns <- wait);
-  front
+let dequeue t ~now = if is_empty t then None else Some (pop t ~now)
 
-let dequeue t ~now =
-  match dequeue_entry t ~now with None -> None | Some qm -> Some qm.msg
+(* Parked receivers.  [pop_receiver] returns the first, or [Process.none];
+   [remove_receiver] unlinks one in O(1) and says whether it was parked
+   here. *)
+let unlink t (proc : Process.t) =
+  let next = proc.Process.w_next and prev = proc.Process.w_prev in
+  if prev == Process.none then t.recv_head <- next
+  else prev.Process.w_next <- next;
+  if next == Process.none then t.recv_tail <- prev
+  else next.Process.w_prev <- prev;
+  proc.Process.w_next <- Process.none;
+  proc.Process.w_prev <- Process.none;
+  t.n_receivers <- t.n_receivers - 1
 
-(* The first parked receiver's process index, or -1. *)
 let pop_receiver t =
-  if Queue.is_empty t.receivers then -1 else Queue.take t.receivers
-let push_receiver t index = Queue.push index t.receivers
+  let proc = t.recv_head in
+  if proc != Process.none then unlink t proc;
+  proc
+
+let push_receiver t (proc : Process.t) =
+  let tail = t.recv_tail in
+  proc.Process.w_prev <- tail;
+  if tail == Process.none then t.recv_head <- proc
+  else tail.Process.w_next <- proc;
+  t.recv_tail <- proc;
+  t.n_receivers <- t.n_receivers + 1
+
+let remove_receiver t (proc : Process.t) =
+  let parked = proc.Process.w_prev != Process.none || t.recv_head == proc in
+  if parked then unlink t proc;
+  parked
+
+(* Parked receivers' process indices, in service order. *)
+let iter_receivers f t =
+  let rec go (proc : Process.t) =
+    if proc != Process.none then begin
+      f proc.Process.index;
+      go proc.Process.w_next
+    end
+  in
+  go t.recv_head
 
 let pop_sender t =
   match t.senders with
@@ -186,21 +296,10 @@ let push_sender t ~sender ~msg ~priority =
   | S_fifo q -> Queue.push ws q
   | S_prio q -> Pqueue.insert q ~priority:ws.sender_priority ~seq:ws.sender_seq ws
 
-(* Timeout support: surgically remove one parked process from a blocked
-   queue, preserving the service order of everyone else.  These rebuild the
-   queue (O(n)); they run only when a timeout actually fires, never on the
-   send/receive fast path. *)
-let remove_receiver t ~index =
-  let found = ref false in
-  let keep = Queue.create () in
-  Queue.iter
-    (fun i -> if i = index && not !found then found := true else Queue.push i keep)
-    t.receivers;
-  if !found then (
-    Queue.clear t.receivers;
-    Queue.transfer keep t.receivers);
-  !found
-
+(* Timeout support: surgically remove one parked sender, preserving the
+   service order of everyone else.  This rebuilds the queue (O(n)); it
+   runs only when a timeout actually fires, never on the send/receive
+   fast path. *)
 let remove_sender t ~index =
   let found = ref None in
   (match t.senders with
@@ -233,12 +332,22 @@ let remove_sender t ~index =
       !keep);
   !found
 
-(* Root-scan hooks for the collector: visit every queued message / blocked
-   sender once, in no particular order (shading is order-insensitive). *)
+(* Root-scan and image hooks: visit every queued message / blocked sender
+   once — a Fifo queue in service order, a Priority one in heap order. *)
 let iter_messages f t =
-  match t.messages with
-  | M_fifo rb -> Ring_buffer.iter f rb
-  | M_prio q -> Pqueue.iter f q
+  match t.discipline with
+  | Fifo ->
+    for i = 0 to t.q_len - 1 do
+      let j = slot t i in
+      f ~msg:t.q_msg.(j) ~priority:t.q_priority.(j) ~seq:t.q_seq.(j)
+        ~enqueued_at:t.q_at.(j) ~txn:t.q_txn.(j)
+    done
+  | Priority ->
+    Pqueue.iter
+      (fun m ->
+        f ~msg:m.msg ~priority:m.msg_priority ~seq:m.seq
+          ~enqueued_at:m.enqueued_at ~txn:m.txn)
+      t.prio_messages
 
 let iter_senders f t =
   match t.senders with

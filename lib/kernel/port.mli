@@ -7,15 +7,18 @@
 
     This module holds the pure queue state; the blocking protocol lives in
     the machine's syscall handler.  The queues themselves are host-cost
-    structures (ring buffer / pairing heap per discipline) built by
-    {!make}; service order is identical to a sorted list. *)
+    structures built by {!make}: a Fifo port's messages sit in a ring over
+    parallel arrays grown to the queue's high-water depth, a Priority
+    port's in a pairing heap, and parked receivers are linked through
+    their processes; service order is identical to a sorted list. *)
 
 open I432
 open I432_util
 
 type discipline = Fifo | Priority
 
-type queued_message = {
+(** A queued message of a Priority port. *)
+type prio_message = {
   msg : Access.t;
   msg_priority : int;
   seq : int;
@@ -30,10 +33,6 @@ type waiting_sender = {
   sender_seq : int;
 }
 
-type messages =
-  | M_fifo of queued_message Ring_buffer.t
-  | M_prio of queued_message Pqueue.t
-
 type senders =
   | S_fifo of waiting_sender Queue.t
   | S_prio of waiting_sender Pqueue.t
@@ -42,16 +41,34 @@ type t = {
   self : int;
   capacity : int;
   discipline : discipline;
-  messages : messages;
+  mutable q_msg : Access.t array;
+      (** Fifo queue: five parallel arrays, the [i]-th message in slot
+          [(q_head + i) mod size], grown by doubling up to [capacity] *)
+  mutable q_priority : int array;
+  mutable q_seq : int array;
+  mutable q_at : int array;
+  mutable q_txn : int array;
+  mutable q_head : int;
+  mutable q_len : int;  (** queued messages, either discipline *)
+  prio_messages : prio_message Pqueue.t;  (** Priority queue; empty for Fifo *)
   senders : senders;
-  receivers : int Queue.t;
+  mutable recv_head : Process.t;
+      (** parked receivers, FIFO, linked through [Process.w_next] *)
+  mutable recv_tail : Process.t;
+  mutable n_receivers : int;
+  blocked_receive : Process.status;
+      (** [Blocked_receive self], the status of its parked receivers *)
+  blocked_send : Process.status;  (** [Blocked_send self] *)
   mutable seq : int;
+  mutable last_priority : int;  (** of the message {!pop} returned last *)
+  mutable last_enqueued_at : int;
+  mutable last_txn : int;
+  mutable last_wait_ns : int;  (** its queue wait *)
   mutable sends : int;
   mutable receives : int;
   mutable send_blocks : int;
   mutable receive_blocks : int;
   mutable total_queue_wait_ns : int;
-  mutable last_wait_ns : int;  (** queue wait of the last dequeued message *)
   mutable max_depth : int;
 }
 
@@ -81,32 +98,41 @@ val has_blocked_sender : t -> bool
     [Invalid_argument] when full. *)
 val enqueue : ?txn:int -> t -> msg:Access.t -> priority:int -> now:int -> unit
 
+(** Dequeue the head message, leaving its priority, enqueue instant, txn
+    key and queue wait in the [last_*] fields (the interconnect carries
+    the priority across the wire and stamps the outgoing frame with the
+    enqueue instant).  Raises [Invalid_argument] when the queue is
+    empty. *)
+val pop : t -> now:int -> Access.t
+
+(** {!pop}, or [None] when the queue is empty. *)
 val dequeue : t -> now:int -> Access.t option
 
-(** Like {!dequeue} but returns the whole queue record — the interconnect
-    layer preserves [msg_priority] across the wire and stamps the outgoing
-    frame with [enqueued_at]. *)
-val dequeue_entry : t -> now:int -> queued_message option
+(** The first parked receiver, unlinked, or {!Process.none}. *)
+val pop_receiver : t -> Process.t
 
-(** The first parked receiver's process index, or [-1] when none. *)
-val pop_receiver : t -> int
-val push_receiver : t -> int -> unit
+val push_receiver : t -> Process.t -> unit
 val pop_sender : t -> waiting_sender option
 val push_sender : t -> sender:int -> msg:Access.t -> priority:int -> unit
 
-(** Remove one parked receiver process from the blocked queue, preserving
-    everyone else's service order; [true] iff it was found.  O(n); used
-    only when a timed receive expires. *)
-val remove_receiver : t -> index:int -> bool
+(** Unlink one parked receiver, preserving everyone else's service order;
+    [true] iff it was parked here.  O(1). *)
+val remove_receiver : t -> Process.t -> bool
+
+(** The parked receivers' process indices, in service order. *)
+val iter_receivers : (int -> unit) -> t -> unit
 
 (** Remove one parked sender by process index, preserving service order of
     the survivors; returns the removed entry.  O(n); used only when a
     timed send expires. *)
 val remove_sender : t -> index:int -> waiting_sender option
 
-(** Visit every queued message once, in unspecified order (collector root
-    scan; shading is order-insensitive). *)
-val iter_messages : (queued_message -> unit) -> t -> unit
+(** Visit every queued message once: a Fifo queue in service order, a
+    Priority one in heap order (collector root scan, state images). *)
+val iter_messages :
+  (msg:Access.t -> priority:int -> seq:int -> enqueued_at:int -> txn:int -> unit) ->
+  t ->
+  unit
 
 (** Visit every blocked sender once, in unspecified order. *)
 val iter_senders : (waiting_sender -> unit) -> t -> unit

@@ -18,9 +18,14 @@
    its [effc] parks the op in [op] and returns the same prebuilt [Some]
    every time, whose function parks the continuation in the process's
    one [Suspended] block, allocated at the first syscall and rewritten
-   after.  [Pending] carries nothing.  The dispatching port's queue
-   state lives here too ([q_*], see {!Dispatch}): a process is its own
-   ready-queue node, so queueing it allocates nothing. *)
+   after.  [Pending] carries nothing.  A message handed to the process
+   comes back in its one [delivered] result, rewritten per delivery.
+
+   The kernel's other queues link through the process too, so none of
+   them allocates per entry: the dispatching port's ready queue ([q_*],
+   see {!Dispatch}), a port's parked receivers ([w_*], see {!Port}), and
+   the machine's timer heap ([tm_*], see {!Machine}), where a process
+   holds at most one timer. *)
 
 open I432
 
@@ -58,7 +63,6 @@ type t = {
   mutable pending : Syscall.result;  (* delivered at next resume *)
   mutable wake_at : int;  (* for Sleeping *)
   mutable timeout_at : int option;  (* deadline for a timed blocking op *)
-  mutable timer : int;  (* arm stamp of its live timer-heap entry *)
   mutable cpu_ns : int;  (* total virtual time consumed *)
   mutable slice_used_ns : int;  (* since last dispatch *)
   mutable last_ready_ns : int;  (* when the process last entered the mix *)
@@ -75,6 +79,18 @@ type t = {
   mutable messages_sent : int;
   mutable messages_received : int;
   mutable op : Syscall.op;  (* the syscall parked by the last [Pending] *)
+  mailbox : Syscall.mailbox;  (* the message in [delivered] *)
+  delivered : Syscall.result;  (* [R_msg mailbox], built once *)
+  (* Its timer on the machine's heap, kept by Machine alone: the key
+     (instant clamped at 0, arm stamp), the instant, and its heap slot,
+     -1 when it has no timer. *)
+  mutable tm_key : int;
+  mutable tm_arm : int;
+  mutable tm_at : int;
+  mutable tm_pos : int;
+  (* Neighbours among the receivers parked at its port, kept by Port. *)
+  mutable w_next : t;
+  mutable w_prev : t;
   (* Dispatching-port queue state, kept by Dispatch alone. *)
   mutable q_next : t;  (* FIFO neighbours in its priority level *)
   mutable q_prev : t;
@@ -85,6 +101,8 @@ type t = {
 }
 
 type Object_table.payload += Process_state of t
+
+let none_mailbox = { Syscall.msg = Access.make ~index:0 ~rights:Rights.none }
 
 (* The absent process: queue links and empty processor slots point here.
    Nothing ever writes its fields. *)
@@ -101,7 +119,6 @@ let rec none =
     pending = Syscall.R_unit;
     wake_at = 0;
     timeout_at = None;
-    timer = 0;
     cpu_ns = 0;
     slice_used_ns = 0;
     last_ready_ns = 0;
@@ -118,6 +135,14 @@ let rec none =
     messages_sent = 0;
     messages_received = 0;
     op = Syscall.Yield;
+    mailbox = none_mailbox;
+    delivered = Syscall.R_msg none_mailbox;
+    tm_key = 0;
+    tm_arm = 0;
+    tm_at = 0;
+    tm_pos = -1;
+    w_next = none;
+    w_prev = none;
     q_next = none;
     q_prev = none;
     q_prio = 0;
@@ -127,8 +152,11 @@ let rec none =
   }
 
 let create ~index ~ordinal ~name ~daemon ~priority ~system_level body =
+  let mailbox = { Syscall.msg = none_mailbox.Syscall.msg } in
   {
     none with
+    mailbox;
+    delivered = Syscall.R_msg mailbox;
     index;
     ordinal;
     name;

@@ -46,10 +46,6 @@ type t = {
   mutable timeout_at : int option;
       (** virtual-time deadline of the timed blocking operation the process
           is currently parked on, if any *)
-  mutable timer : int;
-      (** arm stamp of the process's entry on the machine's timer heap
-          (its sleep or its deadline); an entry with another stamp is
-          stale *)
   mutable cpu_ns : int;
   mutable slice_used_ns : int;
   mutable last_ready_ns : int;  (** when the process last entered the mix *)
@@ -66,6 +62,20 @@ type t = {
   mutable messages_sent : int;
   mutable messages_received : int;
   mutable op : Syscall.op;  (** the syscall parked by the last [Pending] *)
+  mailbox : Syscall.mailbox;  (** the message in [delivered] *)
+  delivered : Syscall.result;
+      (** [R_msg mailbox], built once: the result of every message
+          handed to the process *)
+  mutable tm_key : int;
+      (** timer-heap state, kept by {!Machine} alone: the key of its one
+          timer (its sleep or its deadline), the instant clamped at 0 ... *)
+  mutable tm_arm : int;  (** ... then its arm stamp *)
+  mutable tm_at : int;  (** the timer's instant *)
+  mutable tm_pos : int;  (** its heap slot; -1 when it holds no timer *)
+  mutable w_next : t;
+      (** receivers parked at its port, kept by {!Port} alone: FIFO
+          neighbours ({!none} at either end) *)
+  mutable w_prev : t;
   mutable q_next : t;
       (** dispatching-port queue state, kept by {!Dispatch} alone: FIFO
           neighbours within a priority level ({!none} at either end) *)

@@ -221,14 +221,12 @@ let state_image machine =
           p.Port.send_blocks p.Port.receive_blocks p.Port.max_depth
           p.Port.total_queue_wait_ns;
         Port.iter_messages
-          (fun m ->
+          (fun ~msg ~priority ~seq ~enqueued_at ~txn ->
             (* The txn suffix appears only for transactional messages, so
                images of runs without transactions are unchanged. *)
             Printf.bprintf buf " msg %s prio=%d seq=%d at=%d%s\n"
-              (access_str m.Port.msg) m.Port.msg_priority m.Port.seq
-              m.Port.enqueued_at
-              (if m.Port.txn <> 0 then Printf.sprintf " txn=%d" m.Port.txn
-               else ""))
+              (access_str msg) priority seq enqueued_at
+              (if txn <> 0 then Printf.sprintf " txn=%d" txn else ""))
           p;
         Port.iter_senders
           (fun s ->
@@ -237,7 +235,7 @@ let state_image machine =
               (access_str s.Port.sender_msg)
               s.Port.sender_priority s.Port.sender_seq)
           p;
-        Queue.iter (Printf.bprintf buf " receiver %d\n") p.Port.receivers
+        Port.iter_receivers (Printf.bprintf buf " receiver %d\n") p
       | Some (Process.Process_state p) ->
         Printf.bprintf buf
           " process %s status=%s%s prio=%d wake=%d tmo=%s cpu=%d slice=%d \

@@ -18,7 +18,7 @@ type op =
       (** waits while the port's message queue is full; the result
           reports whether the message was accepted *)
   | Receive of { port : Access.t; wait : wait }
-      (** waits while no message is available; the result is [None]
+      (** waits while no message is available; the result is [R_no_msg]
           when the op gave up *)
   | Delay of int  (** sleep for the given virtual nanoseconds *)
   | Yield  (** surrender the processor, stay ready *)
@@ -35,10 +35,17 @@ type op =
           or apply none and report the first conflicting port.  Never
           blocks; retry/abort policy lives above the kernel (lib/txn). *)
 
+(* A process's one message slot: the kernel writes each message it
+   delivers here and resumes the process with the process's prebuilt
+   [R_msg] of it, so a delivery allocates nothing.  The body reads the
+   message before its next syscall, the only point a new one can land. *)
+type mailbox = { mutable msg : Access.t }
+
 type result =
   | R_unit
   | R_accepted of bool
-  | R_msg_option of Access.t option
+  | R_msg of mailbox  (** a received message *)
+  | R_no_msg  (** a timed or polling receive gave up *)
   | R_txn of txn_result
 
 and txn_result =

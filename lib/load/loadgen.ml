@@ -53,15 +53,16 @@ let write_header m msg ~id ~cls ~at_ns =
   K.Machine.write_word m msg ~offset:8 (at_ns land at_mask);
   K.Machine.write_word m msg ~offset:12 (at_ns lsr 30)
 
-(* (id, cls, at_ns), or None for a poison pill. *)
-let read_header m msg =
-  let w0 = K.Machine.read_word m msg ~offset:0 in
-  if w0 = 0 then None
-  else
-    let cls = K.Machine.read_word m msg ~offset:4 in
-    let lo = K.Machine.read_word m msg ~offset:8 in
-    let hi = K.Machine.read_word m msg ~offset:12 in
-    Some (w0 - 1, cls, (hi lsl 30) lor lo)
+(* The header's four charged reads, in word order, returning bare ints:
+   the id first ([-1] for a poison pill, whose other words are never
+   read), then the class, then the two halves of the instant. *)
+let read_id m msg = K.Machine.read_word m msg ~offset:0 - 1
+let read_cls m msg = K.Machine.read_word m msg ~offset:4
+
+let read_at m msg =
+  let lo = K.Machine.read_word m msg ~offset:8 in
+  let hi = K.Machine.read_word m msg ~offset:12 in
+  (hi lsl 30) lor lo
 
 (* ------------------------------------------------------------------ *)
 (* Pumps and workers                                                   *)
@@ -134,9 +135,11 @@ let spawn_workers m ~workers ~recorder ~remaining ~last_done_ns ~recv
              K.Machine.allocate_generic m ~data_length:256 ~access_length:0 ()
            in
            let rec loop () =
-             match read_header m (recv ()) with
-             | None -> ()  (* poison: all requests retired *)
-             | Some (id, cls, at_ns) ->
+             let msg = recv () in
+             let id = read_id m msg in
+             if id >= 0 (* else poison: all requests retired *) then begin
+               let cls = read_cls m msg in
+               let at_ns = read_at m msg in
                Mix.service m ~scratch (Mix.of_code cls);
                let nowv = K.Machine.now m in
                let latency_ns = nowv - at_ns in
@@ -150,6 +153,7 @@ let spawn_workers m ~workers ~recorder ~remaining ~last_done_ns ~recv
                    send_poison ()
                  done
                else loop ()
+             end
            in
            loop ()))
   done;

@@ -425,12 +425,16 @@ let drain_channel t ch =
   let src = node_of t ch.ch_src in
   if src.n_alive then begin
     let budget = ref (t.window - Arq.Unacked.length ch.ch_unacked) in
+    let port = K.Port.state_of (K.Machine.table src.machine) ch.ch_surrogate in
     while !budget > 0 do
-      match K.Machine.drain_one src.machine ~port:ch.ch_surrogate with
+      match K.Machine.drain_one src.machine port with
       | None -> budget := 0
-      | Some qm ->
+      | Some msg ->
         decr budget;
-        let wire = Filing.capture src.machine ~mask:ch.ch_mask qm.K.Port.msg in
+        let priority = port.K.Port.last_priority
+        and enqueued_at = port.K.Port.last_enqueued_at
+        and txn = port.K.Port.last_txn in
+        let wire = Filing.capture src.machine ~mask:ch.ch_mask msg in
         let seq = ch.ch_next_seq in
         ch.ch_next_seq <- ch.ch_next_seq + 1;
         let frame =
@@ -442,12 +446,11 @@ let drain_channel t ch =
             channel = ch.ch_id;
             seq;
             port_name = ch.ch_name;
-            priority = qm.K.Port.msg_priority;
+            priority;
             size_bytes = Filing.wire_bytes wire;
-            txn = qm.K.Port.txn;
+            txn;
           }
         in
-        let enqueued_at = qm.K.Port.enqueued_at in
         let tr = tracer src in
         Obs.Tracer.emit tr Obs.Event.Remote_send ~cpu:(-1) ~ts_ns:enqueued_at
           ~name_id:(Obs.Tracer.string_id tr ch.ch_name) ~detail_id:0

@@ -96,6 +96,7 @@ let log_histogram t ?(per_decade = 16) ?(lo = 10.0) ?(decades = 9) name =
     h
 
 let observe_log h x = Stats.log_hist_observe h.l_hist x
+let observe_log_int h n = Stats.log_hist_observe_int h.l_hist n
 let log_quantile h q = Stats.log_hist_quantile h.l_hist q
 
 let find_counter t name = Hashtbl.find_opt t.counters name
@@ -137,10 +138,10 @@ let log_hist_json (h : Stats.log_hist) =
       ("lo", Float h.Stats.lh_lo);
       ("per_decade", Int h.Stats.lh_per_decade);
       ("count", Int h.Stats.lh_count);
-      ("sum", Float h.Stats.lh_sum);
+      ("sum", Float (Stats.log_hist_sum h));
       ("mean", Float (Stats.log_hist_mean h));
-      ("min", if h.Stats.lh_count = 0 then Null else Float h.Stats.lh_min);
-      ("max", if h.Stats.lh_count = 0 then Null else Float h.Stats.lh_max);
+      ("min", if h.Stats.lh_count = 0 then Null else Float (Stats.log_hist_min h));
+      ("max", if h.Stats.lh_count = 0 then Null else Float (Stats.log_hist_max h));
       ("p50", Float (Stats.log_hist_quantile h 0.50));
       ("p99", Float (Stats.log_hist_quantile h 0.99));
       ("p999", Float (Stats.log_hist_quantile h 0.999));

@@ -48,6 +48,9 @@ val log_histogram :
 
 val observe_log : log_histogram -> float -> unit
 
+(** [observe_log h (float_of_int n)] without boxing the float. *)
+val observe_log_int : log_histogram -> int -> unit
+
 (** [log_quantile h q] with [q] in [0, 1]. *)
 val log_quantile : log_histogram -> float -> float
 

@@ -1,17 +1,24 @@
 (* AVL tree keyed by region base, augmented with the max region length per
    subtree.  The augmentation is what makes first fit O(log n): at every
    node we know whether any region to the left (= lower base) can satisfy
-   the request, so the descent takes the leftmost viable branch directly. *)
+   the request, so the descent takes the leftmost viable branch directly.
+
+   Only a region that appears or vanishes rebuilds (and rebalances) a
+   path.  A carve that leaves a remainder, or a freed block that merges
+   into one neighbour, resizes that neighbour's node in place and then
+   refreshes [maxl] on the path down to it.  The address order survives:
+   a carved region's base moves up but stays below its successor's, and a
+   merge moves a base down only as far as its predecessor's end. *)
 
 type tree =
   | Leaf
   | Node of {
-      l : tree;
-      base : int;
-      len : int;
-      r : tree;
-      h : int;
-      maxl : int;  (* max region length in this subtree *)
+      mutable l : tree;
+      mutable base : int;
+      mutable len : int;
+      mutable r : tree;
+      mutable h : int;
+      mutable maxl : int;  (* max region length in this subtree *)
     }
 
 let height = function Leaf -> 0 | Node n -> n.h
@@ -24,8 +31,8 @@ let mk l base len r =
       base;
       len;
       r;
-      h = 1 + max (height l) (height r);
-      maxl = max len (max (maxl l) (maxl r));
+      h = 1 + Int.max (height l) (height r);
+      maxl = Int.max len (Int.max (maxl l) (maxl r));
     }
 
 (* Standard AVL rebalancing (single/double rotations). *)
@@ -85,33 +92,38 @@ let rec remove t key =
         let sb, sl = min_binding r in
         bal l sb sl (remove_min r))
 
-(* Greatest region with base < key. *)
+(* Greatest region with base < key, or [Leaf]. *)
 let rec pred t key acc =
   match t with
   | Leaf -> acc
-  | Node n ->
-    if n.base < key then pred n.r key (Some (n.base, n.len))
-    else pred n.l key acc
+  | Node n -> if n.base < key then pred n.r key t else pred n.l key acc
 
-(* Least region with base > key. *)
+(* Least region with base > key, or [Leaf]. *)
 let rec succ t key acc =
   match t with
   | Leaf -> acc
-  | Node n ->
-    if n.base > key then succ n.l key (Some (n.base, n.len))
-    else succ n.r key acc
+  | Node n -> if n.base > key then succ n.l key t else succ n.r key acc
 
-(* Lowest-base region with len >= size; the left-first descent is what
-   makes this a faithful first fit.  The explicit Leaf guard keeps the
-   degenerate size = 0 query (every region fits) on the leftmost node. *)
+(* Lowest-base region with len >= size, or [Leaf]; the left-first descent
+   is what makes this a faithful first fit. *)
 let rec first_fit t size =
   match t with
-  | Leaf -> None
+  | Leaf -> Leaf
   | Node n ->
-    if n.l <> Leaf && maxl n.l >= size then first_fit n.l size
-    else if n.len >= size then Some (n.base, n.len)
+    if maxl n.l >= size && n.l != Leaf then first_fit n.l size
+    else if n.len >= size then t
     else if maxl n.r >= size then first_fit n.r size
-    else None
+    else Leaf
+
+(* Recompute [maxl] on the path from [t] down to the region at [key],
+   after that region was resized in place. *)
+let rec refresh t key =
+  match t with
+  | Leaf -> ()
+  | Node n ->
+    if key < n.base then refresh n.l key
+    else if key > n.base then refresh n.r key;
+    n.maxl <- Int.max n.len (Int.max (maxl n.l) (maxl n.r))
 
 type t = {
   mutable tree : tree;
@@ -127,35 +139,43 @@ let region_count t = t.count
 let insert t ~base ~length =
   if length < 0 then invalid_arg "Free_store.insert: negative length";
   if length > 0 then begin
-    let b = ref base and l = ref length in
-    (match pred t.tree base None with
-    | Some (pb, pl) when pb + pl = base ->
-      t.tree <- remove t.tree pb;
-      t.count <- t.count - 1;
-      b := pb;
-      l := pl + !l
-    | Some _ | None -> ());
-    (match succ t.tree base None with
-    | Some (sb, sl) when base + length = sb ->
-      t.tree <- remove t.tree sb;
-      t.count <- t.count - 1;
-      l := !l + sl
-    | Some _ | None -> ());
-    t.tree <- add t.tree !b !l;
-    t.count <- t.count + 1;
+    (match (pred t.tree base Leaf, succ t.tree base Leaf) with
+    | Node p, s when p.base + p.len = base -> (
+      p.len <- p.len + length;
+      match s with
+      | Node s when base + length = s.base ->
+        p.len <- p.len + s.len;
+        refresh t.tree p.base;
+        t.tree <- remove t.tree s.base;
+        t.count <- t.count - 1
+      | Node _ | Leaf -> refresh t.tree p.base)
+    | _, Node s when base + length = s.base ->
+      s.base <- base;
+      s.len <- s.len + length;
+      refresh t.tree base
+    | _ ->
+      t.tree <- add t.tree base length;
+      t.count <- t.count + 1);
     t.sum <- t.sum + length
   end
 
 let take_first_fit t ~size =
   if size < 0 then invalid_arg "Free_store.take_first_fit: size";
   match first_fit t.tree size with
-  | None -> None
-  | Some (base, len) ->
-    t.tree <- remove t.tree base;
-    if len = size then t.count <- t.count - 1
-    else t.tree <- add t.tree (base + size) (len - size);
+  | Leaf -> -1
+  | Node n ->
+    let base = n.base in
+    if n.len = size then begin
+      t.tree <- remove t.tree base;
+      t.count <- t.count - 1
+    end
+    else begin
+      n.base <- base + size;
+      n.len <- n.len - size;
+      refresh t.tree n.base
+    end;
     t.sum <- t.sum - size;
-    Some base
+    base
 
 let rec iter_tree f = function
   | Leaf -> ()

@@ -14,23 +14,27 @@
 
     Size-independence (the paper's ~80 us segment creation regardless of
     request size) is preserved because the fit query's cost depends only on
-    region count, never on the requested size. *)
+    region count, never on the requested size.
+
+    A carve that leaves a remainder, and a free that merges into an
+    existing region, resize a node in place: only a region that appears
+    or vanishes allocates or rebalances. *)
 
 type t
 
 val create : unit -> t
 
 (** Add a free region, coalescing with adjacent neighbours.  Regions must
-    be disjoint from existing ones (unchecked, as in the list version).
-    [length = 0] is a no-op. *)
+    be disjoint from existing ones (unchecked, as in the list version) and
+    bases non-negative.  [length = 0] is a no-op. *)
 val insert : t -> base:int -> length:int -> unit
 
 (** Carve [size] bytes from the lowest-base region with [length >= size]
-    (first fit; the remainder, if any, stays at [base+size]).  [None] when
-    nothing fits.  [size] must be non-negative; a zero-size carve reports
-    the lowest base without changing the store (matching a first-fit list
-    scan). *)
-val take_first_fit : t -> size:int -> int option
+    (first fit; the remainder, if any, stays at [base+size]) and return
+    its base; [-1] when nothing fits.  [size] must be non-negative; a
+    zero-size carve reports the lowest base without changing the store
+    (matching a first-fit list scan). *)
+val take_first_fit : t -> size:int -> int
 
 (** Sum of free region lengths. *)
 val total : t -> int

@@ -159,10 +159,13 @@ type log_hist = {
   mutable lh_underflow : int;
   mutable lh_overflow : int;
   mutable lh_count : int;  (* finite observations, including under/overflow *)
-  mutable lh_sum : float;
-  mutable lh_min : float;
-  mutable lh_max : float;
+  lh_acc : float array;
+      (* sum, min and max, stored unboxed: observing allocates nothing *)
 }
+
+let log_hist_sum h = h.lh_acc.(0)
+let log_hist_min h = h.lh_acc.(1)
+let log_hist_max h = h.lh_acc.(2)
 
 let log_hist_create ~per_decade ~lo ~decades () =
   if per_decade <= 0 then invalid_arg "Stats.log_hist_create: per_decade";
@@ -176,17 +179,15 @@ let log_hist_create ~per_decade ~lo ~decades () =
     lh_underflow = 0;
     lh_overflow = 0;
     lh_count = 0;
-    lh_sum = 0.0;
-    lh_min = infinity;
-    lh_max = neg_infinity;
+    lh_acc = [| 0.0; infinity; neg_infinity |];
   }
 
-let log_hist_observe h x =
+let[@inline] log_hist_observe h x =
   if not (Float.is_nan x) then begin
     h.lh_count <- h.lh_count + 1;
-    h.lh_sum <- h.lh_sum +. x;
-    if x < h.lh_min then h.lh_min <- x;
-    if x > h.lh_max then h.lh_max <- x;
+    h.lh_acc.(0) <- h.lh_acc.(0) +. x;
+    if x < h.lh_acc.(1) then h.lh_acc.(1) <- x;
+    if x > h.lh_acc.(2) then h.lh_acc.(2) <- x;
     if x < h.lh_lo then h.lh_underflow <- h.lh_underflow + 1
     else begin
       let buckets = Array.length h.lh_counts in
@@ -202,8 +203,11 @@ let log_hist_observe h x =
     end
   end
 
+(* The same body inlined over an int: the float is never boxed. *)
+let log_hist_observe_int h n = log_hist_observe h (float_of_int n)
+
 let log_hist_mean h =
-  if h.lh_count = 0 then 0.0 else h.lh_sum /. float_of_int h.lh_count
+  if h.lh_count = 0 then 0.0 else log_hist_sum h /. float_of_int h.lh_count
 
 (* Lower edge of bucket [b]. *)
 let log_hist_edge h b =
@@ -216,16 +220,16 @@ let log_hist_edge h b =
 let log_hist_quantile h q =
   if not (q >= 0.0 && q <= 1.0) then invalid_arg "Stats.log_hist_quantile";
   if h.lh_count = 0 then 0.0
-  else if q = 0.0 then h.lh_min
+  else if q = 0.0 then log_hist_min h
   else begin
     let target = q *. float_of_int h.lh_count in
     let target = if target < 1.0 then 1.0 else target in
     let clamp x =
-      if x < h.lh_min then h.lh_min
-      else if x > h.lh_max then h.lh_max
+      if x < log_hist_min h then log_hist_min h
+      else if x > log_hist_max h then log_hist_max h
       else x
     in
-    if float_of_int h.lh_underflow >= target then h.lh_min
+    if float_of_int h.lh_underflow >= target then log_hist_min h
     else begin
       let cum = ref (float_of_int h.lh_underflow) in
       let buckets = Array.length h.lh_counts in
@@ -244,7 +248,7 @@ let log_hist_quantile h q =
           incr b
         end
       done;
-      match !result with Some v -> v | None -> h.lh_max
+      match !result with Some v -> v | None -> log_hist_max h
     end
   end
 
@@ -261,9 +265,9 @@ let log_hist_merge_into ~dst ~src =
   dst.lh_underflow <- dst.lh_underflow + src.lh_underflow;
   dst.lh_overflow <- dst.lh_overflow + src.lh_overflow;
   dst.lh_count <- dst.lh_count + src.lh_count;
-  dst.lh_sum <- dst.lh_sum +. src.lh_sum;
-  if src.lh_min < dst.lh_min then dst.lh_min <- src.lh_min;
-  if src.lh_max > dst.lh_max then dst.lh_max <- src.lh_max
+  dst.lh_acc.(0) <- log_hist_sum dst +. log_hist_sum src;
+  if log_hist_min src < log_hist_min dst then dst.lh_acc.(1) <- log_hist_min src;
+  if log_hist_max src > log_hist_max dst then dst.lh_acc.(2) <- log_hist_max src
 
 (* One-shot histogram of a sample array.  Underflow and overflow are
    reported explicitly rather than silently dropped; [hi] itself counts as

@@ -80,9 +80,10 @@ type log_hist = {
   mutable lh_underflow : int;  (** observations below [lo] *)
   mutable lh_overflow : int;  (** observations beyond the last bucket *)
   mutable lh_count : int;  (** all finite observations *)
-  mutable lh_sum : float;
-  mutable lh_min : float;  (** [infinity] when empty *)
-  mutable lh_max : float;  (** [neg_infinity] when empty *)
+  lh_acc : float array;
+      (** three cells, the sum, min and max ({!log_hist_sum},
+          {!log_hist_min}, {!log_hist_max}); a float array keeps them
+          unboxed, so an observation allocates nothing *)
 }
 
 (** Raises [Invalid_argument] unless [per_decade > 0], [decades > 0] and
@@ -91,6 +92,18 @@ val log_hist_create :
   per_decade:int -> lo:float -> decades:int -> unit -> log_hist
 
 val log_hist_observe : log_hist -> float -> unit
+
+(** [log_hist_observe h (float_of_int n)] without boxing the float. *)
+val log_hist_observe_int : log_hist -> int -> unit
+
+(** The sum of every finite observation. *)
+val log_hist_sum : log_hist -> float
+
+(** The least finite observation; [infinity] when empty. *)
+val log_hist_min : log_hist -> float
+
+(** The greatest finite observation; [neg_infinity] when empty. *)
+val log_hist_max : log_hist -> float
 
 (** 0.0 when empty. *)
 val log_hist_mean : log_hist -> float

@@ -3,11 +3,12 @@
    Each property drives the live implementation and an inline reference
    model (the seed's O(n) sorted-list algorithm) with the same random op
    script and demands observational equality at every step.  This is the
-   evidence that the intrusive ready queue under Dispatch, the pairing
-   heaps under Port, the fit trees under Sro and the single-load memory
-   words changed host cost only — service order, placement, and
-   statistics are bit-identical, which is what keeps every E1-E11
-   virtual-time number unchanged. *)
+   evidence that the intrusive ready queue under Dispatch, the port
+   queues, the fit trees under Sro, the single-load memory words, the
+   per-process timer heap and the unboxed Prng changed host cost only —
+   service order, placement, wake order, draws and statistics are
+   bit-identical, which is what keeps every E1-E11 virtual-time number
+   unchanged. *)
 
 open I432
 open I432_util
@@ -294,7 +295,11 @@ module Model_free_store = struct
   let largest t = List.fold_left (fun a r -> max a r.length) 0 t.free_regions
 end
 
-type store_op = F_alloc of int | F_free of int
+(* [F_exact i] carves exactly the length of the model's [i]-th free
+   region (an exact fit when no lower region is as long); [F_triple s]
+   carves three [s]-byte blocks, frees the outer two and then the middle
+   one, which coalesces on both sides when the three were adjacent. *)
+type store_op = F_alloc of int | F_free of int | F_exact of int | F_triple of int
 
 let store_op_gen =
   QCheck2.Gen.(
@@ -302,6 +307,8 @@ let store_op_gen =
       [
         map (fun s -> F_alloc s) (int_range 1 96);
         map (fun i -> F_free i) (int_range 0 200);
+        map (fun i -> F_exact i) (int_range 0 200);
+        map (fun s -> F_triple s) (int_range 1 64);
       ])
 
 let prop_free_store_matches_model =
@@ -314,34 +321,69 @@ let prop_free_store_matches_model =
       Free_store.insert fs ~base:0 ~length:heap;
       let m = Model_free_store.create heap in
       let live = ref [] in  (* (base, size) of outstanding carves *)
+      let same () =
+        Free_store.to_list fs = Model_free_store.to_list m
+        && Free_store.total fs = Model_free_store.total m
+        && Free_store.largest fs = Model_free_store.largest m
+        && Free_store.region_count fs = List.length (Model_free_store.to_list m)
+      in
+      (* Identical placement decisions, not just identical success. *)
+      let alloc size =
+        let got = Free_store.take_first_fit fs ~size in
+        let expected = Model_free_store.take m size in
+        let agree =
+          match expected with Some base -> got = base | None -> got = -1
+        in
+        (agree && same (), expected)
+      in
+      let free (base, size) =
+        Free_store.insert fs ~base ~length:size;
+        Model_free_store.give m ~base ~length:size;
+        same ()
+      in
       List.for_all
         (fun op ->
-          (match op with
-          | F_alloc size ->
-            let got = Free_store.take_first_fit fs ~size in
-            let expected = Model_free_store.take m size in
-            (* Identical placement decisions, not just identical success. *)
-            got = expected
-            &&
-            (match got with
-            | Some base ->
+          match op with
+          | F_alloc size -> (
+            match alloc size with
+            | ok, Some base ->
               live := (base, size) :: !live;
-              true
-            | None -> true)
+              ok
+            | ok, None -> ok)
+          | F_exact i -> (
+            match Model_free_store.to_list m with
+            | [] -> true
+            | regions -> (
+              let size = snd (List.nth regions (i mod List.length regions)) in
+              match alloc size with
+              | ok, Some base ->
+                live := (base, size) :: !live;
+                ok
+              | ok, None -> ok))
+          | F_triple size -> (
+            let first = alloc size in
+            let middle = alloc size in
+            let last = alloc size in
+            match (first, middle, last) with
+            | (a, Some x), (b, Some y), (c, Some z) ->
+              a && b && c
+              && free (x, size)
+              && free (z, size)
+              && free (y, size)
+            | (a, x), (b, y), (c, z) ->
+              (* Out of room part way: keep what was carved. *)
+              List.iter
+                (function Some base -> live := (base, size) :: !live | None -> ())
+                [ x; y; z ];
+              a && b && c)
           | F_free i -> (
             match !live with
             | [] -> true
             | _ ->
               let n = List.length !live in
-              let base, size = List.nth !live (i mod n) in
+              let block = List.nth !live (i mod n) in
               live := List.filteri (fun j _ -> j <> i mod n) !live;
-              Free_store.insert fs ~base ~length:size;
-              Model_free_store.give m ~base ~length:size;
-              true))
-          && Free_store.to_list fs = Model_free_store.to_list m
-          && Free_store.total fs = Model_free_store.total m
-          && Free_store.largest fs = Model_free_store.largest m
-          && Free_store.region_count fs = List.length (Model_free_store.to_list m))
+              free block))
         script)
 
 (* ------------------------------------------------------------------ *)
@@ -598,6 +640,180 @@ let prop_memory_word_matches_seed =
         script
       && Memory.blit_to_bytes m ~src_addr:0 ~len:memory_size = model)
 
+(* ------------------------------------------------------------------ *)
+(* Timers vs the seed's stale-stamp pairing heap                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed's timer heap: a pairing heap of (process, instant, arm stamp)
+   entries keyed (-max 0 instant, stamp).  An entry is live while its
+   process's stamp is its own; re-arming and disarming leave stale entries
+   behind, dropped when they reach the front. *)
+module Model_timers = struct
+  type entry = { proc : K.Process.t; at : int; arm : int }
+
+  type t = {
+    heap : entry Pqueue.t;
+    mutable arms : int;
+    stamps : (int, int) Hashtbl.t;  (* ordinal -> live stamp *)
+  }
+
+  let create () = { heap = Pqueue.create (); arms = 0; stamps = Hashtbl.create 8 }
+
+  let live t e =
+    Hashtbl.find_opt t.stamps e.proc.K.Process.ordinal = Some e.arm
+
+  let arm t (proc : K.Process.t) at =
+    t.arms <- t.arms + 1;
+    Hashtbl.replace t.stamps proc.K.Process.ordinal t.arms;
+    Pqueue.insert t.heap ~priority:(-max 0 at) ~seq:t.arms
+      { proc; at; arm = t.arms }
+
+  let disarm t (proc : K.Process.t) =
+    Hashtbl.replace t.stamps proc.K.Process.ordinal 0
+
+  (* Due ordinals, newest first. *)
+  let pop_due t ~horizon =
+    let rec go acc =
+      if Pqueue.front_priority t.heap ~empty:min_int < -horizon then acc
+      else
+        match Pqueue.pop t.heap with
+        | None -> acc
+        | Some e -> go (if live t e then e.proc.K.Process.ordinal :: acc else acc)
+    in
+    List.sort (fun a b -> Int.compare b a) (go [])
+
+  let rec next t =
+    match Pqueue.peek t.heap with
+    | None -> min_int
+    | Some e when live t e -> e.at
+    | Some _ ->
+      ignore (Pqueue.pop t.heap);
+      next t
+
+  (* (live entries, earliest live instant). *)
+  let progress t =
+    let n = ref 0 and first = ref max_int in
+    Pqueue.iter
+      (fun e ->
+        if live t e then begin
+          incr n;
+          first := min !first e.at
+        end)
+      t.heap;
+    (!n, !first)
+end
+
+type timer_op = T_arm of int * int | T_disarm of int | T_fire of int
+
+let timer_processes = 6
+
+let timer_op_gen =
+  QCheck2.Gen.(
+    let proc = int_range 0 (timer_processes - 1) in
+    frequency
+      [
+        (* Negative instants stand for wrapped ones: keyed as 0. *)
+        (4, map2 (fun p at -> T_arm (p, at)) proc (int_range (-20) 200));
+        (2, map (fun p -> T_disarm p) proc);
+        (3, map (fun h -> T_fire h) (int_range 0 220));
+      ])
+
+let prop_timers_match_model =
+  QCheck2.Test.make ~name:"timer heap = seed stale-stamp pairing heap"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 120) timer_op_gen)
+    (fun script ->
+      let procs =
+        Array.init timer_processes (fun i ->
+            K.Process.create ~index:i ~ordinal:i ~name:"timer" ~daemon:false
+              ~priority:0 ~system_level:4 ignore)
+      in
+      let t = K.Machine.Timers.create () and m = Model_timers.create () in
+      List.for_all
+        (fun op ->
+          let due_agree =
+            match op with
+            | T_arm (p, at) ->
+              K.Machine.Timers.arm t procs.(p) at;
+              Model_timers.arm m procs.(p) at;
+              true
+            | T_disarm p ->
+              K.Machine.Timers.disarm t procs.(p);
+              Model_timers.disarm m procs.(p);
+              true
+            | T_fire horizon ->
+              let n = K.Machine.Timers.pop_due t ~horizon in
+              let got =
+                List.init n (fun i -> (K.Machine.Timers.due t i).K.Process.ordinal)
+              in
+              got = Model_timers.pop_due m ~horizon
+          in
+          let first = ref max_int in
+          K.Machine.Timers.iter
+            (fun proc -> first := min !first proc.K.Process.tm_at)
+            t;
+          due_agree
+          && K.Machine.Timers.next t = Model_timers.next m
+          && (K.Machine.Timers.length t, !first) = Model_timers.progress m)
+        script)
+
+(* ------------------------------------------------------------------ *)
+(* Prng vs the seed's record-based splitmix64                          *)
+(* ------------------------------------------------------------------ *)
+
+module Seed_prng = struct
+  type t = { mutable state : int64 }
+
+  let create ~seed = { state = Int64.of_int seed }
+  let golden = 0x9E3779B97F4A7C15L
+
+  let next_int64 t =
+    t.state <- Int64.add t.state golden;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int t bound =
+    let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+    r mod bound
+
+  let float t =
+    let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
+    float_of_int bits /. 9007199254740992.0
+
+  let exponential t ~mean =
+    let u = float t in
+    let u = if u <= 0.0 then 1e-12 else u in
+    -.mean *. log u
+end
+
+(* 10,000 draws per seed, cycling through every kind of draw; floats are
+   compared bit for bit. *)
+let prop_prng_matches_seed =
+  QCheck2.Test.make ~name:"prng draws = seed record-based splitmix64" ~count:20
+    QCheck2.Gen.(oneof [ int; oneofl [ 0; 1; -1; max_int; min_int ] ])
+    (fun seed ->
+      let a = Prng.create ~seed and b = Seed_prng.create ~seed in
+      let bits = Int64.bits_of_float in
+      let rec go i =
+        i = 10_000
+        ||
+        let same =
+          match i mod 4 with
+          | 0 -> Prng.next_int64 a = Seed_prng.next_int64 b
+          | 1 ->
+            let bound = if i mod 8 = 1 then max_int else 1 + (i * 7919 mod 1000) in
+            Prng.int a bound = Seed_prng.int b bound
+          | 2 -> bits (Prng.float a) = bits (Seed_prng.float b)
+          | _ ->
+            let mean = float_of_int (1 + i) in
+            bits (Prng.exponential a ~mean) = bits (Seed_prng.exponential b ~mean)
+        in
+        same && go (i + 1)
+      in
+      go 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pqueue_matches_sorted_list;
@@ -607,4 +823,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sro_coalescing_and_fit;
     QCheck_alcotest.to_alcotest prop_sro_live_lists_match_model;
     QCheck_alcotest.to_alcotest prop_memory_word_matches_seed;
+    QCheck_alcotest.to_alcotest prop_timers_match_model;
+    QCheck_alcotest.to_alcotest prop_prng_matches_seed;
   ]

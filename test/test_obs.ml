@@ -438,6 +438,61 @@ let test_metrics_observe_int () =
     (float_of_int (List.fold_left ( + ) 0 values))
     (I432_util.Stats.hist_sum st)
 
+(* A log histogram's JSON and text dumps, before and after a merge, pinned
+   to the bytes the record-field layout (sum, min and max as mutable float
+   fields) printed for the same script: NaN ignored, two underflows, two
+   overflows, an empty histogram's null min and max.  The JSON is pinned
+   by its MD5; the int entry point must print the same bytes as the float
+   one. *)
+let test_log_hist_output_pinned () =
+  let values =
+    [ 250.0; 1.0; Float.nan; 25.0; 2_500.0; 1e9; 0.5; 100.0; 10.0; 9_999.0;
+      10_000.0 ]
+  in
+  let feed observe =
+    let r = Obs.Metrics.create () in
+    let h = Obs.Metrics.log_histogram r ~per_decade:4 ~lo:10.0 ~decades:3 "lat" in
+    List.iter (observe h) values;
+    ignore (Obs.Metrics.log_histogram r ~per_decade:1 ~lo:1.0 ~decades:2 "empty");
+    r
+  in
+  let r = feed Obs.Metrics.observe_log in
+  let other = Obs.Metrics.create () in
+  Obs.Metrics.observe_log
+    (Obs.Metrics.log_histogram other ~per_decade:4 ~lo:10.0 ~decades:3 "lat")
+    0.25;
+  let merged = Obs.Metrics.create () in
+  Obs.Metrics.merge_into ~dst:merged ~src:r;
+  Obs.Metrics.merge_into ~dst:merged ~src:other;
+  let json r = Obs.Jout.to_string (Obs.Metrics.to_json r) in
+  let check what r ~md5 ~render =
+    Alcotest.(check string) (what ^ " json md5") md5
+      (Digest.to_hex (Digest.string (json r)));
+    Alcotest.(check string) (what ^ " render") render (Obs.Metrics.render r)
+  in
+  let empty_line =
+    "loghist empty                        count 0 mean 0.0 p50 0.0 p99 0.0 \
+     p999 0.0\n"
+  in
+  check "fed" r ~md5:"ebb8621ca4c283b3279829a103262b40"
+    ~render:
+      (empty_line
+     ^ "loghist lat                          count 10 mean 100002288.5 p50 \
+        177.8 p99 1000000000.0 p999 1000000000.0\n");
+  check "merged" merged ~md5:"114f8f8efc5ceff2c7eacf589607954f"
+    ~render:
+      (empty_line
+     ^ "loghist lat                          count 11 mean 90911171.4 p50 \
+        133.4 p99 1000000000.0 p999 1000000000.0\n");
+  let ints = List.filter_map (fun v -> if Float.is_integer v then Some (int_of_float v) else None) values in
+  let by_float = Obs.Metrics.create () and by_int = Obs.Metrics.create () in
+  let lat r = Obs.Metrics.log_histogram r ~per_decade:4 ~lo:10.0 ~decades:3 "lat" in
+  List.iter (fun n -> Obs.Metrics.observe_log (lat by_float) (float_of_int n)) ints;
+  List.iter (Obs.Metrics.observe_log_int (lat by_int)) ints;
+  Alcotest.(check string) "int json" (json by_float) (json by_int);
+  Alcotest.(check string) "int render" (Obs.Metrics.render by_float)
+    (Obs.Metrics.render by_int)
+
 let suite =
   [
     ("tracer: ring overflow", `Quick, test_ring_overflow);
@@ -458,4 +513,5 @@ let suite =
     ("snapshot: observability fields", `Quick, test_snapshot_observability_fields);
     QCheck_alcotest.to_alcotest prop_events_merge_matches_sort;
     ("metrics: int observe = float observe", `Quick, test_metrics_observe_int);
+    ("metrics: log histogram output pinned", `Quick, test_log_hist_output_pinned);
   ]
