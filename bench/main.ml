@@ -108,6 +108,15 @@ let micro_gates =
           Printf.sprintf
             "FAIL: banking run allocates %.1f minor words per transfer > %.0f"
             r.loop.bank_words_per_transfer Run_loop.bank_words_limit
+        else if
+          r.loop.bank_history_words_per_transfer
+          > Run_loop.bank_history_words_limit
+        then
+          Printf.sprintf
+            "FAIL: banking run filing history allocates %.1f minor words per \
+             transfer > %.0f"
+            r.loop.bank_history_words_per_transfer
+            Run_loop.bank_history_words_limit
         else
           match
             List.find_opt

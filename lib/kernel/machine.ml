@@ -15,6 +15,7 @@
 
 open I432
 module Obs = I432_obs
+module Int_tbl = Hashtbl.Make (Int)
 
 exception Kernel_panic of string
 
@@ -265,7 +266,7 @@ type t = {
      the machine's replayed state: a checkpoint restore re-executes the
      same commits and rebuilds the same set, so a retried group can never
      double-apply across a crash.  Empty until the first keyed commit. *)
-  txn_applied : (int, unit) Hashtbl.t;
+  txn_applied : unit Int_tbl.t;
   (* Domain id currently inside [advance], -1 if none.  A machine is a
      single-domain object: the parallel cluster engine steps each node on
      exactly one domain per round, and this field turns a violated
@@ -397,7 +398,7 @@ let create ?(config = default_config) () =
     pending_port_delay_ns = 0;
     reclaim_hook = None;
     fault_hook = None;
-    txn_applied = Hashtbl.create 16;
+    txn_applied = Int_tbl.create 16;
     stepper = -1;
   }
 
@@ -427,7 +428,10 @@ let set_fault_hook t hook = t.fault_hook <- hook
 
 (* Applied transaction keys, ascending (snapshot images and tests). *)
 let txn_applied_keys t =
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.txn_applied [])
+  List.sort Int.compare
+    (Int_tbl.fold (fun k () acc -> k :: acc) t.txn_applied [])
+
+let txn_applied_count t = Int_tbl.length t.txn_applied
 
 let count_txn_dup_drop t = Obs.Metrics.incr (Lazy.force t.mon.mon_txn_dup_drops)
 
@@ -1321,7 +1325,7 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
   let send_ports = List.map (fun (a, m) -> (Port.state_of t.table a, m)) sends in
   List.iter Port.check_receive_right receives;
   List.iter (fun (a, _) -> Port.check_send_right a) sends;
-  let replay = key <> 0 && Hashtbl.mem t.txn_applied key in
+  let replay = key <> 0 && Int_tbl.mem t.txn_applied key in
   let send_targets = List.map fst send_ports in
   let ports =
     List.sort_uniq
@@ -1375,7 +1379,7 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
             admit t p
           done)
         ports;
-      if key <> 0 then Hashtbl.replace t.txn_applied key ();
+      if key <> 0 then Int_tbl.replace t.txn_applied key ();
       Obs.Metrics.incr (Lazy.force t.mon.mon_txn_commits);
       emit t Obs.Event.Txn_commit ~name_id:proc.Process.trace_name_id
         ~detail_id:0 ~a:key ~b:(nr + ns + nw)

@@ -288,6 +288,10 @@ val txn_try :
     the replayed machine state (checkpoint restores rebuild it). *)
 val txn_applied_keys : t -> int list
 
+(** [List.length (txn_applied_keys t)], without building or sorting the
+    list. *)
+val txn_applied_count : t -> int
+
 (** Count one re-issued send of a committed group dropped, under
     [txn.dup_drops]. *)
 val count_txn_dup_drop : t -> unit

@@ -52,27 +52,27 @@ let path t = t.j_path
 let size t = t.end_off
 let unsynced t = t.unsynced
 
+let frame_bytes ~key_len ~len = header_bytes + key_len + len + trailer_bytes
+
 let framed_size ~key ~payload =
-  header_bytes + String.length key + Bytes.length payload + trailer_bytes
+  frame_bytes ~key_len:(String.length key) ~len:(Bytes.length payload)
 
 (* Little-endian u32 helpers over Bytes. *)
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
-(* Frame one record into [b] at [pos]; the caller checked that
-   [framed_size] bytes fit. *)
-let frame_into b pos ~kind ~key ~payload =
+(* Frame one record, the first [len] bytes of [payload], into [b] at
+   [pos]; the caller checked that the frame fits. *)
+let frame_into b pos ~kind ~key payload ~len =
   let key_len = String.length key in
-  let payload_len = Bytes.length payload in
   put_u32 b pos magic;
   Bytes.set b (pos + 4) (Char.chr kind);
   put_u32 b (pos + 5) key_len;
-  put_u32 b (pos + 9) payload_len;
+  put_u32 b (pos + 9) len;
   Bytes.blit_string key 0 b (pos + header_bytes) key_len;
-  Bytes.blit payload 0 b (pos + header_bytes + key_len) payload_len;
-  let crc_pos = pos + header_bytes + key_len + payload_len in
-  let crc = Crc32.bytes ~pos:(pos + 4) ~len:(crc_pos - pos - 4) b in
-  put_u32 b crc_pos (Int32.to_int crc land 0xFFFFFFFF);
+  Bytes.blit payload 0 b (pos + header_bytes + key_len) len;
+  let crc_pos = pos + header_bytes + key_len + len in
+  put_u32 b crc_pos (Crc32.sub b (pos + 4) (crc_pos - pos - 4));
   Bytes.set b (crc_pos + 4) (Char.chr commit_marker)
 
 (* Parse the record starting at [off] in [buf].  [None] when the bytes
@@ -92,11 +92,7 @@ let parse buf off limit =
       if body_end + trailer_bytes > limit then None
       else
         let stored_crc = get_u32 buf body_end land 0xFFFFFFFF in
-        let crc =
-          Int32.to_int (Crc32.bytes ~pos:(off + 4) ~len:(body_end - off - 4) buf)
-          land 0xFFFFFFFF
-        in
-        if stored_crc <> crc then None
+        if stored_crc <> Crc32.sub buf (off + 4) (body_end - off - 4) then None
         else if Char.code (Bytes.get buf (body_end + 4)) <> commit_marker then
           None
         else
@@ -187,25 +183,30 @@ let open_ path =
 (* A frame that fits goes into [pending] (written first if the frame
    would overflow it); a frame larger than the whole buffer goes straight
    out from its own bytes, after the frames before it. *)
-let append t ~kind ~key ~payload =
+let append_sub t ~kind ~key payload ~len =
   if t.closed then invalid_arg "Journal.append: closed";
   if kind < 0 || kind > 0xff then invalid_arg "Journal.append: kind";
-  let size = framed_size ~key ~payload in
+  if len < 0 || len > Bytes.length payload then
+    invalid_arg "Journal.append: len";
+  let size = frame_bytes ~key_len:(String.length key) ~len in
   if t.pending_len + size > buffer_bytes then flush t;
   let off = t.end_off in
   if size > buffer_bytes then begin
     let b = Bytes.create size in
-    frame_into b 0 ~kind ~key ~payload;
+    frame_into b 0 ~kind ~key payload ~len;
     write_out t b size ~off
   end
   else begin
     if Bytes.length t.pending = 0 then t.pending <- Bytes.create buffer_bytes;
-    frame_into t.pending t.pending_len ~kind ~key ~payload;
+    frame_into t.pending t.pending_len ~kind ~key payload ~len;
     t.pending_len <- t.pending_len + size
   end;
   t.end_off <- off + size;
   t.unsynced <- t.unsynced + 1;
   off
+
+let append t ~kind ~key ~payload =
+  append_sub t ~kind ~key payload ~len:(Bytes.length payload)
 
 (* The mapped window holding file offset [off], or [no_window] while
    part of that window is not on disk yet, or when the file cannot be

@@ -64,6 +64,13 @@ val unsynced : t -> int
     journal. *)
 val append : t -> kind:int -> key:string -> payload:Bytes.t -> int
 
+(** [append_sub t ~kind ~key b ~len] appends the first [len] bytes of [b]
+    as the payload, exactly as {!append} of [Bytes.sub b 0 len] would,
+    without the copy.  [b] is free for reuse once it returns.  Raises
+    [Invalid_argument] as {!append} does, and when [len] is outside
+    [0..Bytes.length b]. *)
+val append_sub : t -> kind:int -> key:string -> Bytes.t -> len:int -> int
+
 (** Read the committed record at [offset] (as returned by {!append} or
     recovery) from the file, checking its magic, CRC and commit marker
     as recovery does.  The buffered frames are written out first only

@@ -16,11 +16,127 @@ let kind_name = function
   | 3 -> "blob"
   | n -> string_of_int n
 
-type dir_entry = {
-  mutable d_offset : int;
-  mutable d_kind : int;
-  mutable d_size : int;
-}
+(* The directory: key -> (offset, kind, size), one flat open-addressing
+   table with linear probing.  [slots] holds three ints per slot — the
+   key's hash (-1 when the slot is empty), the record's offset, and its
+   framed size times 256 plus its kind — and [names] the key strings, so
+   a key costs no heap block beyond its own string.  A probe compares
+   stored hashes before it touches a key, and nothing hashes or compares
+   polymorphically.  A removal shifts the rest of its probe run back, so
+   there are no tombstones; the table doubles at three quarters full.
+   Its order is never observed: [keys] sorts. *)
+module Dir = struct
+  external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+  type t = {
+    mutable slots : int array;
+    mutable names : string array;
+    mutable mask : int;  (* capacity - 1; the capacity is a power of 2 *)
+    mutable count : int;
+  }
+
+  let stride = 3
+  let empty = -1
+  let create_slots capacity = Array.make (capacity * stride) empty
+
+  let create () =
+    let capacity = 64 in
+    {
+      slots = create_slots capacity;
+      names = Array.make capacity "";
+      mask = capacity - 1;
+      count = 0;
+    }
+
+  (* Eight bytes at a time, then a byte at a time, then a final mix, so
+     keys that differ only in their last digit land far apart.  The
+     result is non-negative (never [empty]). *)
+  let hash key =
+    let n = String.length key in
+    let h = ref n and i = ref 0 in
+    while !i + 8 <= n do
+      let w = Int64.to_int (get64u key !i) in
+      h := (!h lxor w) * 0x100000001b3;
+      h := !h lxor (!h lsr 29);
+      i := !i + 8
+    done;
+    while !i < n do
+      h := (!h lxor Char.code (String.unsafe_get key !i)) * 0x100000001b3;
+      incr i
+    done;
+    let h = !h lxor (!h lsr 32) in
+    let h = h * 0x3f51afd7ed558ccd in
+    (h lxor (h lsr 29)) land max_int
+
+  (* The slot holding [key] (hashing to [h]), or [-1 - s] where [s] is
+     the empty slot that ends its probe run. *)
+  let rec probe d h key s =
+    let sh = Array.unsafe_get d.slots (s * stride) in
+    if sh = empty then -1 - s
+    else if sh = h && String.equal (Array.unsafe_get d.names s) key then s
+    else probe d h key ((s + 1) land d.mask)
+
+  let find d h key = probe d h key (h land d.mask)
+  let offset d s = d.slots.((s * stride) + 1)
+  let kind d s = d.slots.((s * stride) + 2) land 0xff
+  let size d s = d.slots.((s * stride) + 2) lsr 8
+
+  (* [kind] is a journal record kind, 0..255. *)
+  let set d s ~off ~kind ~size =
+    let i = s * stride in
+    d.slots.(i + 1) <- off;
+    d.slots.(i + 2) <- (size lsl 8) lor kind
+
+  let iter d f =
+    for s = 0 to d.mask do
+      if d.slots.(s * stride) <> empty then f d.names.(s) s
+    done
+
+  let grow d =
+    let slots = d.slots and names = d.names in
+    let capacity = 2 * (d.mask + 1) in
+    d.slots <- create_slots capacity;
+    d.names <- Array.make capacity "";
+    d.mask <- capacity - 1;
+    Array.iteri
+      (fun s key ->
+        let h = slots.(s * stride) in
+        if h <> empty then begin
+          let s' = -1 - find d h key in
+          Array.blit slots (s * stride) d.slots (s' * stride) stride;
+          d.names.(s') <- key
+        end)
+      names
+
+  (* Insert into the empty slot [s] that [find] reported. *)
+  let add d s h key ~off ~kind ~size =
+    d.slots.(s * stride) <- h;
+    d.names.(s) <- key;
+    set d s ~off ~kind ~size;
+    d.count <- d.count + 1;
+    if 4 * d.count > 3 * (d.mask + 1) then grow d
+
+  (* Walk the probe run after [hole]: an entry whose home slot does not
+     lie cyclically in (hole, s] moves back into the hole, which moves to
+     where the entry was.  Returns the last hole. *)
+  let rec shift d hole s =
+    let s = (s + 1) land d.mask in
+    let h = d.slots.(s * stride) in
+    if h = empty then hole
+    else if (s - (h land d.mask)) land d.mask >= (s - hole) land d.mask
+    then begin
+      Array.blit d.slots (s * stride) d.slots (hole * stride) stride;
+      d.names.(hole) <- d.names.(s);
+      shift d s s
+    end
+    else shift d hole s
+
+  let remove d s =
+    let hole = shift d s s in
+    d.slots.(hole * stride) <- empty;
+    d.names.(hole) <- "";
+    d.count <- d.count - 1
+end
 
 type mon = {
   mon_machine : K.Machine.t;
@@ -32,7 +148,7 @@ type mon = {
 
 type t = {
   mutable journal : Journal.t;
-  dir : (string, dir_entry) Hashtbl.t;
+  mutable dir : Dir.t;
   sync_every : int;
   compact_interval_ns : int;
   min_garbage_bytes : int;
@@ -49,11 +165,13 @@ type t = {
 
 let path t = Journal.path t.journal
 let garbage_bytes t = t.garbage
-let count t = Hashtbl.length t.dir
-let mem t ~key = Hashtbl.mem t.dir key
+let count t = t.dir.Dir.count
+let mem t ~key = Dir.find t.dir (Dir.hash key) key >= 0
 
 let keys t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.dir [])
+  let acc = ref [] in
+  Dir.iter t.dir (fun key _ -> acc := key :: !acc);
+  List.sort String.compare !acc
 
 let stats t =
   ( t.st_appends,
@@ -65,24 +183,27 @@ let stats t =
 let attached_machine t =
   match t.mon with None -> None | Some m -> Some m.mon_machine
 
-(* Apply one record to the directory, hashing [key] once for a
-   supersede; returns the bytes it makes garbage.  A tombstone is garbage
-   too, once applied. *)
+(* Apply one record to the directory, hashing [key] once; returns the
+   bytes it makes garbage.  A tombstone is garbage too, once applied. *)
 let apply dir ~kind ~key ~off ~size =
-  match Hashtbl.find_opt dir key with
-  | Some e when kind = kind_delete ->
-    Hashtbl.remove dir key;
-    e.d_size + size
-  | None when kind = kind_delete -> size
-  | Some e ->
-    let old_size = e.d_size in
-    e.d_offset <- off;
-    e.d_kind <- kind;
-    e.d_size <- size;
+  let h = Dir.hash key in
+  let s = Dir.find dir h key in
+  if kind = kind_delete then
+    if s >= 0 then begin
+      let old_size = Dir.size dir s in
+      Dir.remove dir s;
+      old_size + size
+    end
+    else size
+  else if s >= 0 then begin
+    let old_size = Dir.size dir s in
+    Dir.set dir s ~off ~kind ~size;
     old_size
-  | None ->
-    Hashtbl.add dir key { d_offset = off; d_kind = kind; d_size = size };
+  end
+  else begin
+    Dir.add dir (-1 - s) h key ~off ~kind ~size;
     0
+  end
 
 (* Replay the committed records into a directory, accumulating the bytes
    made garbage by supersedes and deletes. *)
@@ -102,7 +223,7 @@ let open_ ?(sync_every = 8) ?(compact_interval_ns = 10_000_000)
   if sync_every < 1 then invalid_arg "Store.open_: sync_every";
   if compact_interval_ns < 1 then invalid_arg "Store.open_: compact_interval_ns";
   let journal, records = Journal.open_ path in
-  let dir = Hashtbl.create 64 in
+  let dir = Dir.create () in
   let garbage = build_dir records dir in
   {
     journal;
@@ -160,10 +281,10 @@ let compact t =
   let live = keys t in
   List.iter
     (fun key ->
-      let e = Hashtbl.find t.dir key in
-      let r = Journal.read_at t.journal e.d_offset in
+      let s = Dir.find t.dir (Dir.hash key) key in
+      let r = Journal.read_at t.journal (Dir.offset t.dir s) in
       ignore
-        (Journal.append fresh ~kind:e.d_kind ~key
+        (Journal.append fresh ~kind:(Dir.kind t.dir s) ~key
            ~payload:r.Journal.r_payload))
     live;
   Journal.sync fresh;
@@ -172,7 +293,7 @@ let compact t =
   Sys.rename tmp (path t);
   let journal, records = Journal.open_ (path t) in
   t.journal <- journal;
-  Hashtbl.reset t.dir;
+  t.dir <- Dir.create ();
   t.garbage <- build_dir records t.dir;
   let reclaimed = old_size - Journal.size t.journal in
   t.st_compactions <- t.st_compactions + 1;
@@ -198,9 +319,9 @@ let advance_clock t now_ns =
 (* Appending                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let append t ~kind ~key ~payload =
-  let size = Journal.framed_size ~key ~payload in
-  let off = Journal.append t.journal ~kind ~key ~payload in
+let append t ~kind ~key payload ~len =
+  let off = Journal.append_sub t.journal ~kind ~key payload ~len in
+  let size = Journal.size t.journal - off in
   t.garbage <- t.garbage + apply t.dir ~kind ~key ~off ~size;
   t.st_appends <- t.st_appends + 1;
   t.st_bytes_written <- t.st_bytes_written + size;
@@ -221,15 +342,16 @@ let store_graph t machine ~key ?mask root =
     | Some mask -> Filing.capture machine ~mask root
     | None -> Filing.capture machine root
   in
-  append t ~kind:kind_graph ~key ~payload:(Filing.encode_wire wire);
+  let payload = Filing.encode_wire wire in
+  append t ~kind:kind_graph ~key payload ~len:(Bytes.length payload);
   advance_clock t (K.Machine.now machine);
   Filing.wire_nodes wire
 
 let find_kind t ~key kind =
-  match Hashtbl.find_opt t.dir key with
-  | Some e when e.d_kind = kind ->
-    Some (Journal.read_at t.journal e.d_offset).Journal.r_payload
-  | Some _ | None -> None
+  let s = Dir.find t.dir (Dir.hash key) key in
+  if s >= 0 && Dir.kind t.dir s = kind then
+    Some (Journal.read_at t.journal (Dir.offset t.dir s)).Journal.r_payload
+  else None
 
 let get_wire t ~key =
   match find_kind t ~key kind_graph with
@@ -242,12 +364,15 @@ let retrieve_graph t machine ?sro ~key () =
   | None -> raise (Filing.Not_filed key)
 
 let delete t ~key =
-  if Hashtbl.mem t.dir key then
-    append t ~kind:kind_delete ~key ~payload:Bytes.empty
+  if mem t ~key then append t ~kind:kind_delete ~key Bytes.empty ~len:0
 
 let put_blob t ?now_ns ~key payload =
-  append t ~kind:kind_blob ~key ~payload;
+  append t ~kind:kind_blob ~key payload ~len:(Bytes.length payload);
   match now_ns with Some now -> advance_clock t now | None -> ()
+
+let put_blob_sub t ~now_ns ~key b ~len =
+  append t ~kind:kind_blob ~key b ~len;
+  advance_clock t now_ns
 
 let get_blob t ~key = find_kind t ~key kind_blob
 

@@ -80,6 +80,11 @@ val count : t -> int
     clock (blobs have no machine to read a clock from). *)
 
 val put_blob : t -> ?now_ns:int -> key:string -> Bytes.t -> unit
+
+(** [put_blob_sub t ~now_ns ~key b ~len] is [put_blob t ~now_ns ~key
+    (Bytes.sub b 0 len)] without the copy: the journal frames the bytes
+    in place, and [b] is free for reuse once it returns. *)
+val put_blob_sub : t -> now_ns:int -> key:string -> Bytes.t -> len:int -> unit
 val get_blob : t -> key:string -> Bytes.t option
 
 (** {1 Durability and compaction} *)

@@ -23,6 +23,5 @@ let device store =
       Store.put_blob store ~now_ns ~key:(key_of_index index) image)
     ~read:(fun ~index -> Store.get_blob store ~key:(key_of_index index))
     ~drop:(fun ~index ~now_ns:_ ->
-      let key = key_of_index index in
-      if Store.mem store ~key then Store.delete store ~key)
+      Store.delete store ~key:(key_of_index index))
     ()

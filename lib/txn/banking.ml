@@ -27,6 +27,7 @@ module Net = I432_net
 module Obs = I432_obs
 module Fi = I432_fi.Fi
 module St = I432_store
+module Int_tbl = Hashtbl.Make (Int)
 
 let initial_balance = 1_000
 
@@ -146,14 +147,14 @@ let collect machine ~done_port ~quiet_ns c =
    process itself; notes still queued at quiescence were nonetheless
    delivered exactly once, so they count too (with no latency sample). *)
 let gather ~transfers ~bank ~audit ~done_port c ~accts =
-  let seen = Hashtbl.create 64 in
+  let seen = Int_tbl.create 64 in
   let dups = ref 0 in
   let lats = ref [] in
   let one note arrival =
     let key = K.Machine.read_word audit note ~offset:0 in
-    if Hashtbl.mem seen key then incr dups
+    if Int_tbl.mem seen key then incr dups
     else begin
-      Hashtbl.replace seen key ();
+      Int_tbl.replace seen key ();
       match arrival with
       | None -> ()
       | Some at ->
@@ -169,9 +170,9 @@ let gather ~transfers ~bank ~audit ~done_port c ~accts =
   in
   {
     transfers;
-    committed = List.length (K.Machine.txn_applied_keys bank);
+    committed = K.Machine.txn_applied_count bank;
     aborted = Obs.Metrics.count (K.Machine.metrics bank) "txn.aborts";
-    completions = Hashtbl.length seen;
+    completions = Int_tbl.length seen;
     dup_completions = !dups;
     latencies = List.rev !lats;
     initial_total = Array.length accts * initial_balance;

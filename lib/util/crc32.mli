@@ -1,19 +1,12 @@
-(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init and final
+    xor 0xFFFFFFFF: zlib's [crc32]).
 
     The filing store's journal protects every record with a CRC so a torn
     or corrupted tail is detected on recovery instead of surfacing as a
-    garbage object.  Pure and table-driven; no dependency on host
-    libraries, so checksums are identical on every platform. *)
+    garbage object.  Pure and table-driven (slicing-by-8); no dependency
+    on host libraries, so checksums are identical on every platform. *)
 
-(** CRC of a byte range.  [pos]/[len] default to the whole buffer.
-    Raises [Invalid_argument] on an out-of-bounds range. *)
-val bytes : ?pos:int -> ?len:int -> Bytes.t -> int32
-
-val string : ?pos:int -> ?len:int -> string -> int32
-
-(** Incremental interface: [update crc b pos len] folds a range into a
-    running CRC started from {!init}, finished with {!finalize}. *)
-val init : int32
-
-val update : int32 -> Bytes.t -> int -> int -> int32
-val finalize : int32 -> int32
+(** [sub b pos len] is the CRC of the [len] bytes of [b] at [pos], as an
+    unsigned 32-bit [int]; it allocates nothing.  Raises
+    [Invalid_argument] on an out-of-bounds range. *)
+val sub : Bytes.t -> int -> int -> int

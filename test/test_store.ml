@@ -582,6 +582,65 @@ let test_directory_rebuild_and_delete () =
         (Store.garbage_bytes store > 0);
       Store.close store)
 
+(* The directory against a [Map] model: random puts, supersedes and
+   deletes (of present and absent keys, the empty key among them) over a
+   key space small enough to collide and large enough to grow the table
+   several times.  After every operation the store agrees with the model
+   on the operation's key; at the end on [keys], [count] and every
+   value, and again after a compaction and after a reopen rebuilds the
+   directory from the journal. *)
+module Model = Map.Make (String)
+
+let prop_directory_model =
+  QCheck2.Test.make ~name:"store: directory = Map model under put/delete"
+    ~count:25
+    QCheck2.Gen.(
+      list_size (int_range 0 600) (pair (int_range 0 300) (int_range 0 3)))
+    (fun ops ->
+      with_path (fun path ->
+          let key k = if k = 0 then "" else Printf.sprintf "k%d" k in
+          let agrees store model =
+            Store.keys store = List.map fst (Model.bindings model)
+            && Store.count store = Model.cardinal model
+            && Model.for_all
+                 (fun key v ->
+                   Store.get_blob store ~key = Some (Bytes.of_string v))
+                 model
+          in
+          let store = Store.open_ path in
+          let model =
+            List.fold_left
+              (fun (model, i) (k, op) ->
+                let key = key k in
+                let model =
+                  if op = 0 then begin
+                    Store.delete store ~key;
+                    Model.remove key model
+                  end
+                  else begin
+                    let v = Printf.sprintf "%s=%d" key i in
+                    Store.put_blob store ~key (Bytes.of_string v);
+                    Model.add key v model
+                  end
+                in
+                if
+                  Store.mem store ~key <> Model.mem key model
+                  || Store.get_blob store ~key
+                     <> Option.map Bytes.of_string (Model.find_opt key model)
+                then QCheck2.Test.fail_reportf "op %d on %S disagrees" i key;
+                (model, i + 1))
+              (Model.empty, 0) ops
+            |> fst
+          in
+          let live = agrees store model in
+          ignore (Store.compact store);
+          let compacted = agrees store model in
+          Store.close store;
+          let store = Store.open_ path in
+          let reopened = agrees store model in
+          Store.close store;
+          live && compacted && reopened))
+
 let test_compaction_reclaims_and_preserves () =
   with_store (fun path store ->
       let m = mk () in
@@ -906,6 +965,7 @@ let suite =
       `Quick test_wire_codec_roundtrip;
     Alcotest.test_case "store: directory rebuild, supersede, delete" `Quick
       test_directory_rebuild_and_delete;
+    QCheck_alcotest.to_alcotest prop_directory_model;
     Alcotest.test_case "store: compaction reclaims and preserves" `Quick
       test_compaction_reclaims_and_preserves;
     Alcotest.test_case "store: compaction driven from virtual time" `Quick

@@ -328,6 +328,107 @@ let test_history_malformed () =
           "1 2 0:99999999999999999999999";
         ])
 
+(* Records the random property rarely draws: commit instants at and just
+   below [max_int], zero and negative keys and words, [min_int], and one
+   commit of 300 writes to one tracked object among writes to an
+   untracked one, which outgrows the encoder's initial buffer.  Every
+   blob is the [Printf] rendering and decodes to the model. *)
+let test_history_extreme_records () =
+  with_store (fun store ->
+      let m = mk () in
+      let h = History.create store m in
+      let obj = K.Machine.allocate_generic m ~data_length:8 () in
+      let other = K.Machine.allocate_generic m ~data_length:8 () in
+      History.track h ~name:"e" obj;
+      let rng = I432_util.Prng.create ~seed:5 in
+      let big =
+        List.init 300 (fun i ->
+            ( 4 * i,
+              match i mod 4 with
+              | 0 -> min_int + i
+              | 1 -> 0
+              | 2 -> -I432_util.Prng.int rng 1_000_000_000
+              | _ -> max_int - i ))
+      in
+      let commits =
+        [
+          (max_int - 3, 0, [ (0, 0) ]);
+          (max_int - 2, -64, [ (0, -1); (4, min_int); (8, max_int) ]);
+          (max_int - 1, min_int, big);
+          (max_int, max_int, [ (0, -1000) ]);
+        ]
+      in
+      List.iter
+        (fun (commit_ns, key, ws) ->
+          let writes =
+            List.concat_map
+              (fun (off, w) -> [ (obj, off, w); (other, off, w + 1) ])
+              ws
+          in
+          History.observe h ~commit_ns ~key ~writes)
+        commits;
+      Alcotest.(check (list (triple int int (list (pair int int)))))
+        "decoded records" commits
+        (History.records store ~name:"e");
+      check_blobs_canonical store [ "e" ])
+
+(* A rejoin leaves a stale tail of records from the rolled-back timeline,
+   with gaps where earlier successor tombstones fell.  Filing over it
+   tombstones each successor up to the tail's highest record, not just
+   to its first gap, so the contiguous scan stops at the last record
+   filed.  On a fresh store a tracked run journals no tombstone. *)
+let test_history_stale_tail () =
+  with_store (fun store ->
+      let m = mk () in
+      List.iter
+        (fun seq ->
+          Store.put_blob store
+            ~key:(Printf.sprintf "hist/x/%d" seq)
+            (Bytes.of_string (Printf.sprintf "1 64 0:%d" seq)))
+        [ 1; 2; 3; 4; 5; 7; 8; 9; 10 ];
+      let h = History.create store m in
+      let obj = K.Machine.allocate_generic m ~data_length:8 () in
+      History.track h ~name:"x" obj;
+      let filed =
+        List.init 6 (fun i -> (100 + i, 64 * (i + 2), [ (0, -i); (4, i) ]))
+      in
+      List.iter
+        (fun (commit_ns, key, ws) ->
+          History.observe h ~commit_ns ~key
+            ~writes:(List.map (fun (off, w) -> (obj, off, w)) ws))
+        filed;
+      Alcotest.(check (list (triple int int (list (pair int int)))))
+        "exactly the six records filed" filed
+        (History.records store ~name:"x");
+      Alcotest.(check bool) "hist/x/7 tombstoned" false
+        (Store.mem store ~key:"hist/x/7"));
+  Testkit.with_store (fun path store ->
+      ignore
+        (Banking.run ~processors:2 ~accounts:4 ~transfers:30 ~seed:3
+           ~history_store:store ());
+      Store.close store;
+      let j, records = I432_store.Journal.open_ path in
+      I432_store.Journal.close j;
+      Alcotest.(check bool) "records filed" true (List.length records > 4);
+      (* Kind 2 is the store's tombstone. *)
+      Alcotest.(check int) "tombstones on a fresh store" 0
+        (List.length
+           (List.filter (fun r -> r.I432_store.Journal.r_kind = 2) records)))
+
+(* The journal a seeded history-on banking run writes, pinned byte for
+   byte: the CRC, the directory and the record encoder may change how
+   they work, never what they write. *)
+let test_history_journal_pinned () =
+  Testkit.with_store (fun path store ->
+      let _, _, r =
+        Banking.run ~processors:2 ~accounts:8 ~transfers:400 ~seed:1
+          ~history_store:store ()
+      in
+      Alcotest.(check int) "committed" 400 r.Banking.committed;
+      Store.close store;
+      Alcotest.(check string) "journal MD5" "6a875d0658c4895ddca69815e032a296"
+        (Digest.to_hex (Digest.file path)))
+
 (* ---------------- Banking: chaos (qcheck) ---------------- *)
 
 (* Under a random §8 fault plan every transaction is still all-or-nothing:
@@ -969,6 +1070,12 @@ let suite =
       test_history_cluster_engines;
     Alcotest.test_case "history: malformed records fail one way" `Quick
       test_history_malformed;
+    Alcotest.test_case "history: extreme records = Printf" `Quick
+      test_history_extreme_records;
+    Alcotest.test_case "history: successors tombstoned over a stale tail"
+      `Quick test_history_stale_tail;
+    Alcotest.test_case "history: banking journal bytes pinned" `Quick
+      test_history_journal_pinned;
     QCheck_alcotest.to_alcotest prop_atomic_under_chaos;
     Alcotest.test_case "banking cluster: Seq = Par 2" `Quick
       test_banking_cluster_engines;

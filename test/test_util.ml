@@ -250,15 +250,14 @@ let crc32_reference buf pos len =
       c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
     done
   done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  !c lxor 0xFFFFFFFF
 
 let test_crc32_check_value () =
-  Alcotest.(check int32) "standard check value" 0xCBF43926l
-    (Crc32.string "123456789");
-  Alcotest.(check int32) "empty input" 0l (Crc32.string "");
-  Alcotest.(check int32) "incremental = one shot" (Crc32.string "123456789")
-    (let b = Bytes.of_string "123456789" in
-     Crc32.finalize (Crc32.update (Crc32.update Crc32.init b 0 4) b 4 5))
+  let crc s = Crc32.sub (Bytes.of_string s) 0 (String.length s) in
+  Alcotest.(check int) "standard check value" 0xCBF43926 (crc "123456789");
+  Alcotest.(check int) "empty input" 0 (crc "");
+  Alcotest.(check int) "a slice = the same bytes alone" (crc "123456789")
+    (Crc32.sub (Bytes.of_string "xx123456789y") 2 9)
 
 let test_crc32_bounds () =
   let b = Bytes.make 8 'x' in
@@ -266,10 +265,10 @@ let test_crc32_bounds () =
     (fun (pos, len) ->
       Alcotest.check_raises
         (Printf.sprintf "pos %d len %d" pos len)
-        (Invalid_argument "Crc32.update")
-        (fun () -> ignore (Crc32.bytes ~pos ~len b)))
+        (Invalid_argument "Crc32.sub")
+        (fun () -> ignore (Crc32.sub b pos len)))
     [ (-1, 1); (0, -1); (0, 9); (8, 1); (5, 4); (9, 0); (max_int, 1) ];
-  Alcotest.(check int32) "empty slice at the end" 0l (Crc32.bytes ~pos:8 ~len:0 b)
+  Alcotest.(check int) "empty slice at the end" 0 (Crc32.sub b 8 0)
 
 let prop_crc32_matches_reference =
   QCheck2.Test.make ~name:"crc32 = bit-at-a-time reference" ~count:300
@@ -279,8 +278,24 @@ let prop_crc32_matches_reference =
       int_range 0 n >>= fun pos ->
       int_range 0 (n - pos) >>= fun len -> return (b, pos, len))
     (fun (b, pos, len) ->
-      Crc32.bytes ~pos ~len b = crc32_reference b pos len
-      && Crc32.bytes b = crc32_reference b 0 (Bytes.length b))
+      Crc32.sub b pos len = crc32_reference b pos len
+      && Crc32.sub b 0 (Bytes.length b) = crc32_reference b 0 (Bytes.length b))
+
+(* Every length 0-80 at every offset 0-15 of random contents: each way
+   a range splits into a slicing-by-8 body and a byte-at-a-time tail, at
+   every alignment. *)
+let prop_crc32_every_range =
+  QCheck2.Test.make ~name:"crc32 = reference at every length 0-80, offset 0-15"
+    ~count:20
+    QCheck2.Gen.(bytes_size (return 96))
+    (fun b ->
+      let ok = ref true in
+      for pos = 0 to 15 do
+        for len = 0 to 80 do
+          if Crc32.sub b pos len <> crc32_reference b pos len then ok := false
+        done
+      done;
+      !ok)
 
 let suite =
   [
@@ -316,4 +331,5 @@ let suite =
     ("crc32 check value", `Quick, test_crc32_check_value);
     ("crc32 rejects out-of-range slices", `Quick, test_crc32_bounds);
     QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+    QCheck_alcotest.to_alcotest prop_crc32_every_range;
   ]
