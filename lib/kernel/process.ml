@@ -24,7 +24,7 @@
    The kernel's other queues link through the process too, so none of
    them allocates per entry: the dispatching port's ready queue ([q_*],
    see {!Dispatch}), a port's parked receivers ([w_*], see {!Port}), and
-   the machine's timer heap ([tm_*], see {!Machine}), where a process
+   the machine's timer heap ([tm_*], see {!Timers}), where a process
    holds at most one timer. *)
 
 open I432

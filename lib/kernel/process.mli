@@ -67,7 +67,7 @@ type t = {
       (** [R_msg mailbox], built once: the result of every message
           handed to the process *)
   mutable tm_key : int;
-      (** timer-heap state, kept by {!Machine} alone: the key of its one
+      (** timer-heap state, kept by {!Timers} alone: the key of its one
           timer (its sleep or its deadline), the instant clamped at 0 ... *)
   mutable tm_arm : int;  (** ... then its arm stamp *)
   mutable tm_at : int;  (** the timer's instant *)

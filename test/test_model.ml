@@ -728,33 +728,33 @@ let prop_timers_match_model =
             K.Process.create ~index:i ~ordinal:i ~name:"timer" ~daemon:false
               ~priority:0 ~system_level:4 ignore)
       in
-      let t = K.Machine.Timers.create () and m = Model_timers.create () in
+      let t = K.Timers.create () and m = Model_timers.create () in
       List.for_all
         (fun op ->
           let due_agree =
             match op with
             | T_arm (p, at) ->
-              K.Machine.Timers.arm t procs.(p) at;
+              K.Timers.arm t procs.(p) at;
               Model_timers.arm m procs.(p) at;
               true
             | T_disarm p ->
-              K.Machine.Timers.disarm t procs.(p);
+              K.Timers.disarm t procs.(p);
               Model_timers.disarm m procs.(p);
               true
             | T_fire horizon ->
-              let n = K.Machine.Timers.pop_due t ~horizon in
+              let n = K.Timers.pop_due t ~horizon in
               let got =
-                List.init n (fun i -> (K.Machine.Timers.due t i).K.Process.ordinal)
+                List.init n (fun i -> (K.Timers.due t i).K.Process.ordinal)
               in
               got = Model_timers.pop_due m ~horizon
           in
           let first = ref max_int in
-          K.Machine.Timers.iter
+          K.Timers.iter
             (fun proc -> first := min !first proc.K.Process.tm_at)
             t;
           due_agree
-          && K.Machine.Timers.next t = Model_timers.next m
-          && (K.Machine.Timers.length t, !first) = Model_timers.progress m)
+          && K.Timers.next t = Model_timers.next m
+          && (K.Timers.length t, !first) = Model_timers.progress m)
         script)
 
 (* ------------------------------------------------------------------ *)
