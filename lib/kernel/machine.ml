@@ -71,8 +71,8 @@ let injection_arg = function
   | Inj_alloc_fault n -> n
   | Inj_port_delay ns -> ns
 
-(* Pre-resolved metrics instruments: the hot paths update bare mutable
-   fields; the registry is only walked on dump. *)
+(* Pre-resolved metrics instruments: the hot paths update them without a
+   lookup; the registry is only walked on dump. *)
 type monitors = {
   mon_charged_ns : Obs.Metrics.counter;
   mon_spawns : Obs.Metrics.counter;
@@ -152,17 +152,6 @@ type t = {
      partitioning into an immediate failure instead of a data race. *)
   mutable stepper : int;
 }
-
-(* Instrument updates as bare field writes, in this module: dune's dev
-   profile compiles with [-opaque], so a call into [Obs.Metrics] is never
-   inlined and a two-argument one goes through [caml_apply2]. *)
-let[@inline] bump (c : Obs.Metrics.counter) n =
-  c.Obs.Metrics.c_value <- c.Obs.Metrics.c_value + n
-
-let[@inline] set_gauge (g : Obs.Metrics.gauge) v = g.Obs.Metrics.g_value <- v
-
-let[@inline] observe_int (h : Obs.Metrics.histogram) n =
-  I432_util.Stats.hist_observe_int h.Obs.Metrics.m_hist n
 
 let make_monitors metrics =
   {
@@ -368,7 +357,7 @@ let charge t ns =
     let eff =
       ns + (ns * t.bus.Bus.alpha_per_mille * (t.bus.Bus.processors - 1) / 1000)
     in
-    bump t.mon.mon_charged_ns eff;
+    Obs.Metrics.add t.mon.mon_charged_ns eff;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
     (* [running] holds what [dispatch] bound while [cur] is set. *)
@@ -436,8 +425,8 @@ let allocate t sro ~data_length ~access_length ~otype =
       (Fault.Storage_exhausted { requested = data_length; available = 0 })
   end;
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
-  bump t.mon.mon_allocates 1;
-  observe_int t.mon.mon_alloc_size data_length;
+  Obs.Metrics.incr t.mon.mon_allocates;
+  Obs.Metrics.observe_int t.mon.mon_alloc_size data_length;
   emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:access.Access.index
     ~b:data_length;
   access
@@ -448,7 +437,7 @@ let allocate_generic t ?(data_length = 64) ?(access_length = 4) () =
 let release t sro ~index =
   charge t t.timings.Timings.destroy_ns;
   Sro.release_by_access t.table sro ~index;
-  bump t.mon.mon_releases 1;
+  Obs.Metrics.incr t.mon.mon_releases;
   emit t Obs.Event.Release ~name_id:0 ~detail_id:0 ~a:index ~b:0
 
 (* Local heaps (§5): an SRO created at the process's current call depth.
@@ -462,7 +451,7 @@ let create_local_sro t ~level ~bytes =
   match Sro.carve t.table ~sro_state:s ~size:bytes with
   | Some base ->
     let sro = Sro.create t.table ~level ~base ~length:bytes in
-    bump t.mon.mon_sro_creates 1;
+    Obs.Metrics.incr t.mon.mon_sro_creates;
     emit t Obs.Event.Sro_create ~name_id:0 ~detail_id:0 ~a:(Access.index sro)
       ~b:bytes;
     sro
@@ -475,7 +464,7 @@ let destroy_sro t sro =
   charge t t.timings.Timings.destroy_ns;
   let index = Access.index sro in
   let reclaimed = Sro.destroy t.table sro in
-  bump t.mon.mon_sro_destroys 1;
+  Obs.Metrics.incr t.mon.mon_sro_destroys;
   emit t Obs.Event.Sro_destroy ~name_id:0 ~detail_id:0 ~a:index ~b:reclaimed;
   reclaimed
 
@@ -490,7 +479,7 @@ let domain_call t ?timeout_ns domain f =
   d.Domain.calls <- d.Domain.calls + 1;
   d.Domain.depth <- d.Domain.depth + 1;
   if d.Domain.depth > d.Domain.max_depth then d.Domain.max_depth <- d.Domain.depth;
-  bump t.mon.mon_domain_calls 1;
+  Obs.Metrics.incr t.mon.mon_domain_calls;
   emit t Obs.Event.Domain_call ~name_id:0
     ~detail_id:(string_id t d.Domain.domain_name) ~a:d.Domain.self ~b:0;
   let finish () =
@@ -537,7 +526,7 @@ let allocate_retry t sro ?(max_retries = 4) ?(backoff_ns = 100_000)
     | exception Fault.Fault (Fault.Storage_exhausted _ as cause) ->
       if attempt > max_retries then Fault.raise_fault cause
       else begin
-        bump t.mon.mon_alloc_retries 1;
+        Obs.Metrics.incr t.mon.mon_alloc_retries;
         let name_id = (running_process t).Process.trace_name_id in
         emit t Obs.Event.Alloc_retry ~name_id ~detail_id:0 ~a:attempt
           ~b:backoff;
@@ -689,8 +678,8 @@ let make_ready t (proc : Process.t) =
   set_status t proc Process.Ready;
   proc.Process.last_ready_ns <- now t;
   Dispatch.enqueue t.dispatch ~process:proc ~priority:proc.Process.priority;
-  bump t.mon.mon_enqueues 1;
-  set_gauge t.mon.mon_ready_len (Dispatch.length t.dispatch);
+  Obs.Metrics.incr t.mon.mon_enqueues;
+  Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit t Obs.Event.Ready ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:proc.Process.index ~b:0
 
@@ -741,7 +730,7 @@ let[@inline] unblock_receiver t (proc : Process.t) msg =
 let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
   p.Port.sends <- p.Port.sends + 1;
   proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-  bump t.mon.mon_sends 1;
+  Obs.Metrics.incr t.mon.mon_sends;
   emit t Obs.Event.Send ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:p.Port.self ~b:msg.Access.index
 
@@ -753,7 +742,7 @@ let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
   if rproc != Process.none then begin
     count_send t proc p msg;
     p.Port.receives <- p.Port.receives + 1;
-    bump t.mon.mon_receives 1;
+    Obs.Metrics.incr t.mon.mon_receives;
     emit t Obs.Event.Receive ~name_id:rproc.Process.trace_name_id ~detail_id:0
       ~a:p.Port.self ~b:msg.Access.index;
     unblock_receiver t rproc msg;
@@ -773,14 +762,14 @@ let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
 let[@inline] take t (p : Port.t) =
   let msg = Port.pop p ~now:(now t) in
   p.Port.receives <- p.Port.receives + 1;
-  bump t.mon.mon_receives 1;
+  Obs.Metrics.incr t.mon.mon_receives;
   msg
 
 (* [take] on behalf of the receiving process [proc]. *)
 let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
   let msg = take t p in
   proc.Process.messages_received <- proc.Process.messages_received + 1;
-  observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
+  Obs.Metrics.observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
   emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:p.Port.self ~b:msg.Access.index;
   msg
@@ -825,7 +814,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
   (match msg with
   | Some msg ->
     p.Port.send_blocks <- p.Port.send_blocks + 1;
-    bump t.mon.mon_send_blocks 1;
+    Obs.Metrics.incr t.mon.mon_send_blocks;
     emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:0;
     Object_table.shade t.table msg.Access.index;
@@ -834,7 +823,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     set_status t proc p.Port.blocked_send
   | None ->
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-    bump t.mon.mon_receive_blocks 1;
+    Obs.Metrics.incr t.mon.mon_receive_blocks;
     emit t Obs.Event.Block_receive ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:0;
     Port.push_receiver p proc;
@@ -885,7 +874,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   t.processes <- proc :: t.processes;
   t.spawned <- t.spawned + 1;
   tally t proc 1;
-  bump t.mon.mon_spawns 1;
+  Obs.Metrics.incr t.mon.mon_spawns;
   emit t Obs.Event.Spawn ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:proc.Process.index ~b:0;
   (match start_after with
@@ -1053,8 +1042,8 @@ let deliver_external t ?txn ~port ~msg ~priority () =
   if Port.is_full p then false
   else begin
     Object_table.shade t.table msg.Access.index;
-    bump t.mon.mon_sends 1;
-    if post t p ?txn ~msg ~priority () then bump t.mon.mon_receives 1;
+    Obs.Metrics.incr t.mon.mon_sends;
+    if post t p ?txn ~msg ~priority () then Obs.Metrics.incr t.mon.mon_receives;
     true
   end
 
@@ -1289,7 +1278,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.slice_used_ns <- 0;
     proc.Process.preemptions <- proc.Process.preemptions + 1;
     t.preemptions <- t.preemptions + 1;
-    bump t.mon.mon_preemptions 1;
+    Obs.Metrics.incr t.mon.mon_preemptions;
     emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
     cpu.Processor.current <- -1;
@@ -1325,7 +1314,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
    them back to software when various fault ... conditions arise" (§5). *)
 let record_fault t (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
-  bump t.mon.mon_faults 1;
+  Obs.Metrics.incr t.mon.mon_faults;
   (* Guarded: rendering the cause formats, even when untraced. *)
   if wants t Obs.Event.Fault then
     emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
@@ -1409,7 +1398,7 @@ let fail_processor t id =
   let cpu = t.processors.(id) in
   if cpu.Processor.online then begin
     cpu.Processor.online <- false;
-    bump t.mon.mon_cpu_offline 1;
+    Obs.Metrics.incr t.mon.mon_cpu_offline;
     emit_on t cpu Obs.Event.Cpu_offline ~name_id:0 ~detail_id:0 ~a:id ~b:0;
     (match cpu.Processor.current with
     | pi when pi >= 0 ->
@@ -1417,7 +1406,7 @@ let fail_processor t id =
       let proc = t.running.(id) in
       proc.Process.slice_used_ns <- 0;
       set_binding t proc None;
-      bump t.mon.mon_requeues 1;
+      Obs.Metrics.incr t.mon.mon_requeues;
       emit_on t cpu Obs.Event.Proc_requeued ~name_id:proc.Process.trace_name_id
         ~detail_id:0 ~a:pi ~b:id;
       ready_or_hold t proc
@@ -1472,7 +1461,7 @@ let fire_injections t (cpu : Processor.t) =
     | (at, _, inj) :: rest when at <= cpu.Processor.clock_ns ->
       t.injections <- rest;
       t.cur <- cpu.Processor.id;
-      bump t.mon.mon_injections 1;
+      Obs.Metrics.incr t.mon.mon_injections;
       (* Guarded: rendering the injection formats, even when untraced. *)
       if wants t Obs.Event.Fi_inject then
         emit t Obs.Event.Fi_inject ~name_id:0
@@ -1494,7 +1483,7 @@ let wake_sleeper t (proc : Process.t) =
   | _ -> ()
 
 let give_up t (proc : Process.t) pi ~b result =
-  bump t.mon.mon_timeouts 1;
+  Obs.Metrics.incr t.mon.mon_timeouts;
   emit t Obs.Event.Timeout_fired ~name_id:proc.Process.trace_name_id
     ~detail_id:0 ~a:pi ~b;
   wake t proc result
@@ -1606,10 +1595,10 @@ let dispatch t (cpu : Processor.t) (proc : Process.t) =
   cpu.Processor.current <- proc.Process.index;
   t.running.(cpu.Processor.id) <- proc;
   cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
-  bump t.mon.mon_dispatches 1;
-  observe_int t.mon.mon_dispatch_latency
+  Obs.Metrics.incr t.mon.mon_dispatches;
+  Obs.Metrics.observe_int t.mon.mon_dispatch_latency
     (Int.max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns));
-  set_gauge t.mon.mon_ready_len (Dispatch.length t.dispatch);
+  Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
   emit_on t cpu Obs.Event.Dispatch ~name_id:proc.Process.trace_name_id
     ~detail_id:0 ~a:cpu.Processor.id ~b:0;
   t.cur <- cpu.Processor.id;

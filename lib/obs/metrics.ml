@@ -56,7 +56,10 @@ let counter t name =
     Hashtbl.replace t.counters name c;
     c
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
+(* [by] has no default: a default splits a function into a wrapper and
+   a body, and the body is not inlined into callers. *)
+let incr ?by c =
+  c.c_value <- (c.c_value + match by with None -> 1 | Some n -> n)
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
