@@ -24,8 +24,9 @@ let set_processors t n =
 
 let processors t = t.processors
 
-(* Effective cost of an instruction under contention. *)
-let penalize t cost =
+(* Effective cost of an instruction under contention.  Inlined into
+   [Machine.charge], which every charged instruction goes through. *)
+let[@inline] penalize t cost =
   let extra = cost * t.alpha_per_mille * (t.processors - 1) / 1000 in
   cost + extra
 

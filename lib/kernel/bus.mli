@@ -3,10 +3,7 @@
     Every charged instruction is slowed by [alpha] per-mille per additional
     processor sharing the memory bus. *)
 
-type t = {
-  mutable processors : int;
-  alpha_per_mille : int;
-}
+type t
 
 val create : ?alpha_per_mille:int -> processors:int -> unit -> t
 val set_processors : t -> int -> unit

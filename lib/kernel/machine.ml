@@ -353,10 +353,7 @@ let () = Obs.Tracer.set_renderer Obs.Event.Deschedule Syscall.render
 let charge t ns =
   if t.cur >= 0 then begin
     let p = t.processors.(t.cur) in
-    (* [Bus.penalize], written out so that it inlines (see [bump]). *)
-    let eff =
-      ns + (ns * t.bus.Bus.alpha_per_mille * (t.bus.Bus.processors - 1) / 1000)
-    in
+    let eff = Bus.penalize t.bus ns in
     Obs.Metrics.add t.mon.mon_charged_ns eff;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
