@@ -109,7 +109,7 @@ let lookup t index =
   let e = Array.unsafe_get t.entries index in
   if e.valid then e else Fault.raise_fault (Fault.Invalid_descriptor index)
 
-let entry_of_access t (access : Access.t) = lookup t access.Access.index
+let entry_of_access t (access : Access.t) = lookup t (Access.index access)
 
 let is_valid t index =
   index >= 0

@@ -5,7 +5,7 @@
 
 let need_read table (access : Access.t) =
   let e = Object_table.entry_of_access table access in
-  if not access.Access.rights.Rights.read then
+  if not (Access.rights access).Rights.read then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "read"; held = Access.rights access });
   if e.Object_table.swapped_out then
@@ -14,7 +14,7 @@ let need_read table (access : Access.t) =
 
 let need_write table (access : Access.t) =
   let e = Object_table.entry_of_access table access in
-  if not access.Access.rights.Rights.write then
+  if not (Access.rights access).Rights.write then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "write"; held = Access.rights access });
   if e.Object_table.swapped_out then

@@ -424,7 +424,7 @@ let allocate t sro ~data_length ~access_length ~otype =
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
   Obs.Metrics.incr t.mon.mon_allocates;
   Obs.Metrics.observe_int t.mon.mon_alloc_size data_length;
-  emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:access.Access.index
+  emit t Obs.Event.Allocate ~name_id:0 ~detail_id:0 ~a:(Access.index access)
     ~b:data_length;
   access
 
@@ -721,7 +721,7 @@ let[@inline] delivered (proc : Process.t) msg =
 
 let[@inline] unblock_receiver t (proc : Process.t) msg =
   proc.Process.messages_received <- proc.Process.messages_received + 1;
-  Object_table.shade t.table msg.Access.index;
+  Object_table.shade t.table (Access.index msg);
   wake t proc (delivered proc msg)
 
 let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
@@ -729,7 +729,7 @@ let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
   proc.Process.messages_sent <- proc.Process.messages_sent + 1;
   Obs.Metrics.incr t.mon.mon_sends;
   emit t Obs.Event.Send ~name_id:proc.Process.trace_name_id ~detail_id:0
-    ~a:p.Port.self ~b:msg.Access.index
+    ~a:p.Port.self ~b:(Access.index msg)
 
 (* Deliver [msg] from [proc] without waiting: straight to the first parked
    receiver, else into a free slot.  [false] (and nothing counted) when the
@@ -741,14 +741,14 @@ let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
     p.Port.receives <- p.Port.receives + 1;
     Obs.Metrics.incr t.mon.mon_receives;
     emit t Obs.Event.Receive ~name_id:rproc.Process.trace_name_id ~detail_id:0
-      ~a:p.Port.self ~b:msg.Access.index;
+      ~a:p.Port.self ~b:(Access.index msg);
     unblock_receiver t rproc msg;
     true
   end
   else if Port.is_full p then false
   else begin
     count_send t proc p msg;
-    Object_table.shade t.table msg.Access.index;
+    Object_table.shade t.table (Access.index msg);
     Port.enqueue ?txn p ~msg ~priority:proc.Process.priority ~now:(now t);
     true
   end
@@ -768,7 +768,7 @@ let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
   proc.Process.messages_received <- proc.Process.messages_received + 1;
   Obs.Metrics.observe_int t.mon.mon_port_wait p.Port.last_wait_ns;
   emit t Obs.Event.Receive ~name_id:proc.Process.trace_name_id ~detail_id:0
-    ~a:p.Port.self ~b:msg.Access.index;
+    ~a:p.Port.self ~b:(Access.index msg);
   msg
 
 (* Move the first parked sender's message into a free slot and wake the
@@ -814,7 +814,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     Obs.Metrics.incr t.mon.mon_send_blocks;
     emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:0;
-    Object_table.shade t.table msg.Access.index;
+    Object_table.shade t.table (Access.index msg);
     Port.push_sender p ~sender:proc.Process.index ~msg
       ~priority:proc.Process.priority;
     set_status t proc p.Port.blocked_send
@@ -1038,7 +1038,7 @@ let deliver_external t ?txn ~port ~msg ~priority () =
   let p = Port.state_of t.table port in
   if Port.is_full p then false
   else begin
-    Object_table.shade t.table msg.Access.index;
+    Object_table.shade t.table (Access.index msg);
     Obs.Metrics.incr t.mon.mon_sends;
     if post t p ?txn ~msg ~priority () then Obs.Metrics.incr t.mon.mon_receives;
     true

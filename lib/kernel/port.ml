@@ -138,12 +138,12 @@ let state_of_index table index =
     Fault.raise_fault (Fault.Protocol "port object has no port state")
 
 let check_send_right (access : Access.t) =
-  if access.Access.rights.Rights.type_rights land Rights.t1 = 0 then
+  if (Access.rights access).Rights.type_rights land Rights.t1 = 0 then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "send (t1)"; held = Access.rights access })
 
 let check_receive_right (access : Access.t) =
-  if access.Access.rights.Rights.type_rights land Rights.t2 = 0 then
+  if (Access.rights access).Rights.type_rights land Rights.t2 = 0 then
     Fault.raise_fault
       (Fault.Rights_violation
          { needed = "receive (t2)"; held = Access.rights access })
