@@ -1,5 +1,5 @@
-(* Tests for the utility substrate: PRNG determinism, statistics, ring
-   buffers — including qcheck properties on the ring buffer invariants. *)
+(* Tests for the utility substrate: PRNG determinism, statistics, table
+   rendering and CRC-32. *)
 
 open I432_util
 
@@ -160,67 +160,6 @@ let test_table_ragged () =
 
 let test_fmt_us () = Alcotest.(check string) "65us" "65.00" (Table.fmt_us 65_000)
 
-(* ---------------- Ring buffer ---------------- *)
-
-let test_ring_fifo_order () =
-  let rb = Ring_buffer.create 4 in
-  Ring_buffer.push rb 1;
-  Ring_buffer.push rb 2;
-  Ring_buffer.push rb 3;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Ring_buffer.pop rb);
-  Ring_buffer.push rb 4;
-  Ring_buffer.push rb 5;
-  Alcotest.(check (list int)) "order preserved" [ 2; 3; 4; 5 ]
-    (Ring_buffer.to_list rb)
-
-let test_ring_full () =
-  let rb = Ring_buffer.create 2 in
-  Ring_buffer.push rb 1;
-  Ring_buffer.push rb 2;
-  Alcotest.(check bool) "full" true (Ring_buffer.is_full rb);
-  Alcotest.check_raises "push on full" (Invalid_argument "Ring_buffer.push: full")
-    (fun () -> Ring_buffer.push rb 3)
-
-let test_ring_empty () =
-  let rb = Ring_buffer.create 2 in
-  Alcotest.(check (option int)) "pop empty" None (Ring_buffer.pop rb);
-  Alcotest.(check (option int)) "peek empty" None (Ring_buffer.peek rb)
-
-let test_ring_clear () =
-  let rb = Ring_buffer.create 3 in
-  Ring_buffer.push rb 1;
-  Ring_buffer.clear rb;
-  Alcotest.(check bool) "empty after clear" true (Ring_buffer.is_empty rb)
-
-let test_ring_wraparound () =
-  let rb = Ring_buffer.create 3 in
-  for round = 0 to 9 do
-    Ring_buffer.push rb round;
-    Alcotest.(check (option int)) "wrap pop" (Some round) (Ring_buffer.pop rb)
-  done
-
-(* qcheck: a ring buffer driven by an arbitrary push/pop script behaves like
-   a FIFO queue. *)
-let prop_ring_matches_queue =
-  QCheck2.Test.make ~name:"ring buffer behaves as bounded FIFO" ~count:300
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun script ->
-      let rb = Ring_buffer.create 8 in
-      let q = Queue.create () in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then
-            if Ring_buffer.is_full rb then true
-            else begin
-              Ring_buffer.push rb v;
-              Queue.push v q;
-              Ring_buffer.length rb = Queue.length q
-            end
-          else
-            let expected = if Queue.is_empty q then None else Some (Queue.pop q) in
-            Ring_buffer.pop rb = expected)
-        script)
-
 let prop_stats_percentile_monotone =
   QCheck2.Test.make ~name:"percentiles are monotone in p" ~count:200
     QCheck2.Gen.(list_size (int_range 1 50) (float_bound_inclusive 1000.0))
@@ -320,12 +259,6 @@ let suite =
     ("table renders", `Quick, test_table_renders);
     ("table ragged", `Quick, test_table_ragged);
     ("fmt us", `Quick, test_fmt_us);
-    ("ring fifo order", `Quick, test_ring_fifo_order);
-    ("ring full", `Quick, test_ring_full);
-    ("ring empty", `Quick, test_ring_empty);
-    ("ring clear", `Quick, test_ring_clear);
-    ("ring wraparound", `Quick, test_ring_wraparound);
-    QCheck_alcotest.to_alcotest prop_ring_matches_queue;
     QCheck_alcotest.to_alcotest prop_stats_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_jain_bounds;
     ("crc32 check value", `Quick, test_crc32_check_value);
