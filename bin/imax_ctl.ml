@@ -1549,9 +1549,7 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
       kill_ns;
   let txn_counters m =
     List.filter
-      (fun c ->
-        String.length c.Obs.Metrics.c_name >= 4
-        && String.sub c.Obs.Metrics.c_name 0 4 = "txn.")
+      (fun c -> String.starts_with ~prefix:"txn." (Obs.Metrics.counter_name c))
       (Obs.Metrics.counters (K.Machine.metrics m))
   in
   let print_result tag (r : I432_txn.Banking.result) =
@@ -1642,8 +1640,8 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
     print_result "banking" r;
     List.iter
       (fun c ->
-        Printf.printf "  %s = %d\n" c.Obs.Metrics.c_name
-          c.Obs.Metrics.c_value)
+        Printf.printf "  %s = %d\n" (Obs.Metrics.counter_name c)
+          (Obs.Metrics.counter_value c))
       (txn_counters machine);
     die_unless_sound "banking" r;
     List.iter

@@ -62,6 +62,7 @@ let incr ?by c =
   c.c_value <- (c.c_value + match by with None -> 1 | Some n -> n)
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
+let counter_name c = c.c_name
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with

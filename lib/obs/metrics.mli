@@ -2,13 +2,13 @@
     histograms.
 
     Instruments are resolved once (find-or-create by name) and updated
-    through bare mutable fields on the hot path.  Dumps are sorted by
-    name, so identical runs produce byte-identical JSON. *)
+    without a lookup on the hot path.  Dumps are sorted by name, so
+    identical runs produce byte-identical JSON. *)
 
 open I432_util
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : int }
+type counter
+type gauge
 type histogram = { m_name : string; m_hist : Stats.hist }
 type log_histogram = { l_name : string; l_hist : Stats.log_hist }
 
@@ -25,6 +25,7 @@ val incr : ?by:int -> counter -> unit
     per-instruction counts. *)
 val add : counter -> int -> unit
 val counter_value : counter -> int
+val counter_name : counter -> string
 
 val gauge : t -> string -> gauge
 val set : gauge -> int -> unit

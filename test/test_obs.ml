@@ -370,7 +370,7 @@ let test_metrics_registry () =
   Alcotest.(check bool) "lookup misses are None" true
     (Obs.Metrics.find_counter r "no.such" = None);
   (* Dumps are sorted by name, so JSON is deterministic. *)
-  let names = List.map (fun c -> c.Obs.Metrics.c_name) (Obs.Metrics.counters r) in
+  let names = List.map Obs.Metrics.counter_name (Obs.Metrics.counters r) in
   Alcotest.(check (list string)) "sorted" (List.sort compare names) names
 
 let test_machine_metrics_populated () =
