@@ -16,30 +16,39 @@ module K = I432_kernel
 let depths = [ 10; 100; 1_000; 10_000 ]
 let priority_levels = 16
 
-(* Wall-clock ns per op: best of [trials] batches of [reps/trials] runs,
-   after a warm-up and a full major collection.  The minimum rejects GC
-   pauses and scheduler interference; the collection isolates each
-   measurement from heap state left behind by earlier scenarios (or by
-   the bechamel pass, which precedes the sweep in full mode). *)
+(* Wall-clock ns per op: best of [trials] batches, after a warm-up and a
+   full major collection.  The minimum rejects GC pauses and scheduler
+   interference; the collection isolates each measurement from heap
+   state left behind by earlier scenarios (or by the bechamel pass, which
+   precedes the sweep in full mode).
+
+   A batch is [reps / trials] ops, doubled until one batch spans
+   [min_batch_s]: the clock steps by 1 us, so ten 70 ns ops timed alone
+   read 0 or 100 ns. *)
 let trials = 5
+let min_batch_s = 1e-3
+
+let time_batch f n =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Unix.gettimeofday () -. t0
 
 let time_ns ~reps f =
   for _ = 1 to min reps 100 do
     f ()
   done;
+  let per = ref (max 1 (reps / trials)) in
+  while time_batch f !per < min_batch_s do
+    per := 2 * !per
+  done;
   Gc.full_major ();
-  let per = max 1 (reps / trials) in
   let best = ref infinity in
   for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to per do
-      f ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    let ns = (t1 -. t0) *. 1e9 /. float_of_int per in
-    if ns < !best then best := ns
+    best := Float.min !best (time_batch f !per)
   done;
-  !best
+  !best *. 1e9 /. float_of_int !per
 
 (* Reps scale down with depth so the O(n) baselines finish in bounded
    time; each (structure, depth) pair uses the same count for both
@@ -163,6 +172,9 @@ let run ~smoke =
         depths)
     structures
 
+(* A cell that read 0 ns (or NaN) was timed below the clock's step. *)
+let empty_cell rows = List.find_opt (fun r -> not (r.ns_per_op > 0.0)) rows
+
 let find rows ~structure ~impl ~depth =
   List.find
     (fun r -> r.structure = structure && r.impl = impl && r.depth = depth)
@@ -172,16 +184,10 @@ let find rows ~structure ~impl ~depth =
    criterion ("within 5x" for the new structures; the seed lists are
    >100x). *)
 let scaling_ratios rows =
-  List.filter_map
+  List.map
     (fun (structure, impl, _) ->
-      match
-        ( find rows ~structure ~impl ~depth:10,
-          find rows ~structure ~impl ~depth:10_000 )
-      with
-      | shallow, deep when shallow.ns_per_op > 0.0 ->
-        Some (structure, impl, deep.ns_per_op /. shallow.ns_per_op)
-      | _ -> None
-      | exception Not_found -> None)
+      let at depth = (find rows ~structure ~impl ~depth).ns_per_op in
+      (structure, impl, at 10_000 /. at 10))
     structures
 
 (* before/after at each depth: seed-list is "before", the live impl is

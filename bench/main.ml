@@ -163,6 +163,12 @@ let run_micro args =
     if estimates <> [] then Micro.print_estimates estimates;
     let rows = Depth_sweep.run ~smoke in
     Depth_sweep.print_summary rows;
+    Option.iter
+      (fun (r : Depth_sweep.row) ->
+        Printf.printf "FAIL: depth sweep %s %s at d=%d reads %.1f ns per op\n"
+          r.structure r.impl r.depth r.ns_per_op;
+        exit 1)
+      (Depth_sweep.empty_cell rows);
     let trace =
       Paired.best_epoch
         ~measure:(Trace_overhead.measure ~smoke)
