@@ -13,11 +13,12 @@
    workers allocates per request, schedule and boot included.  That count
    is the same on every host for a given binary, so it catches an
    allocation creeping back into create-object, the schedule or the
-   dispatch path where a timing ratio could not.  It reads 62.6 with
+   dispatch path where a timing ratio could not.  It reads 60.6 with
    timers on their processes, unboxed port queues, in-place carving and
-   allocation-free draws, observes and header reads; the hashed ready
-   queue with a handler closure per syscall read 368.6, and the
-   intrusive ready queue over the pairing-heap timers 149.7.
+   allocation-free draws, observes and header reads, built without
+   -opaque (62.6 with it); the hashed ready queue with a handler closure
+   per syscall read 368.6, and the intrusive ready queue over the
+   pairing-heap timers 149.7.
 
    Its traced twin, the same run at trace level [Events], may allocate at
    most one word per request more: a traced event is eight stores into a
@@ -30,18 +31,19 @@
    (4 users at 10k req/s aggregate, 500 requests each, in both modes):
    every request crosses the wire codec, the NIC pump and the ARQ, so
    the bound catches a per-round or per-frame allocation coming back
-   into the cluster round.  It reads 259.1; the hashed ready queue read
-   604.6, the pairing-heap timers 378.5.
+   into the cluster round.  It reads 255.1 (259.1 built with -opaque);
+   the hashed ready queue read 604.6, the pairing-heap timers 378.5.
 
    Last, the words per transfer of one untraced banking run (2 GDPs, 4
    tellers, 8 accounts, 4,000 transfers, seed 1): two group commits each,
    so a [Map] functor applied per [Txn_try] read 1,293.6 and fails; the
    one-tally validation read 723.5 over the hashed ready queue, 538.1
    over the pairing-heap timers, 447.6 while the result counted commits
-   by sorting every key, and reads 405.9 now.  Its history-on twin, the
-   same run filing every commit's record into a store on a scratch
-   journal, prices a record: it reads 412.3, the key string of each of
-   the two records a transfer files and nothing else.  A record through
+   by sorting every key, 405.9 built with -opaque, and reads 391.9 now.
+   Its history-on twin, the same run filing every commit's record into a
+   store on a scratch journal, prices a record: it reads 398.3 (412.3
+   built with -opaque), the key string of each of the two records a
+   transfer files and nothing else.  A record through
    a polymorphic [Hashtbl] directory, a [Buffer]-built key and text, a
    closure per encode and boxed CRC arguments read 573.4.
 
@@ -77,12 +79,12 @@ module St = I432_store.Store
 let base_workers = 8
 let test_workers = 512
 let limit = 2.0
-let words_limit = 63.0
-let cluster_words_limit = 260.0
+let words_limit = 61.0
+let cluster_words_limit = 256.0
 let traced_words_slack = 1.0
 let bank_transfers = 4_000
-let bank_words_limit = 406.0
-let bank_history_words_limit = 413.0
+let bank_words_limit = 392.0
+let bank_history_words_limit = 399.0
 
 (* One syscall probe: its JSON key, what one iteration does, and its
    bound. *)
