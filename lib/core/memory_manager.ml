@@ -276,7 +276,7 @@ module Swapping = struct
     | Some o ->
       Obs.Metrics.incr o.o_outs;
       if clean then Obs.Metrics.incr (Lazy.force o.o_clean)
-      else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
+      else Obs.Metrics.add o.o_bytes_out e.Object_table.data_length;
       K.Machine.emit t.machine Obs.Event.Swap_out ~name_id:o.o_policy_id
         ~detail_id:0 ~a:index ~b:e.Object_table.data_length
     | None -> ()
@@ -339,7 +339,7 @@ module Swapping = struct
           (match t.obs with
           | Some o ->
             Obs.Metrics.incr o.o_ins;
-            Obs.Metrics.incr ~by:size o.o_bytes_in;
+            Obs.Metrics.add o.o_bytes_in size;
             K.Machine.emit t.machine Obs.Event.Swap_in ~name_id:o.o_device_id
               ~detail_id:0 ~a:index ~b:size
           | None -> ());

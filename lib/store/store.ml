@@ -328,7 +328,7 @@ let append t ~kind ~key payload ~len =
   (match t.mon with
   | Some m ->
     Obs.Metrics.incr m.mon_appends;
-    Obs.Metrics.incr ~by:size m.mon_bytes;
+    Obs.Metrics.add m.mon_bytes size;
     let mm = m.mon_machine in
     K.Machine.emit mm Obs.Event.Journal_append
       ~name_id:(K.Machine.string_id mm key)
