@@ -66,38 +66,11 @@ let workload ~timed ~messages () =
          done));
   ignore (K.Machine.run m)
 
-type result = {
-  messages : int;
-  plain_ns : float;  (* whole-run wall clock, plain send/receive *)
-  timed_ns : float;  (* same workload on the timed variants *)
-  overhead_pct : float;
-}
-
-let measure ~smoke () =
+(* Recorded, not gated: only timed calls pay it. *)
+let measure ~smoke =
   let messages = if smoke then 2_000 else 10_000 in
-  let p =
-    Paired.measure ~trials ~batch
-      ~base:(workload ~timed:false ~messages)
-      ~test:(workload ~timed:true ~messages)
-  in
-  {
-    messages;
-    plain_ns = p.Paired.base_ns;
-    timed_ns = p.Paired.test_ns;
-    overhead_pct = Paired.overhead_pct p;
-  }
-
-let print_summary r =
-  Printf.printf
-    "Timed-op overhead (%d messages): plain %.2f ms, timed %.2f ms, %+.2f%%\n"
-    r.messages (r.plain_ns /. 1e6) (r.timed_ns /. 1e6) r.overhead_pct
-
-let to_json r =
-  let open Json_out in
-  Obj
-    [
-      ("messages", Int r.messages);
-      ("plain_ns", Float r.plain_ns);
-      ("timed_ns", Float r.timed_ns);
-      ("overhead_pct", Float r.overhead_pct);
-    ]
+  Reading.int "messages" "messages" messages
+  :: Paired.overhead_readings ~base:"plain_ns" ~test:"timed_ns"
+       (Paired.measure ~trials ~batch
+          ~base:(workload ~timed:false ~messages)
+          ~test:(workload ~timed:true ~messages))

@@ -90,16 +90,7 @@ let remote_workload ~n () =
   ignore (Net.Cluster.run cluster ());
   K.Machine.now ma
 
-type result = {
-  roundtrips : int;
-  local_host_ns : float;  (* whole-run wall clock, one machine *)
-  remote_host_ns : float;  (* same workload across two nodes *)
-  ratio : float;  (* median paired remote/local host-time ratio *)
-  local_rtt_virtual_ns : float;  (* virtual ns per round trip *)
-  remote_rtt_virtual_ns : float;
-}
-
-let measure ~smoke () =
+let measure ~smoke =
   let n = if smoke then 100 else 400 in
   let virt_local = ref 0 in
   let virt_remote = ref 0 in
@@ -108,32 +99,13 @@ let measure ~smoke () =
       ~base:(fun () -> virt_local := local_workload ~n ())
       ~test:(fun () -> virt_remote := remote_workload ~n ())
   in
-  {
-    roundtrips = n;
-    local_host_ns = p.Paired.base_ns;
-    remote_host_ns = p.Paired.test_ns;
-    ratio = p.Paired.ratio;
-    local_rtt_virtual_ns = float_of_int !virt_local /. float_of_int n;
-    remote_rtt_virtual_ns = float_of_int !virt_remote /. float_of_int n;
-  }
-
-let print_summary r =
-  Printf.printf
-    "Net RTT (%d round trips): local %.2f ms, remote %.2f ms host (x%.2f); \
-     virtual RTT local %.0f ns, remote %.0f ns\n"
-    r.roundtrips
-    (r.local_host_ns /. 1e6)
-    (r.remote_host_ns /. 1e6)
-    r.ratio r.local_rtt_virtual_ns r.remote_rtt_virtual_ns
-
-let to_json r =
-  let open Json_out in
-  Obj
+  let per_rtt virt = float_of_int virt /. float_of_int n in
+  Reading.
     [
-      ("roundtrips", Int r.roundtrips);
-      ("local_host_ns", Float r.local_host_ns);
-      ("remote_host_ns", Float r.remote_host_ns);
-      ("host_ratio", Float r.ratio);
-      ("local_rtt_virtual_ns", Float r.local_rtt_virtual_ns);
-      ("remote_rtt_virtual_ns", Float r.remote_rtt_virtual_ns);
+      int "roundtrips" "round trips" n;
+      v "local_host_ns" "ns" p.Paired.base_ns;
+      v "remote_host_ns" "ns" p.Paired.test_ns;
+      v "host_ratio" "x" p.Paired.ratio;
+      v "local_rtt_virtual_ns" "virtual ns" (per_rtt !virt_local);
+      v "remote_rtt_virtual_ns" "virtual ns" (per_rtt !virt_remote);
     ]

@@ -48,19 +48,38 @@ let measure ~trials ~batch ~base ~test =
 
 let overhead_pct p = 100.0 *. (p.ratio -. 1.0)
 
+(* The three readings of an overhead measurement: each side's fastest
+   sample, keyed [base] and [test], and the median overhead. *)
+let overhead_readings ?bound ~base ~test p =
+  Reading.
+    [
+      v base "ns" p.base_ns;
+      v test "ns" p.test_ns;
+      v ?bound "overhead_pct" "%" (overhead_pct p);
+    ]
+
 (* Each measurement's median ratio estimates the overhead during that ~1s
    epoch; host noise (scheduler interference, frequency shifts) only ever
-   inflates it.  Re-measuring on an over-budget reading — after a
+   inflates it.  Re-measuring on a reading past its bound — after a
    cool-down, since noisy epochs span several seconds — and keeping the
-   best of up to four epochs estimates the intrinsic cost, not the
-   noisiest moment of the build machine. *)
-let best_epoch ~measure ~print ~pct ~check =
+   epoch whose readings lie least past their bounds, of up to four,
+   estimates the intrinsic cost, not the noisiest moment of the build
+   machine. *)
+let best_epoch measure ~smoke =
+  let worst =
+    List.fold_left (fun w r -> Float.max w (Reading.excess r)) neg_infinity
+  in
   let rec attempt n best =
-    let r = measure () in
-    print r;
-    let best = match best with Some b when pct b < pct r -> b | _ -> r in
-    if check best || n >= 4 then best
+    let rs = measure ~smoke in
+    let best = match best with Some b when worst b < worst rs -> b | _ -> rs in
+    if List.for_all Reading.holds best || n >= 4 then best
     else begin
+      List.iter
+        (fun r ->
+          if not (Reading.holds r) then
+            Printf.printf "  epoch %d: %s; re-measuring\n" n
+              (Reading.describe r))
+        rs;
       Unix.sleepf 2.0;
       attempt (n + 1) (Some best)
     end

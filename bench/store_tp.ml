@@ -24,7 +24,10 @@
    swap-out then a fault-in.  Only a read of a buffered frame writes the
    buffer out, so the interleave also costs one [write] per 64 KiB; a
    read that flushed would read 10,000.  Counts, not times: host noise
-   cannot move them. *)
+   cannot move them.
+
+   Three sections: [store_tp] (throughput and the read ratio),
+   [store_append] (the two syscall counts) and [ckpt_rt]. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -61,23 +64,8 @@ let build_graph m =
   chain root 5;
   root
 
-type result = {
-  pairs : int;  (* store+retrieve round trips measured *)
-  store_ns_per_op : float;  (* host ns per round trip *)
-  journal_mb_per_s : float;  (* journal write bandwidth over the run *)
-  ckpt_trips : int;
-  ckpt_save_ns : float;  (* host ns per save (image + fsync) *)
-  ckpt_restore_ns : float;  (* host ns per restore (re-boot + replay) *)
-  read : Paired.t;  (* first-key get_blob: large journal over small *)
-  append_bytes : int;  (* journal bytes the append guard wrote *)
-  append_writes : int option;  (* its write syscalls; None: unreadable *)
-  swap_bytes : int;  (* journal bytes the swap-shaped interleave wrote *)
-  swap_writes : int option;  (* its write syscalls; None: unreadable *)
-}
-
 let read_small_records = 64
 let read_large_records = 65_536
-let read_limit = 3.0
 let append_records = 10_000
 let append_payload_bytes = 40
 let append_buffer_bytes = 65_536 (* the journal's write-behind buffer *)
@@ -109,7 +97,9 @@ let measure_store ~pairs =
   ( elapsed *. 1e9 /. float_of_int pairs,
     float_of_int bytes_written /. elapsed /. 1e6 )
 
-let measure_ckpt ~trips =
+(* The [ckpt_rt] section. *)
+let measure_ckpt ~smoke =
+  let trips = if smoke then 5 else 20 in
   cleanup ();
   let store = St.open_ journal_path in
   let boot () =
@@ -149,7 +139,12 @@ let measure_ckpt ~trips =
   done;
   St.close store;
   cleanup ();
-  (!save_ns, !restore_ns)
+  Reading.
+    [
+      int "trips" "trips" trips;
+      v "save_ns" "ns" !save_ns;
+      v "restore_ns" "ns" !restore_ns;
+    ]
 
 let measure_read () =
   let open_filled name records =
@@ -177,8 +172,6 @@ let measure_read () =
   St.remove_files small_path;
   St.remove_files large_path;
   r
-
-let check r = r.read.Paired.ratio <= read_limit
 
 (* This process's write-family syscalls so far ([syscw] in
    /proc/self/io); [None] where the file is unreadable. *)
@@ -217,7 +210,7 @@ let count_writes name ~prepare f =
   in
   (bytes - bytes0, writes)
 
-let measure_append () =
+let count_append_writes () =
   let payload = Bytes.make append_payload_bytes 'x' in
   let keys =
     Array.init append_records (fun i ->
@@ -228,7 +221,7 @@ let measure_append () =
 
 (* The reads' keys were synced before the first reading, so every read
    is of a frame on disk while the interleave's own frames are buffered. *)
-let measure_swap_interleave () =
+let count_swap_writes () =
   let image = Bytes.make swap_image_bytes 's' in
   let old_keys = Array.init swap_on_disk (Printf.sprintf "swap/old%06d") in
   let new_keys = Array.init append_records (Printf.sprintf "swap/new%06d") in
@@ -243,108 +236,41 @@ let measure_swap_interleave () =
           ignore (St.get_blob store ~key:old_keys.(i mod swap_on_disk)))
         new_keys)
 
-let write_limit bytes =
-  ((bytes + append_buffer_bytes - 1) / append_buffer_bytes) + 1
+(* The write syscalls appending [bytes] may cost: ceil(bytes / 64 KiB)
+   + 1. *)
+let syscalls_reading key (bytes, writes) =
+  let buffers = (bytes + append_buffer_bytes - 1) / append_buffer_bytes in
+  Reading.make key "syscalls" (Option.map float_of_int writes)
+    ~bound:(Reading.At_most (float_of_int (buffers + 1)))
 
-let append_limit r = write_limit r.append_bytes
-let swap_limit r = write_limit r.swap_bytes
-let within writes limit = match writes with Some w -> w <= limit | None -> true
-
-let check_append r =
-  within r.append_writes (append_limit r) && within r.swap_writes (swap_limit r)
-
-let measure ~smoke () =
+(* The [store_tp] section. *)
+let measure ~smoke =
   let pairs = if smoke then 256 else 2048 in
-  let trips = if smoke then 5 else 20 in
   let store_ns, mb_s = measure_store ~pairs in
-  let save_ns, restore_ns = measure_ckpt ~trips in
   let read = measure_read () in
-  let append_bytes, append_writes = measure_append () in
-  let swap_bytes, swap_writes = measure_swap_interleave () in
-  {
-    pairs;
-    store_ns_per_op = store_ns;
-    journal_mb_per_s = mb_s;
-    ckpt_trips = trips;
-    ckpt_save_ns = save_ns;
-    ckpt_restore_ns = restore_ns;
-    read;
-    append_bytes;
-    append_writes;
-    swap_bytes;
-    swap_writes;
-  }
-
-let writes_text = function Some w -> string_of_int w | None -> "n/a"
-
-let print_summary r =
-  Printf.printf
-    "Store throughput (%d store+retrieve pairs): %.0f ns/op, %.2f MB/s \
-     journal writes\n"
-    r.pairs r.store_ns_per_op r.journal_mb_per_s;
-  Printf.printf
-    "Store first-key read: %.0f ns at %d records, %.0f ns at %d records, \
-     median ratio x%.2f (limit x%.1f)\n"
-    r.read.Paired.base_ns read_small_records r.read.Paired.test_ns
-    read_large_records r.read.Paired.ratio read_limit;
-  Printf.printf
-    "Store appends: %d records, %d journal bytes, %s write syscalls (limit \
-     %d)\n"
-    append_records r.append_bytes (writes_text r.append_writes)
-    (append_limit r);
-  Printf.printf
-    "Store swap interleave: %d put+get pairs, %d journal bytes, %s write \
-     syscalls (limit %d)\n"
-    append_records r.swap_bytes (writes_text r.swap_writes) (swap_limit r);
-  Printf.printf
-    "Checkpoint round trip (%d trips): save %.0f ns, restore %.0f ns \
-     (re-boot + replay + verify)\n"
-    r.ckpt_trips r.ckpt_save_ns r.ckpt_restore_ns
-
-let to_json_tp r =
-  let open Json_out in
-  Obj
+  Reading.
     [
-      ("pairs", Int r.pairs);
-      ("ns_per_op", Float r.store_ns_per_op);
-      ("journal_mb_per_s", Float r.journal_mb_per_s);
-      ( "first_key_read",
-        Obj
-          [
-            ("small_records", Int read_small_records);
-            ("large_records", Int read_large_records);
-            ("small_ns", Float r.read.Paired.base_ns);
-            ("large_ns", Float r.read.Paired.test_ns);
-            ("ratio", Float r.read.Paired.ratio);
-            ("limit", Float read_limit);
-          ] );
-      ( "append_syscalls",
-        Obj
-          [
-            ("records", Int append_records);
-            ("payload_bytes", Int append_payload_bytes);
-            ("bytes", Int r.append_bytes);
-            ( "write_syscalls",
-              match r.append_writes with Some w -> Int w | None -> Null );
-            ("limit", Int (append_limit r));
-          ] );
-      ( "swap_interleave_syscalls",
-        Obj
-          [
-            ("pairs", Int append_records);
-            ("image_bytes", Int swap_image_bytes);
-            ("bytes", Int r.swap_bytes);
-            ( "write_syscalls",
-              match r.swap_writes with Some w -> Int w | None -> Null );
-            ("limit", Int (swap_limit r));
-          ] );
+      int "pairs" "pairs" pairs;
+      v "ns_per_op" "ns" store_ns;
+      v "journal_mb_per_s" "MB/s" mb_s;
+      int "first_key_read_small_records" "records" read_small_records;
+      int "first_key_read_large_records" "records" read_large_records;
+      v "first_key_read_small_ns" "ns" read.Paired.base_ns;
+      v "first_key_read_large_ns" "ns" read.Paired.test_ns;
+      v "first_key_read_ratio" "x" read.Paired.ratio ~bound:(At_most 3.0);
     ]
 
-let to_json_ckpt r =
-  let open Json_out in
-  Obj
+(* The [store_append] section. *)
+let measure_appends ~smoke:_ =
+  let append = count_append_writes () and swap = count_swap_writes () in
+  Reading.
     [
-      ("trips", Int r.ckpt_trips);
-      ("save_ns", Float r.ckpt_save_ns);
-      ("restore_ns", Float r.ckpt_restore_ns);
+      int "append_records" "records" append_records;
+      int "append_payload_bytes" "bytes" append_payload_bytes;
+      int "append_bytes" "bytes" (fst append);
+      syscalls_reading "append_write_syscalls" append;
+      int "swap_pairs" "pairs" append_records;
+      int "swap_image_bytes" "bytes" swap_image_bytes;
+      int "swap_bytes" "bytes" (fst swap);
+      syscalls_reading "swap_write_syscalls" swap;
     ]

@@ -8,7 +8,7 @@
    embedded in-memory device and no envelope.  Nothing is ever evicted,
    so what the ratio measures is pure bookkeeping: the resident-set
    controller, the device seam, and the dormant observability branches
-   against the seed's list scans.  The gate below holds the vm tier
+   against the seed's list scans.  The bound below holds the vm tier
    under 1% over the seed — the new subsystem must not tax a system
    that never configures a device — and in practice the ratio runs
    negative: the seed scanned the resident list on every touch and
@@ -123,46 +123,11 @@ let workload ~mk_ops ~messages () =
   if ops.op_swap_outs () <> 0 then
     failwith "swap_overhead: the no-pressure workload evicted something"
 
-type result = {
-  messages : int;
-  seed_ns : float;  (* whole-run wall clock, frozen seed manager *)
-  vm_ns : float;  (* same workload, vm-tier Swapping/lru, no device *)
-  overhead_pct : float;
-}
-
-let measure ~smoke () =
+let measure ~smoke =
   let messages = if smoke then 2_000 else 10_000 in
-  let p =
-    Paired.measure ~trials ~batch
-      ~base:(workload ~mk_ops:seed_ops ~messages)
-      ~test:(workload ~mk_ops:vm_ops ~messages)
-  in
-  {
-    messages;
-    seed_ns = p.Paired.base_ns;
-    vm_ns = p.Paired.test_ns;
-    overhead_pct = Paired.overhead_pct p;
-  }
-
-let print_summary r =
-  Printf.printf
-    "Swap-path overhead, no device (%d messages through the mm): seed \
-     manager %.2f ms, vm tier %.2f ms, %+.2f%%\n"
-    r.messages (r.seed_ns /. 1e6) (r.vm_ns /. 1e6) r.overhead_pct
-
-let to_json r =
-  let open Json_out in
-  Obj
-    [
-      ("messages", Int r.messages);
-      ("seed_ns", Float r.seed_ns);
-      ("vm_ns", Float r.vm_ns);
-      ("overhead_pct", Float r.overhead_pct);
-    ]
-
-(* The PR-gate budget: with no device attached, the vm-tier manager
-   must cost < [limit_pct] wall clock over the seed manager it
-   replaced. *)
-let limit_pct = 1.0
-
-let check r = r.overhead_pct < limit_pct
+  Reading.int "messages" "messages" messages
+  :: Paired.overhead_readings ~base:"seed_ns" ~test:"vm_ns"
+       ~bound:(Reading.Below 1.0)
+       (Paired.measure ~trials ~batch
+          ~base:(workload ~mk_ops:seed_ops ~messages)
+          ~test:(workload ~mk_ops:vm_ops ~messages))

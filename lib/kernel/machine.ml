@@ -312,25 +312,17 @@ let[@inline] now t =
       (fun acc p -> Int.max acc p.Processor.clock_ns)
       0 t.processors
 
-(* Whether [emit] records [kind]: one field read when tracing is off, a
-   call into the tracer for its mask only when it is on. *)
-let[@inline] wants t kind = t.traced && Obs.Tracer.wants t.obs kind
-
 (* Record one structured event, stamped with the executing processor's id
    and virtual clock (or -1 / max clock outside the run loop).  One field
-   read when tracing is off.  Inside the run loop the stamp is two field
-   reads, so the tracer's own mask check is the only one; outside it the
-   mask is asked first, so a filtered event skips the timestamp ([now t]
-   folds every processor clock).  Names and details are ids from
-   [string_id]: a process's name is interned once at spawn
-   ([Process.trace_name_id]). *)
+   read when tracing is off.  Names and details are ids from [string_id]:
+   a process's name is interned once at spawn ([Process.trace_name_id]). *)
 let emit t kind ~name_id ~detail_id ~a ~b =
   if t.traced then
     if t.cur >= 0 then
       let p = t.processors.(t.cur) in
       Obs.Tracer.emit t.obs kind ~cpu:p.Processor.id ~ts_ns:p.Processor.clock_ns
         ~name_id ~detail_id ~a ~b
-    else if Obs.Tracer.wants t.obs kind then
+    else
       Obs.Tracer.emit t.obs kind ~cpu:(-1) ~ts_ns:(now t) ~name_id ~detail_id
         ~a ~b
 
@@ -1313,7 +1305,7 @@ let record_fault t (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
   Obs.Metrics.incr t.mon.mon_faults;
   (* Guarded: rendering the cause formats, even when untraced. *)
-  if wants t Obs.Event.Fault then
+  if t.traced then
     emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
       ~detail_id:(string_id t (Fault.to_string cause)) ~a:0 ~b:0;
   set_status t proc (Process.Faulted cause);
@@ -1460,7 +1452,7 @@ let fire_injections t (cpu : Processor.t) =
       t.cur <- cpu.Processor.id;
       Obs.Metrics.incr t.mon.mon_injections;
       (* Guarded: rendering the injection formats, even when untraced. *)
-      if wants t Obs.Event.Fi_inject then
+      if t.traced then
         emit t Obs.Event.Fi_inject ~name_id:0
           ~detail_id:(string_id t (injection_to_string inj))
           ~a:(injection_arg inj) ~b:0;

@@ -63,7 +63,7 @@ val events : t -> I432_obs.Event.t list
 (** Record one event, stamped with the executing processor's id and
     virtual clock (-1 and the maximum clock outside the run loop).
     [name_id]/[detail_id] come from {!string_id}; intern a fixed string
-    once, not per event.  No-op unless the event's kind is traced. *)
+    once, not per event.  No-op unless the machine is traced. *)
 val emit :
   t ->
   I432_obs.Event.kind ->

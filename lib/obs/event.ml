@@ -171,11 +171,6 @@ let category k =
   let _, _, cat = kinds.(kind_to_int k) in
   cat
 
-(* Every category value, in fixed order (for filter UIs and validation). *)
-let subsystems =
-  [ "proc"; "dispatch"; "port"; "sro"; "domain"; "gc"; "fi"; "net"; "store";
-    "load"; "vm"; "txn" ]
-
 (* "#%d %dns cpu%d %s name=%s detail=%s a=%d b=%d", built with one
    concatenation rather than [Printf]'s format interpreter: a trace dump
    or digest calls it once per event. *)

@@ -86,9 +86,6 @@ val kind_count : int
     net, store, load, vm or txn. *)
 val category : kind -> string
 
-(** Every {!category} value, in fixed order. *)
-val subsystems : string list
-
 val to_string : t -> string
 
 (** Compat shim: the seed's unstructured trace line for this event, for the

@@ -77,11 +77,6 @@ type t = {
   rings : ring array;  (* index cpu+1; slot 0 = boot *)
   dropped : int array;  (* per ring *)
   strings : interns;
-  (* Per-kind-code enable mask (index = Event.kind_to_int).  All-true by
-     default, so unfiltered traces are byte-identical to pre-filter runs.
-     Checked before seq assignment and ring stores: a filtered subsystem
-     costs one array load per event, nothing else. *)
-  mask : bool array;
   mutable emitted : int;  (* total events ever emitted (= next seq) *)
 }
 
@@ -184,7 +179,6 @@ let create ?(capacity = default_capacity) ~level ~processors () =
     rings = Array.init (processors + 1) (fun _ -> ring_create capacity);
     dropped = Array.make (processors + 1) 0;
     strings = interns_create ();
-    mask = Array.make Event.kind_count true;
     emitted = 0;
   }
 
@@ -194,81 +188,53 @@ let level t = t.level
    call, which the per-event budget cannot afford. *)
 let enabled t = match t.level with Off -> false | Events -> true
 
-(* Subsystem filtering.  [set_filter ~keep:None] restores the default
-   (everything traced); [Some subs] keeps only kinds whose
-   {!Event.category} is listed.  Unknown names raise, so a typo cannot
-   silently discard a whole trace. *)
-let set_filter t ~keep =
-  match keep with
-  | None -> Array.fill t.mask 0 Event.kind_count true
-  | Some subs ->
-    List.iter
-      (fun s ->
-        if not (List.mem s Event.subsystems) then
-          invalid_arg (Printf.sprintf "Tracer.set_filter: subsystem %S" s))
-      subs;
-    for code = 0 to Event.kind_count - 1 do
-      t.mask.(code) <-
-        List.mem (Event.category (Event.kind_of_int code)) subs
-    done
-
-(* [wants t kind] is the cheap pre-flight for instrumentation sites: false
-   means the event would be discarded, so the caller can skip computing
-   the timestamp or formatting a string entirely. *)
-let wants t kind =
-  match t.level with
-  | Off -> false
-  | Events -> Array.unsafe_get t.mask (Event.kind_to_int kind)
-
 let string_id t s =
   match t.level with Off -> 0 | Events -> intern t.strings s
 
-(* The one emit path: level check, mask check, slot accounting, eight
-   immediate stores.  No optional arguments and no strings — callers pass
+(* The one emit path: level check, slot accounting, eight immediate
+   stores.  No optional arguments and no strings — callers pass
    ids from [string_id], interned once where the string is fixed. *)
 let emit t kind ~cpu ~ts_ns ~name_id ~detail_id ~a ~b =
   match t.level with
   | Off -> ()
   | Events ->
     let kind_code = Event.kind_to_int kind in
-    if Array.unsafe_get t.mask kind_code then begin
-      let seq = t.emitted in
-      t.emitted <- seq + 1;
-      let idx =
-        let i = cpu + 1 in
-        if i < 0 || i >= Array.length t.rings then 0 else i
-      in
-      let r = t.rings.(idx) in
-      let cap = r.r_cap in
-      let slot =
-        if r.r_len = cap then begin
-          (* Full: the oldest event's slot is recycled for the newest. *)
-          let s = r.r_head in
-          r.r_head <- (if s + 1 = cap then 0 else s + 1);
-          t.dropped.(idx) <- t.dropped.(idx) + 1;
-          s
-        end
-        else begin
-          let s = r.r_head + r.r_len in
-          let s = if s >= cap then s - cap else s in
-          r.r_len <- r.r_len + 1;
-          s
-        end
-      in
-      (* [base .. base+7] < length by construction; unsafe stores keep the
-         eight writes — all into one slot, typically one cache line — free
-         of bounds checks on the hottest kernel seam. *)
-      let base = slot * fields in
-      let d = r.r_data in
-      Array.unsafe_set d base seq;
-      Array.unsafe_set d (base + 1) ts_ns;
-      Array.unsafe_set d (base + 2) cpu;
-      Array.unsafe_set d (base + 3) a;
-      Array.unsafe_set d (base + 4) b;
-      Array.unsafe_set d (base + 5) kind_code;
-      Array.unsafe_set d (base + 6) name_id;
-      Array.unsafe_set d (base + 7) detail_id
-    end
+    let seq = t.emitted in
+    t.emitted <- seq + 1;
+    let idx =
+      let i = cpu + 1 in
+      if i < 0 || i >= Array.length t.rings then 0 else i
+    in
+    let r = t.rings.(idx) in
+    let cap = r.r_cap in
+    let slot =
+      if r.r_len = cap then begin
+        (* Full: the oldest event's slot is recycled for the newest. *)
+        let s = r.r_head in
+        r.r_head <- (if s + 1 = cap then 0 else s + 1);
+        t.dropped.(idx) <- t.dropped.(idx) + 1;
+        s
+      end
+      else begin
+        let s = r.r_head + r.r_len in
+        let s = if s >= cap then s - cap else s in
+        r.r_len <- r.r_len + 1;
+        s
+      end
+    in
+    (* [base .. base+7] < length by construction; unsafe stores keep the
+       eight writes — all into one slot, typically one cache line — free
+       of bounds checks on the hottest kernel seam. *)
+    let base = slot * fields in
+    let d = r.r_data in
+    Array.unsafe_set d base seq;
+    Array.unsafe_set d (base + 1) ts_ns;
+    Array.unsafe_set d (base + 2) cpu;
+    Array.unsafe_set d (base + 3) a;
+    Array.unsafe_set d (base + 4) b;
+    Array.unsafe_set d (base + 5) kind_code;
+    Array.unsafe_set d (base + 6) name_id;
+    Array.unsafe_set d (base + 7) detail_id
 
 (* All retained events in emission order.  A ring only appends and
    overflow drops its oldest, so each ring is already in seq order and

@@ -22,21 +22,6 @@ val create : ?capacity:int -> level:level -> processors:int -> unit -> t
 val level : t -> level
 val enabled : t -> bool
 
-(** {1 Subsystem filtering}
-
-    [set_filter t ~keep:(Some subs)] drops every event whose
-    {!Event.category} is not listed, before any per-event work (no seq,
-    no ring store: a filtered event costs one array load).  [~keep:None]
-    restores the default — everything traced — under which streams are
-    byte-identical to a tracer without filtering.  Raises
-    [Invalid_argument] on an unknown subsystem name. *)
-val set_filter : t -> keep:string list option -> unit
-
-(** [wants t kind] is false when an event of that kind would be discarded
-    (level [Off] or subsystem filtered out) — instrumentation sites that
-    must format a string use it to skip the formatting entirely. *)
-val wants : t -> Event.kind -> bool
-
 (** Intern a string, returning its id for {!emit} (0 when the level is
     [Off], where ids are never consulted).  Id 0 is always "".  An id is
     valid only on the tracer that issued it. *)
@@ -55,8 +40,7 @@ val set_renderer :
 (** Record one event: the only emit path.  [cpu] is the emitting processor
     id, or -1 outside the run loop; [name_id]/[detail_id] come from
     {!string_id}, or [detail_id] is a code for a kind with a renderer
-    ({!set_renderer}).  No-op when the level is [Off] or the kind's subsystem
-    is filtered out. *)
+    ({!set_renderer}).  No-op when the level is [Off]. *)
 val emit :
   t ->
   Event.kind ->

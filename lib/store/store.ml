@@ -39,8 +39,11 @@ module Dir = struct
   let empty = -1
   let create_slots capacity = Array.make (capacity * stride) empty
 
-  let create () =
-    let capacity = 64 in
+  (* Room for [entries] keys without growing: the smallest power of 2,
+     at least 64, that [entries] fill at most three quarters of. *)
+  let create ~entries =
+    let rec fit c = if 4 * entries > 3 * c then fit (2 * c) else c in
+    let capacity = fit 64 in
     {
       slots = create_slots capacity;
       names = Array.make capacity "";
@@ -223,7 +226,7 @@ let open_ ?(sync_every = 8) ?(compact_interval_ns = 10_000_000)
   if sync_every < 1 then invalid_arg "Store.open_: sync_every";
   if compact_interval_ns < 1 then invalid_arg "Store.open_: compact_interval_ns";
   let journal, records = Journal.open_ path in
-  let dir = Dir.create () in
+  let dir = Dir.create ~entries:(List.length records) in
   let garbage = build_dir records dir in
   {
     journal;
@@ -293,7 +296,7 @@ let compact t =
   Sys.rename tmp (path t);
   let journal, records = Journal.open_ (path t) in
   t.journal <- journal;
-  t.dir <- Dir.create ();
+  t.dir <- Dir.create ~entries:(List.length live);
   t.garbage <- build_dir records t.dir;
   let reclaimed = old_size - Journal.size t.journal in
   t.st_compactions <- t.st_compactions + 1;

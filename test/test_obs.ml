@@ -84,6 +84,7 @@ let test_rings_are_per_processor () =
 
 let test_off_level_is_inert () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
+  Alcotest.(check bool) "not enabled" false (Obs.Tracer.enabled t);
   let name_id = Obs.Tracer.string_id t "ghost" in
   Alcotest.(check int) "no interning" 0 name_id;
   emit t ~ts_ns:1 ~cpu:0 ~name_id Obs.Event.Spawn;
@@ -105,9 +106,9 @@ let test_kind_codes_roundtrip () =
        (Printf.sprintf "Event.kind_of_int: %d" Obs.Event.kind_count))
     (fun () -> ignore (Obs.Event.kind_of_int Obs.Event.kind_count))
 
-(* Every kind's dense code, name and category, pinned: the tracer's rings,
-   the exporters and the subsystem filter all read these, so a reordered
-   or renamed kind must show up here. *)
+(* Every kind's dense code, name and category, pinned: the tracer's rings
+   and the exporters read these, so a reordered or renamed kind must show
+   up here. *)
 let kind_table =
   [
     (0, "spawn", "proc");
@@ -178,35 +179,6 @@ let test_kind_table_pinned () =
       Alcotest.(check string) (name ^ " category") category
         (Obs.Event.category k))
     kind_table
-
-let test_subsystem_filter () =
-  let t = Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 () in
-  (* Keep only the port subsystem: process events are skipped before any
-     ring store, and [wants] reports the mask so emitters can skip
-     timestamp computation and string formatting too. *)
-  Obs.Tracer.set_filter t ~keep:(Some [ "port" ]);
-  Alcotest.(check bool) "wants port" true (Obs.Tracer.wants t Obs.Event.Send);
-  Alcotest.(check bool) "rejects proc" false
-    (Obs.Tracer.wants t Obs.Event.Spawn);
-  emit t ~ts_ns:1 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "p") Obs.Event.Spawn;
-  emit t ~ts_ns:2 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "q") Obs.Event.Send;
-  Alcotest.(check int) "only port event stored" 1 (Obs.Tracer.emitted t);
-  (match Obs.Tracer.events t with
-  | [ e ] -> Alcotest.(check string) "kept the send" "send"
-      (Obs.Event.kind_to_string e.Obs.Event.kind)
-  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-  (* None restores the all-pass mask. *)
-  Obs.Tracer.set_filter t ~keep:None;
-  emit t ~ts_ns:3 ~cpu:0 ~name_id:(Obs.Tracer.string_id t "r") Obs.Event.Spawn;
-  Alcotest.(check int) "unfiltered again" 2 (Obs.Tracer.emitted t);
-  (* Unknown subsystem names are refused. *)
-  Alcotest.check_raises "bad subsystem"
-    (Invalid_argument "Tracer.set_filter: subsystem \"nope\"") (fun () ->
-      Obs.Tracer.set_filter t ~keep:(Some [ "nope" ]));
-  (* Off level wins over any mask. *)
-  let off = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
-  Alcotest.(check bool) "off never wants" false
-    (Obs.Tracer.wants off Obs.Event.Send)
 
 (* [Tracer.events] merges the rings; the model is the concat-then-sort it
    replaced.  Random emissions on random cpus (the boot ring, each
@@ -500,7 +472,6 @@ let suite =
     ("tracer: off level inert", `Quick, test_off_level_is_inert);
     ("tracer: kind codes roundtrip", `Quick, test_kind_codes_roundtrip);
     ("event: kind table pinned", `Quick, test_kind_table_pinned);
-    ("tracer: subsystem filter", `Quick, test_subsystem_filter);
     ("shim: byte-identical lines", `Quick, test_legacy_lines_byte_identical);
     ("shim: silent at Events", `Quick, test_events_level_has_no_legacy_lines);
     ( "shim: survives ring overflow",

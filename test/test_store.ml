@@ -675,6 +675,39 @@ let test_compaction_reclaims_and_preserves () =
         (Store.keys store2);
       Store.close store2)
 
+(* Compaction and reopen size the directory from the records they
+   replay: at a count that exactly fills three quarters of a table, one
+   past it, and thousands, every key and its blob survive both. *)
+let test_compacted_store_reopens () =
+  List.iter
+    (fun n ->
+      with_path (fun path ->
+          let store = Store.open_ path in
+          for i = 0 to (2 * n) - 1 do
+            let key = Printf.sprintf "k%d" (i mod n) in
+            Store.put_blob store ~key (Bytes.of_string (string_of_int i))
+          done;
+          let contents store =
+            List.map
+              (fun key -> (key, Store.get_blob store ~key))
+              (Store.keys store)
+          in
+          let before = contents store in
+          Alcotest.(check int)
+            (Printf.sprintf "%d keys" n)
+            n (List.length before);
+          ignore (Store.compact store);
+          let check what store =
+            Alcotest.(check (list (pair string (option bytes))))
+              (Printf.sprintf "%s, %d keys" what n) before (contents store)
+          in
+          check "compacted" store;
+          Store.close store;
+          let store = Store.open_ path in
+          check "reopened" store;
+          Store.close store))
+    [ 48; 49; 96; 97; 3_000 ]
+
 let test_compaction_virtual_time_driver () =
   (* min_garbage 1: any garbage is enough; the interval alone gates. *)
   with_store ~compact_interval_ns:1_000 ~min_garbage_bytes:1
@@ -968,6 +1001,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_directory_model;
     Alcotest.test_case "store: compaction reclaims and preserves" `Quick
       test_compaction_reclaims_and_preserves;
+    Alcotest.test_case "store: compacted store reopens with every blob" `Quick
+      test_compacted_store_reopens;
     Alcotest.test_case "store: compaction driven from virtual time" `Quick
       test_compaction_virtual_time_driver;
     Alcotest.test_case "store: events and counters when attached" `Quick
