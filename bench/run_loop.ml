@@ -22,7 +22,7 @@
      intrusive ready queue over the pairing-heap timers read 149.7, the
      hashed ready queue with a handler closure per syscall 368.6.
    - [traced_minor_words_per_request], the same run at trace level
-     [Events]: a traced event is eight stores into a preallocated ring,
+     [Events]: a traced event is six stores into a preallocated ring,
      so tracing adds only the boot-time interning of names.  A
      deschedule's op text formatted per event read 46.9 words per
      request more than its untraced twin.
@@ -43,6 +43,18 @@
      transfer files and nothing else.  A record through a polymorphic
      [Hashtbl] directory, a [Buffer]-built key and text, a closure per
      encode and boxed CRC arguments read 573.4.
+
+   Beside the words, the physical memory each run's machines wrote, in
+   host bytes (materialized 4 KiB pages; memory is a page table whose
+   untouched pages share one zero page), each bounded at its reading:
+   - a fresh 16 MB machine: 0;
+   - [machine_resident_bytes], the untraced 8-worker run: 40 pages in
+     smoke mode and 314 in full mode, because a loadgen machine
+     allocates every request's message at boot;
+   - one reading per node of the cluster run: 9 pages on the server and
+     4 on each client.
+   Before the page table each of these machines held its whole 16 MB,
+   zero-filled at creation.
 
    Under all of these, the syscall probes price the kernel seam itself:
    the words one [yield], one [delay] and one send/receive round trip
@@ -70,6 +82,7 @@ module K = I432_kernel
 module Load = I432_load
 module Banking = I432_txn.Banking
 module St = I432_store.Store
+module Memory = I432.Memory
 
 let base_workers = 8
 let test_workers = 512
@@ -167,14 +180,15 @@ let cluster_spec =
     profile = Load.Mix.Typical;
   }
 
+(* The minor-heap words [f] allocates, and its result. *)
 let minor_words_of f =
   let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
+  let x = f () in
+  (Gc.minor_words () -. before, x)
 
 let probe_reading (key, gdps, bodies, bound) =
   let run n =
-    minor_words_of (fun () ->
+    fst @@ minor_words_of (fun () ->
         let m =
           K.Machine.create
             ~config:{ K.Machine.default_config with processors = gdps }
@@ -189,6 +203,10 @@ let probe_reading (key, gdps, bodies, bound) =
   Reading.v key "words" ((run (2 * n) -. run n) /. float_of_int n)
     ~bound:(Reading.At_most bound)
 
+(* Host bytes of the physical memory a machine has written: the pages
+   it materialized, a function of the schedule like the word counts. *)
+let resident_bytes m = Memory.resident_bytes (K.Machine.memory m)
+
 let measure ~smoke =
   let spec = spec ~smoke in
   let run ?trace_level workers () =
@@ -197,33 +215,51 @@ let measure ~smoke =
         ~spec ()
     in
     if o.Load.Loadgen.o_completed <> Load.Arrival.total spec then
-      failwith "run_loop: loadgen run did not complete every request"
+      failwith "run_loop: loadgen run did not complete every request";
+    o
   in
   let requests = Load.Arrival.total spec in
   let words_per_request ?trace_level () =
-    minor_words_of (run ?trace_level base_workers) /. float_of_int requests
+    let words, o = minor_words_of (run ?trace_level base_workers) in
+    (words /. float_of_int requests, o)
   in
-  let minor_words_per_request = words_per_request () in
-  let traced_words_per_request =
+  let minor_words_per_request, machine_run = words_per_request () in
+  let machine_resident_bytes =
+    match machine_run.Load.Loadgen.o_machines with
+    | [ (_, m) ] -> resident_bytes m
+    | _ -> failwith "run_loop: a machine run has one machine"
+  in
+  let traced_words_per_request, _ =
     words_per_request ~trace_level:I432_obs.Tracer.Events ()
   in
+  (* A machine of the run's 16 MB that has run nothing holds no page. *)
+  let fresh_resident_bytes =
+    resident_bytes
+      (K.Machine.create
+         ~config:
+           {
+             K.Machine.default_config with
+             memory_bytes = 1 lsl 24;
+             global_heap_bytes = (1 lsl 24) - 4096;
+           }
+         ())
+  in
   let cluster_requests = Load.Arrival.total cluster_spec in
-  let cluster_words_per_request =
-    minor_words_of (fun () ->
-        let o =
-          Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~spec:cluster_spec ()
-        in
-        if o.Load.Loadgen.o_completed <> cluster_requests then
-          failwith "run_loop: cluster run did not complete every request")
-    /. float_of_int cluster_requests
+  let cluster_words_per_request, cluster_run =
+    let words, o =
+      minor_words_of
+        (Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~spec:cluster_spec)
+    in
+    if o.Load.Loadgen.o_completed <> cluster_requests then
+      failwith "run_loop: cluster run did not complete every request";
+    (words /. float_of_int cluster_requests, o)
   in
   let bank_words ?history_store () =
-    let before = Gc.minor_words () in
-    let _, _, r =
-      Banking.run ~processors:2 ~workers:4 ~trace:false ?history_store
-        ~accounts:8 ~transfers:bank_transfers ~seed:1 ()
+    let words, (_, _, r) =
+      minor_words_of
+        (Banking.run ~processors:2 ~workers:4 ~trace:false ?history_store
+           ~accounts:8 ~transfers:bank_transfers ~seed:1)
     in
-    let words = Gc.minor_words () -. before in
     List.iter (fun v -> failwith ("run_loop: banking run: " ^ v))
       (Banking.violations r);
     words /. float_of_int bank_transfers
@@ -245,7 +281,9 @@ let measure ~smoke =
   let paired =
     Paired.measure
       ~trials:(if smoke then 5 else 9)
-      ~batch:1 ~base:(run base_workers) ~test:(run test_workers)
+      ~batch:1
+      ~base:(fun () -> ignore (run base_workers ()))
+      ~test:(fun () -> ignore (run test_workers ()))
   in
   let per_request ns = ns /. float_of_int requests in
   Reading.
@@ -268,5 +306,16 @@ let measure ~smoke =
         ~bound:(At_most 392.0);
       v "bank_history_words_per_transfer" "words"
         bank_history_words_per_transfer ~bound:(At_most 399.0);
+      int "fresh_machine_resident_bytes" "B" fresh_resident_bytes
+        ~bound:(At_most 0.0);
+      int "machine_resident_bytes" "B" machine_resident_bytes
+        ~bound:(At_most (if smoke then 163_840.0 else 1_286_144.0));
     ]
+  @ List.map2
+      (fun (node, m) bound ->
+        Reading.int
+          (Printf.sprintf "cluster_%s_resident_bytes" node)
+          "B" (resident_bytes m) ~bound:(Reading.At_most bound))
+      cluster_run.Load.Loadgen.o_machines
+      [ 36_864.0; 16_384.0; 16_384.0 ]
   @ probe_words

@@ -11,6 +11,11 @@ val size : t -> int
 val read_count : t -> int
 val write_count : t -> int
 
+(** Host bytes held by pages this memory has written: the number of
+    materialized 4 KiB pages times the page size.  A fresh memory holds
+    none, whatever its size. *)
+val resident_bytes : t -> int
+
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u16 : t -> int -> int
