@@ -5,7 +5,17 @@
    Events path to < 5% over Off.
 
    Virtual time is identical in both runs by construction (events never
-   charge the machine); only the host pays. *)
+   charge the machine); only the host pays.
+
+   What the untraced baseline contains: creating the machine, booting
+   the three processes and running the workload, nothing more.  Physical
+   memory is a page table whose untouched pages share one zero page, so
+   creating a machine no longer zero-fills its 4 MB; that fill used to be
+   most of the baseline (1.9-3.0 ms a sample on a 2-vCPU x86-64 host,
+   0.85-1.14 ms without it).  What tracing adds is therefore compared
+   against the workload alone: writing about 14.6k events into 1,024-slot
+   rings, and allocating and zero-filling those rings, which a traced
+   machine does at every creation. *)
 
 module K = I432_kernel
 module Obs = I432_obs
