@@ -295,13 +295,9 @@ let measure_chaos ~smoke ~rate_rps =
   in
   let done_ns = Hashtbl.create 512 in
   List.iter
-    (fun (_, m) ->
-      List.iter
-        (fun (e : Obs.Event.t) ->
-          if e.Obs.Event.kind = Obs.Event.Req_done then
-            Hashtbl.replace done_ns e.Obs.Event.a e.Obs.Event.b)
-        (K.Machine.events m))
-    o.Load.Loadgen.o_machines;
+    (fun (e : Obs.Event.t) ->
+      Hashtbl.replace done_ns e.Obs.Event.a e.Obs.Event.b)
+    (Load.Loadgen.req_done o.Load.Loadgen.o_machines);
   let phase_of at =
     if at < kill_at then "before"
     else if at < restart_at then "during"

@@ -377,11 +377,11 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
   let config = { config with System.trace_level = Obs.Tracer.Events } in
   let m, report, printed = run_spooler ~config ~clients ~jobs in
   let tracer = K.Machine.tracer m in
-  (* The legacy transcript is rendered from the rings, so a ring that
+  (* The legacy transcript is rendered from the ring, so a ring that
      overflowed would print a silently truncated one: refuse instead. *)
   if legacy && Obs.Tracer.dropped tracer > 0 then begin
     Printf.eprintf
-      "trace --legacy: the rings dropped %d of %d events; the legacy \
+      "trace --legacy: the ring dropped %d of %d events; the legacy \
        transcript would be incomplete\n"
       (Obs.Tracer.dropped tracer)
       (Obs.Tracer.emitted tracer);
@@ -993,7 +993,7 @@ let trace_cmd =
     flag_arg "legacy"
       ~doc:
         "Also render and print the legacy-format trace lines from the \
-         retained events; exits 1 if the rings dropped any."
+         retained events; exits 1 if the ring dropped any."
   in
   Cmd.v
     (Cmd.info "trace"

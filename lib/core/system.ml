@@ -45,7 +45,6 @@ type config = {
   bus_alpha_per_mille : int;
   timings : I432.Timings.t;
   trace_level : I432_obs.Tracer.level;
-  trace_capacity : int;
 }
 
 let default_config =
@@ -62,7 +61,6 @@ let default_config =
     bus_alpha_per_mille = 20;
     timings = I432.Timings.default;
     trace_level = I432_obs.Tracer.Off;
-    trace_capacity = I432_obs.Tracer.default_capacity;
   }
 
 (* A booted system: the machine plus the packages the configuration
@@ -86,13 +84,13 @@ let boot ?(config = default_config) () =
     K.Machine.create
       ~config:
         {
+          K.Machine.default_config with
           K.Machine.processors = config.processors;
           memory_bytes = config.memory_bytes;
           timings = config.timings;
           bus_alpha_per_mille = config.bus_alpha_per_mille;
           global_heap_bytes = config.memory_bytes - 4096;
           trace_level = config.trace_level;
-          trace_capacity = config.trace_capacity;
         }
       ()
   in

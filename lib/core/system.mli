@@ -39,7 +39,6 @@ type config = {
   bus_alpha_per_mille : int;
   timings : Timings.t;
   trace_level : I432_obs.Tracer.level;
-  trace_capacity : int;  (** event-ring slots per processor *)
 }
 
 val default_config : config

@@ -26,7 +26,7 @@ type config = {
   bus_alpha_per_mille : int;
   global_heap_bytes : int;  (* size of the boot-time level-0 SRO *)
   trace_level : Obs.Tracer.level;
-  trace_capacity : int;  (* event-ring slots per processor *)
+  trace_capacity : int;  (* events the trace ring retains *)
 }
 
 let default_config =
@@ -253,7 +253,7 @@ let create ?(config = default_config) () =
     gc_roots = [];
     obs =
       Obs.Tracer.create ~capacity:config.trace_capacity
-        ~level:config.trace_level ~processors:config.processors ();
+        ~level:config.trace_level ();
     traced = config.trace_level <> Obs.Tracer.Off;
     metrics;
     mon = make_monitors metrics;

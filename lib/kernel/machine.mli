@@ -19,7 +19,7 @@ type config = {
   bus_alpha_per_mille : int;  (** bus contention per extra processor *)
   global_heap_bytes : int;  (** size of the boot-time level-0 SRO *)
   trace_level : I432_obs.Tracer.level;
-  trace_capacity : int;  (** event-ring slots per processor *)
+  trace_capacity : int;  (** events the trace ring retains *)
 }
 
 val default_config : config
@@ -51,7 +51,8 @@ val processor_count : t -> int
 
 (** {1 Observability} *)
 
-(** The machine's event tracer (one bounded ring per processor). *)
+(** The machine's event tracer (one bounded ring, shared by its
+    processors). *)
 val tracer : t -> I432_obs.Tracer.t
 
 (** The machine's metrics registry (counters, gauges, histograms). *)

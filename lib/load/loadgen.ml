@@ -306,6 +306,23 @@ let run_to_quiescence cl ~engine =
       (Round_limit
          { rounds = r.Net.Cluster.rounds; horizon_ns = r.Net.Cluster.horizon_ns })
 
+(* Read back from the trace rings, a completion set is whole only if no
+   machine's ring dropped an event: refuse a partial one instead. *)
+let req_done machines =
+  List.concat_map
+    (fun (name, m) ->
+      let dropped = Obs.Tracer.dropped (K.Machine.tracer m) in
+      if dropped > 0 then
+        failwith
+          (Printf.sprintf
+             "Loadgen.req_done: %s dropped %d trace events; its Req_done \
+              events are incomplete"
+             name dropped);
+      List.filter
+        (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Req_done)
+        (K.Machine.events m))
+    machines
+
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are
    partitioned across the client nodes; each client preallocates only its
    own requests' messages.  The request port is exported cluster-wide and
@@ -405,14 +422,8 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
          read the retirement instants back off the spliced machine's
          Req_done events instead. *)
       List.fold_left
-        (fun acc (_, m) ->
-          List.fold_left
-            (fun acc (e : Obs.Event.t) ->
-              if e.Obs.Event.kind = Obs.Event.Req_done then
-                max acc e.Obs.Event.ts_ns
-              else acc)
-            acc (K.Machine.events m))
-        0 machines
+        (fun acc (e : Obs.Event.t) -> max acc e.Obs.Event.ts_ns)
+        0 (req_done machines)
   in
   outcome
     ?chaos:

@@ -67,6 +67,12 @@ val run_cluster :
   unit ->
   outcome
 
+(** Every retained {!Obs.Event.Req_done} event of [machines], in list
+    order.  Raises [Failure], naming the machine and its drop count, when
+    a machine's trace ring dropped events: its completions would be a
+    partial set. *)
+val req_done : (string * K.Machine.t) list -> Obs.Event.t list
+
 (** Virtual-time throughput delivered: completions over the instant the
     last request retired. *)
 val achieved_rps : outcome -> float

@@ -80,7 +80,7 @@ type t = {
 }
 
 (* Dense integer codes, for storing kinds in the tracer's packed int
-   rings.  A constant constructor is represented as its position in the
+   ring.  A constant constructor is represented as its position in the
    type's declaration (OCaml manual, "Interfacing C with OCaml"), and
    [kind] has only constant constructors, so the code is the value
    itself: a primitive the compiler inlines at every call, even across

@@ -72,7 +72,7 @@ type t = {
 val kind_to_string : kind -> string
 
 (** Dense integer code of a kind (0-based, in declaration order), and its
-    inverse.  Used by the tracer's packed rings; [kind_to_int] costs
+    inverse.  Used by the tracer's packed ring; [kind_to_int] costs
     nothing.  [kind_of_int] raises [Invalid_argument] outside the valid
     range. *)
 external kind_to_int : kind -> int = "%identity"

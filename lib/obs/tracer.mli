@@ -1,13 +1,13 @@
 (** Structured kernel event tracer: one bounded ring of {!Event.t} records
-    per processor (plus one for boot-time events), drop-oldest on overflow
-    with a per-ring drop counter.
+    per machine, shared by its processors and by boot-time events,
+    drop-oldest on overflow.
 
     [Off] is free on the hot path (one field read); [Events] records
     structured events.  An event is a kind, two interned string ids and
     two ints (or, for a kind with a renderer, a name id and a detail code
     with two int arguments, rendered to text when read); the seed's
     unstructured trace lines are rendered from the retained events by
-    {!Event.legacy_line}, so they are exactly as complete as the rings. *)
+    {!Event.legacy_line}, so they are exactly as complete as the ring. *)
 
 type level = Off | Events
 
@@ -15,9 +15,10 @@ type t
 
 val default_capacity : int
 
-(** [create ~level ~processors ()] sizes one ring of [capacity] events per
-    processor plus one for events emitted outside the run loop. *)
-val create : ?capacity:int -> level:level -> processors:int -> unit -> t
+(** [create ~level ()] sizes one ring that retains the last [capacity]
+    events (default {!default_capacity}).  An [Off] tracer allocates no
+    ring. *)
+val create : ?capacity:int -> level:level -> unit -> t
 
 val level : t -> level
 val enabled : t -> bool
@@ -52,17 +53,18 @@ val emit :
   b:int ->
   unit
 
-(** All retained events, in emission order: the rings merged by seq, each
-    event's detail rendered if its kind has a renderer. *)
+(** All retained events, in emission order, the [i]th with seq
+    [emitted - retained + i], each event's detail rendered if its kind has
+    a renderer. *)
 val events : t -> Event.t list
 
-(** Events currently held in the rings. *)
+(** Events currently held in the ring: [min emitted capacity]. *)
 val retained : t -> int
 
 (** Events ever emitted (retained + dropped). *)
 val emitted : t -> int
 
-(** Events dropped to ring overflow, total and per processor. *)
+(** Events dropped to ring overflow, on every processor of the machine:
+    [emitted - retained].  A reader that needs every event of some kind
+    must check this first. *)
 val dropped : t -> int
-
-val dropped_on : t -> cpu:int -> int

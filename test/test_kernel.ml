@@ -1215,9 +1215,7 @@ let test_op_renderer_matches_seed () =
     @ List.init 40 (fun _ -> txn (len ()) (len ()) (len ()))
   in
   (* A tracer on which the machine's deschedule renderer is registered. *)
-  let t =
-    Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 ()
-  in
+  let t = Obs.Tracer.create ~level:Obs.Tracer.Events () in
   List.iteri
     (fun i op ->
       let seed = seed_op_to_string op in

@@ -435,6 +435,38 @@ let test_cluster_round_limit_raises () =
     Alcotest.(check bool) "horizon past 10 virtual s" true
       (horizon_ns >= 10_000_000_000)
 
+(* A machine whose ring holds four events and saw six Req_done: the
+   reader refuses it by name instead of returning the last four. *)
+let test_req_done_refuses_dropped () =
+  let traced capacity =
+    K.Machine.create
+      ~config:
+        {
+          K.Machine.default_config with
+          K.Machine.trace_level = Obs.Tracer.Events;
+          trace_capacity = capacity;
+        }
+      ()
+  in
+  let emit_done m n =
+    for i = 1 to n do
+      K.Machine.emit m Obs.Event.Req_done ~name_id:0 ~detail_id:0 ~a:i ~b:0
+    done
+  in
+  let whole = traced 8 and small = traced 4 in
+  emit_done whole 6;
+  emit_done small 6;
+  Alcotest.(check (list int)) "a whole ring reads back" [ 1; 2; 3; 4; 5; 6 ]
+    (List.map
+       (fun (e : Obs.Event.t) -> e.Obs.Event.a)
+       (Load.Loadgen.req_done [ ("whole", whole) ]));
+  Alcotest.check_raises "a dropping ring raises"
+    (Failure
+       "Loadgen.req_done: small dropped 2 trace events; its Req_done events \
+        are incomplete")
+    (fun () ->
+      ignore (Load.Loadgen.req_done [ ("whole", whole); ("small", small) ]))
+
 let suite =
   [
     ("log_hist basic", `Quick, test_log_hist_basic);
@@ -462,4 +494,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_arrival_matches_reference;
     ("cluster round limit raises Round_limit", `Quick,
       test_cluster_round_limit_raises);
+    ("req_done refuses a ring that dropped", `Quick,
+      test_req_done_refuses_dropped);
   ]

@@ -1,5 +1,5 @@
-(* Tests for the observability layer: tracer rings (overflow, drop
-   accounting), the legacy trace lines rendered from the rings (byte
+(* Tests for the observability layer: the tracer ring (overflow, drop
+   accounting), the legacy trace lines rendered from the ring (byte
    identity with the seed's formats), cross-run determinism of events and
    metrics, the Chrome trace exporter, the metrics registry, and the
    snapshot extensions. *)
@@ -50,40 +50,45 @@ let workload ?(processors = 2) ~level () =
   let _ = run m in
   m
 
-(* ---------------- Tracer rings ---------------- *)
+(* ---------------- Tracer ring ---------------- *)
 
 let test_ring_overflow () =
   (* Capacity 4, 7 events: the ring keeps the newest 4 and counts the 3 it
      recycled. *)
-  let t = Obs.Tracer.create ~capacity:4 ~level:Obs.Tracer.Events ~processors:1 () in
+  let t = Obs.Tracer.create ~capacity:4 ~level:Obs.Tracer.Events () in
   for i = 1 to 7 do
     emit t ~ts_ns:(i * 10) ~cpu:0 ~a:i Obs.Event.Yield
   done;
   Alcotest.(check int) "emitted" 7 (Obs.Tracer.emitted t);
   Alcotest.(check int) "retained" 4 (Obs.Tracer.retained t);
   Alcotest.(check int) "dropped" 3 (Obs.Tracer.dropped t);
-  Alcotest.(check int) "dropped on cpu 0" 3 (Obs.Tracer.dropped_on t ~cpu:0);
   let events = Obs.Tracer.events t in
   Alcotest.(check (list int)) "oldest three recycled" [ 3; 4; 5; 6 ]
     (List.map (fun e -> e.Obs.Event.seq) events);
   Alcotest.(check (list int)) "payloads survive" [ 4; 5; 6; 7 ]
     (List.map (fun e -> e.Obs.Event.a) events)
 
-let test_rings_are_per_processor () =
-  let t = Obs.Tracer.create ~capacity:2 ~level:Obs.Tracer.Events ~processors:2 () in
-  (* Overflow cpu 0 only; cpu 1 and the boot ring (-1) are untouched. *)
-  for i = 1 to 5 do
-    emit t ~ts_ns:i ~cpu:0 Obs.Event.Yield
+let test_one_ring_per_machine () =
+  (* Events from cpu 0, cpu 1 and outside the run loop (-1) share one
+     window: the newest three survive whichever cpu emitted them, and the
+     counts are the machine's. *)
+  let t = Obs.Tracer.create ~capacity:3 ~level:Obs.Tracer.Events () in
+  for i = 1 to 3 do
+    emit t ~ts_ns:i ~cpu:0 ~a:i Obs.Event.Yield
   done;
-  emit t ~ts_ns:6 ~cpu:1 Obs.Event.Yield;
-  emit t ~ts_ns:7 ~cpu:(-1) Obs.Event.Spawn;
-  Alcotest.(check int) "cpu 0 dropped" 3 (Obs.Tracer.dropped_on t ~cpu:0);
-  Alcotest.(check int) "cpu 1 kept all" 0 (Obs.Tracer.dropped_on t ~cpu:1);
-  Alcotest.(check int) "boot ring kept all" 0 (Obs.Tracer.dropped_on t ~cpu:(-1));
-  Alcotest.(check int) "retained across rings" 4 (Obs.Tracer.retained t)
+  emit t ~ts_ns:4 ~cpu:1 ~a:4 Obs.Event.Yield;
+  emit t ~ts_ns:5 ~cpu:(-1) ~a:5 Obs.Event.Spawn;
+  Alcotest.(check int) "dropped" 2 (Obs.Tracer.dropped t);
+  Alcotest.(check int) "retained" 3 (Obs.Tracer.retained t);
+  let events = Obs.Tracer.events t in
+  Alcotest.(check (list (pair int int))) "one window, in emission order"
+    [ (2, 0); (3, 1); (4, -1) ]
+    (List.map (fun e -> (e.Obs.Event.seq, e.Obs.Event.cpu)) events);
+  Alcotest.(check (list int)) "payloads" [ 3; 4; 5 ]
+    (List.map (fun e -> e.Obs.Event.a) events)
 
 let test_off_level_is_inert () =
-  let t = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
+  let t = Obs.Tracer.create ~level:Obs.Tracer.Off () in
   Alcotest.(check bool) "not enabled" false (Obs.Tracer.enabled t);
   let name_id = Obs.Tracer.string_id t "ghost" in
   Alcotest.(check int) "no interning" 0 name_id;
@@ -94,7 +99,7 @@ let test_off_level_is_inert () =
     (legacy_lines (Obs.Tracer.events t))
 
 let test_kind_codes_roundtrip () =
-  (* The packed rings store kinds as dense ints; the mapping must be a
+  (* The ring stores kinds as dense ints; the mapping must be a
      bijection over the full range. *)
   for i = 0 to Obs.Event.kind_count - 1 do
     Alcotest.(check int) "roundtrip"
@@ -106,7 +111,7 @@ let test_kind_codes_roundtrip () =
        (Printf.sprintf "Event.kind_of_int: %d" Obs.Event.kind_count))
     (fun () -> ignore (Obs.Event.kind_of_int Obs.Event.kind_count))
 
-(* Every kind's dense code, name and category, pinned: the tracer's rings
+(* Every kind's dense code, name and category, pinned: the tracer's ring
    and the exporters read these, so a reordered or renamed kind must show
    up here. *)
 let kind_table =
@@ -180,47 +185,43 @@ let test_kind_table_pinned () =
         (Obs.Event.category k))
     kind_table
 
-(* [Tracer.events] merges the rings; the model is the concat-then-sort it
-   replaced.  Random emissions on random cpus (the boot ring, each
-   processor, and out-of-range cpus, which share the boot ring) into rings
-   small enough to overflow: the model keeps each ring's newest
-   [capacity] events, concatenates the rings and sorts by seq, and the
-   merge must return exactly that list. *)
-let prop_events_merge_matches_sort =
-  QCheck2.Test.make ~name:"tracer: events = rings concatenated and sorted"
-    ~count:200
+(* [Tracer.events] against a list model: random emissions on random cpus
+   (outside the run loop and each processor) into a ring small enough to
+   overflow.  Of [n] events emitted the tracer keeps the last [min n cap],
+   in emission order, the [i]th with seq [n - len + i], and counts the
+   other [n - len] as dropped. *)
+let prop_events_match_list_model =
+  QCheck2.Test.make ~name:"tracer: events = last cap emitted" ~count:200
     QCheck2.Gen.(
-      triple (int_range 1 4) (int_range 1 6)
-        (list_size (int_range 0 120) (pair (int_range (-2) 5) small_nat)))
-    (fun (processors, capacity, script) ->
-      let t =
-        Obs.Tracer.create ~capacity ~level:Obs.Tracer.Events ~processors ()
+      pair (int_range 1 16)
+        (list_size (int_range 0 120) (pair (int_range (-1) 3) small_nat)))
+    (fun (capacity, script) ->
+      let t = Obs.Tracer.create ~capacity ~level:Obs.Tracer.Events () in
+      let emitted =
+        List.mapi
+          (fun i (cpu, a) ->
+            let kind =
+              if a mod 2 = 0 then Obs.Event.Yield else Obs.Event.Wake
+            in
+            Obs.Tracer.emit t kind ~cpu ~ts_ns:(10 * a) ~name_id:0
+              ~detail_id:0 ~a ~b:i;
+            (cpu, kind, a, i))
+          script
       in
-      let rings = Array.make (processors + 1) [] in
-      List.iteri
-        (fun seq (cpu, a) ->
-          let kind = if a mod 2 = 0 then Obs.Event.Yield else Obs.Event.Wake in
-          Obs.Tracer.emit t kind ~cpu ~ts_ns:(10 * a) ~name_id:0 ~detail_id:0
-            ~a ~b:seq;
-          let ring =
-            if cpu + 1 >= 0 && cpu + 1 <= processors then cpu + 1 else 0
-          in
-          let e =
-            { Obs.Event.seq; ts_ns = 10 * a; cpu; kind; name = ""; detail = "";
-              a; b = seq }
-          in
-          rings.(ring) <-
-            List.filteri (fun i _ -> i < capacity) (e :: rings.(ring)))
-        script;
+      let n = List.length emitted in
+      let len = Int.min n capacity in
       let model =
-        List.sort
-          (fun (x : Obs.Event.t) y -> compare x.Obs.Event.seq y.Obs.Event.seq)
-          (List.concat_map List.rev (Array.to_list rings))
+        List.filteri (fun i _ -> i >= n - len) emitted
+        |> List.mapi (fun i (cpu, kind, a, b) ->
+               { Obs.Event.seq = n - len + i; ts_ns = 10 * a; cpu; kind;
+                 name = ""; detail = ""; a; b })
       in
       List.map Obs.Event.to_string (Obs.Tracer.events t)
-      = List.map Obs.Event.to_string model)
+      = List.map Obs.Event.to_string model
+      && Obs.Tracer.dropped t = n - len
+      && Obs.Tracer.retained t = len)
 
-(* ---------------- Legacy lines, rendered from the rings ---------------- *)
+(* ---------------- Legacy lines, rendered from the ring ---------------- *)
 
 let test_legacy_lines_byte_identical () =
   (* The renderer must produce the seed's exact strings from structured
@@ -238,7 +239,7 @@ let test_legacy_lines_byte_identical () =
     (legacy_lines (K.Machine.events m))
 
 let test_events_level_has_no_legacy_lines () =
-  (* The tracer keeps no text: at Events a trace is its rings, and the
+  (* The tracer keeps no text: at Events a trace is its ring, and the
      rendered transcript has one line per retained event of the five
      legacy kinds — nothing else. *)
   let m = workload ~level:Obs.Tracer.Events () in
@@ -254,18 +255,18 @@ let test_events_level_has_no_legacy_lines () =
     (List.length (legacy_lines events))
 
 let test_legacy_lines_survive_ring_overflow () =
-  (* The rings are the only copy of a trace: after an overflow the
+  (* The ring is the only copy of a trace: after an overflow the
      renderer sees the retained window only, so a reader that needs the
      full transcript must check [dropped] (as [imax_ctl trace --legacy]
      does) instead of trusting the lines. *)
   let t =
-    Obs.Tracer.create ~capacity:2 ~level:Obs.Tracer.Events ~processors:1 ()
+    Obs.Tracer.create ~capacity:2 ~level:Obs.Tracer.Events ()
   in
   let name_id = Obs.Tracer.string_id t "p" in
   for i = 1 to 6 do
     emit t ~ts_ns:i ~cpu:0 ~name_id ~a:i Obs.Event.Spawn
   done;
-  Alcotest.(check int) "rings overflowed" 4 (Obs.Tracer.dropped t);
+  Alcotest.(check int) "ring overflowed" 4 (Obs.Tracer.dropped t);
   Alcotest.(check (list string)) "the retained window renders"
     [ "spawn p as process 5"; "spawn p as process 6" ]
     (legacy_lines (Obs.Tracer.events t))
@@ -468,7 +469,7 @@ let test_log_hist_output_pinned () =
 let suite =
   [
     ("tracer: ring overflow", `Quick, test_ring_overflow);
-    ("tracer: per-processor rings", `Quick, test_rings_are_per_processor);
+    ("tracer: one ring per machine", `Quick, test_one_ring_per_machine);
     ("tracer: off level inert", `Quick, test_off_level_is_inert);
     ("tracer: kind codes roundtrip", `Quick, test_kind_codes_roundtrip);
     ("event: kind table pinned", `Quick, test_kind_table_pinned);
@@ -482,7 +483,7 @@ let suite =
     ("metrics: registry", `Quick, test_metrics_registry);
     ("metrics: machine instruments", `Quick, test_machine_metrics_populated);
     ("snapshot: observability fields", `Quick, test_snapshot_observability_fields);
-    QCheck_alcotest.to_alcotest prop_events_merge_matches_sort;
+    QCheck_alcotest.to_alcotest prop_events_match_list_model;
     ("metrics: int observe = float observe", `Quick, test_metrics_observe_int);
     ("metrics: log histogram output pinned", `Quick, test_log_hist_output_pinned);
   ]
