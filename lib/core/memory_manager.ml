@@ -149,10 +149,9 @@ let swap_in_ns = 400_000
 let swap_out_ns = 400_000
 
 module Swapping = struct
-  (* swap.* counters, created only when a device is attached. *)
+  (* swap.* counters, created only when a device is attached.  swap.ins/outs
+     read [st]; swap.bytes_in also counts swap-ins the device has no image for. *)
   type observed = {
-    o_ins : Obs.Metrics.counter;
-    o_outs : Obs.Metrics.counter;
     o_clean : Obs.Metrics.counter Lazy.t;
         (* registered at the first clean eviction, so a run without one
            dumps the same counters as before *)
@@ -178,16 +177,17 @@ module Swapping = struct
 
   let create_with ?(policy = Vm.Policy.Lru) ?ram_bytes ?device machine
       ~heap_bytes =
+    let st = fresh_stats () in
     let dev, obs =
       match device with
       | Some d ->
         let metrics = K.Machine.metrics machine in
         let c = Obs.Metrics.counter metrics in
+        Obs.Metrics.pull metrics "swap.ins" (fun () -> st.swap_ins);
+        Obs.Metrics.pull metrics "swap.outs" (fun () -> st.swap_outs);
         ( d,
           Some
             {
-              o_ins = c "swap.ins";
-              o_outs = c "swap.outs";
               o_clean = lazy (c "swap.clean_evictions");
               o_faults = c "swap.faults";
               o_bytes_in = c "swap.bytes_in";
@@ -208,7 +208,7 @@ module Swapping = struct
       dev;
       pol = policy;
       obs;
-      st = fresh_stats ();
+      st;
     }
 
   let create machine ~heap_bytes = create_with machine ~heap_bytes
@@ -274,7 +274,6 @@ module Swapping = struct
     t.st.swap_outs <- t.st.swap_outs + 1;
     match t.obs with
     | Some o ->
-      Obs.Metrics.incr o.o_outs;
       if clean then Obs.Metrics.incr (Lazy.force o.o_clean)
       else Obs.Metrics.add o.o_bytes_out e.Object_table.data_length;
       K.Machine.emit t.machine Obs.Event.Swap_out ~name_id:o.o_policy_id
@@ -338,7 +337,6 @@ module Swapping = struct
           t.st.swap_ins <- t.st.swap_ins + 1;
           (match t.obs with
           | Some o ->
-            Obs.Metrics.incr o.o_ins;
             Obs.Metrics.add o.o_bytes_in size;
             K.Machine.emit t.machine Obs.Event.Swap_in ~name_id:o.o_device_id
               ~detail_id:0 ~a:index ~b:size
@@ -355,16 +353,20 @@ module Swapping = struct
     if t.obs <> None && Vm.Swap_device.mem t.dev ~index then
       Vm.Swap_device.drop t.dev ~index ~now_ns:(K.Machine.now t.machine)
 
+  (* Count a new object and make it resident within the envelope. *)
+  let admit t a =
+    let index = Access.index a in
+    t.st.allocations <- t.st.allocations + 1;
+    invalidate_stale_image t index;
+    note_resident t index;
+    enforce_envelope t ~avoid:index;
+    a
+
   let allocate_with_pressure t sro ~data_length ~access_length ~otype =
     match
       K.Machine.allocate t.machine sro ~data_length ~access_length ~otype
     with
-    | a ->
-      t.st.allocations <- t.st.allocations + 1;
-      invalidate_stale_image t (Access.index a);
-      note_resident t (Access.index a);
-      enforce_envelope t ~avoid:(Access.index a);
-      a
+    | a -> admit t a
     | exception Fault.Fault (Fault.Storage_exhausted _) -> (
       t.st.alloc_faults <- t.st.alloc_faults + 1;
       let table = K.Machine.table t.machine in
@@ -377,14 +379,8 @@ module Swapping = struct
         (* Return the carved frame and let the allocator place the new
            object there. *)
         Sro.donate table ~sro_state:s ~base ~length:data_length;
-        let a =
-          K.Machine.allocate t.machine sro ~data_length ~access_length ~otype
-        in
-        t.st.allocations <- t.st.allocations + 1;
-        invalidate_stale_image t (Access.index a);
-        note_resident t (Access.index a);
-        enforce_envelope t ~avoid:(Access.index a);
-        a)
+        admit t
+          (K.Machine.allocate t.machine sro ~data_length ~access_length ~otype))
 
   let allocate t ~data_length ~access_length ~otype =
     allocate_with_pressure t t.heap ~data_length ~access_length ~otype

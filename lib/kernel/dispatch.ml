@@ -42,10 +42,9 @@ type t = {
   mutable spare : level;  (* emptied levels for reuse, chained by [lower] *)
   mutable live : int;  (* total live entries *)
   mutable seq : int;
-  mutable dispatches : int;
 }
 
-let create () = { top = bottom; spare = bottom; live = 0; seq = 0; dispatches = 0 }
+let create () = { top = bottom; spare = bottom; live = 0; seq = 0 }
 
 (* The level of [priority], linked into the chain (a spare, or a fresh
    one) when there is none. *)
@@ -120,7 +119,6 @@ let take t l (p : Process.t) =
   unlink l p;
   p.q_count <- p.q_count - 1;
   t.live <- t.live - 1;
-  t.dispatches <- t.dispatches + 1;
   match p.q_more with
   | [] -> ()
   | (priority, seq) :: rest ->
@@ -170,4 +168,3 @@ let rec fold_level l (p : Process.t) acc =
 and fold_level_chain l acc = if l == bottom then acc else fold_level l l.head acc
 
 let to_list t = List.rev (fold_level_chain t.top [])
-let dispatches_of t = t.dispatches

@@ -25,8 +25,3 @@ val length : t -> int
 (** The queued processes in service order of their first entries, each
     once (tests and audits). *)
 val to_list : t -> Process.t list
-
-(**/**)
-
-(* Statistics consumed by the machine's run report. *)
-val dispatches_of : t -> int

@@ -74,11 +74,7 @@ let injection_arg = function
 (* Pre-resolved metrics instruments: the hot paths update them without a
    lookup; the registry is only walked on dump. *)
 type monitors = {
-  mon_charged_ns : Obs.Metrics.counter;
-  mon_spawns : Obs.Metrics.counter;
-  mon_dispatches : Obs.Metrics.counter;
   mon_enqueues : Obs.Metrics.counter;
-  mon_preemptions : Obs.Metrics.counter;
   mon_sends : Obs.Metrics.counter;
   mon_receives : Obs.Metrics.counter;
   mon_send_blocks : Obs.Metrics.counter;
@@ -88,7 +84,6 @@ type monitors = {
   mon_sro_creates : Obs.Metrics.counter;
   mon_sro_destroys : Obs.Metrics.counter;
   mon_domain_calls : Obs.Metrics.counter;
-  mon_faults : Obs.Metrics.counter;
   mon_injections : Obs.Metrics.counter;
   mon_cpu_offline : Obs.Metrics.counter;
   mon_requeues : Obs.Metrics.counter;
@@ -130,7 +125,6 @@ type t = {
   traced : bool;  (* [obs]'s level is not [Off]; fixed at creation *)
   metrics : Obs.Metrics.t;
   mon : monitors;
-  mutable preemptions : int;
   mutable faults : (string * Fault.cause) list;  (* newest first; see [faults] *)
   mutable fault_port : int option;  (* faulted processes are sent here *)
   (* Fault injection and recovery state.  All defaults leave every legacy
@@ -155,11 +149,7 @@ type t = {
 
 let make_monitors metrics =
   {
-    mon_charged_ns = Obs.Metrics.counter metrics "machine.charged_ns";
-    mon_spawns = Obs.Metrics.counter metrics "proc.spawns";
-    mon_dispatches = Obs.Metrics.counter metrics "dispatch.dispatches";
     mon_enqueues = Obs.Metrics.counter metrics "dispatch.enqueues";
-    mon_preemptions = Obs.Metrics.counter metrics "dispatch.preemptions";
     mon_sends = Obs.Metrics.counter metrics "port.sends";
     mon_receives = Obs.Metrics.counter metrics "port.receives";
     mon_send_blocks = Obs.Metrics.counter metrics "port.send_blocks";
@@ -169,7 +159,6 @@ let make_monitors metrics =
     mon_sro_creates = Obs.Metrics.counter metrics "sro.creates";
     mon_sro_destroys = Obs.Metrics.counter metrics "sro.destroys";
     mon_domain_calls = Obs.Metrics.counter metrics "domain.calls";
-    mon_faults = Obs.Metrics.counter metrics "machine.faults";
     mon_injections = Obs.Metrics.counter metrics "fi.injections";
     mon_cpu_offline = Obs.Metrics.counter metrics "fi.cpu_offline";
     mon_requeues = Obs.Metrics.counter metrics "fi.requeues";
@@ -208,6 +197,17 @@ let eligible_for_dispatch ~(cpu : Processor.t) (proc : Process.t) =
   | None -> true
   | Some id -> id = cpu.Processor.id
 
+(* Total busy time across processors: the "total processing power" metric of
+   the scaling experiment. *)
+let total_busy_ns t =
+  Array.fold_left (fun acc p -> acc + p.Processor.busy_ns) 0 t.processors
+
+let total_dispatches t =
+  Array.fold_left (fun acc p -> acc + p.Processor.dispatches) 0 t.processors
+
+let total_preemptions t =
+  List.fold_left (fun acc p -> acc + p.Process.preemptions) 0 t.processes
+
 let create ?(config = default_config) () =
   if config.processors <= 0 then invalid_arg "Machine.create: processors";
   let metrics = Obs.Metrics.create () in
@@ -230,45 +230,52 @@ let create ?(config = default_config) () =
         e.Object_table.payload <- Some (Processor.Processor_state p);
         p)
   in
-  {
-    table;
-    memory;
-    timings = config.timings;
-    bus;
-    processors;
-    dispatch = Dispatch.create ();
-    eligible =
-      Array.map (fun cpu -> eligible_for_dispatch ~cpu) processors;
-    global_sro;
-    cur = -1;
-    running = Array.make config.processors Process.none;
-    in_body = false;
-    processes = [];
-    spawned = 0;
-    n_local_work = 0;
-    n_timed_waits = 0;
-    n_ready_unbound = 0;
-    n_ready_bound = Array.make config.processors 0;
-    timers = Timers.create ();
-    gc_roots = [];
-    obs =
-      Obs.Tracer.create ~capacity:config.trace_capacity
-        ~level:config.trace_level ();
-    traced = config.trace_level <> Obs.Tracer.Off;
-    metrics;
-    mon = make_monitors metrics;
-    preemptions = 0;
-    faults = [];
-    fault_port = None;
-    injections = [];
-    inj_seq = 0;
-    forced_alloc_faults = 0;
-    pending_port_delay_ns = 0;
-    reclaim_hook = None;
-    fault_hook = None;
-    txn_applied = Int_tbl.create 16;
-    stepper = -1;
-  }
+  let t =
+    {
+      table;
+      memory;
+      timings = config.timings;
+      bus;
+      processors;
+      dispatch = Dispatch.create ();
+      eligible = Array.map (fun cpu -> eligible_for_dispatch ~cpu) processors;
+      global_sro;
+      cur = -1;
+      running = Array.make config.processors Process.none;
+      in_body = false;
+      processes = [];
+      spawned = 0;
+      n_local_work = 0;
+      n_timed_waits = 0;
+      n_ready_unbound = 0;
+      n_ready_bound = Array.make config.processors 0;
+      timers = Timers.create ();
+      gc_roots = [];
+      obs =
+        Obs.Tracer.create ~capacity:config.trace_capacity
+          ~level:config.trace_level ();
+      traced = config.trace_level <> Obs.Tracer.Off;
+      metrics;
+      mon = make_monitors metrics;
+      faults = [];
+      fault_port = None;
+      injections = [];
+      inj_seq = 0;
+      forced_alloc_faults = 0;
+      pending_port_delay_ns = 0;
+      reclaim_hook = None;
+      fault_hook = None;
+      txn_applied = Int_tbl.create 16;
+      stepper = -1;
+    }
+  in
+  (* Counts the machine's objects keep already, read only when asked. *)
+  Obs.Metrics.pull metrics "machine.charged_ns" (fun () -> total_busy_ns t);
+  Obs.Metrics.pull metrics "proc.spawns" (fun () -> t.spawned);
+  Obs.Metrics.pull metrics "dispatch.dispatches" (fun () -> total_dispatches t);
+  Obs.Metrics.pull metrics "dispatch.preemptions" (fun () -> total_preemptions t);
+  Obs.Metrics.pull metrics "machine.faults" (fun () -> List.length t.faults);
+  t
 
 let table t = t.table
 let memory t = t.memory
@@ -346,7 +353,6 @@ let charge t ns =
   if t.cur >= 0 then begin
     let p = t.processors.(t.cur) in
     let eff = Bus.penalize t.bus ns in
-    Obs.Metrics.add t.mon.mon_charged_ns eff;
     p.Processor.clock_ns <- p.Processor.clock_ns + eff;
     p.Processor.busy_ns <- p.Processor.busy_ns + eff;
     (* [running] holds what [dispatch] bound while [cur] is set. *)
@@ -863,7 +869,6 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   t.processes <- proc :: t.processes;
   t.spawned <- t.spawned + 1;
   tally t proc 1;
-  Obs.Metrics.incr t.mon.mon_spawns;
   emit t Obs.Event.Spawn ~name_id:proc.Process.trace_name_id ~detail_id:0
     ~a:proc.Process.index ~b:0;
   (match start_after with
@@ -1266,8 +1271,6 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.pending <- Syscall.R_unit;
     proc.Process.slice_used_ns <- 0;
     proc.Process.preemptions <- proc.Process.preemptions + 1;
-    t.preemptions <- t.preemptions + 1;
-    Obs.Metrics.incr t.mon.mon_preemptions;
     emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
     cpu.Processor.current <- -1;
@@ -1303,7 +1306,6 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
    them back to software when various fault ... conditions arise" (§5). *)
 let record_fault t (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
-  Obs.Metrics.incr t.mon.mon_faults;
   (* Guarded: rendering the cause formats, even when untraced. *)
   if t.traced then
     emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
@@ -1584,7 +1586,6 @@ let dispatch t (cpu : Processor.t) (proc : Process.t) =
   cpu.Processor.current <- proc.Process.index;
   t.running.(cpu.Processor.id) <- proc;
   cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
-  Obs.Metrics.incr t.mon.mon_dispatches;
   Obs.Metrics.observe_int t.mon.mon_dispatch_latency
     (Int.max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns));
   Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);
@@ -1668,8 +1669,8 @@ let report t =
     completed;
     faulted;
     deadlocked = List.rev deadlocked;
-    dispatches = Dispatch.dispatches_of t.dispatch;
-    preemptions = t.preemptions;
+    dispatches = total_dispatches t;
+    preemptions = total_preemptions t;
   }
 
 (* Each iteration is one step (what [max_steps] counts) on the online
@@ -1720,11 +1721,6 @@ let advance ?(max_steps = max_int) t ~max_ns =
 let run ?(max_ns = max_int) ?max_steps t =
   advance ?max_steps t ~max_ns;
   report t
-
-(* Total busy time across processors: the "total processing power" metric of
-   the scaling experiment. *)
-let total_busy_ns t =
-  Array.fold_left (fun acc p -> acc + p.Processor.busy_ns) 0 t.processors
 
 let processor_utilizations t =
   Array.map Processor.utilization t.processors

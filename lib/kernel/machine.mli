@@ -55,7 +55,10 @@ val processor_count : t -> int
     processors). *)
 val tracer : t -> I432_obs.Tracer.t
 
-(** The machine's metrics registry (counters, gauges, histograms). *)
+(** The machine's metrics registry (counters, gauges, histograms).
+    [port.sends]/[port.receives] count process transfers and
+    {!deliver_external} only, unlike {!port_stats}; [dispatch.enqueues]
+    skips {!set_stopped}'s and {!set_priority}'s re-enqueues. *)
 val metrics : t -> I432_obs.Metrics.t
 
 (** All retained structured events, in emission order. *)
@@ -162,7 +165,8 @@ val create_port :
   Access.t
 
 (** (sends, receives, send_blocks, receive_blocks, max_depth,
-    mean_queue_wait_ns). *)
+    mean_queue_wait_ns).  The sends and receives are {!Port.t}'s: unlike
+    the [port.*] metrics, they count posts to a fault or scheduler port. *)
 val port_stats : t -> Access.t -> int * int * int * int * int * float
 
 (** {1 Processes} *)

@@ -65,7 +65,9 @@ type t = {
   mutable last_txn : int;
   mutable last_wait_ns : int;  (** its queue wait *)
   mutable sends : int;
-  mutable receives : int;
+      (** process transfers, NIC deliveries and the kernel's posts to a
+          fault or scheduler port; the [port.sends] metric skips posts *)
+  mutable receives : int;  (** likewise, against [port.receives] *)
   mutable send_blocks : int;
   mutable receive_blocks : int;
   mutable total_queue_wait_ns : int;

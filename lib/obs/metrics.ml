@@ -2,8 +2,9 @@
 
    Instrumentation sites resolve their instrument once (at machine boot)
    and then update a bare mutable field on the hot path — no hashing, no
-   allocation.  The registry exists for the cold paths: enumeration,
-   snapshotting, and the JSON dump.
+   allocation; a count an object already keeps is pulled instead, read
+   by a closure only when a reader asks.  The registry exists for the
+   cold paths: enumeration, snapshotting, and the JSON dump.
 
    Dumps are sorted by name, so two identical runs produce byte-identical
    metrics JSON — the same determinism contract as the event tracer. *)
@@ -15,8 +16,11 @@ type gauge = { g_name : string; mutable g_value : int }
 type histogram = { m_name : string; m_hist : Stats.hist }
 type log_histogram = { l_name : string; l_hist : Stats.log_hist }
 
+type pulls = No_pull | Pull of string * (unit -> int) * pulls
+
 type t = {
   counters : (string, counter) Hashtbl.t;
+  mutable pulls : pulls;  (* pulled counters' names and readers, newest first *)
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   log_histograms : (string, log_histogram) Hashtbl.t;
@@ -31,6 +35,7 @@ type t = {
 let create () =
   {
     counters = Hashtbl.create 32;
+    pulls = No_pull;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
     log_histograms = Hashtbl.create 16;
@@ -48,13 +53,29 @@ let claim t =
 
 let release t = t.writer <- -1
 
+let rec find_pull name = function
+  | No_pull -> None
+  | Pull (k, read, rest) -> if k = name then Some read else find_pull name rest
+
+let find_counter t name =
+  match (Hashtbl.find_opt t.counters name, find_pull name t.pulls) with
+  | None, Some read -> Some { c_name = name; c_value = read () }
+  | c, _ -> c
+
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
+    if Option.is_some (find_pull name t.pulls) then
+      invalid_arg ("Metrics.counter: " ^ name ^ " is pulled");
     let c = { c_name = name; c_value = 0 } in
     Hashtbl.replace t.counters name c;
     c
+
+let pull t name read =
+  if Option.is_some (find_counter t name) then
+    invalid_arg ("Metrics.pull: " ^ name ^ " is registered");
+  t.pulls <- Pull (name, read, t.pulls)
 
 (* [by] has no default: a default splits a function into a wrapper and
    a body, and the body is not inlined into callers. *)
@@ -103,7 +124,6 @@ let observe_log h x = Stats.log_hist_observe h.l_hist x
 let observe_log_int h n = Stats.log_hist_observe_int h.l_hist n
 let log_quantile h q = Stats.log_hist_quantile h.l_hist q
 
-let find_counter t name = Hashtbl.find_opt t.counters name
 let find_gauge t name = Hashtbl.find_opt t.gauges name
 let find_histogram t name = Hashtbl.find_opt t.histograms name
 
@@ -114,7 +134,16 @@ let find_log_histogram t name = Hashtbl.find_opt t.log_histograms name
 let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let counters t = List.map snd (sorted_bindings t.counters)
+(* Every counter's name and value, pulled ones read now, by name. *)
+let counter_values t =
+  let rec pulled acc = function
+    | No_pull -> acc
+    | Pull (k, read, rest) -> pulled ((k, read ()) :: acc) rest
+  in
+  List.sort compare
+    (Hashtbl.fold (fun k c acc -> (k, c.c_value) :: acc) t.counters (pulled [] t.pulls))
+
+let counters t = List.map (fun (c_name, c_value) -> { c_name; c_value }) (counter_values t)
 
 let hist_json (h : Stats.hist) =
   let open Jout in
@@ -161,7 +190,7 @@ let to_json t =
     ([
        ("schema", Str "imax432-metrics/1");
        ( "counters",
-         Obj (List.map (fun (k, c) -> (k, Int c.c_value)) (sorted_bindings t.counters)) );
+         Obj (List.map (fun (k, v) -> (k, Int v)) (counter_values t)) );
        ( "gauges",
          Obj (List.map (fun (k, g) -> (k, Int g.g_value)) (sorted_bindings t.gauges)) );
        ( "histograms",
@@ -183,18 +212,14 @@ let to_json t =
                (sorted_bindings t.log_histograms)) );
       ])
 
-(* Fold [src] into [dst]: counters and gauges add; histograms of the same
-   name must share a shape and their buckets add.  Merging the per-node
-   registries of a cluster in node order yields the same bytes from
-   [to_json]/[render] regardless of which domain stepped which node,
-   because dumps are name-sorted and the fold order is fixed by the
-   caller. *)
+(* Fold [src] into [dst]: counters (pulled ones as plain) and gauges add;
+   histograms of the same name must share a shape and their buckets add.
+   Merging the per-node registries of a cluster in node order yields the
+   same bytes from [to_json]/[render] regardless of which domain stepped
+   which node, because dumps are name-sorted and the fold order is fixed
+   by the caller. *)
 let merge_into ~dst ~src =
-  List.iter
-    (fun (k, (c : counter)) ->
-      let d = counter dst k in
-      d.c_value <- d.c_value + c.c_value)
-    (sorted_bindings src.counters);
+  List.iter (fun (k, v) -> add (counter dst k) v) (counter_values src);
   List.iter
     (fun (k, (g : gauge)) ->
       let d = gauge dst k in
@@ -224,8 +249,8 @@ let merge_into ~dst ~src =
 let render t =
   let buf = Buffer.create 512 in
   List.iter
-    (fun (k, c) -> Printf.bprintf buf "counter %-28s %d\n" k c.c_value)
-    (sorted_bindings t.counters);
+    (fun (k, v) -> Printf.bprintf buf "counter %-28s %d\n" k v)
+    (counter_values t);
   List.iter
     (fun (k, g) -> Printf.bprintf buf "gauge   %-28s %d\n" k g.g_value)
     (sorted_bindings t.gauges);

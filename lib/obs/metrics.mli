@@ -2,8 +2,9 @@
     histograms.
 
     Instruments are resolved once (find-or-create by name) and updated
-    without a lookup on the hot path.  Dumps are sorted by name, so
-    identical runs produce byte-identical JSON. *)
+    without a lookup on the hot path, unless {!pull}ed: read only when a
+    reader asks.  Dumps are sorted by name, so identical runs produce
+    byte-identical JSON. *)
 
 open I432_util
 
@@ -16,8 +17,13 @@ type t
 
 val create : unit -> t
 
-(** Find-or-create by name. *)
+(** Find-or-create by name; raises [Invalid_argument] on a pulled name. *)
 val counter : t -> string -> counter
+
+(** [pull t name read] registers the counter [name] as [read ()] each
+    time a reader asks; {!find_counter} and {!counters} return a record
+    of that value.  Raises [Invalid_argument] on a registered name. *)
+val pull : t -> string -> (unit -> int) -> unit
 
 val incr : ?by:int -> counter -> unit
 
@@ -66,9 +72,10 @@ val log_quantile : log_histogram -> float -> float
 val claim : t -> unit
 val release : t -> unit
 
-(** Fold [src] into [dst]: counters and gauges add; same-named histograms
-    (which must share bucket count and range) add bucket-wise.  Folding
-    per-node registries in node order is deterministic. *)
+(** Fold [src] into [dst]: counters (pulled ones as plain) and gauges add;
+    same-named histograms (which must share bucket count and range) add
+    bucket-wise.  Folding per-node registries in node order is
+    deterministic. *)
 val merge_into : dst:t -> src:t -> unit
 
 val find_counter : t -> string -> counter option
@@ -79,7 +86,7 @@ val find_log_histogram : t -> string -> log_histogram option
 (** The named counter's value; 0 when no such counter exists. *)
 val count : t -> string -> int
 
-(** Sorted by name. *)
+(** Sorted by name, each as a record of its value now. *)
 val counters : t -> counter list
 
 (** Schema [imax432-metrics/1]: counters, gauges, histograms (with

@@ -141,12 +141,14 @@ module Dir = struct
     d.count <- d.count - 1
 end
 
-type mon = {
-  mon_machine : K.Machine.t;
-  mon_appends : Obs.Metrics.counter;
-  mon_syncs : Obs.Metrics.counter;
-  mon_compactions : Obs.Metrics.counter;
-  mon_bytes : Obs.Metrics.counter;
+(* Lifetime statistics (survive compaction).  The store.* counters read
+   this record alone, so an attached machine does not keep the store. *)
+type counts = {
+  mutable appends : int;
+  mutable syncs : int;
+  mutable compactions : int;
+  mutable bytes_written : int;
+  mutable bytes_reclaimed : int;
 }
 
 type t = {
@@ -157,13 +159,8 @@ type t = {
   min_garbage_bytes : int;
   mutable garbage : int;  (* reclaimable bytes in the journal *)
   mutable next_compact_ns : int;  (* virtual instant of the next check *)
-  mutable mon : mon option;
-  (* lifetime statistics (survive compaction) *)
-  mutable st_appends : int;
-  mutable st_syncs : int;
-  mutable st_compactions : int;
-  mutable st_bytes_written : int;
-  mutable st_bytes_reclaimed : int;
+  mutable machine : K.Machine.t option;  (* see [attach] *)
+  st : counts;
 }
 
 let path t = Journal.path t.journal
@@ -176,15 +173,15 @@ let keys t =
   Dir.iter t.dir (fun key _ -> acc := key :: !acc);
   List.sort String.compare !acc
 
-let stats t =
-  ( t.st_appends,
-    t.st_syncs,
-    t.st_compactions,
-    t.st_bytes_written,
-    t.st_bytes_reclaimed )
+let stats { st; _ } =
+  (st.appends, st.syncs, st.compactions, st.bytes_written, st.bytes_reclaimed)
 
-let attached_machine t =
-  match t.mon with None -> None | Some m -> Some m.mon_machine
+let attached_machine t = t.machine
+
+let emit t kind ~a ~b =
+  match t.machine with
+  | Some m -> K.Machine.emit m kind ~name_id:0 ~detail_id:0 ~a ~b
+  | None -> ()
 
 (* Apply one record to the directory, hashing [key] once; returns the
    bytes it makes garbage.  A tombstone is garbage too, once applied. *)
@@ -236,37 +233,25 @@ let open_ ?(sync_every = 8) ?(compact_interval_ns = 10_000_000)
     min_garbage_bytes;
     garbage;
     next_compact_ns = compact_interval_ns;
-    mon = None;
-    st_appends = 0;
-    st_syncs = 0;
-    st_compactions = 0;
-    st_bytes_written = 0;
-    st_bytes_reclaimed = 0;
+    machine = None;
+    st = { appends = 0; syncs = 0; compactions = 0; bytes_written = 0;
+           bytes_reclaimed = 0 };
   }
 
 let attach t machine =
-  let metrics = K.Machine.metrics machine in
-  t.mon <-
-    Some
-      {
-        mon_machine = machine;
-        mon_appends = Obs.Metrics.counter metrics "store.journal_appends";
-        mon_syncs = Obs.Metrics.counter metrics "store.journal_syncs";
-        mon_compactions = Obs.Metrics.counter metrics "store.compactions";
-        mon_bytes = Obs.Metrics.counter metrics "store.bytes_written";
-      }
+  let m = K.Machine.metrics machine and st = t.st in
+  Obs.Metrics.pull m "store.journal_appends" (fun () -> st.appends);
+  Obs.Metrics.pull m "store.journal_syncs" (fun () -> st.syncs);
+  Obs.Metrics.pull m "store.compactions" (fun () -> st.compactions);
+  Obs.Metrics.pull m "store.bytes_written" (fun () -> st.bytes_written);
+  t.machine <- Some machine
 
 let sync t =
   let pending = Journal.unsynced t.journal in
   if pending > 0 then begin
     Journal.sync t.journal;
-    t.st_syncs <- t.st_syncs + 1;
-    match t.mon with
-    | Some m ->
-      Obs.Metrics.incr m.mon_syncs;
-      K.Machine.emit m.mon_machine Obs.Event.Journal_sync ~name_id:0
-        ~detail_id:0 ~a:pending ~b:(Journal.size t.journal)
-    | None -> ()
+    t.st.syncs <- t.st.syncs + 1;
+    emit t Obs.Event.Journal_sync ~a:pending ~b:(Journal.size t.journal)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -299,14 +284,9 @@ let compact t =
   t.dir <- Dir.create ~entries:(List.length live);
   t.garbage <- build_dir records t.dir;
   let reclaimed = old_size - Journal.size t.journal in
-  t.st_compactions <- t.st_compactions + 1;
-  t.st_bytes_reclaimed <- t.st_bytes_reclaimed + reclaimed;
-  (match t.mon with
-  | Some m ->
-    Obs.Metrics.incr m.mon_compactions;
-    K.Machine.emit m.mon_machine Obs.Event.Store_compact ~name_id:0
-      ~detail_id:0 ~a:(List.length live) ~b:reclaimed
-  | None -> ());
+  t.st.compactions <- t.st.compactions + 1;
+  t.st.bytes_reclaimed <- t.st.bytes_reclaimed + reclaimed;
+  emit t Obs.Event.Store_compact ~a:(List.length live) ~b:reclaimed;
   reclaimed
 
 (* Compaction clock: at most one compaction per virtual-time interval,
@@ -326,16 +306,13 @@ let append t ~kind ~key payload ~len =
   let off = Journal.append_sub t.journal ~kind ~key payload ~len in
   let size = Journal.size t.journal - off in
   t.garbage <- t.garbage + apply t.dir ~kind ~key ~off ~size;
-  t.st_appends <- t.st_appends + 1;
-  t.st_bytes_written <- t.st_bytes_written + size;
-  (match t.mon with
+  t.st.appends <- t.st.appends + 1;
+  t.st.bytes_written <- t.st.bytes_written + size;
+  (match t.machine with
   | Some m ->
-    Obs.Metrics.incr m.mon_appends;
-    Obs.Metrics.add m.mon_bytes size;
-    let mm = m.mon_machine in
-    K.Machine.emit mm Obs.Event.Journal_append
-      ~name_id:(K.Machine.string_id mm key)
-      ~detail_id:(K.Machine.string_id mm (kind_name kind)) ~a:off ~b:size
+    K.Machine.emit m Obs.Event.Journal_append
+      ~name_id:(K.Machine.string_id m key)
+      ~detail_id:(K.Machine.string_id m (kind_name kind)) ~a:off ~b:size
   | None -> ());
   if Journal.unsynced t.journal >= t.sync_every then sync t
 

@@ -12,9 +12,9 @@
     The store is host infrastructure, not a kernel object: it holds no
     machine state and a machine holds no store state.  Attaching a
     machine ({!attach}) only routes observability — journal appends,
-    fsync barriers, and compactions then emit trace events and bump
-    metrics counters on that machine.  With no store configured, no
-    kernel output changes by a byte. *)
+    fsync barriers, and compactions then emit trace events on that
+    machine, and its registry reads the store's counts.  With no store
+    configured, no kernel output changes by a byte. *)
 
 open I432
 module K := I432_kernel
@@ -35,9 +35,9 @@ val open_ :
   string ->
   t
 
-(** Route the store's observability to [machine]: creates the store.*
-    counters in its metrics registry and emits store events through its
-    tracer from now on. *)
+(** Route the store's observability to [machine], once per machine: its
+    registry's store.* counters read {!stats} from now on (attach before
+    the first append), and store events go through its tracer. *)
 val attach : t -> K.Machine.t -> unit
 
 val close : t -> unit

@@ -12,14 +12,12 @@
 
 module K := I432_kernel
 
-(** Keys are multiples of this stride: the kernel tags the i-th send of
-    group [k] with [k + i], so each logical send carries a cluster-unique
-    tag the receiving NIC dedups on after a failover replay. *)
-val key_stride : int
-
-(** Pack a nonzero, stride-aligned idempotency key from an origin id
-    (e.g. a node or worker number) and a per-origin sequence number
-    ([0 <= seq < 2^20]).  Distinct (origin, seq) pairs never collide. *)
+(** Pack a nonzero idempotency key from an origin id (e.g. a node or
+    worker number) and a per-origin sequence number ([0 <= seq < 2^20]).
+    Distinct (origin, seq) pairs never collide.  Keys are multiples of
+    64: the kernel tags the i-th send of group [k] with [k + i], so each
+    logical send carries a cluster-unique tag the receiving NIC dedups
+    on after a failover replay. *)
 val key : origin:int -> seq:int -> int
 
 (** A staging buffer; legs commit in staging order. *)
