@@ -186,11 +186,9 @@ module Seed_swapping = struct
         (fun r ->
           r.index <> avoid
           && Object_table.is_valid table r.index
-          &&
-          let e = Object_table.lookup table r.index in
-          (not e.Object_table.swapped_out)
-          && (not (Obj_type.is_system e.Object_table.otype))
-          && e.Object_table.data_length > 0)
+          && (not (Object_table.swapped_out table r.index))
+          && (not (Obj_type.is_system (Object_table.otype table r.index)))
+          && Object_table.data_length table r.index > 0)
         t.residents
     in
     match candidates with
@@ -206,17 +204,15 @@ module Seed_swapping = struct
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
     let e = Object_table.lookup table victim.index in
-    let image =
-      Memory.blit_to_bytes memory ~src_addr:e.Object_table.base
-        ~len:e.Object_table.data_length
-    in
+    let base = Object_table.base table e
+    and len = Object_table.data_length table e in
+    let image = Memory.blit_to_bytes memory ~src_addr:base ~len in
     Hashtbl.replace t.backing victim.index image;
     (match Sro.state_of_object table ~index:victim.index with
     | Some s ->
-      Sro.donate table ~sro_state:s ~base:e.Object_table.base
-        ~length:e.Object_table.data_length
+      Sro.donate table ~sro_state:s ~base ~length:len
     | None -> ());
-    e.Object_table.swapped_out <- true;
+    Object_table.set_swapped_out table e true;
     t.residents <- List.filter (fun r -> r.index <> victim.index) t.residents;
     K.Machine.charge t.machine swap_out_ns;
     t.swap_outs <- t.swap_outs + 1
@@ -236,8 +232,8 @@ module Seed_swapping = struct
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
     let e = Object_table.lookup table index in
-    if e.Object_table.swapped_out then begin
-      let size = e.Object_table.data_length in
+    if Object_table.swapped_out table e then begin
+      let size = Object_table.data_length table e in
       match Sro.state_of_object table ~index with
       | None -> Fault.raise_fault Fault.Sro_destroyed
       | Some s -> (
@@ -251,8 +247,8 @@ module Seed_swapping = struct
             Memory.blit_from_bytes memory ~src:image ~dst_addr:base
           | None -> Memory.fill memory ~addr:base ~len:size ~byte:'\000');
           Hashtbl.remove t.backing index;
-          e.Object_table.base <- base;
-          e.Object_table.swapped_out <- false;
+          Object_table.set_base table e base;
+          Object_table.set_swapped_out table e false;
           note_resident t index;
           K.Machine.charge t.machine swap_in_ns;
           t.swap_ins <- t.swap_ins + 1)
@@ -286,27 +282,26 @@ module Seed_swapping = struct
 
   let free t access =
     let table = K.Machine.table t.machine in
-    let e = Object_table.entry_of_access table access in
-    Hashtbl.remove t.backing e.Object_table.index;
-    t.residents <-
-      List.filter (fun r -> r.index <> e.Object_table.index) t.residents;
-    if e.Object_table.swapped_out then begin
-      e.Object_table.data_length <- 0;
-      e.Object_table.swapped_out <- false
+    let e = Object_table.lookup_access table access in
+    Hashtbl.remove t.backing e;
+    t.residents <- List.filter (fun r -> r.index <> e) t.residents;
+    if Object_table.swapped_out table e then begin
+      Object_table.set_data_length table e 0;
+      Object_table.set_swapped_out table e false
     end;
-    (match Sro.state_of_object table ~index:e.Object_table.index with
+    (match Sro.state_of_object table ~index:e with
     | Some s ->
-      Sro.release table ~sro_state:s ~index:e.Object_table.index;
+      Sro.release table ~sro_state:s ~index:e;
       t.frees <- t.frees + 1
     | None -> ())
 
   let touch t access =
     let table = K.Machine.table t.machine in
-    let e = Object_table.entry_of_access table access in
-    if e.Object_table.swapped_out then swap_in t e.Object_table.index;
+    let e = Object_table.lookup_access table access in
+    if Object_table.swapped_out table e then swap_in t e;
     List.iter
       (fun r ->
-        if r.index = e.Object_table.index then
+        if r.index = e then
           r.last_touch <- K.Machine.now t.machine)
       t.residents
 end

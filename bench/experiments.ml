@@ -642,7 +642,7 @@ let e11_rendezvous () =
   (* Synchronous rendezvous: entry call + accept + reply. *)
   let rendezvous () =
     let m = boot ~alpha:0 () in
-    let e = Ada_tasks.create_entry m ~name:"entry" () in
+    let e = Ada_tasks.create_entry m () in
     ignore
       (K.Machine.spawn m ~name:"server" (fun () ->
            for _ = 1 to calls do

@@ -16,11 +16,14 @@
    they catch an allocation creeping back where a timing ratio could
    not:
    - [minor_words_per_request], one untraced run at 8 workers, schedule
-     and boot included: 60.6 with timers on their processes, unboxed
-     port queues, in-place carving and allocation-free draws, observes
-     and header reads, built without -opaque (62.6 with it); the
-     intrusive ready queue over the pairing-heap timers read 149.7, the
-     hashed ready queue with a handler closure per syscall 368.6.
+     and boot included: 40.6 (40.1 in full mode) with descriptors as
+     int columns and an access descriptor one immediate word; a
+     descriptor record per object and a boxed descriptor per message
+     read 60.6, with timers on their processes, unboxed port queues,
+     in-place carving and allocation-free draws, observes and header
+     reads, built without -opaque (62.6 with it); the intrusive ready
+     queue over the pairing-heap timers read 149.7, the hashed ready
+     queue with a handler closure per syscall 368.6.
    - [traced_minor_words_per_request], the same run at trace level
      [Events]: a traced event is six stores into a preallocated ring,
      so tracing adds only the boot-time interning of names.  A
@@ -29,18 +32,21 @@
    - [cluster_minor_words_per_request], one untraced 3-node x 2-GDP
      cluster run (4 users at 10k req/s aggregate, 500 requests each, in
      both modes): every request crosses the wire codec, the NIC pump and
-     the ARQ.  255.1 (259.1 built with -opaque); the hashed ready queue
-     read 604.6, the pairing-heap timers 378.5.
+     the ARQ.  218.1; 254.9 with descriptor records and boxed access
+     descriptors (259.1 built with -opaque); the hashed ready queue read
+     604.6, the pairing-heap timers 378.5.
    - [bank_minor_words_per_transfer], one untraced banking run (2 GDPs,
      4 tellers, 8 accounts, 4,000 transfers, seed 1), two group commits
-     per transfer: 391.9 (405.9 built with -opaque); a [Map] functor
+     per transfer: 374.1; 391.8 with descriptor records and boxed
+     access descriptors (405.9 built with -opaque); a [Map] functor
      applied per [Txn_try] read 1,293.6, the one-tally validation 723.5
      over the hashed ready queue and 538.1 over the pairing-heap timers,
      counting commits by sorting every key 447.6.
    - [bank_history_words_per_transfer], the same run filing every
-     commit's record into a store on a scratch journal: 398.3 (412.3
-     built with -opaque), the key string of each of the two records a
-     transfer files and nothing else.  A record through a polymorphic
+     commit's record into a store on a scratch journal: 380.6, the key
+     string of each of the two records a transfer files and nothing
+     else; 398.3 with descriptor records and boxed access descriptors
+     (412.3 built with -opaque).  A record through a polymorphic
      [Hashtbl] directory, a [Buffer]-built key and text, a closure per
      encode and boxed CRC arguments read 573.4.
 
@@ -55,6 +61,14 @@
      4 on each client.
    Before the page table each of these machines held its whole 16 MB,
    zero-filled at creation.
+
+   [descriptor_words]: the host words the 8-worker run's object table
+   reaches, over its live descriptors (10,027 in smoke mode, 80,027 in
+   full), bounded at its reading: 7.68 in smoke mode and 7.15 in full.
+   A descriptor is seven words of int and pointer columns, allocated a
+   chunk of 1,024 slots at a time; the rest is the kernel state of the
+   system objects.  One record per descriptor in an array doubled to
+   grow read 17.15 and 16.70.
 
    Under all of these, the syscall probes price the kernel seam itself:
    the words one [yield], one [delay] and one send/receive round trip
@@ -207,6 +221,14 @@ let probe_reading (key, gdps, bodies, bound) =
    it materialized, a function of the schedule like the word counts. *)
 let resident_bytes m = Memory.resident_bytes (K.Machine.memory m)
 
+(* Host words of a machine's object table, everything it reaches
+   included (the kernel state of its system objects too), per live
+   descriptor. *)
+let descriptor_words m =
+  let table = K.Machine.table m in
+  float_of_int (Obj.reachable_words (Obj.repr table))
+  /. float_of_int (I432.Object_table.count_valid table)
+
 let measure ~smoke =
   let spec = spec ~smoke in
   let run ?trace_level workers () =
@@ -224,11 +246,13 @@ let measure ~smoke =
     (words /. float_of_int requests, o)
   in
   let minor_words_per_request, machine_run = words_per_request () in
-  let machine_resident_bytes =
+  let machine =
     match machine_run.Load.Loadgen.o_machines with
-    | [ (_, m) ] -> resident_bytes m
+    | [ (_, m) ] -> m
     | _ -> failwith "run_loop: a machine run has one machine"
   in
+  let machine_resident_bytes = resident_bytes machine in
+  let descriptor_words = descriptor_words machine in
   let traced_words_per_request, _ =
     words_per_request ~trace_level:I432_obs.Tracer.Events ()
   in
@@ -295,21 +319,23 @@ let measure ~smoke =
       v "test_ns_per_request" "ns" (per_request paired.Paired.test_ns);
       v "ratio" "x" paired.Paired.ratio ~bound:(At_most 2.0);
       v "minor_words_per_request" "words" minor_words_per_request
-        ~bound:(At_most 61.0);
+        ~bound:(At_most 41.0);
       v "traced_minor_words_per_request" "words" traced_words_per_request
         ~bound:(At_most (minor_words_per_request +. 1.0));
       int "cluster_requests" "requests" cluster_requests;
       v "cluster_minor_words_per_request" "words" cluster_words_per_request
-        ~bound:(At_most 256.0);
+        ~bound:(At_most 219.0);
       int "bank_transfers" "transfers" bank_transfers;
       v "bank_minor_words_per_transfer" "words" bank_words_per_transfer
-        ~bound:(At_most 392.0);
+        ~bound:(At_most 375.0);
       v "bank_history_words_per_transfer" "words"
-        bank_history_words_per_transfer ~bound:(At_most 399.0);
+        bank_history_words_per_transfer ~bound:(At_most 381.0);
       int "fresh_machine_resident_bytes" "B" fresh_resident_bytes
         ~bound:(At_most 0.0);
       int "machine_resident_bytes" "B" machine_resident_bytes
         ~bound:(At_most (if smoke then 163_840.0 else 1_286_144.0));
+      v "descriptor_words" "words" descriptor_words
+        ~bound:(At_most (if smoke then 7.7 else 7.2));
     ]
   @ List.map2
       (fun (node, m) bound ->

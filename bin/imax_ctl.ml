@@ -296,7 +296,7 @@ let scenario_tapes config snapshot drives =
 let scenario_rendezvous config snapshot calls =
   let sys = System.boot ~config () in
   let m = System.machine sys in
-  let adder_entry = Ada_tasks.create_entry m ~name:"add_one" () in
+  let adder_entry = Ada_tasks.create_entry m () in
   ignore
     (Ada_tasks.create_task m ~name:"adder" (fun () ->
          for _ = 1 to calls do

@@ -18,8 +18,8 @@ let () =
   in
   let m = System.machine sys in
 
-  let put = Ada_tasks.create_entry m ~name:"put" () in
-  let get = Ada_tasks.create_entry m ~name:"get" () in
+  let put = Ada_tasks.create_entry m () in
+  let get = Ada_tasks.create_entry m () in
 
   (* The buffer task: state lives in 432 objects owned by the task. *)
   ignore

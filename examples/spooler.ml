@@ -31,7 +31,7 @@ let () =
         Device_io.make_terminal ~name:(Printf.sprintf "lp%d" i) ())
   in
 
-  let spool = Ada_tasks.create_entry m ~name:"spool" ~queue:16 () in
+  let spool = Ada_tasks.create_entry m ~queue:16 () in
   let printed = ref 0 in
   let notify_port = K.Machine.create_port m ~capacity:4 ~discipline:K.Port.Fifo () in
 

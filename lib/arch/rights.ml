@@ -54,3 +54,22 @@ let to_string t =
     (if has_type_right t t3 then '3' else '-')
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+(* Five bits, read above write above the type rights, so the integer
+   order of two bit sets is the record order (read, then write, then
+   type rights).  Type-right bits past the three are dropped. *)
+let[@inline] to_bits t =
+  (if t.read then 0b10000 else 0)
+  lor (if t.write then 0b01000 else 0)
+  lor (t.type_rights land 0b111)
+
+(* One prebuilt record per bit set, so decoding allocates nothing. *)
+let by_bits =
+  Array.init 32 (fun b ->
+      {
+        read = b land 0b10000 <> 0;
+        write = b land 0b01000 <> 0;
+        type_rights = b land 0b111;
+      })
+
+let[@inline] of_bits b = Array.unsafe_get by_bits (b land 0b11111)

@@ -35,5 +35,16 @@ val equal : t -> t -> bool
 (** [subset ~of_ t] is true when [t] grants nothing that [of_] does not. *)
 val subset : of_:t -> t -> bool
 
+(** {1 Five-bit encoding}
+
+    [to_bits] packs a rights set into 0..31, read highest, then write,
+    then the three type rights, so comparing two encodings as integers
+    orders them as [compare] orders the records; type-right bits past
+    the three are dropped.  [of_bits] returns one of 32 prebuilt
+    records and allocates nothing; it reads the low five bits only. *)
+
+val to_bits : t -> int
+val of_bits : int -> t
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

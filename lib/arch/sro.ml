@@ -12,7 +12,7 @@
    query returns exactly what a first-fit scan of a base-sorted list would,
    in O(log regions) instead of O(regions).  The live objects form a
    doubly-linked list threaded through their own descriptors
-   ([sro_prev]/[sro_next] in {!Object_table.entry}), newest first, so
+   ({!Object_table.sro_prev}/[sro_next]), newest first, so
    tracking a new object and untracking a released one are O(1) and
    allocate nothing, and [destroy] walks only this SRO's population.
 
@@ -38,8 +38,7 @@ type Object_table.payload += Sro_state of state
 
 let state_of table access =
   Segment.check_type table access Obj_type.Storage_resource;
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Sro_state s) -> s
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "SRO object has no SRO state")
@@ -55,7 +54,7 @@ let need_alloc_right access =
    access; the SRO object itself lives at that level. *)
 let create table ~level ~base ~length =
   if length < 0 || base < 0 then invalid_arg "Sro.create: region";
-  let e =
+  let self =
     Object_table.allocate_entry table ~otype:Obj_type.Storage_resource ~base:0
       ~data_length:0 ~access_length:8 ~level ~sro:(-1)
   in
@@ -63,7 +62,7 @@ let create table ~level ~base ~length =
   Free_store.insert free_store ~base ~length;
   let s =
     {
-      self = e.Object_table.index;
+      self;
       sro_level = level;
       free_store;
       head = -1;
@@ -74,8 +73,8 @@ let create table ~level ~base ~length =
       free_bytes = length;
     }
   in
-  e.Object_table.payload <- Some (Sro_state s);
-  Access.make ~index:e.Object_table.index ~rights:Rights.full
+  Object_table.set_payload table self (Some (Sro_state s));
+  Access.make ~index:self ~rights:Rights.full
 
 let check_live s = if not s.live then Fault.raise_fault Fault.Sro_destroyed
 
@@ -92,19 +91,21 @@ let take_region s size =
 (* Return a region to the store, coalescing with adjacent neighbours. *)
 let give_region s ~base ~length = Free_store.insert s.free_store ~base ~length
 
-let track_allocated table s (e : Object_table.entry) =
-  let index = e.Object_table.index in
+let track_allocated table s index =
   if s.head >= 0 then
-    (Object_table.lookup table s.head).Object_table.sro_prev <- index;
-  e.Object_table.sro_next <- s.head;
+    Object_table.set_sro_prev table (Object_table.lookup table s.head) index;
+  Object_table.set_sro_next table index s.head;
   s.head <- index;
   s.live_count <- s.live_count + 1
 
-let untrack_allocated table s (e : Object_table.entry) =
-  let prev = e.Object_table.sro_prev and next = e.Object_table.sro_next in
-  if prev >= 0 then (Object_table.lookup table prev).Object_table.sro_next <- next
+let untrack_allocated table s index =
+  let prev = Object_table.sro_prev table index
+  and next = Object_table.sro_next table index in
+  if prev >= 0 then
+    Object_table.set_sro_next table (Object_table.lookup table prev) next
   else s.head <- next;
-  if next >= 0 then (Object_table.lookup table next).Object_table.sro_prev <- prev;
+  if next >= 0 then
+    Object_table.set_sro_prev table (Object_table.lookup table next) prev;
   s.live_count <- s.live_count - 1
 
 (* The create-object instruction: carve a data part from the free store and
@@ -117,24 +118,25 @@ let allocate table access ~data_length ~access_length ~otype =
   if data_length < 0 || data_length > 0x10000 then
     invalid_arg "Sro.allocate: data part exceeds 64K";
   let base = if data_length = 0 then 0 else take_region s data_length in
-  let e =
+  let index =
     Object_table.allocate_entry table ~otype ~base ~data_length ~access_length
       ~level:s.sro_level ~sro:s.self
   in
-  track_allocated table s e;
+  track_allocated table s index;
   s.alloc_count <- s.alloc_count + 1;
   s.free_bytes <- s.free_bytes - data_length;
-  Access.make ~index:e.Object_table.index ~rights:Rights.full
+  Access.make ~index ~rights:Rights.full
 
 (* Return one object's storage to its SRO and invalidate its descriptor.
    Used by the garbage collector's sweep and by explicit destruction. *)
 let release table ~sro_state:s ~index =
-  let e = Object_table.lookup table index in
-  if e.Object_table.sro <> s.self then
+  let index = Object_table.lookup table index in
+  if Object_table.sro table index <> s.self then
     Fault.raise_fault (Fault.Protocol "object released to foreign SRO");
-  give_region s ~base:e.Object_table.base ~length:e.Object_table.data_length;
-  s.free_bytes <- s.free_bytes + e.Object_table.data_length;
-  untrack_allocated table s e;
+  let length = Object_table.data_length table index in
+  give_region s ~base:(Object_table.base table index) ~length;
+  s.free_bytes <- s.free_bytes + length;
+  untrack_allocated table s index;
   Object_table.free_entry table index
 
 let release_by_access table access ~index =
@@ -145,10 +147,9 @@ let release_by_access table access ~index =
 (* Find the SRO state governing an arbitrary object, if its allocating SRO
    is still alive.  Used by the swapper and the collector. *)
 let state_of_object table ~index =
-  let e = Object_table.lookup table index in
-  let sro_index = e.Object_table.sro in
+  let sro_index = Object_table.sro table (Object_table.lookup table index) in
   if sro_index >= 0 && Object_table.is_valid table sro_index then
-    match (Object_table.lookup table sro_index).Object_table.payload with
+    match Object_table.payload table sro_index with
     | Some (Sro_state s) -> Some s
     | Some _ | None -> None
   else None
@@ -197,11 +198,12 @@ let rec destroy_state table s =
      index is the first one the next allocation reuses. *)
   let rec free_from index =
     if index >= 0 then begin
-      let e = Object_table.lookup table index in
-      give_region s ~base:e.Object_table.base
-        ~length:e.Object_table.data_length;
+      let index = Object_table.lookup table index in
+      let next = Object_table.sro_next table index in
+      give_region s ~base:(Object_table.base table index)
+        ~length:(Object_table.data_length table index);
       Object_table.free_entry table index;
-      free_from e.Object_table.sro_next
+      free_from next
     end
   in
   free_from s.head;

@@ -21,8 +21,7 @@ type Object_table.payload += Typedef_state of state
 
 let state_of table access =
   Segment.check_type table access Obj_type.Type_definition;
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Typedef_state s) -> s
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "type-definition object has no state")
@@ -39,9 +38,9 @@ let create table sro_access ~name =
       ~otype:Obj_type.Type_definition
   in
   let id = Object_table.fresh_typedef_id table in
-  let e = Object_table.entry_of_access table access in
-  e.Object_table.payload <-
-    Some (Typedef_state { id; name; filter_port = None; sealed_count = 0 });
+  Object_table.set_payload table
+    (Object_table.lookup_access table access)
+    (Some (Typedef_state { id; name; filter_port = None; sealed_count = 0 }));
   access
 
 let id table access = (state_of table access).id
@@ -55,13 +54,12 @@ let seal table typedef ~target =
       (Fault.Rights_violation
          { needed = "seal (t1)"; held = Access.rights typedef });
   let s = state_of table typedef in
-  let te = Object_table.entry_of_access table target in
-  (match te.Object_table.otype with
-  | Obj_type.Generic -> ()
-  | other ->
+  let target = Object_table.lookup_access table target in
+  if not (Object_table.has_otype table target Obj_type.Generic) then
     Fault.raise_fault
-      (Fault.Type_mismatch { expected = Obj_type.Generic; actual = other }));
-  te.Object_table.otype <- Obj_type.Custom s.id;
+      (Fault.Type_mismatch
+         { expected = Obj_type.Generic; actual = Object_table.otype table target });
+  Object_table.set_otype table target (Obj_type.Custom s.id);
   s.sealed_count <- s.sealed_count + 1
 
 (* Allocate-and-seal in one step, the common idiom of a type manager. *)
@@ -114,8 +112,8 @@ let filter_port table typedef = (state_of table typedef).filter_port
 let filter_port_for_id table ~id =
   let found = ref None in
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (Typedef_state s) when s.id = id ->
         (match s.filter_port with Some p -> found := Some p | None -> ())
       | Some _ | None -> ())

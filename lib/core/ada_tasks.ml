@@ -21,7 +21,8 @@
 open I432
 module K = I432_kernel
 
-type task = { task_name : string }
+(* A task is its 432 process. *)
+type task = Access.t
 
 (* An entry: the request port carries (parameter, reply port) pairs.  The
    pair itself is a 432 object with two access slots, so the whole
@@ -29,7 +30,6 @@ type task = { task_name : string }
 type entry = {
   machine : K.Machine.t;
   request_port : Access.t;
-  entry_name : string;
   mutable calls : int;
   mutable accepts : int;
 }
@@ -42,23 +42,18 @@ type rendezvous = {
 }
 
 let create_task machine ?(priority = 8) ~name body =
-  ignore (K.Machine.spawn machine ~priority ~name body);
-  { task_name = name }
-
-let task_name t = t.task_name
+  K.Machine.spawn machine ~priority ~name body
 
 (* Declare an entry with a bounded call queue. *)
-let create_entry machine ?(queue = 8) ~name () =
+let create_entry machine ?(queue = 8) () =
   {
     machine;
     request_port =
       K.Machine.create_port machine ~capacity:queue ~discipline:K.Port.Fifo ();
-    entry_name = name;
     calls = 0;
     accepts = 0;
   }
 
-let entry_name e = e.entry_name
 let call_count e = e.calls
 let accept_count e = e.accepts
 

@@ -13,12 +13,8 @@ type entry
 val create_task :
   I432_kernel.Machine.t -> ?priority:int -> name:string -> (unit -> unit) -> task
 
-val task_name : task -> string
+val create_entry : I432_kernel.Machine.t -> ?queue:int -> unit -> entry
 
-val create_entry :
-  I432_kernel.Machine.t -> ?queue:int -> name:string -> unit -> entry
-
-val entry_name : entry -> string
 val call_count : entry -> int
 val accept_count : entry -> int
 

@@ -134,7 +134,7 @@ module Nonswapping : S = struct
   let touch t access =
     (* Validity check only: a non-swapping system never has absent
        segments. *)
-    ignore (Object_table.entry_of_access (K.Machine.table t.machine) access)
+    ignore (Object_table.lookup_access (K.Machine.table t.machine) access)
 
   let stats t = t.st
 end
@@ -219,9 +219,10 @@ module Swapping = struct
 
   let note_resident t index =
     let table = K.Machine.table t.machine in
-    let e = Object_table.lookup table index in
-    Vm.Resident_set.insert t.rset ~index ~bytes:e.Object_table.data_length
-      ~level:e.Object_table.level
+    let index = Object_table.lookup table index in
+    Vm.Resident_set.insert t.rset ~index
+      ~bytes:(Object_table.data_length table index)
+      ~level:(Object_table.level table index)
       ~now:(K.Machine.now t.machine)
 
   (* A victim must be resident, valid, non-system, and non-empty — the
@@ -229,11 +230,9 @@ module Swapping = struct
   let evictable t index =
     let table = K.Machine.table t.machine in
     Object_table.is_valid table index
-    &&
-    let e = Object_table.lookup table index in
-    (not e.Object_table.swapped_out)
-    && (not (Obj_type.is_system e.Object_table.otype))
-    && e.Object_table.data_length > 0
+    && (not (Object_table.swapped_out table index))
+    && (not (Obj_type.is_system (Object_table.otype table index)))
+    && Object_table.data_length table index > 0
 
   let pick_victim t ~avoid =
     Vm.Resident_set.pick t.rset ~avoid ~evictable:(evictable t)
@@ -251,33 +250,31 @@ module Swapping = struct
   let swap_out t index =
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
-    let e = Object_table.lookup table index in
+    let index = Object_table.lookup table index in
+    let base = Object_table.base table index
+    and len = Object_table.data_length table index in
     let clean =
-      (not e.Object_table.dirty) && Vm.Swap_device.mem t.dev ~index
+      (not (Object_table.dirty table index)) && Vm.Swap_device.mem t.dev ~index
     in
     if not clean then begin
-      let image =
-        Memory.blit_to_bytes memory ~src_addr:e.Object_table.base
-          ~len:e.Object_table.data_length
-      in
+      let image = Memory.blit_to_bytes memory ~src_addr:base ~len in
       Vm.Swap_device.write t.dev ~index ~now_ns:(K.Machine.now t.machine) image
     end;
     (match Sro.state_of_object table ~index with
     | Some s ->
-      Sro.donate table ~sro_state:s ~base:e.Object_table.base
-        ~length:e.Object_table.data_length
+      Sro.donate table ~sro_state:s ~base ~length:len
     | None -> ());
-    e.Object_table.swapped_out <- true;
-    e.Object_table.dirty <- false;
+    Object_table.set_swapped_out table index true;
+    Object_table.set_dirty table index false;
     Vm.Resident_set.remove t.rset ~index;
     if not clean then K.Machine.charge t.machine swap_out_ns;
     t.st.swap_outs <- t.st.swap_outs + 1;
     match t.obs with
     | Some o ->
       if clean then Obs.Metrics.incr (Lazy.force o.o_clean)
-      else Obs.Metrics.add o.o_bytes_out e.Object_table.data_length;
+      else Obs.Metrics.add o.o_bytes_out len;
       K.Machine.emit t.machine Obs.Event.Swap_out ~name_id:o.o_policy_id
-        ~detail_id:0 ~a:index ~b:e.Object_table.data_length
+        ~detail_id:0 ~a:index ~b:len
     | None -> ()
 
   (* Evict until [sro_state] can supply [size] bytes, or no victims remain. *)
@@ -309,9 +306,9 @@ module Swapping = struct
   let swap_in t index =
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
-    let e = Object_table.lookup table index in
-    if e.Object_table.swapped_out then begin
-      let size = e.Object_table.data_length in
+    let index = Object_table.lookup table index in
+    if Object_table.swapped_out table index then begin
+      let size = Object_table.data_length table index in
       match Sro.state_of_object table ~index with
       | None -> Fault.raise_fault Fault.Sro_destroyed
       | Some s -> (
@@ -329,9 +326,9 @@ module Swapping = struct
              device keeps the original drop-on-swap-in lifetime. *)
           if t.obs = None then
             Vm.Swap_device.drop t.dev ~index ~now_ns:(K.Machine.now t.machine);
-          e.Object_table.base <- base;
-          e.Object_table.swapped_out <- false;
-          e.Object_table.dirty <- false;
+          Object_table.set_base table index base;
+          Object_table.set_swapped_out table index false;
+          Object_table.set_dirty table index false;
           note_resident t index;
           K.Machine.charge t.machine swap_in_ns;
           t.st.swap_ins <- t.st.swap_ins + 1;
@@ -391,38 +388,36 @@ module Swapping = struct
 
   let free t access =
     let table = K.Machine.table t.machine in
-    let e = Object_table.entry_of_access table access in
-    Vm.Resident_set.remove t.rset ~index:e.Object_table.index;
-    if e.Object_table.swapped_out then begin
+    let index = Object_table.lookup_access table access in
+    Vm.Resident_set.remove t.rset ~index;
+    if Object_table.swapped_out table index then begin
       (* The segment is absent, so its image is on the device; release
          the image, and with no physical frame to return, make the
          release a descriptor-only operation. *)
-      Vm.Swap_device.drop t.dev ~index:e.Object_table.index
-        ~now_ns:(K.Machine.now t.machine);
-      e.Object_table.data_length <- 0;
-      e.Object_table.swapped_out <- false
+      Vm.Swap_device.drop t.dev ~index ~now_ns:(K.Machine.now t.machine);
+      Object_table.set_data_length table index 0;
+      Object_table.set_swapped_out table index false
     end
     else
       (* Resident, but an attached device may still retain the image
          kept across swap-in; the index is about to be recycled, so the
          image must not outlive the object. *)
-      invalidate_stale_image t e.Object_table.index;
-    release_to_owner table e.Object_table.index t.st
+      invalidate_stale_image t index;
+    release_to_owner table index t.st
 
   let touch t access =
     let table = K.Machine.table t.machine in
-    let e = Object_table.entry_of_access table access in
-    if e.Object_table.swapped_out then begin
+    let index = Object_table.lookup_access table access in
+    if Object_table.swapped_out table index then begin
       (match t.obs with
       | Some o ->
         Obs.Metrics.incr o.o_faults;
         K.Machine.emit t.machine Obs.Event.Swap_fault ~name_id:0 ~detail_id:0
-          ~a:e.Object_table.index ~b:e.Object_table.data_length
+          ~a:index ~b:(Object_table.data_length table index)
       | None -> ());
-      swap_in t e.Object_table.index
+      swap_in t index
     end;
-    Vm.Resident_set.touch t.rset ~index:e.Object_table.index
-      ~now:(K.Machine.now t.machine)
+    Vm.Resident_set.touch t.rset ~index ~now:(K.Machine.now t.machine)
 
   let stats t = t.st
 end

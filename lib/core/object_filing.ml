@@ -56,20 +56,20 @@ let create machine =
    beyond this paper's scope). *)
 let store t ~key access =
   let table = K.Machine.table t.machine in
-  let e = Object_table.entry_of_access table access in
+  let i = Object_table.lookup_access table access in
   if not (Rights.has_read (Access.rights access)) then
     Fault.raise_fault
       (Fault.Rights_violation { needed = "read"; held = Access.rights access });
   let image =
     K.Machine.read_bytes t.machine access ~offset:0
-      ~len:e.Object_table.data_length
+      ~len:(Object_table.data_length table i)
   in
   Hashtbl.replace t.files key
     {
       image;
-      filed_type = e.Object_table.otype;
-      filed_level = e.Object_table.level;
-      access_length = Array.length e.Object_table.access_part;
+      filed_type = Object_table.otype table i;
+      filed_level = Object_table.level table i;
+      access_length = Array.length (Object_table.access_part table i);
     }
 
 exception Not_filed of string
@@ -89,8 +89,9 @@ let retrieve t ?sro ~key () =
     if Bytes.length f.image > 0 then
       K.Machine.write_bytes t.machine access ~offset:0 f.image;
     (* Restore the hardware type identity. *)
-    let e = Object_table.entry_of_access table access in
-    e.Object_table.otype <- f.filed_type;
+    Object_table.set_otype table
+      (Object_table.lookup_access table access)
+      f.filed_type;
     access
 
 (* Retrieve with a type assertion: the typed channel of §7.2. *)
@@ -119,36 +120,41 @@ let retrieve_as t ?sro ~key ~expected () =
    assigned in discovery order so reconstruction is deterministic. *)
 let capture machine ?(mask = Rights.full) root =
   let table = K.Machine.table machine in
-  let image access (e : Object_table.entry) =
-    K.Machine.read_bytes machine access ~offset:0 ~len:e.Object_table.data_length
+  let image access i =
+    K.Machine.read_bytes machine access ~offset:0
+      ~len:(Object_table.data_length table i)
   in
-  let make_node w_image (e : Object_table.entry) w_edges =
+  let make_node w_image i w_edges =
     {
       w_image;
-      w_type = e.Object_table.otype;
-      w_access_length = Array.length e.Object_table.access_part;
+      w_type = Object_table.otype table i;
+      w_access_length = Array.length (Object_table.access_part table i);
       w_edges;
     }
   in
   let w_root_rights = Rights.restrict (Access.rights root) mask in
-  let root_entry = Object_table.entry_of_access table root in
-  if Array.for_all Option.is_none root_entry.Object_table.access_part then
+  let root_index = Object_table.lookup_access table root in
+  if Array.for_all Option.is_none (Object_table.access_part table root_index)
+  then
     (* A leaf — every request message is one: the walk would find no edge,
        so skip its serial table. *)
-    { w_root_rights; w_nodes = [| make_node (image root root_entry) root_entry [] |] }
+    {
+      w_root_rights;
+      w_nodes = [| make_node (image root root_index) root_index [] |];
+    }
   else begin
     let serial_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let acc : (int * wire_node) list ref = ref [] in
     let count = ref 0 in
     let rec walk access =
-      let e = Object_table.entry_of_access table access in
-      match Hashtbl.find_opt serial_of e.Object_table.index with
+      let i = Object_table.lookup_access table access in
+      match Hashtbl.find_opt serial_of i with
       | Some serial -> serial
       | None ->
         let serial = !count in
         incr count;
-        Hashtbl.add serial_of e.Object_table.index serial;
-        let image = image access e in
+        Hashtbl.add serial_of i serial;
+        let image = image access i in
         (* Reserve our slot in discovery order, then fill edges after the
            children are walked (placeholder updated in place). *)
         let edges = ref [] in
@@ -159,8 +165,8 @@ let capture machine ?(mask = Rights.full) root =
               let rights = Rights.restrict (Access.rights child) mask in
               edges := (slot, walk child, rights) :: !edges
             | None -> ())
-          e.Object_table.access_part;
-        acc := (serial, make_node image e (List.rev !edges)) :: !acc;
+          (Object_table.access_part table i);
+        acc := (serial, make_node image i (List.rev !edges)) :: !acc;
         serial
     in
     let root_serial = walk root in
@@ -186,7 +192,8 @@ let reconstruct machine ?sro wire =
         in
         if Bytes.length node.w_image > 0 then
           K.Machine.write_bytes machine access ~offset:0 node.w_image;
-        (Object_table.entry_of_access table access).Object_table.otype <-
+        Object_table.set_otype table
+          (Object_table.lookup_access table access)
           node.w_type;
         access)
       wire.w_nodes

@@ -244,10 +244,9 @@ let recover_lost_processes t =
         | Some n -> n.live <- false
         | None -> ());
         let table = K.Machine.table t.machine in
-        let e = Object_table.lookup table index in
-        if Object_table.is_valid table e.Object_table.sro then
-          let sro_entry = Object_table.lookup table e.Object_table.sro in
-          match sro_entry.Object_table.payload with
+        let sro = Object_table.sro table (Object_table.lookup table index) in
+        if Object_table.is_valid table sro then
+          match Object_table.payload table sro with
           | Some (Sro.Sro_state s) ->
             Sro.release table ~sro_state:s ~index
           | Some _ | None -> ())

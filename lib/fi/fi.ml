@@ -270,8 +270,8 @@ let check_invariants machine =
     processes;
   let ports = Hashtbl.create 16 in
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (K.Port.Port_state p) -> Hashtbl.replace ports p.K.Port.self p
       | Some _ | None -> ())
     table;

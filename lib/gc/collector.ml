@@ -79,12 +79,12 @@ let stats t = t.stats
 
 let shade t index =
   let table = I432_kernel.Machine.table t.machine in
-  if Object_table.is_valid table index then begin
-    let e = Object_table.lookup table index in
-    if e.Object_table.color = Object_table.White then begin
-      e.Object_table.color <- Object_table.Gray;
-      t.gray_stack <- index :: t.gray_stack
-    end
+  if
+    Object_table.is_valid table index
+    && Object_table.color table index = Object_table.White
+  then begin
+    Object_table.set_color table index Object_table.Gray;
+    t.gray_stack <- index :: t.gray_stack
   end
 
 (* Root scan: registered roots, live processes (access part + shadow
@@ -117,8 +117,8 @@ let scan_roots t =
       end)
     (I432_kernel.Machine.all_processes t.machine);
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (I432_kernel.Port.Port_state p) ->
         I432_kernel.Port.iter_messages
           (fun ~msg ~priority:_ ~seq:_ ~enqueued_at:_ ~txn:_ ->
@@ -136,13 +136,12 @@ let scan_roots t =
 let mark_one t index =
   let table = I432_kernel.Machine.table t.machine in
   if Object_table.is_valid table index then begin
-    let e = Object_table.lookup table index in
     Array.iter
       (function
         | Some a -> shade t (Access.index a)
         | None -> ())
-      e.Object_table.access_part;
-    e.Object_table.color <- Object_table.Black;
+      (Object_table.access_part table index);
+    Object_table.set_color table index Object_table.Black;
     t.stats.marked <- t.stats.marked + 1
   end
 
@@ -152,21 +151,22 @@ let refill_gray t =
   let table = I432_kernel.Machine.table t.machine in
   let found = ref false in
   Object_table.iter_valid
-    (fun e ->
-      if e.Object_table.color = Object_table.Gray then begin
-        t.gray_stack <- e.Object_table.index :: t.gray_stack;
+    (fun i ->
+      if Object_table.color table i = Object_table.Gray then begin
+        t.gray_stack <- i :: t.gray_stack;
         found := true
       end)
     table;
   !found
 
-let collectable t (e : Object_table.entry) =
-  match e.Object_table.otype with
-  | Obj_type.Generic | Obj_type.Custom _ -> e.Object_table.sro >= 0
+let collectable t table i =
+  match Object_table.otype table i with
+  | Obj_type.Generic | Obj_type.Custom _ -> Object_table.sro table i >= 0
   | Obj_type.Process ->
-    t.config.collect_processes && e.Object_table.sro >= 0
+    t.config.collect_processes
+    && Object_table.sro table i >= 0
     &&
-    (match e.Object_table.payload with
+    (match Object_table.payload table i with
     | Some (I432_kernel.Process.Process_state p) -> I432_kernel.Process.is_terminal p
     | Some _ | None -> false)
   | Obj_type.Processor | Obj_type.Port | Obj_type.Dispatching_port
@@ -175,10 +175,10 @@ let collectable t (e : Object_table.entry) =
 
 (* Deliver a dying object to its type's destruction filter port, if any.
    Returns true when the object was filtered (and must not be freed). *)
-let deliver_to_filter t (e : Object_table.entry) =
-  let table = I432_kernel.Machine.table t.machine in
+let deliver_to_filter t table i =
+  let otype = Object_table.otype table i in
   let filter_port =
-    match e.Object_table.otype with
+    match otype with
     | Obj_type.Custom id -> Type_def.filter_port_for_id table ~id
     | Obj_type.Process -> Destruction_filter.process_filter_port table
     | Obj_type.Generic | Obj_type.Processor | Obj_type.Port
@@ -192,25 +192,24 @@ let deliver_to_filter t (e : Object_table.entry) =
     | p when not (I432_kernel.Port.is_full p) ->
       (* Manufacture a full-rights access descriptor for the corpse and send
          it to the type manager (§8.2). *)
-      let corpse = Access.make ~index:e.Object_table.index ~rights:Rights.full in
+      let corpse = Access.make ~index:i ~rights:Rights.full in
       ignore (I432_kernel.Machine.post t.machine p ~msg:corpse ~priority:0 ());
       (* The corpse is reachable again: blacken it for this cycle. *)
-      e.Object_table.color <- Object_table.Black;
+      Object_table.set_color table i Object_table.Black;
       t.stats.filtered <- t.stats.filtered + 1;
-      if Obj_type.equal e.Object_table.otype Obj_type.Process then
+      if Obj_type.equal otype Obj_type.Process then
         t.stats.processes_recovered <- t.stats.processes_recovered + 1;
       true
     | _ -> false
     | exception Fault.Fault _ -> false)
 
 (* Free a white object back to the SRO that created it. *)
-let free_object t (e : Object_table.entry) =
-  let table = I432_kernel.Machine.table t.machine in
-  if Object_table.is_valid table e.Object_table.sro then begin
-    let sro_entry = Object_table.lookup table e.Object_table.sro in
-    match sro_entry.Object_table.payload with
+let free_object t table i =
+  let sro = Object_table.sro table i in
+  if Object_table.is_valid table sro then begin
+    match Object_table.payload table sro with
     | Some (Sro.Sro_state s) ->
-      Sro.release table ~sro_state:s ~index:e.Object_table.index;
+      Sro.release table ~sro_state:s ~index:i;
       t.stats.swept <- t.stats.swept + 1
     | Some _ | None -> ()
   end
@@ -234,7 +233,7 @@ let cycle ?(step = fun () -> ()) t =
     ~name_id:t.daemon_id ~detail_id:0 ~a:0 ~b:0;
   (* Whiten the world. *)
   Object_table.iter_valid
-    (fun e -> e.Object_table.color <- Object_table.White)
+    (fun i -> Object_table.set_color table i Object_table.White)
     table;
   t.gray_stack <- [];
   scan_roots t;
@@ -265,14 +264,14 @@ let cycle ?(step = fun () -> ()) t =
     ~name_id:t.daemon_id ~detail_id:0 ~a:0 ~b:0;
   let victims = ref [] in
   Object_table.iter_valid
-    (fun e ->
-      if e.Object_table.color = Object_table.White && collectable t e then
-        victims := e :: !victims)
+    (fun i ->
+      if Object_table.color table i = Object_table.White && collectable t table i
+      then victims := i :: !victims)
     table;
   List.iter
-    (fun e ->
+    (fun i ->
       I432_kernel.Machine.charge t.machine tm.Timings.gc_sweep_object_ns;
-      if not (deliver_to_filter t e) then free_object t e)
+      if not (deliver_to_filter t table i) then free_object t table i)
     !victims;
   t.stats.sweep_ns <- t.stats.sweep_ns + (I432_kernel.Machine.now t.machine - t1);
   t.stats.cycles <- t.stats.cycles + 1;

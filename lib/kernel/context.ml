@@ -25,8 +25,7 @@ type Object_table.payload += Context_state of t
 
 let state_of table access =
   Segment.check_type table access Obj_type.Context;
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Context_state c) -> c
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "context object has no context state")
@@ -38,12 +37,10 @@ let create table sro_access ~depth ~caller ~slots =
     Sro.allocate table sro_access ~data_length:0 ~access_length:slots
       ~otype:Obj_type.Context
   in
-  let e = Object_table.entry_of_access table access in
-  e.Object_table.level <- depth;
-  e.Object_table.payload <-
-    Some
-      (Context_state
-         { self = e.Object_table.index; depth; caller; live = true });
+  let self = Object_table.lookup_access table access in
+  Object_table.set_level table self depth;
+  Object_table.set_payload table self
+    (Some (Context_state { self; depth; caller; live = true }));
   access
 
 let depth table access = (state_of table access).depth

@@ -23,8 +23,7 @@ type Object_table.payload += Domain_state of t
 
 let state_of table access =
   Segment.check_type table access Obj_type.Domain;
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Domain_state d) -> d
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "domain object has no domain state")
@@ -34,12 +33,12 @@ let create table sro_access ~name =
     Sro.allocate table sro_access ~data_length:0 ~access_length:16
       ~otype:Obj_type.Domain
   in
-  let e = Object_table.entry_of_access table access in
-  e.Object_table.payload <-
-    Some
-      (Domain_state
-         { self = e.Object_table.index; domain_name = name; calls = 0;
-           returns = 0; max_depth = 0; depth = 0 });
+  let self = Object_table.lookup_access table access in
+  Object_table.set_payload table self
+    (Some
+       (Domain_state
+          { self; domain_name = name; calls = 0; returns = 0; max_depth = 0;
+            depth = 0 }));
   access
 
 let name table access = (state_of table access).domain_name

@@ -222,12 +222,12 @@ let create ?(config = default_config) () =
   in
   let processors =
     Array.init config.processors (fun id ->
-        let e =
+        let self =
           Object_table.allocate_entry table ~otype:Obj_type.Processor ~base:0
             ~data_length:0 ~access_length:4 ~level:0 ~sro:(-1)
         in
-        let p = Processor.make ~id ~self:e.Object_table.index in
-        e.Object_table.payload <- Some (Processor.Processor_state p);
+        let p = Processor.make ~id ~self in
+        Object_table.set_payload table self (Some (Processor.Processor_state p));
         p)
   in
   let t =
@@ -598,11 +598,9 @@ let create_port t ?(sro = None) ~capacity ~discipline () =
   let access =
     allocate t sro ~data_length:0 ~access_length:capacity ~otype:Obj_type.Port
   in
-  let e = Object_table.entry_of_access t.table access in
-  e.Object_table.payload <-
-    Some
-      (Port.Port_state
-         (Port.make ~self:e.Object_table.index ~capacity ~discipline));
+  let self = Object_table.lookup_access t.table access in
+  Object_table.set_payload t.table self
+    (Some (Port.Port_state (Port.make ~self ~capacity ~discipline)));
   access
 
 let port_stats t access =
@@ -859,13 +857,13 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
     Sro.allocate t.table sro ~data_length:0 ~access_length:8
       ~otype:Obj_type.Process
   in
-  let e = Object_table.entry_of_access t.table access in
+  let index = Object_table.lookup_access t.table access in
   let proc =
-    Process.create ~index:e.Object_table.index ~ordinal:t.spawned ~name ~daemon
-      ~priority ~system_level body
+    Process.create ~index ~ordinal:t.spawned ~name ~daemon ~priority
+      ~system_level body
   in
   proc.Process.trace_name_id <- string_id t name;
-  e.Object_table.payload <- Some (Process.Process_state proc);
+  Object_table.set_payload t.table index (Some (Process.Process_state proc));
   t.processes <- proc :: t.processes;
   t.spawned <- t.spawned + 1;
   tally t proc 1;
@@ -1157,13 +1155,11 @@ let rec port_conflict recvs sends = function
 let rec write_conflict table = function
   | [] -> None
   | (a, offset, _) :: rest ->
-    let e = Object_table.entry_of_access table a in
-    if not (Rights.has_write (Access.rights a)) then
-      Some (e.Object_table.index, "rights")
-    else if e.Object_table.swapped_out then
-      Some (e.Object_table.index, "swapped")
-    else if offset < 0 || offset + 4 > e.Object_table.data_length then
-      Some (e.Object_table.index, "bounds")
+    let i = Object_table.lookup_access table a in
+    if not (Rights.has_write (Access.rights a)) then Some (i, "rights")
+    else if Object_table.swapped_out table i then Some (i, "swapped")
+    else if offset < 0 || offset + 4 > Object_table.data_length table i then
+      Some (i, "bounds")
     else write_conflict table rest
 
 (* One atomic attempt at a multi-port group, serviced with [in_body =

@@ -123,16 +123,14 @@ let make ~self ~capacity ~discipline =
 (* One table lookup: only a port object carries port state, so the type
    check runs only on the way to a fault. *)
 let state_of table access =
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Port_state p) -> p
   | Some _ | None ->
     Segment.check_type table access Obj_type.Port;
     Fault.raise_fault (Fault.Protocol "port object has no port state")
 
 let state_of_index table index =
-  let e = Object_table.lookup table index in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup table index) with
   | Some (Port_state p) -> p
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "port object has no port state")

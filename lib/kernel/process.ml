@@ -168,15 +168,13 @@ let create ~index ~ordinal ~name ~daemon ~priority ~system_level body =
 
 let state_of table access =
   Segment.check_type table access Obj_type.Process;
-  let e = Object_table.entry_of_access table access in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup_access table access) with
   | Some (Process_state p) -> p
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "process object has no process state")
 
 let state_of_index table index =
-  let e = Object_table.lookup table index in
-  match e.Object_table.payload with
+  match Object_table.payload table (Object_table.lookup table index) with
   | Some (Process_state p) -> p
   | Some _ | None ->
     Fault.raise_fault (Fault.Protocol "process object has no process state")

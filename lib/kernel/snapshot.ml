@@ -93,12 +93,12 @@ let capture machine =
   in
   let ports = ref [] in
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (Port.Port_state p) ->
         ports :=
           {
-            q_index = e.Object_table.index;
+            q_index = i;
             q_capacity = p.Port.capacity;
             q_depth = Port.queue_length p;
             q_sends = p.Port.sends;
@@ -110,15 +110,13 @@ let capture machine =
     table;
   let sros = ref [] in
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (Sro.Sro_state _) ->
-        let access =
-          Access.make ~index:e.Object_table.index ~rights:Rights.full
-        in
+        let access = Access.make ~index:i ~rights:Rights.full in
         sros :=
           {
-            s_index = e.Object_table.index;
+            s_index = i;
             s_level = Sro.level table access;
             s_free_bytes = Sro.free_bytes table access;
             s_largest_free = Sro.largest_free table access;
@@ -130,8 +128,8 @@ let capture machine =
     table;
   let processors = ref [] in
   Object_table.iter_valid
-    (fun e ->
-      match e.Object_table.payload with
+    (fun i ->
+      match Object_table.payload table i with
       | Some (Processor.Processor_state c) ->
         processors :=
           {
@@ -188,18 +186,17 @@ let state_image machine =
   Printf.bprintf buf "state-image/1 now=%d online=%d\n" (Machine.now machine)
     (Machine.online_processors machine);
   Object_table.iter_valid
-    (fun e ->
-      Printf.bprintf buf "obj %d type=%s len=%d alen=%d level=%d sro=%d%s\n"
-        e.Object_table.index
-        (Obj_type.to_string e.Object_table.otype)
-        e.Object_table.data_length
-        (Array.length e.Object_table.access_part)
-        e.Object_table.level e.Object_table.sro
-        (if e.Object_table.swapped_out then " swapped" else "");
-      if e.Object_table.data_length > 0 then begin
+    (fun i ->
+      let len = Object_table.data_length table i in
+      Printf.bprintf buf "obj %d type=%s len=%d alen=%d level=%d sro=%d%s\n" i
+        (Obj_type.to_string (Object_table.otype table i))
+        len
+        (Array.length (Object_table.access_part table i))
+        (Object_table.level table i) (Object_table.sro table i)
+        (if Object_table.swapped_out table i then " swapped" else "");
+      if len > 0 then begin
         let img =
-          Memory.blit_to_bytes mem ~src_addr:e.Object_table.base
-            ~len:e.Object_table.data_length
+          Memory.blit_to_bytes mem ~src_addr:(Object_table.base table i) ~len
         in
         Buffer.add_string buf " data=";
         Bytes.iter (fun c -> Printf.bprintf buf "%02x" (Char.code c)) img;
@@ -210,8 +207,8 @@ let state_image machine =
           match a with
           | None -> ()
           | Some a -> Printf.bprintf buf " ad %d -> %s\n" slot (access_str a))
-        e.Object_table.access_part;
-      match e.Object_table.payload with
+        (Object_table.access_part table i);
+      match Object_table.payload table i with
       | Some (Port.Port_state p) ->
         Printf.bprintf buf
           " port %s cap=%d seq=%d sends=%d recvs=%d blocks=%d/%d maxd=%d \
@@ -270,9 +267,7 @@ let state_image machine =
           (if c.Processor.current < 0 then "-"
            else string_of_int c.Processor.current)
       | Some (Sro.Sro_state _) ->
-        let access =
-          Access.make ~index:e.Object_table.index ~rights:Rights.full
-        in
+        let access = Access.make ~index:i ~rights:Rights.full in
         Printf.bprintf buf " sro level=%d free=%d largest=%d regions=%d live=%d\n"
           (Sro.level table access)
           (Sro.free_bytes table access)

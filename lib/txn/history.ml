@@ -107,8 +107,7 @@ let track t ~name obj =
   if Int_tbl.mem t.by_index index then
     invalid_arg
       ("History.track: object " ^ string_of_int index ^ " already tracked");
-  let e = Object_table.entry_of_access (K.Machine.table t.machine) obj in
-  let len = e.Object_table.data_length in
+  let len = Segment.data_length (K.Machine.table t.machine) obj in
   let base = K.Machine.read_bytes t.machine obj ~offset:0 ~len in
   let h_prefix = prefix name in
   let h_stale = highest_seq t.store h_prefix in

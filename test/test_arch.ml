@@ -58,7 +58,15 @@ let test_access_restrict_chain () =
 
 let test_access_negative_index () =
   Alcotest.check_raises "negative" (Invalid_argument "Access.make: negative index")
-    (fun () -> ignore (Access.make ~index:(-1) ~rights:Rights.full))
+    (fun () -> ignore (Access.make ~index:(-1) ~rights:Rights.full));
+  (* The index shares one word with the rights bits. *)
+  Alcotest.check_raises "past the word"
+    (Invalid_argument "Access.make: index out of range") (fun () ->
+      ignore (Access.make ~index:(Access.max_index + 1) ~rights:Rights.full));
+  let top = Access.make ~index:Access.max_index ~rights:Rights.full in
+  Alcotest.(check int) "largest index kept" Access.max_index (Access.index top);
+  Alcotest.(check bool) "with its rights" true
+    (Rights.equal Rights.full (Access.rights top))
 
 (* ---------------- Object table ---------------- *)
 
@@ -102,15 +110,16 @@ let test_table_data_part_limit () =
 let test_table_shade () =
   let table, _, sro = mk () in
   let a = alloc table sro in
-  let e = Object_table.entry_of_access table a in
+  let e = Object_table.lookup_access table a in
   (* Fresh objects are allocated gray so an in-progress collection cannot
      reclaim them before the mutator roots them. *)
   Alcotest.(check bool) "starts gray (allocate-gray)" true
-    (e.Object_table.color = Object_table.Gray);
+    (Object_table.color table e = Object_table.Gray);
   (* Once whitened (as a collection cycle does), the barrier shades it. *)
-  e.Object_table.color <- Object_table.White;
+  Object_table.set_color table e Object_table.White;
   Object_table.shade table (Access.index a);
-  Alcotest.(check bool) "now gray" true (e.Object_table.color = Object_table.Gray);
+  Alcotest.(check bool) "now gray" true
+    (Object_table.color table e = Object_table.Gray);
   Alcotest.(check int) "one barrier shade" 1 (Object_table.barrier_shades table)
 
 (* ---------------- Segments ---------------- *)
@@ -220,13 +229,13 @@ let test_store_access_runs_barrier () =
   let a = alloc table sro in
   let b = alloc table sro in
   (* Whiten the target first, as a collection cycle would. *)
-  let eb = Object_table.entry_of_access table b in
-  eb.Object_table.color <- Object_table.White;
+  let eb = Object_table.lookup_access table b in
+  Object_table.set_color table eb Object_table.White;
   let before = Object_table.barrier_shades table in
   Segment.store_access table a ~slot:0 (Some b);
   Alcotest.(check int) "barrier ran" (before + 1) (Object_table.barrier_shades table);
   Alcotest.(check bool) "target shaded" true
-    (eb.Object_table.color = Object_table.Gray)
+    (Object_table.color table eb = Object_table.Gray)
 
 let test_check_type () =
   let table, _, sro = mk () in
@@ -239,7 +248,7 @@ let test_check_type () =
 let test_swapped_out_faults () =
   let table, memory, sro = mk () in
   let a = alloc table sro in
-  (Object_table.entry_of_access table a).Object_table.swapped_out <- true;
+  Object_table.set_swapped_out table (Object_table.lookup_access table a) true;
   expect_fault "absent segment"
     (function Fault.Segment_swapped_out _ -> true | _ -> false)
     (fun () -> Segment.read_u8 table memory a ~offset:0)

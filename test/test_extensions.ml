@@ -164,7 +164,7 @@ let test_fault_port_requires_port () =
 let test_rendezvous_roundtrip () =
   let sys = boot () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"double" () in
+  let e = Ada_tasks.create_entry m () in
   ignore
     (Ada_tasks.create_task m ~name:"server" (fun () ->
          Ada_tasks.accept e ~body:(fun parameter ->
@@ -189,7 +189,7 @@ let test_rendezvous_caller_blocks_until_reply () =
      caller's completion time must reflect it. *)
   let sys = boot ~processors:2 () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"slow" () in
+  let e = Ada_tasks.create_entry m () in
   let order = ref [] in
   ignore
     (Ada_tasks.create_task m ~name:"server" (fun () ->
@@ -209,7 +209,7 @@ let test_rendezvous_caller_blocks_until_reply () =
 let test_rendezvous_fifo_service () =
   let sys = boot () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"entry" () in
+  let e = Ada_tasks.create_entry m () in
   let served = ref [] in
   ignore
     (Ada_tasks.create_task m ~name:"server" ~priority:1 (fun () ->
@@ -233,7 +233,7 @@ let test_rendezvous_fifo_service () =
 let test_try_accept_else_branch () =
   let sys = boot () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"entry" () in
+  let e = Ada_tasks.create_entry m () in
   let took_else = ref false in
   ignore
     (Ada_tasks.create_task m ~name:"server" (fun () ->
@@ -245,8 +245,8 @@ let test_try_accept_else_branch () =
 let test_select_two_entries () =
   let sys = boot () in
   let m = System.machine sys in
-  let a = Ada_tasks.create_entry m ~name:"a" () in
-  let b = Ada_tasks.create_entry m ~name:"b" () in
+  let a = Ada_tasks.create_entry m () in
+  let b = Ada_tasks.create_entry m () in
   let hits = ref [] in
   ignore
     (Ada_tasks.create_task m ~name:"server" ~priority:1 (fun () ->
@@ -275,7 +275,7 @@ let test_select_two_entries () =
 let test_select_timeout () =
   let sys = boot () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"never" () in
+  let e = Ada_tasks.create_entry m () in
   let result = ref true in
   ignore
     (Ada_tasks.create_task m ~name:"server" (fun () ->
@@ -447,7 +447,7 @@ let test_levels_async_notify () =
 let test_levels_sync_call_guard () =
   let sys = boot () in
   let m = System.machine sys in
-  let e = Ada_tasks.create_entry m ~name:"service" () in
+  let e = Ada_tasks.create_entry m () in
   let refused = ref false in
   ignore
     (Levels.spawn m ~level:Levels.Level2 ~name:"caller" (fun () ->

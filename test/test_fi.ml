@@ -147,8 +147,8 @@ let test_send_timeout_accepted () =
     (let table = K.Machine.table m in
      let left = ref 0 in
      Object_table.iter_valid
-       (fun e ->
-         match e.Object_table.payload with
+       (fun i ->
+         match Object_table.payload table i with
          | Some (K.Port.Port_state p) -> left := !left + K.Port.queue_length p
          | Some _ | None -> ())
        table;

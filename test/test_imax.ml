@@ -413,8 +413,9 @@ let test_mm_swapping_preserves_content () =
           ~otype:Obj_type.Generic)
   in
   let table = K.Machine.table m in
-  let e = Object_table.entry_of_access table first in
-  Alcotest.(check bool) "was swapped out" true e.Object_table.swapped_out;
+  let e = Object_table.lookup_access table first in
+  Alcotest.(check bool) "was swapped out" true
+    (Object_table.swapped_out table e);
   (* Touch to bring it back and verify content. *)
   System.mm_touch sys first;
   let got = ref 0 in

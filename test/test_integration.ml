@@ -34,7 +34,7 @@ let test_everything_at_once () =
 
   (* IPC fabric: a work port and an Ada entry. *)
   let work = Untyped_ports.create_port m ~message_count:8 () in
-  let entry = Ada_tasks.create_entry m ~name:"service" () in
+  let entry = Ada_tasks.create_entry m () in
 
   (* Users under fair-share accounting. *)
   let alice = Scheduler.add_group sched "alice" in

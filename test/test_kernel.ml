@@ -1134,8 +1134,8 @@ let test_spawn_from_local_sro () =
   let p = K.Machine.spawn m ~name:"local" ~sro (fun () -> incr hits) in
   let _ = run m in
   Alcotest.(check int) "ran" 1 !hits;
-  let e = Object_table.entry_of_access (K.Machine.table m) p in
-  Alcotest.(check int) "process object at SRO's level" 1 e.Object_table.level
+  Alcotest.(check int) "process object at SRO's level" 1
+    (Segment.level (K.Machine.table m) p)
 
 let test_trace_records_lifecycle () =
   let m =

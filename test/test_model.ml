@@ -511,8 +511,8 @@ let prop_sro_live_lists_match_model =
         if index < 0 then []
         else
           let e = Object_table.lookup table index in
-          if e.Object_table.sro_prev <> prev then [ -2 ]
-          else index :: linked index e.Object_table.sro_next
+          if Object_table.sro_prev table e <> prev then [ -2 ]
+          else index :: linked index (Object_table.sro_next table e)
       in
       let agrees () =
         List.for_all
@@ -521,7 +521,7 @@ let prop_sro_live_lists_match_model =
             linked (-1) (match m.objects with i :: _ -> i | [] -> -1) = m.objects
             && Sro.live_objects table m.access = List.length m.objects
             && List.for_all
-                 (fun i -> (Object_table.lookup table i).Object_table.sro = self)
+                 (fun i -> Object_table.sro table (Object_table.lookup table i) = self)
                  m.objects)
           (Model_sro.live_sros root)
       in
@@ -982,6 +982,403 @@ let prop_prng_matches_seed =
       in
       go 0)
 
+(* ------------------------------------------------------------------ *)
+(* Object table columns vs the seed's table of descriptor records      *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed's table: one mutable record per descriptor, [vacant] in every
+   free slot, an [int list] free list, and an array doubled to grow. *)
+module Seed_table = struct
+  type entry = {
+    mutable valid : bool;
+    mutable otype : Obj_type.t;
+    mutable base : int;
+    mutable data_length : int;
+    mutable access_part : Access.t option array;
+    mutable level : int;
+    mutable color : Object_table.color;
+    mutable sro : int;
+    mutable swapped_out : bool;
+    mutable dirty : bool;
+    mutable payload : Object_table.payload option;
+    mutable sro_prev : int;
+    mutable sro_next : int;
+  }
+
+  type t = {
+    mutable entries : entry array;
+    mutable free : int list;
+    mutable next : int;
+    mutable live : int;
+    mutable shades : int;
+  }
+
+  let vacant =
+    {
+      valid = false;
+      otype = Obj_type.Generic;
+      base = 0;
+      data_length = 0;
+      access_part = [||];
+      level = 0;
+      color = Object_table.White;
+      sro = -1;
+      swapped_out = false;
+      dirty = false;
+      payload = None;
+      sro_prev = -1;
+      sro_next = -1;
+    }
+
+  let create initial_capacity =
+    {
+      entries = Array.make initial_capacity vacant;
+      free = [];
+      next = 0;
+      live = 0;
+      shades = 0;
+    }
+
+  let is_valid t i = i >= 0 && i < Array.length t.entries && t.entries.(i).valid
+
+  let lookup t i =
+    if is_valid t i then t.entries.(i)
+    else Fault.raise_fault (Fault.Invalid_descriptor i)
+
+  let allocate t ~otype ~base ~data_length ~access_length ~level ~sro =
+    if data_length < 0 || data_length > 0x10000 then
+      invalid_arg "Object_table: data part exceeds 64K";
+    if access_length < 0 || access_length > Object_table.max_access_length
+    then invalid_arg "Object_table: access part too large";
+    let index =
+      match t.free with
+      | i :: rest ->
+        t.free <- rest;
+        i
+      | [] ->
+        if t.next >= Array.length t.entries then begin
+          let n = Array.length t.entries in
+          let bigger = Array.make (2 * n) vacant in
+          Array.blit t.entries 0 bigger 0 n;
+          t.entries <- bigger
+        end;
+        t.next <- t.next + 1;
+        t.next - 1
+    in
+    t.entries.(index) <-
+      {
+        vacant with
+        valid = true;
+        otype;
+        base;
+        data_length;
+        access_part =
+          (if access_length = 0 then [||] else Array.make access_length None);
+        level;
+        color = Object_table.Gray;
+        sro;
+      };
+    t.live <- t.live + 1;
+    index
+
+  let free t i =
+    let e = lookup t i in
+    e.valid <- false;
+    t.entries.(i) <- vacant;
+    t.free <- i :: t.free;
+    t.live <- t.live - 1
+
+  let shade t i =
+    if is_valid t i && t.entries.(i).color = Object_table.White then begin
+      t.entries.(i).color <- Object_table.Gray;
+      t.shades <- t.shades + 1
+    end
+
+  let valid_indices t =
+    List.filter (is_valid t) (List.init (Array.length t.entries) Fun.id)
+end
+
+type Object_table.payload += Model_payload of int
+
+type table_op =
+  | T_alloc of Obj_type.t * int * int * int * int * int
+      (** otype, data length, access length, level, base, sro *)
+  | T_free of int
+  | T_shade of int
+  | T_color of int * Object_table.color
+  | T_swapped of int * bool
+  | T_dirty of int * bool
+  | T_base of int * int
+  | T_length of int * int
+  | T_otype of int * Obj_type.t
+  | T_level of int * int
+  | T_payload of int * int option
+  | T_links of int * int * int
+  | T_store of int * int * int  (** index, slot, stored index *)
+
+let otype_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          oneofl
+            Obj_type.
+              [
+                Generic; Processor; Process; Port; Dispatching_port;
+                Storage_resource; Domain; Context; Type_definition;
+              ] );
+        (2, map (fun id -> Obj_type.Custom id) (int_range 0 1000));
+        (* Up to the largest id a descriptor holds, 2^34 - 10. *)
+        (2, map (fun id -> Obj_type.Custom id) (int_range 0 ((1 lsl 34) - 10)));
+      ])
+
+let table_op_gen =
+  QCheck2.Gen.(
+    let index = int_range (-1) 40 in
+    frequency
+      [
+        ( 8,
+          map
+            (fun (otype, (len, alen), (level, base, sro)) ->
+              T_alloc (otype, len, alen, level, base, sro))
+            (triple otype_gen
+               (pair
+                  (frequency
+                     [ (8, int_range 0 64); (1, oneofl [ 0x10000; 0x10001; -1 ]) ])
+                  (frequency [ (3, return 0); (2, int_range 1 6) ]))
+               (triple
+                  (oneof [ int_range 0 9; int_range 0 ((1 lsl 24) - 1) ])
+                  (int_range 0 (1 lsl 40))
+                  (int_range (-1) 40))) );
+        (3, map (fun i -> T_free i) index);
+        (2, map (fun i -> T_shade i) index);
+        ( 2,
+          map2
+            (fun i c -> T_color (i, c))
+            index
+            (oneofl Object_table.[ White; Gray; Black ]) );
+        (2, map2 (fun i b -> T_swapped (i, b)) index bool);
+        (2, map2 (fun i b -> T_dirty (i, b)) index bool);
+        (1, map2 (fun i b -> T_base (i, b)) index (int_range 0 (1 lsl 40)));
+        (1, map2 (fun i l -> T_length (i, l)) index (int_range 0 0x10000));
+        (1, map2 (fun i o -> T_otype (i, o)) index otype_gen);
+        (1, map2 (fun i l -> T_level (i, l)) index (int_range 0 ((1 lsl 24) - 1)));
+        (2, map2 (fun i p -> T_payload (i, p)) index (opt nat));
+        (2, map3 (fun i p n -> T_links (i, p, n)) index index index);
+        (2, map3 (fun i s j -> T_store (i, s, j)) index (int_range 0 6) index);
+      ])
+
+(* An outcome either side can produce: a value, a fault or an invalid
+   argument, compared as text. *)
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Fault.Fault cause -> "fault: " ^ Fault.to_string cause
+  | exception Invalid_argument msg -> "invalid: " ^ msg
+
+let apply_table_op t (m : Seed_table.t) op =
+  let both f g = (outcome f, outcome g) in
+  let set i col seed =
+    both
+      (fun () -> col (Object_table.lookup t i))
+      (fun () -> seed (Seed_table.lookup m i))
+  in
+  match op with
+  | T_alloc (otype, data_length, access_length, level, base, sro) ->
+    let i = ref (-1) and j = ref (-2) in
+    let r =
+      both
+        (fun () ->
+          i :=
+            Object_table.allocate_entry t ~otype ~base ~data_length
+              ~access_length ~level ~sro)
+        (fun () ->
+          j :=
+            Seed_table.allocate m ~otype ~base ~data_length ~access_length
+              ~level ~sro)
+    in
+    (r, !i = !j || fst r <> "ok")
+  | T_free i ->
+    (both (fun () -> Object_table.free_entry t i) (fun () -> Seed_table.free m i), true)
+  | T_shade i ->
+    (both (fun () -> Object_table.shade t i) (fun () -> Seed_table.shade m i), true)
+  | T_color (i, c) ->
+    (set i (fun i -> Object_table.set_color t i c) (fun e -> e.color <- c), true)
+  | T_swapped (i, b) ->
+    ( set i (fun i -> Object_table.set_swapped_out t i b) (fun e -> e.swapped_out <- b),
+      true )
+  | T_dirty (i, b) ->
+    (set i (fun i -> Object_table.set_dirty t i b) (fun e -> e.dirty <- b), true)
+  | T_base (i, b) ->
+    (set i (fun i -> Object_table.set_base t i b) (fun e -> e.base <- b), true)
+  | T_length (i, l) ->
+    ( set i (fun i -> Object_table.set_data_length t i l) (fun e -> e.data_length <- l),
+      true )
+  | T_otype (i, o) ->
+    (set i (fun i -> Object_table.set_otype t i o) (fun e -> e.otype <- o), true)
+  | T_level (i, l) ->
+    (set i (fun i -> Object_table.set_level t i l) (fun e -> e.level <- l), true)
+  | T_payload (i, p) ->
+    let p = Option.map (fun n -> Model_payload n) p in
+    (set i (fun i -> Object_table.set_payload t i p) (fun e -> e.payload <- p), true)
+  | T_links (i, prev, next) ->
+    ( set i
+        (fun i ->
+          Object_table.set_sro_prev t i prev;
+          Object_table.set_sro_next t i next)
+        (fun e ->
+          e.sro_prev <- prev;
+          e.sro_next <- next),
+      true )
+  | T_store (i, slot, j) ->
+    let store part =
+      if slot < Array.length part then
+        part.(slot) <- Some (Access.make ~index:j ~rights:Rights.read_only)
+    in
+    if j < 0 then (("skip", "skip"), true)
+    else
+      ( set i
+          (fun i -> store (Object_table.access_part t i))
+          (fun e -> store e.access_part),
+        true )
+
+(* Every field of every index the tables ever handed out, validity and
+   the lookup fault past them, the counts and the walk order. *)
+let same_tables t (m : Seed_table.t) =
+  let fields_agree i =
+    let e = m.entries.(i) in
+    Object_table.is_valid t i = e.valid
+    && Obj_type.equal (Object_table.otype t i) e.otype
+    && Object_table.has_otype t i e.otype
+    && Object_table.base t i = e.base
+    && Object_table.data_length t i = e.data_length
+    && Object_table.access_part t i = e.access_part
+    && Object_table.level t i = e.level
+    && Object_table.color t i = e.color
+    && Object_table.sro t i = e.sro
+    && Object_table.swapped_out t i = e.swapped_out
+    && Object_table.dirty t i = e.dirty
+    && Object_table.payload t i = e.payload
+    && Object_table.sro_prev t i = e.sro_prev
+    && Object_table.sro_next t i = e.sro_next
+  in
+  let lookups_agree i =
+    outcome (fun () -> ignore (Object_table.lookup t i))
+    = outcome (fun () -> ignore (Seed_table.lookup m i))
+  in
+  let walk = ref [] in
+  Object_table.iter_valid (fun i -> walk := i :: !walk) t;
+  let capacity = Array.length m.entries in
+  Object_table.count_valid t = m.live
+  && Object_table.capacity t = capacity
+  && Object_table.barrier_shades t = m.shades
+  && List.rev !walk = Seed_table.valid_indices m
+  && List.for_all fields_agree (List.init m.next Fun.id)
+  && List.for_all lookups_agree (List.init (capacity + 2) (fun i -> i - 1))
+
+let print_table_op op =
+  let b = string_of_bool and i = string_of_int in
+  let c = function
+    | Object_table.White -> "white"
+    | Object_table.Gray -> "gray"
+    | Object_table.Black -> "black"
+  in
+  match op with
+  | T_alloc (o, len, alen, level, base, sro) ->
+    Printf.sprintf "alloc %s len=%d alen=%d level=%d base=%d sro=%d"
+      (Obj_type.to_string o) len alen level base sro
+  | T_free n -> "free " ^ i n
+  | T_shade n -> "shade " ^ i n
+  | T_color (n, col) -> Printf.sprintf "color %d %s" n (c col)
+  | T_swapped (n, v) -> Printf.sprintf "swapped %d %s" n (b v)
+  | T_dirty (n, v) -> Printf.sprintf "dirty %d %s" n (b v)
+  | T_base (n, v) -> Printf.sprintf "base %d %d" n v
+  | T_length (n, v) -> Printf.sprintf "length %d %d" n v
+  | T_otype (n, o) -> Printf.sprintf "otype %d %s" n (Obj_type.to_string o)
+  | T_level (n, v) -> Printf.sprintf "level %d %d" n v
+  | T_payload (n, p) ->
+    Printf.sprintf "payload %d %s" n
+      (match p with None -> "none" | Some v -> i v)
+  | T_links (n, p, q) -> Printf.sprintf "links %d %d %d" n p q
+  | T_store (n, s, j) -> Printf.sprintf "store %d[%d] <- %d" n s j
+
+let prop_table_columns_match_records =
+  QCheck2.Test.make ~name:"object table columns = seed descriptor records"
+    ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+    QCheck2.Gen.(list_size (int_range 1 150) table_op_gen)
+    (fun script ->
+      let t = Object_table.create ~initial_capacity:4 () in
+      let m = Seed_table.create 4 in
+      List.for_all
+        (fun op ->
+          let (col, seed), same_index = apply_table_op t m op in
+          col = seed && same_index && same_tables t m)
+        script)
+
+(* ------------------------------------------------------------------ *)
+(* The one-word access descriptor vs the seed's record                 *)
+(* ------------------------------------------------------------------ *)
+
+module Seed_access = struct
+  type t = { index : int; rights : Rights.t }
+
+  let make ~index ~rights =
+    if index < 0 then invalid_arg "Access.make: negative index";
+    { index; rights }
+
+  let restrict t rights = { t with rights = Rights.restrict t.rights rights }
+  let read_only t = restrict t Rights.read_only
+
+  let without_type_right t bit =
+    { t with rights = Rights.remove_type_right t.rights bit }
+
+  let equal a b = a.index = b.index && Rights.equal a.rights b.rights
+
+  let to_string t =
+    Printf.sprintf "#%d[%s]" t.index (Rights.to_string t.rights)
+end
+
+let prop_access_word_matches_record =
+  let index =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 1000;
+          int_range 0 Access.max_index;
+          map (fun d -> Access.max_index - d) (int_range 0 1000);
+        ])
+  in
+  let rights = QCheck2.Gen.oneofl (List.init 32 Rights.of_bits) in
+  QCheck2.Test.make ~name:"access word = seed access record" ~count:1000
+    QCheck2.Gen.(
+      pair (triple index rights rights)
+        (triple index rights (oneofl [ 0; 1; 2; 4; 7; 8; -1 ])))
+    (fun ((i, r, r'), (j, s, bit)) ->
+      let a = Access.make ~index:i ~rights:r
+      and sa = Seed_access.make ~index:i ~rights:r
+      and b = Access.make ~index:j ~rights:s
+      and sb = Seed_access.make ~index:j ~rights:s in
+      let agree x (sx : Seed_access.t) =
+        Access.index x = sx.Seed_access.index
+        && Access.rights x = sx.Seed_access.rights
+        && Access.to_string x = Seed_access.to_string sx
+      in
+      let sign n = compare n 0 in
+      (* Same index, other rights: the order falls to the rights bits. *)
+      let c = Access.make ~index:i ~rights:s
+      and sc = Seed_access.make ~index:i ~rights:s in
+      agree a sa && agree b sb
+      && agree (Access.restrict a r') (Seed_access.restrict sa r')
+      && agree (Access.read_only a) (Seed_access.read_only sa)
+      && agree (Access.without_type_right a bit)
+           (Seed_access.without_type_right sa bit)
+      && Access.equal a b = Seed_access.equal sa sb
+      && Access.equal a c = Seed_access.equal sa sc
+      && sign (compare a b) = sign (compare sa sb)
+      && sign (compare a c) = sign (compare sa sc)
+      && Rights.of_bits (Rights.to_bits r) = r)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pqueue_matches_sorted_list;
@@ -994,4 +1391,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_timers_match_model;
     QCheck_alcotest.to_alcotest prop_prng_matches_seed;
     QCheck_alcotest.to_alcotest prop_memory_pages_match_flat;
+    QCheck_alcotest.to_alcotest prop_table_columns_match_records;
+    QCheck_alcotest.to_alcotest prop_access_word_matches_record;
   ]

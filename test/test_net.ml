@@ -81,9 +81,7 @@ let test_wire_rights_mask () =
   Alcotest.(check bool) "leaf write stripped" false
     (Rights.has_write (Access.rights leaf'));
   Alcotest.(check int) "leaf slots kept" 3
-    (Array.length
-       (Object_table.entry_of_access (K.Machine.table dst) leaf')
-         .Object_table.access_part);
+    (Segment.access_length (K.Machine.table dst) leaf');
   Alcotest.(check int) "leaf data crossed" 55
     (K.Machine.read_word dst leaf' ~offset:0)
 
@@ -100,12 +98,11 @@ let test_wire_sealed_instance () =
   let wire = Filing.capture src root in
   let root' = Filing.reconstruct dst wire in
   let inst' = Option.get (K.Machine.load_access dst root' ~slot:0) in
-  let e = Object_table.entry_of_access table inst in
-  let e' = Object_table.entry_of_access (K.Machine.table dst) inst' in
+  let otype' = Segment.otype (K.Machine.table dst) inst' in
   Alcotest.(check bool) "seal crossed intact" true
-    (e.Object_table.otype = e'.Object_table.otype);
+    (Segment.otype table inst = otype');
   Alcotest.(check bool) "still a sealed custom type" true
-    (match e'.Object_table.otype with Obj_type.Custom _ -> true | _ -> false)
+    (match otype' with Obj_type.Custom _ -> true | _ -> false)
 
 (* qcheck: random DAG-with-back-edges graphs reconstruct isomorphic — same
    canonical (discovery-order) walk on both machines. *)

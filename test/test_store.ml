@@ -481,9 +481,10 @@ let test_store_retrieve_graph () =
       Alcotest.(check bool) "isomorphic after disk round trip" true
         (canonical_walk src root = canonical_walk dst root');
       let inst' = Option.get (K.Machine.load_access dst root' ~slot:2) in
-      let e' = Object_table.entry_of_access (K.Machine.table dst) inst' in
       Alcotest.(check bool) "seal survived the disk" true
-        (match e'.Object_table.otype with Obj_type.Custom _ -> true | _ -> false);
+        (match Segment.otype (K.Machine.table dst) inst' with
+        | Obj_type.Custom _ -> true
+        | _ -> false);
       Alcotest.check_raises "unknown key" (Filing.Not_filed "nope") (fun () ->
           ignore (Store.retrieve_graph store dst ~key:"nope" ())))
 

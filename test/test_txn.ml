@@ -655,8 +655,11 @@ let gc_case ~capacities ~targets ~setup ~groups =
        (Array.to_list
           (Array.mapi
              (fun i a ->
-               let e = I432.Object_table.entry_of_access (K.Machine.table m) a in
-               if e.I432.Object_table.swapped_out then Printf.sprintf "w%d=out" i
+               let table = K.Machine.table m in
+               if
+                 I432.Object_table.swapped_out table
+                   (I432.Object_table.lookup_access table a)
+               then Printf.sprintf "w%d=out" i
                else Printf.sprintf "w%d=%d" i (word a))
              targets)))
     (count "txn.commits") (count "txn.conflicts") (count "txn.dup_drops")
@@ -701,8 +704,10 @@ let gc_cases =
     ( "swapped",
       [], 1,
       (fun e ->
-        (I432.Object_table.entry_of_access (K.Machine.table e.gm) e.targets.(0))
-          .I432.Object_table.swapped_out <- true),
+        let table = K.Machine.table e.gm in
+        I432.Object_table.set_swapped_out table
+          (I432.Object_table.lookup_access table e.targets.(0))
+          true),
       fun e -> [ group ~writes:[ (e.targets.(0), 0, 7) ] () ] );
     ( "bounds",
       [], 1, no_setup,
@@ -925,8 +930,9 @@ let machine_view (c : Ref_kernel.case) =
          (fun (t : Ref_kernel.target) ->
            let a = K.Machine.allocate_generic m ~data_length:8 () in
            if t.swapped then
-             (I432.Object_table.entry_of_access table a)
-               .I432.Object_table.swapped_out <- true;
+             I432.Object_table.set_swapped_out table
+               (I432.Object_table.lookup_access table a)
+               true;
            if t.writable then a else read_only a)
          c.targets)
   in

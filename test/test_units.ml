@@ -260,8 +260,7 @@ let prop_filing_isomorphism =
             let a =
               K.Machine.allocate_generic m ~data_length:8 ~access_length:8 ()
             in
-            (Object_table.entry_of_access table a).Object_table.base
-            |> ignore;
+            ignore (Object_table.lookup_access table a);
             K.Machine.write_bytes m a ~offset:0
               (Bytes.make 8 (Char.chr (65 + i)));
             a)
@@ -283,21 +282,24 @@ let prop_filing_isomorphism =
         | Some mapped -> mapped = Access.index b
         | None ->
           Hashtbl.add visited (Access.index a) (Access.index b);
-          let ea = Object_table.entry_of_access table a in
-          let eb = Object_table.entry_of_access table b in
-          ea.Object_table.data_length = eb.Object_table.data_length
+          let len_a = Segment.data_length table a
+          and len_b = Segment.data_length table b in
+          let part x =
+            Object_table.access_part table (Object_table.lookup_access table x)
+          in
+          len_a = len_b
           && Access.index a <> Access.index b
           && Segment.read_bytes table (K.Machine.memory m) a ~offset:0
-               ~len:ea.Object_table.data_length
+               ~len:len_a
              = Segment.read_bytes table (K.Machine.memory m) b ~offset:0
-                 ~len:eb.Object_table.data_length
+                 ~len:len_b
           && Array.for_all2
                (fun sa sb ->
                  match sa, sb with
                  | None, None -> true
                  | Some ca, Some cb -> compare_nodes ca cb
                  | Some _, None | None, Some _ -> false)
-               ea.Object_table.access_part eb.Object_table.access_part
+               (part a) (part b)
       in
       compare_nodes nodes.(0) root')
 

@@ -150,7 +150,9 @@ let test_manager_level_aware () =
     (MM.Swapping.resident_bytes mm);
   (* ...and the next admission still evicts it first. *)
   let _d0 = alloc_global () in
-  let swapped a = (Object_table.entry_of_access table a).Object_table.swapped_out in
+  let swapped a =
+    Object_table.swapped_out table (Object_table.lookup_access table a)
+  in
   Alcotest.(check bool) "level-2 segment went out" true (swapped b2);
   Alcotest.(check bool) "level-0 stayed" false (swapped a0);
   Alcotest.(check int) "one eviction" 1 (MM.Swapping.stats mm).MM.swap_outs;

@@ -35,18 +35,18 @@ let canonical_walk m root =
       let serial = !count in
       incr count;
       Hashtbl.add seen idx serial;
-      let e = I432.Object_table.entry_of_access table access in
+      let e = I432.Object_table.lookup_access table access in
       out :=
         `Node
           ( serial,
             K.Machine.read_bytes m access ~offset:0
-              ~len:e.I432.Object_table.data_length,
+              ~len:(I432.Object_table.data_length table e),
             I432.Access.rights access,
-            e.I432.Object_table.otype )
+            I432.Object_table.otype table e )
         :: !out;
       Array.iter
         (function Some child -> go child | None -> out := `Hole :: !out)
-        e.I432.Object_table.access_part
+        (I432.Object_table.access_part table e)
   in
   go root;
   List.rev !out
