@@ -70,6 +70,14 @@
    system objects.  One record per descriptor in an array doubled to
    grow read 17.15 and 16.70.
 
+   [trace_slot_words]: the host words a traced machine's trace ring
+   takes per retained event, bounded at its reading of 4.0 — ts, a, b
+   and one meta word packing kind, cpu, name id and detail id.  It is
+   the difference between the tracers of two traced machines whose rings
+   hold twice and once the default 32,768 slots, over 32,768, so the
+   intern pool and the tracer's own fields cancel.  Seven-int slots read
+   7.0.
+
    Under all of these, the syscall probes price the kernel seam itself:
    the words one [yield], one [delay] and one send/receive round trip
    (two sends, two receives between two processes), one queued message
@@ -229,6 +237,24 @@ let descriptor_words m =
   float_of_int (Obj.reachable_words (Obj.repr table))
   /. float_of_int (I432.Object_table.count_valid table)
 
+(* Host words per trace slot: see the header. *)
+let trace_slot_words () =
+  let tracer_words trace_capacity =
+    let m =
+      K.Machine.create
+        ~config:
+          {
+            K.Machine.default_config with
+            trace_level = I432_obs.Tracer.Events;
+            trace_capacity;
+          }
+        ()
+    in
+    Obj.reachable_words (Obj.repr (K.Machine.tracer m))
+  in
+  let c = I432_obs.Tracer.default_capacity in
+  float_of_int (tracer_words (2 * c) - tracer_words c) /. float_of_int c
+
 let measure ~smoke =
   let spec = spec ~smoke in
   let run ?trace_level workers () =
@@ -336,6 +362,7 @@ let measure ~smoke =
         ~bound:(At_most (if smoke then 163_840.0 else 1_286_144.0));
       v "descriptor_words" "words" descriptor_words
         ~bound:(At_most (if smoke then 7.7 else 7.2));
+      v "trace_slot_words" "words" (trace_slot_words ()) ~bound:(At_most 4.0);
     ]
   @ List.map2
       (fun (node, m) bound ->

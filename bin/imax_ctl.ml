@@ -56,12 +56,12 @@ let machines_trace machines () =
   | [ (_, m) ] ->
     Obs.Export.chrome_trace
       ~processors:(K.Machine.processor_count m)
-      (K.Machine.events m)
+      (K.Machine.tracer m)
   | machines ->
     Obs.Export.chrome_trace_cluster
       (List.map
          (fun (name, m) ->
-           (name, K.Machine.processor_count m, K.Machine.events m))
+           (name, K.Machine.processor_count m, K.Machine.tracer m))
          machines)
 
 (* ---------------- shared flags ---------------- *)
@@ -396,8 +396,9 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
   print_report report;
   if dump then List.iter print_endline (Scenario.event_lines m);
   if legacy then
-    List.iter print_endline
-      (List.filter_map Obs.Event.legacy_line (K.Machine.events m));
+    Obs.Tracer.iter tracer (fun seq ->
+        Option.iter print_endline
+          (Obs.Event.legacy_line (Obs.Tracer.event tracer seq)));
   write_chrome chrome_out (machines_trace [ ("", m) ]);
   maybe_snapshot snapshot m
 
@@ -512,11 +513,9 @@ let scenario_chaos config snapshot seed clients jobs faults chrome_out check =
     (K.Machine.online_processors m)
     (K.Machine.processor_count m);
   print_endline "recovery log:";
-  List.iter
-    (fun (e : Obs.Event.t) ->
-      if chaos_event_kind e.Obs.Event.kind then
-        Printf.printf "  %s\n" (Obs.Event.to_string e))
-    (K.Machine.events m);
+  let tracer = K.Machine.tracer m in
+  Obs.Tracer.iter ~kinds:(Obs.Tracer.kinds chaos_event_kind) tracer (fun seq ->
+      Printf.printf "  %s\n" (Obs.Event.to_string (Obs.Tracer.event tracer seq)));
   print_report report;
   (match Fi.check_invariants m with
   | [] -> print_endline "invariants: ok"
@@ -932,7 +931,7 @@ let scenario_checkpoint processors path kill_ns rounds quantum_ns cluster
         bytes, filed under \"machine\"\n"
        kill_ns r.Ckpt.c_now_ns
        (List.fold_left (fun a (_, i) -> a + String.length i) 0 r.Ckpt.c_nodes));
-  let events m = List.length (K.Machine.events m) in
+  let events m = Obs.Tracer.retained (K.Machine.tracer m) in
   match or_die "kill/restore check" result with
   | Scenario.Machine m ->
     Printf.printf "restore: replayed to the kill point and resumed to %d ns\n"
@@ -1440,7 +1439,7 @@ let scenario_swap config path policy objects object_bytes users touches
     let expected = swap.Scenario.streams straight in
     or_die "swap check" (Scenario.same_seed ~first:straight swap);
     Printf.printf "determinism check: identical event streams (%d events)\n"
-      (List.length (K.Machine.events m));
+      (Obs.Tracer.retained (K.Machine.tracer m));
     (* Kill mid-swap, checkpoint, restore by replay, resume: the resumed
        stream must match the straight run exactly. *)
     let kill_ns =

@@ -210,6 +210,11 @@ let total_preemptions t =
 
 let create ?(config = default_config) () =
   if config.processors <= 0 then invalid_arg "Machine.create: processors";
+  (* A trace slot has room for cpu ids below [max_cpus]; checked here so
+     the emit path never checks. *)
+  if config.trace_level <> Obs.Tracer.Off
+     && config.processors > Obs.Tracer.max_cpus
+  then invalid_arg "Machine.create: too many processors to trace";
   let metrics = Obs.Metrics.create () in
   let table = Object_table.create () in
   let memory = Memory.create ~size_bytes:config.memory_bytes in
@@ -1173,6 +1178,13 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
   let nr = List.length receives
   and ns = List.length sends
   and nw = List.length writes in
+  (* Before anything applies: a larger group would not fit its trace
+     encoding, and a traced run must behave as an untraced one. *)
+  if nw > Syscall.max_txn_writes then
+    Fault.raise_fault
+      (Fault.Protocol
+         (Printf.sprintf "txn_try: %d writes, more than %d" nw
+            Syscall.max_txn_writes));
   (* Conflicts cost what commits cost, so a retry loop above the kernel
      consumes virtual time and cannot livelock the clock. *)
   charge t

@@ -35,6 +35,8 @@ type run_report = {
 
 type t
 
+(** [Invalid_argument] unless [processors > 0], and, when traced, at most
+    {!I432_obs.Tracer.max_cpus}. *)
 val create : ?config:config -> unit -> t
 
 (** {1 Accessors} *)
@@ -241,7 +243,9 @@ val exit_process : t -> 'a
     nonzero [key] makes the group idempotent: a key that already
     committed skips receives and writes and re-issues the sends
     best-effort ([fresh = false]).  Retry/abort policy lives above the
-    kernel ({!I432_txn.Txn}). *)
+    kernel ({!I432_txn.Txn}).  A group of more than
+    {!Syscall.max_txn_writes} writes faults the process ([Protocol])
+    before any leg applies. *)
 val txn_try :
   t ->
   key:int ->

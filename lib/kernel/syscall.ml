@@ -66,12 +66,15 @@ let perform op = Effect.perform (Syscall op)
    it with the tracer) or through [op_to_string], which renders the same
    three ints, so the two cannot drift.  A timed op's or a delay's ns is
    [a].  [Txn_try]'s three list lengths are kept whole: receives in [a],
-   sends in [b], writes in the detail above the code's [code_bits] —
-   room for any length a list can reach. *)
+   sends in [b], writes in the detail above the code's [code_bits].  The
+   tracer's detail field bounds the writes at [max_txn_writes]; the
+   kernel faults a larger group before it applies, so every traced op
+   encodes, and [op_to_string] renders any op. *)
 let code_bits = 4
 let code_mask = (1 lsl code_bits) - 1
+let max_txn_writes = (I432_obs.Tracer.max_ids lsr code_bits) - 1
 
-let trace_detail = function
+let encode = function
   | Send { wait = Block; _ } -> 0
   | Receive { wait = Block; _ } -> 1
   | Send { wait = Timeout _; _ } -> 2
@@ -81,6 +84,8 @@ let trace_detail = function
   | Preempt -> 6
   | Exit -> 7
   | Txn_try { t_writes; _ } -> 8 lor (List.length t_writes lsl code_bits)
+
+let trace_detail op = I432_obs.Tracer.fits_id (encode op)
 
 let trace_a = function
   | Send { wait = Timeout ns; _ } | Receive { wait = Timeout ns; _ } | Delay ns
@@ -111,4 +116,4 @@ let render ~detail ~a ~b =
   | code -> invalid_arg ("Syscall.render: op code " ^ string_of_int code)
 
 let op_to_string op =
-  render ~detail:(trace_detail op) ~a:(trace_a op) ~b:(trace_b op)
+  render ~detail:(encode op) ~a:(trace_a op) ~b:(trace_b op)

@@ -75,7 +75,14 @@ val perform : op -> result
     code and two arguments — and its text is rendered only when the trace
     is read, so emitting one formats and interns nothing. *)
 
-(** The op's code; for [Txn_try] also its write count, above the code. *)
+(** The most writes a [Txn_try] may carry: its count rides above the
+    op's code in the tracer's detail field, and the kernel faults a larger
+    group before it takes effect, traced or not. *)
+val max_txn_writes : int
+
+(** The op's code; for [Txn_try] also its write count, above the code.
+    [Invalid_argument] for a [Txn_try] of more than {!max_txn_writes}
+    writes, which the kernel never accepts. *)
 val trace_detail : op -> int
 
 (** A timed op's timeout or a delay's ns; [Txn_try]'s receive count. *)

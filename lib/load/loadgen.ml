@@ -218,16 +218,20 @@ let class_quantile o ~cls q =
 
 (* Canonical request-span stream rendering: every load-subsystem event of
    every machine, node order then seq order — the byte-equality surface
-   for --check and the determinism tests. *)
+   for --check and the determinism tests.  Streamed from each ring: only
+   load events are built, one at a time. *)
+let load_kinds = Obs.Tracer.kinds (fun k -> Obs.Event.category k = "load")
+
 let span_stream o =
   let buf = Buffer.create 4096 in
   List.iter
     (fun (name, m) ->
-      List.iter
-        (fun (e : Obs.Event.t) ->
-          if Obs.Event.category e.Obs.Event.kind = "load" then
-            Printf.bprintf buf "%s %s\n" name (Obs.Event.to_string e))
-        (K.Machine.events m))
+      let tr = K.Machine.tracer m in
+      Obs.Tracer.iter ~kinds:load_kinds tr (fun seq ->
+          Buffer.add_string buf name;
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (Obs.Event.to_string (Obs.Tracer.event tr seq));
+          Buffer.add_char buf '\n'))
     o.o_machines;
   Buffer.contents buf
 
@@ -308,6 +312,8 @@ let run_to_quiescence cl ~engine =
 
 (* Read back from the trace rings, a completion set is whole only if no
    machine's ring dropped an event: refuse a partial one instead. *)
+let req_done_kinds = Obs.Tracer.kinds (fun k -> k = Obs.Event.Req_done)
+
 let req_done machines =
   List.concat_map
     (fun (name, m) ->
@@ -318,9 +324,8 @@ let req_done machines =
              "Loadgen.req_done: %s dropped %d trace events; its Req_done \
               events are incomplete"
              name dropped);
-      List.filter
-        (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Req_done)
-        (K.Machine.events m))
+      let tr = K.Machine.tracer m in
+      Obs.Tracer.to_list ~kinds:req_done_kinds tr (Obs.Tracer.event tr))
     machines
 
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are

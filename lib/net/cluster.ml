@@ -934,7 +934,7 @@ let chrome_trace t =
           (fun n ->
             ( n.node_name,
               K.Machine.processor_count n.machine,
-              K.Machine.events n.machine ))
+              K.Machine.tracer n.machine ))
           t.nodes))
 
 let report_to_string r =

@@ -63,10 +63,11 @@ let meta ?(pid = 0) ~name ~tid ~value () =
       ("args", Obj [ ("name", Str value) ]);
     ]
 
-(* Walk one node's event stream, emitting its slices, instants, per-node
+(* Walk one node's trace ring, emitting its slices, instants, per-node
    flow arrows and GC async slices through [add].  [flow_seq] is shared
-   across nodes so flow ids stay globally unique in a cluster trace. *)
-let walk_stream ~pid ~processors ~add ~flow_seq events =
+   across nodes so flow ids stay globally unique in a cluster trace.
+   Events are built one at a time from the ring, never as a list. *)
+let walk_stream ~pid ~processors ~add ~flow_seq tracer =
   let tid_of cpu = if cpu < 0 || cpu >= processors then processors else cpu in
   let open_slice = Array.make (processors + 1) None in
   let max_ts = ref 0 in
@@ -81,8 +82,8 @@ let walk_stream ~pid ~processors ~add ~flow_seq events =
   let pending : (int * int, (int * int) Queue.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  List.iter
-    (fun (e : Event.t) ->
+  Tracer.iter tracer (fun seq ->
+      let e = Tracer.event tracer seq in
       let tid = tid_of e.Event.cpu in
       let ts_ns = e.Event.ts_ns in
       if ts_ns > !max_ts then max_ts := ts_ns;
@@ -205,8 +206,7 @@ let walk_stream ~pid ~processors ~add ~flow_seq events =
       | Event.Frame_dead | Event.Dead_letter | Event.Swap_out
       | Event.Txn_commit | Event.Txn_abort | Event.Txn_dup_drop
       | Event.Hist_append ->
-        instant ())
-    events;
+        instant ());
   (* Close slices still open at the end of the trace. *)
   for tid = 0 to processors do
     close ~tid ~ts_ns:!max_ts
@@ -229,7 +229,7 @@ let wrap sorted =
 let sort_entries out =
   List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev out)
 
-let chrome_trace ~processors events =
+let chrome_trace ~processors tracer =
   let out = ref [] in
   (* (sort key ns, json); metadata sorts first. *)
   let add ts_ns j = out := (ts_ns, j) :: !out in
@@ -240,8 +240,11 @@ let chrome_trace ~processors events =
   done;
   add (-1) (meta ~name:"thread_name" ~tid:processors ~value:"boot" ());
   let flow_seq = ref 0 in
-  walk_stream ~pid:0 ~processors ~add ~flow_seq events;
+  walk_stream ~pid:0 ~processors ~add ~flow_seq tracer;
   wrap (sort_entries !out)
+
+let frame_tx = Tracer.kinds (fun k -> k = Event.Frame_tx)
+let frame_rx = Tracer.kinds (fun k -> k = Event.Frame_rx)
 
 (* Cluster trace: one pid per node (in list order), each rendered exactly
    like a single-machine trace, plus cross-node flow arrows pairing every
@@ -267,8 +270,8 @@ let chrome_trace_cluster nodes =
     nodes;
   let flow_seq = ref 0 in
   List.iteri
-    (fun pid (_, processors, events) ->
-      walk_stream ~pid ~processors ~add ~flow_seq events)
+    (fun pid (_, processors, tracer) ->
+      walk_stream ~pid ~processors ~add ~flow_seq tracer)
     nodes;
   (* Cross-node frame arrows: collect transmissions, then consume them with
      arrivals in virtual-time order. *)
@@ -277,42 +280,34 @@ let chrome_trace_cluster nodes =
     Hashtbl.create 64
   in
   List.iteri
-    (fun pid (_, processors, events) ->
+    (fun pid (_, processors, tracer) ->
       let tid_of cpu = if cpu < 0 || cpu >= processors then processors else cpu in
-      List.iter
-        (fun (e : Event.t) ->
-          match e.Event.kind with
-          | Event.Frame_tx ->
-            let key = (e.Event.name, pid, e.Event.b, e.Event.a, e.Event.detail) in
-            let q =
-              match Hashtbl.find_opt tx key with
-              | Some q -> q
-              | None ->
-                let q = Queue.create () in
-                Hashtbl.replace tx key q;
-                q
-            in
-            Queue.push (e.Event.ts_ns, pid, tid_of e.Event.cpu) q
-          | _ -> ())
-        events)
+      Tracer.iter ~kinds:frame_tx tracer (fun seq ->
+          let e = Tracer.event tracer seq in
+          let key = (e.Event.name, pid, e.Event.b, e.Event.a, e.Event.detail) in
+          let q =
+            match Hashtbl.find_opt tx key with
+            | Some q -> q
+            | None ->
+              let q = Queue.create () in
+              Hashtbl.replace tx key q;
+              q
+          in
+          Queue.push (e.Event.ts_ns, pid, tid_of e.Event.cpu) q))
     nodes;
   let rx = ref [] in
   List.iteri
-    (fun pid (_, processors, events) ->
+    (fun pid (_, processors, tracer) ->
       let tid_of cpu = if cpu < 0 || cpu >= processors then processors else cpu in
-      List.iter
-        (fun (e : Event.t) ->
-          match e.Event.kind with
-          | Event.Frame_rx ->
-            rx :=
-              ( e.Event.ts_ns,
-                e.Event.seq,
-                (e.Event.name, e.Event.b, pid, e.Event.a, e.Event.detail),
-                pid,
-                tid_of e.Event.cpu )
-              :: !rx
-          | _ -> ())
-        events)
+      Tracer.iter ~kinds:frame_rx tracer (fun seq ->
+          let e = Tracer.event tracer seq in
+          rx :=
+            ( e.Event.ts_ns,
+              e.Event.seq,
+              (e.Event.name, e.Event.b, pid, e.Event.a, e.Event.detail),
+              pid,
+              tid_of e.Event.cpu )
+            :: !rx))
     nodes;
   let rx = List.sort compare (List.rev !rx) in
   List.iter

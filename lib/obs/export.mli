@@ -6,12 +6,13 @@
     mark/sweep phases.  Timestamps are virtual microseconds, so identical
     runs export identical files. *)
 
-(** [chrome_trace ~processors events] renders events (in emission order,
-    as returned by {!Tracer.events}) to a complete trace JSON value. *)
-val chrome_trace : processors:int -> Event.t list -> Jout.t
+(** [chrome_trace ~processors tracer] renders the tracer's retained
+    events, in emission order, to a complete trace JSON value.  Events are
+    read from the ring one at a time. *)
+val chrome_trace : processors:int -> Tracer.t -> Jout.t
 
 (** [chrome_trace_cluster nodes] renders a multi-node trace: one pid per
-    [(name, processors, events)] element (in list order), each laid out
+    [(name, processors, tracer)] element (in list order), each laid out
     exactly like {!chrome_trace}, plus cross-node flow arrows pairing each
     frame transmission with its arrival on the peer node. *)
-val chrome_trace_cluster : (string * int * Event.t list) list -> Jout.t
+val chrome_trace_cluster : (string * int * Tracer.t) list -> Jout.t

@@ -1,19 +1,36 @@
-(** Structured kernel event tracer: one bounded ring of {!Event.t} records
-    per machine, shared by its processors and by boot-time events,
-    drop-oldest on overflow.
+(** Structured kernel event tracer: one bounded ring of packed four-int
+    event slots per machine, shared by its processors and by boot-time
+    events, drop-oldest on overflow.
 
     [Off] is free on the hot path (one field read); [Events] records
     structured events.  An event is a kind, two interned string ids and
     two ints (or, for a kind with a renderer, a name id and a detail code
     with two int arguments, rendered to text when read); the seed's
     unstructured trace lines are rendered from the retained events by
-    {!Event.legacy_line}, so they are exactly as complete as the ring. *)
+    {!Event.legacy_line}, so they are exactly as complete as the ring.
+    Readers stream: {!fold} walks the ring and builds an {!Event.t} only
+    when its caller asks {!event} for one. *)
 
 type level = Off | Events
 
 type t
 
 val default_capacity : int
+
+(** Field limits of a slot, each checked once where its value is made,
+    never at {!emit}: an emitted [cpu] lies in [-1 .. max_cpus - 1]
+    (a traced machine refuses more processors), and an interned id or a
+    renderer's detail code passes {!fits_id} ({!string_id} raises
+    [Invalid_argument] rather than issue an id past it). *)
+val max_cpus : int
+
+val max_ids : int
+
+(** [fits_id n] is [n] when it fits a slot's name or detail field
+    ([0 <= n < max_ids]); [Invalid_argument] otherwise.  The intern pool
+    checks each id it issues with it, and a renderer's encoder a code
+    that can grow with its input. *)
+val fits_id : int -> int
 
 (** [create ~level ()] sizes one ring that retains the last [capacity]
     events (default {!default_capacity}).  An [Off] tracer allocates no
@@ -30,7 +47,7 @@ val string_id : t -> string -> int
 
 (** [set_renderer kind render] makes [kind]'s detail a code rather than
     an interned id: an event of that kind stores a code in [detail_id]
-    and the code's arguments in [a] and [b], and {!events} reads it as
+    and the code's arguments in [a] and [b], and {!event} reads it as
     [detail = render ~detail ~a ~b] with [a = b = 0].  For a detail that
     would otherwise be formatted per event (the kernel registers its
     deschedule op this way, once, at module initialisation); not for use
@@ -40,8 +57,10 @@ val set_renderer :
 
 (** Record one event: the only emit path.  [cpu] is the emitting processor
     id, or -1 outside the run loop; [name_id]/[detail_id] come from
-    {!string_id}, or [detail_id] is a code for a kind with a renderer
-    ({!set_renderer}).  No-op when the level is [Off]. *)
+    {!string_id}, or [detail_id] is a code checked by {!fits_id} for a kind
+    with a renderer ({!set_renderer}).  Four stores into the ring and no
+    range check: a value past its field corrupts its neighbours.  No-op
+    when the level is [Off]. *)
 val emit :
   t ->
   Event.kind ->
@@ -53,9 +72,46 @@ val emit :
   b:int ->
   unit
 
+(** {2 Reading}
+
+    A retained event is named by its seq, [emitted - retained] to
+    [emitted - 1]; [Invalid_argument] for any other seq.  A reader that
+    needs every event of some kind must check {!dropped} first. *)
+
+(** [kinds keep] is a filter for {!fold}: one flag per kind code. *)
+val kinds : (Event.kind -> bool) -> bool array
+
+(** [fold ?kinds t ~init f] walks the retained events in seq order and
+    folds [f] over the seq of each whose kind [kinds] admits (default:
+    every kind).  A slot's kind is read before anything is built; no
+    {!Event.t} is made unless [f] asks {!event} for it. *)
+val fold : ?kinds:bool array -> t -> init:'a -> ('a -> int -> 'a) -> 'a
+
+val iter : ?kinds:bool array -> t -> (int -> unit) -> unit
+
+(** [to_list ?kinds t f] is [[f s1; f s2; ...]] over the same seqs as
+    {!fold}. *)
+val to_list : ?kinds:bool array -> t -> (int -> 'a) -> 'a list
+
+(** The retained event with seq [seq], its detail rendered if its kind
+    has a renderer. *)
+val event : t -> int -> Event.t
+
+(** A slot's fields as stored: unrendered, ids not looked up. *)
+type slot = {
+  ts_ns : int;
+  cpu : int;
+  code : int;  (** {!Event.kind_to_int} of the kind *)
+  name_id : int;
+  detail_id : int;
+  a : int;
+  b : int;
+}
+
+val slot : t -> int -> slot
+
 (** All retained events, in emission order, the [i]th with seq
-    [emitted - retained + i], each event's detail rendered if its kind has
-    a renderer. *)
+    [emitted - retained + i]: [to_list t (event t)]. *)
 val events : t -> Event.t list
 
 (** Events currently held in the ring: [min emitted capacity]. *)
@@ -65,6 +121,5 @@ val retained : t -> int
 val emitted : t -> int
 
 (** Events dropped to ring overflow, on every processor of the machine:
-    [emitted - retained].  A reader that needs every event of some kind
-    must check this first. *)
+    [emitted - retained]. *)
 val dropped : t -> int

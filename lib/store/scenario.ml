@@ -21,7 +21,9 @@ type 'w t = {
   streams : 'w -> (string * string list) list;
 }
 
-let event_lines m = List.map Obs.Event.to_string (K.Machine.events m)
+let event_lines m =
+  let tr = K.Machine.tracer m in
+  Obs.Tracer.to_list tr (fun seq -> Obs.Event.to_string (Obs.Tracer.event tr seq))
 
 let world_streams = function
   | Machine m -> [ ("events", event_lines m) ]

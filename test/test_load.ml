@@ -467,6 +467,87 @@ let test_req_done_refuses_dropped () =
     (fun () ->
       ignore (Load.Loadgen.req_done [ ("whole", whole); ("small", small) ]))
 
+(* ---------------- Streaming trace readers ---------------- *)
+
+(* The list-based readers [span_stream] and [req_done] replaced, kept as
+   the oracle: each builds every retained event of every machine and
+   filters the list. *)
+let list_span_stream o =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun (e : Obs.Event.t) ->
+          if Obs.Event.category e.Obs.Event.kind = "load" then
+            Printf.bprintf buf "%s %s\n" name (Obs.Event.to_string e))
+        (K.Machine.events m))
+    o.Load.Loadgen.o_machines;
+  Buffer.contents buf
+
+let list_req_done machines =
+  List.concat_map
+    (fun (name, m) ->
+      let dropped = Obs.Tracer.dropped (K.Machine.tracer m) in
+      if dropped > 0 then
+        failwith
+          (Printf.sprintf
+             "Loadgen.req_done: %s dropped %d trace events; its Req_done \
+              events are incomplete"
+             name dropped);
+      List.filter
+        (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Req_done)
+        (K.Machine.events m))
+    machines
+
+let outcome_or_failure f = match f () with x -> Ok x | exception Failure m -> Error m
+
+(* The streaming readers against the list ones on one outcome.  On a
+   ring that wrapped, [req_done] must refuse exactly as the list reader
+   does, and the Req_done events the rings still hold must match a
+   filter of the retained list. *)
+let check_readers ~wrapped o =
+  let machines = o.Load.Loadgen.o_machines in
+  let dropped =
+    List.exists
+      (fun (_, m) -> Obs.Tracer.dropped (K.Machine.tracer m) > 0)
+      machines
+  in
+  Alcotest.(check bool) "ring wrapped" wrapped dropped;
+  Alcotest.(check string) "span_stream" (list_span_stream o)
+    (Load.Loadgen.span_stream o);
+  let strings = Result.map (List.map Obs.Event.to_string) in
+  Alcotest.(check (result (list string) string)) "req_done"
+    (strings (outcome_or_failure (fun () -> list_req_done machines)))
+    (strings (outcome_or_failure (fun () -> Load.Loadgen.req_done machines)));
+  List.iter
+    (fun (_, m) ->
+      let tr = K.Machine.tracer m in
+      Alcotest.(check (list string)) "retained Req_done"
+        (List.filter_map
+           (fun (e : Obs.Event.t) ->
+             if e.Obs.Event.kind = Obs.Event.Req_done then
+               Some (Obs.Event.to_string e)
+             else None)
+           (K.Machine.events m))
+        (Obs.Tracer.to_list
+           ~kinds:(Obs.Tracer.kinds (fun k -> k = Obs.Event.Req_done))
+           tr
+           (fun seq -> Obs.Event.to_string (Obs.Tracer.event tr seq))))
+    machines
+
+(* Small runs fit the default 32,768-slot ring; the large ones overflow
+   it on at least one machine. *)
+let small_spec = spec ~seed:5 ()
+let large_spec = spec ~seed:5 ~users:20 ~sessions:10 ~requests:20 ()
+
+let test_streaming_readers_machine () =
+  check_readers ~wrapped:false (run_machine small_spec);
+  check_readers ~wrapped:true (run_machine large_spec)
+
+let test_streaming_readers_cluster () =
+  check_readers ~wrapped:false (run_cluster ~engine:Net.Cluster.Seq small_spec);
+  check_readers ~wrapped:true (run_cluster ~engine:Net.Cluster.Seq large_spec)
+
 let suite =
   [
     ("log_hist basic", `Quick, test_log_hist_basic);
@@ -496,4 +577,8 @@ let suite =
       test_cluster_round_limit_raises);
     ("req_done refuses a ring that dropped", `Quick,
       test_req_done_refuses_dropped);
+    ("streaming readers = list readers, machine", `Quick,
+      test_streaming_readers_machine);
+    ("streaming readers = list readers, 3-node cluster", `Quick,
+      test_streaming_readers_cluster);
   ]

@@ -66,7 +66,15 @@ let test_ring_overflow () =
   Alcotest.(check (list int)) "oldest three recycled" [ 3; 4; 5; 6 ]
     (List.map (fun e -> e.Obs.Event.seq) events);
   Alcotest.(check (list int)) "payloads survive" [ 4; 5; 6; 7 ]
-    (List.map (fun e -> e.Obs.Event.a) events)
+    (List.map (fun e -> e.Obs.Event.a) events);
+  (* A seq names a retained event only: not a recycled one, nor one not
+     yet emitted. *)
+  List.iter
+    (fun seq ->
+      Alcotest.check_raises "not retained"
+        (Invalid_argument (Printf.sprintf "Tracer: seq %d is not retained" seq))
+        (fun () -> ignore (Obs.Tracer.event t seq)))
+    [ 2; 7 ]
 
 let test_one_ring_per_machine () =
   (* Events from cpu 0, cpu 1 and outside the run loop (-1) share one
@@ -221,6 +229,145 @@ let prop_events_match_list_model =
       && Obs.Tracer.dropped t = n - len
       && Obs.Tracer.retained t = len)
 
+(* The packed ring against a list model, at every field's extremes: any
+   kind, cpu from -1 to the last traceable processor, name and detail ids
+   up to their field limit, and ts, a and b anywhere in the int range.
+   After each emission, before and after the ring wraps, every retained
+   slot must read back exactly as emitted, and a filtered fold must visit
+   exactly the retained seqs whose kind it admits, in order.  Fields are
+   read raw ([Tracer.slot]): ids this large name no interned string. *)
+let prop_packed_ring_matches_model =
+  let open QCheck2.Gen in
+  let edge lo hi = oneof [ return lo; return hi; int_range lo hi ] in
+  let word = oneof [ return max_int; return min_int; return (-1); return 0; int ] in
+  let event =
+    map
+      (fun (((code, cpu), (name_id, detail_id)), (ts_ns, a, b)) ->
+        { Obs.Tracer.ts_ns; cpu; code; name_id; detail_id; a; b })
+      (pair
+         (pair
+            (pair (edge 0 (Obs.Event.kind_count - 1))
+               (edge (-1) (Obs.Tracer.max_cpus - 1)))
+            (pair (edge 0 (Obs.Tracer.max_ids - 1))
+               (edge 0 (Obs.Tracer.max_ids - 1))))
+         (triple word word word))
+  in
+  QCheck2.Test.make ~name:"tracer: packed slots = list model" ~count:300
+    (triple (int_range 1 12)
+       (list_size (int_range 0 40) event)
+       (array_size (return Obs.Event.kind_count) bool))
+    (fun (capacity, script, keep) ->
+      let t = Obs.Tracer.create ~capacity ~level:Obs.Tracer.Events () in
+      let emit (e : Obs.Tracer.slot) =
+        Obs.Tracer.emit t (Obs.Event.kind_of_int e.Obs.Tracer.code)
+          ~cpu:e.Obs.Tracer.cpu ~ts_ns:e.Obs.Tracer.ts_ns
+          ~name_id:e.Obs.Tracer.name_id ~detail_id:e.Obs.Tracer.detail_id
+          ~a:e.Obs.Tracer.a ~b:e.Obs.Tracer.b
+      in
+      let rec check n model = function
+        | [] -> true
+        | e :: rest ->
+          emit e;
+          let n = n + 1 and model = e :: model in
+          (* The newest [min n capacity], oldest first, with their seqs. *)
+          let len = Int.min n capacity in
+          let retained =
+            List.rev (List.filteri (fun i _ -> i < len) model)
+            |> List.mapi (fun i e -> (n - len + i, e))
+          in
+          let read =
+            Obs.Tracer.fold t ~init:[] (fun acc seq ->
+                (seq, Obs.Tracer.slot t seq) :: acc)
+            |> List.rev
+          in
+          let kept =
+            Obs.Tracer.to_list ~kinds:keep t (fun seq -> seq)
+          in
+          read = retained
+          && kept
+             = List.filter_map
+                 (fun (seq, e) -> if keep.(e.Obs.Tracer.code) then Some seq else None)
+                 retained
+          && Obs.Tracer.retained t = len
+          && Obs.Tracer.dropped t = n - len
+          && check n model rest
+      in
+      check 0 [] script)
+
+(* Each field's range is checked once, where its value is made; a value
+   past its field raises instead of spilling into a neighbour. *)
+let test_field_limits_raise () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  (* Both 24-bit fields, an interned id and a detail code, pass one
+     check: 0 to [max_ids - 1]. *)
+  Alcotest.(check int) "last id" (Obs.Tracer.max_ids - 1)
+    (Obs.Tracer.fits_id (Obs.Tracer.max_ids - 1));
+  raises "an id past the field" (fun () ->
+      Obs.Tracer.fits_id Obs.Tracer.max_ids);
+  raises "a negative id" (fun () -> Obs.Tracer.fits_id (-1));
+  (* A txn's write count rides above its 4-bit op code: [max_txn_writes]
+     fits the 24-bit field and one more does not. *)
+  Alcotest.(check int) "writes bound" ((1 lsl 20) - 1) K.Syscall.max_txn_writes;
+  let m = Testkit.mk () in
+  let msg = Testkit.alloc m () in
+  let w = (msg, 0, 7) in
+  let writes = List.init (K.Syscall.max_txn_writes + 1) (fun _ -> w) in
+  let txn t_writes =
+    K.Syscall.Txn_try { t_key = 1; t_receives = []; t_sends = []; t_writes }
+  in
+  Alcotest.(check int) "the most writes a trace encodes"
+    (Obs.Tracer.max_ids - 8)
+    (K.Syscall.trace_detail (txn (List.tl writes)));
+  raises "too many writes to encode" (fun () ->
+      K.Syscall.trace_detail (txn writes));
+  Alcotest.(check string) "any op prints"
+    (Printf.sprintf "txn-try(0r/0s/%dw)" (K.Syscall.max_txn_writes + 1))
+    (K.Syscall.op_to_string (txn writes));
+  (* The kernel faults a group too large to encode before any write
+     applies, traced or not, and the run goes on. *)
+  List.iter
+    (fun trace ->
+      let m = Testkit.mk ~trace () in
+      let target = Testkit.alloc m () in
+      let writes = List.map (fun (_, o, v) -> (target, o, v)) writes in
+      ignore
+        (K.Machine.spawn m ~name:"big" (fun () ->
+             ignore (K.Machine.txn_try m ~key:1 ~writes ())));
+      ignore (K.Machine.spawn m ~name:"after" (fun () -> K.Machine.yield m));
+      let r = K.Machine.run m in
+      Alcotest.(check (pair int int)) "one faulted, one completed" (1, 1)
+        (r.K.Machine.faulted, r.K.Machine.completed);
+      (match K.Machine.faults m with
+      | [ ("big", I432.Fault.Protocol _) ] -> ()
+      | _ -> Alcotest.fail "expected one protocol fault from 'big'");
+      Alcotest.(check int) "no write applied" 0
+        (K.Machine.read_word m target ~offset:0);
+      Alcotest.(check int) "no commit" 0 (K.Machine.txn_applied_count m))
+    [ false; true ];
+  (* The cpu field: a traced machine holds at most [max_cpus]
+     processors; an untraced one is not limited by it. *)
+  let config processors trace_level =
+    { K.Machine.default_config with K.Machine.processors; trace_level }
+  in
+  raises "too many processors to trace" (fun () ->
+      K.Machine.create
+        ~config:(config (Obs.Tracer.max_cpus + 1) Obs.Tracer.Events)
+        ());
+  let wide =
+    K.Machine.create ~config:(config Obs.Tracer.max_cpus Obs.Tracer.Events) ()
+  in
+  Alcotest.(check int) "the most processors traced" Obs.Tracer.max_cpus
+    (K.Machine.processor_count wide);
+  Alcotest.(check int) "untraced, past the field" (Obs.Tracer.max_cpus + 1)
+    (K.Machine.processor_count
+       (K.Machine.create
+          ~config:(config (Obs.Tracer.max_cpus + 1) Obs.Tracer.Off)
+          ()))
+
 (* ---------------- Legacy lines, rendered from the ring ---------------- *)
 
 let test_legacy_lines_byte_identical () =
@@ -298,7 +445,7 @@ let test_chrome_export_structure () =
   in
   Alcotest.(check bool) "at least 5 event kinds observed" true
     (List.length kinds >= 5);
-  let json = Obs.Export.chrome_trace ~processors:2 events in
+  let json = Obs.Export.chrome_trace ~processors:2 (K.Machine.tracer m) in
   let s = Obs.Jout.to_string json in
   let contains sub =
     let n = String.length s and m' = String.length sub in
@@ -317,7 +464,7 @@ let test_chrome_export_structure () =
   let m2 = workload ~level:Obs.Tracer.Events () in
   let s2 =
     Obs.Jout.to_string
-      (Obs.Export.chrome_trace ~processors:2 (K.Machine.events m2))
+      (Obs.Export.chrome_trace ~processors:2 (K.Machine.tracer m2))
   in
   Alcotest.(check string) "export is deterministic" s s2
 
@@ -608,4 +755,6 @@ let suite =
     ("metrics: log histogram output pinned", `Quick, test_log_hist_output_pinned);
     ("metrics: kernel counts agree with owners", `Quick, test_kernel_counts_agree);
     ("metrics: pulled counters", `Quick, test_metrics_pull);
+    QCheck_alcotest.to_alcotest prop_packed_ring_matches_model;
+    ("tracer: field limits raise", `Quick, test_field_limits_raise);
   ]
