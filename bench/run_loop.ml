@@ -25,10 +25,11 @@
      queue over the pairing-heap timers read 149.7, the hashed ready
      queue with a handler closure per syscall 368.6.
    - [traced_minor_words_per_request], the same run at trace level
-     [Events]: a traced event is six stores into a preallocated ring,
+     [Events]: a traced event is four stores into a preallocated ring,
      so tracing adds only the boot-time interning of names.  A
-     deschedule's op text formatted per event read 46.9 words per
-     request more than its untraced twin.
+     deschedule event that formatted its op's text per event read 46.9
+     words per request more than its untraced twin; the leave events
+     now carry that op in their ints, and no deschedule is emitted.
    - [cluster_minor_words_per_request], one untraced 3-node x 2-GDP
      cluster run (4 users at 10k req/s aggregate, 500 requests each, in
      both modes): every request crosses the wire codec, the NIC pump and

@@ -347,10 +347,6 @@ let emit_on t (cpu : Processor.t) kind ~name_id ~detail_id ~a ~b =
 
 let string_id t s = Obs.Tracer.string_id t.obs s
 
-(* A Deschedule's detail is its op's trace encoding, not an interned
-   string: the tracer renders it with [Syscall.render] when read. *)
-let () = Obs.Tracer.set_renderer Obs.Event.Deschedule Syscall.render
-
 (* Charge virtual time for an instruction to the running processor, with bus
    contention applied.  Outside the run loop (boot code) charges are free:
    configuration happens "before the machine starts". *)
@@ -805,8 +801,12 @@ let post t (p : Port.t) ?txn ~msg ~priority () =
 
 (* Park [proc] at [p] — a sender with its [msg], a receiver without — until
    a peer serves it or, when [wait] has a deadline, the timeout sweep gives
-   up for it.  Returns [false]: the process left its processor. *)
+   up for it.  The block event is the process's leave from its processor;
+   a timed wait's ns rides in its [b]. *)
 let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
+  let timeout_ns =
+    match wait with Syscall.Timeout ns -> ns | Syscall.Block -> 0
+  in
   charge t t.timings.Timings.block_ns;
   proc.Process.blocks <- proc.Process.blocks + 1;
   (match msg with
@@ -814,7 +814,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     p.Port.send_blocks <- p.Port.send_blocks + 1;
     Obs.Metrics.incr t.mon.mon_send_blocks;
     emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
-      ~detail_id:0 ~a:p.Port.self ~b:0;
+      ~detail_id:0 ~a:p.Port.self ~b:timeout_ns;
     Object_table.shade t.table (Access.index msg);
     Port.push_sender p ~sender:proc.Process.index ~msg
       ~priority:proc.Process.priority;
@@ -823,15 +823,14 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
     Obs.Metrics.incr t.mon.mon_receive_blocks;
     emit t Obs.Event.Block_receive ~name_id:proc.Process.trace_name_id
-      ~detail_id:0 ~a:p.Port.self ~b:0;
+      ~detail_id:0 ~a:p.Port.self ~b:timeout_ns;
     Port.push_receiver p proc;
     set_status t proc p.Port.blocked_receive);
   (match wait with
   | Syscall.Timeout ns ->
     set_deadline t proc (Some (cpu.Processor.clock_ns + ns))
   | Syscall.Block -> ());
-  cpu.Processor.current <- -1;
-  false
+  cpu.Processor.current <- -1
 
 (* Injected port-delivery delay: charged once, at the next port syscall.
    One int compare when no injection is armed. *)
@@ -1099,15 +1098,11 @@ let[@inline] send_op t cpu (proc : Process.t) ~port ~msg ~wait =
   let p = Port.state_of t.table port in
   charge t t.timings.Timings.send_ns;
   consume_port_delay t;
-  if offer t proc p msg then begin
-    proc.Process.pending <- Syscall.R_accepted true;
-    true
-  end
+  if offer t proc p msg then proc.Process.pending <- Syscall.R_accepted true
   else
     match wait with
     | Syscall.Timeout ns when ns <= 0 ->
-      proc.Process.pending <- Syscall.R_accepted false;
-      true
+      proc.Process.pending <- Syscall.R_accepted false
     | Syscall.Timeout _ -> park t cpu proc p ~wait ~msg ()
     | Syscall.Block ->
       count_send t proc p msg;
@@ -1124,14 +1119,12 @@ let[@inline] receive_op t cpu (proc : Process.t) ~port ~wait =
   if not (Port.is_empty p) then begin
     let msg = receive_from t proc p in
     admit t p;
-    proc.Process.pending <- delivered proc msg;
-    true
+    proc.Process.pending <- delivered proc msg
   end
   else
     match wait with
     | Syscall.Timeout ns when ns <= 0 ->
-      proc.Process.pending <- Syscall.R_no_msg;
-      true
+      proc.Process.pending <- Syscall.R_no_msg
     | Syscall.Timeout _ | Syscall.Block -> park t cpu proc p ~wait ()
 
 (* Group-commit validation (DESIGN.md §15), one tally per distinct port in
@@ -1178,13 +1171,6 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
   let nr = List.length receives
   and ns = List.length sends
   and nw = List.length writes in
-  (* Before anything applies: a larger group would not fit its trace
-     encoding, and a traced run must behave as an untraced one. *)
-  if nw > Syscall.max_txn_writes then
-    Fault.raise_fault
-      (Fault.Protocol
-         (Printf.sprintf "txn_try: %d writes, more than %d" nw
-            Syscall.max_txn_writes));
   (* Conflicts cost what commits cost, so a retry loop above the kernel
      consumes virtual time and cannot livelock the clock. *)
   charge t
@@ -1211,8 +1197,7 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
   with
   | Some (port, reason) ->
     Obs.Metrics.incr (Lazy.force t.mon.mon_txn_conflicts);
-    proc.Process.pending <- Syscall.R_txn (Syscall.Txn_conflict { port; reason });
-    true
+    proc.Process.pending <- Syscall.R_txn (Syscall.Txn_conflict { port; reason })
   | None ->
     (* Receives, then writes, then sends, all at this instant. *)
     let received =
@@ -1257,12 +1242,12 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
     proc.Process.pending <-
       Syscall.R_txn
         (Syscall.Txn_committed
-           { received; commit_ns = cpu.Processor.clock_ns; fresh = not replay });
-    true
+           { received; commit_ns = cpu.Processor.clock_ns; fresh = not replay })
 
-(* Implement one syscall for the process running on [cpu].  Returns [true]
-   when the process remains current (result delivered at next step), [false]
-   when it was descheduled. *)
+(* Implement one syscall for the process running on [cpu].  The process
+   either stays current (its result is delivered at its next step) or
+   leaves the processor, at an instruction that traces its own event:
+   block-send, block-receive, sleep, yield, preempt or exit. *)
 let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
   let tm = t.timings in
   match op with
@@ -1272,8 +1257,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
       ~a:0 ~b:0;
     proc.Process.pending <- Syscall.R_unit;
     cpu.Processor.current <- -1;
-    ready_or_hold t proc;
-    false
+    ready_or_hold t proc
   | Syscall.Preempt ->
     charge t tm.Timings.dispatch_ns;
     proc.Process.pending <- Syscall.R_unit;
@@ -1282,15 +1266,13 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     emit t Obs.Event.Preempt ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
     cpu.Processor.current <- -1;
-    ready_or_hold t proc;
-    false
+    ready_or_hold t proc
   | Syscall.Exit ->
     set_status t proc Process.Finished;
     proc.Process.code <- Process.Terminated;
     emit t Obs.Event.Exit ~name_id:proc.Process.trace_name_id ~detail_id:0
       ~a:0 ~b:0;
-    cpu.Processor.current <- -1;
-    false
+    cpu.Processor.current <- -1
   | Syscall.Delay ns ->
     if ns < 0 then invalid_arg "delay: negative";
     emit t Obs.Event.Sleep ~name_id:proc.Process.trace_name_id ~detail_id:0
@@ -1299,8 +1281,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     set_status t proc Process.Sleeping;
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
     Timers.arm t.timers proc proc.Process.wake_at;
-    cpu.Processor.current <- -1;
-    false
+    cpu.Processor.current <- -1
   | Syscall.Send { port; msg; wait } -> send_op t cpu proc ~port ~msg ~wait
   | Syscall.Receive { port; wait } -> receive_op t cpu proc ~port ~wait
   | Syscall.Txn_try { t_key; t_receives; t_sends; t_writes } ->
@@ -1361,20 +1342,11 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     cpu.Processor.current <- -1;
     record_fault t proc (Fault.Protocol (Printexc.to_string e))
   | Process.Pending -> (
-    let op = proc.Process.op in
     t.cur <- cpu.Processor.id;
     (* Faults detected while servicing the syscall (rights, types) are
        the faulting process's own. *)
-    match handle_syscall t cpu proc op with
-    | still_current ->
-      t.cur <- -1;
-      (* The op goes in as its trace encoding (three ints, rendered when
-         the trace is read); guarded so an untraced deschedule never
-         walks a txn's lists to count them. *)
-      if (not still_current) && t.traced then
-        emit_on t cpu Obs.Event.Deschedule ~name_id:proc.Process.trace_name_id
-          ~detail_id:(Syscall.trace_detail op) ~a:(Syscall.trace_a op)
-          ~b:(Syscall.trace_b op)
+    match handle_syscall t cpu proc proc.Process.op with
+    | () -> t.cur <- -1
     | exception Fault.Fault cause ->
       t.cur <- -1;
       cpu.Processor.current <- -1;

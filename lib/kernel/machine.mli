@@ -243,9 +243,7 @@ val exit_process : t -> 'a
     nonzero [key] makes the group idempotent: a key that already
     committed skips receives and writes and re-issues the sends
     best-effort ([fresh = false]).  Retry/abort policy lives above the
-    kernel ({!I432_txn.Txn}).  A group of more than
-    {!Syscall.max_txn_writes} writes faults the process ([Protocol])
-    before any leg applies. *)
+    kernel ({!I432_txn.Txn}). *)
 val txn_try :
   t ->
   key:int ->

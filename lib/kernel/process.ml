@@ -94,10 +94,8 @@ type t = {
   (* Dispatching-port queue state, kept by Dispatch alone. *)
   mutable q_next : t;  (* FIFO neighbours in its priority level *)
   mutable q_prev : t;
-  mutable q_prio : int;  (* key of its linked entry *)
-  mutable q_seq : int;
-  mutable q_count : int;  (* live entries *)
-  mutable q_more : (int * int) list;  (* keys of the others, served later *)
+  mutable q_prio : int;  (* priority of its level *)
+  mutable q_queued : bool;
 }
 
 type Object_table.payload += Process_state of t
@@ -146,9 +144,7 @@ let rec none =
     q_next = none;
     q_prev = none;
     q_prio = 0;
-    q_seq = 0;
-    q_count = 0;
-    q_more = [];
+    q_queued = false;
   }
 
 let create ~index ~ordinal ~name ~daemon ~priority ~system_level body =

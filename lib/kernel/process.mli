@@ -80,12 +80,8 @@ type t = {
       (** dispatching-port queue state, kept by {!Dispatch} alone: FIFO
           neighbours within a priority level ({!none} at either end) *)
   mutable q_prev : t;
-  mutable q_prio : int;  (** key of the linked entry *)
-  mutable q_seq : int;
-  mutable q_count : int;  (** live ready-queue entries *)
-  mutable q_more : (int * int) list;
-      (** keys [(priority, seq)] of the entries beyond the linked one, in
-          service order; empty unless a queued process is enqueued again *)
+  mutable q_prio : int;  (** priority of the level it is queued at *)
+  mutable q_queued : bool;  (** in the ready queue *)
 }
 
 type Object_table.payload += Process_state of t

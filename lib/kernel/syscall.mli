@@ -68,33 +68,3 @@ type _ Effect.t += Syscall : op -> result Effect.t
 (** Perform one syscall; only meaningful inside a process body running
     under the machine's handler. *)
 val perform : op -> result
-
-(** {1 Trace encoding}
-
-    A traced deschedule records its op as three immediate ints — a detail
-    code and two arguments — and its text is rendered only when the trace
-    is read, so emitting one formats and interns nothing. *)
-
-(** The most writes a [Txn_try] may carry: its count rides above the
-    op's code in the tracer's detail field, and the kernel faults a larger
-    group before it takes effect, traced or not. *)
-val max_txn_writes : int
-
-(** The op's code; for [Txn_try] also its write count, above the code.
-    [Invalid_argument] for a [Txn_try] of more than {!max_txn_writes}
-    writes, which the kernel never accepts. *)
-val trace_detail : op -> int
-
-(** A timed op's timeout or a delay's ns; [Txn_try]'s receive count. *)
-val trace_a : op -> int
-
-(** [Txn_try]'s send count. *)
-val trace_b : op -> int
-
-(** The text of an encoded op, e.g. ["delay(123456ns)"] or
-    ["txn-try(1r/2s/0w)"].  Raises [Invalid_argument] on a detail no op
-    encodes to. *)
-val render : detail:int -> a:int -> b:int -> string
-
-(** [render] of the op's encoding: the one text source for an op. *)
-val op_to_string : op -> string

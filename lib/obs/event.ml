@@ -20,9 +20,8 @@ type kind =
   | Dispatch  (* a=processor id *)
   | Preempt  (* time slice expired *)
   | Yield
-  | Deschedule  (* detail=syscall that took the process off its cpu *)
-  | Block_send  (* a=port index *)
-  | Block_receive  (* a=port index *)
+  | Block_send  (* a=port index, b=timeout ns of a timed wait, else 0 *)
+  | Block_receive  (* a=port index, b=timeout ns of a timed wait, else 0 *)
   | Sleep  (* a=delay ns *)
   | Wake
   | Send  (* a=port index, b=message object index *)
@@ -102,7 +101,6 @@ let kinds =
     (Dispatch, "dispatch", "dispatch");
     (Preempt, "preempt", "dispatch");
     (Yield, "yield", "dispatch");
-    (Deschedule, "deschedule", "dispatch");
     (Block_send, "block-send", "port");
     (Block_receive, "block-receive", "port");
     (Sleep, "sleep", "dispatch");
@@ -183,18 +181,29 @@ let to_string e =
 
 (* Compat shim: render the pre-structured-tracing trace line for the events
    that used to produce one.  The formats are frozen — the seed emitted
-   exactly these five strings — so legacy consumers see byte-identical
-   output. *)
+   exactly these strings — so legacy consumers see byte-identical output.
+   The seed's "descheduled on <op>" line is the event that took the
+   process off its processor: each way off has its own kind, and a timed
+   wait's or a delay's ns rides in its ints. *)
 let legacy_line e =
+  let descheduled op =
+    Some (Printf.sprintf "process %s descheduled on %s" e.name op)
+  in
+  let timed op ns = descheduled (Printf.sprintf "%s(%dns)" op ns) in
   match e.kind with
   | Spawn -> Some (Printf.sprintf "spawn %s as process %d" e.name e.a)
   | Stop -> Some (Printf.sprintf "stop %s" e.name)
   | Start -> Some (Printf.sprintf "start %s" e.name)
   | Finish -> Some (Printf.sprintf "process %s finished" e.name)
-  | Deschedule ->
-    Some (Printf.sprintf "process %s descheduled on %s" e.name e.detail)
-  | Exit | Fault | Ready | Dispatch | Preempt | Yield | Block_send
-  | Block_receive | Sleep | Wake | Send | Receive | Allocate | Release
+  | Block_send when e.b > 0 -> timed "timed-send" e.b
+  | Block_send -> descheduled "send"
+  | Block_receive when e.b > 0 -> timed "timed-receive" e.b
+  | Block_receive -> descheduled "receive"
+  | Sleep -> timed "delay" e.a
+  | Yield -> descheduled "yield"
+  | Preempt -> descheduled "preempt"
+  | Exit -> descheduled "exit"
+  | Fault | Ready | Dispatch | Wake | Send | Receive | Allocate | Release
   | Sro_create | Sro_destroy | Domain_call | Domain_return | Gc_mark_begin
   | Gc_mark_end | Gc_sweep_begin | Gc_sweep_end | Fi_inject | Cpu_offline
   | Proc_requeued | Alloc_retry | Timeout_fired | Proc_restarted

@@ -10,9 +10,8 @@ type kind =
   | Dispatch  (** a=processor id *)
   | Preempt
   | Yield
-  | Deschedule  (** detail=the syscall that took the process off its cpu *)
-  | Block_send  (** a=port index *)
-  | Block_receive  (** a=port index *)
+  | Block_send  (** a=port index, b=timeout ns of a timed wait, else 0 *)
+  | Block_receive  (** a=port index, b=timeout ns of a timed wait, else 0 *)
   | Sleep  (** a=delay ns *)
   | Wake
   | Send  (** a=port index, b=message object index *)
@@ -88,6 +87,9 @@ val category : kind -> string
 
 val to_string : t -> string
 
-(** Compat shim: the seed's unstructured trace line for this event, for the
-    five kinds that used to produce one (byte-identical formats). *)
+(** Compat shim: the seed's unstructured trace line for this event
+    (byte-identical formats): spawn, stop, start and finish, and the
+    seed's "process X descheduled on <op>" for each event that takes a
+    process off its processor — block-send, block-receive, sleep, yield,
+    preempt and exit. *)
 val legacy_line : t -> string option

@@ -101,7 +101,7 @@ let walk_stream ~pid ~processors ~add ~flow_seq tracer =
         add ts_ns
           (entry ~name:e.Event.name ~cat:"dispatch" ~ph:"B" ~ts_ns ~tid ~pid
              ~args:(field_args e) ())
-      | Event.Deschedule | Event.Exit | Event.Finish -> close ~tid ~ts_ns
+      | Event.Exit | Event.Finish -> close ~tid ~ts_ns
       | Event.Yield | Event.Preempt | Event.Sleep | Event.Fault
       | Event.Block_send | Event.Block_receive ->
         instant ();

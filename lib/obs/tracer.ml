@@ -1,10 +1,9 @@
 (* The kernel event tracer.
 
    Domain safety: a tracer is per-machine instance state — its ring, its
-   emitted count and the interning memos are all fields of [t].  The one
-   module global, the detail-renderer table, is written only at module
-   initialisation and read-only after.  The parallel cluster engine
-   therefore needs no locking here: each node's tracer is touched only by
+   emitted count and the interning memos are all fields of [t], and the
+   module has no mutable global.  The parallel cluster engine therefore
+   needs no locking here: each node's tracer is touched only by
    the one domain stepping that node during a round slice (see
    Machine.run's stepper assertion), and by the coordinator between
    slices.
@@ -26,15 +25,10 @@
    {!caml_modify} write barriers on every one.  Emission is four
    immediate stores into four adjacent words.  No field is range-checked at
    emit time; each is checked once where its value is made: an id when
-   the intern pool issues it and a renderer's detail code when it is
-   encoded ({!fits_id}), a processor id when a traced machine is created
-   ({!max_cpus}).  An event carries no strings: callers
-   intern a name or detail once with {!string_id} (a process's name at
-   spawn, a pump's name at boot) and emit the id.  A detail that would be
-   formatted per event (a deschedule's op, "delay(123456ns)") is not
-   interned at all: its kind has a renderer, and the event stores a code
-   and two int arguments that the renderer turns into text when the
-   event is read.
+   the intern pool issues it ({!fits_id}), a processor id when a traced
+   machine is created ({!max_cpus}).  An event carries no strings:
+   callers intern a name or detail once with {!string_id} (a process's
+   name at spawn, a pump's name at boot) and emit the id.
 
    Readers stream.  {!fold} walks the retained slots in seq order,
    tests each slot's kind code against an optional filter before
@@ -69,8 +63,8 @@ let () =
 let max_cpus = cpu_mask
 let max_ids = 1 lsl id_bits
 
-(* The one check of both 24-bit fields: an interned id as the pool
-   issues it, a renderer's detail code as it is encoded. *)
+(* The one check of both 24-bit fields, made as the intern pool issues
+   an id. *)
 let fits_id id =
   if id < 0 || id > id_mask then
     invalid_arg
@@ -157,19 +151,6 @@ let intern st s =
   else if Array.unsafe_get m 7 == s then Array.unsafe_get st.memo_id 7
   else intern_slow st s
 
-(* Detail renderers, by kind code.  An event of a kind with a renderer
-   stores a code in its detail slot and the code's arguments in [a] and
-   [b]; reading it renders the three into the detail text, and the event
-   reads a=0 b=0 because its ints belong to the detail.  Obs sits below
-   the layers that define such codes, so each registers its renderer at
-   its own module initialisation (the kernel's deschedule op, in
-   Machine). *)
-type renderer = detail:int -> a:int -> b:int -> string
-
-let renderers : renderer option array = Array.make Event.kind_count None
-let set_renderer kind render =
-  renderers.(Event.kind_to_int kind) <- Some render
-
 let default_capacity = 32_768
 
 let create ?(capacity = default_capacity) ~level () =
@@ -197,9 +178,8 @@ let string_id t s =
 
 (* The one emit path: level check, slot accounting, four immediate
    stores.  No optional arguments, no strings and no range checks —
-   callers pass ids from [string_id] and codes through [fits_id], each
-   checked where it was made, and a cpu below a traced machine's
-   [max_cpus]. *)
+   callers pass ids from [string_id], checked where they were made, and a
+   cpu below a traced machine's [max_cpus]. *)
 let emit t kind ~cpu ~ts_ns ~name_id ~detail_id ~a ~b =
   match t.level with
   | Off -> ()
@@ -256,34 +236,17 @@ let slot t seq =
 let event t seq =
   let d = t.data and base = slot_base t seq in
   let meta = d.(base + 3) in
-  let code = meta_code meta and detail = meta_detail_id meta in
   let pool = t.strings.pool in
-  let name = pool.(meta_name_id meta) in
-  let ts_ns = d.(base) and cpu = meta_cpu meta in
-  let kind = Event.kind_of_int code in
-  match renderers.(code) with
-  | None ->
-    {
-      Event.seq;
-      ts_ns;
-      cpu;
-      kind;
-      name;
-      detail = pool.(detail);
-      a = d.(base + 1);
-      b = d.(base + 2);
-    }
-  | Some render ->
-    {
-      Event.seq;
-      ts_ns;
-      cpu;
-      kind;
-      name;
-      detail = render ~detail ~a:d.(base + 1) ~b:d.(base + 2);
-      a = 0;
-      b = 0;
-    }
+  {
+    Event.seq;
+    ts_ns = d.(base);
+    cpu = meta_cpu meta;
+    kind = Event.kind_of_int (meta_code meta);
+    name = pool.(meta_name_id meta);
+    detail = pool.(meta_detail_id meta);
+    a = d.(base + 1);
+    b = d.(base + 2);
+  }
 
 let kinds keep =
   Array.init Event.kind_count (fun i -> keep (Event.kind_of_int i))

@@ -4,8 +4,7 @@
 
     [Off] is free on the hot path (one field read); [Events] records
     structured events.  An event is a kind, two interned string ids and
-    two ints (or, for a kind with a renderer, a name id and a detail code
-    with two int arguments, rendered to text when read); the seed's
+    two ints; the seed's
     unstructured trace lines are rendered from the retained events by
     {!Event.legacy_line}, so they are exactly as complete as the ring.
     Readers stream: {!fold} walks the ring and builds an {!Event.t} only
@@ -19,17 +18,16 @@ val default_capacity : int
 
 (** Field limits of a slot, each checked once where its value is made,
     never at {!emit}: an emitted [cpu] lies in [-1 .. max_cpus - 1]
-    (a traced machine refuses more processors), and an interned id or a
-    renderer's detail code passes {!fits_id} ({!string_id} raises
-    [Invalid_argument] rather than issue an id past it). *)
+    (a traced machine refuses more processors), and an interned id passes
+    {!fits_id} ({!string_id} raises [Invalid_argument] rather than issue
+    an id past it). *)
 val max_cpus : int
 
 val max_ids : int
 
 (** [fits_id n] is [n] when it fits a slot's name or detail field
     ([0 <= n < max_ids]); [Invalid_argument] otherwise.  The intern pool
-    checks each id it issues with it, and a renderer's encoder a code
-    that can grow with its input. *)
+    checks each id it issues with it. *)
 val fits_id : int -> int
 
 (** [create ~level ()] sizes one ring that retains the last [capacity]
@@ -45,20 +43,9 @@ val enabled : t -> bool
     valid only on the tracer that issued it. *)
 val string_id : t -> string -> int
 
-(** [set_renderer kind render] makes [kind]'s detail a code rather than
-    an interned id: an event of that kind stores a code in [detail_id]
-    and the code's arguments in [a] and [b], and {!event} reads it as
-    [detail = render ~detail ~a ~b] with [a = b = 0].  For a detail that
-    would otherwise be formatted per event (the kernel registers its
-    deschedule op this way, once, at module initialisation); not for use
-    once events of the kind have been emitted. *)
-val set_renderer :
-  Event.kind -> (detail:int -> a:int -> b:int -> string) -> unit
-
 (** Record one event: the only emit path.  [cpu] is the emitting processor
     id, or -1 outside the run loop; [name_id]/[detail_id] come from
-    {!string_id}, or [detail_id] is a code checked by {!fits_id} for a kind
-    with a renderer ({!set_renderer}).  Four stores into the ring and no
+    {!string_id}.  Four stores into the ring and no
     range check: a value past its field corrupts its neighbours.  No-op
     when the level is [Off]. *)
 val emit :
@@ -93,11 +80,10 @@ val iter : ?kinds:bool array -> t -> (int -> unit) -> unit
     {!fold}. *)
 val to_list : ?kinds:bool array -> t -> (int -> 'a) -> 'a list
 
-(** The retained event with seq [seq], its detail rendered if its kind
-    has a renderer. *)
+(** The retained event with seq [seq], its ids looked up. *)
 val event : t -> int -> Event.t
 
-(** A slot's fields as stored: unrendered, ids not looked up. *)
+(** A slot's fields as stored, ids not looked up. *)
 type slot = {
   ts_ns : int;
   cpu : int;

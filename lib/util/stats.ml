@@ -1,59 +1,10 @@
 (* Small statistics toolkit used by the benchmark harness and the metrics
    registry. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  let rank = p *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
 let nearest_rank ~empty sorted q =
   let n = Array.length sorted in
   if n = 0 then empty
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
-let summarize samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Stats.summarize: empty";
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  let sum = Array.fold_left ( +. ) 0.0 sorted in
-  let mean = sum /. float_of_int n in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 sorted
-    /. float_of_int (Stdlib.max 1 (n - 1))
-  in
-  {
-    count = n;
-    mean;
-    stddev = sqrt var;
-    min = sorted.(0);
-    max = sorted.(n - 1);
-    p50 = percentile sorted 0.50;
-    p90 = percentile sorted 0.90;
-    p99 = percentile sorted 0.99;
-  }
-
-let mean samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Stats.mean: empty";
-  Array.fold_left ( +. ) 0.0 samples /. float_of_int n
 
 (* Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 = perfectly fair. *)
 let jain_fairness xs =
@@ -268,17 +219,3 @@ let log_hist_merge_into ~dst ~src =
   dst.lh_acc.(0) <- log_hist_sum dst +. log_hist_sum src;
   if log_hist_min src < log_hist_min dst then dst.lh_acc.(1) <- log_hist_min src;
   if log_hist_max src > log_hist_max dst then dst.lh_acc.(2) <- log_hist_max src
-
-(* One-shot histogram of a sample array.  Underflow and overflow are
-   reported explicitly rather than silently dropped; [hi] itself counts as
-   overflow (the in-range interval is half-open).  NaNs are ignored. *)
-type histogram_counts = {
-  in_range : int array;
-  underflow : int;
-  overflow : int;
-}
-
-let histogram ~buckets ~lo ~hi samples =
-  let h = hist_create ~buckets ~lo ~hi () in
-  Array.iter (hist_observe h) samples;
-  { in_range = h.h_counts; underflow = h.h_underflow; overflow = h.h_overflow }

@@ -1,29 +1,9 @@
 (** Descriptive statistics for the benchmark harness and the metrics
     registry. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-(** [percentile sorted p] with [p] in [0, 1]; [sorted] must be sorted
-    ascending and non-empty. *)
-val percentile : float array -> float -> float
-
 (** Nearest-rank quantile: the element at rank [floor (q * n)] (capped at
     the last) of an ascending [sorted] array; [empty] when it has none. *)
 val nearest_rank : empty:'a -> 'a array -> float -> 'a
-
-(** Full summary of a non-empty sample array. *)
-val summarize : float array -> summary
-
-val mean : float array -> float
 
 (** Jain's fairness index in (0, 1]; 1.0 means all values equal. *)
 val jain_fairness : float array -> float
@@ -120,17 +100,3 @@ val log_hist_quantile : log_hist -> float -> float
     [lo], [per_decade] and bucket count.  Same single-writer/merge
     conventions as {!hist_merge_into}. *)
 val log_hist_merge_into : dst:log_hist -> src:log_hist -> unit
-
-(** Result of a one-shot {!histogram}: per-bucket counts over [lo, hi)
-    plus the out-of-range counts that were previously dropped silently. *)
-type histogram_counts = {
-  in_range : int array;
-  underflow : int;
-  overflow : int;
-}
-
-(** Fixed-width histogram of a sample array: values in [lo, hi) land in
-    [in_range], values below [lo] in [underflow], values at or above [hi]
-    in [overflow].  NaNs are ignored. *)
-val histogram :
-  buckets:int -> lo:float -> hi:float -> float array -> histogram_counts

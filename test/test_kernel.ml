@@ -337,7 +337,17 @@ let test_cond_receive_on_empty () =
    statistics (sends/receives/send blocks/receive blocks/max depth/mean
    wait), each process's sent/received/blocks counters, the run's final
    clock, the event sequence as kind:name (spawns and allocations
-   omitted) and the Deschedule details. *)
+   omitted) and the op each leave from a processor renders as in the
+   seed's "descheduled on" line. *)
+
+(* The op of a leave event's seed line, "process X descheduled on <op>". *)
+let leave_op (e : Obs.Event.t) =
+  let prefix = "process " ^ e.Obs.Event.name ^ " descheduled on " in
+  let n = String.length prefix in
+  match Obs.Event.legacy_line e with
+  | Some line when String.length line > n && String.sub line 0 n = prefix ->
+    Some (String.sub line n (String.length line - n))
+  | Some _ | None -> None
 
 let xfer_send op m ~port ~msg =
   match op with
@@ -392,13 +402,7 @@ let xfer_case ~capacity ~discipline scenario =
         | k -> Some (Obs.Event.kind_to_string k ^ ":" ^ e.Obs.Event.name))
       events
   in
-  let descheds =
-    List.filter_map
-      (fun (e : Obs.Event.t) ->
-        if e.Obs.Event.kind = Obs.Event.Deschedule then Some e.Obs.Event.detail
-        else None)
-      events
-  in
+  let descheds = List.filter_map leave_op events in
   Printf.sprintf "%s | %d/%d/%d/%d/%d/%.0f | %s | %d | %s | %s" !result s r sb rb
     depth wait (String.concat " " procs) report.K.Machine.elapsed_ns
     (String.concat " " kinds) (String.concat "," descheds)
@@ -481,85 +485,85 @@ let xfer_rows =
 let xfer_expected =
   [
     ("FIFO send / parked receiver",
-     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("FIFO send / room",
      "() | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("FIFO send / full",
-     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
+     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
     ("FIFO cond_send / parked receiver",
-     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("FIFO cond_send / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("FIFO cond_send / full",
-     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
+     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
     ("FIFO send_timeout / parked receiver",
-     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("FIFO send_timeout / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("FIFO send_timeout / full",
-     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
     ("FIFO send_timeout, expiring / full",
-     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
+     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
     ("FIFO receive / queued",
-     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("FIFO receive / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("FIFO receive / empty",
-     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
     ("FIFO cond_receive / queued",
-     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("FIFO cond_receive / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("FIFO cond_receive / empty",
-     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
+     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
     ("FIFO receive_timeout / queued",
-     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "1 | 2/1/0/0/2/180625 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("FIFO receive_timeout / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("FIFO receive_timeout / empty",
-     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
     ("FIFO receive_timeout, expiring / empty",
-     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx deschedule:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
+     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
     ("priority send / parked receiver",
-     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "() | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("priority send / room",
      "() | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("priority send / full",
-     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
+     "() | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx send:tx block-send:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain ready:tx finish:drain dispatch:tx finish:tx | send,delay(50000ns)");
     ("priority cond_send / parked receiver",
-     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("priority cond_send / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("priority cond_send / full",
-     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
+     "false | 1/1/0/0/1/220625 | fill:1/0/0 tx:0/0/0 drain:0/1/0 | 335250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx finish:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain finish:drain | delay(50000ns)");
     ("priority send_timeout / parked receiver",
-     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
+     "true | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 186625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive");
     ("priority send_timeout / room",
      "true | 1/0/0/0/1/0 | tx:1/0/0 | 114625 | ready:tx dispatch:tx send:tx finish:tx | ");
     ("priority send_timeout / full",
-     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain sleep:drain deschedule:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
+     "true | 2/1/1/0/1/236625 | fill:1/0/0 tx:1/0/1 drain:0/1/0 | 373250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx dispatch:drain sleep:drain wake:drain ready:drain dispatch:drain receive:drain send:tx ready:tx finish:drain dispatch:tx finish:tx | timed-send(1000000ns),delay(50000ns)");
     ("priority send_timeout, expiring / full",
-     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx deschedule:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain deschedule:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
+     "false | 1/1/1/0/1/236625 | fill:1/0/0 tx:0/0/1 drain:0/1/0 | 351250 | ready:fill ready:tx ready:drain dispatch:fill send:fill finish:fill dispatch:tx block-send:tx dispatch:drain timeout-fired:tx ready:tx sleep:drain dispatch:tx finish:tx wake:drain ready:drain dispatch:drain receive:drain finish:drain | timed-send(10000ns),delay(50000ns)");
     ("priority receive / queued",
-     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("priority receive / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("priority receive / empty",
-     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | receive,delay(50000ns)");
     ("priority cond_receive / queued",
-     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("priority cond_receive / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("priority cond_receive / empty",
-     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
+     "none | 1/0/0/0/1/0 | rx:0/0/0 tx:1/0/0 | 220625 | ready:rx ready:tx dispatch:rx finish:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx finish:tx | delay(50000ns)");
     ("priority receive_timeout / queued",
-     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi deschedule:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx deschedule:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
+     "2 | 2/1/0/0/2/66000 | hi:1/0/0 lo:1/0/0 rx:0/1/0 | 317750 | ready:hi ready:lo ready:rx dispatch:hi sleep:hi dispatch:lo wake:hi ready:hi send:lo finish:lo dispatch:hi send:hi finish:hi dispatch:rx sleep:rx wake:rx ready:rx dispatch:rx receive:rx finish:rx | delay(1000ns),delay(10000ns)");
     ("priority receive_timeout / full, sender parked",
-     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 deschedule:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
+     "1 | 2/1/1/0/1/164625 | f1:1/0/0 f2:1/0/1 rx:0/1/0 | 301750 | ready:f1 ready:f2 ready:rx dispatch:f1 send:f1 finish:f1 dispatch:f2 send:f2 block-send:f2 dispatch:rx receive:rx ready:f2 finish:rx dispatch:f2 finish:f2 | send");
     ("priority receive_timeout / empty",
-     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx sleep:tx deschedule:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
+     "1 | 1/1/0/1/0/0 | rx:0/1/1 tx:1/0/0 | 259125 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx sleep:tx wake:tx ready:tx dispatch:tx send:tx receive:rx ready:rx finish:tx dispatch:rx finish:rx | timed-receive(1000000ns),delay(50000ns)");
     ("priority receive_timeout, expiring / empty",
-     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx deschedule:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
+     "none | 1/0/0/1/1/0 | rx:0/0/1 tx:1/0/0 | 236625 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx timeout-fired:rx ready:rx sleep:tx dispatch:rx finish:rx wake:tx ready:tx dispatch:tx send:tx finish:tx | timed-receive(10000ns),delay(50000ns)");
   ]
 
 let test_port_transfer_characterisation () =
@@ -775,37 +779,37 @@ let loop_rows =
 let loop_expected =
   [
     ("ready process bound to a busy cpu",
-     "632401 2/0 [] 6/0 | 632400/0 632401/632401 | ready:owner ready:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:bound yield:bound ready:bound deschedule:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:bound finish:bound dispatch:owner yield:owner ready:owner deschedule:owner dispatch:owner finish:owner");
+     "632401 2/0 [] 6/0 | 632400/0 632401/632401 | ready:owner ready:bound dispatch:owner yield:owner ready:owner dispatch:bound yield:bound ready:bound dispatch:owner yield:owner ready:owner dispatch:bound finish:bound dispatch:owner yield:owner ready:owner dispatch:owner finish:owner");
     ("affinity to a failed cpu",
-     "316200 1/0 [] 3/0 | 316200/0 0/0 | cpu-offline: ready:orphan ready:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker finish:worker");
+     "316200 1/0 [] 3/0 | 316200/0 0/0 | cpu-offline: ready:orphan ready:worker dispatch:worker yield:worker ready:worker dispatch:worker yield:worker ready:worker dispatch:worker finish:worker");
     ("sleeper kept company by a daemon",
-     "188000 1/0 [] 6/0 | 188000/56000 | ready:tick ready:sleeper dispatch:tick sleep:tick deschedule:tick dispatch:sleeper sleep:sleeper deschedule:sleeper wake:tick ready:tick dispatch:tick sleep:tick deschedule:tick wake:tick ready:tick dispatch:tick sleep:tick deschedule:tick wake:sleeper ready:sleeper dispatch:sleeper wake:tick ready:tick finish:sleeper dispatch:tick sleep:tick deschedule:tick");
+     "188000 1/0 [] 6/0 | 188000/56000 | ready:tick ready:sleeper dispatch:tick sleep:tick dispatch:sleeper sleep:sleeper wake:tick ready:tick dispatch:tick sleep:tick wake:tick ready:tick dispatch:tick sleep:tick wake:sleeper ready:sleeper dispatch:sleeper wake:tick ready:tick finish:sleeper dispatch:tick sleep:tick");
     ("stopped ready non-daemon",
-     "310000 1/0 [] 3/0 | 310000/0 | ready:held stop:held ready:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker yield:worker ready:worker deschedule:worker dispatch:worker finish:worker");
+     "310000 1/0 [] 3/0 | 310000/0 | ready:held stop:held ready:worker dispatch:worker yield:worker ready:worker dispatch:worker yield:worker ready:worker dispatch:worker finish:worker");
     ("timed receive past max_ns",
-     "200001 0/0 [waiter] 1/0 | 200001/150001 | ready:waiter dispatch:waiter block-receive:waiter deschedule:waiter");
+     "200001 0/0 [waiter] 1/0 | 200001/150001 | ready:waiter dispatch:waiter block-receive:waiter");
     ("far sleeper, unbounded",
-     "1152921504606891857 1/0 [] 2/0 | 1152921504606891856/1152921504606846976 1152921504606891857/1152921504606891857 | ready:far dispatch:far sleep:far deschedule:far wake:far ready:far dispatch:far finish:far");
+     "1152921504606891857 1/0 [] 2/0 | 1152921504606891856/1152921504606846976 1152921504606891857/1152921504606891857 | ready:far dispatch:far sleep:far wake:far ready:far dispatch:far finish:far");
     ("every cpu failed mid-run",
-     "293760 0/0 [] 4/0 | 169320/0 293760/0 | ready:a ready:b dispatch:a dispatch:b yield:a ready:a deschedule:a yield:b ready:b deschedule:b dispatch:a dispatch:b fi-inject: cpu-offline: proc-requeued:a ready:a yield:b ready:b deschedule:b fi-inject: cpu-offline:");
+     "293760 0/0 [] 4/0 | 169320/0 293760/0 | ready:a ready:b dispatch:a dispatch:b yield:a ready:a yield:b ready:b dispatch:a dispatch:b fi-inject: cpu-offline: proc-requeued:a ready:a yield:b ready:b fi-inject: cpu-offline:");
     ("sleepers with equal wake instants",
      "116000 3/0 [] 3/0 | 116000/50000 | wake:s3 ready:s3 wake:s2 ready:s2 wake:s1 ready:s1 dispatch:s3 finish:s3 dispatch:s2 finish:s2 dispatch:s1 finish:s1");
     ("wake and deadline at one instant",
-     "216000 3/0 [] 4/0 | 216000/100000 | ready:waiter dispatch:waiter block-receive:waiter deschedule:waiter wake:late ready:late wake:early ready:early timeout-fired:waiter ready:waiter dispatch:late finish:late dispatch:early finish:early dispatch:waiter finish:waiter");
+     "216000 3/0 [] 4/0 | 216000/100000 | ready:waiter dispatch:waiter block-receive:waiter wake:late ready:late wake:early ready:early timeout-fired:waiter ready:waiter dispatch:late finish:late dispatch:early finish:early dispatch:waiter finish:waiter");
     ("deadline disarmed by a peer",
-     "1128000 3/0 [] 5/0 | 1128000/978000 | ready:waiter ready:peer ready:after dispatch:waiter block-receive:waiter deschedule:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:after sleep:after deschedule:after dispatch:waiter finish:waiter wake:after ready:after dispatch:after finish:after");
+     "1128000 3/0 [] 5/0 | 1128000/978000 | ready:waiter ready:peer ready:after dispatch:waiter block-receive:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:after sleep:after dispatch:waiter finish:waiter wake:after ready:after dispatch:after finish:after");
     ("timeout re-armed on one process",
-     "456000 2/0 [] 4/0 | 456000/300000 | ready:waiter ready:peer dispatch:waiter block-receive:waiter deschedule:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:waiter block-receive:waiter deschedule:waiter timeout-fired:waiter ready:waiter dispatch:waiter finish:waiter");
+     "456000 2/0 [] 4/0 | 456000/300000 | ready:waiter ready:peer dispatch:waiter block-receive:waiter dispatch:peer send:peer receive:waiter ready:waiter finish:peer dispatch:waiter block-receive:waiter timeout-fired:waiter ready:waiter dispatch:waiter finish:waiter");
     ("far sleeper, max_ns = max_int",
-     "4611686018426432784 1/0 [] 2/0 | 4611686018426432783/4611686018426387903 4611686018426432784/4611686018426432784 | ready:far dispatch:far sleep:far deschedule:far wake:far ready:far dispatch:far finish:far");
+     "4611686018426432784 1/0 [] 2/0 | 4611686018426432783/4611686018426387903 4611686018426432784/4611686018426432784 | ready:far dispatch:far sleep:far wake:far ready:far dispatch:far finish:far");
     ("sleep past max_int wraps",
-     "44000 1/0 [] 2/0 | 44000/0 | ready:wrap dispatch:wrap sleep:wrap deschedule:wrap wake:wrap ready:wrap dispatch:wrap finish:wrap");
+     "44000 1/0 [] 2/0 | 44000/0 | ready:wrap dispatch:wrap sleep:wrap wake:wrap ready:wrap dispatch:wrap finish:wrap");
     ("max_steps 1",
      "22000 0/0 [] 1/0 | 22000/0 | ready:rx ready:tx dispatch:rx");
     ("max_steps 2",
-     "50000 0/0 [rx] 1/0 | 50000/0 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx");
+     "50000 0/0 [rx] 1/0 | 50000/0 | ready:rx ready:tx dispatch:rx block-receive:rx");
     ("max_steps 7",
-     "118000 1/0 [] 3/0 | 118000/0 | ready:rx ready:tx dispatch:rx block-receive:rx deschedule:rx dispatch:tx send:tx receive:rx ready:rx send:tx finish:tx dispatch:rx");
+     "118000 1/0 [] 3/0 | 118000/0 | ready:rx ready:tx dispatch:rx block-receive:rx dispatch:tx send:tx receive:rx ready:rx send:tx finish:tx dispatch:rx");
   ]
 
 let test_run_loop_characterisation () =
@@ -1169,8 +1173,8 @@ let test_trace_disabled_by_default () =
   Alcotest.(check (list string)) "no trace" []
     (List.filter_map I432_obs.Event.legacy_line (K.Machine.events m))
 
-(* The seed's op text, verbatim: the renderer must reproduce it for every
-   op shape, from the three ints a traced deschedule stores. *)
+(* The seed's op text, verbatim: the seed traced "process X descheduled
+   on <op>" with it whenever a process left its processor. *)
 let seed_op_to_string = function
   | K.Syscall.Send { wait = Block; _ } -> "send"
   | K.Syscall.Receive { wait = Block; _ } -> "receive"
@@ -1186,54 +1190,55 @@ let seed_op_to_string = function
     Printf.sprintf "txn-try(%dr/%ds/%dw)" (List.length t_receives)
       (List.length t_sends) (List.length t_writes)
 
+(* Each op shape, performed by a traced process on a full port (for a
+   send) or an empty one (for a receive): the event that takes the
+   process off its processor renders the seed's line for the op, and an
+   op that keeps its processor (a poll, a transaction) renders none. *)
 let test_op_renderer_matches_seed () =
-  let m = Testkit.mk () in
-  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
-  let msg = Testkit.alloc m () in
-  let txn r s w =
+  let leaves op =
+    let m = Testkit.mk ~trace:true () in
+    let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+    let msg = Testkit.alloc m () in
+    let op = op port msg in
+    ignore
+      (K.Machine.spawn m ~name:"p" (fun () ->
+           (match op with
+           | K.Syscall.Send _ -> ignore (K.Machine.cond_send m ~port ~msg)
+           | _ -> ());
+           ignore (K.Syscall.perform op)));
+    ignore (run m);
+    (op, List.filter_map Obs.Event.legacy_line (K.Machine.events m))
+  in
+  let send wait port msg = K.Syscall.Send { port; msg; wait } in
+  let receive wait port _ = K.Syscall.Receive { port; wait } in
+  let always op _ _ = op in
+  let txn port msg =
     K.Syscall.Txn_try
-      {
-        t_key = 7;
-        t_receives = List.init r (fun _ -> port);
-        t_sends = List.init s (fun _ -> (port, msg));
-        t_writes = List.init w (fun i -> (msg, 0, i));
-      }
+      { t_key = 7; t_receives = []; t_sends = [ (port, msg) ];
+        t_writes = [ (msg, 0, 1) ] }
   in
-  let rng = Random.State.make [| 28 |] in
-  let len () = Random.State.int rng 300 in
-  (* 65,537 is past a 16-bit field, in every position. *)
-  let wide = (1 lsl 16) + 1 in
-  let ops =
-    List.concat_map
-      (fun wait ->
-        [ K.Syscall.Send { port; msg; wait };
-          K.Syscall.Receive { port; wait } ])
-      [ K.Syscall.Block; Timeout 0; Timeout (-5); Timeout 1_000_000;
-        Timeout max_int ]
-    @ [ K.Syscall.Delay 0; Delay 123_456; Delay max_int; Delay min_int;
-        Yield; Preempt; Exit; txn 0 0 0; txn wide wide wide; txn 1 0 wide ]
-    @ List.init 40 (fun _ -> txn (len ()) (len ()) (len ()))
+  let waits = [ K.Syscall.Block; Timeout 1; Timeout 1_000_000 ] in
+  let polls = [ K.Syscall.Timeout 0; Timeout (-5) ] in
+  let descheduled =
+    List.concat_map (fun w -> [ send w; receive w ]) waits
+    @ List.map
+        (fun op -> always op)
+        [ K.Syscall.Delay 0; Delay 123_456; Delay max_int; Yield; Preempt;
+          Exit ]
   in
-  (* A tracer on which the machine's deschedule renderer is registered. *)
-  let t = Obs.Tracer.create ~level:Obs.Tracer.Events () in
-  List.iteri
-    (fun i op ->
-      let seed = seed_op_to_string op in
-      Alcotest.(check string) "op_to_string" seed (K.Syscall.op_to_string op);
-      Obs.Tracer.emit t Obs.Event.Deschedule ~cpu:0 ~ts_ns:i ~name_id:0
-        ~detail_id:(K.Syscall.trace_detail op) ~a:(K.Syscall.trace_a op)
-        ~b:(K.Syscall.trace_b op))
-    ops;
-  Alcotest.(check (list string)) "rendered when read"
-    (List.mapi
-       (fun i op ->
-         Printf.sprintf "#%d %dns cpu0 deschedule name= detail=%s a=0 b=0" i
-           i (seed_op_to_string op))
-       ops)
-    (List.map Obs.Event.to_string (Obs.Tracer.events t));
-  Alcotest.check_raises "no op encodes to 15"
-    (Invalid_argument "Syscall.render: op code 15") (fun () ->
-      ignore (K.Syscall.render ~detail:15 ~a:0 ~b:0))
+  List.iter
+    (fun op ->
+      let op, lines = leaves op in
+      let seed = "process p descheduled on " ^ seed_op_to_string op in
+      Alcotest.(check (list string)) seed [ seed ]
+        (List.filter (fun l -> l <> "process p finished") (List.tl lines)))
+    descheduled;
+  List.iter
+    (fun op ->
+      let op, lines = leaves op in
+      Alcotest.(check (list string)) (seed_op_to_string op)
+        [ "process p finished" ] (List.tl lines))
+    (List.concat_map (fun w -> [ send w; receive w ]) polls @ [ txn ])
 
 let test_obj_type_helpers () =
   Alcotest.(check bool) "process is system" true (Obj_type.is_system Obj_type.Process);

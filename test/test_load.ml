@@ -538,7 +538,7 @@ let check_readers ~wrapped o =
 (* Small runs fit the default 32,768-slot ring; the large ones overflow
    it on at least one machine. *)
 let small_spec = spec ~seed:5 ()
-let large_spec = spec ~seed:5 ~users:20 ~sessions:10 ~requests:20 ()
+let large_spec = spec ~seed:5 ~users:20 ~sessions:10 ~requests:24 ()
 
 let test_streaming_readers_machine () =
   check_readers ~wrapped:false (run_machine small_spec);

@@ -122,20 +122,10 @@ let dispatch_procs () =
    no place in the queue's walk. *)
 let left_nothing d (p : K.Process.t) =
   (not (K.Dispatch.mem d ~process:p))
-  && p.K.Process.q_count = 0
+  && (not p.K.Process.q_queued)
   && p.K.Process.q_next == K.Process.none
   && p.K.Process.q_prev == K.Process.none
-  && p.K.Process.q_more = []
   && not (List.memq p (K.Dispatch.to_list d))
-
-(* The model's processes in the order of their first entries: the order
-   the live queue links them in. *)
-let first_entries (m : Model_dispatch.t) =
-  List.fold_left
-    (fun acc (e : Model_dispatch.entry) ->
-      if List.mem e.process acc then acc else e.process :: acc)
-    [] m.ready
-  |> List.rev
 
 let prop_dispatch_matches_model =
   QCheck2.Test.make ~name:"dispatch = seed sorted-list ready queue" ~count:300
@@ -156,6 +146,10 @@ let prop_dispatch_matches_model =
       List.for_all
         (fun op ->
           (match op with
+          | D_enq (process, _) when Model_dispatch.mem m ~process ->
+            (* The machine never enqueues a queued process: a process has
+               one entry. *)
+            true
           | D_enq (process, priority) ->
             enqueue process priority;
             true
@@ -181,7 +175,7 @@ let prop_dispatch_matches_model =
             clean)
           && K.Dispatch.length d = Model_dispatch.length m
           && List.map (fun p -> p.K.Process.index) (K.Dispatch.to_list d)
-             = first_entries m
+             = List.map (fun (e : Model_dispatch.entry) -> e.process) m.ready
           && List.for_all
                (fun p ->
                  K.Dispatch.mem d ~process:procs.(p)

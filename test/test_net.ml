@@ -1006,10 +1006,10 @@ let test_seq_oracle () =
     (fun (what, expected, run) ->
       Alcotest.(check string) what expected (run ()))
     [
-      ("faulted link", "233310a6b5d25c9bc04aa991f2fc39a3", oracle_faulted_link);
-      ("retries exhausted", "05230c44a4d43bff1163aa0471bc5f6c", oracle_given_up);
-      ("kill and restart", "df35cafc5b9569135284cc2a7ca8dd08", oracle_kill_restart);
-      ("traced loadgen", "c10a5c1aa364f62407ae00112edad9ec", oracle_loadgen);
+      ("faulted link", "112f3980c54677e0580bb69815820e83", oracle_faulted_link);
+      ("retries exhausted", "a275fca093ea1f4ffd4b07d3f618669a", oracle_given_up);
+      ("kill and restart", "e9beb25c240cd1d7d9118b6fc556f723", oracle_kill_restart);
+      ("traced loadgen", "c3b3531867b3914f2c602b71e9af8615", oracle_loadgen);
     ]
 
 (* ---------------- Round limit ---------------- *)

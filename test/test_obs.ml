@@ -132,53 +132,52 @@ let kind_table =
     (5, "dispatch", "dispatch");
     (6, "preempt", "dispatch");
     (7, "yield", "dispatch");
-    (8, "deschedule", "dispatch");
-    (9, "block-send", "port");
-    (10, "block-receive", "port");
-    (11, "sleep", "dispatch");
-    (12, "wake", "dispatch");
-    (13, "send", "port");
-    (14, "receive", "port");
-    (15, "allocate", "sro");
-    (16, "release", "sro");
-    (17, "sro-create", "sro");
-    (18, "sro-destroy", "sro");
-    (19, "domain-call", "domain");
-    (20, "domain-return", "domain");
-    (21, "stop", "proc");
-    (22, "start", "proc");
-    (23, "gc-mark-begin", "gc");
-    (24, "gc-mark-end", "gc");
-    (25, "gc-sweep-begin", "gc");
-    (26, "gc-sweep-end", "gc");
-    (27, "fi-inject", "fi");
-    (28, "cpu-offline", "dispatch");
-    (29, "proc-requeued", "dispatch");
-    (30, "alloc-retry", "sro");
-    (31, "timeout-fired", "port");
-    (32, "proc-restarted", "proc");
-    (33, "remote-send", "net");
-    (34, "remote-deliver", "net");
-    (35, "frame-tx", "net");
-    (36, "frame-rx", "net");
-    (37, "journal-append", "store");
-    (38, "journal-sync", "store");
-    (39, "store-compact", "store");
-    (40, "ckpt-save", "store");
-    (41, "ckpt-restore", "store");
-    (42, "req-issue", "load");
-    (43, "req-done", "load");
-    (44, "node-kill", "net");
-    (45, "node-restart", "net");
-    (46, "frame-dead", "net");
-    (47, "dead-letter", "net");
-    (48, "swap-out", "vm");
-    (49, "swap-in", "vm");
-    (50, "swap-fault", "vm");
-    (51, "txn-commit", "txn");
-    (52, "txn-abort", "txn");
-    (53, "txn-dup-drop", "txn");
-    (54, "hist-append", "txn");
+    (8, "block-send", "port");
+    (9, "block-receive", "port");
+    (10, "sleep", "dispatch");
+    (11, "wake", "dispatch");
+    (12, "send", "port");
+    (13, "receive", "port");
+    (14, "allocate", "sro");
+    (15, "release", "sro");
+    (16, "sro-create", "sro");
+    (17, "sro-destroy", "sro");
+    (18, "domain-call", "domain");
+    (19, "domain-return", "domain");
+    (20, "stop", "proc");
+    (21, "start", "proc");
+    (22, "gc-mark-begin", "gc");
+    (23, "gc-mark-end", "gc");
+    (24, "gc-sweep-begin", "gc");
+    (25, "gc-sweep-end", "gc");
+    (26, "fi-inject", "fi");
+    (27, "cpu-offline", "dispatch");
+    (28, "proc-requeued", "dispatch");
+    (29, "alloc-retry", "sro");
+    (30, "timeout-fired", "port");
+    (31, "proc-restarted", "proc");
+    (32, "remote-send", "net");
+    (33, "remote-deliver", "net");
+    (34, "frame-tx", "net");
+    (35, "frame-rx", "net");
+    (36, "journal-append", "store");
+    (37, "journal-sync", "store");
+    (38, "store-compact", "store");
+    (39, "ckpt-save", "store");
+    (40, "ckpt-restore", "store");
+    (41, "req-issue", "load");
+    (42, "req-done", "load");
+    (43, "node-kill", "net");
+    (44, "node-restart", "net");
+    (45, "frame-dead", "net");
+    (46, "dead-letter", "net");
+    (47, "swap-out", "vm");
+    (48, "swap-in", "vm");
+    (49, "swap-fault", "vm");
+    (50, "txn-commit", "txn");
+    (51, "txn-abort", "txn");
+    (52, "txn-dup-drop", "txn");
+    (53, "hist-append", "txn");
   ]
 
 let test_kind_table_pinned () =
@@ -302,52 +301,13 @@ let test_field_limits_raise () =
     | _ -> Alcotest.failf "%s: no Invalid_argument" what
     | exception Invalid_argument _ -> ()
   in
-  (* Both 24-bit fields, an interned id and a detail code, pass one
-     check: 0 to [max_ids - 1]. *)
+  (* Both 24-bit fields take interned ids, which pass one check: 0 to
+     [max_ids - 1]. *)
   Alcotest.(check int) "last id" (Obs.Tracer.max_ids - 1)
     (Obs.Tracer.fits_id (Obs.Tracer.max_ids - 1));
   raises "an id past the field" (fun () ->
       Obs.Tracer.fits_id Obs.Tracer.max_ids);
   raises "a negative id" (fun () -> Obs.Tracer.fits_id (-1));
-  (* A txn's write count rides above its 4-bit op code: [max_txn_writes]
-     fits the 24-bit field and one more does not. *)
-  Alcotest.(check int) "writes bound" ((1 lsl 20) - 1) K.Syscall.max_txn_writes;
-  let m = Testkit.mk () in
-  let msg = Testkit.alloc m () in
-  let w = (msg, 0, 7) in
-  let writes = List.init (K.Syscall.max_txn_writes + 1) (fun _ -> w) in
-  let txn t_writes =
-    K.Syscall.Txn_try { t_key = 1; t_receives = []; t_sends = []; t_writes }
-  in
-  Alcotest.(check int) "the most writes a trace encodes"
-    (Obs.Tracer.max_ids - 8)
-    (K.Syscall.trace_detail (txn (List.tl writes)));
-  raises "too many writes to encode" (fun () ->
-      K.Syscall.trace_detail (txn writes));
-  Alcotest.(check string) "any op prints"
-    (Printf.sprintf "txn-try(0r/0s/%dw)" (K.Syscall.max_txn_writes + 1))
-    (K.Syscall.op_to_string (txn writes));
-  (* The kernel faults a group too large to encode before any write
-     applies, traced or not, and the run goes on. *)
-  List.iter
-    (fun trace ->
-      let m = Testkit.mk ~trace () in
-      let target = Testkit.alloc m () in
-      let writes = List.map (fun (_, o, v) -> (target, o, v)) writes in
-      ignore
-        (K.Machine.spawn m ~name:"big" (fun () ->
-             ignore (K.Machine.txn_try m ~key:1 ~writes ())));
-      ignore (K.Machine.spawn m ~name:"after" (fun () -> K.Machine.yield m));
-      let r = K.Machine.run m in
-      Alcotest.(check (pair int int)) "one faulted, one completed" (1, 1)
-        (r.K.Machine.faulted, r.K.Machine.completed);
-      (match K.Machine.faults m with
-      | [ ("big", I432.Fault.Protocol _) ] -> ()
-      | _ -> Alcotest.fail "expected one protocol fault from 'big'");
-      Alcotest.(check int) "no write applied" 0
-        (K.Machine.read_word m target ~offset:0);
-      Alcotest.(check int) "no commit" 0 (K.Machine.txn_applied_count m))
-    [ false; true ];
   (* The cpu field: a traced machine holds at most [max_cpus]
      processors; an untraced one is not limited by it. *)
   let config processors trace_level =
@@ -387,13 +347,15 @@ let test_legacy_lines_byte_identical () =
 
 let test_events_level_has_no_legacy_lines () =
   (* The tracer keeps no text: at Events a trace is its ring, and the
-     rendered transcript has one line per retained event of the five
-     legacy kinds — nothing else. *)
+     rendered transcript has one line per retained event of the legacy
+     kinds — nothing else. *)
   let m = workload ~level:Obs.Tracer.Events () in
   let events = K.Machine.events m in
   let legacy_kind (e : Obs.Event.t) =
     match e.Obs.Event.kind with
-    | Obs.Event.Spawn | Stop | Start | Finish | Deschedule -> true
+    | Obs.Event.Spawn | Stop | Start | Finish | Block_send | Block_receive
+    | Sleep | Yield | Preempt | Exit ->
+      true
     | _ -> false
   in
   Alcotest.(check bool) "events recorded" true (events <> []);
@@ -619,7 +581,7 @@ let test_log_hist_output_pinned () =
    are preempted), one GDP hard-faulted mid-run, and transient faults
    that kill the processes they land on.  Every kernel counter the
    registry keeps must equal its owner's own count. *)
-let chaos_spooler () =
+let chaos_spooler ?(trace_level = Obs.Tracer.Off) ?(injections = []) () =
   let m =
     K.Machine.create
       ~config:
@@ -627,6 +589,7 @@ let chaos_spooler () =
           K.Machine.default_config with
           K.Machine.processors = 4;
           timings = { I432.Timings.default with I432.Timings.time_slice_ns = 40_000 };
+          trace_level;
         }
       ()
   in
@@ -657,6 +620,7 @@ let chaos_spooler () =
   K.Machine.schedule_injection m ~at_ns:60_000 (K.Machine.Inj_transient 0);
   K.Machine.schedule_injection m ~at_ns:90_000 (K.Machine.Inj_transient 1);
   K.Machine.schedule_injection m ~at_ns:120_000 (K.Machine.Inj_cpu_fault 2);
+  List.iter (fun (at_ns, i) -> K.Machine.schedule_injection m ~at_ns i) injections;
   let report = run m in
   (m, report)
 
@@ -675,6 +639,153 @@ let test_kernel_counts_agree () =
   Alcotest.(check int) "machine.faults"
     (List.length (K.Machine.faults m))
     (count "machine.faults")
+
+(* ---------------- One leave per residency ---------------- *)
+
+(* A process leaves its processor only at an instruction that traces its
+   own event, or when it finishes, faults or loses its processor: so
+   between a process's dispatch and the next dispatch on that processor
+   there is exactly one of these.  It is why the trace needs no separate
+   deschedule event; a new way off a processor that emits none fails
+   here. *)
+let leave_kind (k : Obs.Event.kind) =
+  match k with
+  | Obs.Event.Block_send | Block_receive | Sleep | Yield | Preempt | Exit
+  | Finish | Fault | Proc_requeued ->
+    true
+  | _ -> false
+
+(* Checks [m]'s whole trace and returns the kinds of leave it saw. *)
+let check_one_leave_per_residency world m =
+  let tracer = K.Machine.tracer m in
+  let seen = ref [] in
+  Alcotest.(check int) (world ^ ": whole run retained") 0
+    (Obs.Tracer.dropped tracer);
+  let on_cpu = Array.make (K.Machine.processor_count m) None in
+  let residencies = ref 0 in
+  Obs.Tracer.iter tracer (fun seq ->
+      let e = Obs.Tracer.event tracer seq in
+      let name = e.Obs.Event.name in
+      match e.Obs.Event.kind with
+      | Obs.Event.Dispatch -> (
+        match on_cpu.(e.Obs.Event.cpu) with
+        | Some resident ->
+          Alcotest.failf "%s: #%d dispatches %s on cpu%d before %s left it"
+            world seq name e.Obs.Event.cpu resident
+        | None ->
+          on_cpu.(e.Obs.Event.cpu) <- Some name;
+          incr residencies)
+      | k when leave_kind k -> (
+        (* A fault is recorded off the run loop (cpu -1): its processor
+           is the one its process is resident on. *)
+        let cpu =
+          if e.Obs.Event.cpu >= 0 then Some e.Obs.Event.cpu
+          else
+            Seq.find (fun c -> on_cpu.(c) = Some name)
+              (Seq.init (Array.length on_cpu) Fun.id)
+        in
+        match cpu with
+        | Some c when on_cpu.(c) = Some name ->
+          on_cpu.(c) <- None;
+          if not (List.mem k !seen) then seen := k :: !seen
+        | _ ->
+          Alcotest.failf "%s: #%d %s of %s, which is resident on no processor"
+            world seq (Obs.Event.kind_to_string k) name)
+      | _ -> ());
+  Alcotest.(check bool) (world ^ ": residencies traced") true
+    (!residencies > 0);
+  !seen
+
+(* The print spooler of [imax_ctl trace]: clients that send and sleep, a
+   spooler and a printer behind a shallow port, and a batch job whose
+   bursts outrun the time slice.  Here the printer is slower and its port
+   holds one job, so the spooler blocks sending to it, and the batch job
+   also yields between its bursts and exits. *)
+let spooler_world () =
+  let module Sys = Imax.System in
+  let module Pm = Imax.Process_manager in
+  let module Up = Imax.Untyped_ports in
+  let sys =
+    Sys.boot
+      ~config:{ Sys.default_config with Sys.trace_level = Obs.Tracer.Events }
+      ()
+  in
+  let m = Sys.machine sys and pm = Sys.process_manager sys in
+  let spool = Up.create_port m ~message_count:8 () in
+  let printer = Up.create_port m ~message_count:1 () in
+  let clients = 3 and jobs = 5 in
+  let forward ~from ~ns ~dst =
+    for _ = 1 to clients * jobs do
+      let job = Up.receive m ~prt:from in
+      K.Machine.compute m ns;
+      Option.iter (fun prt -> Up.send m ~prt ~msg:job) dst
+    done
+  in
+  ignore
+    (Pm.create_process pm ~name:"spooler" (fun () ->
+         forward ~from:spool ~ns:2 ~dst:(Some printer)));
+  ignore
+    (Pm.create_process pm ~name:"printer" (fun () ->
+         forward ~from:printer ~ns:2_000 ~dst:None));
+  for c = 1 to clients do
+    ignore
+      (Pm.create_process pm ~name:(Printf.sprintf "client%d" c) (fun () ->
+           for _ = 1 to jobs do
+             let job = K.Machine.allocate_generic m ~data_length:16 () in
+             Up.send m ~prt:spool ~msg:job;
+             K.Machine.delay m ~ns:50_000
+           done))
+  done;
+  ignore
+    (Pm.create_process pm ~name:"batch" ~priority:4 (fun () ->
+         K.Machine.compute m 12_000;
+         K.Machine.yield m;
+         K.Machine.compute m 12_000;
+         K.Machine.exit_process m));
+  ignore (Sys.run sys);
+  m
+
+(* Random fault-ins beside evictions, with RAM a quarter of the working
+   set. *)
+let swap_world () =
+  let journal = "leave_per_residency_swap.journal" in
+  let users = List.init 3 (fun u -> (u + 1, List.init 40 (fun _ -> (0, 1, 4)))) in
+  let w =
+    I432_load.Working_set.boot
+      ~config:
+        {
+          Imax.System.default_config with
+          Imax.System.processors = 2;
+          memory_manager = Imax.System.Swapping_lru;
+          trace_level = Obs.Tracer.Events;
+        }
+      ~journal ~sync_every:4 ~ram_bytes:(128 * 64 / 4) ~objects:128
+      ~object_bytes:64 ~seed:5 ~users
+  in
+  let m = I432_load.Working_set.machine w in
+  ignore (K.Machine.run m);
+  I432_store.Store.close (I432_load.Working_set.store w);
+  I432_store.Store.remove_files journal;
+  m
+
+let test_one_leave_per_residency () =
+  let spooler = check_one_leave_per_residency "spooler" (spooler_world ()) in
+  (* A second GDP fails while it runs a process. *)
+  let chaos, _ =
+    chaos_spooler ~trace_level:Obs.Tracer.Events
+      ~injections:[ (500_000, K.Machine.Inj_cpu_fault 3) ]
+      ()
+  in
+  let chaos = check_one_leave_per_residency "chaos" chaos in
+  let swap = check_one_leave_per_residency "swap" (swap_world ()) in
+  (* Between them the worlds take every way off a processor. *)
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Obs.Event.kind_to_string k ^ " seen") true
+        (List.mem k (spooler @ chaos @ swap)))
+    Obs.Event.
+      [ Block_send; Block_receive; Sleep; Yield; Preempt; Exit; Finish;
+        Fault; Proc_requeued ]
 
 (* A pulled counter is read live by every reader and folds into a plain
    counter when merged; registering its name again, or asking [counter]
@@ -742,6 +853,7 @@ let suite =
     ("event: kind table pinned", `Quick, test_kind_table_pinned);
     ("shim: byte-identical lines", `Quick, test_legacy_lines_byte_identical);
     ("shim: silent at Events", `Quick, test_events_level_has_no_legacy_lines);
+    ("shim: one leave per residency", `Quick, test_one_leave_per_residency);
     ( "shim: survives ring overflow",
       `Quick,
       test_legacy_lines_survive_ring_overflow );

@@ -823,11 +823,11 @@ let gc_expected =
     ("tie: writes in staging order",
      "conflict w1 rights |  | w0=0 w1=0 | 0/1/0 | g:0/0/0 | 23250 | ready:g dispatch:g finish:g");
     ("parked receiver counts as room",
-     "committed fresh=true recv=[] at=96000 | p0:2/1/0/1/1 |  | 1/0/0 | rx:0/1/1 g:2/0/0 | 118000 | ready:rx ready:g dispatch:rx block-receive:rx deschedule:rx dispatch:g send:g receive:rx ready:rx send:g txn-commit:g finish:g dispatch:rx finish:rx");
+     "committed fresh=true recv=[] at=96000 | p0:2/1/0/1/1 |  | 1/0/0 | rx:0/1/1 g:2/0/0 | 118000 | ready:rx ready:g dispatch:rx block-receive:rx dispatch:g send:g receive:rx ready:rx send:g txn-commit:g finish:g dispatch:rx finish:rx");
     ("parked receiver, one send too many",
-     "conflict p0 full | p0:0/0/0/1/0 |  | 0/1/0 | rx:0/0/1 g:0/0/0 | 108000 | ready:rx ready:g dispatch:rx block-receive:rx deschedule:rx dispatch:g finish:g");
+     "conflict p0 full | p0:0/0/0/1/0 |  | 0/1/0 | rx:0/0/1 g:0/0/0 | 108000 | ready:rx ready:g dispatch:rx block-receive:rx dispatch:g finish:g");
     ("parked senders admitted in port order, after own sends",
-     "committed fresh=true recv=[31,21,11] at=461875 | p0:2/1/1/0/1 p1:3/1/1/0/1 p2:2/1/1/0/1 |  | 1/0/0 | s2:1/0/1 s1:1/0/1 s0:1/0/1 g:1/3/0 | 507375 | ready:s2 ready:s1 ready:s0 ready:g dispatch:s2 send:s2 block-send:s2 deschedule:s2 dispatch:s1 send:s1 block-send:s1 deschedule:s1 dispatch:s0 send:s0 block-send:s0 deschedule:s0 dispatch:g receive:g receive:g receive:g send:g ready:s0 ready:s2 txn-commit:g finish:g dispatch:s2 finish:s2 dispatch:s0 finish:s0");
+     "committed fresh=true recv=[31,21,11] at=461875 | p0:2/1/1/0/1 p1:3/1/1/0/1 p2:2/1/1/0/1 |  | 1/0/0 | s2:1/0/1 s1:1/0/1 s0:1/0/1 g:1/3/0 | 507375 | ready:s2 ready:s1 ready:s0 ready:g dispatch:s2 send:s2 block-send:s2 dispatch:s1 send:s1 block-send:s1 dispatch:s0 send:s0 block-send:s0 dispatch:g receive:g receive:g receive:g send:g ready:s0 ready:s2 txn-commit:g finish:g dispatch:s2 finish:s2 dispatch:s0 finish:s0");
     ("repeated key",
      "committed fresh=true recv=[11] at=46625; committed fresh=false recv=[] at=71750 | p0:2/1/0/0/2 p1:2/0/0/0/2 | w0=7 | 1/0/1 | g:2/1/0 | 71750 | ready:g dispatch:g receive:g send:g txn-commit:g send:g txn-dup-drop:g finish:g");
     ("repeated key, full port: re-offered send dropped",

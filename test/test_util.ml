@@ -80,29 +80,6 @@ let test_prng_shuffle_permutation () =
 
 (* ---------------- Stats ---------------- *)
 
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "mean" 3.0 s.Stats.mean;
-  check_float "min" 1.0 s.Stats.min;
-  check_float "max" 5.0 s.Stats.max;
-  check_float "p50" 3.0 s.Stats.p50;
-  Alcotest.(check int) "count" 5 s.Stats.count
-
-let test_stats_stddev () =
-  let s = Stats.summarize [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  Alcotest.(check bool)
-    "sample stddev ~2.138" true
-    (abs_float (s.Stats.stddev -. 2.13809) < 1e-4)
-
-let test_stats_percentile_interpolates () =
-  let v = Stats.percentile [| 10.0; 20.0 |] 0.5 in
-  check_float "interpolated median" 15.0 v
-
-let test_stats_empty () =
-  Alcotest.check_raises "empty summarize"
-    (Invalid_argument "Stats.summarize: empty") (fun () ->
-      ignore (Stats.summarize [||]))
-
 let test_jain_equal () =
   check_float "equal shares" 1.0 (Stats.jain_fairness [| 5.0; 5.0; 5.0 |])
 
@@ -113,23 +90,30 @@ let test_jain_skewed () =
 let test_jain_all_zero () =
   check_float "degenerate zeros" 1.0 (Stats.jain_fairness [| 0.0; 0.0 |])
 
+(* The streaming histogram's buckets: [lo, hi) split evenly, the rest
+   counted apart. *)
+let hist_of ~buckets ~lo ~hi samples =
+  let h = Stats.hist_create ~buckets ~lo ~hi () in
+  Array.iter (Stats.hist_observe h) samples;
+  h
+
 let test_histogram () =
-  let h = Stats.histogram ~buckets:4 ~lo:0.0 ~hi:4.0 [| 0.5; 1.5; 1.6; 3.9; 4.5 |] in
-  Alcotest.(check (array int)) "bucket counts" [| 1; 2; 0; 1 |] h.Stats.in_range;
-  Alcotest.(check int) "no underflow" 0 h.Stats.underflow;
-  Alcotest.(check int) "4.5 overflows" 1 h.Stats.overflow
+  let h = hist_of ~buckets:4 ~lo:0.0 ~hi:4.0 [| 0.5; 1.5; 1.6; 3.9; 4.5 |] in
+  Alcotest.(check (array int)) "bucket counts" [| 1; 2; 0; 1 |] h.Stats.h_counts;
+  Alcotest.(check int) "no underflow" 0 h.Stats.h_underflow;
+  Alcotest.(check int) "4.5 overflows" 1 h.Stats.h_overflow
 
 let test_histogram_edges () =
   (* Exactly-lo lands in the first bucket; exactly-hi overflows; NaN is
      ignored entirely. *)
   let h =
-    Stats.histogram ~buckets:2 ~lo:0.0 ~hi:2.0
-      [| 0.0; 2.0; -0.001; 1.999; Float.nan |]
+    hist_of ~buckets:2 ~lo:0.0 ~hi:2.0 [| 0.0; 2.0; -0.001; 1.999; Float.nan |]
   in
   Alcotest.(check (array int)) "lo inclusive, hi exclusive" [| 1; 1 |]
-    h.Stats.in_range;
-  Alcotest.(check int) "below lo underflows" 1 h.Stats.underflow;
-  Alcotest.(check int) "hi itself overflows" 1 h.Stats.overflow
+    h.Stats.h_counts;
+  Alcotest.(check int) "below lo underflows" 1 h.Stats.h_underflow;
+  Alcotest.(check int) "hi itself overflows" 1 h.Stats.h_overflow;
+  Alcotest.(check int) "NaN not counted" 4 h.Stats.h_count
 
 (* ---------------- Table ---------------- *)
 
@@ -160,14 +144,14 @@ let test_table_ragged () =
 
 let test_fmt_us () = Alcotest.(check string) "65us" "65.00" (Table.fmt_us 65_000)
 
-let prop_stats_percentile_monotone =
+let prop_nearest_rank_monotone =
   QCheck2.Test.make ~name:"percentiles are monotone in p" ~count:200
     QCheck2.Gen.(list_size (int_range 1 50) (float_bound_inclusive 1000.0))
     (fun xs ->
       let arr = Array.of_list xs in
       Array.sort compare arr;
-      let p25 = Stats.percentile arr 0.25 in
-      let p75 = Stats.percentile arr 0.75 in
+      let p25 = Stats.nearest_rank ~empty:nan arr 0.25 in
+      let p75 = Stats.nearest_rank ~empty:nan arr 0.75 in
       p25 <= p75)
 
 let prop_jain_bounds =
@@ -247,10 +231,6 @@ let suite =
     ("prng exponential mean", `Quick, test_prng_exponential_mean);
     ("prng choose", `Quick, test_prng_choose);
     ("prng shuffle permutation", `Quick, test_prng_shuffle_permutation);
-    ("stats summary", `Quick, test_stats_summary);
-    ("stats stddev", `Quick, test_stats_stddev);
-    ("stats percentile interpolates", `Quick, test_stats_percentile_interpolates);
-    ("stats empty", `Quick, test_stats_empty);
     ("jain equal", `Quick, test_jain_equal);
     ("jain skewed", `Quick, test_jain_skewed);
     ("jain all zero", `Quick, test_jain_all_zero);
@@ -259,7 +239,7 @@ let suite =
     ("table renders", `Quick, test_table_renders);
     ("table ragged", `Quick, test_table_ragged);
     ("fmt us", `Quick, test_fmt_us);
-    QCheck_alcotest.to_alcotest prop_stats_percentile_monotone;
+    QCheck_alcotest.to_alcotest prop_nearest_rank_monotone;
     QCheck_alcotest.to_alcotest prop_jain_bounds;
     ("crc32 check value", `Quick, test_crc32_check_value);
     ("crc32 rejects out-of-range slices", `Quick, test_crc32_bounds);
