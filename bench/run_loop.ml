@@ -82,8 +82,10 @@
    Under all of these, the syscall probes price the kernel seam itself:
    the words one [yield], one [delay] and one send/receive round trip
    (two sends, two receives between two processes), one queued message
-   (a send to a port with room, then a receive of it) and one timed
-   receive that times out allocate on a bare machine of 1 and of 2 GDPs.
+   (a send to a port with room, then a receive of it), one timed
+   receive that times out, one send that parks at a full port until a
+   receiver frees its slot, and one timed send that times out at a full
+   port allocate on a bare machine of 1 and of 2 GDPs.
    Each is the difference between a run of 20,000 iterations and one of
    10,000, over 10,000, so boot and teardown cancel and the reading is
    exact, and each is bounded at its reading:
@@ -99,7 +101,13 @@
    - a queued message: two effects and the [Send] and [Receive] op
      records, nothing for the queue slot or the result;
    - a receive timeout: the effect, its [Receive] op and [Timeout] wait,
-     and the deadline's [Some] in [Process.timeout_at]. *)
+     and the deadline's [Some] in [Process.timeout_at];
+   - a parked send: its effect and [Send] op, with the receiver's delay
+     and receive (36 when a parked sender took a record and a queue
+     cell);
+   - a send timeout: as a receive timeout, with a [Send] op (37 when a
+     parked sender took a record and a queue cell and its timeout
+     rebuilt the port's sender queue). *)
 
 module K = I432_kernel
 module Load = I432_load
@@ -164,6 +172,36 @@ let receive_timeouts m n =
            ignore (K.Machine.receive_timeout m ~port ~timeout_ns:1_000)
          done))
 
+(* A port of one slot, filled before the loop: each send finds it full
+   and parks until the receiver, after its delay, frees the slot. *)
+let send_blocks m n =
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let msg = K.Machine.allocate_generic m () in
+  ignore
+    (K.Machine.spawn m ~name:"sender" (fun () ->
+         K.Machine.send m ~port ~msg;
+         for _ = 1 to n do
+           K.Machine.send m ~port ~msg
+         done));
+  ignore
+    (K.Machine.spawn m ~name:"receiver" (fun () ->
+         for _ = 1 to n + 1 do
+           K.Machine.delay m ~ns:1_000_000;
+           ignore (K.Machine.receive m ~port)
+         done))
+
+(* A timed send to a port of one slot that stays full: every one times
+   out. *)
+let send_timeouts m n =
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let msg = K.Machine.allocate_generic m () in
+  ignore
+    (K.Machine.spawn m ~name:"sender" (fun () ->
+         K.Machine.send m ~port ~msg;
+         for _ = 1 to n do
+           ignore (K.Machine.send_timeout m ~port ~msg ~timeout_ns:1_000)
+         done))
+
 (* Each probe's reading key, its machine's GDPs, the bodies of [n]
    iterations, and its bound in words per iteration. *)
 let probes =
@@ -179,6 +217,8 @@ let probes =
       ("round_trip", round_trips, 34.0);
       ("queued", queued_messages, 17.0);
       ("timeout", receive_timeouts, 12.0);
+      ("send_block", send_blocks, 26.0);
+      ("send_timeout", send_timeouts, 15.0);
     ]
 
 let spec ~smoke =

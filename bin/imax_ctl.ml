@@ -322,9 +322,12 @@ let scenario_rendezvous config snapshot calls =
     die "rendezvous: final value %d, expected %d" !final calls
 
 (* Print-spooler workload: clients submit jobs to a spool port, a spooler
-   daemon forwards them to a slow printer behind a shallow port (so senders
-   block), clients sleep between submissions.  Exercises every traced seam:
-   spawn/dispatch/preempt, send/receive/block, sleep/wake, allocation. *)
+   daemon forwards them to a slow printer behind a two-slot port, clients
+   sleep between submissions.  At the default size the printer keeps up
+   and no sender blocks (the pinned legacy transcript has no block-send);
+   a heavier load (say 50 clients of 50 jobs) fills the printer port and
+   parks the spooler.  Exercises spawn/dispatch/preempt, send/receive,
+   blocking receives, sleep/wake and allocation. *)
 let boot_spooler ~config ~clients ~jobs =
   let sys = System.boot ~config () in
   let m = System.machine sys in

@@ -263,11 +263,6 @@ let check_invariants machine =
   (* 3/4. Port-queue consistency, both directions: blocked processes are
      queued, queued waiters are blocked — a fired timeout must leave no
      dangling entry behind. *)
-  let status_of = Hashtbl.create 64 in
-  List.iter
-    (fun (p : K.Process.t) ->
-      Hashtbl.replace status_of p.K.Process.index p.K.Process.status)
-    processes;
   let ports = Hashtbl.create 16 in
   Object_table.iter_valid
     (fun i ->
@@ -283,53 +278,49 @@ let check_invariants machine =
       (* 5. A waiter waits only for what the queue cannot give it: no
          receiver is parked beside a queued message, no sender beside a
          free slot. *)
-      if K.Port.has_blocked_receiver p && not (K.Port.is_empty p) then
+      let receivers = p.K.Port.receivers and senders = p.K.Port.senders in
+      if (not (K.Proc_queue.is_empty receivers)) && not (K.Port.is_empty p)
+      then
         fail "port #%d parks receivers beside a non-empty queue (%d queued)"
           self (K.Port.queue_length p);
-      if K.Port.has_blocked_sender p && not (K.Port.is_full p) then
+      if (not (K.Proc_queue.is_empty senders)) && not (K.Port.is_full p) then
         fail "port #%d parks senders beside a free slot (%d/%d queued)" self
           (K.Port.queue_length p) p.K.Port.capacity;
-      K.Port.iter_receivers
-        (fun r ->
-          match Hashtbl.find_opt status_of r with
-          | Some (K.Process.Blocked_receive q) when q = self -> ()
-          | _ -> fail "port #%d queues receiver #%d that is not blocked on it"
-                   self r)
-        p;
-      K.Port.iter_senders
-        (fun (ws : K.Port.waiting_sender) ->
-          match Hashtbl.find_opt status_of ws.K.Port.sender with
-          | Some (K.Process.Blocked_send q) when q = self -> ()
-          | _ -> fail "port #%d queues sender #%d that is not blocked on it"
-                   self ws.K.Port.sender)
-        p)
+      let waiters what queue ~blocked_here =
+        K.Proc_queue.iter
+          (fun (w : K.Process.t) ->
+            if not (blocked_here w.K.Process.status) then
+              fail "port #%d queues %s #%d that is not blocked on it" self what
+                w.K.Process.index;
+            (* 6. A process is in one queue at a time: a waiter is not
+               also ready. *)
+            if w.K.Process.q_queued then
+              fail "port #%d queues %s #%d that is also in the ready queue"
+                self what w.K.Process.index)
+          queue
+      in
+      waiters "receiver" receivers ~blocked_here:(function
+        | K.Process.Blocked_receive q -> q = self
+        | _ -> false);
+      waiters "sender" senders ~blocked_here:(function
+        | K.Process.Blocked_send q -> q = self
+        | _ -> false))
     ports;
-  let queued_receiver pi index =
+  let queued waiters pi (p : K.Process.t) =
     match Hashtbl.find_opt ports pi with
     | None -> false
-    | Some p ->
-      let found = ref false in
-      K.Port.iter_receivers (fun r -> if r = index then found := true) p;
-      !found
+    | Some port ->
+      K.Proc_queue.fold (fun w found -> found || w == p) (waiters port) false
   in
-  let queued_sender pi index =
-    match Hashtbl.find_opt ports pi with
-    | None -> false
-    | Some p ->
-      let found = ref false in
-      K.Port.iter_senders
-        (fun ws -> if ws.K.Port.sender = index then found := true)
-        p;
-      !found
-  in
+  let queued_receiver = queued (fun port -> port.K.Port.receivers)
+  and queued_sender = queued (fun port -> port.K.Port.senders) in
   List.iter
     (fun (p : K.Process.t) ->
       match p.K.Process.status with
-      | K.Process.Blocked_receive pi when not (queued_receiver pi p.K.Process.index)
-        ->
+      | K.Process.Blocked_receive pi when not (queued_receiver pi p) ->
         fail "process %s (#%d) Blocked_receive on port #%d but not queued"
           p.K.Process.name p.K.Process.index pi
-      | K.Process.Blocked_send pi when not (queued_sender pi p.K.Process.index) ->
+      | K.Process.Blocked_send pi when not (queued_sender pi p) ->
         fail "process %s (#%d) Blocked_send on port #%d but not queued"
           p.K.Process.name p.K.Process.index pi
       | _ -> ())

@@ -124,9 +124,9 @@ let scan_roots t =
           (fun ~msg ~priority:_ ~seq:_ ~enqueued_at:_ ~txn:_ ->
             shade t (Access.index msg))
           p;
-        I432_kernel.Port.iter_senders
-          (fun ws -> shade t (Access.index ws.I432_kernel.Port.sender_msg))
-          p
+        I432_kernel.Proc_queue.iter
+          (fun s -> shade t (Access.index s.I432_kernel.Process.q_msg))
+          p.I432_kernel.Port.senders
       | Some _ | None -> ())
     table
 

@@ -684,8 +684,6 @@ let[@inline] ready_or_hold t (proc : Process.t) =
   if proc.Process.stopped then set_status t proc Process.Ready
   else make_ready t proc
 
-let proc_of t index = Process.state_of_index t.table index
-
 (* ------------------------------------------------------------------ *)
 (* Port transfer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -732,7 +730,7 @@ let[@inline] count_send t (proc : Process.t) (p : Port.t) msg =
    receiver, else into a free slot.  [false] (and nothing counted) when the
    queue is full. *)
 let[@inline] offer t (proc : Process.t) (p : Port.t) ?txn msg =
-  let rproc = Port.pop_receiver p in
+  let rproc = Proc_queue.pop p.Port.receivers in
   if rproc != Process.none then begin
     count_send t proc p msg;
     p.Port.receives <- p.Port.receives + 1;
@@ -772,16 +770,15 @@ let[@inline] receive_from t (proc : Process.t) (p : Port.t) =
    sender.  A timed sender (one with a deadline) is counted here, when its
    send is accepted; a blocking one was counted when it parked. *)
 let[@inline] admit t (p : Port.t) =
-  match Port.pop_sender p with
-  | Some ws ->
-    let proc = proc_of t ws.Port.sender in
+  let proc = Proc_queue.pop p.Port.senders in
+  if proc != Process.none then begin
+    let msg = proc.Process.q_msg in
     (match proc.Process.timeout_at with
-    | Some _ -> count_send t proc p ws.Port.sender_msg
+    | Some _ -> count_send t proc p msg
     | None -> ());
-    Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-      ~now:(now t);
+    Port.enqueue p ~msg ~priority:proc.Process.q_prio ~now:(now t);
     wake t proc (Syscall.R_accepted true)
-  | None -> ()
+  end
 
 (* Queue [msg] at [p] on behalf of no process (the NIC, the fault port,
    the scheduler port), then serve a parked receiver from the queue head —
@@ -790,7 +787,7 @@ let[@inline] admit t (p : Port.t) =
 let post t (p : Port.t) ?txn ~msg ~priority () =
   Port.enqueue ?txn p ~msg ~priority ~now:(now t);
   p.Port.sends <- p.Port.sends + 1;
-  let r = Port.pop_receiver p in
+  let r = Proc_queue.pop p.Port.receivers in
   r != Process.none
   && begin
        let m = Port.pop p ~now:(now t) in
@@ -816,15 +813,14 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ~wait ?msg () =
     emit t Obs.Event.Block_send ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:timeout_ns;
     Object_table.shade t.table (Access.index msg);
-    Port.push_sender p ~sender:proc.Process.index ~msg
-      ~priority:proc.Process.priority;
+    Port.park_sender p proc ~msg;
     set_status t proc p.Port.blocked_send
   | None ->
     p.Port.receive_blocks <- p.Port.receive_blocks + 1;
     Obs.Metrics.incr t.mon.mon_receive_blocks;
     emit t Obs.Event.Block_receive ~name_id:proc.Process.trace_name_id
       ~detail_id:0 ~a:p.Port.self ~b:timeout_ns;
-    Port.push_receiver p proc;
+    Proc_queue.push p.Port.receivers proc;
     set_status t proc p.Port.blocked_receive);
   (match wait with
   | Syscall.Timeout ns ->
@@ -1131,7 +1127,7 @@ let[@inline] receive_op t cpu (proc : Process.t) ~port ~wait =
    ascending object-index order.  A port gives at most its queued messages
    (parked senders do not rendezvous with a transaction) and takes at most
    its free slots, plus those its own receives free, plus its parked
-   receivers. *)
+   receivers, counted only when the slots do not suffice. *)
 let rec count_port (p : Port.t) n = function
   | [] -> n
   | (q : Port.t) :: rest ->
@@ -1142,9 +1138,11 @@ let rec port_conflict recvs sends = function
   | (p : Port.t) :: rest ->
     let wants = count_port p 0 recvs and puts = count_port p 0 sends in
     let queued = Port.queue_length p in
+    let room = p.Port.capacity - queued + wants in
     if wants > queued then Some (p.Port.self, "empty")
     else if
-      puts > p.Port.capacity - queued + wants + p.Port.n_receivers
+      puts > room
+      && puts > Proc_queue.fold (fun _ n -> n + 1) p.Port.receivers room
     then Some (p.Port.self, "full")
     else port_conflict recvs sends rest
 
@@ -1230,7 +1228,9 @@ let txn_op t (cpu : Processor.t) (proc : Process.t) ~key ~receives ~sends
          parked senders in ascending port order. *)
       List.iter
         (fun p ->
-          while (not (Port.is_full p)) && Port.has_blocked_sender p do
+          while
+            (not (Port.is_full p)) && not (Proc_queue.is_empty p.Port.senders)
+          do
             admit t p
           done)
         ports;
@@ -1292,12 +1292,14 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
    to the whole machine (§7.3: such processes "are in general not permitted
    to fault").  When a fault port is configured, the process object is sent
    there so a supervisor can inspect the corpse — the hardware "sending
-   them back to software when various fault ... conditions arise" (§5). *)
-let record_fault t (proc : Process.t) cause =
+   them back to software when various fault ... conditions arise" (§5).
+   The fault is traced on [cpu], the processor the process faulted on;
+   the corpse is posted, and the supervisor runs, off the run loop. *)
+let record_fault t (cpu : Processor.t) (proc : Process.t) cause =
   t.faults <- (proc.Process.name, cause) :: t.faults;
   (* Guarded: rendering the cause formats, even when untraced. *)
   if t.traced then
-    emit t Obs.Event.Fault ~name_id:proc.Process.trace_name_id
+    emit_on t cpu Obs.Event.Fault ~name_id:proc.Process.trace_name_id
       ~detail_id:(string_id t (Fault.to_string cause)) ~a:0 ~b:0;
   set_status t proc (Process.Faulted cause);
   proc.Process.code <- Process.Terminated;
@@ -1337,10 +1339,10 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
       ~detail_id:0 ~a:0 ~b:0
   | Process.Raised (Fault.Fault cause) ->
     cpu.Processor.current <- -1;
-    record_fault t proc cause
+    record_fault t cpu proc cause
   | Process.Raised e ->
     cpu.Processor.current <- -1;
-    record_fault t proc (Fault.Protocol (Printexc.to_string e))
+    record_fault t cpu proc (Fault.Protocol (Printexc.to_string e))
   | Process.Pending -> (
     t.cur <- cpu.Processor.id;
     (* Faults detected while servicing the syscall (rights, types) are
@@ -1350,7 +1352,7 @@ let step_process t (cpu : Processor.t) (proc : Process.t) =
     | exception Fault.Fault cause ->
       t.cur <- -1;
       cpu.Processor.current <- -1;
-      record_fault t proc cause)
+      record_fault t cpu proc cause)
 
 (* ------------------------------------------------------------------ *)
 (* Processor failure and injection plans                               *)
@@ -1459,18 +1461,16 @@ let give_up t (proc : Process.t) pi ~b result =
     ~detail_id:0 ~a:pi ~b;
   wake t proc result
 
-(* An expired deadline surgically removes its process from the port's
-   blocked queue and delivers the documented give-up result. *)
+(* An expired deadline unlinks its process from the port's queue of
+   waiters, in O(1), and delivers the documented give-up result. *)
 let expire t (proc : Process.t) =
   match proc.Process.status with
   | Process.Blocked_receive pi ->
-    let p = Port.state_of_index t.table pi in
-    ignore (Port.remove_receiver p proc);
+    Proc_queue.unlink (Port.state_of_index t.table pi).Port.receivers proc;
     give_up t proc pi ~b:1 Syscall.R_no_msg
   | Process.Blocked_send pi ->
-    let p = Port.state_of_index t.table pi in
     (* The parked message is withdrawn with its sender. *)
-    ignore (Port.remove_sender p ~index:proc.Process.index);
+    Proc_queue.unlink (Port.state_of_index t.table pi).Port.senders proc;
     give_up t proc pi ~b:0 (Syscall.R_accepted false)
   | _ -> ()
 
@@ -1675,14 +1675,11 @@ let run_loop t ~max_ns ~max_steps =
          ((not cpu.Processor.online) || step t cpu ~max_ns) && can_progress t)
   done
 
-let unclaim t =
-  Obs.Metrics.release t.metrics;
-  t.stepper <- -1
-
-(* Stepping is exclusive: mark the machine (and claim its metrics
-   registry) for the calling domain, run, then release.  Two overlapping
-   calls from different domains — a broken parallel-engine partition —
-   fail loudly here rather than corrupting state. *)
+(* Stepping is exclusive: mark the machine for the calling domain, run,
+   then release it.  Two overlapping calls from different domains — a
+   broken parallel-engine partition — fail loudly here rather than
+   corrupting state.  This one check also keeps a second domain off the
+   machine's metrics registry while it runs. *)
 let advance ?(max_steps = max_int) t ~max_ns =
   let self = (Stdlib.Domain.self () :> int) in
   if t.stepper >= 0 && t.stepper <> self then
@@ -1690,12 +1687,11 @@ let advance ?(max_steps = max_int) t ~max_ns =
       (Printf.sprintf "Machine.run: machine is being stepped by domain %d"
          t.stepper);
   t.stepper <- self;
-  Obs.Metrics.claim t.metrics;
   match run_loop t ~max_ns ~max_steps with
-  | () -> unclaim t
+  | () -> t.stepper <- -1
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    unclaim t;
+    t.stepper <- -1;
     Printexc.raise_with_backtrace e bt
 
 let run ?(max_ns = max_int) ?max_steps t =

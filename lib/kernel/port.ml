@@ -11,13 +11,18 @@
    - Fifo discipline: a ring over five parallel arrays (message,
      priority, sequence number, enqueue instant, txn key), grown by
      doubling to the queue's high-water depth and never past its
-     capacity, so queueing a message allocates nothing; an O(1) queue
-     for blocked senders;
-   - Priority discipline: pairing heaps keyed by (priority desc, seq asc)
-     for messages and blocked senders — replacing O(n) sorted inserts;
-   - parked receivers, either discipline: a FIFO list linked through the
-     processes' [w_next]/[w_prev] fields, so parking allocates nothing
-     and a timeout unlinks its receiver in O(1).
+     capacity, so queueing a message allocates nothing;
+   - Priority discipline: a pairing heap keyed by (priority desc, seq
+     asc) for messages — replacing O(n) sorted inserts;
+   - parked processes, either discipline: two {!Proc_queue}s, the queue
+     the dispatching port's levels use, so parking allocates nothing and
+     a timeout unlinks its process in O(1).  Receivers are FIFO.
+     Senders are FIFO on a Fifo port and ordered by the priority they
+     parked at (descending, FIFO within one) on a Priority port; a
+     parked sender keeps its message and that priority on its process
+     ([q_msg], [q_prio]).  The two stay apart: a group commit frees slots
+     with its receives before it admits senders, so a receiver pop must
+     never meet a sender.
    [pop] leaves the dequeued message's priority, enqueue instant, txn key
    and queue wait in [last_*] fields, where the interconnect reads them.
    Queue depth is an O(1) counter either way, so the depth statistics
@@ -37,17 +42,6 @@ type prio_message = {
   txn : int;  (* idempotency key of the committing transaction, 0 = none *)
 }
 
-type waiting_sender = {
-  sender : int;  (* process object index *)
-  sender_msg : Access.t;
-  sender_priority : int;
-  sender_seq : int;
-}
-
-type senders =
-  | S_fifo of waiting_sender Queue.t
-  | S_prio of waiting_sender Pqueue.t
-
 type t = {
   self : int;
   capacity : int;
@@ -61,10 +55,8 @@ type t = {
   mutable q_head : int;
   mutable q_len : int;  (* queued messages, either discipline *)
   prio_messages : prio_message Pqueue.t;  (* Priority queue; empty for Fifo *)
-  senders : senders;  (* blocked senders, service order *)
-  mutable recv_head : Process.t;  (* parked receivers, FIFO; [none] ends *)
-  mutable recv_tail : Process.t;
-  mutable n_receivers : int;
+  receivers : Proc_queue.t;  (* parked receivers, FIFO *)
+  senders : Proc_queue.t;  (* parked senders, service order *)
   blocked_receive : Process.status;  (* [Blocked_receive self], built once *)
   blocked_send : Process.status;
   mutable seq : int;
@@ -98,13 +90,8 @@ let make ~self ~capacity ~discipline =
     q_head = 0;
     q_len = 0;
     prio_messages = Pqueue.create ();
-    senders =
-      (match discipline with
-      | Fifo -> S_fifo (Queue.create ())
-      | Priority -> S_prio (Pqueue.create ()));
-    recv_head = Process.none;
-    recv_tail = Process.none;
-    n_receivers = 0;
+    receivers = Proc_queue.create ();
+    senders = Proc_queue.create ();
     blocked_receive = Process.Blocked_receive self;
     blocked_send = Process.Blocked_send self;
     seq = 0;
@@ -149,12 +136,6 @@ let check_receive_right (access : Access.t) =
 let queue_length t = t.q_len
 let is_full t = t.q_len >= t.capacity
 let is_empty t = t.q_len = 0
-let has_blocked_receiver t = t.n_receivers > 0
-
-let has_blocked_sender t =
-  match t.senders with
-  | S_fifo q -> not (Queue.is_empty q)
-  | S_prio q -> not (Pqueue.is_empty q)
 
 let next_seq t =
   let s = t.seq in
@@ -240,98 +221,18 @@ let pop t ~now =
 
 let dequeue t ~now = if is_empty t then None else Some (pop t ~now)
 
-(* Parked receivers.  [pop_receiver] returns the first, or [Process.none];
-   [remove_receiver] unlinks one in O(1) and says whether it was parked
-   here. *)
-let unlink t (proc : Process.t) =
-  let next = proc.Process.w_next and prev = proc.Process.w_prev in
-  if prev == Process.none then t.recv_head <- next
-  else prev.Process.w_next <- next;
-  if next == Process.none then t.recv_tail <- prev
-  else next.Process.w_prev <- prev;
-  proc.Process.w_next <- Process.none;
-  proc.Process.w_prev <- Process.none;
-  t.n_receivers <- t.n_receivers - 1
+(* A parked sender draws a sequence number, as a queued message does,
+   so message numbering is the seed's. *)
+let park_sender t (proc : Process.t) ~msg =
+  ignore (next_seq t);
+  proc.Process.q_msg <- msg;
+  proc.Process.q_prio <- proc.Process.priority;
+  match t.discipline with
+  | Fifo -> Proc_queue.push t.senders proc
+  | Priority -> Proc_queue.insert_by_priority t.senders proc
 
-let pop_receiver t =
-  let proc = t.recv_head in
-  if proc != Process.none then unlink t proc;
-  proc
-
-let push_receiver t (proc : Process.t) =
-  let tail = t.recv_tail in
-  proc.Process.w_prev <- tail;
-  if tail == Process.none then t.recv_head <- proc
-  else tail.Process.w_next <- proc;
-  t.recv_tail <- proc;
-  t.n_receivers <- t.n_receivers + 1
-
-let remove_receiver t (proc : Process.t) =
-  let parked = proc.Process.w_prev != Process.none || t.recv_head == proc in
-  if parked then unlink t proc;
-  parked
-
-(* Parked receivers' process indices, in service order. *)
-let iter_receivers f t =
-  let rec go (proc : Process.t) =
-    if proc != Process.none then begin
-      f proc.Process.index;
-      go proc.Process.w_next
-    end
-  in
-  go t.recv_head
-
-let pop_sender t =
-  match t.senders with
-  | S_fifo q -> Queue.take_opt q
-  | S_prio q -> Pqueue.pop q
-
-let push_sender t ~sender ~msg ~priority =
-  let ws =
-    { sender; sender_msg = msg; sender_priority = priority; sender_seq = next_seq t }
-  in
-  match t.senders with
-  | S_fifo q -> Queue.push ws q
-  | S_prio q -> Pqueue.insert q ~priority:ws.sender_priority ~seq:ws.sender_seq ws
-
-(* Timeout support: surgically remove one parked sender, preserving the
-   service order of everyone else.  This rebuilds the queue (O(n)); it
-   runs only when a timeout actually fires, never on the send/receive
-   fast path. *)
-let remove_sender t ~index =
-  let found = ref None in
-  (match t.senders with
-  | S_fifo q ->
-    let keep = Queue.create () in
-    Queue.iter
-      (fun ws ->
-        if ws.sender = index && !found = None then found := Some ws
-        else Queue.push ws keep)
-      q;
-    if !found <> None then (
-      Queue.clear q;
-      Queue.transfer keep q)
-  | S_prio q ->
-    (* Drain and reinsert with the original (priority, seq) keys, so the
-       survivors keep their exact service order. *)
-    let keep = ref [] in
-    let rec drain () =
-      match Pqueue.pop q with
-      | None -> ()
-      | Some ws ->
-        if ws.sender = index && !found = None then found := Some ws
-        else keep := ws :: !keep;
-        drain ()
-    in
-    drain ();
-    List.iter
-      (fun ws ->
-        Pqueue.insert q ~priority:ws.sender_priority ~seq:ws.sender_seq ws)
-      !keep);
-  !found
-
-(* Root-scan and image hooks: visit every queued message / blocked sender
-   once — a Fifo queue in service order, a Priority one in heap order. *)
+(* Root-scan and image hook: visit every queued message once — a Fifo
+   queue in service order, a Priority one in heap order. *)
 let iter_messages f t =
   match t.discipline with
   | Fifo ->
@@ -346,11 +247,6 @@ let iter_messages f t =
         f ~msg:m.msg ~priority:m.msg_priority ~seq:m.seq
           ~enqueued_at:m.enqueued_at ~txn:m.txn)
       t.prio_messages
-
-let iter_senders f t =
-  match t.senders with
-  | S_fifo q -> Queue.iter f q
-  | S_prio q -> Pqueue.iter f q
 
 (* Mean time a message spent queued, in ns. *)
 let mean_queue_wait_ns t =

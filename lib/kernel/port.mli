@@ -9,8 +9,9 @@
     the machine's syscall handler.  The queues themselves are host-cost
     structures built by {!make}: a Fifo port's messages sit in a ring over
     parallel arrays grown to the queue's high-water depth, a Priority
-    port's in a pairing heap, and parked receivers are linked through
-    their processes; service order is identical to a sorted list. *)
+    port's in a pairing heap, and parked receivers and senders are each a
+    {!Proc_queue} of their processes; service order is identical to a
+    sorted list. *)
 
 open I432
 open I432_util
@@ -26,17 +27,6 @@ type prio_message = {
   txn : int;  (** idempotency key of the committing transaction, 0 = none *)
 }
 
-type waiting_sender = {
-  sender : int;  (** process object index *)
-  sender_msg : Access.t;
-  sender_priority : int;
-  sender_seq : int;
-}
-
-type senders =
-  | S_fifo of waiting_sender Queue.t
-  | S_prio of waiting_sender Pqueue.t
-
 type t = {
   self : int;
   capacity : int;
@@ -51,11 +41,12 @@ type t = {
   mutable q_head : int;
   mutable q_len : int;  (** queued messages, either discipline *)
   prio_messages : prio_message Pqueue.t;  (** Priority queue; empty for Fifo *)
-  senders : senders;
-  mutable recv_head : Process.t;
-      (** parked receivers, FIFO, linked through [Process.w_next] *)
-  mutable recv_tail : Process.t;
-  mutable n_receivers : int;
+  receivers : Proc_queue.t;  (** parked receivers, FIFO *)
+  senders : Proc_queue.t;
+      (** parked senders, FIFO on a Fifo port and by the priority they
+          parked at on a Priority port (FIFO within one); each holds its
+          message in [Process.q_msg] and that priority in
+          [Process.q_prio] *)
   blocked_receive : Process.status;
       (** [Blocked_receive self], the status of its parked receivers *)
   blocked_send : Process.status;  (** [Blocked_send self] *)
@@ -91,8 +82,6 @@ val check_receive_right : Access.t -> unit
 val queue_length : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool
-val has_blocked_receiver : t -> bool
-val has_blocked_sender : t -> bool
 
 (** Enqueue in service order (FIFO appends; Priority orders by descending
     priority, FIFO within).  [txn] tags the message with the committing
@@ -110,24 +99,9 @@ val pop : t -> now:int -> Access.t
 (** {!pop}, or [None] when the queue is empty. *)
 val dequeue : t -> now:int -> Access.t option
 
-(** The first parked receiver, unlinked, or {!Process.none}. *)
-val pop_receiver : t -> Process.t
-
-val push_receiver : t -> Process.t -> unit
-val pop_sender : t -> waiting_sender option
-val push_sender : t -> sender:int -> msg:Access.t -> priority:int -> unit
-
-(** Unlink one parked receiver, preserving everyone else's service order;
-    [true] iff it was parked here.  O(1). *)
-val remove_receiver : t -> Process.t -> bool
-
-(** The parked receivers' process indices, in service order. *)
-val iter_receivers : (int -> unit) -> t -> unit
-
-(** Remove one parked sender by process index, preserving service order of
-    the survivors; returns the removed entry.  O(n); used only when a
-    timed send expires. *)
-val remove_sender : t -> index:int -> waiting_sender option
+(** Park a sender with its message, at its current priority, in
+    service order. *)
+val park_sender : t -> Process.t -> msg:Access.t -> unit
 
 (** Visit every queued message once: a Fifo queue in service order, a
     Priority one in heap order (collector root scan, state images). *)
@@ -135,9 +109,6 @@ val iter_messages :
   (msg:Access.t -> priority:int -> seq:int -> enqueued_at:int -> txn:int -> unit) ->
   t ->
   unit
-
-(** Visit every blocked sender once, in unspecified order. *)
-val iter_senders : (waiting_sender -> unit) -> t -> unit
 
 val mean_queue_wait_ns : t -> float
 val discipline_to_string : discipline -> string

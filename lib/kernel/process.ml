@@ -22,10 +22,12 @@
    comes back in its one [delivered] result, rewritten per delivery.
 
    The kernel's other queues link through the process too, so none of
-   them allocates per entry: the dispatching port's ready queue ([q_*],
-   see {!Dispatch}), a port's parked receivers ([w_*], see {!Port}), and
-   the machine's timer heap ([tm_*], see {!Timers}), where a process
-   holds at most one timer. *)
+   them allocates per entry: the one process queue ([q_*], see
+   {!Proc_queue}) behind the dispatching port's ready levels and a port's
+   parked receivers and senders, where a process is in at most one queue
+   and a parked sender keeps its message in [q_msg]; and the machine's
+   timer heap ([tm_*], see {!Timers}), where a process holds at most one
+   timer. *)
 
 open I432
 
@@ -88,14 +90,13 @@ type t = {
   mutable tm_arm : int;
   mutable tm_at : int;
   mutable tm_pos : int;
-  (* Neighbours among the receivers parked at its port, kept by Port. *)
-  mutable w_next : t;
-  mutable w_prev : t;
-  (* Dispatching-port queue state, kept by Dispatch alone. *)
-  mutable q_next : t;  (* FIFO neighbours in its priority level *)
+  (* Its neighbours in the one queue it is in (a ready level, a port's
+     receivers or senders), kept by Proc_queue alone. *)
+  mutable q_next : t;
   mutable q_prev : t;
-  mutable q_prio : int;  (* priority of its level *)
-  mutable q_queued : bool;
+  mutable q_prio : int;  (* its ready level's, or a parked sender's *)
+  mutable q_msg : Access.t;  (* a parked sender's message *)
+  mutable q_queued : bool;  (* in the ready queue *)
 }
 
 type Object_table.payload += Process_state of t
@@ -139,11 +140,10 @@ let rec none =
     tm_arm = 0;
     tm_at = 0;
     tm_pos = -1;
-    w_next = none;
-    w_prev = none;
     q_next = none;
     q_prev = none;
     q_prio = 0;
+    q_msg = none_mailbox.Syscall.msg;
     q_queued = false;
   }
 

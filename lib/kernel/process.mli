@@ -72,15 +72,16 @@ type t = {
   mutable tm_arm : int;  (** ... then its arm stamp *)
   mutable tm_at : int;  (** the timer's instant *)
   mutable tm_pos : int;  (** its heap slot; -1 when it holds no timer *)
-  mutable w_next : t;
-      (** receivers parked at its port, kept by {!Port} alone: FIFO
-          neighbours ({!none} at either end) *)
-  mutable w_prev : t;
   mutable q_next : t;
-      (** dispatching-port queue state, kept by {!Dispatch} alone: FIFO
-          neighbours within a priority level ({!none} at either end) *)
+      (** its neighbours in the one queue it is in, kept by {!Proc_queue}
+          alone ({!none} at either end, and both {!none} out of every
+          queue): a ready level of the dispatching port, or one port's
+          parked receivers or parked senders *)
   mutable q_prev : t;
-  mutable q_prio : int;  (** priority of the level it is queued at *)
+  mutable q_prio : int;
+      (** the priority it is queued at: its ready level's, or a parked
+          sender's priority when it parked *)
+  mutable q_msg : Access.t;  (** a parked sender's message *)
   mutable q_queued : bool;  (** in the ready queue *)
 }
 

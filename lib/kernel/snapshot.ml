@@ -225,14 +225,15 @@ let state_image machine =
               (access_str msg) priority seq enqueued_at
               (if txn <> 0 then Printf.sprintf " txn=%d" txn else ""))
           p;
-        Port.iter_senders
-          (fun s ->
-            Printf.bprintf buf " sender %d msg=%s prio=%d seq=%d\n"
-              s.Port.sender
-              (access_str s.Port.sender_msg)
-              s.Port.sender_priority s.Port.sender_seq)
-          p;
-        Port.iter_receivers (Printf.bprintf buf " receiver %d\n") p
+        Proc_queue.iter
+          (fun (s : Process.t) ->
+            Printf.bprintf buf " sender %d msg=%s prio=%d\n" s.Process.index
+              (access_str s.Process.q_msg) s.Process.q_prio)
+          p.Port.senders;
+        Proc_queue.iter
+          (fun (r : Process.t) ->
+            Printf.bprintf buf " receiver %d\n" r.Process.index)
+          p.Port.receivers
       | Some (Process.Process_state p) ->
         Printf.bprintf buf
           " process %s status=%s%s prio=%d wake=%d tmo=%s cpu=%d slice=%d \

@@ -24,12 +24,6 @@ type t = {
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   log_histograms : (string, log_histogram) Hashtbl.t;
-  (* Domain id of the current writer, -1 if unclaimed.  Registries are not
-     thread-safe: exactly one domain may update instruments at a time.
-     The parallel cluster engine claims each node's registry for the
-     duration of a round slice; a second claim from a different domain is
-     a bug in the engine's partitioning, not a race to tolerate. *)
-  mutable writer : int;
 }
 
 let create () =
@@ -39,19 +33,7 @@ let create () =
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
     log_histograms = Hashtbl.create 16;
-    writer = -1;
   }
-
-let claim t =
-  let self = (Stdlib.Domain.self () :> int) in
-  if t.writer >= 0 && t.writer <> self then
-    failwith
-      (Printf.sprintf
-         "Metrics.claim: registry already claimed by domain %d (self %d)"
-         t.writer self);
-  t.writer <- self
-
-let release t = t.writer <- -1
 
 let rec find_pull name = function
   | No_pull -> None

@@ -61,16 +61,9 @@ val observe_log_int : log_histogram -> int -> unit
 (** [log_quantile h q] with [q] in [0, 1]. *)
 val log_quantile : log_histogram -> float -> float
 
-(** {1 Domain safety}
-
-    A registry has at most one writer at a time.  [claim] records the
-    calling domain as the writer and fails if a different domain currently
-    holds the claim; [release] clears it.  The parallel cluster engine
-    brackets each node's round slice with claim/release, turning a
-    partitioning bug into an immediate failure instead of a silent race. *)
-
-val claim : t -> unit
-val release : t -> unit
+(* A registry is not thread-safe: one domain updates it at a time.  A
+   machine's registry is written by the domain stepping the machine, and
+   [Machine.advance] refuses a second one. *)
 
 (** Fold [src] into [dst]: counters (pulled ones as plain) and gauges add;
     same-named histograms (which must share bucket count and range) add

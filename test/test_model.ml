@@ -240,6 +240,144 @@ let prop_port_matches_model =
         script)
 
 (* ------------------------------------------------------------------ *)
+(* Port waiters vs the seed's lists                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed parked receivers in a FIFO list and senders as records of
+   (process, message, priority, seq) in a FIFO queue (Fifo port) or a
+   heap keyed by (priority desc, seq asc) (Priority port); a timeout
+   removed its entry and kept everyone else's order. *)
+type waiter_op =
+  | W_receive of int  (* park process [i] as a receiver, if it is free *)
+  | W_send of int * int  (* park process [i] as a sender at a priority *)
+  | W_pop_receiver
+  | W_pop_sender
+  | W_expire of int  (* time process [i] out of whichever queue holds it *)
+  | W_reprio of int * int  (* [Machine.set_priority] on process [i] *)
+
+let waiter_op_gen =
+  QCheck2.Gen.(
+    let proc = int_range 0 7 and prio = int_range 0 3 in
+    oneof
+      [
+        map (fun i -> W_receive i) proc;
+        map2 (fun i p -> W_send (i, p)) proc prio;
+        return W_pop_receiver;
+        return W_pop_sender;
+        map (fun i -> W_expire i) proc;
+        map2 (fun i p -> W_reprio (i, p)) proc prio;
+      ])
+
+let prop_port_waiters_match_model =
+  QCheck2.Test.make ~name:"port waiters = seed lists (both disciplines)"
+    ~count:500
+    QCheck2.Gen.(pair bool (list waiter_op_gen))
+    (fun (priority_discipline, script) ->
+      let discipline =
+        if priority_discipline then K.Port.Priority else K.Port.Fifo
+      in
+      let port = K.Port.make ~self:0 ~capacity:1 ~discipline in
+      let procs = dispatch_procs () in
+      let receivers = ref [] in  (* process indices, service order *)
+      let senders = ref [] in  (* (index, msg, priority, seq), service order *)
+      let seq = ref 0 in
+      let parked i =
+        List.mem i !receivers || List.exists (fun (j, _, _, _) -> j = i) !senders
+      in
+      let park_model ((_, _, prio, s) as w) =
+        let rec go = function
+          | [] -> [ w ]
+          | ((_, _, p, q) as x) :: rest ->
+            if prio > p || (prio = p && s < q) then w :: x :: rest
+            else x :: go rest
+        in
+        senders :=
+          match discipline with
+          | K.Port.Fifo -> !senders @ [ w ]
+          | K.Port.Priority -> go !senders
+      in
+      let indices q =
+        List.rev (K.Proc_queue.fold (fun p acc -> p.K.Process.index :: acc) q [])
+      in
+      let sender_view q =
+        List.rev
+          (K.Proc_queue.fold
+             (fun p acc ->
+               (p.K.Process.index, Access.index p.K.Process.q_msg,
+                p.K.Process.q_prio)
+               :: acc)
+             q [])
+      in
+      let unlinked (p : K.Process.t) =
+        p.K.Process.q_next == K.Process.none
+        && p.K.Process.q_prev == K.Process.none
+      in
+      let popped got model =
+        match model with
+        | [] -> got == K.Process.none
+        | _ -> got != K.Process.none && unlinked got
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | W_receive i ->
+            if not (parked i) then begin
+              K.Proc_queue.push port.K.Port.receivers procs.(i);
+              receivers := !receivers @ [ i ]
+            end;
+            true
+          | W_send (i, priority) ->
+            if not (parked i) then begin
+              let msg = 100 + !seq in
+              procs.(i).K.Process.priority <- priority;
+              K.Port.park_sender port procs.(i)
+                ~msg:(Access.make ~index:msg ~rights:Rights.full);
+              park_model (i, msg, priority, !seq);
+              incr seq
+            end;
+            true
+          | W_pop_receiver ->
+            let got = K.Proc_queue.pop port.K.Port.receivers in
+            let ok = popped got !receivers in
+            (match !receivers with
+            | [] -> ok
+            | i :: rest ->
+              receivers := rest;
+              ok && got.K.Process.index = i)
+          | W_pop_sender ->
+            let got = K.Proc_queue.pop port.K.Port.senders in
+            let ok = popped got !senders in
+            (match !senders with
+            | [] -> ok
+            | (i, msg, prio, _) :: rest ->
+              senders := rest;
+              ok && got.K.Process.index = i
+              && Access.index got.K.Process.q_msg = msg
+              && got.K.Process.q_prio = prio)
+          | W_expire i ->
+            if List.mem i !receivers then begin
+              K.Proc_queue.unlink port.K.Port.receivers procs.(i);
+              receivers := List.filter (( <> ) i) !receivers
+            end
+            else if parked i then begin
+              K.Proc_queue.unlink port.K.Port.senders procs.(i);
+              senders := List.filter (fun (j, _, _, _) -> j <> i) !senders
+            end;
+            unlinked procs.(i)
+          | W_reprio (i, priority) ->
+            (* A parked sender keeps the priority it parked at. *)
+            procs.(i).K.Process.priority <- priority;
+            true)
+          && indices port.K.Port.receivers = !receivers
+          && sender_view port.K.Port.senders
+             = List.map (fun (i, msg, prio, _) -> (i, msg, prio)) !senders
+          && List.for_all
+               (fun (p : K.Process.t) ->
+                 parked p.K.Process.index || unlinked p)
+               (Array.to_list procs))
+        script)
+
+(* ------------------------------------------------------------------ *)
 (* Free_store vs the seed's first-fit region list                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1378,6 +1516,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pqueue_matches_sorted_list;
     QCheck_alcotest.to_alcotest prop_dispatch_matches_model;
     QCheck_alcotest.to_alcotest prop_port_matches_model;
+    QCheck_alcotest.to_alcotest prop_port_waiters_match_model;
     QCheck_alcotest.to_alcotest prop_free_store_matches_model;
     QCheck_alcotest.to_alcotest prop_sro_coalescing_and_fit;
     QCheck_alcotest.to_alcotest prop_sro_live_lists_match_model;

@@ -867,30 +867,29 @@ let test_par_exec_lowest_failure_wins () =
       Net.Par_exec.run pool ~tasks:5 (fun _ -> incr ok);
       Alcotest.(check bool) "pool survives a failure" true (!ok >= 1))
 
-let test_metrics_single_writer () =
-  let r = Obs.Metrics.create () in
-  Obs.Metrics.claim r;
-  (* Re-claiming from the same domain is fine (Machine.run nests). *)
-  Obs.Metrics.claim r;
-  let refused =
-    Stdlib.Domain.join
-      (Stdlib.Domain.spawn (fun () ->
-           match Obs.Metrics.claim r with
-           | () -> false
-           | exception Failure _ -> true))
-  in
-  Alcotest.(check bool) "second domain refused while claimed" true refused;
-  Obs.Metrics.release r;
-  let ok =
-    Stdlib.Domain.join
-      (Stdlib.Domain.spawn (fun () ->
-           match Obs.Metrics.claim r with
-           | () ->
-             Obs.Metrics.release r;
-             true
-           | exception Failure _ -> false))
-  in
-  Alcotest.(check bool) "claimable again after release" true ok
+(* A machine has one stepper: a body that, mid-run, has a second domain
+   step its own machine gets [Failure] there, and the run goes on. *)
+let test_machine_single_stepper () =
+  let m = K.Machine.create () in
+  let refused = ref false in
+  ignore
+    (K.Machine.spawn m ~name:"intruder" (fun () ->
+         refused :=
+           Stdlib.Domain.join
+             (Stdlib.Domain.spawn (fun () ->
+                  match K.Machine.advance m ~max_ns:max_int with
+                  | () -> false
+                  | exception Failure _ -> true))));
+  let report = K.Machine.run m in
+  Alcotest.(check bool) "second domain refused mid-run" true !refused;
+  Alcotest.(check int) "the run completed" 1 report.K.Machine.completed;
+  (* Released after the run: another domain may step it now. *)
+  Alcotest.(check bool) "steppable from a second domain after" true
+    (Stdlib.Domain.join
+       (Stdlib.Domain.spawn (fun () ->
+            match K.Machine.advance m ~max_ns:max_int with
+            | () -> true
+            | exception Failure _ -> false)))
 
 let test_metrics_merge_deterministic () =
   let mk_reg salt =
@@ -1230,8 +1229,8 @@ let suite =
       test_par_exec_runs_every_task;
     Alcotest.test_case "par: lowest-index failure re-raised" `Quick
       test_par_exec_lowest_failure_wins;
-    Alcotest.test_case "par: metrics registry single-writer" `Quick
-      test_metrics_single_writer;
+    Alcotest.test_case "par: machine single stepper" `Quick
+      test_machine_single_stepper;
     Alcotest.test_case "par: metrics merge is deterministic" `Quick
       test_metrics_merge_deterministic;
     Alcotest.test_case "oracle: Seq runs match pinned digests" `Quick

@@ -675,22 +675,17 @@ let check_one_leave_per_residency world m =
         | None ->
           on_cpu.(e.Obs.Event.cpu) <- Some name;
           incr residencies)
-      | k when leave_kind k -> (
-        (* A fault is recorded off the run loop (cpu -1): its processor
-           is the one its process is resident on. *)
-        let cpu =
-          if e.Obs.Event.cpu >= 0 then Some e.Obs.Event.cpu
-          else
-            Seq.find (fun c -> on_cpu.(c) = Some name)
-              (Seq.init (Array.length on_cpu) Fun.id)
-        in
-        match cpu with
-        | Some c when on_cpu.(c) = Some name ->
+      | k when leave_kind k ->
+        (* Every leave, a fault too, is traced on the processor its
+           process is resident on. *)
+        let c = e.Obs.Event.cpu in
+        if c >= 0 && on_cpu.(c) = Some name then begin
           on_cpu.(c) <- None;
           if not (List.mem k !seen) then seen := k :: !seen
-        | _ ->
-          Alcotest.failf "%s: #%d %s of %s, which is resident on no processor"
-            world seq (Obs.Event.kind_to_string k) name)
+        end
+        else
+          Alcotest.failf "%s: #%d %s of %s on cpu%d, where it is not resident"
+            world seq (Obs.Event.kind_to_string k) name c
       | _ -> ());
   Alcotest.(check bool) (world ^ ": residencies traced") true
     (!residencies > 0);
