@@ -1805,6 +1805,94 @@ let history_cmd =
       $ path_arg ~default:(St.scratch_path "imax_txn.journal")
       $ obj_name $ to_ns)
 
+(* ---------------- image: pinned state images ---------------- *)
+
+(* Five small worlds, each run to its end and printed as
+   [Snapshot.state_image]: every object's type, lengths, level, SRO,
+   data and access part, every port, process, processor and SRO.  A
+   runtest rule diffs their output against bin/state-images.expected, so
+   a change to how the kernel stores its state must leave it
+   byte-identical.  Each world returns its machines by node name ("" for
+   a single machine). *)
+let image_worlds =
+  [
+    ( "spooler",
+      fun () ->
+        let config =
+          {
+            System.default_config with
+            System.processors = 2;
+            trace_level = Obs.Tracer.Events;
+          }
+        in
+        let m, _, _ = run_spooler ~config ~clients:3 ~jobs:5 in
+        [ ("", m) ] );
+    ( "chaos",
+      fun () ->
+        let config = { System.default_config with System.processors = 4 } in
+        let m, _, _, _, _ =
+          run_chaos ~config ~seed:7 ~clients:4 ~jobs:6 ~faults:1
+        in
+        [ ("", m) ] );
+    ( "swap",
+      fun () ->
+        let journal = St.scratch_path "imax_image_swap.journal" in
+        St.fresh_path journal;
+        let w =
+          Load.Working_set.boot
+            ~config:
+              {
+                System.default_config with
+                System.processors = 2;
+                memory_manager = System.Swapping_lru;
+                trace_level = Obs.Tracer.Events;
+              }
+            ~journal ~sync_every:4 ~ram_bytes:(48 * 64 / 4) ~objects:48
+            ~object_bytes:64 ~seed:5
+            ~users:
+              (List.init 2 (fun u -> (u + 1, List.init 20 (fun _ -> (0, 1, 4)))))
+        in
+        let m = Load.Working_set.machine w in
+        ignore (K.Machine.run m);
+        St.close (Load.Working_set.store w);
+        St.remove_files journal;
+        [ ("", m) ] );
+    ( "banking",
+      fun () ->
+        let m, _, _ =
+          I432_txn.Banking.run ~processors:2 ~accounts:6 ~transfers:40 ~seed:7
+            ()
+        in
+        [ ("", m) ] );
+    ( "cluster",
+      fun () ->
+        let cluster, _, _ =
+          boot_net ~processors:2 ~nodes:3 ~seed:11 ~clients:2 ~jobs:3
+            ~link_faults:0 ~partitions:0 ()
+        in
+        ignore (Net.Cluster.run cluster ());
+        List.init (Net.Cluster.node_count cluster) (fun i ->
+            (Net.Cluster.node_name cluster i, Net.Cluster.machine cluster i)) );
+  ]
+
+let scenario_image () =
+  List.iter
+    (fun (world, machines) ->
+      List.iter
+        (fun (node, m) ->
+          Printf.printf "== %s%s\n" world (if node = "" then "" else " " ^ node);
+          print_string (K.Snapshot.state_image m))
+        (machines ()))
+    image_worlds
+
+let image_cmd =
+  Cmd.v
+    (Cmd.info "image"
+       ~doc:
+         "Run five small worlds (spooler, chaos, swap, banking, a 3-node \
+          cluster) to their end and print each machine's full state image.")
+    Term.(const scenario_image $ const ())
+
 let main =
   Cmd.group
     (Cmd.info "imax_ctl" ~version:"1.0"
@@ -1812,7 +1900,7 @@ let main =
     [
       pipeline_cmd; churn_cmd; tapes_cmd; rendezvous_cmd; trace_cmd;
       metrics_cmd; chaos_cmd; net_cmd; store_cmd; checkpoint_cmd; swap_cmd;
-      loadgen_cmd; txn_cmd; history_cmd;
+      loadgen_cmd; txn_cmd; history_cmd; image_cmd;
     ]
 
 let () = exit (Cmd.eval main)

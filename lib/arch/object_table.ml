@@ -13,8 +13,9 @@
    - [meta], one int: the valid bit, the colour, the swapped and dirty
      bits, the level and the otype code (see "Meta word" below);
    - [extent], one int: the data part's base above its 17-bit length;
-   - [sro], [sro_prev], [sro_next]: the allocating SRO and the
-     neighbours on its live list;
+   - [sro]: the allocating SRO;
+   - [sro_prev], [sro_next]: the neighbours on the allocating SRO's
+     live list, kept only by local heaps ({!Sro});
    - [access]: the access part, an array of access descriptors (on the
      real 432 it is memory too, but it is only reachable through checked
      access instructions, so an OCaml array preserves the semantics
@@ -23,19 +24,26 @@
      processes, processors, SROs, type definitions) as an extensible
      variant, keeping the architecture layer free of kernel
      dependencies.  [None] for the rest.
-   So a generic object with no access part owns no block: its row is
-   seven words, all immediate.
 
    Each column is a directory of chunks of [chunk_size] slots, and a
-   chunk is allocated when its first index is, so a table holds seven
-   words for each slot below its high-water mark, rounded up to a chunk,
-   and a large column is never copied to grow.  The first chunk starts
-   at [initial_capacity] slots and grows once to [chunk_size], so a
-   small table stays small.  [capacity] is the span the
-   table reports: [initial_capacity], doubled each time allocation
-   reaches it, as a table of one array per descriptor would have grown.
-   A free slot holds the vacant row (invalid, [Generic], level 0, white,
-   no extent, SRO and links -1, no access part, no payload). *)
+   large column is never copied to grow.  The first chunk starts at
+   [initial_capacity] slots and grows once to [chunk_size], so a small
+   table stays small.  [capacity] is the span the table reports:
+   [initial_capacity], doubled each time allocation reaches it, as a
+   table of one array per descriptor would have grown.  A free slot
+   holds the vacant row (invalid, [Generic], level 0, white, no extent,
+   SRO and links -1, no access part, no payload).
+
+   The dense columns, [meta], [extent] and [sro], get a chunk of their
+   own when its first index is allocated.  The sparse ones, the two
+   links, [access] and [payload], are vacant for most objects (a plain
+   object in a global heap has none of them), so each of their chunks
+   starts as one module-level vacant chunk shared by every table, as
+   {!Memory}'s untouched pages share one zero page.  Only a write of a
+   non-vacant value copies it, to a chunk as long as the dense columns'
+   one at that position; writing the vacant value leaves it shared.
+   Nothing writes a vacant chunk, so reads need no check.  A plain
+   global-heap object's row is then three words. *)
 
 type color = White | Gray | Black
 
@@ -132,8 +140,8 @@ let length_bits = 17
 let length_mask = (1 lsl length_bits) - 1
 
 (* Columns.  Every getter and setter takes an index below the high-water
-   mark; past the slots allocated, the directory's or the chunk's bounds
-   check raises. *)
+   mark; past the slots allocated, the directory's or an owned chunk's
+   bounds check raises (a vacant chunk is full length). *)
 
 let[@inline] get (dir : int array array) i =
   dir.(i lsr chunk_bits).(i land chunk_mask)
@@ -141,18 +149,16 @@ let[@inline] get (dir : int array array) i =
 let[@inline] set (dir : int array array) i v =
   dir.(i lsr chunk_bits).(i land chunk_mask) <- v
 
-(* Room for one more slot: a first chunk smaller than [chunk_size]
-   grows to it, then each growth adds a full chunk. *)
-let widen dir fill =
-  let last = dir.(Array.length dir - 1) in
-  let n = Array.length last in
-  if n < chunk_size then begin
-    let chunk = Array.make chunk_size fill in
-    Array.blit last 0 chunk 0 n;
-    dir.(Array.length dir - 1) <- chunk;
-    dir
-  end
-  else Array.append dir [| Array.make chunk_size fill |]
+(* The shared vacant chunks of the sparse columns.  Full length, so
+   any slot of a chunk reads the vacant value; never written. *)
+let vacant_links = Array.make chunk_size (-1)
+let vacant_access : Access.t option array array = Array.make chunk_size [||]
+let vacant_payload : payload option array = Array.make chunk_size None
+
+let grown chunk fill =
+  let bigger = Array.make chunk_size fill in
+  Array.blit chunk 0 bigger 0 (Array.length chunk);
+  bigger
 
 let create ?(initial_capacity = 256) () =
   if initial_capacity <= 0 then invalid_arg "Object_table.create";
@@ -161,10 +167,10 @@ let create ?(initial_capacity = 256) () =
     meta = column 0;
     extent = column 0;
     sro = column (-1);
-    sro_prev = column (-1);
-    sro_next = column (-1);
-    access = column [||];
-    payload = column None;
+    sro_prev = [| vacant_links |];
+    sro_next = [| vacant_links |];
+    access = [| vacant_access |];
+    payload = [| vacant_payload |];
     free = [||];
     free_top = 0;
     next = 0;
@@ -187,14 +193,48 @@ let slots t =
   let n = Array.length t.meta in
   ((n - 1) * chunk_size) + Array.length t.meta.(n - 1)
 
+(* Room for one more slot: a first chunk smaller than [chunk_size]
+   grows to it, then each growth adds a full chunk.  A sparse column
+   adds the vacant chunk, and grows a first chunk only if it owns it. *)
 let grow t =
-  t.meta <- widen t.meta 0;
-  t.extent <- widen t.extent 0;
-  t.sro <- widen t.sro (-1);
-  t.sro_prev <- widen t.sro_prev (-1);
-  t.sro_next <- widen t.sro_next (-1);
-  t.access <- widen t.access [||];
-  t.payload <- widen t.payload None
+  let last = Array.length t.meta - 1 in
+  let append = Array.length t.meta.(last) = chunk_size in
+  let dense dir fill =
+    if append then Array.append dir [| Array.make chunk_size fill |]
+    else begin
+      dir.(last) <- grown dir.(last) fill;
+      dir
+    end
+  in
+  let sparse dir vacant =
+    if append then Array.append dir [| vacant |]
+    else begin
+      if dir.(last) != vacant then dir.(last) <- grown dir.(last) vacant.(0);
+      dir
+    end
+  in
+  t.meta <- dense t.meta 0;
+  t.extent <- dense t.extent 0;
+  t.sro <- dense t.sro (-1);
+  t.sro_prev <- sparse t.sro_prev vacant_links;
+  t.sro_next <- sparse t.sro_next vacant_links;
+  t.access <- sparse t.access vacant_access;
+  t.payload <- sparse t.payload vacant_payload
+
+(* A write to a sparse column.  A vacant value needs no slot of its
+   own; any other value first copies a vacant chunk to one this table
+   owns, as long as the dense columns' chunk at that position.  A
+   vacant value is an immediate (-1, [None]) or the one empty array,
+   so [!=] tells any other value from it. *)
+let[@inline] set_sparse t dir vacant i v =
+  let c = i lsr chunk_bits in
+  let chunk = dir.(c) in
+  if chunk != vacant then chunk.(i land chunk_mask) <- v
+  else if v != vacant.(0) then begin
+    let own = Array.make (Array.length t.meta.(c)) vacant.(0) in
+    dir.(c) <- own;
+    own.(i land chunk_mask) <- v
+  end
 
 let[@inline] is_valid t index =
   index >= 0 && index < t.next && get t.meta index land valid_bit <> 0
@@ -281,13 +321,12 @@ let data_address t (access : Access.t) ~write ~offset ~len =
 let[@inline] access_part t i = t.access.(i lsr chunk_bits).(i land chunk_mask)
 let[@inline] sro t i = get t.sro i
 let[@inline] sro_prev t i = get t.sro_prev i
-let[@inline] set_sro_prev t i v = set t.sro_prev i v
+let[@inline] set_sro_prev t i v = set_sparse t t.sro_prev vacant_links i v
 let[@inline] sro_next t i = get t.sro_next i
-let[@inline] set_sro_next t i v = set t.sro_next i v
+let[@inline] set_sro_next t i v = set_sparse t t.sro_next vacant_links i v
 let[@inline] payload t i = t.payload.(i lsr chunk_bits).(i land chunk_mask)
 
-let[@inline] set_payload t i p =
-  t.payload.(i lsr chunk_bits).(i land chunk_mask) <- p
+let[@inline] set_payload t i p = set_sparse t t.payload vacant_payload i p
 
 let max_access_length = 0x4000
 
@@ -324,8 +363,7 @@ let allocate_entry t ~otype ~base ~data_length ~access_length ~level ~sro =
   (* A vacant row already holds no links, no access part and no
      payload. *)
   if access_length > 0 then
-    t.access.(index lsr chunk_bits).(index land chunk_mask) <-
-      Array.make access_length None;
+    set_sparse t t.access vacant_access index (Array.make access_length None);
   t.live <- t.live + 1;
   index
 
@@ -334,8 +372,9 @@ let free_entry t index =
   set t.meta i 0;
   set t.extent i 0;
   set t.sro i (-1);
-  set t.sro_prev i (-1);
-  set t.sro_next i (-1);
+  set_sro_prev t i (-1);
+  set_sro_next t i (-1);
+  (* An access part or a payload is in a chunk the table owns. *)
   let chunk = i lsr chunk_bits and slot = i land chunk_mask in
   if Array.length t.access.(chunk).(slot) > 0 then
     t.access.(chunk).(slot) <- [||];

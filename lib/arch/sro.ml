@@ -10,11 +10,16 @@
    The free store is first-fit with address-ordered coalescing on free,
    held in {!I432_util.Free_store} — an augmented balanced tree whose fit
    query returns exactly what a first-fit scan of a base-sorted list would,
-   in O(log regions) instead of O(regions).  The live objects form a
-   doubly-linked list threaded through their own descriptors
-   ({!Object_table.sro_prev}/[sro_next]), newest first, so
-   tracking a new object and untracking a released one are O(1) and
-   allocate nothing, and [destroy] walks only this SRO's population.
+   in O(log regions) instead of O(regions).  A local heap's live objects
+   form a doubly-linked list threaded through their own descriptors
+   ({!Object_table.sro_prev}/[sro_next]), newest first, so tracking a
+   new object and untracking a released one are O(1) and allocate
+   nothing, and [destroy] walks only this SRO's population.  A global
+   heap only counts its objects: they are reclaimed one at a time, by
+   the collector's sweep (§8) or an explicit release, so it is never
+   destroyed and needs no list, and its objects' link columns stay
+   vacant ({!Object_table}).  Destroying a
+   global heap, or carving a child at level 0, is refused.
 
    The SRO itself is an object in the table (type Storage_resource), so
    access to it is capability-controlled: Rights.t1 on an SRO access is the
@@ -26,8 +31,8 @@ type state = {
   self : int;  (* object-table index of this SRO *)
   sro_level : int;  (* level of objects created from this SRO *)
   free_store : Free_store.t;  (* free regions, address-ordered *)
-  mutable head : int;  (* newest live object, -1 = none *)
-  mutable live_count : int;  (* length of the live list *)
+  mutable head : int;  (* a local heap's newest live object, -1 = none *)
+  mutable live_count : int;  (* live objects allocated here *)
   mutable children : state list;  (* child SROs carved from this store (§5) *)
   mutable live : bool;
   mutable alloc_count : int;
@@ -91,21 +96,27 @@ let take_region s size =
 (* Return a region to the store, coalescing with adjacent neighbours. *)
 let give_region s ~base ~length = Free_store.insert s.free_store ~base ~length
 
+let is_global s = s.sro_level = 0
+
 let track_allocated table s index =
-  if s.head >= 0 then
-    Object_table.set_sro_prev table (Object_table.lookup table s.head) index;
-  Object_table.set_sro_next table index s.head;
-  s.head <- index;
+  if not (is_global s) then begin
+    if s.head >= 0 then
+      Object_table.set_sro_prev table (Object_table.lookup table s.head) index;
+    Object_table.set_sro_next table index s.head;
+    s.head <- index
+  end;
   s.live_count <- s.live_count + 1
 
 let untrack_allocated table s index =
-  let prev = Object_table.sro_prev table index
-  and next = Object_table.sro_next table index in
-  if prev >= 0 then
-    Object_table.set_sro_next table (Object_table.lookup table prev) next
-  else s.head <- next;
-  if next >= 0 then
-    Object_table.set_sro_prev table (Object_table.lookup table next) prev;
+  if not (is_global s) then begin
+    let prev = Object_table.sro_prev table index
+    and next = Object_table.sro_next table index in
+    if prev >= 0 then
+      Object_table.set_sro_next table (Object_table.lookup table prev) next
+    else s.head <- next;
+    if next >= 0 then
+      Object_table.set_sro_prev table (Object_table.lookup table next) prev
+  end;
   s.live_count <- s.live_count - 1
 
 (* The create-object instruction: carve a data part from the free store and
@@ -176,6 +187,9 @@ let create_child table access ~level ~bytes =
   let s = state_of table access in
   check_live s;
   need_alloc_right access;
+  if level = 0 then
+    Fault.raise_fault
+      (Fault.Protocol "a child SRO is a local heap: level 0 refused");
   let base = take_region s bytes in
   s.free_bytes <- s.free_bytes - bytes;
   let child = create table ~level ~base ~length:bytes in
@@ -215,9 +229,16 @@ let rec destroy_state table s =
   Object_table.free_entry table s.self;
   n + from_children
 
+let refuse_global s =
+  if is_global s then
+    Fault.raise_fault (Fault.Protocol "a global heap is never destroyed")
+
+let check_local table access = refuse_global (state_of table access)
+
 let destroy table access =
   let s = state_of table access in
   check_live s;
+  refuse_global s;
   destroy_state table s
 
 (* Introspection for the memory managers and benches. *)

@@ -1,9 +1,11 @@
 (** Storage resource objects (SROs).
 
     An SRO describes free memory and allocates segments at a fixed lifetime
-    level: a level-0 SRO is a global heap; a deeper-level SRO is a local
-    heap whose entire population can be destroyed in bulk when the SRO dies,
-    because the level rule guarantees no reference escaped.
+    level: a level-0 SRO is a global heap, whose objects are reclaimed one
+    at a time (by the collector or an explicit release); a deeper-level
+    SRO is a local heap whose entire population can be destroyed in bulk
+    when the SRO dies, because the level rule guarantees no reference
+    escaped.
 
     The allocate right is {!Rights.t1} on the SRO's access descriptor. *)
 
@@ -27,12 +29,19 @@ val allocate :
 val release_by_access : Object_table.t -> Access.t -> index:int -> unit
 
 (** Carve a child SRO from this SRO's free store — the tree structure of
-    §5.  Destroying the parent cascades to children. *)
+    §5.  Destroying the parent cascades to children, so a child is a
+    local heap: [~level:0] raises [Fault Protocol]. *)
 val create_child : Object_table.t -> Access.t -> level:int -> bytes:int -> Access.t
+
+(** Raises [Fault Protocol] if the SRO is a global heap (level 0), which
+    is never destroyed: its objects are reclaimed one at a time, by the
+    collector, and it keeps no list of them. *)
+val check_local : Object_table.t -> Access.t -> unit
 
 (** Destroy a local heap: bulk-free every object it created (cascading
     through child SROs), then the SRO itself.  Returns the number of
-    objects reclaimed across the subtree. *)
+    objects reclaimed across the subtree.  Raises as {!check_local} on a
+    global heap. *)
 val destroy : Object_table.t -> Access.t -> int
 
 val child_count : Object_table.t -> Access.t -> int

@@ -457,6 +457,7 @@ let create_local_sro t ~level ~bytes =
          { requested = bytes; available = Sro.free_bytes t.table t.global_sro })
 
 let destroy_sro t sro =
+  Sro.check_local t.table sro;
   charge t t.timings.Timings.destroy_ns;
   let index = Access.index sro in
   let reclaimed = Sro.destroy t.table sro in

@@ -121,11 +121,13 @@ val allocate_generic :
 val release : t -> Access.t -> index:int -> unit
 
 (** Create a local heap (an SRO at the given lifetime level) carved from the
-    global heap's store. *)
+    global heap's store.  [~level:0] makes a global heap instead: one that
+    {!destroy_sro} refuses, whose objects are reclaimed one at a time. *)
 val create_local_sro : t -> level:int -> bytes:int -> Access.t
 
 (** Destroy a local heap, bulk-reclaiming every object it created.  Returns
-    the number of objects reclaimed. *)
+    the number of objects reclaimed.  Raises [Fault Protocol] on a global
+    heap (level 0), before charging the destroy time. *)
 val destroy_sro : t -> Access.t -> int
 
 (** Inter-domain call: charges the ~65 µs domain switch (paper §2).  With

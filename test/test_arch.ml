@@ -371,6 +371,29 @@ let test_sro_destroy_cascades () =
   Alcotest.(check bool) "root survives" true
     (Object_table.is_valid table (Access.index root))
 
+(* A level-0 SRO is a global heap: the collector reclaims its objects
+   one at a time, so it is never destroyed, and no child is one. *)
+let test_sro_global_heap_not_destroyed () =
+  let table = Object_table.create () in
+  let root = Sro.create table ~level:0 ~base:0 ~length:4096 in
+  let a = alloc ~data:32 ~acc:0 table root in
+  expect_fault "global heap destroy"
+    (function Fault.Protocol _ -> true | _ -> false)
+    (fun () -> Sro.destroy table root);
+  Alcotest.(check bool) "heap survives" true (Sro.is_live table root);
+  Alcotest.(check int) "object survives" 1 (Sro.live_objects table root);
+  Alcotest.(check bool) "descriptor valid" true
+    (Object_table.is_valid table (Access.index a))
+
+let test_sro_child_not_global () =
+  let table = Object_table.create () in
+  let root = Sro.create table ~level:0 ~base:0 ~length:4096 in
+  expect_fault "level-0 child"
+    (function Fault.Protocol _ -> true | _ -> false)
+    (fun () -> Sro.create_child table root ~level:0 ~bytes:1024);
+  Alcotest.(check int) "no child" 0 (Sro.child_count table root);
+  Alcotest.(check int) "nothing carved" 4096 (Sro.free_bytes table root)
+
 let test_sro_child_needs_allocate_right () =
   let table = Object_table.create () in
   let root = Sro.create table ~level:0 ~base:0 ~length:4096 in
@@ -566,6 +589,8 @@ let suite =
     ("sro destroyed rejects use", `Quick, test_sro_destroyed_rejects_use);
     ("sro child tree", `Quick, test_sro_child_tree);
     ("sro destroy cascades", `Quick, test_sro_destroy_cascades);
+    ("sro global heap not destroyed", `Quick, test_sro_global_heap_not_destroyed);
+    ("sro child not global", `Quick, test_sro_child_not_global);
     ("sro child needs allocate right", `Quick, test_sro_child_needs_allocate_right);
     ("sro child exhausts parent", `Quick, test_sro_child_exhausts_parent);
     ("sro zero length object", `Quick, test_sro_zero_length_object);

@@ -1079,6 +1079,23 @@ let test_local_heap_level_confinement () =
   let _ = run m in
   Alcotest.(check bool) "escape prevented" true !faulted
 
+let test_global_heap_destroy_refused () =
+  let m = mk () in
+  let refused = ref false in
+  let p =
+    K.Machine.spawn m ~name:"p" (fun () ->
+        match K.Machine.destroy_sro m (K.Machine.global_sro m) with
+        | _ -> ()
+        | exception Fault.Fault (Fault.Protocol _) -> refused := true)
+  in
+  let _ = run m in
+  Alcotest.(check bool) "refused" true !refused;
+  (* Refused before the destroy time is charged: the process paid its
+     dispatch alone. *)
+  Alcotest.(check int) "nothing charged"
+    (K.Machine.timings m).Timings.dispatch_ns
+    (K.Machine.process_state m p).K.Process.cpu_ns
+
 (* ---------------- Allocation cost ---------------- *)
 
 let test_allocation_charges_80us () =
@@ -1534,6 +1551,7 @@ let suite =
     ("domain private environment", `Quick, test_domain_private_environment);
     ("local heap lifecycle", `Quick, test_local_heap_lifecycle);
     ("local heap level confinement", `Quick, test_local_heap_level_confinement);
+    ("global heap destroy refused", `Quick, test_global_heap_destroy_refused);
     ("allocation charges 80us", `Quick, test_allocation_charges_80us);
     ("boot-time operations are free", `Quick, test_boot_time_operations_are_free);
     ("run respects max_steps", `Quick, test_run_respects_max_steps);

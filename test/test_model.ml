@@ -646,11 +646,20 @@ let prop_sro_live_lists_match_model =
           if Object_table.sro_prev table e <> prev then [ -2 ]
           else index :: linked index (Object_table.sro_next table e)
       in
+      (* The level-0 root is a global heap: it links nothing, and its
+         objects' links read vacant. *)
+      let unlinked i =
+        let e = Object_table.lookup table i in
+        Object_table.sro_prev table e = -1 && Object_table.sro_next table e = -1
+      in
       let agrees () =
         List.for_all
           (fun (m : Model_sro.t) ->
             let self = Access.index m.access in
-            linked (-1) (match m.objects with i :: _ -> i | [] -> -1) = m.objects
+            (if Sro.level table m.access = 0 then List.for_all unlinked m.objects
+             else
+               linked (-1) (match m.objects with i :: _ -> i | [] -> -1)
+               = m.objects)
             && Sro.live_objects table m.access = List.length m.objects
             && List.for_all
                  (fun i -> Object_table.sro table (Object_table.lookup table i) = self)
@@ -1264,24 +1273,27 @@ let otype_gen =
         (2, map (fun id -> Obj_type.Custom id) (int_range 0 ((1 lsl 34) - 10)));
       ])
 
+let alloc_op_gen =
+  QCheck2.Gen.(
+    map
+      (fun (otype, (len, alen), (level, base, sro)) ->
+        T_alloc (otype, len, alen, level, base, sro))
+      (triple otype_gen
+         (pair
+            (frequency
+               [ (8, int_range 0 64); (1, oneofl [ 0x10000; 0x10001; -1 ]) ])
+            (frequency [ (3, return 0); (2, int_range 1 6) ]))
+         (triple
+            (oneof [ int_range 0 9; int_range 0 ((1 lsl 24) - 1) ])
+            (int_range 0 (1 lsl 40))
+            (int_range (-1) 40))))
+
 let table_op_gen =
   QCheck2.Gen.(
     let index = int_range (-1) 40 in
     frequency
       [
-        ( 8,
-          map
-            (fun (otype, (len, alen), (level, base, sro)) ->
-              T_alloc (otype, len, alen, level, base, sro))
-            (triple otype_gen
-               (pair
-                  (frequency
-                     [ (8, int_range 0 64); (1, oneofl [ 0x10000; 0x10001; -1 ]) ])
-                  (frequency [ (3, return 0); (2, int_range 1 6) ]))
-               (triple
-                  (oneof [ int_range 0 9; int_range 0 ((1 lsl 24) - 1) ])
-                  (int_range 0 (1 lsl 40))
-                  (int_range (-1) 40))) );
+        (8, alloc_op_gen);
         (3, map (fun i -> T_free i) index);
         (2, map (fun i -> T_shade i) index);
         ( 2,
@@ -1448,6 +1460,68 @@ let prop_table_columns_match_records =
           col = seed && same_index && same_tables t m)
         script)
 
+(* Two tables share the sparse columns' vacant chunks (the links, the
+   access parts and the payloads), so a write that reached a shared
+   chunk in place would show in the other table's rows, and in this
+   table's other chunks.  One script drives both, each op on one of
+   them; [fill] allocates plain objects past the first chunk, so later
+   ops also reach a second chunk, vacant or owned. *)
+type two_op = On of bool * table_op | Fill of bool * int
+
+let two_op_gen =
+  QCheck2.Gen.(
+    let index = oneof [ int_range (-1) 40; int_range 1020 1100 ] in
+    let op =
+      frequency
+        [
+          (6, alloc_op_gen);
+          (3, map (fun i -> T_free i) index);
+          (3, map2 (fun i p -> T_payload (i, p)) index (opt nat));
+          (3, map3 (fun i p n -> T_links (i, p, n)) index index index);
+          (3, map3 (fun i s j -> T_store (i, s, j)) index (int_range 0 6) index);
+        ]
+    in
+    frequency
+      [
+        (40, map2 (fun b op -> On (b, op)) bool op);
+        (1, map2 (fun b n -> Fill (b, n)) bool (int_range 1000 1100));
+      ])
+
+let print_two_op = function
+  | On (b, op) -> Printf.sprintf "%s: %s" (if b then "a" else "b") (print_table_op op)
+  | Fill (b, n) -> Printf.sprintf "%s: fill %d" (if b then "a" else "b") n
+
+let prop_two_tables_match_records =
+  QCheck2.Test.make ~name:"two object tables = their own records" ~count:100
+    ~print:(fun ops -> String.concat "; " (List.map print_two_op ops))
+    QCheck2.Gen.(list_size (int_range 1 80) two_op_gen)
+    (fun script ->
+      let fresh () = (Object_table.create ~initial_capacity:4 (), Seed_table.create 4) in
+      let a = fresh () and b = fresh () in
+      let fill t m n =
+        List.for_all
+          (fun _ ->
+            Object_table.allocate_entry t ~otype:Obj_type.Generic ~base:0
+              ~data_length:16 ~access_length:0 ~level:0 ~sro:0
+            = Seed_table.allocate m ~otype:Obj_type.Generic ~base:0
+                ~data_length:16 ~access_length:0 ~level:0 ~sro:0)
+          (List.init n Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | On (on_a, op) ->
+              let t, m = if on_a then a else b in
+              let (col, seed), same_index = apply_table_op t m op in
+              col = seed && same_index
+            | Fill (on_a, n) ->
+              let t, m = if on_a then a else b in
+              fill t m n
+          in
+          step_ok && same_tables (fst a) (snd a) && same_tables (fst b) (snd b))
+        script)
+
 (* ------------------------------------------------------------------ *)
 (* The one-word access descriptor vs the seed's record                 *)
 (* ------------------------------------------------------------------ *)
@@ -1525,5 +1599,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_prng_matches_seed;
     QCheck_alcotest.to_alcotest prop_memory_pages_match_flat;
     QCheck_alcotest.to_alcotest prop_table_columns_match_records;
+    QCheck_alcotest.to_alcotest prop_two_tables_match_records;
     QCheck_alcotest.to_alcotest prop_access_word_matches_record;
   ]
