@@ -1807,11 +1807,78 @@ let history_cmd =
 
 (* ---------------- image: pinned state images ---------------- *)
 
-(* Five small worlds, each run to its end and printed as
-   [Snapshot.state_image]: every object's type, lengths, level, SRO,
-   data and access part, every port, process, processor and SRO.  A
-   runtest rule diffs their output against bin/state-images.expected, so
-   a change to how the kernel stores its state must leave it
+(* A machine stopped part-way by a [Machine.run] bound, holding what no
+   run-to-end world does: senders parked on a Fifo and on a Priority
+   port, parked receivers (one with a deadline), a sleeping, a stopped
+   and a ready process, queued messages (one a transaction's), a stored
+   AD, a recorded fault, a pending injection and two armed counters. *)
+let midrun_world () =
+  let m =
+    K.Machine.create
+      ~config:{ K.Machine.default_config with K.Machine.processors = 2 }
+      ()
+  in
+  let port capacity discipline =
+    K.Machine.create_port m ~capacity ~discipline ()
+  in
+  let fifo = port 1 K.Port.Fifo and prio = port 1 K.Port.Priority in
+  let inbox = port 2 K.Port.Fifo and outbox = port 2 K.Port.Fifo in
+  let msg () = K.Machine.allocate_generic m ~data_length:8 () in
+  let box = K.Machine.allocate_generic m ~data_length:8 ~access_length:2 () in
+  K.Machine.add_root m box;
+  let spawn ?priority name body = K.Machine.spawn m ?priority ~name body in
+  let send port = let msg = msg () in fun () -> K.Machine.send m ~port ~msg in
+  let fifo_a = send fifo and fifo_b = send fifo in
+  ignore (spawn "fifo-send" (fun () -> fifo_a (); fifo_b ()));
+  (* prio-hi starts late and parks ahead of prio-lo; prio-idle never
+     runs beside the spinners. *)
+  List.iter
+    (fun (name, priority, start_after) ->
+      ignore (K.Machine.spawn m ~priority ~name ~start_after (send prio)))
+    [
+      ("prio-fill", 10, 0);
+      ("prio-lo", 9, 0);
+      ("prio-hi", 11, 500_000);
+      ("prio-idle", 4, 0);
+    ];
+  ignore (spawn "waiter" (fun () -> ignore (K.Machine.receive m ~port:inbox)));
+  ignore
+    (spawn "timed" (fun () ->
+         ignore (K.Machine.receive_timeout m ~port:inbox ~timeout_ns:50_000_000)));
+  ignore (spawn "sleeper" (fun () -> K.Machine.delay m ~ns:50_000_000));
+  let plain = send outbox and txn_msg = msg () in
+  ignore
+    (spawn "txn" (fun () ->
+         plain ();
+         ignore (K.Machine.txn_try m ~key:9 ~sends:[ (outbox, txn_msg) ] ())));
+  let stored = msg () in
+  ignore
+    (spawn "keeper" (fun () -> K.Machine.store_access m box ~slot:1 (Some stored)));
+  ignore (spawn "faulty" (fun () -> Fault.raise_fault (Fault.Protocol "midrun")));
+  K.Machine.set_stopped m (spawn "stopped" (fun () -> ())) true;
+  for i = 1 to 3 do
+    let spinner =
+      spawn (Printf.sprintf "spin%d" i) (fun () ->
+          while true do
+            K.Machine.compute m 50;
+            K.Machine.yield m
+          done)
+    in
+    if i = 3 then K.Machine.set_affinity m spinner (Some 0)
+  done;
+  K.Machine.schedule_injection m ~at_ns:1_000_000 (K.Machine.Inj_alloc_fault 2);
+  K.Machine.schedule_injection m ~at_ns:1_000_000
+    (K.Machine.Inj_port_delay 7_000);
+  K.Machine.schedule_injection m ~at_ns:50_000_000 (K.Machine.Inj_transient 1);
+  ignore (K.Machine.run ~max_ns:2_000_000 m);
+  [ ("", m) ]
+
+(* Five small worlds, each run to its end, and [midrun_world], each
+   machine printed as [Snapshot.state_image] (every object's type,
+   lengths, level, SRO, data and access part, every port, process,
+   processor and SRO) and then as its [--snapshot] summary.  A runtest
+   rule diffs their output against bin/state-images.expected, so a
+   change to how the kernel stores or reads its state must leave it
    byte-identical.  Each world returns its machines by node name ("" for
    a single machine). *)
 let image_worlds =
@@ -1873,6 +1940,7 @@ let image_worlds =
         ignore (Net.Cluster.run cluster ());
         List.init (Net.Cluster.node_count cluster) (fun i ->
             (Net.Cluster.node_name cluster i, Net.Cluster.machine cluster i)) );
+    ("midrun", midrun_world);
   ]
 
 let scenario_image () =
@@ -1881,7 +1949,8 @@ let scenario_image () =
       List.iter
         (fun (node, m) ->
           Printf.printf "== %s%s\n" world (if node = "" then "" else " " ^ node);
-          print_string (K.Snapshot.state_image m))
+          print_string (K.Snapshot.state_image m);
+          maybe_snapshot true m)
         (machines ()))
     image_worlds
 
@@ -1890,7 +1959,8 @@ let image_cmd =
     (Cmd.info "image"
        ~doc:
          "Run five small worlds (spooler, chaos, swap, banking, a 3-node \
-          cluster) to their end and print each machine's full state image.")
+          cluster) to their end and a sixth part-way, and print each \
+          machine's full state image and its --snapshot summary.")
     Term.(const scenario_image $ const ())
 
 let main =

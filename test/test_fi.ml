@@ -414,6 +414,106 @@ let test_invariants_catch_queue_state () =
     ]
     (List.sort compare (Fi.check_invariants m))
 
+(* One negative test per clause of [check_invariants] that a test can
+   reach: each corrupts a consistent machine behind the kernel's back
+   and expects the exact messages.  Clause 2 (count_valid against the
+   walk) has none: Object_table offers no way to skew its count. *)
+
+(* A halted machine with one receiver parked on [rport] and one sender
+   parked on the full [sport]: both legitimately waiting. *)
+let parked_machine () =
+  let m = mk () in
+  let rport = K.Machine.create_port m ~capacity:2 ~discipline:K.Port.Fifo () in
+  let sport = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let waiter =
+    K.Machine.spawn m ~name:"waiter" (fun () ->
+        ignore (K.Machine.receive m ~port:rport))
+  in
+  let pusher =
+    K.Machine.spawn m ~name:"pusher" (fun () ->
+        K.Machine.send m ~port:sport ~msg:(alloc m ());
+        K.Machine.send m ~port:sport ~msg:(alloc m ()))
+  in
+  ignore (K.Machine.run m);
+  Alcotest.(check (list string)) "consistent before corruption" []
+    (Fi.check_invariants m);
+  let table = K.Machine.table m in
+  ( m,
+    (K.Port.state_of table rport, K.Machine.process_state m waiter),
+    (K.Port.state_of table sport, K.Machine.process_state m pusher) )
+
+let test_invariants_catch_running () =
+  let m = mk () in
+  (* A daemon, so the run loop's progress state counts it in no status
+     and clause 1 is the only one to fire. *)
+  let d = K.Machine.spawn m ~name:"ghost" ~daemon:true (fun () -> ()) in
+  ignore (K.Machine.run m);
+  Alcotest.(check (list string)) "finished daemon passes" []
+    (Fi.check_invariants m);
+  let p = K.Machine.process_state m d in
+  p.K.Process.status <- K.Process.Running;
+  Alcotest.(check (list string)) "running after halt reported"
+    [ Printf.sprintf "process ghost (#%d) still Running after halt" p.K.Process.index ]
+    (Fi.check_invariants m)
+
+let test_invariants_catch_over_capacity () =
+  let m = mk () in
+  let port = K.Machine.create_port m ~capacity:2 ~discipline:K.Port.Fifo () in
+  let p = K.Port.state_of (K.Machine.table m) port in
+  p.K.Port.q_len <- 3;
+  Alcotest.(check (list string)) "over capacity reported"
+    [ Printf.sprintf "port #%d holds 3 messages over capacity 2" p.K.Port.self ]
+    (Fi.check_invariants m)
+
+let test_invariants_catch_unblocked_waiter () =
+  let m, (rp, waiter), (sp, pusher) = parked_machine () in
+  waiter.K.Process.status <- K.Process.Finished;
+  pusher.K.Process.status <- K.Process.Blocked_receive sp.K.Port.self;
+  Alcotest.(check (list string)) "waiters not blocked here reported"
+    (List.sort compare
+       [
+         Printf.sprintf "port #%d queues receiver #%d that is not blocked on it"
+           rp.K.Port.self waiter.K.Process.index;
+         Printf.sprintf "port #%d queues sender #%d that is not blocked on it"
+           sp.K.Port.self pusher.K.Process.index;
+         Printf.sprintf
+           "process pusher (#%d) Blocked_receive on port #%d but not queued"
+           pusher.K.Process.index sp.K.Port.self;
+       ])
+    (List.sort compare (Fi.check_invariants m))
+
+let test_invariants_catch_unqueued_blocked () =
+  let m, (rp, waiter), (sp, pusher) = parked_machine () in
+  K.Proc_queue.unlink rp.K.Port.receivers waiter;
+  K.Proc_queue.unlink sp.K.Port.senders pusher;
+  Alcotest.(check (list string)) "blocked processes off their queues reported"
+    (List.sort compare
+       [
+         Printf.sprintf
+           "process waiter (#%d) Blocked_receive on port #%d but not queued"
+           waiter.K.Process.index rp.K.Port.self;
+         Printf.sprintf
+           "process pusher (#%d) Blocked_send on port #%d but not queued"
+           pusher.K.Process.index sp.K.Port.self;
+       ])
+    (List.sort compare (Fi.check_invariants m))
+
+let test_invariants_catch_ready_waiter () =
+  let m, (rp, waiter), (sp, pusher) = parked_machine () in
+  waiter.K.Process.q_queued <- true;
+  pusher.K.Process.q_queued <- true;
+  Alcotest.(check (list string)) "waiters also ready reported"
+    (List.sort compare
+       [
+         Printf.sprintf
+           "port #%d queues receiver #%d that is also in the ready queue"
+           rp.K.Port.self waiter.K.Process.index;
+         Printf.sprintf
+           "port #%d queues sender #%d that is also in the ready queue"
+           sp.K.Port.self pusher.K.Process.index;
+       ])
+    (List.sort compare (Fi.check_invariants m))
+
 let test_plan_generation_deterministic () =
   let gen () =
     Fi.random ~seed:9 ~horizon_ns:1_000_000 ~processors:4 ~count:6
@@ -480,6 +580,16 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chaos_invariants;
     Alcotest.test_case "invariants catch parked waiters beside the queue"
       `Quick test_invariants_catch_queue_state;
+    Alcotest.test_case "invariants catch a process running after halt"
+      `Quick test_invariants_catch_running;
+    Alcotest.test_case "invariants catch a port over capacity" `Quick
+      test_invariants_catch_over_capacity;
+    Alcotest.test_case "invariants catch a waiter not blocked on its port"
+      `Quick test_invariants_catch_unblocked_waiter;
+    Alcotest.test_case "invariants catch a blocked process off its queue"
+      `Quick test_invariants_catch_unqueued_blocked;
+    Alcotest.test_case "invariants catch a waiter also in the ready queue"
+      `Quick test_invariants_catch_ready_waiter;
     Alcotest.test_case "plan generation is deterministic" `Quick
       test_plan_generation_deterministic;
   ]
