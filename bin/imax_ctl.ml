@@ -124,8 +124,7 @@ let snapshot =
   Arg.(value & flag & info [ "snapshot" ] ~doc)
 
 let maybe_snapshot snapshot machine =
-  if snapshot then
-    print_string (K.Snapshot.render (K.Snapshot.capture machine))
+  if snapshot then print_string (K.Snapshot.summary machine)
 
 let config processors memory_manager scheduling gc_daemon =
   {

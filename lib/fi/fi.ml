@@ -239,90 +239,78 @@ let check_progress machine =
       :: !bad;
   List.rev !bad
 
-(* Post-run invariants.  Violations accumulate as messages; [] = intact. *)
+(* Post-run invariants, read from one walk of the machine.  Violations
+   accumulate as messages, in index order; [] = intact. *)
 let check_invariants machine =
   let bad = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
-  let table = K.Machine.table machine in
-  let processes = K.Machine.all_processes machine in
-  (* 1. Once the run loop returns, nothing may still claim a processor. *)
-  List.iter
-    (fun (p : K.Process.t) ->
-      match p.K.Process.status with
-      | K.Process.Running ->
-        fail "process %s (#%d) still Running after halt" p.K.Process.name
-          p.K.Process.index
-      | _ -> ())
-    processes;
-  (* 2. The table's valid count must agree with an iter_valid walk. *)
-  let walked = ref 0 in
-  Object_table.iter_valid (fun _ -> incr walked) table;
-  let counted = Object_table.count_valid table in
-  if !walked <> counted then
-    fail "object table count_valid %d <> iter_valid walk %d" counted !walked;
-  (* 3/4. Port-queue consistency, both directions: blocked processes are
-     queued, queued waiters are blocked — a fired timeout must leave no
-     dangling entry behind. *)
-  let ports = Hashtbl.create 16 in
-  Object_table.iter_valid
-    (fun i ->
-      match Object_table.payload table i with
-      | Some (K.Port.Port_state p) -> Hashtbl.replace ports p.K.Port.self p
-      | Some _ | None -> ())
-    table;
-  Hashtbl.iter
-    (fun self (p : K.Port.t) ->
-      if K.Port.queue_length p > p.K.Port.capacity then
-        fail "port #%d holds %d messages over capacity %d" self
-          (K.Port.queue_length p) p.K.Port.capacity;
-      (* 5. A waiter waits only for what the queue cannot give it: no
-         receiver is parked beside a queued message, no sender beside a
-         free slot. *)
-      let receivers = p.K.Port.receivers and senders = p.K.Port.senders in
-      if (not (K.Proc_queue.is_empty receivers)) && not (K.Port.is_empty p)
-      then
-        fail "port #%d parks receivers beside a non-empty queue (%d queued)"
-          self (K.Port.queue_length p);
-      if (not (K.Proc_queue.is_empty senders)) && not (K.Port.is_full p) then
-        fail "port #%d parks senders beside a free slot (%d/%d queued)" self
-          (K.Port.queue_length p) p.K.Port.capacity;
-      let waiters what queue ~blocked_here =
-        K.Proc_queue.iter
-          (fun (w : K.Process.t) ->
-            if not (blocked_here w.K.Process.status) then
-              fail "port #%d queues %s #%d that is not blocked on it" self what
-                w.K.Process.index;
-            (* 6. A process is in one queue at a time: a waiter is not
-               also ready. *)
-            if w.K.Process.q_queued then
-              fail "port #%d queues %s #%d that is also in the ready queue"
-                self what w.K.Process.index)
-          queue
-      in
-      waiters "receiver" receivers ~blocked_here:(function
-        | K.Process.Blocked_receive q -> q = self
-        | _ -> false);
-      waiters "sender" senders ~blocked_here:(function
-        | K.Process.Blocked_send q -> q = self
-        | _ -> false))
-    ports;
-  let queued waiters pi (p : K.Process.t) =
-    match Hashtbl.find_opt ports pi with
-    | None -> false
-    | Some port ->
-      K.Proc_queue.fold (fun w found -> found || w == p) (waiters port) false
+  (* Each queued waiter's process index, with the status its queue parks
+     it in, and the blocked processes, for clause 4 once all ports are
+     seen. *)
+  let parked = Hashtbl.create 16 and blocked = ref [] in
+  let check_port (p : K.Port.t) =
+    let self = p.K.Port.self in
+    if K.Port.queue_length p > p.K.Port.capacity then
+      fail "port #%d holds %d messages over capacity %d" self
+        (K.Port.queue_length p) p.K.Port.capacity;
+    (* 5. A waiter waits only for what the queue cannot give it: no
+       receiver is parked beside a queued message, no sender beside a
+       free slot. *)
+    let receivers = p.K.Port.receivers and senders = p.K.Port.senders in
+    if (not (K.Proc_queue.is_empty receivers)) && not (K.Port.is_empty p) then
+      fail "port #%d parks receivers beside a non-empty queue (%d queued)" self
+        (K.Port.queue_length p);
+    if (not (K.Proc_queue.is_empty senders)) && not (K.Port.is_full p) then
+      fail "port #%d parks senders beside a free slot (%d/%d queued)" self
+        (K.Port.queue_length p) p.K.Port.capacity;
+    let waiters what queue status =
+      K.Proc_queue.iter
+        (fun (w : K.Process.t) ->
+          Hashtbl.replace parked w.K.Process.index status;
+          (* 3. A queued waiter is blocked on this port: a fired timeout
+             must leave no dangling entry behind. *)
+          if w.K.Process.status <> status then
+            fail "port #%d queues %s #%d that is not blocked on it" self what
+              w.K.Process.index;
+          (* 6. A process is in one queue at a time: a waiter is not also
+             ready. *)
+          if w.K.Process.q_queued then
+            fail "port #%d queues %s #%d that is also in the ready queue" self
+              what w.K.Process.index)
+        queue
+    in
+    waiters "receiver" receivers p.K.Port.blocked_receive;
+    waiters "sender" senders p.K.Port.blocked_send
   in
-  let queued_receiver = queued (fun port -> port.K.Port.receivers)
-  and queued_sender = queued (fun port -> port.K.Port.senders) in
+  let walked =
+    K.Snapshot.fold machine ~init:0 (fun _ obj walked ->
+        (match obj with
+        | K.Snapshot.Process p -> (
+          match p.K.Process.status with
+          (* 1. Once the run loop returns, nothing may still claim a
+             processor. *)
+          | K.Process.Running ->
+            fail "process %s (#%d) still Running after halt" p.K.Process.name
+              p.K.Process.index
+          | K.Process.Blocked_send pi ->
+            blocked := (p, "Blocked_send", pi) :: !blocked
+          | K.Process.Blocked_receive pi ->
+            blocked := (p, "Blocked_receive", pi) :: !blocked
+          | _ -> ())
+        | K.Snapshot.Port p -> check_port p
+        | K.Snapshot.Processor _ | K.Snapshot.Sro | K.Snapshot.Plain -> ());
+        walked + 1)
+  in
+  (* 2. The table's valid count must agree with the walk. *)
+  let counted = Object_table.count_valid (K.Machine.table machine) in
+  if walked <> counted then
+    fail "object table count_valid %d <> iter_valid walk %d" counted walked;
+  (* 4. A process blocked on a port is queued there. *)
   List.iter
-    (fun (p : K.Process.t) ->
-      match p.K.Process.status with
-      | K.Process.Blocked_receive pi when not (queued_receiver pi p) ->
-        fail "process %s (#%d) Blocked_receive on port #%d but not queued"
-          p.K.Process.name p.K.Process.index pi
-      | K.Process.Blocked_send pi when not (queued_sender pi p) ->
-        fail "process %s (#%d) Blocked_send on port #%d but not queued"
-          p.K.Process.name p.K.Process.index pi
-      | _ -> ())
-    processes;
+    (fun ((p : K.Process.t), what, pi) ->
+      if Hashtbl.find_opt parked p.K.Process.index <> Some p.K.Process.status
+      then
+        fail "process %s (#%d) %s on port #%d but not queued" p.K.Process.name
+          p.K.Process.index what pi)
+    (List.rev !blocked);
   List.rev_append !bad (check_progress machine)

@@ -1,68 +1,31 @@
 (** Machine introspection from outside the protection boundary.
 
-    A consistent summary of processes, processors, ports, and the object
-    table — the simulator's logic-analyzer view, deliberately not an iMAX
-    service (inside the capability system there is no central table of all
-    processes, §7.1). *)
+    One walk of a machine's state, {!fold}, and the views read from it:
+    the full {!state_image} for checkpoint verification and the operator
+    {!summary} of processors, processes, ports and SROs.  The
+    fault-injection audit ([I432_fi.Fi.check_invariants]) is a fold too.
+    This is the simulator's logic-analyzer view, deliberately not an iMAX
+    service (inside the capability system there is no central table of
+    all processes, §7.1). *)
 
-type process_line = {
-  p_name : string;
-  p_status : string;
-  p_priority : int;
-  p_cpu_ns : int;
-  p_dispatches : int;
-  p_preemptions : int;
-  p_messages : int * int;  (** sent, received *)
-}
+(** A valid descriptor's payload, as the walk classifies it.  The
+    records are the kernel's own, not copies. *)
+type obj =
+  | Plain  (** no kernel payload: data objects, and the records of layers above the kernel *)
+  | Port of Port.t
+  | Process of Process.t
+  | Processor of Processor.t
+  | Sro  (** a storage resource object; read it through {!I432.Sro} *)
 
-type processor_line = {
-  c_id : int;
-  c_clock_ns : int;
-  c_busy_ns : int;
-  c_idle_ns : int;
-  c_utilization : float;
-  c_dispatches : int;
-  c_online : bool;
-}
+(** [fold machine ~init f] calls [f index obj acc] on each valid
+    descriptor of the machine's object table exactly once, in ascending
+    index order, threading the accumulator.  It builds no list. *)
+val fold : Machine.t -> init:'a -> (int -> obj -> 'a -> 'a) -> 'a
 
-type port_line = {
-  q_index : int;
-  q_capacity : int;
-  q_depth : int;
-  q_sends : int;
-  q_receives : int;
-  q_blocks : int * int;  (** send, receive *)
-}
-
-type sro_line = {
-  s_index : int;
-  s_level : int;
-  s_free_bytes : int;
-  s_largest_free : int;  (** largest single free region *)
-  s_region_count : int;  (** free-list fragmentation *)
-  s_live_objects : int;
-}
-
-type t = {
-  now_ns : int;
-  processes : process_line list;
-  processors : processor_line list;
-  ports : port_line list;
-  sros : sro_line list;
-  objects_live : int;
-  table_capacity : int;
-  barrier_shades : int;
-  fault_count : int;
-  gc_phase : string;  (** "idle", "mark" or "sweep" (metrics gauge) *)
-  events_emitted : int;
-  events_retained : int;
-  events_dropped : int;
-}
-
-val capture : Machine.t -> t
-
-(** Multi-line human-readable rendering. *)
-val render : t -> string
+(** Multi-line human-readable summary: time, live objects and faults,
+    the collector's phase and trace totals, then each processor, each
+    process in spawn order, each port and each SRO. *)
+val summary : Machine.t -> string
 
 (** Full deterministic machine image, for checkpoint verification.
 

@@ -144,15 +144,10 @@ let test_send_timeout_accepted () =
   let _ = K.Machine.run m in
   Alcotest.(check bool) "late space still accepts" true !accepted;
   Alcotest.(check int) "drained" 0
-    (let table = K.Machine.table m in
-     let left = ref 0 in
-     Object_table.iter_valid
-       (fun i ->
-         match Object_table.payload table i with
-         | Some (K.Port.Port_state p) -> left := !left + K.Port.queue_length p
-         | Some _ | None -> ())
-       table;
-     !left)
+    (K.Snapshot.fold m ~init:0 (fun _ obj left ->
+         match obj with
+         | K.Snapshot.Port p -> left + K.Port.queue_length p
+         | _ -> left))
 
 (* An armed port delay is charged at the next port syscall, whatever its
    wait mode: a conditional op costs exactly the delay more than without

@@ -117,12 +117,15 @@ let test_everything_at_once () =
   Alcotest.(check int) "full pool" 4 (Device_io.free_drive_count farm);
 
   (* Global snapshot invariants. *)
-  let snap = K.Snapshot.capture m in
-  Alcotest.(check int) "three processors" 3 (List.length snap.K.Snapshot.processors);
+  let processors, live =
+    K.Snapshot.fold m ~init:([], 0) (fun _ obj (cpus, live) ->
+        match obj with
+        | K.Snapshot.Processor c -> (c :: cpus, live + 1)
+        | _ -> (cpus, live + 1))
+  in
+  Alcotest.(check int) "three processors" 3 (List.length processors);
   Alcotest.(check bool) "every processor was used" true
-    (List.for_all
-       (fun c -> c.K.Snapshot.c_busy_ns > 0)
-       snap.K.Snapshot.processors);
+    (List.for_all (fun c -> c.K.Processor.busy_ns > 0) processors);
   Alcotest.(check bool) "GC daemon reclaimed garbage" true
     ((I432_gc.Collector.stats collector).I432_gc.Collector.swept > 0);
   Alcotest.(check bool) "swapper exercised" true
@@ -132,7 +135,7 @@ let test_everything_at_once () =
   (* The capability system never fabricated descriptors: every live object
      is within table capacity. *)
   Alcotest.(check bool) "table consistent" true
-    (snap.K.Snapshot.objects_live <= snap.K.Snapshot.table_capacity);
+    (live <= Object_table.capacity (K.Machine.table m));
   ignore table
 
 let test_rerun_determinism_rich_config () =
@@ -172,8 +175,7 @@ let test_snapshot_renders () =
   ignore
     (K.Machine.spawn m ~name:"worker" (fun () -> K.Machine.compute m 100));
   let _ = System.run sys in
-  let snap = K.Snapshot.capture m in
-  let text = K.Snapshot.render snap in
+  let text = K.Snapshot.summary m in
   Alcotest.(check bool) "mentions the worker" true
     (let contains s sub =
        let n = String.length s and m' = String.length sub in

@@ -596,10 +596,13 @@ let loop_case ~processors ?max_ns ?max_steps setup =
   setup m;
   let r = run ?max_ns ?max_steps m in
   let cpus =
-    List.map
-      (fun (c : K.Snapshot.processor_line) ->
-        Printf.sprintf "%d/%d" c.K.Snapshot.c_clock_ns c.K.Snapshot.c_idle_ns)
-      (K.Snapshot.capture m).K.Snapshot.processors
+    K.Snapshot.fold m ~init:[] (fun _ obj cpus ->
+        match obj with
+        | K.Snapshot.Processor c ->
+          Printf.sprintf "%d/%d" c.K.Processor.clock_ns c.K.Processor.idle_ns
+          :: cpus
+        | _ -> cpus)
+    |> List.rev
   in
   let kinds =
     List.filter_map
