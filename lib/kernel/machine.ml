@@ -694,8 +694,9 @@ let[@inline] ready_or_hold t (proc : Process.t) =
    plus [admit] (the head message out, one parked sender in), [park] (the
    caller waits, optionally with a deadline), and [post] for deliveries
    from outside any process.  Together they keep two queue invariants
-   (checked by [Fi.check_invariants]): a port with parked receivers has an
-   empty queue, and a port with parked senders has a full one.
+   ([Fi.check_invariants] checks each port as its [Snapshot.fold] visits
+   it): a port with parked receivers has an empty queue, and a port with
+   parked senders has a full one.
 
    The steps on the send/receive hot path carry [@inline]: ocamlopt
    without flambda keeps each one a call otherwise, which costs a
@@ -1505,8 +1506,8 @@ let min_clock_processor t =
    ([tally]) and the timer heap instead of walking the processes.
    [has_local_work] is the per-node test the cluster's round loop also
    asks, [can_progress] decides halting, and [idle_target] is where an
-   idle processor's clock goes next.  [Fi.check_invariants] audits the
-   counts against a recount. *)
+   idle processor's clock goes next.  [Fi.check_progress], a clause of
+   [Fi.check_invariants], audits the counts against a recount. *)
 
 let has_local_work t = t.n_local_work > 0
 
@@ -1617,7 +1618,7 @@ type progress = {
   next_timer : int option;
 }
 
-(* A copy of the progress state, for the audit in [Fi.check_invariants]:
+(* A copy of the progress state, for the audit in [Fi.check_progress]:
    the heap is walked, so the audit reads every timer's instant. *)
 let progress t =
   let timers = Timers.length t.timers and next = ref max_int in
