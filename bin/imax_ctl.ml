@@ -1825,15 +1825,21 @@ let midrun_world () =
   let msg () = K.Machine.allocate_generic m ~data_length:8 () in
   let box = K.Machine.allocate_generic m ~data_length:8 ~access_length:2 () in
   K.Machine.add_root m box;
-  let spawn ?priority name body = K.Machine.spawn m ?priority ~name body in
-  let send port = let msg = msg () in fun () -> K.Machine.send m ~port ~msg in
+  let spawn ?priority ?start_after name body =
+    K.Machine.spawn m ?priority ?start_after ~name body
+  in
+  (* A body that sends one message allocated now, before the run. *)
+  let send port =
+    let msg = msg () in
+    fun () -> K.Machine.send m ~port ~msg
+  in
   let fifo_a = send fifo and fifo_b = send fifo in
   ignore (spawn "fifo-send" (fun () -> fifo_a (); fifo_b ()));
   (* prio-hi starts late and parks ahead of prio-lo; prio-idle never
      runs beside the spinners. *)
   List.iter
     (fun (name, priority, start_after) ->
-      ignore (K.Machine.spawn m ~priority ~name ~start_after (send prio)))
+      ignore (spawn ~priority ~start_after name (send prio)))
     [
       ("prio-fill", 10, 0);
       ("prio-lo", 9, 0);
@@ -1949,7 +1955,7 @@ let scenario_image () =
         (fun (node, m) ->
           Printf.printf "== %s%s\n" world (if node = "" then "" else " " ^ node);
           print_string (K.Snapshot.state_image m);
-          maybe_snapshot true m)
+          print_string (K.Snapshot.summary m))
         (machines ()))
     image_worlds
 

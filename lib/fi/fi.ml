@@ -298,7 +298,7 @@ let check_invariants machine =
             blocked := (p, "Blocked_receive", pi) :: !blocked
           | _ -> ())
         | K.Snapshot.Port p -> check_port p
-        | K.Snapshot.Processor _ | K.Snapshot.Sro | K.Snapshot.Plain -> ());
+        | K.Snapshot.Processor _ | K.Snapshot.Sro _ | K.Snapshot.Plain -> ());
         walked + 1)
   in
   (* 2. The table's valid count must agree with the walk. *)

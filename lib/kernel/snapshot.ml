@@ -16,7 +16,7 @@ type obj =
   | Port of Port.t
   | Process of Process.t
   | Processor of Processor.t
-  | Sro
+  | Sro of Access.t
 
 (* The one walk: every valid descriptor once, in index order, its
    payload classified; the records are the kernel's own. *)
@@ -30,7 +30,8 @@ let fold machine ~init f =
         | Some (Port.Port_state p) -> Port p
         | Some (Process.Process_state p) -> Process p
         | Some (Processor.Processor_state c) -> Processor c
-        | Some (Sro.Sro_state _) -> Sro
+        | Some (Sro.Sro_state _) ->
+          Sro (Access.make ~index:i ~rights:Rights.full)
         | Some _ | None -> Plain
       in
       acc := f i obj !acc)
@@ -41,7 +42,7 @@ let fold machine ~init f =
 (* Deterministic full-state image (checkpoint verification)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything below iterates in index order (the table's iter_valid) or
+(* Everything below iterates in index order (the walk) or
    queue service order, never hash order, so two machines that replayed
    the same history render byte-identical images.  The image is textual
    on purpose: a mismatch diff names the divergent object instead of
@@ -143,8 +144,7 @@ let state_image machine =
           (if c.Processor.transient_pending then " transient" else "")
           (if c.Processor.current < 0 then "-"
            else string_of_int c.Processor.current)
-      | Sro ->
-        let access = Access.make ~index:i ~rights:Rights.full in
+      | Sro access ->
         Printf.bprintf buf " sro level=%d free=%d largest=%d regions=%d live=%d\n"
           (Sro.level table access)
           (Sro.free_bytes table access)
@@ -218,8 +218,7 @@ let summary machine =
           "  port #%d depth %d/%d sends %d receives %d blocks %d/%d\n" i
           (Port.queue_length p) p.Port.capacity p.Port.sends p.Port.receives
           p.Port.send_blocks p.Port.receive_blocks
-      | Sro ->
-        let access = Access.make ~index:i ~rights:Rights.full in
+      | Sro access ->
         Printf.bprintf sros
           "  sro #%d level %d free %d B (largest %d B, %d regions) %d objects\n"
           i (Sro.level table access)

@@ -11,11 +11,15 @@
 (** A valid descriptor's payload, as the walk classifies it.  The
     records are the kernel's own, not copies. *)
 type obj =
-  | Plain  (** no kernel payload: data objects, and the records of layers above the kernel *)
+  | Plain
+      (** no kernel payload: data objects, and the records of layers
+          above the kernel *)
   | Port of Port.t
   | Process of Process.t
   | Processor of Processor.t
-  | Sro  (** a storage resource object; read it through {!I432.Sro} *)
+  | Sro of I432.Access.t
+      (** a storage resource object: a full-rights AD to read it through
+          {!I432.Sro} *)
 
 (** [fold machine ~init f] calls [f index obj acc] on each valid
     descriptor of the machine's object table exactly once, in ascending

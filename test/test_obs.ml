@@ -484,14 +484,13 @@ let test_snapshot_observability_fields () =
     (List.nth (String.split_on_char '\n' rendered) 1);
   let table = K.Machine.table m in
   (match
-     K.Snapshot.fold m ~init:None (fun i obj first ->
+     K.Snapshot.fold m ~init:None (fun _ obj first ->
          match (obj, first) with
-         | K.Snapshot.Sro, None -> Some i
+         | K.Snapshot.Sro sro, None -> Some sro
          | _ -> first)
    with
   | None -> Alcotest.fail "expected at least the global SRO"
-  | Some i ->
-    let sro = I432.Access.make ~index:i ~rights:I432.Rights.full in
+  | Some sro ->
     Alcotest.(check bool) "free-store stats present" true
       (I432.Sro.free_bytes table sro > 0 && I432.Sro.region_count table sro > 0))
 
