@@ -106,11 +106,13 @@ val arm : K.Machine.t -> plan -> unit
 (** Human-readable one-line-per-event rendering. *)
 val to_string : plan -> string
 
-(** Post-run consistency check; each violated invariant yields one
-    message, so [\[\]] means the machine survived the plan intact:
+(** Post-run consistency check, read from one {!K.Snapshot.fold}; each
+    violated invariant yields one message, in a fixed order (the walk's
+    index order, never hash order), so [\[\]] means the machine survived
+    the plan intact:
 
     - no process is still [Running] once the run loop has returned;
-    - the object table's valid-entry count matches an [iter_valid] walk;
+    - the object table's valid-entry count matches the walk's;
     - no port queue exceeds its capacity;
     - every process blocked on a port appears in that port's waiting
       queue, and every waiter recorded by a port is a process blocked on
