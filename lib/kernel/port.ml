@@ -221,10 +221,9 @@ let pop t ~now =
 
 let dequeue t ~now = if is_empty t then None else Some (pop t ~now)
 
-(* A parked sender draws a sequence number, as a queued message does,
-   so message numbering is the seed's. *)
+(* A parked sender draws no sequence number: its queue position orders
+   it, and its message draws one in [enqueue] when it is admitted. *)
 let park_sender t (proc : Process.t) ~msg =
-  ignore (next_seq t);
   proc.Process.q_msg <- msg;
   proc.Process.q_prio <- proc.Process.priority;
   match t.discipline with
